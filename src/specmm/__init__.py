@@ -19,7 +19,6 @@ __version__ = "0.1.0"
 from .tolerances import DEFAULT_TOLS, Tolerances
 from .symmat import (
     EigDecomposition,
-    JacobiConvergenceError,
     SymMatrix,
     eigh,
     frobenius_inner,
@@ -88,7 +87,6 @@ __all__ = [
     "DEFAULT_TOLS",
     "SymMatrix",
     "EigDecomposition",
-    "JacobiConvergenceError",
     "frobenius_inner",
     "eigh",
     "lambda_min",

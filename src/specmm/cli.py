@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .classic import VectorGame, embed_diagonal, classic_value_exact
+from .classic import VectorGame, verify_diagonal_reduction
 from .domains import (
     SimplexPoint,
     lambda_min_by_bisection,
@@ -82,14 +82,10 @@ def _add_solver_flags(p: argparse.ArgumentParser):
     fmt.add_argument("--json", action="store_true", help="JSON report (default: text)")
     fmt.add_argument("--text", action="store_true", help="text report")
     p.add_argument("--out", default=None, help="write the report to a file instead of stdout")
-    p.add_argument("--seed", type=int, default=None,
-                   help="reserved; the solver is deterministic and ignores it")
 
 
 def _run_solver(args, solver) -> int:
     inst, _ = load_instance(args.instance)
-    if args.seed is not None:
-        logger.debug("--seed %d ignored, solver is deterministic", args.seed)
     cfg = SaddleConfig(max_iters=args.max_iters, gap_tol=args.tol)
     cert = solver(inst, cfg)
     report = report_from_certificate(cert)
@@ -143,14 +139,11 @@ def _cmd_classic(args) -> int:
         if not isinstance(doc, dict) or "vectors" not in doc:
             raise InstanceFormatError("expected an object with a 'vectors' field")
         game = VectorGame(tuple(tuple(row) for row in doc["vectors"]))
-    exact = classic_value_exact(game)
-    cfg = SaddleConfig(gap_tol=args.tol)
-    cert = solve_minimax(embed_diagonal(game), cfg)
-    diff = abs(cert.midpoint - exact)
-    print(f"classic value  {exact!r}")
-    print(f"spectral value {cert.midpoint!r}")
-    print(f"difference     {diff!r}")
-    return 0 if diff <= args.tol + 1e-8 else 2
+    rep = verify_diagonal_reduction(game, SaddleConfig(gap_tol=args.tol))
+    print(f"classic value  {rep.exact_value!r}")
+    print(f"spectral value {rep.certificate.midpoint!r}")
+    print(f"difference     {rep.difference!r}")
+    return 0 if rep.within_tolerance else 2
 
 
 def _check_line(name: str, ok: bool, detail: str) -> bool:

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .symmat import SymMatrix, eigh, frobenius_inner, is_psd, lambda_min, _eigh_raw
-from .tolerances import DEFAULT_TOLS, Tolerances
+from .tolerances import DEFAULT_TOLS
 
 __all__ = [
     "SpectraplexPoint",
@@ -121,24 +121,20 @@ class InstanceSet:
         return s
 
 
-def spectraplex_linear_min(
-    a: SymMatrix, tols: Tolerances = DEFAULT_TOLS
-) -> tuple[float, SpectraplexPoint]:
+def spectraplex_linear_min(a: SymMatrix) -> tuple[float, SpectraplexPoint]:
     """Minimize <A, X> over the spectraplex.
 
     The minimum is lambda_min(A), attained at the rank-one projector onto
     a bottom eigenvector; ties resolve to the eigensolver's first bottom
     eigenvector, so the result is deterministic.
     """
-    dec = eigh(a, tols)
+    dec = eigh(a)
     u = dec.eigenvectors[:, 0]
     x = SpectraplexPoint(SymMatrix(np.outer(u, u)))
     return float(dec.eigenvalues[0]), x
 
 
-def lambda_min_by_bisection(
-    a: SymMatrix, tol: float = 1e-8, tols: Tolerances = DEFAULT_TOLS
-) -> float:
+def lambda_min_by_bisection(a: SymMatrix, tol: float = 1e-8) -> float:
     """Smallest eigenvalue via the semidefinite characterization
     lambda_min(A) = max { t : A - t*I is PSD }, located by bisection.
 
@@ -155,7 +151,7 @@ def lambda_min_by_bisection(
     ident = np.eye(a.n)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if is_psd(SymMatrix(a.array - mid * ident), 0.0, tols):
+        if is_psd(SymMatrix(a.array - mid * ident), 0.0):
             lo = mid
         else:
             hi = mid

@@ -153,9 +153,7 @@ class ExtractedDual:
     degenerate: bool
 
 
-def build_embedding(
-    inst: InstanceSet, shift_policy: str = "auto", tols: Tolerances = DEFAULT_TOLS
-) -> SdpEmbedding:
+def build_embedding(inst: InstanceSet, shift_policy: str = "auto") -> SdpEmbedding:
     """Assemble the block matrices for an instance.
 
     shift_policy "auto" sets sigma = max(0, -min_i lambda_min(A_i)) + 1,
@@ -167,7 +165,7 @@ def build_embedding(
     if shift_policy == "none":
         sigma = 0.0
     elif shift_policy == "auto":
-        bottom = min(lambda_min(a, tols) for a in inst.matrices)
+        bottom = min(lambda_min(a) for a in inst.matrices)
         sigma = max(0.0, -bottom) + 1.0
     else:
         raise ValueError(f"unknown shift_policy {shift_policy!r}")
@@ -296,9 +294,7 @@ def lift_dual(
     return DualLift(multipliers=multipliers, bound=float(t), slack=SymMatrix(slack), residual=residual)
 
 
-def interior_dual_point(
-    inst: InstanceSet, emb: SdpEmbedding, tols: Tolerances = DEFAULT_TOLS
-) -> DualLift:
+def interior_dual_point(inst: InstanceSet, emb: SdpEmbedding) -> DualLift:
     """Strictly feasible dual triple with certified positive-definite slack.
 
     Multipliers -1/(2m) leave the simplex-sum slot at 1/2 and every index

@@ -37,7 +37,7 @@ from .domains import (
     best_response_index,
     weighted_combination,
 )
-from .symmat import SymMatrix, _eigh_raw, _eigvals_raw, eigh
+from .symmat import SymMatrix, _eigh_raw, _eigvals_raw, lambda_max
 from .tolerances import DEFAULT_TOLS
 
 __all__ = [
@@ -65,14 +65,11 @@ class SaddleConfig:
     max_iters: hard cap on rounds.
     gap_tol: stop once upper - lower falls below this.
     step_scale: multiplies the default step size.
-    shift_policy: "auto" or "none"; forwarded to embedding workflows,
-        the dynamics themselves are shift-invariant.
     """
 
     max_iters: int = 5000
     gap_tol: float = 1e-4
     step_scale: float = 1.0
-    shift_policy: str = "auto"
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -81,8 +78,6 @@ class SaddleConfig:
             raise ValueError("gap_tol must be positive")
         if not self.step_scale > 0.0:
             raise ValueError("step_scale must be positive")
-        if self.shift_policy not in ("auto", "none"):
-            raise ValueError(f"unknown shift_policy {self.shift_policy!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,11 +217,12 @@ class _Incumbents:
         return self.upper - self.lower
 
 
-def _wrap_minimax(inst, inc, iterations, cfg) -> SaddleCertificate:
+def _certificate(inc, iterations, cfg, bounds) -> SaddleCertificate:
+    """Certificate at the incumbent strategies; ``bounds(x_bar, y_bar)``
+    returns the direction's exact (upper, lower) pair."""
     x_bar = SpectraplexPoint(SymMatrix(inc.x))
     y_bar = SimplexPoint(inc.y)
-    upper = upper_value(x_bar, inst)
-    lower = lower_value(y_bar, inst)
+    upper, lower = bounds(x_bar, y_bar)
     gap = upper - lower
     return SaddleCertificate(
         upper=upper,
@@ -263,7 +259,9 @@ def solve_minimax(
         return g
 
     iterations = _run_dynamics(inst.stacked, cfg, report)
-    return _wrap_minimax(inst, inc, iterations, cfg)
+    return _certificate(
+        inc, iterations, cfg, lambda x, y: (upper_value(x, inst), lower_value(y, inst))
+    )
 
 
 def solve_maximin(
@@ -291,18 +289,8 @@ def solve_maximin(
 
     iterations = _run_dynamics(-inst.stacked, cfg, report)
 
-    x_bar = SpectraplexPoint(SymMatrix(inc.x))
-    y_bar = SimplexPoint(inc.y)
-    vals = np.tensordot(inst.stacked, x_bar.array, axes=([1, 2], [0, 1]))
-    lower = float(vals.min())
-    upper = float(eigh(weighted_combination(y_bar, inst)).eigenvalues[-1])
-    gap = upper - lower
-    return SaddleCertificate(
-        upper=upper,
-        lower=lower,
-        gap=gap,
-        x_bar=x_bar,
-        y_bar=y_bar,
-        iterations=iterations,
-        converged=bool(gap <= cfg.gap_tol),
-    )
+    def bounds(x, y):
+        vals = np.tensordot(inst.stacked, x.array, axes=([1, 2], [0, 1]))
+        return lambda_max(weighted_combination(y, inst)), float(vals.min())
+
+    return _certificate(inc, iterations, cfg, bounds)

@@ -2,25 +2,20 @@
 
 Everything downstream (the strategy domains, the saddle solver, the block
 embedding) consumes values produced here. Matrices are stored dense and
-symmetrized on construction. The eigensolver is a cyclic Jacobi iteration:
-at the orders this library targets it is simple, unconditionally convergent
-on symmetric input, and returns eigenvectors orthogonal to near machine
-precision, which the downstream certificates rely on.
+symmetrized on construction. Eigendecompositions are one LAPACK call
+(``numpy.linalg.eigh``), which returns eigenvectors orthogonal to near
+machine precision, as the downstream certificates rely on.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tolerances import DEFAULT_TOLS, Tolerances
-
 __all__ = [
     "SymMatrix",
     "EigDecomposition",
-    "JacobiConvergenceError",
     "frobenius_inner",
     "eigh",
     "lambda_min",
@@ -28,10 +23,6 @@ __all__ = [
     "is_psd",
     "sym_exp",
 ]
-
-
-class JacobiConvergenceError(RuntimeError):
-    """Raised when the Jacobi sweep cap is exhausted before convergence."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,123 +101,56 @@ def frobenius_inner(a: SymMatrix, b: SymMatrix) -> float:
     return float(np.tensordot(a.array, b.array, 2))
 
 
-def _jacobi(a: np.ndarray, tols: Tolerances, want_vectors: bool):
-    """Cyclic Jacobi on a symmetric array.
-
-    Returns (eigenvalues list, eigenvector columns as rows-of-lists V or
-    None). Plain Python lists beat vectorized updates at these orders; the
-    rotations touch two rows and two columns at a time.
-    """
-    n = a.shape[0]
-    A = [[float(x) for x in row] for row in a.tolist()]
-    V = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)] if want_vectors else None
-    fro = math.sqrt(math.fsum(A[i][j] * A[i][j] for i in range(n) for j in range(n)))
-    thresh = tols.jacobi_off_factor * fro
-    sweeps = 0
-    while True:
-        off = math.sqrt(2.0 * math.fsum(A[i][j] * A[i][j] for i in range(n) for j in range(i + 1, n)))
-        if off <= thresh:
-            break
-        if sweeps >= tols.jacobi_max_sweeps:
-            raise JacobiConvergenceError(
-                f"no convergence after {sweeps} sweeps (off-diagonal norm {off:.3e})"
-            )
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p][q]
-                if apq == 0.0:
-                    continue
-                # rotation zeroing entry (p, q); the smaller-angle root keeps
-                # the iteration stable and the diagonal close to final order
-                tau = (A[q][q] - A[p][p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                for i in range(n):
-                    Ai = A[i]
-                    aip = Ai[p]
-                    aiq = Ai[q]
-                    Ai[p] = c * aip - s * aiq
-                    Ai[q] = s * aip + c * aiq
-                Ap = A[p]
-                Aq = A[q]
-                for j in range(n):
-                    apj = Ap[j]
-                    aqj = Aq[j]
-                    Ap[j] = c * apj - s * aqj
-                    Aq[j] = s * apj + c * aqj
-                if want_vectors:
-                    for i in range(n):
-                        Vi = V[i]
-                        vip = Vi[p]
-                        viq = Vi[q]
-                        Vi[p] = c * vip - s * viq
-                        Vi[q] = s * vip + c * viq
-        sweeps += 1
-    lam = [A[i][i] for i in range(n)]
-    return lam, V
-
-
-def _eigh_raw(a: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
+def _eigh_raw(a: np.ndarray):
     """(eigenvalues, eigenvectors) as ndarrays, sorted nondecreasing, each
     column sign-fixed so its first nonzero entry is positive."""
-    lam, V = _jacobi(a, tols, want_vectors=True)
-    order = sorted(range(len(lam)), key=lam.__getitem__)
-    w = np.array([lam[k] for k in order])
-    U = np.array(V)[:, order]
-    for k in range(U.shape[1]):
-        col = U[:, k]
-        for x in col:
-            if x != 0.0:
-                if x < 0.0:
-                    U[:, k] = -col
-                break
+    w, U = np.linalg.eigh(a)
+    first = U[np.argmax(U != 0.0, axis=0), np.arange(U.shape[1])]
+    U[:, first < 0.0] *= -1.0
     return w, U
 
 
-def _eigvals_raw(a: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """Sorted eigenvalues only; skips the eigenvector updates."""
-    lam, _ = _jacobi(a, tols, want_vectors=False)
-    lam.sort()
-    return np.array(lam)
+def _eigvals_raw(a: np.ndarray) -> np.ndarray:
+    """Sorted eigenvalues only. They come from the same LAPACK call as
+    ``_eigh_raw``, so both return the same floats for the same input."""
+    return np.linalg.eigh(a)[0]
 
 
-def eigh(a: SymMatrix, tols: Tolerances = DEFAULT_TOLS) -> EigDecomposition:
+def eigh(a: SymMatrix) -> EigDecomposition:
     """Full eigendecomposition A = U diag(w) U^T.
 
-    Deterministic for a fixed input: eigenvalues nondecreasing (stable
-    order among ties) and each eigenvector's first nonzero component
-    positive. Raises JacobiConvergenceError if the sweep cap is hit.
+    Deterministic for a fixed input: eigenvalues nondecreasing and each
+    eigenvector's first nonzero component positive.
     """
-    w, U = _eigh_raw(a.array, tols)
+    w, U = _eigh_raw(a.array)
     w.flags.writeable = False
     U.flags.writeable = False
     return EigDecomposition(eigenvalues=w, eigenvectors=U)
 
 
-def lambda_min(a: SymMatrix, tols: Tolerances = DEFAULT_TOLS) -> float:
-    """Smallest eigenvalue. Matches eigh(a).eigenvalues[0] exactly; the
-    vector bookkeeping is skipped since only values are needed."""
-    return float(_eigvals_raw(a.array, tols)[0])
+def lambda_min(a: SymMatrix) -> float:
+    """Smallest eigenvalue. Matches eigh(a).eigenvalues[0] exactly."""
+    return float(_eigvals_raw(a.array)[0])
 
 
-def lambda_max(a: SymMatrix, tols: Tolerances = DEFAULT_TOLS) -> float:
-    """Largest eigenvalue."""
-    return float(_eigvals_raw(a.array, tols)[-1])
+def lambda_max(a: SymMatrix) -> float:
+    """Largest eigenvalue. Matches eigh(a).eigenvalues[-1] exactly."""
+    return float(_eigvals_raw(a.array)[-1])
 
 
-def is_psd(a: SymMatrix, tol: float, tols: Tolerances = DEFAULT_TOLS) -> bool:
+def is_psd(a: SymMatrix, tol: float) -> bool:
     """Whether lambda_min(A) >= -tol. The slack tol must be nonnegative."""
     if tol < 0.0:
         raise ValueError(f"tolerance must be nonnegative, got {tol}")
-    return lambda_min(a, tols) >= -tol
+    return lambda_min(a) >= -tol
 
-def sym_exp(a: SymMatrix, tols: Tolerances = DEFAULT_TOLS) -> SymMatrix:
+
+def sym_exp(a: SymMatrix) -> SymMatrix:
     """Matrix exponential U diag(exp w) U^T through the eigensystem.
 
     No overflow protection: callers needing a normalized exponential (for
     example a trace-one Gibbs state) should shift the spectrum by the top
     eigenvalue first, which cancels after normalization.
     """
-    w, U = _eigh_raw(a.array, tols)
+    w, U = _eigh_raw(a.array)
     return SymMatrix((U * np.exp(w)) @ U.T)

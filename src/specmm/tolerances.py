@@ -16,14 +16,6 @@ __all__ = ["Tolerances", "DEFAULT_TOLS"]
 
 @dataclass(frozen=True)
 class Tolerances:
-    # eigendecomposition quality
-    orthogonality: float = 1e-10
-    reconstruction: float = 1e-9
-    # Jacobi stops once the off-diagonal Frobenius mass falls below
-    # jacobi_off_factor * ||A||_F; the sweep cap flags pathological input.
-    jacobi_off_factor: float = 1e-12
-    jacobi_max_sweeps: int = 100
-
     # strategy-domain membership
     spectraplex_trace: float = 1e-10
     spectraplex_eig: float = 1e-10

@@ -79,13 +79,6 @@ class TestSolveCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["gap"] <= 1e-2
 
-    def test_seed_flag_accepted_and_ignored(self, pauli_file, capsys):
-        assert main(["solve", pauli_file, "--json", "--seed", "7"]) == 0
-        a = json.loads(capsys.readouterr().out)
-        assert main(["solve", pauli_file, "--json", "--seed", "8"]) == 0
-        b = json.loads(capsys.readouterr().out)
-        assert a == b
-
 
 class TestInputValidation:
     def test_shape_mismatch_names_matrix(self, tmp_path, capsys):

@@ -47,7 +47,6 @@ class TestConfig:
         assert cfg.max_iters == 5000
         assert cfg.gap_tol == 1e-4
         assert cfg.step_scale == 1.0
-        assert cfg.shift_policy == "auto"
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -56,8 +55,6 @@ class TestConfig:
             SaddleConfig(gap_tol=0.0)
         with pytest.raises(ValueError):
             SaddleConfig(step_scale=-1.0)
-        with pytest.raises(ValueError):
-            SaddleConfig(shift_policy="sometimes")
 
 
 class TestBoundOracles:
