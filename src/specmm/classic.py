@@ -4,13 +4,14 @@ A matrix game with payoff rows a_1, ..., a_m over n columns embeds into the
 spectral problem by placing each row on a diagonal: with A_i = diag(a_i),
 mixed column strategies correspond to diagonal spectraplex points and the
 game value equals the spectral saddle value. This module computes the game
-value exactly (rational arithmetic over all square supports) so the
-reduction can be verified against the iterative solver to stated
-tolerances.
+value exactly (support enumeration over all square supports, solved by
+fraction-free integer elimination) so the reduction can be verified
+against the iterative solver to stated tolerances.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -80,22 +81,34 @@ def embed_diagonal(game: VectorGame) -> InstanceSet:
     return InstanceSet(tuple(SymMatrix(np.diag(r)) for r in game.rows))
 
 
-def _solve_exact(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Gaussian elimination over the rationals; None if singular."""
+def _solve_exact(mat: list[list[int]], rhs: list[int]) -> list[Fraction] | None:
+    """Solve an integer system exactly by fraction-free (Bareiss)
+    Gauss-Jordan elimination; None if singular.
+
+    Each step replaces every other row r by (p * r - r[col] * pivot row)
+    divided by the previous pivot p_prev. By Sylvester's identity the
+    entries are then minors of the system, so the division is exact and
+    the work stays in Python ints. At the end every diagonal entry is the
+    last pivot d (the determinant, up to the sign of the row swaps) and the
+    right-hand column holds d times the solution, so Fractions are built
+    for the solution entries alone.
+    """
     k = len(mat)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
+    aug = [row + [b] for row, b in zip(mat, rhs)]
+    prev = 1
     for col in range(k):
         pivot = next((r for r in range(col, k) if aug[r][col] != 0), None)
         if pivot is None:
             return None
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1, 1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
+        top = aug[col]
+        p = top[col]
         for r in range(k):
-            if r != col and aug[r][col] != 0:
+            if r != col:
                 f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [aug[r][k] for r in range(k)]
+                aug[r] = [(p * a - f * b) // prev for a, b in zip(aug[r], top)]
+        prev = p
+    return [Fraction(aug[r][k], prev) for r in range(k)]
 
 
 def _equalizer(payoff, idx, other, transpose):
@@ -111,10 +124,10 @@ def _equalizer(payoff, idx, other, transpose):
     rhs = []
     for j in other:
         row = [payoff[i][j] if not transpose else payoff[j][i] for i in idx]
-        mat.append(row + [Fraction(-1)])
-        rhs.append(Fraction(0))
-    mat.append([Fraction(1)] * k + [Fraction(0)])
-    rhs.append(Fraction(1))
+        mat.append(row + [-1])
+        rhs.append(0)
+    mat.append([1] * k + [0])
+    rhs.append(1)
     sol = _solve_exact(mat, rhs)
     if sol is None:
         return None
@@ -122,21 +135,30 @@ def _equalizer(payoff, idx, other, transpose):
 
 
 def classic_value_exact(game: VectorGame) -> float:
-    """Exact game value by support enumeration in rational arithmetic.
+    """Exact game value by support enumeration.
 
     Scans square supports by increasing order and lexicographic position,
     solves the two indifference systems exactly, and accepts the first
     support whose mixed strategies are nonnegative and unimprovable by any
-    pure deviation. Exact arithmetic makes the equilibrium checks free of
-    rounding judgment calls; the cost is exponential in min(m, n), which
-    is capped at MAX_SUPPORT_ORDER.
+    pure deviation. The payoffs are scaled to integers by the common
+    denominator of their exact values, and each system is solved by
+    fraction-free elimination over Python ints, so only the solution
+    entries are rationals. Exact arithmetic makes the equilibrium checks
+    free of rounding judgment calls, and the returned float is the
+    rational value correctly rounded; the cost is exponential in
+    min(m, n), which is capped at MAX_SUPPORT_ORDER.
     """
     m, n = game.m, game.n
     if min(m, n) > MAX_SUPPORT_ORDER:
         raise ValueError(
             f"support enumeration handles min(m, n) <= {MAX_SUPPORT_ORDER}, got {min(m, n)}"
         )
-    payoff = [[Fraction(x) for x in row] for row in game.rows]
+    # the entries are floats, so dyadic rationals: scaled by their common
+    # denominator they become ints with the same ratios, and the value
+    # scales with them
+    exact = [[Fraction(x) for x in row] for row in game.rows]
+    den = math.lcm(*(f.denominator for row in exact for f in row))
+    payoff = [[f.numerator * (den // f.denominator) for f in row] for row in exact]
     for k in range(1, min(m, n) + 1):
         for rows_idx in combinations(range(m), k):
             for cols_idx in combinations(range(n), k):
@@ -164,7 +186,7 @@ def classic_value_exact(game: VectorGame) -> float:
                 ]
                 if any(cv < v for cv in col_vals):
                     continue
-                return float(v)
+                return float(v / den)
     raise RuntimeError("no equalizing support admitted an equilibrium")
 
 

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .symmat import SymMatrix, eigh, frobenius_inner, is_psd, lambda_min, _eigh_raw
+from .symmat import SymMatrix, eigh, is_psd, lambda_min, _eigh_raw
 from .tolerances import DEFAULT_TOLS
 
 __all__ = [

@@ -132,6 +132,20 @@ def _softmax(v: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
+# The round's two contractions against the stack flattened to (m, n*n).
+# They make the np.dot call np.tensordot makes internally, on the same 2-D
+# shapes, so the floats are the same, without tensordot's per-call axis
+# bookkeeping, which costs several times the product itself at small n.
+def _combination(y: np.ndarray, flat: np.ndarray, n: int) -> np.ndarray:
+    """sum_i y_i A_i as an (n, n) array: (1, m) @ (m, n*n)."""
+    return np.dot(y.reshape(1, -1), flat).reshape(n, n)
+
+
+def _payoffs(flat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """<A_i, X> for every i as an (m,) array: (m, n*n) @ (n*n, 1)."""
+    return np.dot(flat, x.reshape(-1, 1)).reshape(-1)
+
+
 def _run_dynamics(stack: np.ndarray, cfg: SaddleConfig, report):
     """Extragradient multiplicative-weights loop on a (m, n, n) stack.
 
@@ -141,6 +155,7 @@ def _run_dynamics(stack: np.ndarray, cfg: SaddleConfig, report):
     that gap reaches cfg.gap_tol. Returns the round count at exit.
     """
     m, n, _ = stack.shape
+    flat = stack.reshape(m, n * n)
     scale = 0.0
     for a in stack:
         w = _eigvals_raw(a)
@@ -159,12 +174,12 @@ def _run_dynamics(stack: np.ndarray, cfg: SaddleConfig, report):
     for k in range(1, cfg.max_iters + 1):
         x0 = _gibbs(-eta * loss_x)
         y0 = _softmax(eta * gain_y)
-        gx0 = np.tensordot(y0, stack, axes=(0, 0))
-        gy0 = np.tensordot(stack, x0, axes=([1, 2], [0, 1]))
+        gx0 = _combination(y0, flat, n)
+        gy0 = _payoffs(flat, x0)
         xh = _gibbs(-eta * (loss_x + gx0))
         yh = _softmax(eta * (gain_y + gy0))
-        loss_x += np.tensordot(yh, stack, axes=(0, 0))
-        gain_y += np.tensordot(stack, xh, axes=([1, 2], [0, 1]))
+        loss_x += _combination(yh, flat, n)
+        gain_y += _payoffs(flat, xh)
         x_sum += xh
         y_sum += yh
         if k % EVAL_PERIOD == 0 or k == cfg.max_iters:
@@ -176,10 +191,10 @@ def _run_dynamics(stack: np.ndarray, cfg: SaddleConfig, report):
             x_avg = (x_avg + x_avg.T) / (2.0 * np.trace(x_avg))
             y_avg = y_sum / k
             y_avg = y_avg / y_avg.sum()
-            up = float(np.tensordot(stack, x_avg, axes=([1, 2], [0, 1])).max())
-            lo = float(_eigvals_raw(np.tensordot(y_avg, stack, axes=(0, 0)))[0])
-            up_h = float(np.tensordot(stack, xh, axes=([1, 2], [0, 1])).max())
-            lo_h = float(_eigvals_raw(np.tensordot(yh, stack, axes=(0, 0)))[0])
+            up = float(_payoffs(flat, x_avg).max())
+            lo = float(_eigvals_raw(_combination(y_avg, flat, n))[0])
+            up_h = float(_payoffs(flat, xh).max())
+            lo_h = float(_eigvals_raw(_combination(yh, flat, n))[0])
             if up_h < up:
                 up, x_avg = up_h, xh
             if lo_h > lo:

@@ -102,12 +102,16 @@ def frobenius_inner(a: SymMatrix, b: SymMatrix) -> float:
 
 
 def _eigh_raw(a: np.ndarray):
-    """(eigenvalues, eigenvectors) as ndarrays, sorted nondecreasing, each
-    column sign-fixed so its first nonzero entry is positive."""
-    w, U = np.linalg.eigh(a)
-    first = U[np.argmax(U != 0.0, axis=0), np.arange(U.shape[1])]
-    U[:, first < 0.0] *= -1.0
-    return w, U
+    """(eigenvalues, eigenvectors) as LAPACK returns them: eigenvalues
+    nondecreasing, column signs unfixed.
+
+    Callers that only form U f(w) U^T (Gibbs states, exponentials) need
+    no sign fix: negating a column negates both factors of each of its
+    terms, which is exact in floating point, so the product's floats are
+    the same either way. ``eigh`` fixes the signs for callers that read
+    the vectors themselves.
+    """
+    return np.linalg.eigh(a)
 
 
 def _eigvals_raw(a: np.ndarray) -> np.ndarray:
@@ -120,9 +124,13 @@ def eigh(a: SymMatrix) -> EigDecomposition:
     """Full eigendecomposition A = U diag(w) U^T.
 
     Deterministic for a fixed input: eigenvalues nondecreasing and each
-    eigenvector's first nonzero component positive.
+    eigenvector's first nonzero component positive. This is the only
+    function that fixes signs, since it is the only one that hands
+    eigenvectors to callers.
     """
     w, U = _eigh_raw(a.array)
+    first = U[np.argmax(U != 0.0, axis=0), np.arange(U.shape[1])]
+    U[:, first < 0.0] *= -1.0
     w.flags.writeable = False
     U.flags.writeable = False
     return EigDecomposition(eigenvalues=w, eigenvectors=U)

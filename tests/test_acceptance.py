@@ -15,7 +15,6 @@ from conftest import random_instance, random_orthogonal, random_symmetric
 from specmm import (
     InstanceSet,
     SaddleConfig,
-    SimplexPoint,
     SymMatrix,
     VectorGame,
     build_embedding,

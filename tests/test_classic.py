@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -10,12 +11,53 @@ from specmm import (
     embed_diagonal,
     verify_diagonal_reduction,
 )
+from specmm.classic import _solve_exact
 
 
 def value_2x2_closed_form(a, b, c, d):
     """Value of [[a, b], [c, d]] without a saddle point in pure strategies."""
     den = Fraction(a) - Fraction(b) - Fraction(c) + Fraction(d)
     return float((Fraction(a) * Fraction(d) - Fraction(b) * Fraction(c)) / den)
+
+
+def reference_value(rows):
+    """Exact game value by support enumeration with Gauss-Jordan over
+    Fractions: the same scan as classic_value_exact in plain rational
+    arithmetic, kept as an oracle for its integer elimination."""
+    p = [[Fraction(x) for x in r] for r in rows]
+    m, n = len(p), len(p[0])
+
+    def equalize(idx, against, entry):
+        # unknowns: the weights over idx, then the value; augmented rows
+        aug = [[Fraction(entry(i, j)) for i in idx] + [Fraction(-1), Fraction(0)]
+               for j in against]
+        aug.append([Fraction(1)] * len(idx) + [Fraction(0), Fraction(1)])
+        k = len(aug)
+        for c in range(k):
+            piv = next((r for r in range(c, k) if aug[r][c] != 0), None)
+            if piv is None:
+                return None
+            aug[c], aug[piv] = aug[piv], aug[c]
+            aug[c] = [v / aug[c][c] for v in aug[c]]
+            for r in range(k):
+                f = aug[r][c]
+                if r != c and f != 0:
+                    aug[r] = [a - f * b for a, b in zip(aug[r], aug[c])]
+        return [row[k] for row in aug]
+
+    for k in range(1, min(m, n) + 1):
+        for rs in combinations(range(m), k):
+            for cs in combinations(range(n), k):
+                y = equalize(rs, cs, lambda i, j: p[i][j])
+                x = equalize(cs, rs, lambda j, i: p[i][j])
+                if y is None or x is None or min(y[:k] + x[:k]) < 0 or y[k] != x[k]:
+                    continue
+                v = y[k]
+                if all(sum(p[i][j] * x[c] for c, j in enumerate(cs)) <= v for i in range(m)) and all(
+                    sum(p[i][j] * y[c] for c, i in enumerate(rs)) >= v for j in range(n)
+                ):
+                    return v
+    raise AssertionError("no support admitted an equilibrium")
 
 
 class TestVectorGame:
@@ -104,6 +146,58 @@ class TestClassicValueExact:
         # rock-paper-scissors-like cycle has value 0 exactly
         rows = ((0.0, 1.0, -1.0), (-1.0, 0.0, 1.0), (1.0, -1.0, 0.0))
         assert classic_value_exact(VectorGame(rows)) == 0.0
+
+    def test_matches_fraction_reference(self, rng):
+        # entries from ints to non-dyadic decimals and mixed scales
+        # 1e-8 .. 1e8, so the common denominator is often huge
+        for t in range(50):
+            m, n = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+            kind = t % 4
+            if kind == 0:
+                p = rng.integers(-5, 6, (m, n)).astype(float)
+            elif kind == 1:
+                p = np.round(rng.uniform(-1.0, 1.0, (m, n)), 1)
+            elif kind == 2:
+                p = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-8, 9, (m, n))
+            else:
+                p = rng.uniform(-1.0, 1.0, (m, n))
+            rows = tuple(map(tuple, p.tolist()))
+            assert classic_value_exact(VectorGame(rows)) == float(reference_value(rows)), rows
+
+    def test_tiny_and_huge_entries(self):
+        for scale in (1e-8, 1e8):
+            a, b, c, d = (3.0 * scale, 0.1 * scale, -0.7 * scale, 2.0 * scale)
+            got = classic_value_exact(VectorGame(((a, b), (c, d))))
+            assert got == value_2x2_closed_form(a, b, c, d)
+            rows = ((1.5 * scale, -scale, 0.25 * scale), (-0.5 * scale, 2.0 * scale, 0.3 * scale))
+            assert classic_value_exact(VectorGame(rows)) == float(reference_value(rows))
+        # both scales in one game
+        a, b, c, d = 1e8, 1e-8, 3e-8, 2e8
+        assert classic_value_exact(VectorGame(((a, b), (c, d)))) == value_2x2_closed_form(a, b, c, d)
+
+    def test_non_dyadic_decimals(self):
+        assert classic_value_exact(VectorGame(((0.3, 0.1), (0.1, 0.3)))) == value_2x2_closed_form(
+            0.3, 0.1, 0.1, 0.3
+        )
+        rows = ((0.1, 0.7, 0.3), (0.3, 0.1, 0.7), (0.7, 0.3, 0.1))
+        assert classic_value_exact(VectorGame(rows)) == float(reference_value(rows))
+
+    def test_singular_first_supports(self):
+        # rows {0, 1} against columns {0, 1} give a singular system (the
+        # 2x2 minor has a - b - c + d = 0), so the scan must pass over it;
+        # column 1 is dominated and the value 3/5 comes from columns {0, 2}
+        rows = ((0.0, 1.0, 3.0), (1.0, 2.0, -1.0))
+        assert _solve_exact([[0, 1, -1], [1, 2, -1], [1, 1, 0]], [0, 0, 1]) is None
+        assert classic_value_exact(VectorGame(rows)) == 0.6
+        assert classic_value_exact(VectorGame(rows)) == float(reference_value(rows))
+
+    def test_single_row_and_single_column(self, rng):
+        for _ in range(10):
+            row = tuple(float(v) for v in rng.standard_normal(int(rng.integers(1, 7))))
+            # one row: the minimizer takes its smallest entry
+            assert classic_value_exact(VectorGame((row,))) == min(row)
+            # one column: the maximizer takes its largest entry
+            assert classic_value_exact(VectorGame(tuple((v,) for v in row))) == max(row)
 
 
 class TestVerifyDiagonalReduction:

@@ -25,7 +25,6 @@ from specmm import (
     solve_minimax,
     upper_value,
     weak_duality_check,
-    weighted_combination,
 )
 
 from conftest import random_instance

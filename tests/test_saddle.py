@@ -9,17 +9,20 @@ from specmm import (
     SimplexPoint,
     SpectraplexPoint,
     SymMatrix,
-    best_response_index,
     classic_value_exact,
     eigh,
-    lambda_min,
     lower_value,
     solve_maximin,
     solve_minimax,
     upper_value,
     VectorGame,
+    sample_simplex,
+    sample_spectraplex,
+    sym_exp,
     weighted_combination,
 )
+from specmm import saddle
+from specmm.symmat import _eigh_raw
 
 from conftest import random_instance, random_orthogonal
 
@@ -233,3 +236,53 @@ class TestValueCovariance:
         v0 = solve_minimax(inst, cfg).midpoint
         v1 = solve_minimax(rotated, cfg).midpoint
         assert v1 == pytest.approx(v0, abs=2e-3)
+
+
+def gibbs_from(w, u):
+    """The Gibbs state formula of saddle._gibbs on a given eigensystem."""
+    e = np.exp(w - w[-1])
+    x = (u * e) @ u.T
+    return (x + x.T) / (2.0 * e.sum())
+
+
+class TestRoundInvariants:
+    """The round's shortcuts reproduce the plain formulas bit for bit."""
+
+    def test_gibbs_state_ignores_eigenvector_signs(self, rng):
+        q = random_orthogonal(rng, 5)
+        inputs = [random_instance(rng, n, 1).matrices[0].array for n in (1, 2, 5, 8)]
+        inputs += [
+            np.diag([3.0, -2.0, 5.0, 0.5]),
+            q @ np.diag([1.0, 1.0, 2.0, 2.0, 2.0]) @ q.T,
+            q @ np.diag([-1.5, -1.5, -1.5, 0.0, 4.0]) @ q.T,
+            np.eye(4),
+            np.zeros((3, 3)),
+            np.array([[0.0, 1.0], [1.0, 0.0]]),
+        ]
+        flipped = 0
+        for b in inputs:
+            b = (b + b.T) / 2.0
+            w, u = _eigh_raw(b)
+            dec = eigh(SymMatrix(b))
+            flipped += not np.array_equal(u, dec.eigenvectors)
+            raw = gibbs_from(w, u)
+            assert raw.tobytes() == gibbs_from(dec.eigenvalues, dec.eigenvectors).tobytes()
+            assert saddle._gibbs(b).tobytes() == raw.tobytes()
+            fixed_exp = (dec.eigenvectors * np.exp(dec.eigenvalues)) @ dec.eigenvectors.T
+            assert sym_exp(SymMatrix(b)).array.tobytes() == SymMatrix(fixed_exp).array.tobytes()
+        # the comparison only means something where eigh did flip a column
+        assert flipped >= 3
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (1, 4), (5, 1), (4, 3), (6, 8)])
+    def test_flat_products_match_tensordot(self, rng, m, n):
+        inst = random_instance(rng, n, m)
+        for stack in (inst.stacked, -inst.stacked):
+            flat = stack.reshape(m, n * n)
+            y = sample_simplex(m, rng).weights
+            x = sample_spectraplex(n, rng).array
+            got = saddle._combination(y, flat, n)
+            assert got.shape == (n, n)
+            assert got.tobytes() == np.tensordot(y, stack, axes=(0, 0)).tobytes()
+            got = saddle._payoffs(flat, x)
+            assert got.shape == (m,)
+            assert got.tobytes() == np.tensordot(stack, x, axes=([1, 2], [0, 1])).tobytes()

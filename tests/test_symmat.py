@@ -12,6 +12,7 @@ from specmm import (
     lambda_min,
     sym_exp,
 )
+from specmm.symmat import _eigh_raw
 
 from conftest import random_orthogonal, random_symmetric
 
@@ -124,14 +125,28 @@ class TestEigh:
             assert mine == pytest.approx(ref, abs=1e-10)
 
     def test_eigenvalues_nondecreasing_and_sign_fixed(self, rng):
-        for _ in range(10):
-            a = random_symmetric(rng, 7)
+        q = random_orthogonal(rng, 5)
+        inputs = [random_symmetric(rng, 7) for _ in range(10)]
+        inputs += [
+            SymMatrix(np.array([[2.0]])),
+            SymMatrix(np.array([[0.0, 1.0], [1.0, 0.0]])),
+            SymMatrix(np.diag([3.0, -2.0, 5.0])),
+            SymMatrix(q @ np.diag([1.0, 1.0, 2.0, 2.0, 2.0]) @ q.T),
+            # block diagonal: some columns start with zeros
+            SymMatrix(np.block([[np.zeros((2, 2)), np.zeros((2, 3))],
+                                [np.zeros((3, 2)), random_symmetric(rng, 3).array]])),
+        ]
+        flipped = 0
+        for a in inputs:
             dec = eigh(a)
+            flipped += not np.array_equal(dec.eigenvectors, _eigh_raw(a.array)[1])
             assert np.all(np.diff(dec.eigenvalues) >= 0.0)
-            for k in range(7):
+            for k in range(a.n):
                 col = dec.eigenvectors[:, k]
                 first = col[np.nonzero(col)[0][0]]
                 assert first > 0.0
+        # LAPACK's own signs are not all positive, so the fix did work here
+        assert flipped > 0
 
     def test_deterministic(self, rng):
         a = random_symmetric(rng, 6)
