@@ -30,7 +30,7 @@ print("instance:", labels, f"(n={inst.n}, m={inst.m})")
 
 cert = solve_minimax(inst, SaddleConfig(gap_tol=1e-6))
 print(f"\nminimax value in [{cert.lower:.9f}, {cert.upper:.9f}]")
-print(f"gap {cert.gap:.3e} after {cert.iterations} iterations")
+print(f"gap {cert.gap:.3e} after {cert.iterations} Newton steps")
 print("known value -sqrt(2)/2 =", -math.sqrt(2.0) / 2.0)
 
 # the certificate carries the strategies that realize each bound; anyone
@@ -44,8 +44,8 @@ print("optimal weights: ", [round(float(w), 6) for w in cert.y_bar.weights])
 mx = solve_maximin(inst, SaddleConfig(gap_tol=1e-6))
 print(f"\nmaximin value in [{mx.lower:.9f}, {mx.upper:.9f}]")
 
-# non-convergence is reported, never raised: ask for one iteration and
+# non-convergence is reported, never raised: ask for one Newton step and
 # the certificate still holds valid (if loose) bounds
 loose = solve_minimax(inst, SaddleConfig(max_iters=1, gap_tol=1e-6))
-print(f"\nafter a single iteration: gap {loose.gap:.3f},",
+print(f"\nafter a single Newton step: gap {loose.gap:.3f},",
       f"converged={loose.converged}")

@@ -76,7 +76,8 @@ def _write_out(text: str, out: str | None):
 def _add_solver_flags(p: argparse.ArgumentParser):
     p.add_argument("instance", help="instance JSON file")
     p.add_argument("--tol", type=float, default=1e-4, help="duality gap target (default 1e-4)")
-    p.add_argument("--max-iters", type=int, default=5000, help="iteration cap (default 5000)")
+    p.add_argument("--max-iters", type=int, default=SaddleConfig().max_iters,
+                   help="cap on Newton steps (default %(default)s)")
     p.add_argument("--strict", action="store_true", help="exit 2 when the gap target is not met")
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="JSON report (default: text)")
@@ -92,7 +93,7 @@ def _run_solver(args, solver) -> int:
     text = report_to_json(report) if args.json else report_to_text(report)
     _write_out(text, args.out)
     if args.strict and not cert.converged:
-        logger.warning("gap %.3e above target %.3e after %d iterations",
+        logger.warning("gap %.3e above target %.3e after %d Newton steps",
                        cert.gap, args.tol, cert.iterations)
         return 2
     return 0

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import InstanceSet, SimplexPoint, SpectraplexPoint
-from .symmat import SymMatrix, _eigvals_raw, lambda_min
+from .symmat import SymMatrix, _eigvals_raw
 from .tolerances import DEFAULT_TOLS, Tolerances
 
 __all__ = [
@@ -165,8 +165,7 @@ def build_embedding(inst: InstanceSet, shift_policy: str = "auto") -> SdpEmbeddi
     if shift_policy == "none":
         sigma = 0.0
     elif shift_policy == "auto":
-        bottom = min(lambda_min(a) for a in inst.matrices)
-        sigma = max(0.0, -bottom) + 1.0
+        sigma = max(0.0, -float(_eigvals_raw(inst.stacked)[:, 0].min())) + 1.0
     else:
         raise ValueError(f"unknown shift_policy {shift_policy!r}")
 
@@ -376,7 +375,7 @@ def _fmt(v: float) -> str:
 def sdpa_text(emb: SdpEmbedding) -> str:
     """Serialize the embedding in sparse SDPA text form.
 
-    Layout: a comment line recording the shift, the instance matrix count,
+    Layout: a comment line recording the shift, the constraint count m+1,
     the block count (3), the block sizes "n -m -1" (diagonal blocks
     negative by convention), the objective vector (m zeros and a one, one
     entry per equality constraint), then one line per nonzero
@@ -387,7 +386,7 @@ def sdpa_text(emb: SdpEmbedding) -> str:
     across runs.
     """
     n, m = emb.n, emb.m
-    lines = [f"*shift {_fmt(emb.shift)}", str(m), "3", f"{n} -{m} -1"]
+    lines = [f"*shift {_fmt(emb.shift)}", str(m + 1), "3", f"{n} -{m} -1"]
     lines.append(" ".join(_fmt(0.0) for _ in range(m)) + " " + _fmt(1.0))
 
     def emit(matno: int, mat: np.ndarray):

@@ -5,15 +5,12 @@ The quantity of interest is the common value of
     min over spectraplex X of  max_i <A_i, X>
         =  max over simplex y of  lambda_min(sum_i y_i A_i),
 
-approached from both sides at once by multiplicative-weights dynamics: the
-index player takes exponentiated-gradient steps on the simplex, the matrix
-player takes matrix-exponentiated steps on the spectraplex (trace-normalized
-exponentials of the accumulated loss). Each round uses the extragradient
-form of the update: a provisional step, gradients re-evaluated at the
-provisional point, then the correction applied to the accumulated state.
-Plain simultaneous play orbits the equilibrium and its averages close the
-gap like 1/sqrt(T), too slowly for tight certificates; the extragradient
-correction damps the orbit and closes the gap at a 1/T rate.
+the optimum of the semidefinite program that ``embed`` writes out: minimize
+delta over PSD diag(X, s, delta) with <A_i + sigma*I, X> + s_i = delta and
+tr X = 1. An infeasible-start primal-dual interior-point method solves it
+(Helmberg, Rendl, Vanderbei & Wolkowicz, SIAM J. Optim. 1996) with the HKM
+direction and Mehrotra's predictor-corrector (SIAM J. Optim. 1992): one
+Schur matrix of order m+1 per Newton step, and tens of steps to a tight gap.
 
 Certificates are self-verifying. ``upper`` is the exact best-response value
 at the reported X (feasible for the min side) and ``lower`` is the exact
@@ -37,7 +34,7 @@ from .domains import (
     best_response_index,
     weighted_combination,
 )
-from .symmat import SymMatrix, _eigh_raw, _eigvals_raw, lambda_max
+from .symmat import SymMatrix, _eigh_raw, _eigvals_raw, frobenius_inner, lambda_max
 from .tolerances import DEFAULT_TOLS
 
 __all__ = [
@@ -51,33 +48,23 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# step size in multiples of 1 / max_i ||A_i||_2; measured sweet spot for
-# closing gaps of 1e-3 .. 1e-4 within a few thousand rounds
-BASE_STEP = 3.0
-# bound evaluations happen every EVAL_PERIOD rounds and at the last round
-EVAL_PERIOD = 25
-
 
 @dataclass(frozen=True)
 class SaddleConfig:
     """Solver knobs.
 
-    max_iters: hard cap on rounds.
+    max_iters: hard cap on Newton steps.
     gap_tol: stop once upper - lower falls below this.
-    step_scale: multiplies the default step size.
     """
 
-    max_iters: int = 5000
+    max_iters: int = 100
     gap_tol: float = 1e-4
-    step_scale: float = 1.0
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if not self.gap_tol > 0.0:
             raise ValueError("gap_tol must be positive")
-        if not self.step_scale > 0.0:
-            raise ValueError("step_scale must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +75,7 @@ class SaddleCertificate:
     y_bar (minimum eigenvalue of the weighted combination); recomputing
     either from the stored strategies reproduces the stored floats. gap is
     exactly upper - lower and can only be negative by eigensolver rounding,
-    never below -1e-9.
+    never below -1e-9 times scale, the instance's max_i ||A_i||_2.
     """
 
     upper: float
@@ -98,9 +85,10 @@ class SaddleCertificate:
     y_bar: SimplexPoint
     iterations: int
     converged: bool
+    scale: float
 
     def __post_init__(self):
-        if self.gap < -DEFAULT_TOLS.weak_duality:
+        if self.gap < -DEFAULT_TOLS.weak_duality * self.scale:
             raise ValueError(f"bound crossing beyond tolerance: gap={self.gap!r}")
 
     @property
@@ -118,24 +106,8 @@ def lower_value(y: SimplexPoint, inst: InstanceSet) -> float:
     return float(_eigvals_raw(weighted_combination(y, inst).array)[0])
 
 
-def _gibbs(b: np.ndarray) -> np.ndarray:
-    """Trace-one matrix exponential exp(B) / tr exp(B), spectrum-shifted
-    for overflow safety, exactly symmetric."""
-    w, u = _eigh_raw(b)
-    e = np.exp(w - w[-1])
-    x = (u * e) @ u.T
-    return (x + x.T) / (2.0 * e.sum())
-
-
-def _softmax(v: np.ndarray) -> np.ndarray:
-    e = np.exp(v - v.max())
-    return e / e.sum()
-
-
-# The round's two contractions against the stack flattened to (m, n*n).
-# They make the np.dot call np.tensordot makes internally, on the same 2-D
-# shapes, so the floats are the same, without tensordot's per-call axis
-# bookkeeping, which costs several times the product itself at small n.
+# The bracket's two contractions against the stack flattened to (m, n*n):
+# np.tensordot's own np.dot call and floats, without its axis bookkeeping.
 def _combination(y: np.ndarray, flat: np.ndarray, n: int) -> np.ndarray:
     """sum_i y_i A_i as an (n, n) array: (1, m) @ (m, n*n)."""
     return np.dot(y.reshape(1, -1), flat).reshape(n, n)
@@ -146,65 +118,92 @@ def _payoffs(flat: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.dot(flat, x.reshape(-1, 1)).reshape(-1)
 
 
-def _run_dynamics(stack: np.ndarray, cfg: SaddleConfig, report):
-    """Extragradient multiplicative-weights loop on a (m, n, n) stack.
+def _tril_inv(l: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular matrix by halves, mostly matrix products."""
+    k = len(l) // 2
+    if k < 16:
+        return np.linalg.inv(l)
+    out = np.zeros_like(l)
+    out[:k, :k], out[k:, k:] = _tril_inv(l[:k, :k]), _tril_inv(l[k:, k:])
+    out[k:, :k] = -out[k:, k:] @ l[k:, :k] @ out[:k, :k]
+    return out
 
-    ``report(k, up, lo, x_avg, y_avg)`` is called at every bound
-    evaluation with the current averaged strategies and their exact
-    bounds; it returns the best gap seen so far, and the loop stops once
-    that gap reaches cfg.gap_tol. Returns the round count at exit.
+
+def _interior_point(stack: np.ndarray, cfg: SaddleConfig, report):
+    """Mehrotra predictor-corrector with the HKM direction on diag(X, s, delta).
+
+    Top blocks F_k = A_k / scale + sigma*I (k < m) and F_m = I, scale = max_i ||A_i||_2,
+    sigma = max(0, -min_i lambda_min(A_i) / scale) + 1; dual multipliers u, slacks
+    (Z as zt, w, z). After each Newton step ``report(k, up, lo, x_bar, y_bar)`` gets X
+    clipped to the spectraplex, -u[:m] clipped to the simplex and their exact bounds,
+    and returns the best gap. Stops at cfg.gap_tol, cfg.max_iters or a Cholesky
+    breakdown, which reports the iterate it started from. Returns (steps, scale).
     """
     m, n, _ = stack.shape
     flat = stack.reshape(m, n * n)
-    scale = 0.0
-    for a in stack:
-        w = _eigvals_raw(a)
-        scale = max(scale, abs(float(w[0])), abs(float(w[-1])))
+    spectra = _eigvals_raw(stack)
+    scale = float(np.abs(spectra).max())
     if scale == 0.0:
         report(0, None, None, np.eye(n) / n, np.full(m, 1.0 / m))
-        return 0
-    eta = BASE_STEP * cfg.step_scale / scale
-
-    loss_x = np.zeros((n, n))
-    gain_y = np.zeros(m)
-    x_sum = np.zeros((n, n))
-    y_sum = np.zeros(m)
-    verbose = logger.isEnabledFor(logging.DEBUG)
-
+        return 0, scale
+    eye = np.eye(n)
+    sigma = max(0.0, -float(spectra[:, 0].min()) / scale) + 1.0
+    f = np.concatenate([stack / scale + sigma * eye, eye[None]])
+    ff = f.reshape(m + 1, n * n)
+    x, zt, s, w, delta, z, u = eye, eye, np.ones(m), np.ones(m), 1.0, 1.0, np.zeros(m + 1)
     for k in range(1, cfg.max_iters + 1):
-        x0 = _gibbs(-eta * loss_x)
-        y0 = _softmax(eta * gain_y)
-        gx0 = _combination(y0, flat, n)
-        gy0 = _payoffs(flat, x0)
-        xh = _gibbs(-eta * (loss_x + gx0))
-        yh = _softmax(eta * (gain_y + gy0))
-        loss_x += _combination(yh, flat, n)
-        gain_y += _payoffs(flat, xh)
-        x_sum += xh
-        y_sum += yh
-        if k % EVAL_PERIOD == 0 or k == cfg.max_iters:
-            # candidate bounds from the running average (strong when play
-            # orbits the saddle) and from the current half-iterate (strong
-            # when the dynamics sharpen onto a pure optimum); the incumbent
-            # keeps whichever is better, each being feasible on its own
-            x_avg = x_sum / k
-            x_avg = (x_avg + x_avg.T) / (2.0 * np.trace(x_avg))
-            y_avg = y_sum / k
-            y_avg = y_avg / y_avg.sum()
-            up = float(_payoffs(flat, x_avg).max())
-            lo = float(_eigvals_raw(_combination(y_avg, flat, n))[0])
-            up_h = float(_payoffs(flat, xh).max())
-            lo_h = float(_eigvals_raw(_combination(yh, flat, n))[0])
-            if up_h < up:
-                up, x_avg = up_h, xh
-            if lo_h > lo:
-                lo, y_avg = lo_h, yh
-            best_gap = report(k, up, lo, x_avg, y_avg)
-            if verbose:
-                logger.debug("round %d: upper=%.12g lower=%.12g best_gap=%.3e", k, up, lo, best_gap)
-            if best_gap <= cfg.gap_tol:
-                return k
-    return cfg.max_iters
+        try:
+            rp = np.append(delta - s, 1.0) - ff @ x.reshape(-1)
+            rd = -(u @ ff).reshape(n, n) - zt
+            rw, rz = -u[:m] - w, 1.0 + u[:m].sum() - z
+            mu = (np.vdot(x, zt) + s @ w + delta * z) / (n + m + 1)
+            rxi, rzi = (np.linalg.inv(np.linalg.cholesky(a)) for a in (x, zt))
+            zi = rzi.T @ rzi
+            schur = ff @ (x @ f @ zi).reshape(m + 1, n * n).T
+            schur[:m, :m] += np.diag(s / w) + delta / z
+            li = _tril_inv(np.linalg.cholesky(schur))
+
+            def newton(rczi, rcs, rcz):
+                # X dZ + dX Z = Rc and its diagonal analogue; rczi is Rc Z^-1
+                h = rp - ff @ (rczi - x @ rd @ zi).reshape(-1)
+                h[:m] -= (rcs - s * rw) / w - (rcz - delta * rz) / z
+                du = li.T @ (li @ h)
+                dzt = rd - (du @ ff).reshape(n, n)
+                dw, dz = rw - du[:m], rz + du[:m].sum()
+                dx = rczi - x @ dzt @ zi
+                return (dx + dx.T) / 2.0, (rcs - s * dw) / w, (rcz - delta * dz) / z, du, dzt, dw, dz
+
+            def lengths(dx, ds, dd, _, dzt, dw, dz):
+                # 0.95 of the way to the boundary of each cone, at most 1
+                low = _eigvals_raw(np.stack([rxi @ dx @ rxi.T, rzi @ dzt @ rzi.T]))[:, 0]
+                return (0.95 / max(-low[0], (-ds / s).max(), -dd / delta, 0.95),
+                        0.95 / max(-low[1], (-dw / w).max(), -dz / z, 0.95))
+
+            dx, ds, dd, du, dzt, dw, dz = step = newton(-x, -s * w, -delta * z)
+            ap, ad = lengths(*step)
+            gap_aff = (np.vdot(x + ap * dx, zt + ad * dzt) + (s + ap * ds) @ (w + ad * dw)
+                       + (delta + ap * dd) * (z + ad * dz))
+            tau = mu * min(1.0, gap_aff / (mu * (n + m + 1))) ** 3
+            dx, ds, dd, du, dzt, dw, dz = step = newton(
+                tau * zi - x - dx @ dzt @ zi, tau - s * w - ds * dw, tau - delta * z - dd * dz)
+            ap, ad = lengths(*step)
+            x, s, delta = x + ap * dx, s + ap * ds, delta + ap * dd
+            u, zt, w, z = u + ad * du, zt + ad * dzt, w + ad * dw, z + ad * dz
+            breakdown = False
+        except np.linalg.LinAlgError:
+            breakdown = True
+        lam, vec = _eigh_raw(x)
+        x_bar = (vec * np.maximum(lam, 0.0)) @ vec.T
+        x_bar = (x_bar + x_bar.T) / (2.0 * np.trace(x_bar))
+        y_bar = np.maximum(-u[:m], 0.0)
+        y_bar = y_bar / y_bar.sum() if y_bar.any() else np.full(m, 1.0 / m)
+        up = float(_payoffs(flat, x_bar).max())
+        lo = float(_eigvals_raw(_combination(y_bar, flat, n))[0])
+        best_gap = report(k, up, lo, x_bar, y_bar)
+        logger.debug("round %d: upper=%.12g lower=%.12g mu=%.3e", k, up, lo, mu)
+        if breakdown or best_gap <= cfg.gap_tol:
+            return k, scale
+    return cfg.max_iters, scale
 
 
 class _Incumbents:
@@ -232,7 +231,7 @@ class _Incumbents:
         return self.upper - self.lower
 
 
-def _certificate(inc, iterations, cfg, bounds) -> SaddleCertificate:
+def _certificate(inc, iterations, scale, cfg, bounds) -> SaddleCertificate:
     """Certificate at the incumbent strategies; ``bounds(x_bar, y_bar)``
     returns the direction's exact (upper, lower) pair."""
     x_bar = SpectraplexPoint(SymMatrix(inc.x))
@@ -247,6 +246,7 @@ def _certificate(inc, iterations, cfg, bounds) -> SaddleCertificate:
         y_bar=y_bar,
         iterations=iterations,
         converged=bool(gap <= cfg.gap_tol),
+        scale=scale,
     )
 
 
@@ -258,11 +258,11 @@ def solve_minimax(
 ) -> SaddleCertificate:
     """Bracket min_X max_i <A_i, X> between recomputable feasible bounds.
 
-    Deterministic: fixed starting point (uniform strategies), no sampling.
-    Non-convergence within cfg.max_iters is reported through
+    Deterministic: fixed starting point, no sampling. Non-convergence
+    within cfg.max_iters Newton steps is reported through
     ``converged=False`` on the certificate, never as an exception; the
     bounds are valid either way. ``on_bounds(k, best_upper, best_lower)``
-    is invoked after each bound evaluation (every 25 rounds).
+    is invoked once per Newton step.
     """
     cfg = cfg if cfg is not None else SaddleConfig()
     inc = _Incumbents()
@@ -273,9 +273,9 @@ def solve_minimax(
             on_bounds(k, inc.upper, inc.lower)
         return g
 
-    iterations = _run_dynamics(inst.stacked, cfg, report)
+    iterations, scale = _interior_point(inst.stacked, cfg, report)
     return _certificate(
-        inc, iterations, cfg, lambda x, y: (upper_value(x, inst), lower_value(y, inst))
+        inc, iterations, scale, cfg, lambda x, y: (upper_value(x, inst), lower_value(y, inst))
     )
 
 
@@ -287,7 +287,7 @@ def solve_maximin(
 ) -> SaddleCertificate:
     """Bracket max_X min_i <A_i, X>, the mirror image of solve_minimax.
 
-    Internally runs the same dynamics on the negated family. On the
+    Internally runs the same solver on the negated family. On the
     returned certificate, lower is min_i <A_i, x_bar> (what x_bar
     guarantees for the max player) and upper is lambda_max of the
     y_bar-weighted combination.
@@ -302,10 +302,10 @@ def solve_maximin(
             on_bounds(k, -inc.lower, -inc.upper)
         return g
 
-    iterations = _run_dynamics(-inst.stacked, cfg, report)
+    iterations, scale = _interior_point(-inst.stacked, cfg, report)
 
     def bounds(x, y):
-        vals = np.tensordot(inst.stacked, x.array, axes=([1, 2], [0, 1]))
-        return lambda_max(weighted_combination(y, inst)), float(vals.min())
+        lower = min(frobenius_inner(a, x.matrix) for a in inst.matrices)
+        return lambda_max(weighted_combination(y, inst)), lower
 
-    return _certificate(inc, iterations, cfg, bounds)
+    return _certificate(inc, iterations, scale, cfg, bounds)

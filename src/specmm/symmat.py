@@ -105,7 +105,7 @@ def _eigh_raw(a: np.ndarray):
     """(eigenvalues, eigenvectors) as LAPACK returns them: eigenvalues
     nondecreasing, column signs unfixed.
 
-    Callers that only form U f(w) U^T (Gibbs states, exponentials) need
+    Callers that only form U f(w) U^T (exponentials, clipped spectra) need
     no sign fix: negating a column negates both factors of each of its
     terms, which is exact in floating point, so the product's floats are
     the same either way. ``eigh`` fixes the signs for callers that read
@@ -156,9 +156,9 @@ def is_psd(a: SymMatrix, tol: float) -> bool:
 def sym_exp(a: SymMatrix) -> SymMatrix:
     """Matrix exponential U diag(exp w) U^T through the eigensystem.
 
-    No overflow protection: callers needing a normalized exponential (for
-    example a trace-one Gibbs state) should shift the spectrum by the top
-    eigenvalue first, which cancels after normalization.
+    No overflow protection: callers needing a normalized exponential
+    should shift the spectrum by the top eigenvalue first, which cancels
+    after normalization.
     """
     w, U = _eigh_raw(a.array)
     return SymMatrix((U * np.exp(w)) @ U.T)

@@ -81,6 +81,18 @@ def test_criterion_1_strong_duality_random_instances():
     )
 
 
+def test_forty_random_instances_reach_relative_gap_1e_6():
+    # the reference family for the interior-point solver, n and m in [2, 16)
+    rng = np.random.default_rng(2026)
+    for k in range(40):
+        n, m = rng.integers(2, 16, 2)
+        g = rng.standard_normal((m, n, n))
+        inst = InstanceSet(tuple(SymMatrix(a) for a in (g + g.transpose(0, 2, 1)) / 2.0))
+        scale = float(np.abs(np.linalg.eigvalsh(inst.stacked)).max())
+        cert = solve_minimax(inst, SaddleConfig(gap_tol=1e-6 * scale))
+        assert cert.converged, f"instance {k} ({n}x{m}): relative gap {cert.gap / scale:.3e}"
+
+
 def test_criterion_2_pauli_pair_value():
     inst = InstanceSet(
         (SymMatrix(np.array([[1.0, 0.0], [0.0, -1.0]])),
@@ -266,7 +278,7 @@ def test_criterion_8_sdpa_export():
         "matrices": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]],
     }
     expect = (
-        "*shift 0.0\n2\n3\n2 -2 -1\n0.0 0.0 1.0\n"
+        "*shift 0.0\n3\n3\n2 -2 -1\n0.0 0.0 1.0\n"
         "0 3 1 1 1.0\n"
         "1 1 1 1 1.0\n1 2 1 1 1.0\n1 3 1 1 -1.0\n"
         "2 1 2 2 1.0\n2 2 2 2 1.0\n2 3 1 1 -1.0\n"
@@ -280,7 +292,7 @@ def test_criterion_8_sdpa_export():
     ok = (
         texts[0] == texts[1]
         and texts[0] == expect
-        and lines[1:5] == ["2", "3", "2 -2 -1", "0.0 0.0 1.0"]
+        and lines[1:5] == ["3", "3", "2 -2 -1", "0.0 0.0 1.0"]
         and "0 3 1 1 1.0" in lines
     )
     _verdict(

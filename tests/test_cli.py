@@ -140,7 +140,7 @@ class TestMaximinCommand:
 
 class TestEmbedCommand:
     EXPECT = (
-        "*shift 0.0\n2\n3\n2 -2 -1\n0.0 0.0 1.0\n"
+        "*shift 0.0\n3\n3\n2 -2 -1\n0.0 0.0 1.0\n"
         "0 3 1 1 1.0\n"
         "1 1 1 1 1.0\n1 2 1 1 1.0\n1 3 1 1 -1.0\n"
         "2 1 2 2 1.0\n2 2 2 2 1.0\n2 3 1 1 -1.0\n"

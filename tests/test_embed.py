@@ -332,7 +332,7 @@ class TestSdpaText:
         expect = "\n".join(
             [
                 "*shift 0.0",
-                "2",
+                "3",
                 "3",
                 "2 -2 -1",
                 "0.0 0.0 1.0",
@@ -354,7 +354,7 @@ class TestSdpaText:
         emb = build_embedding(inst)
         lines = sdpa_text(emb).splitlines()
         assert lines[0] == f"*shift {emb.shift!r}"
-        assert lines[1] == "4"
+        assert lines[1] == "5"
         assert lines[2] == "3"
         assert lines[3] == "3 -4 -1"
         assert lines[4] == "0.0 0.0 0.0 0.0 1.0"

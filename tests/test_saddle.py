@@ -18,11 +18,9 @@ from specmm import (
     VectorGame,
     sample_simplex,
     sample_spectraplex,
-    sym_exp,
     weighted_combination,
 )
 from specmm import saddle
-from specmm.symmat import _eigh_raw
 
 from conftest import random_instance, random_orthogonal
 
@@ -47,17 +45,14 @@ def bloch_point(p, q):
 class TestConfig:
     def test_defaults(self):
         cfg = SaddleConfig()
-        assert cfg.max_iters == 5000
+        assert cfg.max_iters == 100
         assert cfg.gap_tol == 1e-4
-        assert cfg.step_scale == 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
             SaddleConfig(max_iters=0)
         with pytest.raises(ValueError):
             SaddleConfig(gap_tol=0.0)
-        with pytest.raises(ValueError):
-            SaddleConfig(step_scale=-1.0)
 
 
 class TestBoundOracles:
@@ -159,6 +154,58 @@ class TestSolveMinimax:
         assert all(b >= a - 1e-15 for a, b in zip(lowers, lowers[1:]))
         assert all(u >= l - 1e-9 for u, l in zip(uppers, lowers))
 
+    def test_on_bounds_fires_once_per_newton_step(self, rng):
+        inst = random_instance(rng, 4, 5)
+        calls = []
+        cert = solve_minimax(
+            inst, SaddleConfig(gap_tol=1e-8), on_bounds=lambda *args: calls.append(args)
+        )
+        assert cert.converged
+        assert [c[0] for c in calls] == list(range(1, cert.iterations + 1))
+        uppers = [c[1] for c in calls]
+        lowers = [c[2] for c in calls]
+        assert all(b <= a for a, b in zip(uppers, uppers[1:]))
+        assert all(b >= a for a, b in zip(lowers, lowers[1:]))
+        assert (uppers[-1], lowers[-1]) == (cert.upper, cert.lower)
+
+    def test_cholesky_breakdown_certifies_the_incumbents(self):
+        # identical matrices leave the optimal y undetermined; driven towards
+        # a gap of 1e-14, the Schur matrix loses definiteness before the cap
+        z = SymMatrix(np.diag([1.0, -1.0]))
+        inst = InstanceSet((z, z))
+        calls = []
+        cert = solve_minimax(
+            inst,
+            SaddleConfig(max_iters=100, gap_tol=1e-14),
+            on_bounds=lambda k, up, lo: calls.append(k),
+        )
+        assert cert.iterations < 100
+        assert calls == list(range(1, cert.iterations + 1))
+        assert cert.converged == (cert.gap <= 1e-14)
+        assert not cert.converged
+        assert upper_value(cert.x_bar, inst) == cert.upper
+        assert lower_value(cert.y_bar, inst) == cert.lower
+        assert cert.lower <= -1.0 <= cert.upper
+        assert cert.gap <= 1e-8
+
+    def test_large_scale_bounds_may_cross_by_rounding(self):
+        # a rotated Pauli pair at scale 1e8: the bracket may close past zero
+        # by rounding, which the crossing limit allows relative to the scale
+        crossed = 0
+        for seed, rel in ((17, 1e-6), (28, 1e-16)):
+            q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((2, 2)))
+            inst = InstanceSet(tuple(SymMatrix(1e8 * (q @ a @ q.T)) for a in pauli_pair().stacked))
+            scale = float(np.abs(np.linalg.eigvalsh(inst.stacked)).max())
+            cert = solve_minimax(inst, SaddleConfig(gap_tol=rel * scale))
+            assert cert.scale == scale
+            assert cert.gap >= -1e-9 * scale
+            assert cert.midpoint == pytest.approx(-1e8 * SQ2_HALF, rel=1e-6)
+            assert upper_value(cert.x_bar, inst) == cert.upper
+            assert lower_value(cert.y_bar, inst) == cert.lower
+            crossed += cert.gap < -1e-9
+        # the tight solve really crosses further than an absolute 1e-9 allows
+        assert crossed >= 1
+
     def test_nonconvergence_is_reported_not_raised(self, rng):
         inst = random_instance(rng, 5, 5)
         cert = solve_minimax(inst, SaddleConfig(max_iters=1, gap_tol=1e-12))
@@ -238,40 +285,8 @@ class TestValueCovariance:
         assert v1 == pytest.approx(v0, abs=2e-3)
 
 
-def gibbs_from(w, u):
-    """The Gibbs state formula of saddle._gibbs on a given eigensystem."""
-    e = np.exp(w - w[-1])
-    x = (u * e) @ u.T
-    return (x + x.T) / (2.0 * e.sum())
-
-
 class TestRoundInvariants:
-    """The round's shortcuts reproduce the plain formulas bit for bit."""
-
-    def test_gibbs_state_ignores_eigenvector_signs(self, rng):
-        q = random_orthogonal(rng, 5)
-        inputs = [random_instance(rng, n, 1).matrices[0].array for n in (1, 2, 5, 8)]
-        inputs += [
-            np.diag([3.0, -2.0, 5.0, 0.5]),
-            q @ np.diag([1.0, 1.0, 2.0, 2.0, 2.0]) @ q.T,
-            q @ np.diag([-1.5, -1.5, -1.5, 0.0, 4.0]) @ q.T,
-            np.eye(4),
-            np.zeros((3, 3)),
-            np.array([[0.0, 1.0], [1.0, 0.0]]),
-        ]
-        flipped = 0
-        for b in inputs:
-            b = (b + b.T) / 2.0
-            w, u = _eigh_raw(b)
-            dec = eigh(SymMatrix(b))
-            flipped += not np.array_equal(u, dec.eigenvectors)
-            raw = gibbs_from(w, u)
-            assert raw.tobytes() == gibbs_from(dec.eigenvalues, dec.eigenvectors).tobytes()
-            assert saddle._gibbs(b).tobytes() == raw.tobytes()
-            fixed_exp = (dec.eigenvectors * np.exp(dec.eigenvalues)) @ dec.eigenvectors.T
-            assert sym_exp(SymMatrix(b)).array.tobytes() == SymMatrix(fixed_exp).array.tobytes()
-        # the comparison only means something where eigh did flip a column
-        assert flipped >= 3
+    """The bracket's shortcuts reproduce the plain formulas bit for bit."""
 
     @pytest.mark.parametrize("m, n", [(1, 1), (1, 4), (5, 1), (4, 3), (6, 8)])
     def test_flat_products_match_tensordot(self, rng, m, n):

@@ -238,3 +238,26 @@ class TestSymExp:
         assert eigh(sym_exp(a)).eigenvalues == pytest.approx(
             np.exp(eigh(a).eigenvalues), abs=1e-9
         )
+
+    def test_ignores_eigenvector_signs(self, rng):
+        # sym_exp forms U exp(w) U^T from unfixed _eigh_raw columns; negating
+        # a column is exact and cancels, so the floats match sign-fixed eigh
+        q = random_orthogonal(rng, 5)
+        inputs = [random_symmetric(rng, n).array for n in (1, 2, 5, 8)]
+        inputs += [
+            np.diag([3.0, -2.0, 5.0, 0.5]),
+            q @ np.diag([1.0, 1.0, 2.0, 2.0, 2.0]) @ q.T,
+            q @ np.diag([-1.5, -1.5, -1.5, 0.0, 4.0]) @ q.T,
+            np.eye(4),
+            np.zeros((3, 3)),
+            np.array([[0.0, 1.0], [1.0, 0.0]]),
+        ]
+        flipped = 0
+        for b in inputs:
+            b = (b + b.T) / 2.0
+            dec = eigh(SymMatrix(b))
+            flipped += not np.array_equal(_eigh_raw(b)[1], dec.eigenvectors)
+            fixed_exp = (dec.eigenvectors * np.exp(dec.eigenvalues)) @ dec.eigenvectors.T
+            assert sym_exp(SymMatrix(b)).array.tobytes() == SymMatrix(fixed_exp).array.tobytes()
+        # the comparison only means something where eigh did flip a column
+        assert flipped >= 3
