@@ -25,7 +25,6 @@ from .symmat import (
     is_psd,
     lambda_max,
     lambda_min,
-    sym_exp,
 )
 from .domains import (
     InstanceSet,
@@ -92,7 +91,6 @@ __all__ = [
     "lambda_min",
     "lambda_max",
     "is_psd",
-    "sym_exp",
     "SpectraplexPoint",
     "SimplexPoint",
     "InstanceSet",

@@ -2,28 +2,31 @@
 
 The minimax value can be read off a single semidefinite program over block
 matrices of order n' = n + m + 1. Writing A_sig,i = A_i + sigma*I for a
-scalar shift sigma, the blocks are
+scalar shift sigma, the program has the block matrices
 
-    constraint_matrices[i] = diag(A_sig,i, E_i, -1)   (E_i: unit in slot i)
-    trace_matrix           = diag(I_n, 0, ..., 0)
-    objective_matrix       = unit in the last diagonal slot
+    F_i = diag(A_sig,i, E_i, -1)   (E_i: unit in slot i), i = 1 .. m
+    E   = diag(I_n, 0, ..., 0)
+    C   = unit in the last diagonal slot
 
 The primal program minimizes the last diagonal entry delta of a PSD block
-variable X' = diag(X, s_1 .. s_m, delta) subject to
-<constraint_matrices[i], X'> = 0 and <trace_matrix, X'> = 1; at the optimum
-delta equals the shifted saddle value. The dual maximizes t subject to
-sum_i u_i * constraint_matrices[i] + t * trace_matrix + S = objective_matrix
-with S PSD, and the simplex strategy is recovered from u by sign flip and
-rescaling. The shift exists to keep the optimal delta nonnegative (a PSD
-diagonal entry cannot be negative, so without it instances with negative
-value would be cut off); "auto" picks sigma = max(0, -min_i lambda_min(A_i)) + 1
-so the shifted value is at least 1, and all reported values are mapped back
-by subtracting sigma.
+variable X' = diag(X, s_1 .. s_m, delta) subject to <F_i, X'> = 0 and
+<E, X'> = 1; at the optimum delta equals the shifted saddle value. The dual
+maximizes t subject to sum_i u_i F_i + t E + S = C with S PSD, and the
+simplex strategy is recovered from u by sign flip and rescaling. The shift
+exists to keep the optimal delta nonnegative (a PSD diagonal entry cannot
+be negative, so without it instances with negative value would be cut
+off); "auto" picks sigma = max(0, -min_i lambda_min(A_i)) + 1 so the
+shifted value is at least 1, and all reported values are mapped back by
+subtracting sigma.
 
-Both feasibility directions produce checkable artifacts (lifts) carrying
-their own residuals, and the two interior-point constructors certify that
-the embedded program satisfies strict feasibility on both sides, which is
-what makes its optimum attained and equal on both sides.
+Every block is fixed by the instance and sigma, so an ``SdpEmbedding``
+stores just those two; the readers below work on the stacked tops
+A_sig,i and the known unit slots and corners, and no (n')^2 block is
+formed per constraint. Both feasibility directions produce checkable
+artifacts (lifts) carrying their own residuals, and the two interior-point
+constructors certify that the embedded program satisfies strict
+feasibility on both sides, which is what makes its optimum attained and
+equal on both sides.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 
 from .domains import InstanceSet, SimplexPoint, SpectraplexPoint
 from .symmat import SymMatrix, _eigvals_raw
-from .tolerances import DEFAULT_TOLS, Tolerances
+from .tolerances import DEFAULT_TOLS
 
 __all__ = [
     "SdpEmbedding",
@@ -66,27 +69,38 @@ class DegenerateMultiplierError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class SdpEmbedding:
-    """The block data of the embedded semidefinite program."""
+    """The embedded semidefinite program: the instance and the shift sigma,
+    which together fix every block matrix F_i, E and C."""
 
-    constraint_matrices: tuple[SymMatrix, ...]
-    trace_matrix: SymMatrix
-    objective_matrix: SymMatrix
-    n: int
-    m: int
+    inst: InstanceSet
     shift: float
+
+    @property
+    def n(self) -> int:
+        return self.inst.n
+
+    @property
+    def m(self) -> int:
+        return self.inst.m
 
     @property
     def n_prime(self) -> int:
         return self.n + self.m + 1
 
 
+def _tops(emb: SdpEmbedding) -> np.ndarray:
+    """(m, n, n) stack of the top-left blocks A_i + sigma*I of the F_i."""
+    return emb.inst.stacked + emb.shift * np.eye(emb.n)
+
+
 @dataclass(frozen=True, eq=False)
 class PrimalLift:
     """Feasible primal block variable with measured constraint residuals.
 
-    matrix is diag(X, s, delta); residuals[i] = |<constraint_matrices[i],
-    matrix>| and trace_residual = |<trace_matrix, matrix> - 1| are measured
-    on the assembled block matrix, not inferred from the construction.
+    matrix is X' = diag(X, s, delta); residuals[i] = |<F_i, X'>| =
+    |<A_i + sigma*I, X> + s_i - delta| and trace_residual = |<E, X'> - 1| =
+    |tr X - 1| are measured on the assembled block matrix, not inferred
+    from the construction.
     """
 
     matrix: SymMatrix
@@ -154,13 +168,14 @@ class ExtractedDual:
 
 
 def build_embedding(inst: InstanceSet, shift_policy: str = "auto") -> SdpEmbedding:
-    """Assemble the block matrices for an instance.
+    """Choose the shift sigma for an instance.
 
     shift_policy "auto" sets sigma = max(0, -min_i lambda_min(A_i)) + 1,
     which keeps the embedded optimum at least 1; "none" sets sigma = 0 and
     is only appropriate when the instance value is known nonnegative.
-    Blocks are assembled exactly: entries are copies of instance entries
-    (plus sigma on the top diagonal), ones, and minus ones.
+    The blocks are exact functions of the instance and sigma: their
+    entries are instance entries (plus sigma on the top diagonal), ones,
+    and minus ones.
     """
     if shift_policy == "none":
         sigma = 0.0
@@ -168,34 +183,12 @@ def build_embedding(inst: InstanceSet, shift_policy: str = "auto") -> SdpEmbeddi
         sigma = max(0.0, -float(_eigvals_raw(inst.stacked)[:, 0].min())) + 1.0
     else:
         raise ValueError(f"unknown shift_policy {shift_policy!r}")
-
-    n, m = inst.n, inst.m
-    np_ = n + m + 1
-    blocks = []
-    for i, a in enumerate(inst.matrices):
-        b = np.zeros((np_, np_))
-        b[:n, :n] = a.array + sigma * np.eye(n)
-        b[n + i, n + i] = 1.0
-        b[-1, -1] = -1.0
-        blocks.append(SymMatrix(b))
-    e = np.zeros((np_, np_))
-    e[:n, :n] = np.eye(n)
-    c = np.zeros((np_, np_))
-    c[-1, -1] = 1.0
-    return SdpEmbedding(
-        constraint_matrices=tuple(blocks),
-        trace_matrix=SymMatrix(e),
-        objective_matrix=SymMatrix(c),
-        n=n,
-        m=m,
-        shift=sigma,
-    )
+    return SdpEmbedding(inst=inst, shift=sigma)
 
 
 def _shifted_values(x: SpectraplexPoint, emb: SdpEmbedding) -> np.ndarray:
-    """<A_i + sigma*I, X> for every i, read from the embedding blocks."""
-    tops = np.stack([b.array[: emb.n, : emb.n] for b in emb.constraint_matrices])
-    return np.tensordot(tops, x.array, axes=([1, 2], [0, 1]))
+    """<A_i + sigma*I, X> for every i."""
+    return np.tensordot(_tops(emb), x.array, axes=([1, 2], [0, 1]))
 
 
 def lift_primal(
@@ -225,16 +218,18 @@ def lift_primal(
             f"embedded objective would be negative (delta={delta!r}); "
             "rebuild the embedding with shift_policy='auto'"
         )
-    s = delta - vals
-    block = np.zeros((emb.n_prime, emb.n_prime))
-    block[: emb.n, : emb.n] = x.array
-    block[range(emb.n, emb.n + emb.m), range(emb.n, emb.n + emb.m)] = s
-    block[-1, -1] = delta
+    n, m = emb.n, emb.m
+    block = np.diag(np.concatenate((np.zeros(n), delta - vals, [delta])))
+    block[:n, :n] = x.array
     mat = SymMatrix(block)
-    residuals = np.array(
-        [abs(float(np.tensordot(b.array, mat.array, 2))) for b in emb.constraint_matrices]
+    # re-read X, s and delta from the assembled matrix and contract with
+    # einsum, not the tensordot that produced vals, so the residuals are
+    # an independent measurement rather than an echo of the construction
+    a = mat.array
+    residuals = np.abs(
+        np.einsum("kij,ij->k", _tops(emb), a[:n, :n]) + np.diag(a)[n : n + m] - a[-1, -1]
     )
-    trace_residual = abs(float(np.tensordot(emb.trace_matrix.array, mat.array, 2)) - 1.0)
+    trace_residual = abs(float(np.trace(a[:n, :n])) - 1.0)
     return PrimalLift(matrix=mat, residuals=residuals, trace_residual=trace_residual)
 
 
@@ -250,12 +245,22 @@ def interior_primal_point(
 
 
 def _assemble_dual(multipliers: np.ndarray, t: float, emb: SdpEmbedding):
-    """Slack and equality residual for dual data (multipliers, t)."""
-    acc = t * emb.trace_matrix.array.copy()
-    for ui, b in zip(multipliers, emb.constraint_matrices):
-        acc = acc + ui * b.array
-    slack = emb.objective_matrix.array - acc
-    residual = float(np.abs(acc + slack - emb.objective_matrix.array).max())
+    """Slack S = C - sum_i u_i F_i - t E and its equality residual.
+
+    The top block and the corner accumulate one constraint at a time, as
+    a sum of full blocks would; index slot i of S is 0 - u_i, the only
+    nonzero term there, and S is zero off the diagonal blocks. Only the
+    corner's recomputation can round, so the residual is measured there.
+    """
+    n = emb.n
+    top = t * np.eye(n)
+    corner = 0.0
+    for ui, a in zip(multipliers.tolist(), _tops(emb)):
+        top = top + ui * a
+        corner = corner - ui
+    slack = np.diag(np.concatenate((np.zeros(n), 0.0 - multipliers, [1.0 - corner])))
+    slack[:n, :n] = 0.0 - top
+    residual = abs(float(corner + slack[-1, -1] - 1.0))
     return slack, residual
 
 
@@ -264,7 +269,6 @@ def lift_dual(
     t: float,
     inst: InstanceSet,
     emb: SdpEmbedding,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> DualLift:
     """Lift a simplex strategy and a shifted-value bound to a dual triple.
 
@@ -279,16 +283,16 @@ def lift_dual(
     slack, residual = _assemble_dual(multipliers, float(t), emb)
     n, m = emb.n, emb.m
     top_min = float(_eigvals_raw(slack[:n, :n])[0])
-    if top_min < -tols.lift_psd:
+    if top_min < -DEFAULT_TOLS.lift_psd:
         raise DualInfeasibleError(
             f"slack top-left {n}x{n} block is not PSD (lambda_min={top_min:.6g}); "
             f"t={t!r} exceeds the weighted shifted eigenvalue bound"
         )
     mid = np.diag(slack)[n : n + m]
-    if mid.min() < -tols.lift_psd:
+    if mid.min() < -DEFAULT_TOLS.lift_psd:
         k = int(np.argmin(mid))
         raise DualInfeasibleError(f"slack diagonal entry for index {k} is negative ({mid[k]:.6g})")
-    if slack[-1, -1] < -tols.lift_psd:
+    if slack[-1, -1] < -DEFAULT_TOLS.lift_psd:
         raise DualInfeasibleError(f"slack corner entry is negative ({slack[-1, -1]:.6g})")
     return DualLift(multipliers=multipliers, bound=float(t), slack=SymMatrix(slack), residual=residual)
 
@@ -303,8 +307,7 @@ def interior_dual_point(inst: InstanceSet, emb: SdpEmbedding) -> DualLift:
     """
     m = emb.m
     multipliers = np.full(m, -1.0 / (2.0 * m))
-    tops = np.stack([b.array[: emb.n, : emb.n] for b in emb.constraint_matrices])
-    combo = np.tensordot(-multipliers, tops, axes=(0, 0))
+    combo = np.tensordot(-multipliers, _tops(emb), axes=(0, 0))
     t = float(_eigvals_raw(combo)[0]) - 1.0
     slack, residual = _assemble_dual(multipliers, t, emb)
     lift = DualLift(multipliers=multipliers, bound=t, slack=SymMatrix(slack), residual=residual)
@@ -314,9 +317,7 @@ def interior_dual_point(inst: InstanceSet, emb: SdpEmbedding) -> DualLift:
     return lift
 
 
-def extract_dual(
-    lift: DualLift, emb: SdpEmbedding, tols: Tolerances = DEFAULT_TOLS
-) -> ExtractedDual:
+def extract_dual(lift: DualLift, emb: SdpEmbedding) -> ExtractedDual:
     """Recover a simplex strategy and an unshifted value bound from a lift.
 
     Flips the multiplier signs, clamps entries in [-1e-10, 0) to zero,
@@ -327,15 +328,15 @@ def extract_dual(
     clamped weights are returned with the degenerate flag set.
     """
     w = -np.asarray(lift.multipliers, dtype=float)
-    bad = w < -tols.extract_clamp
+    bad = w < -DEFAULT_TOLS.extract_clamp
     if bad.any():
         k = int(np.argmin(w))
         raise ValueError(f"multiplier {k} has the wrong sign ({lift.multipliers[k]!r})")
     w = np.where(w < 0.0, 0.0, w)
     total = float(w.sum())
-    if total > 1.0 + tols.extract_clamp:
+    if total > 1.0 + DEFAULT_TOLS.extract_clamp:
         raise ValueError(f"multiplier weights sum to {total!r} > 1")
-    if total <= tols.degenerate_sum:
+    if total <= DEFAULT_TOLS.degenerate_sum:
         if lift.bound > 0.0:
             raise DegenerateMultiplierError(
                 f"weights sum to {total!r} while the bound {lift.bound!r} is positive"
@@ -359,12 +360,11 @@ def extract_dual(
 def weak_duality_check(p: PrimalLift, d: DualLift, emb: SdpEmbedding) -> float:
     """Primal objective minus dual objective for a pair of lifts.
 
-    For feasible lifts this is <objective_matrix, X'> - t >= 0 up to
+    For feasible lifts this is <C, X'> - t = delta - t >= 0 up to
     rounding (never below -1e-9); at a primal-dual optimal pair it
     vanishes up to the solver gap.
     """
-    primal = float(np.tensordot(emb.objective_matrix.array, p.matrix.array, 2))
-    return primal - d.bound
+    return p.objective - d.bound
 
 
 def _fmt(v: float) -> str:
@@ -380,32 +380,21 @@ def sdpa_text(emb: SdpEmbedding) -> str:
     negative by convention), the objective vector (m zeros and a one, one
     entry per equality constraint), then one line per nonzero
     upper-triangle entry as "matno blkno i j value" with matno 0 for the
-    objective block matrix, 1..m for the constraint matrices, and m+1 for
-    the trace matrix. Entries are emitted in ascending (matno, blkno, i,
+    objective matrix C, 1..m for the constraint matrices F_i, and m+1 for
+    the trace matrix E. Entries are emitted in ascending (matno, blkno, i,
     j) order with 1-based in-block indices, so the output is byte-stable
-    across runs.
+    across runs. Only the upper triangles of the tops A_i + sigma*I are
+    walked; the unit slots and corners are known and written directly.
     """
     n, m = emb.n, emb.m
     lines = [f"*shift {_fmt(emb.shift)}", str(m + 1), "3", f"{n} -{m} -1"]
     lines.append(" ".join(_fmt(0.0) for _ in range(m)) + " " + _fmt(1.0))
-
-    def emit(matno: int, mat: np.ndarray):
-        out = []
-        top = mat[:n, :n]
-        for i in range(n):
-            for j in range(i, n):
-                if top[i, j] != 0.0:
-                    out.append(f"{matno} 1 {i + 1} {j + 1} {_fmt(top[i, j])}")
-        for k in range(m):
-            v = mat[n + k, n + k]
-            if v != 0.0:
-                out.append(f"{matno} 2 {k + 1} {k + 1} {_fmt(v)}")
-        if mat[-1, -1] != 0.0:
-            out.append(f"{matno} 3 1 1 {_fmt(mat[-1, -1])}")
-        return out
-
-    lines.extend(emit(0, emb.objective_matrix.array))
-    for i, b in enumerate(emb.constraint_matrices):
-        lines.extend(emit(i + 1, b.array))
-    lines.extend(emit(m + 1, emb.trace_matrix.array))
+    lines.append("0 3 1 1 1.0")
+    rows, cols = np.triu_indices(n)
+    slots = list(zip((rows + 1).tolist(), (cols + 1).tolist()))
+    for k, upper in enumerate(_tops(emb)[:, rows, cols].tolist(), start=1):
+        lines.extend(f"{k} 1 {i} {j} {_fmt(v)}" for (i, j), v in zip(slots, upper) if v != 0.0)
+        lines.append(f"{k} 2 {k} {k} 1.0")
+        lines.append(f"{k} 3 1 1 -1.0")
+    lines.extend(f"{m + 1} 1 {i} {i} 1.0" for i in range(1, n + 1))
     return "\n".join(lines) + "\n"

@@ -19,7 +19,7 @@ from . import __version__
 from .domains import InstanceSet
 from .saddle import SaddleCertificate
 from .symmat import SymMatrix
-from .tolerances import DEFAULT_TOLS, Tolerances
+from .tolerances import DEFAULT_TOLS
 
 __all__ = [
     "InstanceFormatError",
@@ -39,7 +39,7 @@ class InstanceFormatError(ValueError):
     """Malformed instance data; the message names the first bad field."""
 
 
-def parse_instance(doc: object, tols: Tolerances = DEFAULT_TOLS) -> tuple[InstanceSet, list[str] | None]:
+def parse_instance(doc: object) -> tuple[InstanceSet, list[str] | None]:
     """Validate a decoded instance document and build the matrix family.
 
     Expected shape: {"n": int, "m": int, "matrices": [[[row], ...], ...]}
@@ -75,11 +75,11 @@ def parse_instance(doc: object, tols: Tolerances = DEFAULT_TOLS) -> tuple[Instan
         if not np.isfinite(arr).all():
             raise InstanceFormatError(f"matrices[{i}] contains a non-finite entry")
         asym = float(np.abs(arr - arr.T).max())
-        if asym > tols.asymmetry_error:
+        if asym > DEFAULT_TOLS.asymmetry_error:
             raise InstanceFormatError(
-                f"matrices[{i}] asymmetry {asym:.3e} exceeds {tols.asymmetry_error:.0e}"
+                f"matrices[{i}] asymmetry {asym:.3e} exceeds {DEFAULT_TOLS.asymmetry_error:.0e}"
             )
-        if asym > tols.asymmetry_warn:
+        if asym > DEFAULT_TOLS.asymmetry_warn:
             logger.warning("matrices[%d] asymmetry %.3e symmetrized away", i, asym)
         out.append(SymMatrix(arr))
     labels = doc.get("labels")
@@ -91,14 +91,14 @@ def parse_instance(doc: object, tols: Tolerances = DEFAULT_TOLS) -> tuple[Instan
     return InstanceSet(tuple(out)), labels
 
 
-def load_instance(path: str, tols: Tolerances = DEFAULT_TOLS) -> tuple[InstanceSet, list[str] | None]:
+def load_instance(path: str) -> tuple[InstanceSet, list[str] | None]:
     """Read and validate an instance file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"invalid JSON: {exc}") from None
-    return parse_instance(doc, tols)
+    return parse_instance(doc)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Dense real symmetric matrices: eigendecomposition, PSD tests, exponentials.
+"""Dense real symmetric matrices: eigendecomposition and PSD tests.
 
 Everything downstream (the strategy domains, the saddle solver, the block
 embedding) consumes values produced here. Matrices are stored dense and
@@ -21,7 +21,6 @@ __all__ = [
     "lambda_min",
     "lambda_max",
     "is_psd",
-    "sym_exp",
 ]
 
 
@@ -151,14 +150,3 @@ def is_psd(a: SymMatrix, tol: float) -> bool:
     if tol < 0.0:
         raise ValueError(f"tolerance must be nonnegative, got {tol}")
     return lambda_min(a) >= -tol
-
-
-def sym_exp(a: SymMatrix) -> SymMatrix:
-    """Matrix exponential U diag(exp w) U^T through the eigensystem.
-
-    No overflow protection: callers needing a normalized exponential
-    should shift the spectrum by the top eigenvalue first, which cancels
-    after normalization.
-    """
-    w, U = _eigh_raw(a.array)
-    return SymMatrix((U * np.exp(w)) @ U.T)

@@ -1,17 +1,22 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from specmm import embed
 from specmm import (
     DegenerateMultiplierError,
     DualInfeasibleError,
     DualLift,
     InstanceSet,
     SaddleConfig,
+    SdpEmbedding,
     SimplexPoint,
     SpectraplexPoint,
     SymMatrix,
+    Tolerances,
     build_embedding,
     extract_dual,
     interior_dual_point,
@@ -42,12 +47,102 @@ def diag_pair():
     return InstanceSet((SymMatrix(np.diag([1.0, 0.0])), SymMatrix(np.diag([0.0, 1.0]))))
 
 
+# The embedding stores only the instance and the shift. The helpers below
+# write its program out densely, as the module docstring defines it, so the
+# structural readers can be checked entry by entry against full blocks.
+
+
+def dense_blocks(inst, shift):
+    """(F_1 .. F_m, E, C) as dense (n+m+1)-square arrays."""
+    n, m = inst.n, inst.m
+    size = n + m + 1
+    fs = []
+    for i, a in enumerate(inst.matrices):
+        b = np.zeros((size, size))
+        b[:n, :n] = a.array + shift * np.eye(n)
+        b[n + i, n + i] = 1.0
+        b[-1, -1] = -1.0
+        fs.append(SymMatrix(b).array)
+    e = np.zeros((size, size))
+    e[:n, :n] = np.eye(n)
+    c = np.zeros((size, size))
+    c[-1, -1] = 1.0
+    return fs, e, c
+
+
+def dense_sdpa(inst, shift):
+    """SDPA text from a walk over every entry of the dense blocks."""
+    n, m = inst.n, inst.m
+    fs, e, c = dense_blocks(inst, shift)
+    lines = [f"*shift {float(shift)!r}", str(m + 1), "3", f"{n} -{m} -1"]
+    lines.append(" ".join(["0.0"] * m) + " 1.0")
+    for matno, mat in enumerate([c, *fs, e]):
+        for i in range(n):
+            for j in range(i, n):
+                if mat[i, j] != 0.0:
+                    lines.append(f"{matno} 1 {i + 1} {j + 1} {float(mat[i, j])!r}")
+        for k in range(m):
+            if mat[n + k, n + k] != 0.0:
+                lines.append(f"{matno} 2 {k + 1} {k + 1} {float(mat[n + k, n + k])!r}")
+        if mat[-1, -1] != 0.0:
+            lines.append(f"{matno} 3 1 1 {float(mat[-1, -1])!r}")
+    return "\n".join(lines) + "\n"
+
+
+def dense_slack(multipliers, t, inst, shift):
+    """C - sum_i u_i F_i - t E, accumulated one full block at a time."""
+    fs, e, c = dense_blocks(inst, shift)
+    acc = t * e.copy()
+    for ui, b in zip(multipliers, fs):
+        acc = acc + ui * b
+    return SymMatrix(c - acc).array
+
+
+def dense_primal(x, inst, shift, margin=0.0):
+    """diag(X, s, delta) from full blocks, and |<F_i, X'>| by full contraction."""
+    n, m = inst.n, inst.m
+    fs, _, _ = dense_blocks(inst, shift)
+    tops = np.stack([f[:n, :n] for f in fs])
+    vals = np.tensordot(tops, x.array, axes=([1, 2], [0, 1]))
+    delta = float(vals.max()) + margin
+    block = np.zeros((n + m + 1, n + m + 1))
+    block[:n, :n] = x.array
+    block[range(n, n + m), range(n, n + m)] = delta - vals
+    block[-1, -1] = delta
+    mat = SymMatrix(block).array
+    return mat, np.array([abs(float(np.tensordot(f, mat, 2))) for f in fs])
+
+
+def signed_zero_instance(seed, n, m, scale):
+    """Seeded instance at a given scale with exact zeros and -0.0 entries,
+    placed symmetrically so symmetrization keeps their signs."""
+    rng = np.random.default_rng(seed)
+    mats = []
+    for _ in range(m):
+        g = rng.standard_normal((n, n)) * scale
+        a = (g + g.T) / 2.0
+        mask = rng.random((n, n)) < 0.3
+        a[mask | mask.T] = 0.0
+        neg = np.triu(rng.random((n, n)) < 0.3)
+        a[neg | neg.T] = -0.0
+        mats.append(SymMatrix(a))
+    return InstanceSet(tuple(mats))
+
+
 class TestBuildEmbedding:
+    def test_stores_only_the_instance_and_the_shift(self):
+        inst = diag_pair()
+        emb = build_embedding(inst)
+        assert [f.name for f in dataclasses.fields(SdpEmbedding)] == ["inst", "shift"]
+        assert emb.inst is inst
+        assert (emb.n, emb.m, emb.n_prime) == (2, 2, 5)
+
     def test_blocks_bit_exact_without_shift(self):
         inst = diag_pair()
         emb = build_embedding(inst, shift_policy="none")
         assert emb.shift == 0.0
         assert emb.n_prime == 5
+        fs, e, c = dense_blocks(emb.inst, emb.shift)
         a1 = np.zeros((5, 5))
         a1[0, 0] = 1.0
         a1[2, 2] = 1.0
@@ -56,24 +151,30 @@ class TestBuildEmbedding:
         a2[1, 1] = 1.0
         a2[3, 3] = 1.0
         a2[4, 4] = -1.0
-        assert np.array_equal(emb.constraint_matrices[0].array, a1)
-        assert np.array_equal(emb.constraint_matrices[1].array, a2)
-        assert np.array_equal(emb.trace_matrix.array, np.diag([1.0, 1.0, 0.0, 0.0, 0.0]))
-        assert np.array_equal(emb.objective_matrix.array, np.diag([0.0, 0.0, 0.0, 0.0, 1.0]))
+        assert np.array_equal(fs[0], a1)
+        assert np.array_equal(fs[1], a2)
+        assert np.array_equal(e, np.diag([1.0, 1.0, 0.0, 0.0, 0.0]))
+        assert np.array_equal(c, np.diag([0.0, 0.0, 0.0, 0.0, 1.0]))
+        # the export, which reads the stored instance, writes those blocks
+        assert sdpa_text(emb) == dense_sdpa(inst, 0.0)
 
     def test_off_block_entries_are_exact_zeros(self, rng):
         inst = random_instance(rng, 3, 2)
         emb = build_embedding(inst)
         n = inst.n
-        for b in emb.constraint_matrices:
-            assert np.array_equal(b.array[:n, n:], np.zeros((n, 3)))
+        p = interior_primal_point(inst, emb)
+        d = interior_dual_point(inst, emb)
+        for a in (p.matrix.array, d.slack.array):
+            assert np.array_equal(a[:n, n:], np.zeros((n, 3)))
+            assert np.array_equal(a[n:, n:], np.diag(np.diag(a)[n:]))
 
     def test_auto_shift_covers_negative_spectra(self):
         emb = build_embedding(pauli_pair())
         # both matrices have bottom eigenvalue -1, so the shift is 2
         assert emb.shift == 2.0
-        top = emb.constraint_matrices[0].array[:2, :2]
-        assert np.array_equal(top, np.diag([3.0, 1.0]))
+        lines = sdpa_text(emb).splitlines()
+        # the top of F_1 is Z + 2I = diag(3, 1)
+        assert [ln for ln in lines if ln.startswith("1 1 ")] == ["1 1 1 1 3.0", "1 1 2 2 1.0"]
 
     def test_auto_shift_is_one_for_psd_instances(self):
         assert build_embedding(diag_pair()).shift == 1.0
@@ -122,6 +223,14 @@ class TestLiftPrimal:
             lift = lift_primal(sample_spectraplex(4, rng), inst, emb)
             assert lift.residuals.max() <= 1e-12
             assert lift.trace_residual <= 1e-12
+
+    def test_trace_residual_is_measured(self):
+        # a spectraplex point may miss unit trace by up to 1e-10; the lift
+        # reports that miss rather than assuming the trace is one
+        inst = diag_pair()
+        x = SpectraplexPoint(SymMatrix(np.diag([0.5, 0.5 + 5e-11])))
+        lift = lift_primal(x, inst, build_embedding(inst))
+        assert lift.trace_residual == pytest.approx(5e-11, rel=1e-4)
 
     def test_negative_objective_without_shift_is_an_error(self):
         inst = pauli_pair()
@@ -213,12 +322,8 @@ class TestExtractDual:
         # shifted matrices are diag(2, 1) and diag(1, 2); weights 1/4 each
         # give a combination with bottom eigenvalue 3/4, so t = 0.3 is
         # strictly feasible and scales to 0.6
-        slack = (
-            emb.objective_matrix.array
-            - 0.3 * emb.trace_matrix.array
-            + 0.25 * emb.constraint_matrices[0].array
-            + 0.25 * emb.constraint_matrices[1].array
-        )
+        (f1, f2), e, c = dense_blocks(inst, emb.shift)
+        slack = c - 0.3 * e + 0.25 * f1 + 0.25 * f2
         lift = DualLift(
             multipliers=np.array([-0.25, -0.25]),
             bound=0.3,
@@ -241,7 +346,8 @@ class TestExtractDual:
     def test_zero_multipliers_with_nonpositive_bound_degenerate(self):
         inst = diag_pair()
         emb = build_embedding(inst)
-        slack = emb.objective_matrix.array + 0.5 * emb.trace_matrix.array
+        _, e, c = dense_blocks(inst, emb.shift)
+        slack = c + 0.5 * e
         lift = DualLift(
             multipliers=np.zeros(2), bound=-0.5, slack=SymMatrix(slack), residual=0.0
         )
@@ -254,7 +360,8 @@ class TestExtractDual:
         inst = diag_pair()
         emb = build_embedding(inst)
         t = 1e-13
-        slack = emb.objective_matrix.array - t * emb.trace_matrix.array
+        _, e, c = dense_blocks(inst, emb.shift)
+        slack = c - t * e
         lift = DualLift(
             multipliers=np.full(2, -1e-13), bound=t, slack=SymMatrix(slack), residual=0.0
         )
@@ -372,3 +479,80 @@ class TestSdpaText:
         keys = [(int(e[0]), int(e[1]), int(e[2]), int(e[3])) for e in entries]
         assert keys == sorted(keys)
         assert all(k[2] <= k[3] for k in keys)
+
+
+# (n, m, scale, seed): the n=1 and m=1 shapes and scales from 1e-8 to 1e8
+STRUCTURE_CASES = [
+    (1, 1, 1.0, 1),
+    (1, 4, 1e-8, 2),
+    (4, 1, 1e8, 3),
+    (3, 5, 1e-4, 4),
+    (5, 3, 1e4, 5),
+    (6, 7, 1e8, 6),
+    (2, 2, 1e-8, 7),
+    (4, 6, 1.0, 8),
+]
+
+
+class TestStructuralReaders:
+    @pytest.mark.parametrize("n, m, scale, seed", STRUCTURE_CASES)
+    def test_agree_with_the_dense_blocks(self, n, m, scale, seed, monkeypatch):
+        inst = signed_zero_instance(seed, n, m, scale)
+        for policy in ("auto", "none"):
+            emb = build_embedding(inst, shift_policy=policy)
+            assert sdpa_text(emb) == dense_sdpa(inst, emb.shift)
+        emb = build_embedding(inst)
+
+        # dual slacks: the interior point, and a strategy with weights -0.0
+        # and 0.0 (multipliers 0.0 and -0.0) at a strictly feasible t
+        d = interior_dual_point(inst, emb)
+        want = dense_slack(d.multipliers, d.bound, inst, emb.shift)
+        assert d.slack.array.tobytes() == want.tobytes()
+        w = np.ones(m)
+        if m > 1:
+            w[0] = -0.0
+        if m > 2:
+            w[1] = 0.0
+        y = SimplexPoint(w / w.sum())
+        t = lower_value(y, inst) + emb.shift - 0.1 * scale
+        d = lift_dual(y, t, inst, emb)
+        assert d.slack.array.tobytes() == dense_slack(-y.weights, t, inst, emb.shift).tobytes()
+
+        # primal matrices bit for bit, and residuals against the full-block
+        # contraction; the absolute residual gate trips on rounding at large
+        # scales, so it is lifted here to compare the residuals at every scale
+        monkeypatch.setattr(embed, "DEFAULT_TOLS", Tolerances(lift_residual=math.inf))
+        _, e, _ = dense_blocks(inst, emb.shift)
+        rng = np.random.default_rng(seed)
+        eye = SpectraplexPoint(SymMatrix(np.eye(n) / n))
+        for x, margin in ((sample_spectraplex(n, rng), 0.0), (eye, 1.0)):
+            mat, res = dense_primal(x, inst, emb.shift, margin)
+            p = lift_primal(x, inst, emb, margin=margin)
+            assert p.matrix.array.tobytes() == mat.tobytes()
+            assert np.abs(p.residuals - res).max() <= 1e-12 * p.objective
+            trace = abs(float(np.tensordot(e, mat, 2)) - 1.0)
+            assert abs(p.trace_residual - trace) <= 1e-12
+
+    def test_residuals_are_measured_not_echoed(self, monkeypatch):
+        # residuals contracted anew from the assembled matrix carry the
+        # rounding of the construction, which is visible at scale 1e8 on
+        # this instance; recomputed from the construction's own values
+        # they cancel to zero here
+        monkeypatch.setattr(embed, "DEFAULT_TOLS", Tolerances(lift_residual=math.inf))
+        inst = signed_zero_instance(6, 6, 7, 1e8)
+        emb = build_embedding(inst)
+        p = lift_primal(sample_spectraplex(6, np.random.default_rng(6)), inst, emb)
+        assert p.residuals.max() > 0.0
+
+
+def test_build_embedding_peak_memory_below_one_mib():
+    # the blocks are never formed: at n=8, m=200 dense blocks would take
+    # 200 * 209^2 doubles, about 67 MiB
+    inst = random_instance(np.random.default_rng(5), 8, 200)
+    tracemalloc.start()
+    try:
+        build_embedding(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

@@ -10,7 +10,6 @@ from specmm import (
     is_psd,
     lambda_max,
     lambda_min,
-    sym_exp,
 )
 from specmm.symmat import _eigh_raw
 
@@ -148,6 +147,34 @@ class TestEigh:
         # LAPACK's own signs are not all positive, so the fix did work here
         assert flipped > 0
 
+    def test_spectral_functions_ignore_eigenvector_signs(self, rng):
+        # U f(w) U^T formed from unfixed _eigh_raw columns, as the clipped
+        # spectra in saddle and the exponentials in sample_spectraplex are:
+        # negating a column is exact and cancels, so the floats match the
+        # product formed from sign-fixed eigh
+        q = random_orthogonal(rng, 5)
+        inputs = [random_symmetric(rng, n).array for n in (1, 2, 5, 8)]
+        inputs += [
+            np.diag([3.0, -2.0, 5.0, 0.5]),
+            q @ np.diag([1.0, 1.0, 2.0, 2.0, 2.0]) @ q.T,
+            q @ np.diag([-1.5, -1.5, -1.5, 0.0, 4.0]) @ q.T,
+            np.eye(4),
+            np.zeros((3, 3)),
+            np.array([[0.0, 1.0], [1.0, 0.0]]),
+        ]
+        flipped = 0
+        for b in inputs:
+            b = (b + b.T) / 2.0
+            dec = eigh(SymMatrix(b))
+            w, u = _eigh_raw(b)
+            flipped += not np.array_equal(u, dec.eigenvectors)
+            for f in (np.exp, lambda v: np.maximum(v, 0.0)):
+                raw = (u * f(w)) @ u.T
+                fixed = (dec.eigenvectors * f(dec.eigenvalues)) @ dec.eigenvectors.T
+                assert raw.tobytes() == fixed.tobytes()
+        # the comparison only means something where eigh did flip a column
+        assert flipped >= 3
+
     def test_deterministic(self, rng):
         a = random_symmetric(rng, 6)
         d1, d2 = eigh(a), eigh(a)
@@ -198,66 +225,3 @@ class TestIsPsd:
             d = rng.uniform(-1, 1, 4)
             assert is_psd(SymMatrix(np.diag(d)), 0.0) == bool(d.min() >= 0.0)
 
-
-class TestSymExp:
-    def test_zero_matrix(self):
-        assert np.array_equal(sym_exp(SymMatrix(np.zeros((3, 3)))).array, np.eye(3))
-
-    def test_diagonal(self):
-        e = sym_exp(SymMatrix(np.diag([math.log(2.0), 0.0])))
-        assert np.abs(e.array - np.diag([2.0, 1.0])).max() <= 1e-12
-
-    def test_power_series_oracle(self, rng):
-        # independent oracle: truncated exponential series at small norm
-        for _ in range(10):
-            a = random_symmetric(rng, 4, scale=0.2).array
-            series = np.zeros((4, 4))
-            term = np.eye(4)
-            for k in range(1, 30):
-                series += term
-                term = term @ a / k
-            assert np.abs(sym_exp(SymMatrix(a)).array - series).max() <= 1e-10
-
-    def test_conjugation_covariance(self, rng):
-        d = np.array([-1.0, 0.25, 2.0])
-        for _ in range(10):
-            q = random_orthogonal(rng, 3)
-            e = sym_exp(SymMatrix(q @ np.diag(d) @ q.T))
-            expect = q @ np.diag(np.exp(d)) @ q.T
-            assert np.abs(e.array - expect).max() <= 1e-10
-
-    def test_trace_is_sum_of_eigenvalue_exponentials(self, rng):
-        for _ in range(10):
-            a = random_symmetric(rng, 5)
-            assert sym_exp(a).trace() == pytest.approx(
-                np.exp(eigh(a).eigenvalues).sum(), abs=1e-9
-            )
-
-    def test_spectrum_exponentiates(self, rng):
-        a = random_symmetric(rng, 5)
-        assert eigh(sym_exp(a)).eigenvalues == pytest.approx(
-            np.exp(eigh(a).eigenvalues), abs=1e-9
-        )
-
-    def test_ignores_eigenvector_signs(self, rng):
-        # sym_exp forms U exp(w) U^T from unfixed _eigh_raw columns; negating
-        # a column is exact and cancels, so the floats match sign-fixed eigh
-        q = random_orthogonal(rng, 5)
-        inputs = [random_symmetric(rng, n).array for n in (1, 2, 5, 8)]
-        inputs += [
-            np.diag([3.0, -2.0, 5.0, 0.5]),
-            q @ np.diag([1.0, 1.0, 2.0, 2.0, 2.0]) @ q.T,
-            q @ np.diag([-1.5, -1.5, -1.5, 0.0, 4.0]) @ q.T,
-            np.eye(4),
-            np.zeros((3, 3)),
-            np.array([[0.0, 1.0], [1.0, 0.0]]),
-        ]
-        flipped = 0
-        for b in inputs:
-            b = (b + b.T) / 2.0
-            dec = eigh(SymMatrix(b))
-            flipped += not np.array_equal(_eigh_raw(b)[1], dec.eigenvectors)
-            fixed_exp = (dec.eigenvectors * np.exp(dec.eigenvalues)) @ dec.eigenvectors.T
-            assert sym_exp(SymMatrix(b)).array.tobytes() == SymMatrix(fixed_exp).array.tobytes()
-        # the comparison only means something where eigh did flip a column
-        assert flipped >= 3
