@@ -6,8 +6,8 @@ A finite zero-sum matrix game is the special case where every payoff
 matrix is diagonal: row j of the payoff table becomes the diagonal of
 A_j, mixed strategies become diagonal density matrices, and the
 spectral minimax value collapses to the classic game value. The library
-exploits this as a cross-check: an exact rational support-enumeration
-solver on one side, the spectral engine on the other.
+exploits this as a cross-check: an exact integer simplex solver of the
+game's linear program on one side, the spectral engine on the other.
 """
 
 import json
@@ -26,8 +26,8 @@ with open("demos/data/matching_pennies.json", encoding="utf-8") as fh:
     rows = json.load(fh)["vectors"]
 game = VectorGame(tuple(tuple(r) for r in rows))
 
-# the exact route enumerates square subgames in Fraction arithmetic and
-# returns the first equalizing pair that survives the deviation checks
+# the exact route solves the game's linear program by fraction-free simplex
+# pivots over integers and checks the equilibrium it reads off exactly
 print("matching pennies exact value:", classic_value_exact(game))
 
 # the spectral route embeds the rows as diagonals and runs the solver
@@ -41,7 +41,7 @@ print("difference:", report.difference,
       " within tolerance:", report.within_tolerance)
 
 # a game with no saddle point in pure strategies has a fractional value,
-# and the Fraction arithmetic recovers it exactly
+# and the integer arithmetic recovers it exactly
 mixed = VectorGame((
     (3.0, 1.0),
     (1.0, 2.0),

@@ -4,9 +4,9 @@ A matrix game with payoff rows a_1, ..., a_m over n columns embeds into the
 spectral problem by placing each row on a diagonal: with A_i = diag(a_i),
 mixed column strategies correspond to diagonal spectraplex points and the
 game value equals the spectral saddle value. This module computes the game
-value exactly (support enumeration over all square supports, solved by
-fraction-free integer elimination) so the reduction can be verified
-against the iterative solver to stated tolerances.
+value exactly (one linear program solved by an integer simplex with
+fraction-free pivots) so the reduction can be verified against the
+interior-point solver to stated tolerances.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
@@ -29,11 +28,6 @@ __all__ = [
     "classic_value_exact",
     "verify_diagonal_reduction",
 ]
-
-# support enumeration is exponential in min(m, n); this is an exact oracle
-# for small games, not a general game solver
-MAX_SUPPORT_ORDER = 5
-
 
 @dataclass(frozen=True)
 class VectorGame:
@@ -81,113 +75,98 @@ def embed_diagonal(game: VectorGame) -> InstanceSet:
     return InstanceSet(tuple(SymMatrix(np.diag(r)) for r in game.rows))
 
 
-def _solve_exact(mat: list[list[int]], rhs: list[int]) -> list[Fraction] | None:
-    """Solve an integer system exactly by fraction-free (Bareiss)
-    Gauss-Jordan elimination; None if singular.
+def _pivot(tab: list[list[int]], r: int, c: int, prev: int) -> int:
+    """One fraction-free (Bareiss) pivot on ``tab[r][c]``, in place.
 
-    Each step replaces every other row r by (p * r - r[col] * pivot row)
-    divided by the previous pivot p_prev. By Sylvester's identity the
-    entries are then minors of the system, so the division is exact and
-    the work stays in Python ints. At the end every diagonal entry is the
-    last pivot d (the determinant, up to the sign of the row swaps) and the
-    right-hand column holds d times the solution, so Fractions are built
-    for the solution entries alone.
+    Every other row becomes (p * row - row[c] * pivot row) // prev, where p
+    is the pivot and prev the pivot before it (1 at the start); the pivot
+    row is kept. By Sylvester's identity the entries are then minors of the
+    starting table, so the division is exact and the work stays in Python
+    ints (Edmonds, J. Res. NBS 1967): each entry is the rational table's
+    entry times p, the determinant of the pivoted columns up to sign.
+    Returns p, the prev of the next pivot.
     """
-    k = len(mat)
-    aug = [row + [b] for row, b in zip(mat, rhs)]
-    prev = 1
-    for col in range(k):
-        pivot = next((r for r in range(col, k) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        top = aug[col]
-        p = top[col]
-        for r in range(k):
-            if r != col:
-                f = aug[r][col]
-                aug[r] = [(p * a - f * b) // prev for a, b in zip(aug[r], top)]
-        prev = p
-    return [Fraction(aug[r][k], prev) for r in range(k)]
-
-
-def _equalizer(payoff, idx, other, transpose):
-    """Mixed weights over ``idx`` making every coordinate in ``other``
-    indifferent, plus the common value; None if the system is singular.
-
-    With transpose False the weights mix rows against the columns in
-    ``other``; with True the roles swap. Unknowns are the weights and the
-    value v; equations are indifference on ``other`` and normalization.
-    """
-    k = len(idx)
-    mat = []
-    rhs = []
-    for j in other:
-        row = [payoff[i][j] if not transpose else payoff[j][i] for i in idx]
-        mat.append(row + [-1])
-        rhs.append(0)
-    mat.append([1] * k + [0])
-    rhs.append(1)
-    sol = _solve_exact(mat, rhs)
-    if sol is None:
-        return None
-    return sol[:k], sol[k]
+    top = tab[r]
+    p = top[c]
+    for i, row in enumerate(tab):
+        if i != r:
+            f = row[c]
+            tab[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+    return p
 
 
 def classic_value_exact(game: VectorGame) -> float:
-    """Exact game value by support enumeration.
+    """Exact game value by one simplex solve over Python ints.
 
-    Scans square supports by increasing order and lexicographic position,
-    solves the two indifference systems exactly, and accepts the first
-    support whose mixed strategies are nonnegative and unimprovable by any
-    pure deviation. The payoffs are scaled to integers by the common
-    denominator of their exact values, and each system is solved by
-    fraction-free elimination over Python ints, so only the solution
-    entries are rationals. Exact arithmetic makes the equilibrium checks
-    free of rounding judgment calls, and the returned float is the
-    rational value correctly rounded; the cost is exponential in
-    min(m, n), which is capped at MAX_SUPPORT_ORDER.
+    The payoffs are scaled to integers by the common denominator of their
+    exact values and shifted so every entry of B = A + shift is at least
+    1. Then max sum(u) s.t. B u <= 1, u >= 0 is bounded with optimum
+    1 / (value + shift), and at the optimum u and the slack duals rescale
+    to the minimizer's column strategy x and the maximizer's row strategy
+    y. The tableau starts from the slack basis and every step is one
+    fraction-free ``_pivot``, so no entry is ever a fraction. Bland's rule
+    (Math. Oper. Res. 1977) picks the lowest-index column with a negative
+    reduced cost and, among rows tied in the ratio test, the lowest basic
+    index, so degenerate games cannot cycle. The equilibrium is then
+    checked exactly: x and y are nonnegative and sum to 1, and
+    max_i (A x)_i = value = min_j (y^T A)_j. The returned float is the
+    rational value correctly rounded.
     """
     m, n = game.m, game.n
-    if min(m, n) > MAX_SUPPORT_ORDER:
-        raise ValueError(
-            f"support enumeration handles min(m, n) <= {MAX_SUPPORT_ORDER}, got {min(m, n)}"
-        )
     # the entries are floats, so dyadic rationals: scaled by their common
     # denominator they become ints with the same ratios, and the value
     # scales with them
     exact = [[Fraction(x) for x in row] for row in game.rows]
     den = math.lcm(*(f.denominator for row in exact for f in row))
     payoff = [[f.numerator * (den // f.denominator) for f in row] for row in exact]
-    for k in range(1, min(m, n) + 1):
-        for rows_idx in combinations(range(m), k):
-            for cols_idx in combinations(range(n), k):
-                got = _equalizer(payoff, rows_idx, cols_idx, transpose=False)
-                if got is None:
+    shift = 1 - min(min(row) for row in payoff)
+    # row i reads (B u)_i + s_i = 1; the last row is the objective, whose
+    # reduced costs start at -1 on u and 0 on the slacks s
+    tab = [
+        [a + shift for a in row] + [int(k == i) for k in range(m)] + [1]
+        for i, row in enumerate(payoff)
+    ]
+    tab.append([-1] * n + [0] * (m + 1))
+    basis = list(range(n, n + m))
+    d = 1
+    while True:
+        c = next((j for j, v in enumerate(tab[m][:-1]) if v < 0), None)
+        if c is None:
+            break
+        # ratio test by cross-multiplication, every table row sharing the
+        # positive factor d; B u <= 1 is bounded, so some entry is positive
+        r = None
+        for i in range(m):
+            a = tab[i][c]
+            if a > 0:
+                if r is None:
+                    r = i
                     continue
-                y, v = got
-                if any(w < 0 for w in y):
-                    continue
-                got = _equalizer(payoff, cols_idx, rows_idx, transpose=True)
-                if got is None:
-                    continue
-                x, w = got
-                if any(u < 0 for u in x) or w != v:
-                    continue
-                # maximizer must not gain from any pure row against x
-                row_vals = [
-                    sum(payoff[i][j] * x[c] for c, j in enumerate(cols_idx)) for i in range(m)
-                ]
-                if any(rv > v for rv in row_vals):
-                    continue
-                # minimizer must not gain from any pure column against y
-                col_vals = [
-                    sum(payoff[i][j] * y[c] for c, i in enumerate(rows_idx)) for j in range(n)
-                ]
-                if any(cv < v for cv in col_vals):
-                    continue
-                return float(v / den)
-    raise RuntimeError("no equalizing support admitted an equilibrium")
+                lhs, rhs = tab[i][-1] * tab[r][c], tab[r][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[r]):
+                    r = i
+        d = _pivot(tab, r, c, d)
+        basis[r] = c
+    # the optimum sum(u) is z / d, so value + shift = d / z; the
+    # strategies are read off scaled by z, which keeps the check in ints
+    z = tab[m][-1]
+    x = [0] * n
+    for i, b in enumerate(basis):
+        if b < n:
+            x[b] = tab[i][-1]
+    y = tab[m][n : n + m]
+    vz = d - shift * z
+    if (
+        min(x) < 0
+        or min(y) < 0
+        or sum(x) != z
+        or sum(y) != z
+        or max(sum(a * w for a, w in zip(row, x)) for row in payoff) != vz
+        or min(sum(w * row[j] for w, row in zip(y, payoff)) for j in range(n)) != vz
+    ):
+        raise RuntimeError("the simplex optimum is not an equilibrium")
+    # int true division rounds correctly
+    return vz / (z * den)
 
 
 def verify_diagonal_reduction(

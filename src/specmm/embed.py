@@ -93,6 +93,26 @@ def _tops(emb: SdpEmbedding) -> np.ndarray:
     return emb.inst.stacked + emb.shift * np.eye(emb.n)
 
 
+def _block_lambda_min(mat: np.ndarray, m: int) -> float:
+    """lambda_min of a lift matrix diag(T, d_1 .. d_m, d_corner).
+
+    The top block T has order n = N - m - 1 and is the only block that is
+    not diagonal, so the spectrum is that of T together with the remaining
+    diagonal. Every entry outside T and off the diagonal must be exactly
+    zero (SymMatrix arrays are exactly symmetric, so the rows past T are
+    read from the columns past it); anything else is a ValueError, not a
+    reason to fall back to a dense eigenvalue call.
+    """
+    n = mat.shape[0] - m - 1
+    if n < 1:
+        raise ValueError(f"a block matrix of order {mat.shape[0]} cannot hold {m} index slots")
+    rest = mat[n:, n:]
+    tail = np.diagonal(rest)
+    if mat[:n, n:].any() or np.count_nonzero(rest) != np.count_nonzero(tail):
+        raise ValueError("block matrix has nonzero entries outside its top block and diagonal")
+    return min(float(_eigvals_raw(mat[:n, :n])[0]), float(tail.min()))
+
+
 @dataclass(frozen=True, eq=False)
 class PrimalLift:
     """Feasible primal block variable with measured constraint residuals.
@@ -108,12 +128,12 @@ class PrimalLift:
     trace_residual: float
 
     def __post_init__(self):
-        lo = float(_eigvals_raw(self.matrix.array)[0])
+        r = np.asarray(self.residuals, dtype=float)
+        lo = _block_lambda_min(self.matrix.array, r.size)
         if lo < -DEFAULT_TOLS.lift_psd:
             raise ValueError(f"primal block matrix must be PSD, lambda_min={lo!r}")
         if self.trace_residual > DEFAULT_TOLS.lift_psd:
             raise ValueError(f"trace constraint violated by {self.trace_residual!r}")
-        r = np.asarray(self.residuals, dtype=float)
         if r.size and r.max() > DEFAULT_TOLS.lift_residual:
             raise ValueError(f"constraint residual too large: {r.max()!r}")
         r.flags.writeable = False
@@ -143,7 +163,7 @@ class DualLift:
         u = np.asarray(self.multipliers, dtype=float)
         u.flags.writeable = False
         object.__setattr__(self, "multipliers", u)
-        lo = float(_eigvals_raw(self.slack.array)[0])
+        lo = _block_lambda_min(self.slack.array, u.size)
         if lo < -DEFAULT_TOLS.lift_psd:
             raise ValueError(f"dual slack must be PSD, lambda_min={lo!r}")
         if self.residual > DEFAULT_TOLS.lift_residual:
@@ -311,7 +331,7 @@ def interior_dual_point(inst: InstanceSet, emb: SdpEmbedding) -> DualLift:
     t = float(_eigvals_raw(combo)[0]) - 1.0
     slack, residual = _assemble_dual(multipliers, t, emb)
     lift = DualLift(multipliers=multipliers, bound=t, slack=SymMatrix(slack), residual=residual)
-    lo = float(_eigvals_raw(slack)[0])
+    lo = _block_lambda_min(lift.slack.array, m)
     if not lo > 0.0:
         raise DualInfeasibleError(f"interior construction failed, lambda_min(S)={lo!r}")
     return lift

@@ -11,7 +11,7 @@ from specmm import (
     embed_diagonal,
     verify_diagonal_reduction,
 )
-from specmm.classic import _solve_exact
+from specmm import classic
 
 
 def value_2x2_closed_form(a, b, c, d):
@@ -22,8 +22,8 @@ def value_2x2_closed_form(a, b, c, d):
 
 def reference_value(rows):
     """Exact game value by support enumeration with Gauss-Jordan over
-    Fractions: the same scan as classic_value_exact in plain rational
-    arithmetic, kept as an oracle for its integer elimination."""
+    Fractions: an oracle independent of classic_value_exact's integer
+    simplex, exponential in min(m, n), so for small games only."""
     p = [[Fraction(x) for x in r] for r in rows]
     m, n = len(p), len(p[0])
 
@@ -137,10 +137,22 @@ class TestClassicValueExact:
         shifted = tuple(tuple(x + 2.0 for x in r) for r in rows)
         assert classic_value_exact(VectorGame(shifted)) == classic_value_exact(VectorGame(rows)) + 2.0
 
-    def test_scale_cap(self):
-        big = tuple(tuple(float(i + j) for j in range(6)) for i in range(6))
-        with pytest.raises(ValueError, match="min\\(m, n\\)"):
-            classic_value_exact(VectorGame(big))
+    def test_games_past_the_old_cap(self):
+        # min(m, n) > 5, beyond what support enumeration could scan
+        # row 5 dominates and column 0 is the best reply to it
+        plus = tuple(tuple(float(i + j) for j in range(6)) for i in range(6))
+        assert classic_value_exact(VectorGame(plus)) == 5.0
+        # each player mixes uniformly over k identity strategies
+        for k in (6, 9):
+            eye = tuple(tuple(float(i == j) for j in range(k)) for i in range(k))
+            assert classic_value_exact(VectorGame(eye)) == 1 / k
+        # 7-cycle rock-paper-scissors: i beats the next three strategies
+        # and loses to the three before, a skew-symmetric game of value 0
+        cycle = tuple(
+            tuple(0.0 if i == j else (1.0 if (j - i) % 7 <= 3 else -1.0) for j in range(7))
+            for i in range(7)
+        )
+        assert classic_value_exact(VectorGame(cycle)) == 0.0
 
     def test_exact_rational_output(self):
         # rock-paper-scissors-like cycle has value 0 exactly
@@ -184,12 +196,90 @@ class TestClassicValueExact:
 
     def test_singular_first_supports(self):
         # rows {0, 1} against columns {0, 1} give a singular system (the
-        # 2x2 minor has a - b - c + d = 0), so the scan must pass over it;
-        # column 1 is dominated and the value 3/5 comes from columns {0, 2}
+        # 2x2 minor has a - b - c + d = 0); column 1 is dominated and the
+        # value 3/5 comes from columns {0, 2}
         rows = ((0.0, 1.0, 3.0), (1.0, 2.0, -1.0))
-        assert _solve_exact([[0, 1, -1], [1, 2, -1], [1, 1, 0]], [0, 0, 1]) is None
         assert classic_value_exact(VectorGame(rows)) == 0.6
         assert classic_value_exact(VectorGame(rows)) == float(reference_value(rows))
+
+    def test_degenerate_games_match_reference(self, rng):
+        # ties in the ratio test and zero reduced costs, where Bland's rule
+        # is what keeps the simplex from cycling
+        for m, n in ((1, 1), (2, 3), (4, 4)):
+            zero = tuple((0.0,) * n for _ in range(m))
+            assert classic_value_exact(VectorGame(zero)) == 0.0
+        for _ in range(40):
+            m, n = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+            base = rng.integers(-2, 3, (m, n))
+            dup_rows = np.vstack([base, base[rng.integers(0, m, 2)]])
+            dup_cols = np.hstack([base, base[:, rng.integers(0, n, 2)]])
+            # a row strictly below row 0 and a column strictly above column 0
+            dominated = np.vstack([base, base[0] - 1])
+            dominated = np.hstack([dominated, dominated[:, :1] + 1])
+            # entries from {0, 1}: many equal ratios from the first pivot on
+            ties = rng.integers(0, 2, (m + 1, n + 1))
+            for p in (dup_rows, dup_cols, dominated, ties):
+                rows = tuple(map(tuple, p.astype(float).tolist()))
+                assert classic_value_exact(VectorGame(rows)) == float(reference_value(rows)), rows
+
+    def test_pivot_count_is_linear(self, rng, monkeypatch):
+        # no timing: a simplex takes a few pivots per game, while a scan
+        # over supports would grow exponentially in min(m, n)
+        calls = []
+        pivot = classic._pivot
+
+        def counted(*args):
+            calls.append(args)
+            return pivot(*args)
+
+        monkeypatch.setattr(classic, "_pivot", counted)
+        m, n = 5, 8
+        for _ in range(200):
+            calls.clear()
+            rows = tuple(map(tuple, rng.integers(-4, 5, (m, n)).astype(float).tolist()))
+            classic_value_exact(VectorGame(rows))
+            assert len(calls) <= 2 * (m + n), rows
+
+    def test_pivots_follow_blands_rule(self, rng, monkeypatch):
+        # the entering column is the lowest index with a negative reduced
+        # cost, and among rows tied in the ratio test the lowest basic
+        # index leaves; tables from {0, 1} entries tie often
+        pivot = classic._pivot
+        basis = []
+        ties = 0
+
+        def checked(tab, r, c, prev):
+            nonlocal ties
+            obj = tab[-1][:-1]
+            assert c == min(j for j, v in enumerate(obj) if v < 0)
+            ratios = {i: Fraction(row[-1], row[c]) for i, row in enumerate(tab[:-1]) if row[c] > 0}
+            best = [i for i, q in ratios.items() if q == min(ratios.values())]
+            ties += len(best) > 1
+            assert r == min(best, key=lambda i: basis[i])
+            basis[r] = c
+            return pivot(tab, r, c, prev)
+
+        monkeypatch.setattr(classic, "_pivot", checked)
+        for _ in range(30):
+            p = rng.integers(0, 2, (4, 5))
+            basis[:] = range(5, 9)
+            classic_value_exact(VectorGame(tuple(map(tuple, p.astype(float).tolist()))))
+        assert ties > 0
+
+    def test_equilibrium_check_rejects_an_early_stop(self, monkeypatch):
+        # clearing the negative reduced costs after the first pivot stops
+        # the simplex short of the optimum; the exact check must catch it
+        pivot = classic._pivot
+
+        def stop_early(tab, r, c, prev):
+            d = pivot(tab, r, c, prev)
+            tab[-1] = [max(v, 0) for v in tab[-1]]
+            return d
+
+        monkeypatch.setattr(classic, "_pivot", stop_early)
+        rows = ((0.0, 1.0, -1.0), (-1.0, 0.0, 1.0), (1.0, -1.0, 0.0))
+        with pytest.raises(RuntimeError, match="not an equilibrium"):
+            classic_value_exact(VectorGame(rows))
 
     def test_single_row_and_single_column(self, rng):
         for _ in range(10):
@@ -217,6 +307,15 @@ class TestVerifyDiagonalReduction:
         for _ in range(5):
             rows = tuple(tuple(float(v) for v in rng.integers(-3, 4, 3)) for _ in range(3))
             report = verify_diagonal_reduction(VectorGame(rows), cfg)
+            assert report.within_tolerance, (
+                f"exact {report.exact_value} vs midpoint "
+                f"{report.certificate.midpoint} (diff {report.difference})"
+            )
+
+    def test_games_past_the_old_cap(self, rng):
+        for m, n in ((6, 7), (8, 8)):
+            rows = tuple(map(tuple, rng.integers(-4, 5, (m, n)).astype(float).tolist()))
+            report = verify_diagonal_reduction(VectorGame(rows))
             assert report.within_tolerance, (
                 f"exact {report.exact_value} vs midpoint "
                 f"{report.certificate.midpoint} (diff {report.difference})"

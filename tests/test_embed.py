@@ -11,6 +11,7 @@ from specmm import (
     DualInfeasibleError,
     DualLift,
     InstanceSet,
+    PrimalLift,
     SaddleConfig,
     SdpEmbedding,
     SimplexPoint,
@@ -303,6 +304,95 @@ class TestInteriorDual:
             lift = interior_dual_point(inst, emb)
             assert lambda_min(lift.slack) > 0.0
             assert lift.residual <= 1e-12
+
+
+def lift_block(top, slots, corner):
+    """diag(top, slots, corner) as a SymMatrix."""
+    n, m = top.shape[0], len(slots)
+    block = np.diag(np.concatenate((np.zeros(n), slots, [corner])))
+    block[:n, :n] = top
+    return SymMatrix(block)
+
+
+def primal_verdict(mat, m):
+    """Whether PrimalLift accepts the matrix; residuals are zero, so only
+    the PSD check can reject it."""
+    try:
+        PrimalLift(matrix=mat, residuals=np.zeros(m), trace_residual=0.0)
+    except ValueError as err:
+        assert "must be PSD" in str(err)
+        return False
+    return True
+
+
+class TestBlockPsdCheck:
+    def test_verdict_matches_dense_eigvalsh(self, rng):
+        verdicts = set()
+        for policy in ("auto", "none"):
+            for _ in range(30):
+                n, m = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+                inst = random_instance(rng, n, m)
+                emb = build_embedding(inst, shift_policy=policy)
+                if rng.random() < 0.5:
+                    x = sample_spectraplex(n, rng)
+                else:
+                    # symmetric with unit trace, often indefinite
+                    g = rng.standard_normal((n, n))
+                    g = (g + g.T) / 2.0
+                    x = SymMatrix(g + (1.0 - np.trace(g)) / n * np.eye(n))
+                # a negative margin makes the best-response slot negative,
+                # and without the shift the corner can be negative too
+                margin = float(rng.uniform(-0.3, 0.3))
+                mat, _ = dense_primal(x, inst, emb.shift, margin)
+                dense_ok = bool(np.linalg.eigvalsh(mat)[0] >= -1e-10)
+                assert primal_verdict(SymMatrix(mat), m) == dense_ok
+                verdicts.add(("primal", dense_ok))
+
+                y = SimplexPoint(rng.dirichlet(np.ones(m)))
+                t = lower_value(y, inst) + emb.shift + float(rng.uniform(-0.5, 0.5))
+                slack = dense_slack(-y.weights, t, inst, emb.shift)
+                dense_ok = bool(np.linalg.eigvalsh(slack)[0] >= -1e-10)
+                try:
+                    DualLift(multipliers=-y.weights, bound=t, slack=SymMatrix(slack), residual=0.0)
+                    ok = True
+                except ValueError as err:
+                    assert "must be PSD" in str(err)
+                    ok = False
+                assert ok == dense_ok
+                verdicts.add(("dual", dense_ok))
+        # both verdicts occur on both sides
+        assert len(verdicts) == 4
+
+    def test_non_block_matrix_rejected(self):
+        good = lift_block(np.eye(2) / 2.0, [0.5, 0.0, 0.25], 1.0).array
+        for i, j in ((0, 3), (1, 5), (2, 4), (3, 5)):
+            a = good.copy()
+            a[i, j] = a[j, i] = 1e-300
+            with pytest.raises(ValueError, match="outside its top block"):
+                PrimalLift(matrix=SymMatrix(a), residuals=np.zeros(3), trace_residual=0.0)
+            with pytest.raises(ValueError, match="outside its top block"):
+                DualLift(
+                    multipliers=np.zeros(3), bound=0.0, slack=SymMatrix(a), residual=0.0
+                )
+        assert primal_verdict(SymMatrix(good), 3)
+        # more index slots than the matrix has room for next to a top block
+        with pytest.raises(ValueError, match="cannot hold"):
+            PrimalLift(matrix=SymMatrix(good), residuals=np.zeros(5), trace_residual=0.0)
+
+    def test_negative_index_slot_rejected(self):
+        mat = lift_block(np.eye(2) / 2.0, [0.5, -1e-9, 0.25], 1.0)
+        assert not primal_verdict(mat, 3)
+        with pytest.raises(ValueError, match="dual slack must be PSD"):
+            DualLift(multipliers=np.zeros(3), bound=0.0, slack=mat, residual=0.0)
+        assert not primal_verdict(lift_block(np.eye(2) / 2.0, [0.5, 0.0, 0.25], -1e-9), 3)
+
+    def test_indefinite_top_block_rejected(self):
+        # trace one, eigenvalues 1.5 and -0.5, so a zero diagonal is not enough
+        top = np.array([[0.5, 1.0], [1.0, 0.5]])
+        mat = lift_block(top, [0.5, 0.0], 1.0)
+        assert not primal_verdict(mat, 2)
+        with pytest.raises(ValueError, match="dual slack must be PSD"):
+            DualLift(multipliers=np.zeros(2), bound=0.0, slack=mat, residual=0.0)
 
 
 class TestExtractDual:
