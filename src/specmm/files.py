@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,8 +134,10 @@ def report_from_certificate(cert: SaddleCertificate, shift: float = 0.0) -> Repo
 
 def report_to_json(report: Report) -> str:
     """Serialize; floats use their shortest exact decimal form, so loading
-    the text reproduces every scalar bit for bit."""
-    return json.dumps(asdict(report), indent=2) + "\n"
+    the text reproduces every scalar bit for bit. The report's own field
+    dict is written as is, without the deep copy ``dataclasses.asdict``
+    would make of the nested strategy lists."""
+    return json.dumps(vars(report), indent=2) + "\n"
 
 
 def report_from_json(text: str) -> Report:

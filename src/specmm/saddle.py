@@ -7,10 +7,17 @@ The quantity of interest is the common value of
 
 the optimum of the semidefinite program that ``embed`` writes out: minimize
 delta over PSD diag(X, s, delta) with <A_i + sigma*I, X> + s_i = delta and
-tr X = 1. An infeasible-start primal-dual interior-point method solves it
+tr X = 1. A primal-dual interior-point method solves it
 (Helmberg, Rendl, Vanderbei & Wolkowicz, SIAM J. Optim. 1996) with the HKM
 direction and Mehrotra's predictor-corrector (SIAM J. Optim. 1992): one
 Schur matrix of order m+1 per Newton step, and tens of steps to a tight gap.
+It starts from the strictly feasible points of ``embed.interior_primal_point``
+and ``embed.interior_dual_point``, in its own scaled coordinates. Coordinates
+whose rows are exactly zero off the diagonal in every A_i are isolated: X
+keeps them as a vector of linear-programming variables beside s and delta,
+and only the coupled coordinates form a dense block (Todd, Toh & Tutuncu,
+SIAM J. Optim. 1998, carry LP blocks beside SDP blocks the same way). A
+diagonal family, the paper's classic game, is then a linear program.
 
 Certificates are self-verifying. ``upper`` is the exact best-response value
 at the reported X (feasible for the min side) and ``lower`` is the exact
@@ -129,15 +136,41 @@ def _tril_inv(l: np.ndarray) -> np.ndarray:
     return out
 
 
+def _chol_inv(pair: np.ndarray) -> np.ndarray:
+    """Inverse Cholesky factors of a stack of positive definite matrices; empty
+    matrices pass through without a LAPACK call."""
+    return np.linalg.inv(np.linalg.cholesky(pair)) if pair.size else pair
+
+
+def _lowest(r: np.ndarray, d) -> np.ndarray:
+    """lambda_min(r_i d_i r_i^T) for each pair; +inf, without an eigen call, when
+    the matrices are empty."""
+    if r.size == 0:
+        return np.full(len(r), np.inf)
+    return _eigvals_raw(r @ np.stack(d) @ r.transpose(0, 2, 1))[:, 0]
+
+
 def _interior_point(stack: np.ndarray, cfg: SaddleConfig, report):
     """Mehrotra predictor-corrector with the HKM direction on diag(X, s, delta).
 
     Top blocks F_k = A_k / scale + sigma*I (k < m) and F_m = I, scale = max_i ||A_i||_2,
     sigma = max(0, -min_i lambda_min(A_i) / scale) + 1; dual multipliers u, slacks
-    (Z as zt, w, z). After each Newton step ``report(k, up, lo, x_bar, y_bar)`` gets X
-    clipped to the spectraplex, -u[:m] clipped to the simplex and their exact bounds,
-    and returns the best gap. Stops at cfg.gap_tol, cfg.max_iters or a Cholesky
-    breakdown, which reports the iterate it started from. Returns (steps, scale).
+    (Z as zt, w, z). Coordinate j is isolated when row j of every A_k is exactly zero
+    off the diagonal. X and Z are held as diag(X_c, diag(x_d)) and diag(Z_c, diag(z_d)):
+    the coupled coordinates in one dense block, the isolated ones in a vector. The
+    payoffs read no other entry of X, and pinching keeps X in the spectraplex, so this
+    is exact. x_d joins s and delta in one vector v = (x_d, s, delta) with slack
+    g = (z_d, w, z); G is the matrix of v's terms in the m+1 constraints.
+
+    The start is strictly feasible, as ``embed.interior_primal_point`` (margin 1) and
+    ``embed.interior_dual_point`` build it: X = I/n, delta = max_k <F_k, X> + 1 and
+    s_k = delta - <F_k, X>; u_k = -1/(2m) and u_m = lambda_min(sum_k F_k / (2m)) - 1,
+    so that lambda_min(Z) = 1, w = 1/(2m) and z = 1/2. The residuals only absorb
+    rounding drift. After each Newton step ``report(k, up, lo, x_bar, y_bar)`` gets
+    the full X clipped to the spectraplex, -u[:m] clipped to the simplex and their
+    exact bounds, and returns the best gap. Stops at cfg.gap_tol, cfg.max_iters or a
+    Cholesky breakdown, which reports the iterate it started from. Returns
+    (steps, scale).
     """
     m, n, _ = stack.shape
     flat = stack.reshape(m, n * n)
@@ -146,53 +179,79 @@ def _interior_point(stack: np.ndarray, cfg: SaddleConfig, report):
     if scale == 0.0:
         report(0, None, None, np.eye(n) / n, np.full(m, 1.0 / m))
         return 0, scale
-    eye = np.eye(n)
+    off = stack.any(axis=0)
+    np.fill_diagonal(off, False)
+    coupled = off.any(axis=1)
+    c, d = np.flatnonzero(coupled), np.flatnonzero(~coupled)
+    nc, nd, eye = len(c), len(d), np.eye(len(c))
     sigma = max(0.0, -float(spectra[:, 0].min()) / scale) + 1.0
-    f = np.concatenate([stack / scale + sigma * eye, eye[None]])
-    ff = f.reshape(m + 1, n * n)
-    x, zt, s, w, delta, z, u = eye, eye, np.ones(m), np.ones(m), 1.0, 1.0, np.zeros(m + 1)
+    f = np.concatenate([stack / scale + sigma * np.eye(n), np.eye(n)[None]])
+    f, fd = f[:, c[:, None], c], f[:, d, d]
+    ff = f.reshape(m + 1, nc * nc)
+    cost = np.zeros(nd + m + 1)
+    cost[-1] = 1.0
+
+    def lp(v):
+        # G v: diag(F_k) on x_d, plus s_k - delta in row k < m
+        r = fd @ v[:nd]
+        r[:m] += v[nd:-1] - v[-1]
+        return r
+
+    def lp_t(u):
+        # G^T u, so that g = cost - G^T u
+        return np.concatenate([u @ fd, u[:m], [-u[:m].sum()]])
+
+    x, v = eye / n, np.full(nd + m + 1, 1.0 / n)
+    v[nd:-1] = ff[:m] @ x.reshape(-1) + fd[:m] @ v[:nd]  # <F_k, X> until s is set
+    v[-1] = v[nd:-1].max() + 1.0
+    v[nd:-1] = v[-1] - v[nd:-1]
+    u = np.append(np.full(m, -0.5 / m), 0.0)
+    zt, zd = -(u @ ff).reshape(nc, nc), -(u @ fd)  # sum_k F_k / (2m), pinched
+    u[m] = min(_lowest(eye[None], [zt])[0], zd.min(initial=np.inf)) - 1.0
+    zt, g = -(u @ ff).reshape(nc, nc), cost - lp_t(u)
     for k in range(1, cfg.max_iters + 1):
         try:
-            rp = np.append(delta - s, 1.0) - ff @ x.reshape(-1)
-            rd = -(u @ ff).reshape(n, n) - zt
-            rw, rz = -u[:m] - w, 1.0 + u[:m].sum() - z
-            mu = (np.vdot(x, zt) + s @ w + delta * z) / (n + m + 1)
-            rxi, rzi = (np.linalg.inv(np.linalg.cholesky(a)) for a in (x, zt))
-            zi = rzi.T @ rzi
-            schur = ff @ (x @ f @ zi).reshape(m + 1, n * n).T
-            schur[:m, :m] += np.diag(s / w) + delta / z
-            li = _tril_inv(np.linalg.cholesky(schur))
+            rp = -lp(v) - ff @ x.reshape(-1)
+            rp[m] += 1.0
+            rd, rg = -(u @ ff).reshape(nc, nc) - zt, cost - lp_t(u) - g
+            mu = (np.vdot(x, zt) + v @ g) / (n + m + 1)
+            rr = _chol_inv(np.array((x, zt)))
+            zi = rr[1].T @ rr[1]
+            xrz = x @ rd @ zi
+            r = v / g
+            schur = (fd * r[:nd]) @ fd.T
+            schur += ff @ (x @ f @ zi).reshape(m + 1, nc * nc).T
+            schur[:m, :m] += np.diag(r[nd:-1]) + r[-1]
+            li = np.linalg.cholesky(schur)
+            del schur  # dead once factored; freeing it lowers the solver's peak memory
+            li = _tril_inv(li)
 
-            def newton(rczi, rcs, rcz):
-                # X dZ + dX Z = Rc and its diagonal analogue; rczi is Rc Z^-1
-                h = rp - ff @ (rczi - x @ rd @ zi).reshape(-1)
-                h[:m] -= (rcs - s * rw) / w - (rcz - delta * rz) / z
-                du = li.T @ (li @ h)
-                dzt = rd - (du @ ff).reshape(n, n)
-                dw, dz = rw - du[:m], rz + du[:m].sum()
+            def newton(rczi, rcv):
+                # X dZ + dX Z = Rc and v dg + dv g = rcv; rczi is Rc Z^-1
+                du = li.T @ (li @ (rp - ff @ (rczi - xrz).reshape(-1) - lp((rcv - v * rg) / g)))
+                dzt, dg = rd - (du @ ff).reshape(nc, nc), rg - lp_t(du)
                 dx = rczi - x @ dzt @ zi
-                return (dx + dx.T) / 2.0, (rcs - s * dw) / w, (rcz - delta * dz) / z, du, dzt, dw, dz
+                return (dx + dx.T) / 2.0, (rcv - v * dg) / g, du, dzt, dg
 
-            def lengths(dx, ds, dd, _, dzt, dw, dz):
+            def lengths(dx, dv, _, dzt, dg):
                 # 0.95 of the way to the boundary of each cone, at most 1
-                low = _eigvals_raw(np.stack([rxi @ dx @ rxi.T, rzi @ dzt @ rzi.T]))[:, 0]
-                return (0.95 / max(-low[0], (-ds / s).max(), -dd / delta, 0.95),
-                        0.95 / max(-low[1], (-dw / w).max(), -dz / z, 0.95))
+                low = _lowest(rr, (dx, dzt))
+                return (0.95 / max(-low[0], (-dv / v).max(), 0.95),
+                        0.95 / max(-low[1], (-dg / g).max(), 0.95))
 
-            dx, ds, dd, du, dzt, dw, dz = step = newton(-x, -s * w, -delta * z)
+            dx, dv, du, dzt, dg = step = newton(-x, -v * g)
             ap, ad = lengths(*step)
-            gap_aff = (np.vdot(x + ap * dx, zt + ad * dzt) + (s + ap * ds) @ (w + ad * dw)
-                       + (delta + ap * dd) * (z + ad * dz))
+            gap_aff = np.vdot(x + ap * dx, zt + ad * dzt) + (v + ap * dv) @ (g + ad * dg)
             tau = mu * min(1.0, gap_aff / (mu * (n + m + 1))) ** 3
-            dx, ds, dd, du, dzt, dw, dz = step = newton(
-                tau * zi - x - dx @ dzt @ zi, tau - s * w - ds * dw, tau - delta * z - dd * dz)
+            dx, dv, du, dzt, dg = step = newton(tau * zi - x - dx @ dzt @ zi, tau - v * g - dv * dg)
             ap, ad = lengths(*step)
-            x, s, delta = x + ap * dx, s + ap * ds, delta + ap * dd
-            u, zt, w, z = u + ad * du, zt + ad * dzt, w + ad * dw, z + ad * dz
+            x, v, u, zt, g = x + ap * dx, v + ap * dv, u + ad * du, zt + ad * dzt, g + ad * dg
             breakdown = False
         except np.linalg.LinAlgError:
             breakdown = True
-        lam, vec = _eigh_raw(x)
+        full = np.zeros((n, n))
+        full[c[:, None], c], full[d, d] = x, v[:nd]
+        lam, vec = _eigh_raw(full)
         x_bar = (vec * np.maximum(lam, 0.0)) @ vec.T
         x_bar = (x_bar + x_bar.T) / (2.0 * np.trace(x_bar))
         y_bar = np.maximum(-u[:m], 0.0)
@@ -215,19 +274,19 @@ class _Incumbents:
         self.x = None
         self.y = None
 
-    def __call__(self, k, up, lo, x_avg, y_avg):
+    def __call__(self, k, up, lo, x_bar, y_bar):
         if up is None:
             # degenerate all-zero instance: any strategy pair is optimal
             self.upper = self.lower = 0.0
-            self.x = x_avg
-            self.y = y_avg
+            self.x = x_bar
+            self.y = y_bar
             return 0.0
         if up < self.upper:
             self.upper = up
-            self.x = x_avg
+            self.x = x_bar
         if lo > self.lower:
             self.lower = lo
-            self.y = y_avg
+            self.y = y_bar
         return self.upper - self.lower
 
 
@@ -267,8 +326,8 @@ def solve_minimax(
     cfg = cfg if cfg is not None else SaddleConfig()
     inc = _Incumbents()
 
-    def report(k, up, lo, x_avg, y_avg):
-        g = inc(k, up, lo, x_avg, y_avg)
+    def report(k, up, lo, x_bar, y_bar):
+        g = inc(k, up, lo, x_bar, y_bar)
         if on_bounds is not None:
             on_bounds(k, inc.upper, inc.lower)
         return g
@@ -295,8 +354,8 @@ def solve_maximin(
     cfg = cfg if cfg is not None else SaddleConfig()
     inc = _Incumbents()
 
-    def report(k, up, lo, x_avg, y_avg):
-        g = inc(k, up, lo, x_avg, y_avg)
+    def report(k, up, lo, x_bar, y_bar):
+        g = inc(k, up, lo, x_bar, y_bar)
         if on_bounds is not None:
             # translate the negated-problem bounds back to maximin sense
             on_bounds(k, -inc.lower, -inc.upper)

@@ -1,13 +1,19 @@
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
+from conftest import random_instance
 
 from specmm import (
     Report,
+    SaddleConfig,
+    report_from_certificate,
     report_from_json,
     report_to_json,
     report_to_text,
+    solve_minimax,
 )
 from specmm.cli import main
 
@@ -221,6 +227,15 @@ class TestReports:
         )
         back = report_from_json(report_to_json(rep))
         assert back == rep
+
+    def test_json_equals_the_asdict_rendering(self):
+        # seeded certificates, from n = 1 up; the field dict is written as is
+        rng = np.random.default_rng(11)
+        for n, m in ((1, 1), (1, 3), (2, 2), (4, 3), (6, 5)):
+            cert = solve_minimax(random_instance(rng, n, m), SaddleConfig(gap_tol=1e-6))
+            rep = report_from_certificate(cert, shift=float(rng.uniform()))
+            assert report_to_json(rep) == json.dumps(dataclasses.asdict(rep), indent=2) + "\n"
+            assert report_from_json(report_to_json(rep)) == rep
 
     def test_text_rendering_contains_exact_decimals(self):
         rep = Report(

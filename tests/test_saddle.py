@@ -107,7 +107,7 @@ class TestSolveMinimax:
         assert cert.converged
         assert cert.gap <= 1e-4
         assert cert.midpoint == pytest.approx(-SQ2_HALF, abs=1e-4)
-        assert cert.iterations <= 5000
+        assert cert.iterations <= 20
 
     def test_diag_pair_matches_classic_oracle(self):
         exact = classic_value_exact(VectorGame(((1.0, 0.0), (0.0, 1.0))))
@@ -190,9 +190,10 @@ class TestSolveMinimax:
 
     def test_large_scale_bounds_may_cross_by_rounding(self):
         # a rotated Pauli pair at scale 1e8: the bracket may close past zero
-        # by rounding, which the crossing limit allows relative to the scale
+        # by rounding, which the crossing limit allows relative to the scale;
+        # every rotation seed below 60 at a tight target, and seed 17 at 1e-6
         crossed = 0
-        for seed, rel in ((17, 1e-6), (28, 1e-16)):
+        for seed, rel in [(17, 1e-6)] + [(seed, 1e-16) for seed in range(60)]:
             q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((2, 2)))
             inst = InstanceSet(tuple(SymMatrix(1e8 * (q @ a @ q.T)) for a in pauli_pair().stacked))
             scale = float(np.abs(np.linalg.eigvalsh(inst.stacked)).max())
@@ -203,7 +204,7 @@ class TestSolveMinimax:
             assert upper_value(cert.x_bar, inst) == cert.upper
             assert lower_value(cert.y_bar, inst) == cert.lower
             crossed += cert.gap < -1e-9
-        # the tight solve really crosses further than an absolute 1e-9 allows
+        # some tight solve really crosses further than an absolute 1e-9 allows
         assert crossed >= 1
 
     def test_nonconvergence_is_reported_not_raised(self, rng):
@@ -301,3 +302,96 @@ class TestRoundInvariants:
             got = saddle._payoffs(flat, x)
             assert got.shape == (m,)
             assert got.tobytes() == np.tensordot(stack, x, axes=([1, 2], [0, 1])).tobytes()
+
+
+class LapackLog:
+    """Records the shapes the solver hands to each LAPACK entry point."""
+
+    def __init__(self, monkeypatch):
+        self.calls = {"cholesky": [], "inv": [], "eigh": [], "eigvals": []}
+        for name, owner, attr in (
+            ("cholesky", np.linalg, "cholesky"), ("inv", np.linalg, "inv"),
+            ("eigh", saddle, "_eigh_raw"), ("eigvals", saddle, "_eigvals_raw"),
+        ):
+            monkeypatch.setattr(owner, attr, self._wrap(name, getattr(owner, attr)))
+
+    def _wrap(self, name, fn):
+        def wrapped(a, *args, **kwargs):
+            self.calls[name].append(np.shape(a))
+            return fn(a, *args, **kwargs)
+        return wrapped
+
+
+def block_diagonal_family(rng, m):
+    """diag(B_k, d_k): a coupled 2x2 block B_k and two isolated coordinates."""
+    mats = []
+    for _ in range(m):
+        a = np.zeros((4, 4))
+        b = rng.standard_normal((2, 2))
+        a[:2, :2] = b + b.T
+        a[2, 2], a[3, 3] = rng.standard_normal(2)
+        mats.append(SymMatrix(a))
+    return InstanceSet(tuple(mats))
+
+
+class TestIsolatedCoordinates:
+    """Coordinates with exactly zero off-diagonal rows are carried as a vector."""
+
+    def test_block_and_vector_family_brackets_the_value_of_its_rotation(self, rng):
+        inst = block_diagonal_family(rng, 3)
+        q = random_orthogonal(rng, 4)
+        rotated = InstanceSet(tuple(SymMatrix(q @ a @ q.T) for a in inst.stacked))
+        certs = []
+        for family in (inst, rotated):
+            scale = float(np.abs(np.linalg.eigvalsh(family.stacked)).max())
+            cert = solve_minimax(family, SaddleConfig(gap_tol=1e-8 * scale))
+            assert cert.converged
+            assert upper_value(cert.x_bar, family) == cert.upper
+            assert lower_value(cert.y_bar, family) == cert.lower
+            certs.append(cert)
+        a, b = certs
+        # one value lies in both brackets
+        assert max(a.lower, b.lower) <= min(a.upper, b.upper) + 1e-12
+
+    GAME = ([3.0, -1.0, 0.0], [-2.0, 2.0, 1.0], [0.0, 1.0, -1.0])
+
+    def test_diagonal_family_factors_only_the_schur_matrix(self, monkeypatch):
+        inst = InstanceSet(tuple(SymMatrix(np.diag(r)) for r in self.GAME))
+        log = LapackLog(monkeypatch)
+        cert = solve_minimax(inst)
+        k, m = cert.iterations, 3
+        assert cert.converged
+        # per Newton step: one Schur Cholesky and one inverse of its factor
+        assert log.calls["cholesky"] == [(m + 1, m + 1)] * k
+        assert log.calls["inv"] == [(m + 1, m + 1)] * k
+        # per step, the bracket's eigh of X and eigenvalues of the combination;
+        # the scale and shift take one batched call before the first step, and
+        # the certificate recomputes its lower bound once after the last
+        assert log.calls["eigh"] == [(3, 3)] * k
+        assert log.calls["eigvals"] == [(m, 3, 3)] + [(3, 3)] * (k + 1)
+
+    def test_a_tiny_off_diagonal_entry_couples_its_coordinates(self, monkeypatch):
+        mats = [np.diag(r) for r in self.GAME]
+        mats[1][0, 2] = mats[1][2, 0] = 1e-300
+        inst = InstanceSet(tuple(SymMatrix(a) for a in mats))
+        log = LapackLog(monkeypatch)
+        cert = solve_minimax(inst)
+        assert cert.converged
+        # coordinates 0 and 2 form a 2x2 block: X and Z are factored together
+        assert log.calls["cholesky"].count((2, 2, 2)) == cert.iterations
+        assert upper_value(cert.x_bar, inst) == cert.upper
+        assert lower_value(cert.y_bar, inst) == cert.lower
+
+    def test_identical_matrix_families_reach_relative_gap_1e_8(self):
+        rng = np.random.default_rng(7)
+        converged = 0
+        for _ in range(30):
+            n, m = rng.integers(1, 9, 2)
+            g = rng.standard_normal((n, n))
+            inst = InstanceSet(tuple(SymMatrix((g + g.T) / 2.0) for _ in range(m)))
+            scale = float(np.abs(np.linalg.eigvalsh(inst.stacked)).max())
+            cert = solve_minimax(inst, SaddleConfig(gap_tol=1e-8 * scale))
+            assert upper_value(cert.x_bar, inst) == cert.upper
+            assert lower_value(cert.y_bar, inst) == cert.lower
+            converged += cert.converged
+        assert converged >= 27
