@@ -158,6 +158,19 @@ def lambda_min_by_bisection(a: SymMatrix, tol: float = 1e-8) -> float:
     return 0.5 * (lo + hi)
 
 
+# The two contractions of an (m, n, n) stack, flattened to (m, n*n): the one
+# np.dot call of np.tensordot and its floats, without its axis bookkeeping.
+def _combination(y: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """sum_i y_i A_i as an (n, n) array: (1, m) @ (m, n*n)."""
+    m, n, _ = stack.shape
+    return np.dot(y.reshape(1, -1), stack.reshape(m, n * n)).reshape(n, n)
+
+
+def _payoffs(stack: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """<A_i, X> for every i as an (m,) array: (m, n*n) @ (n*n, 1)."""
+    return np.dot(stack.reshape(len(stack), -1), x.reshape(-1, 1)).reshape(-1)
+
+
 def best_response_index(x: SpectraplexPoint, inst: InstanceSet) -> tuple[int, float]:
     """Index attaining max_i <A_i, X> and the attained value.
 
@@ -166,7 +179,7 @@ def best_response_index(x: SpectraplexPoint, inst: InstanceSet) -> tuple[int, fl
     """
     if x.n != inst.n:
         raise ValueError(f"dimension mismatch: point has n={x.n}, instance n={inst.n}")
-    vals = np.tensordot(inst.stacked, x.array, axes=([1, 2], [0, 1]))
+    vals = _payoffs(inst.stacked, x.array)
     k = int(np.argmax(vals))
     return k, float(vals[k])
 
@@ -175,15 +188,14 @@ def weighted_combination(y: SimplexPoint, inst: InstanceSet) -> SymMatrix:
     """sum_i y_i A_i."""
     if y.m != inst.m:
         raise ValueError(f"dimension mismatch: point has m={y.m}, instance m={inst.m}")
-    return SymMatrix(np.tensordot(y.weights, inst.stacked, axes=(0, 0)))
+    return SymMatrix(_combination(y.weights, inst.stacked))
 
 
 def payoff(y: SimplexPoint, x: SpectraplexPoint, inst: InstanceSet) -> float:
     """Bilinear payoff sum_i y_i <A_i, X>."""
     if y.m != inst.m or x.n != inst.n:
         raise ValueError("dimension mismatch between strategies and instance")
-    vals = np.tensordot(inst.stacked, x.array, axes=([1, 2], [0, 1]))
-    return float(np.dot(y.weights, vals))
+    return float(np.dot(y.weights, _payoffs(inst.stacked, x.array)))
 
 
 def sample_spectraplex(n: int, rng: np.random.Generator) -> SpectraplexPoint:

@@ -19,11 +19,14 @@ and only the coupled coordinates form a dense block (Todd, Toh & Tutuncu,
 SIAM J. Optim. 1998, carry LP blocks beside SDP blocks the same way). A
 diagonal family, the paper's classic game, is then a linear program.
 
-Certificates are self-verifying. ``upper`` is the exact best-response value
-at the reported X (feasible for the min side) and ``lower`` is the exact
-minimum eigenvalue at the reported y (feasible for the max side), so
-upper >= value >= lower regardless of how the iteration behaved, and both
-numbers can be recomputed from the reported strategies alone.
+Certificates are self-verifying. After each Newton step the loop evaluates
+the exact bracket at its clipped iterates and keeps the best of each side:
+``upper`` is the best-response value at the reported X (feasible for the
+min side), ``lower`` the minimum eigenvalue at the reported y (feasible for
+the max side), so upper >= value >= lower however the iteration behaved.
+The certificate carries these incumbents; ``upper_value`` and
+``lower_value`` recompute them from the strategies alone, bit for bit.
+Maximin is the same solve on the negated family, bounds negated and swapped.
 """
 
 from __future__ import annotations
@@ -38,10 +41,12 @@ from .domains import (
     InstanceSet,
     SimplexPoint,
     SpectraplexPoint,
+    _combination,
+    _payoffs,
     best_response_index,
     weighted_combination,
 )
-from .symmat import SymMatrix, _eigh_raw, _eigvals_raw, frobenius_inner, lambda_max
+from .symmat import SymMatrix, _eigh_raw, _eigvals_raw
 from .tolerances import DEFAULT_TOLS
 
 __all__ = [
@@ -78,11 +83,13 @@ class SaddleConfig:
 class SaddleCertificate:
     """Two-sided bracket on the saddle value with the strategies attaining it.
 
-    upper comes from x_bar (best response of the index player), lower from
-    y_bar (minimum eigenvalue of the weighted combination); recomputing
-    either from the stored strategies reproduces the stored floats. gap is
-    exactly upper - lower and can only be negative by eigensolver rounding,
-    never below -1e-9 times scale, the instance's max_i ||A_i||_2.
+    For solve_minimax, upper is upper_value(x_bar) and lower is
+    lower_value(y_bar); for solve_maximin, lower is min_i <A_i, x_bar> by
+    the stacked contraction of best_response_index and upper is the largest
+    eigenvalue of weighted_combination(y_bar). Either recompute from the
+    stored strategies reproduces the stored floats. gap is exactly
+    upper - lower and can only be negative by eigensolver rounding, never
+    below -1e-9 times scale, the instance's max_i ||A_i||_2.
     """
 
     upper: float
@@ -113,18 +120,6 @@ def lower_value(y: SimplexPoint, inst: InstanceSet) -> float:
     return float(_eigvals_raw(weighted_combination(y, inst).array)[0])
 
 
-# The bracket's two contractions against the stack flattened to (m, n*n):
-# np.tensordot's own np.dot call and floats, without its axis bookkeeping.
-def _combination(y: np.ndarray, flat: np.ndarray, n: int) -> np.ndarray:
-    """sum_i y_i A_i as an (n, n) array: (1, m) @ (m, n*n)."""
-    return np.dot(y.reshape(1, -1), flat).reshape(n, n)
-
-
-def _payoffs(flat: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """<A_i, X> for every i as an (m,) array: (m, n*n) @ (n*n, 1)."""
-    return np.dot(flat, x.reshape(-1, 1)).reshape(-1)
-
-
 def _tril_inv(l: np.ndarray) -> np.ndarray:
     """Inverse of a lower-triangular matrix by halves, mostly matrix products."""
     k = len(l) // 2
@@ -150,7 +145,7 @@ def _lowest(r: np.ndarray, d) -> np.ndarray:
     return _eigvals_raw(r @ np.stack(d) @ r.transpose(0, 2, 1))[:, 0]
 
 
-def _interior_point(stack: np.ndarray, cfg: SaddleConfig, report):
+def _interior_point(stack: np.ndarray, cfg: SaddleConfig, on_bounds):
     """Mehrotra predictor-corrector with the HKM direction on diag(X, s, delta).
 
     Top blocks F_k = A_k / scale + sigma*I (k < m) and F_m = I, scale = max_i ||A_i||_2,
@@ -166,19 +161,19 @@ def _interior_point(stack: np.ndarray, cfg: SaddleConfig, report):
     ``embed.interior_dual_point`` build it: X = I/n, delta = max_k <F_k, X> + 1 and
     s_k = delta - <F_k, X>; u_k = -1/(2m) and u_m = lambda_min(sum_k F_k / (2m)) - 1,
     so that lambda_min(Z) = 1, w = 1/(2m) and z = 1/2. The residuals only absorb
-    rounding drift. After each Newton step ``report(k, up, lo, x_bar, y_bar)`` gets
-    the full X clipped to the spectraplex, -u[:m] clipped to the simplex and their
-    exact bounds, and returns the best gap. Stops at cfg.gap_tol, cfg.max_iters or a
-    Cholesky breakdown, which reports the iterate it started from. Returns
-    (steps, scale).
+    rounding drift. After each Newton step the full X clipped to the spectraplex and
+    -u[:m] clipped to the simplex get their exact bounds; the least upper bound and
+    the greatest lower bound are kept with the strategies attaining them, and
+    ``on_bounds(k, upper, lower)``, if given, sees the pair. Stops at cfg.gap_tol,
+    cfg.max_iters or a Cholesky breakdown, which evaluates the iterate it started
+    from. Returns (upper, lower, x_bar, y_bar, steps, scale); an all-zero family,
+    for which any pair is optimal, returns (0, 0, I/n, 1/m, 0, 0) without a step.
     """
     m, n, _ = stack.shape
-    flat = stack.reshape(m, n * n)
     spectra = _eigvals_raw(stack)
     scale = float(np.abs(spectra).max())
     if scale == 0.0:
-        report(0, None, None, np.eye(n) / n, np.full(m, 1.0 / m))
-        return 0, scale
+        return 0.0, 0.0, np.eye(n) / n, np.full(m, 1.0 / m), 0, scale
     off = stack.any(axis=0)
     np.fill_diagonal(off, False)
     coupled = off.any(axis=1)
@@ -209,6 +204,7 @@ def _interior_point(stack: np.ndarray, cfg: SaddleConfig, report):
     zt, zd = -(u @ ff).reshape(nc, nc), -(u @ fd)  # sum_k F_k / (2m), pinched
     u[m] = min(_lowest(eye[None], [zt])[0], zd.min(initial=np.inf)) - 1.0
     zt, g = -(u @ ff).reshape(nc, nc), cost - lp_t(u)
+    upper, lower, x_best, y_best = np.inf, -np.inf, None, None
     for k in range(1, cfg.max_iters + 1):
         try:
             rp = -lp(v) - ff @ x.reshape(-1)
@@ -256,53 +252,29 @@ def _interior_point(stack: np.ndarray, cfg: SaddleConfig, report):
         x_bar = (x_bar + x_bar.T) / (2.0 * np.trace(x_bar))
         y_bar = np.maximum(-u[:m], 0.0)
         y_bar = y_bar / y_bar.sum() if y_bar.any() else np.full(m, 1.0 / m)
-        up = float(_payoffs(flat, x_bar).max())
-        lo = float(_eigvals_raw(_combination(y_bar, flat, n))[0])
-        best_gap = report(k, up, lo, x_bar, y_bar)
+        up = float(_payoffs(stack, x_bar).max())
+        lo = float(_eigvals_raw(_combination(y_bar, stack))[0])
+        if up < upper:
+            upper, x_best = up, x_bar
+        if lo > lower:
+            lower, y_best = lo, y_bar
+        if on_bounds is not None:
+            on_bounds(k, upper, lower)
         logger.debug("round %d: upper=%.12g lower=%.12g mu=%.3e", k, up, lo, mu)
-        if breakdown or best_gap <= cfg.gap_tol:
-            return k, scale
-    return cfg.max_iters, scale
+        if breakdown or upper - lower <= cfg.gap_tol:
+            break
+    return upper, lower, x_best, y_best, k, scale
 
 
-class _Incumbents:
-    """Best-so-far bound tracking; keeps the strategies attaining each bound."""
-
-    def __init__(self):
-        self.upper = np.inf
-        self.lower = -np.inf
-        self.x = None
-        self.y = None
-
-    def __call__(self, k, up, lo, x_bar, y_bar):
-        if up is None:
-            # degenerate all-zero instance: any strategy pair is optimal
-            self.upper = self.lower = 0.0
-            self.x = x_bar
-            self.y = y_bar
-            return 0.0
-        if up < self.upper:
-            self.upper = up
-            self.x = x_bar
-        if lo > self.lower:
-            self.lower = lo
-            self.y = y_bar
-        return self.upper - self.lower
-
-
-def _certificate(inc, iterations, scale, cfg, bounds) -> SaddleCertificate:
-    """Certificate at the incumbent strategies; ``bounds(x_bar, y_bar)``
-    returns the direction's exact (upper, lower) pair."""
-    x_bar = SpectraplexPoint(SymMatrix(inc.x))
-    y_bar = SimplexPoint(inc.y)
-    upper, lower = bounds(x_bar, y_bar)
+def _certificate(upper, lower, x_bar, y_bar, iterations, scale, cfg) -> SaddleCertificate:
+    """Certificate at the loop's incumbents, with their bounds as they are."""
     gap = upper - lower
     return SaddleCertificate(
         upper=upper,
         lower=lower,
         gap=gap,
-        x_bar=x_bar,
-        y_bar=y_bar,
+        x_bar=SpectraplexPoint(SymMatrix(x_bar)),
+        y_bar=SimplexPoint(y_bar),
         iterations=iterations,
         converged=bool(gap <= cfg.gap_tol),
         scale=scale,
@@ -324,18 +296,7 @@ def solve_minimax(
     is invoked once per Newton step.
     """
     cfg = cfg if cfg is not None else SaddleConfig()
-    inc = _Incumbents()
-
-    def report(k, up, lo, x_bar, y_bar):
-        g = inc(k, up, lo, x_bar, y_bar)
-        if on_bounds is not None:
-            on_bounds(k, inc.upper, inc.lower)
-        return g
-
-    iterations, scale = _interior_point(inst.stacked, cfg, report)
-    return _certificate(
-        inc, iterations, scale, cfg, lambda x, y: (upper_value(x, inst), lower_value(y, inst))
-    )
+    return _certificate(*_interior_point(inst.stacked, cfg, on_bounds), cfg)
 
 
 def solve_maximin(
@@ -344,27 +305,19 @@ def solve_maximin(
     *,
     on_bounds: Callable[[int, float, float], None] | None = None,
 ) -> SaddleCertificate:
-    """Bracket max_X min_i <A_i, X>, the mirror image of solve_minimax.
+    """Bracket max_X min_i <A_i, X> = -min_X max_i <-A_i, X>.
 
-    Internally runs the same solver on the negated family. On the
-    returned certificate, lower is min_i <A_i, x_bar> (what x_bar
-    guarantees for the max player) and upper is lambda_max of the
-    y_bar-weighted combination.
+    Runs solve_minimax's loop on the negated family and negates and swaps
+    its bounds: lower = -max_i <-A_i, x_bar> is min_i <A_i, x_bar> (what
+    x_bar guarantees for the max player) and upper = -lambda_min(-sum_i y_i A_i)
+    is lambda_max of the y_bar-weighted combination. Both equal the direct
+    recomputes bit for bit: negation is exact in the contraction, and LAPACK,
+    rounding to nearest, returns the eigenvalues of -M as those of M negated.
+    ``on_bounds(k, best_upper, best_lower)`` is invoked once per Newton
+    step, in maximin sense.
     """
     cfg = cfg if cfg is not None else SaddleConfig()
-    inc = _Incumbents()
-
-    def report(k, up, lo, x_bar, y_bar):
-        g = inc(k, up, lo, x_bar, y_bar)
-        if on_bounds is not None:
-            # translate the negated-problem bounds back to maximin sense
-            on_bounds(k, -inc.lower, -inc.upper)
-        return g
-
-    iterations, scale = _interior_point(-inst.stacked, cfg, report)
-
-    def bounds(x, y):
-        lower = min(frobenius_inner(a, x.matrix) for a in inst.matrices)
-        return lambda_max(weighted_combination(y, inst)), lower
-
-    return _certificate(inc, iterations, scale, cfg, bounds)
+    # 0.0 - b is -b bit for bit, except that a bound of 0.0 stays +0.0
+    mirrored = None if on_bounds is None else lambda k, up, lo: on_bounds(k, 0.0 - lo, 0.0 - up)
+    up, lo, x_bar, y_bar, iterations, scale = _interior_point(-inst.stacked, cfg, mirrored)
+    return _certificate(0.0 - lo, 0.0 - up, x_bar, y_bar, iterations, scale, cfg)

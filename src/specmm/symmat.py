@@ -30,7 +30,7 @@ class SymMatrix:
 
     Input is symmetrized as (M + M^T)/2 on construction, so only the
     symmetric part of the argument is retained. The backing array is
-    frozen; use the arithmetic helpers to derive new matrices.
+    frozen.
     """
 
     array: np.ndarray
@@ -50,32 +50,6 @@ class SymMatrix:
     @property
     def n(self) -> int:
         return self.array.shape[0]
-
-    @staticmethod
-    def identity(n: int) -> "SymMatrix":
-        return SymMatrix(np.eye(n))
-
-    @staticmethod
-    def zero(n: int) -> "SymMatrix":
-        return SymMatrix(np.zeros((n, n)))
-
-    def shifted(self, c: float) -> "SymMatrix":
-        """A + c*I."""
-        return SymMatrix(self.array + float(c) * np.eye(self.n))
-
-    def __add__(self, other: "SymMatrix") -> "SymMatrix":
-        return SymMatrix(self.array + other.array)
-
-    def __sub__(self, other: "SymMatrix") -> "SymMatrix":
-        return SymMatrix(self.array - other.array)
-
-    def __neg__(self) -> "SymMatrix":
-        return SymMatrix(-self.array)
-
-    def __mul__(self, c: float) -> "SymMatrix":
-        return SymMatrix(self.array * float(c))
-
-    __rmul__ = __mul__
 
     def trace(self) -> float:
         return float(np.trace(self.array))

@@ -245,7 +245,7 @@ def test_criterion_7_covariance():
         inst = random_instance(rng, n, m)
         base = solve_minimax(inst, cfg).midpoint
 
-        shifted = InstanceSet(tuple(a.shifted(c) for a in inst.matrices))
+        shifted = InstanceSet(tuple(SymMatrix(a.array + c * np.eye(a.n)) for a in inst.matrices))
         worst["shift"] = max(
             worst["shift"], abs(solve_minimax(shifted, cfg).midpoint - (base + c))
         )

@@ -20,7 +20,7 @@ from specmm import (
     sample_spectraplex,
     weighted_combination,
 )
-from specmm import saddle
+from specmm import domains, saddle, symmat
 
 from conftest import random_instance, random_orthogonal
 
@@ -123,10 +123,15 @@ class TestSolveMinimax:
         assert np.array_equal(cert.y_bar.weights, np.array([1.0]))
 
     def test_zero_instance(self):
-        cert = solve_minimax(InstanceSet((SymMatrix(np.zeros((3, 3))),)))
+        calls = []
+        cert = solve_minimax(
+            InstanceSet((SymMatrix(np.zeros((3, 3))),)), on_bounds=lambda *a: calls.append(a)
+        )
         assert cert.converged
         assert cert.upper == 0.0 and cert.lower == 0.0
         assert cert.iterations == 0
+        # no Newton step, so no on_bounds call
+        assert calls == []
 
     def test_certificate_recomputes_from_strategies(self, rng):
         for _ in range(3):
@@ -241,10 +246,26 @@ class TestSolveMaximin:
     def test_certificate_recomputes_from_strategies(self, rng):
         inst = random_instance(rng, 4, 3)
         cert = solve_maximin(inst, SaddleConfig(gap_tol=1e-3))
-        vals = [np.tensordot(a.array, cert.x_bar.array, 2) for a in inst.matrices]
-        assert float(min(vals)) == cert.lower
+        vals = np.tensordot(inst.stacked, cert.x_bar.array, axes=([1, 2], [0, 1]))
+        assert float(vals.min()) == cert.lower
         assert eigh(weighted_combination(cert.y_bar, inst)).eigenvalues[-1] == cert.upper
         assert cert.gap >= -1e-9
+
+    def test_trace_ends_at_the_certificate(self):
+        # the last on_bounds pair is the certificate, and the negated solve's
+        # bounds are the direct recomputes bit for bit
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            n, m = rng.integers(2, 7, 2)
+            inst = random_instance(rng, n, m)
+            calls = []
+            cert = solve_maximin(
+                inst, SaddleConfig(gap_tol=1e-6), on_bounds=lambda *a: calls.append(a)
+            )
+            assert calls[-1] == (cert.iterations, cert.upper, cert.lower)
+            vals = np.tensordot(inst.stacked, cert.x_bar.array, axes=([1, 2], [0, 1]))
+            assert cert.lower == vals.min()
+            assert cert.upper == eigh(weighted_combination(cert.y_bar, inst)).eigenvalues[-1]
 
     def test_minimax_duality_under_negation(self, rng):
         # maximin of negated matrices = -(minimax), certified both ways
@@ -262,7 +283,7 @@ class TestValueCovariance:
         cfg = SaddleConfig(gap_tol=1e-3)
         inst = random_instance(rng, 3, 3)
         c = 0.75
-        shifted = InstanceSet(tuple(a.shifted(c) for a in inst.matrices))
+        shifted = InstanceSet(tuple(SymMatrix(a.array + c * np.eye(a.n)) for a in inst.matrices))
         v0 = solve_minimax(inst, cfg).midpoint
         v1 = solve_minimax(shifted, cfg).midpoint
         assert v1 == pytest.approx(v0 + c, abs=2e-3)
@@ -287,31 +308,35 @@ class TestValueCovariance:
 
 
 class TestRoundInvariants:
-    """The bracket's shortcuts reproduce the plain formulas bit for bit."""
+    """The contractions of the bracket reproduce the plain formulas bit for bit."""
 
     @pytest.mark.parametrize("m, n", [(1, 1), (1, 4), (5, 1), (4, 3), (6, 8)])
     def test_flat_products_match_tensordot(self, rng, m, n):
         inst = random_instance(rng, n, m)
         for stack in (inst.stacked, -inst.stacked):
-            flat = stack.reshape(m, n * n)
             y = sample_simplex(m, rng).weights
             x = sample_spectraplex(n, rng).array
-            got = saddle._combination(y, flat, n)
+            got = domains._combination(y, stack)
             assert got.shape == (n, n)
             assert got.tobytes() == np.tensordot(y, stack, axes=(0, 0)).tobytes()
-            got = saddle._payoffs(flat, x)
+            got = domains._payoffs(stack, x)
             assert got.shape == (m,)
             assert got.tobytes() == np.tensordot(stack, x, axes=([1, 2], [0, 1])).tobytes()
 
 
 class LapackLog:
-    """Records the shapes the solver hands to each LAPACK entry point."""
+    """Records the shapes the solver hands to each LAPACK entry point.
+
+    "eigvals" are the solver's own calls; "checks" are those made inside
+    symmat, by lambda_min and lambda_max.
+    """
 
     def __init__(self, monkeypatch):
-        self.calls = {"cholesky": [], "inv": [], "eigh": [], "eigvals": []}
+        self.calls = {"cholesky": [], "inv": [], "eigh": [], "eigvals": [], "checks": []}
         for name, owner, attr in (
             ("cholesky", np.linalg, "cholesky"), ("inv", np.linalg, "inv"),
             ("eigh", saddle, "_eigh_raw"), ("eigvals", saddle, "_eigvals_raw"),
+            ("checks", symmat, "_eigvals_raw"),
         ):
             monkeypatch.setattr(owner, attr, self._wrap(name, getattr(owner, attr)))
 
@@ -366,9 +391,25 @@ class TestIsolatedCoordinates:
         assert log.calls["inv"] == [(m + 1, m + 1)] * k
         # per step, the bracket's eigh of X and eigenvalues of the combination;
         # the scale and shift take one batched call before the first step, and
-        # the certificate recomputes its lower bound once after the last
+        # the certificate takes the loop's bounds without another call
         assert log.calls["eigh"] == [(3, 3)] * k
-        assert log.calls["eigvals"] == [(m, 3, 3)] + [(3, 3)] * (k + 1)
+        assert log.calls["eigvals"] == [(m, 3, 3)] + [(3, 3)] * k
+
+    def test_maximin_makes_the_same_lapack_calls(self, monkeypatch):
+        inst = InstanceSet(tuple(SymMatrix(np.diag(r)) for r in self.GAME))
+        m = 3
+        for solve in (solve_minimax, solve_maximin):
+            with monkeypatch.context() as patch:
+                log = LapackLog(patch)
+                k = solve(inst).iterations
+            assert log.calls == {
+                "cholesky": [(m + 1, m + 1)] * k,
+                "inv": [(m + 1, m + 1)] * k,
+                "eigh": [(3, 3)] * k,
+                "eigvals": [(m, 3, 3)] + [(3, 3)] * k,
+                # the spectraplex check of x_bar; no bound is recomputed
+                "checks": [(3, 3)],
+            }, solve.__name__
 
     def test_a_tiny_off_diagonal_entry_couples_its_coordinates(self, monkeypatch):
         mats = [np.diag(r) for r in self.GAME]

@@ -41,14 +41,8 @@ class TestSymMatrix:
         with pytest.raises(ValueError):
             m.array[0, 0] = 5.0
 
-    def test_arithmetic(self):
+    def test_trace(self):
         a = SymMatrix(np.array([[1.0, 2.0], [2.0, 3.0]]))
-        b = SymMatrix(np.eye(2))
-        assert np.array_equal((a + b).array, a.array + np.eye(2))
-        assert np.array_equal((a - b).array, a.array - np.eye(2))
-        assert np.array_equal((-a).array, -a.array)
-        assert np.array_equal((2.0 * a).array, 2.0 * a.array)
-        assert np.array_equal(a.shifted(-1.0).array, a.array - np.eye(2))
         assert a.trace() == 4.0
 
 
@@ -207,7 +201,8 @@ class TestLambdaMin:
         for _ in range(10):
             a = random_symmetric(rng, 5)
             c = float(rng.uniform(-3, 3))
-            assert lambda_min(a.shifted(c)) == pytest.approx(lambda_min(a) + c, abs=1e-10)
+            shifted = SymMatrix(a.array + c * np.eye(a.n))
+            assert lambda_min(shifted) == pytest.approx(lambda_min(a) + c, abs=1e-10)
 
 
 class TestIsPsd:
