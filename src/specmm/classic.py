@@ -19,7 +19,6 @@ import numpy as np
 
 from .domains import InstanceSet
 from .saddle import SaddleCertificate, SaddleConfig, solve_minimax
-from .symmat import SymMatrix
 
 __all__ = [
     "VectorGame",
@@ -71,8 +70,8 @@ class DiagonalReductionReport:
 
 
 def embed_diagonal(game: VectorGame) -> InstanceSet:
-    """One diagonal matrix per payoff row."""
-    return InstanceSet(tuple(SymMatrix(np.diag(r)) for r in game.rows))
+    """One diagonal matrix per payoff row; every entry off it is +0.0."""
+    return InstanceSet([np.diag(r) for r in game.rows])
 
 
 def _pivot(tab: list[list[int]], r: int, c: int, prev: int) -> int:

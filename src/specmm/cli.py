@@ -43,7 +43,7 @@ from .files import (
     report_to_text,
 )
 from .saddle import SaddleConfig, solve_maximin, solve_minimax
-from .symmat import lambda_min
+from .symmat import SymMatrix, lambda_min
 
 __all__ = ["main"]
 
@@ -157,9 +157,9 @@ def _cmd_check(args) -> int:
     ok = True
 
     # two independent routes to the smallest eigenvalue must agree
-    for i, a in enumerate(inst.matrices):
-        direct = lambda_min(a)
-        bisected = lambda_min_by_bisection(a, 1e-8)
+    for i, a in enumerate(inst.stacked):
+        direct = float(inst.spectra[i, 0])
+        bisected = lambda_min_by_bisection(SymMatrix(a), 1e-8)
         ok &= _check_line(
             f"eig-vs-bisection[{i}]", abs(direct - bisected) <= 1e-7,
             f"|{direct:.12g} - {bisected:.12g}| = {abs(direct - bisected):.3e}",

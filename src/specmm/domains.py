@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .symmat import SymMatrix, eigh, is_psd, lambda_min, _eigh_raw
+from .symmat import SymMatrix, eigh, is_psd, lambda_min, _eigh_raw, _eigvals_raw
 from .tolerances import DEFAULT_TOLS
 
 __all__ = [
@@ -91,34 +91,39 @@ class SimplexPoint:
 
 @dataclass(frozen=True, eq=False)
 class InstanceSet:
-    """Finite family of symmetric matrices of a common order."""
+    """Finite family of symmetric matrices of a common order, stored once as
+    ``stacked``: a read-only float (m, n, n) array built from any (m, n, n)
+    array-like, symmetrised as (S + S^T)/2 and required finite after that."""
 
-    matrices: tuple[SymMatrix, ...]
+    stacked: np.ndarray
 
     def __post_init__(self):
-        mats = tuple(self.matrices)
-        if len(mats) < 1:
-            raise ValueError("an instance needs at least one matrix")
-        n = mats[0].n
-        for k, a in enumerate(mats):
-            if a.n != n:
-                raise ValueError(f"matrix {k} has order {a.n}, expected {n}")
-        object.__setattr__(self, "matrices", mats)
+        s = np.asarray(self.stacked, dtype=float)
+        if s.size == 0 or s.ndim != 3 or s.shape[1] != s.shape[2]:
+            raise ValueError(f"expected at least one matrix of one order, as an (m, n, n) "
+                             f"stack, got shape {s.shape}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = (s + s.transpose(0, 2, 1)) / 2.0
+        finite = np.isfinite(s).all(axis=(1, 2))
+        if not finite.all():
+            raise ValueError(f"matrix {int(np.argmin(finite))} is not finite once symmetrised")
+        s.flags.writeable = False
+        object.__setattr__(self, "stacked", s)
 
     @property
     def m(self) -> int:
-        return len(self.matrices)
+        return self.stacked.shape[0]
 
     @property
     def n(self) -> int:
-        return self.matrices[0].n
+        return self.stacked.shape[1]
 
     @cached_property
-    def stacked(self) -> np.ndarray:
-        """(m, n, n) read-only stack of the payoff matrices."""
-        s = np.stack([a.array for a in self.matrices])
-        s.flags.writeable = False
-        return s
+    def spectra(self) -> np.ndarray:
+        """(m, n) read-only eigenvalues of each matrix, nondecreasing, by one batched call."""
+        w = _eigvals_raw(self.stacked)
+        w.flags.writeable = False
+        return w
 
 
 def spectraplex_linear_min(a: SymMatrix) -> tuple[float, SpectraplexPoint]:
@@ -175,7 +180,7 @@ def best_response_index(x: SpectraplexPoint, inst: InstanceSet) -> tuple[int, fl
     """Index attaining max_i <A_i, X> and the attained value.
 
     Ties break to the lowest index. Indices are zero-based positions into
-    ``inst.matrices``.
+    ``inst.stacked``.
     """
     if x.n != inst.n:
         raise ValueError(f"dimension mismatch: point has n={x.n}, instance n={inst.n}")

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import InstanceSet, SimplexPoint, SpectraplexPoint
+from .domains import InstanceSet, SimplexPoint, SpectraplexPoint, _combination, _payoffs
 from .symmat import SymMatrix, _eigvals_raw
 from .tolerances import DEFAULT_TOLS
 
@@ -191,7 +191,8 @@ def build_embedding(inst: InstanceSet, shift_policy: str = "auto") -> SdpEmbeddi
     """Choose the shift sigma for an instance.
 
     shift_policy "auto" sets sigma = max(0, -min_i lambda_min(A_i)) + 1,
-    which keeps the embedded optimum at least 1; "none" sets sigma = 0 and
+    read from ``inst.spectra``, which keeps the embedded optimum at least
+    1; "none" sets sigma = 0 and
     is only appropriate when the instance value is known nonnegative.
     The blocks are exact functions of the instance and sigma: their
     entries are instance entries (plus sigma on the top diagonal), ones,
@@ -200,15 +201,10 @@ def build_embedding(inst: InstanceSet, shift_policy: str = "auto") -> SdpEmbeddi
     if shift_policy == "none":
         sigma = 0.0
     elif shift_policy == "auto":
-        sigma = max(0.0, -float(_eigvals_raw(inst.stacked)[:, 0].min())) + 1.0
+        sigma = max(0.0, -float(inst.spectra[:, 0].min())) + 1.0
     else:
         raise ValueError(f"unknown shift_policy {shift_policy!r}")
     return SdpEmbedding(inst=inst, shift=sigma)
-
-
-def _shifted_values(x: SpectraplexPoint, emb: SdpEmbedding) -> np.ndarray:
-    """<A_i + sigma*I, X> for every i."""
-    return np.tensordot(_tops(emb), x.array, axes=([1, 2], [0, 1]))
 
 
 def lift_primal(
@@ -231,7 +227,7 @@ def lift_primal(
         raise ValueError("dimension mismatch between point, instance, and embedding")
     if margin < 0.0:
         raise ValueError("margin must be nonnegative")
-    vals = _shifted_values(x, emb)
+    vals = _payoffs(_tops(emb), x.array)  # <A_i + sigma*I, X> for every i
     delta = float(vals.max()) + margin
     if delta < -DEFAULT_TOLS.lift_psd:
         raise ValueError(
@@ -243,7 +239,7 @@ def lift_primal(
     block[:n, :n] = x.array
     mat = SymMatrix(block)
     # re-read X, s and delta from the assembled matrix and contract with
-    # einsum, not the tensordot that produced vals, so the residuals are
+    # einsum, not the product that produced vals, so the residuals are
     # an independent measurement rather than an echo of the construction
     a = mat.array
     residuals = np.abs(
@@ -327,7 +323,7 @@ def interior_dual_point(inst: InstanceSet, emb: SdpEmbedding) -> DualLift:
     """
     m = emb.m
     multipliers = np.full(m, -1.0 / (2.0 * m))
-    combo = np.tensordot(-multipliers, _tops(emb), axes=(0, 0))
+    combo = _combination(-multipliers, _tops(emb))
     t = float(_eigvals_raw(combo)[0]) - 1.0
     slack, residual = _assemble_dual(multipliers, t, emb)
     lift = DualLift(multipliers=multipliers, bound=t, slack=SymMatrix(slack), residual=residual)

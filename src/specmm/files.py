@@ -1,8 +1,8 @@
 """Instance and report files.
 
 Instances are JSON objects with declared dimensions and row-major payoff
-matrices; loading validates shape agreement and symmetry before anything
-numeric runs, and every diagnostic names the offending field. Reports are
+matrices; loading checks each matrix in turn, names the first offending
+field, and stores the family as one ``InstanceSet`` stack. Reports are
 flat JSON objects whose floats round-trip bit-exactly (shortest exact
 decimal form, up to 17 significant digits).
 """
@@ -18,7 +18,6 @@ import numpy as np
 from . import __version__
 from .domains import InstanceSet
 from .saddle import SaddleCertificate
-from .symmat import SymMatrix
 from .tolerances import DEFAULT_TOLS
 
 __all__ = [
@@ -43,9 +42,11 @@ def parse_instance(doc: object) -> tuple[InstanceSet, list[str] | None]:
     """Validate a decoded instance document and build the matrix family.
 
     Expected shape: {"n": int, "m": int, "matrices": [[[row], ...], ...]}
-    with an optional "labels" list. Matrices are symmetrized on ingestion;
-    asymmetry above 1e-6 (max absolute difference against the transpose)
-    is an error, above 1e-9 a logged warning.
+    with an optional "labels" list. Entries must be JSON numbers; strings
+    are not read as numbers. Matrices are symmetrized on ingestion, and
+    one whose (A + A^T)/2 overflows is an error; asymmetry above 1e-6 (max
+    absolute difference against the transpose) is an error, above 1e-9 a
+    logged warning.
     """
     if not isinstance(doc, dict):
         raise InstanceFormatError("top level must be an object")
@@ -63,32 +64,37 @@ def parse_instance(doc: object) -> tuple[InstanceSet, list[str] | None]:
     if len(mats) != m:
         raise InstanceFormatError(f"field 'matrices' has {len(mats)} entries, declared m={m}")
     out = []
-    for i, raw in enumerate(mats):
-        try:
-            arr = np.asarray(raw, dtype=float)
-        except (TypeError, ValueError):
-            raise InstanceFormatError(f"matrices[{i}] is not numeric") from None
-        if arr.shape != (n, n):
-            raise InstanceFormatError(
-                f"matrices[{i}] has shape {'x'.join(map(str, arr.shape))}, expected {n}x{n}"
-            )
-        if not np.isfinite(arr).all():
-            raise InstanceFormatError(f"matrices[{i}] contains a non-finite entry")
-        asym = float(np.abs(arr - arr.T).max())
-        if asym > DEFAULT_TOLS.asymmetry_error:
-            raise InstanceFormatError(
-                f"matrices[{i}] asymmetry {asym:.3e} exceeds {DEFAULT_TOLS.asymmetry_error:.0e}"
-            )
-        if asym > DEFAULT_TOLS.asymmetry_warn:
-            logger.warning("matrices[%d] asymmetry %.3e symmetrized away", i, asym)
-        out.append(SymMatrix(arr))
+    # (A + A^T)/2 can overflow where A is finite; that shows as inf, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, raw in enumerate(mats):
+            try:
+                # a product, not a cast: a cast would read the strings "1" and "0" as numbers
+                arr = np.asarray(np.asarray(raw) * 1.0, dtype=float)
+            except (TypeError, ValueError):
+                raise InstanceFormatError(f"matrices[{i}] is not numeric") from None
+            except OverflowError:  # an integer beyond the float range
+                raise InstanceFormatError(f"matrices[{i}] is not finite") from None
+            if arr.shape != (n, n):
+                raise InstanceFormatError(
+                    f"matrices[{i}] has shape {'x'.join(map(str, arr.shape))}, expected {n}x{n}"
+                )
+            if not np.isfinite(arr + arr.T).all():
+                raise InstanceFormatError(f"matrices[{i}] is not finite once symmetrised")
+            asym = float(np.abs(arr - arr.T).max())
+            if asym > DEFAULT_TOLS.asymmetry_error:
+                raise InstanceFormatError(
+                    f"matrices[{i}] asymmetry {asym:.3e} exceeds {DEFAULT_TOLS.asymmetry_error:.0e}"
+                )
+            if asym > DEFAULT_TOLS.asymmetry_warn:
+                logger.warning("matrices[%d] asymmetry %.3e symmetrized away", i, asym)
+            out.append(arr)
     labels = doc.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or len(labels) != m or not all(
             isinstance(s, str) for s in labels
         ):
             raise InstanceFormatError(f"field 'labels' must be a list of {m} strings")
-    return InstanceSet(tuple(out)), labels
+    return InstanceSet(out), labels
 
 
 def load_instance(path: str) -> tuple[InstanceSet, list[str] | None]:

@@ -145,11 +145,12 @@ def _lowest(r: np.ndarray, d) -> np.ndarray:
     return _eigvals_raw(r @ np.stack(d) @ r.transpose(0, 2, 1))[:, 0]
 
 
-def _interior_point(stack: np.ndarray, cfg: SaddleConfig, on_bounds):
+def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, on_bounds):
     """Mehrotra predictor-corrector with the HKM direction on diag(X, s, delta).
 
-    Top blocks F_k = A_k / scale + sigma*I (k < m) and F_m = I, scale = max_i ||A_i||_2,
-    sigma = max(0, -min_i lambda_min(A_i) / scale) + 1; dual multipliers u, slacks
+    ``spectra`` holds each A_k's eigenvalues, nondecreasing; they give the scale
+    max_i ||A_i||_2 and sigma = max(0, -min_i lambda_min(A_i) / scale) + 1. Top blocks
+    F_k = A_k / scale + sigma*I (k < m) and F_m = I; dual multipliers u, slacks
     (Z as zt, w, z). Coordinate j is isolated when row j of every A_k is exactly zero
     off the diagonal. X and Z are held as diag(X_c, diag(x_d)) and diag(Z_c, diag(z_d)):
     the coupled coordinates in one dense block, the isolated ones in a vector. The
@@ -170,7 +171,6 @@ def _interior_point(stack: np.ndarray, cfg: SaddleConfig, on_bounds):
     for which any pair is optimal, returns (0, 0, I/n, 1/m, 0, 0) without a step.
     """
     m, n, _ = stack.shape
-    spectra = _eigvals_raw(stack)
     scale = float(np.abs(spectra).max())
     if scale == 0.0:
         return 0.0, 0.0, np.eye(n) / n, np.full(m, 1.0 / m), 0, scale
@@ -296,7 +296,7 @@ def solve_minimax(
     is invoked once per Newton step.
     """
     cfg = cfg if cfg is not None else SaddleConfig()
-    return _certificate(*_interior_point(inst.stacked, cfg, on_bounds), cfg)
+    return _certificate(*_interior_point(inst.stacked, inst.spectra, cfg, on_bounds), cfg)
 
 
 def solve_maximin(
@@ -312,12 +312,15 @@ def solve_maximin(
     x_bar guarantees for the max player) and upper = -lambda_min(-sum_i y_i A_i)
     is lambda_max of the y_bar-weighted combination. Both equal the direct
     recomputes bit for bit: negation is exact in the contraction, and LAPACK,
-    rounding to nearest, returns the eigenvalues of -M as those of M negated.
+    rounding to nearest, returns the eigenvalues of -M as those of M negated
+    (so the negated family's spectra are ``-inst.spectra[:, ::-1]``).
     ``on_bounds(k, best_upper, best_lower)`` is invoked once per Newton
     step, in maximin sense.
     """
     cfg = cfg if cfg is not None else SaddleConfig()
     # 0.0 - b is -b bit for bit, except that a bound of 0.0 stays +0.0
     mirrored = None if on_bounds is None else lambda k, up, lo: on_bounds(k, 0.0 - lo, 0.0 - up)
-    up, lo, x_bar, y_bar, iterations, scale = _interior_point(-inst.stacked, cfg, mirrored)
+    up, lo, x_bar, y_bar, iterations, scale = _interior_point(
+        -inst.stacked, -inst.spectra[:, ::-1], cfg, mirrored
+    )
     return _certificate(0.0 - lo, 0.0 - up, x_bar, y_bar, iterations, scale, cfg)

@@ -10,7 +10,8 @@ def random_symmetric(rng, n, scale=1.0):
 
 
 def random_instance(rng, n, m, scale=1.0):
-    return InstanceSet(tuple(random_symmetric(rng, n, scale) for _ in range(m)))
+    """m matrices drawn as random_symmetric draws them, one after another."""
+    return InstanceSet(rng.uniform(-scale, scale, (m, n, n)))
 
 
 def random_orthogonal(rng, n):

@@ -15,7 +15,6 @@ from conftest import random_instance, random_orthogonal, random_symmetric
 from specmm import (
     InstanceSet,
     SaddleConfig,
-    SymMatrix,
     VectorGame,
     build_embedding,
     frobenius_inner,
@@ -88,7 +87,7 @@ def test_forty_random_instances_reach_relative_gap_1e_6():
     for k in range(40):
         n, m = rng.integers(2, 16, 2)
         g = rng.standard_normal((m, n, n))
-        inst = InstanceSet(tuple(SymMatrix(a) for a in (g + g.transpose(0, 2, 1)) / 2.0))
+        inst = InstanceSet((g + g.transpose(0, 2, 1)) / 2.0)
         scale = float(np.abs(np.linalg.eigvalsh(inst.stacked)).max())
         cert = solve_minimax(inst, SaddleConfig(gap_tol=1e-6 * scale))
         assert cert.converged, f"instance {k} ({n}x{m}): relative gap {cert.gap / scale:.3e}"
@@ -98,10 +97,7 @@ def test_forty_random_instances_reach_relative_gap_1e_6():
 
 
 def test_criterion_2_pauli_pair_value():
-    inst = InstanceSet(
-        (SymMatrix(np.array([[1.0, 0.0], [0.0, -1.0]])),
-         SymMatrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
-    )
+    inst = InstanceSet([[[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]]])
     cert = solve_minimax(inst, SaddleConfig(gap_tol=1e-5))
 
     # oracle 1: dense grid over the weight simplex with the closed-form
@@ -245,23 +241,23 @@ def test_criterion_7_covariance():
         inst = random_instance(rng, n, m)
         base = solve_minimax(inst, cfg).midpoint
 
-        shifted = InstanceSet(tuple(SymMatrix(a.array + c * np.eye(a.n)) for a in inst.matrices))
+        shifted = InstanceSet(inst.stacked + c * np.eye(n))
         worst["shift"] = max(
             worst["shift"], abs(solve_minimax(shifted, cfg).midpoint - (base + c))
         )
 
-        scaled = InstanceSet(tuple(SymMatrix(s * a.array) for a in inst.matrices))
+        scaled = InstanceSet(s * inst.stacked)
         worst["scaling"] = max(
             worst["scaling"], abs(solve_minimax(scaled, cfg).midpoint - s * base)
         )
 
         q = random_orthogonal(rng, n)
-        conj = InstanceSet(tuple(SymMatrix(q.T @ a.array @ q) for a in inst.matrices))
+        conj = InstanceSet([q.T @ a @ q for a in inst.stacked])
         worst["conjugation"] = max(
             worst["conjugation"], abs(solve_minimax(conj, cfg).midpoint - base)
         )
 
-        negated = InstanceSet(tuple(SymMatrix(-a.array) for a in inst.matrices))
+        negated = InstanceSet(-inst.stacked)
         worst["negation"] = max(
             worst["negation"],
             abs(solve_maximin(inst, cfg).midpoint - (-solve_minimax(negated, cfg).midpoint)),

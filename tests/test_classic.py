@@ -78,13 +78,13 @@ class TestEmbedDiagonal:
     def test_rows_become_diagonals(self):
         inst = embed_diagonal(VectorGame(((1.0, -2.0), (0.0, 3.0))))
         assert inst.m == 2 and inst.n == 2
-        assert np.array_equal(inst.matrices[0].array, np.diag([1.0, -2.0]))
-        assert np.array_equal(inst.matrices[1].array, np.diag([0.0, 3.0]))
+        # bytes, not values: every entry off the diagonals is +0.0, never -0.0
+        assert inst.stacked.tobytes() == np.stack([np.diag([1.0, -2.0]), np.diag([0.0, 3.0])]).tobytes()
 
     def test_single_row(self):
         inst = embed_diagonal(VectorGame(((4.0, -1.0, 2.0),)))
         assert inst.m == 1
-        assert np.array_equal(inst.matrices[0].array, np.diag([4.0, -1.0, 2.0]))
+        assert np.array_equal(inst.stacked[0], np.diag([4.0, -1.0, 2.0]))
 
 
 class TestClassicValueExact:

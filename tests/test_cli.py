@@ -1,18 +1,23 @@
 import dataclasses
 import json
+import logging
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 from conftest import random_instance
 
 from specmm import (
+    InstanceFormatError,
     Report,
     SaddleConfig,
     report_from_certificate,
     report_from_json,
     report_to_json,
     report_to_text,
+    parse_instance,
     solve_minimax,
 )
 from specmm.cli import main
@@ -123,6 +128,59 @@ class TestInputValidation:
     def test_missing_file(self, capsys):
         assert main(["solve", "/nonexistent/instance.json"]) == 1
         capsys.readouterr()
+
+    GOOD = [[1.0, 2.0], [2.0, 3.0]]
+
+    @pytest.mark.parametrize("bad", [
+        [[0.0, 1.0], [1.0]],
+        [[0.0, 1.0, 2.0], [1.0, 0.0, 3.0]],
+        [[float("nan"), 1.0], [1.0, 0.0]],
+        [["0", 1.0], [1.0, 0.0]],
+        [[0.0, 1.0 + 1e-5], [1.0, 0.0]],
+    ], ids=["ragged-row", "wrong-shape", "nan", "string-entry", "asymmetry-1e-5"])
+    def test_diagnostics_name_the_bad_matrix_and_no_other(self, bad):
+        doc = {"n": 2, "m": 3, "matrices": [self.GOOD, bad, self.GOOD]}
+        with pytest.raises(InstanceFormatError) as exc:
+            parse_instance(doc)
+        assert re.findall(r"\[\d+\]", str(exc.value)) == ["[1]"], str(exc.value)
+        assert "matrices[1]" in str(exc.value)
+
+    def test_small_asymmetry_logs_one_warning_naming_the_matrix(self, caplog):
+        doc = {"n": 2, "m": 3, "matrices": [[[0.0, 1.0 + 5e-8], [1.0, 0.0]], self.GOOD, self.GOOD]}
+        with caplog.at_level(logging.WARNING, logger="specmm.files"):
+            parse_instance(doc)
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 1
+        assert re.findall(r"\[\d+\]", messages[0]) == ["[0]"], messages
+
+    def test_overflow_when_symmetrising_names_the_matrix(self, tmp_path, capsys):
+        # finite entries whose (A + A^T)/2 overflows to inf
+        doc = {"n": 2, "m": 1, "matrices": [[[1.7e308, 1.0], [1.0, -1.7e308]]]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InstanceFormatError, match=r"matrices\[0\]"):
+                parse_instance(doc)
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps(doc))
+        assert main(["embed", str(p)]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and "matrices[0]" in out.err
+
+    def test_strings_are_not_numbers(self, tmp_path, capsys):
+        doc = {"n": 2, "m": 1, "matrices": [[["1", "0"], ["0", "1"]]]}
+        with pytest.raises(InstanceFormatError, match=r"matrices\[0\] is not numeric"):
+            parse_instance(doc)
+        p = tmp_path / "strings.json"
+        p.write_text(json.dumps(doc))
+        assert main(["solve", str(p)]) == 1
+        assert "matrices[0] is not numeric" in capsys.readouterr().err
+
+    def test_integers_beyond_int64_are_numbers(self):
+        inst, _ = parse_instance({"n": 1, "m": 2, "matrices": [[[10**20]], [[-(2**64)]]]})
+        assert inst.stacked.ravel().tolist() == [1e20, -(2.0**64)]
+        # beyond the float range, such an integer is rejected like 1e400
+        with pytest.raises(InstanceFormatError, match=r"matrices\[1\] is not finite"):
+            parse_instance({"n": 1, "m": 2, "matrices": [[[1.0]], [[10**400]]]})
 
 
 class TestMaximinCommand:

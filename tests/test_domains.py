@@ -1,3 +1,6 @@
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,18 +19,17 @@ from specmm import (
     spectraplex_linear_min,
     weighted_combination,
 )
+from specmm import cli, embed, saddle, symmat
 
 from conftest import random_instance, random_orthogonal, random_symmetric
 
 
 def pauli_pair():
-    z = SymMatrix(np.array([[1.0, 0.0], [0.0, -1.0]]))
-    x = SymMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    return InstanceSet((z, x))
+    return InstanceSet([[[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]]])
 
 
 def diag_pair():
-    return InstanceSet((SymMatrix(np.diag([1.0, 0.0])), SymMatrix(np.diag([0.0, 1.0]))))
+    return InstanceSet([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
 
 
 class TestDomainTypes:
@@ -61,11 +63,73 @@ class TestDomainTypes:
 
     def test_instance_rejects_mixed_orders(self):
         with pytest.raises(ValueError, match="order"):
-            InstanceSet((SymMatrix(np.eye(2)), SymMatrix(np.eye(3))))
+            InstanceSet(np.zeros((2, 2, 3)))
+        with pytest.raises(ValueError):
+            InstanceSet([np.eye(2), np.eye(3)])
 
     def test_instance_rejects_empty(self):
-        with pytest.raises(ValueError, match="at least one"):
-            InstanceSet(())
+        for empty in ((), np.zeros((0, 2, 2)), np.zeros((2, 0, 0))):
+            with pytest.raises(ValueError, match="at least one"):
+                InstanceSet(empty)
+
+
+class TestInstanceSet:
+    """One symmetrised (m, n, n) stack and one cached spectrum per instance."""
+
+    def test_stack_is_symmetrised_once_and_read_only(self):
+        raw = np.array([[[1.0, 2.0], [0.0, 3.0]], [[0.0, 1.0], [1.0, -0.0]]])
+        inst = InstanceSet(raw)
+        assert (inst.m, inst.n) == (2, 2)
+        assert inst.stacked.tobytes() == ((raw + raw.transpose(0, 2, 1)) / 2.0).tobytes()
+        assert not inst.stacked.flags.writeable
+        assert InstanceSet(inst.stacked).stacked.tobytes() == inst.stacked.tobytes()
+
+    def test_overflow_when_symmetrising_is_rejected_without_a_warning(self):
+        raw = np.zeros((3, 2, 2))
+        raw[1] = [[1.7e308, 1.0], [1.0, -1.7e308]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="matrix 1 is not finite"):
+                InstanceSet(raw)
+            with pytest.raises(ValueError, match="matrix 0 is not finite"):
+                InstanceSet([[[np.inf, -np.inf], [np.inf, 0.0]]])
+
+    def test_spectra_is_one_cached_read_only_call(self, rng):
+        inst = random_instance(rng, 4, 3)
+        w = inst.spectra
+        assert w is inst.spectra
+        assert not w.flags.writeable
+        assert w.tobytes() == np.linalg.eigh(inst.stacked)[0].tobytes()
+
+    def test_negated_spectra_are_the_spectra_negated_and_reversed(self):
+        # solve_maximin reads the negated family's spectra this way
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n, m = rng.integers(1, 12, 2)
+            inst = InstanceSet(rng.standard_normal((m, n, n)) * 10.0 ** rng.uniform(-8, 8))
+            direct = symmat._eigvals_raw(-inst.stacked)
+            assert direct.tobytes() == (-inst.spectra[:, ::-1]).tobytes()
+
+    def test_solvers_embedding_and_check_share_one_spectrum(self, monkeypatch, rng):
+        orig, shapes = symmat._eigvals_raw, []
+
+        def counted(a):
+            shapes.append(np.shape(a))
+            return orig(a)
+
+        for name, mod in list(sys.modules.items()):
+            if name == "specmm" or name.startswith("specmm."):
+                for attr, value in list(vars(mod).items()):
+                    if value is orig:
+                        monkeypatch.setattr(mod, attr, counted)
+        inst = random_instance(rng, 4, 3)
+        monkeypatch.setattr(cli, "load_instance", lambda path: (inst, None))
+        saddle.solve_minimax(inst)
+        saddle.solve_maximin(inst)
+        embed.build_embedding(inst)
+        assert cli.main(["check", "instance.json"]) == 0
+        # m = 3 differs from the two matrices the solver's step lengths stack
+        assert shapes.count((3, 4, 4)) == 1
 
 
 class TestSpectraplexLinearMin:
@@ -138,9 +202,7 @@ class TestBisection:
 class TestBestResponse:
     def test_tie_breaks_to_lowest_index(self):
         x = SpectraplexPoint(SymMatrix(np.eye(2) / 2.0))
-        z = SymMatrix(np.array([[1.0, 0.0], [0.0, -1.0]]))
-        xm = SymMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert best_response_index(x, InstanceSet((z, xm))) == (0, 0.0)
+        assert best_response_index(x, pauli_pair()) == (0, 0.0)
 
     def test_diagonal_instances(self):
         inst = diag_pair()

@@ -39,13 +39,11 @@ SQ2_HALF = math.sqrt(2.0) / 2.0
 
 
 def pauli_pair():
-    z = SymMatrix(np.array([[1.0, 0.0], [0.0, -1.0]]))
-    x = SymMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    return InstanceSet((z, x))
+    return InstanceSet([[[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]]])
 
 
 def diag_pair():
-    return InstanceSet((SymMatrix(np.diag([1.0, 0.0])), SymMatrix(np.diag([0.0, 1.0]))))
+    return InstanceSet([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
 
 
 # The embedding stores only the instance and the shift. The helpers below
@@ -58,9 +56,9 @@ def dense_blocks(inst, shift):
     n, m = inst.n, inst.m
     size = n + m + 1
     fs = []
-    for i, a in enumerate(inst.matrices):
+    for i, a in enumerate(inst.stacked):
         b = np.zeros((size, size))
-        b[:n, :n] = a.array + shift * np.eye(n)
+        b[:n, :n] = a + shift * np.eye(n)
         b[n + i, n + i] = 1.0
         b[-1, -1] = -1.0
         fs.append(SymMatrix(b).array)
@@ -126,8 +124,8 @@ def signed_zero_instance(seed, n, m, scale):
         a[mask | mask.T] = 0.0
         neg = np.triu(rng.random((n, n)) < 0.3)
         a[neg | neg.T] = -0.0
-        mats.append(SymMatrix(a))
-    return InstanceSet(tuple(mats))
+        mats.append(a)
+    return InstanceSet(mats)
 
 
 class TestBuildEmbedding:
@@ -268,7 +266,7 @@ class TestLiftDual:
         inst = diag_pair()
         emb = build_embedding(inst)
         y = SimplexPoint(np.array([1.0, 0.0]))
-        t = lambda_min(inst.matrices[0]) + emb.shift
+        t = lambda_min(SymMatrix(inst.stacked[0])) + emb.shift
         lift = lift_dual(y, t, inst, emb)
         top = lift.slack.array[:2, :2]
         assert abs(lambda_min(SymMatrix(top))) <= 1e-9
@@ -287,7 +285,7 @@ class TestInteriorDual:
     def test_single_zero_matrix(self):
         # with one zero payoff matrix the shift is 1, the multiplier -1/2,
         # and a strictly feasible bound sits below zero
-        inst = InstanceSet((SymMatrix(np.zeros((2, 2))),))
+        inst = InstanceSet(np.zeros((1, 2, 2)))
         emb = build_embedding(inst)
         assert emb.shift == 1.0
         lift = interior_dual_point(inst, emb)
@@ -488,11 +486,11 @@ class TestWeakDuality:
             e = np.zeros(3)
             e[i] = 1.0
             y = SimplexPoint(e)
-            t = lambda_min(inst.matrices[i]) + emb.shift
+            t = lambda_min(SymMatrix(inst.stacked[i])) + emb.shift
             d = lift_dual(y, t, inst, emb)
             margin = weak_duality_check(p, d, emb)
             assert margin == pytest.approx(
-                upper_value(x, inst) - lambda_min(inst.matrices[i]), abs=1e-9
+                upper_value(x, inst) - lambda_min(SymMatrix(inst.stacked[i])), abs=1e-9
             )
             assert margin >= -1e-9
 

@@ -1,8 +1,11 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import specmm
 from specmm import (
     SymMatrix,
     eigh,
@@ -73,6 +76,19 @@ class TestFrobeniusInner:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             frobenius_inner(SymMatrix(np.eye(2)), SymMatrix(np.eye(3)))
+
+    def test_tensordot_is_used_only_here(self):
+        # the stack contractions have one home, domains._payoffs and
+        # domains._combination; this keeps a copy from growing back elsewhere
+        users = []
+        for path in sorted(Path(specmm.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+            for node in ast.walk(tree):
+                if any(getattr(node, k, None) == "tensordot" for k in ("attr", "id", "name")):
+                    owner = [f.name for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
+                    users.append(".".join([path.stem] + owner))
+        assert users == ["symmat.frobenius_inner"]
 
 
 class TestEigh:
