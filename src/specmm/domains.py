@@ -144,8 +144,10 @@ def lambda_min_by_bisection(a: SymMatrix, tol: float = 1e-8) -> float:
     lambda_min(A) = max { t : A - t*I is PSD }, located by bisection.
 
     Independent of the direct eigenvalue route except for the PSD
-    predicate itself; the result is within tol of lambda_min(A). The
-    initial bracket [-||A||_F, +||A||_F] always contains the answer.
+    predicate itself; the result is within tol of lambda_min(A), or, where
+    tol is below the float spacing at the answer, within the final bracket
+    of two adjacent floats. The initial bracket [-||A||_F, +||A||_F] always
+    contains the answer.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -156,6 +158,8 @@ def lambda_min_by_bisection(a: SymMatrix, tol: float = 1e-8) -> float:
     ident = np.eye(a.n)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # no float lies strictly inside the bracket
+            break
         if is_psd(SymMatrix(a.array - mid * ident), 0.0):
             lo = mid
         else:

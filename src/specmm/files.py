@@ -1,8 +1,9 @@
 """Instance and report files.
 
 Instances are JSON objects with declared dimensions and row-major payoff
-matrices; loading checks each matrix in turn, names the first offending
-field, and stores the family as one ``InstanceSet`` stack. Reports are
+matrices; loading converts and checks the whole matrix list at once, walks
+it matrix by matrix only to name the first offending field, and stores the
+family as one ``InstanceSet`` stack. Reports are
 flat JSON objects whose floats round-trip bit-exactly (shortest exact
 decimal form, up to 17 significant digits).
 """
@@ -38,6 +39,40 @@ class InstanceFormatError(ValueError):
     """Malformed instance data; the message names the first bad field."""
 
 
+def _numeric(raw) -> np.ndarray:
+    # a product, not a cast: a cast would read the strings "1" and "0" as numbers
+    return np.asarray(np.asarray(raw) * 1.0, dtype=float)
+
+
+def _check_asymmetry(i, asym) -> None:
+    """Reject matrices[i] above the error gate; log it above the warning gate."""
+    if asym > DEFAULT_TOLS.asymmetry_error:
+        raise InstanceFormatError(
+            f"matrices[{i}] asymmetry {asym:.3e} exceeds {DEFAULT_TOLS.asymmetry_error:.0e}"
+        )
+    if asym > DEFAULT_TOLS.asymmetry_warn:
+        logger.warning("matrices[%d] asymmetry %.3e symmetrized away", i, asym)
+
+
+def _matrix(i: int, raw, n: int) -> np.ndarray:
+    """matrices[i] as an (n, n) float array, checked in the order parse_instance
+    documents; raises naming matrices[i] at its first fault."""
+    try:
+        arr = _numeric(raw)
+    except (TypeError, ValueError):
+        raise InstanceFormatError(f"matrices[{i}] is not numeric") from None
+    except OverflowError:  # an integer beyond the float range
+        raise InstanceFormatError(f"matrices[{i}] is not finite") from None
+    if arr.shape != (n, n):
+        raise InstanceFormatError(
+            f"matrices[{i}] has shape {'x'.join(map(str, arr.shape))}, expected {n}x{n}"
+        )
+    if not np.isfinite(arr + arr.T).all():
+        raise InstanceFormatError(f"matrices[{i}] is not finite once symmetrised")
+    _check_asymmetry(i, float(np.abs(arr - arr.T).max()))
+    return arr
+
+
 def parse_instance(doc: object) -> tuple[InstanceSet, list[str] | None]:
     """Validate a decoded instance document and build the matrix family.
 
@@ -63,38 +98,27 @@ def parse_instance(doc: object) -> tuple[InstanceSet, list[str] | None]:
         raise InstanceFormatError("field 'matrices' must be a list")
     if len(mats) != m:
         raise InstanceFormatError(f"field 'matrices' has {len(mats)} entries, declared m={m}")
-    out = []
     # (A + A^T)/2 can overflow where A is finite; that shows as inf, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, raw in enumerate(mats):
-            try:
-                # a product, not a cast: a cast would read the strings "1" and "0" as numbers
-                arr = np.asarray(np.asarray(raw) * 1.0, dtype=float)
-            except (TypeError, ValueError):
-                raise InstanceFormatError(f"matrices[{i}] is not numeric") from None
-            except OverflowError:  # an integer beyond the float range
-                raise InstanceFormatError(f"matrices[{i}] is not finite") from None
-            if arr.shape != (n, n):
-                raise InstanceFormatError(
-                    f"matrices[{i}] has shape {'x'.join(map(str, arr.shape))}, expected {n}x{n}"
-                )
-            if not np.isfinite(arr + arr.T).all():
-                raise InstanceFormatError(f"matrices[{i}] is not finite once symmetrised")
-            asym = float(np.abs(arr - arr.T).max())
-            if asym > DEFAULT_TOLS.asymmetry_error:
-                raise InstanceFormatError(
-                    f"matrices[{i}] asymmetry {asym:.3e} exceeds {DEFAULT_TOLS.asymmetry_error:.0e}"
-                )
-            if asym > DEFAULT_TOLS.asymmetry_warn:
-                logger.warning("matrices[%d] asymmetry %.3e symmetrized away", i, asym)
-            out.append(arr)
+        try:
+            stack = _numeric(mats)
+            whole = stack.shape == (m, n, n) and np.isfinite(stack + stack.transpose(0, 2, 1)).all()
+        except (TypeError, ValueError, OverflowError):
+            whole = False
+        if whole:
+            asym = np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2))
+            for i in np.flatnonzero(asym > DEFAULT_TOLS.asymmetry_warn):
+                _check_asymmetry(i, asym[i])
+        else:
+            # only a walk names the first bad matrix, and it raises there
+            stack = np.array([_matrix(i, raw, n) for i, raw in enumerate(mats)])
     labels = doc.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or len(labels) != m or not all(
             isinstance(s, str) for s in labels
         ):
             raise InstanceFormatError(f"field 'labels' must be a list of {m} strings")
-    return InstanceSet(out), labels
+    return InstanceSet(stack), labels
 
 
 def load_instance(path: str) -> tuple[InstanceSet, list[str] | None]:

@@ -12,12 +12,18 @@ tr X = 1. A primal-dual interior-point method solves it
 direction and Mehrotra's predictor-corrector (SIAM J. Optim. 1992): one
 Schur matrix of order m+1 per Newton step, and tens of steps to a tight gap.
 It starts from the strictly feasible points of ``embed.interior_primal_point``
-and ``embed.interior_dual_point``, in its own scaled coordinates. Coordinates
-whose rows are exactly zero off the diagonal in every A_i are isolated: X
-keeps them as a vector of linear-programming variables beside s and delta,
-and only the coupled coordinates form a dense block (Todd, Toh & Tutuncu,
-SIAM J. Optim. 1998, carry LP blocks beside SDP blocks the same way). A
-diagonal family, the paper's classic game, is then a linear program.
+and ``embed.interior_dual_point``, in its own scaled coordinates. X is
+block-diagonal along the connected components of the family's off-diagonal
+pattern (coordinates i and j are joined when some A_k has a nonzero (i, j)
+entry), found exactly, without a tolerance. Each component of two or more
+coordinates is one dense block of a list, and a Newton step sums over the
+list; coordinates whose rows are exactly zero off the diagonal in every A_i
+are isolated, and X keeps them as a vector of linear-programming variables
+beside s and delta (Todd, Toh & Tutuncu, SIAM J. Optim. 1998, carry LP
+blocks beside SDP blocks the same way; Murota, Kanno, Kojima & Kojima,
+Japan J. Indust. Appl. Math. 2010, treat block-diagonalisation in general).
+A diagonal family, the paper's classic game, has no block and is solved as
+a linear program.
 
 Certificates are self-verifying. After each Newton step the loop evaluates
 the exact bracket at its clipped iterates and keeps the best of each side:
@@ -132,17 +138,34 @@ def _tril_inv(l: np.ndarray) -> np.ndarray:
 
 
 def _chol_inv(pair: np.ndarray) -> np.ndarray:
-    """Inverse Cholesky factors of a stack of positive definite matrices; empty
-    matrices pass through without a LAPACK call."""
-    return np.linalg.inv(np.linalg.cholesky(pair)) if pair.size else pair
+    """Inverse Cholesky factors of a stack of positive definite matrices."""
+    return np.linalg.inv(np.linalg.cholesky(pair))
 
 
 def _lowest(r: np.ndarray, d) -> np.ndarray:
-    """lambda_min(r_i d_i r_i^T) for each pair; +inf, without an eigen call, when
-    the matrices are empty."""
-    if r.size == 0:
-        return np.full(len(r), np.inf)
+    """lambda_min(r_i d_i r_i^T) for each pair."""
     return _eigvals_raw(r @ np.stack(d) @ r.transpose(0, 2, 1))[:, 0]
+
+
+def _components(stack: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """The blocks and the isolated coordinates of the family's off-diagonal pattern.
+
+    Coordinates i and j are adjacent when some A_k has a nonzero (i, j) entry, however
+    small. The blocks are the connected components of two or more coordinates, each
+    sorted and ordered by its first; the isolated coordinates are the rest, sorted.
+    """
+    off = stack.any(axis=0)
+    np.fill_diagonal(off, False)
+    free = off.any(axis=1)
+    isolated, blocks = np.flatnonzero(~free), []
+    near = off | np.eye(len(off), dtype=bool)
+    while free.any():
+        block = near[np.argmax(free)]
+        while (block != (grown := near[block].any(axis=0))).any():
+            block = grown
+        free &= ~block
+        blocks.append(np.flatnonzero(block))
+    return blocks, isolated
 
 
 def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, on_bounds):
@@ -151,38 +174,41 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
     ``spectra`` holds each A_k's eigenvalues, nondecreasing; they give the scale
     max_i ||A_i||_2 and sigma = max(0, -min_i lambda_min(A_i) / scale) + 1. Top blocks
     F_k = A_k / scale + sigma*I (k < m) and F_m = I; dual multipliers u, slacks
-    (Z as zt, w, z). Coordinate j is isolated when row j of every A_k is exactly zero
-    off the diagonal. X and Z are held as diag(X_c, diag(x_d)) and diag(Z_c, diag(z_d)):
-    the coupled coordinates in one dense block, the isolated ones in a vector. The
-    payoffs read no other entry of X, and pinching keeps X in the spectraplex, so this
-    is exact. x_d joins s and delta in one vector v = (x_d, s, delta) with slack
-    g = (z_d, w, z); G is the matrix of v's terms in the m+1 constraints.
+    (Z, w, z). The coordinates split by ``_components``: X and Z are held as lists of
+    dense blocks X_b and Z_b, one per connected component of the family's off-diagonal
+    pattern in the order of their first coordinates, and as vectors x_d and z_d on the
+    isolated coordinates. The payoffs read no other entry of X, and pinching keeps X in
+    the spectraplex, so this is exact. A family with no coupled coordinate has no
+    block, and its Newton step is a linear program's. x_d joins s and delta in one
+    vector v = (x_d, s, delta) with slack g = (z_d, w, z); G is the matrix of v's terms
+    in the m+1 constraints. The Schur matrix is G's term plus one term per block; the
+    residuals, mu and the affine gap add the blocks' terms to the vector's in block
+    order, and each step length is the least over the blocks and the vector.
 
     The start is strictly feasible, as ``embed.interior_primal_point`` (margin 1) and
     ``embed.interior_dual_point`` build it: X = I/n, delta = max_k <F_k, X> + 1 and
     s_k = delta - <F_k, X>; u_k = -1/(2m) and u_m = lambda_min(sum_k F_k / (2m)) - 1,
     so that lambda_min(Z) = 1, w = 1/(2m) and z = 1/2. The residuals only absorb
-    rounding drift. After each Newton step the full X clipped to the spectraplex and
-    -u[:m] clipped to the simplex get their exact bounds; the least upper bound and
-    the greatest lower bound are kept with the strategies attaining them, and
-    ``on_bounds(k, upper, lower)``, if given, sees the pair. Stops at cfg.gap_tol,
-    cfg.max_iters or a Cholesky breakdown, which evaluates the iterate it started
-    from. Returns (upper, lower, x_bar, y_bar, steps, scale); an all-zero family,
-    for which any pair is optimal, returns (0, 0, I/n, 1/m, 0, 0) without a step.
+    rounding drift. After each Newton step the full X, assembled from the blocks and
+    x_d and clipped to the spectraplex, and -u[:m] clipped to the simplex get their
+    exact bounds on the original stack; the least upper bound and the greatest lower
+    bound are kept with the strategies attaining them, and ``on_bounds(k, upper,
+    lower)``, if given, sees the pair. Stops at cfg.gap_tol, cfg.max_iters or a
+    Cholesky breakdown, which evaluates the iterate it started from. Returns (upper,
+    lower, x_bar, y_bar, steps, scale); an all-zero family, for which any pair is
+    optimal, returns (0, 0, I/n, 1/m, 0, 0) without a step.
     """
     m, n, _ = stack.shape
     scale = float(np.abs(spectra).max())
     if scale == 0.0:
         return 0.0, 0.0, np.eye(n) / n, np.full(m, 1.0 / m), 0, scale
-    off = stack.any(axis=0)
-    np.fill_diagonal(off, False)
-    coupled = off.any(axis=1)
-    c, d = np.flatnonzero(coupled), np.flatnonzero(~coupled)
-    nc, nd, eye = len(c), len(d), np.eye(len(c))
+    blocks, d = _components(stack)
+    nd = len(d)
     sigma = max(0.0, -float(spectra[:, 0].min()) / scale) + 1.0
-    f = np.concatenate([stack / scale + sigma * np.eye(n), np.eye(n)[None]])
-    f, fd = f[:, c[:, None], c], f[:, d, d]
-    ff = f.reshape(m + 1, nc * nc)
+    tops = np.concatenate([stack / scale + sigma * np.eye(n), np.eye(n)[None]])
+    fd, fs = tops[:, d, d], [tops[:, c[:, None], c] for c in blocks]
+    del tops  # the blocks are copies; freeing it lowers the solver's peak memory
+    ffs = [f.reshape(m + 1, -1) for f in fs]
     cost = np.zeros(nd + m + 1)
     cost[-1] = 1.0
 
@@ -196,57 +222,81 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
         # G^T u, so that g = cost - G^T u
         return np.concatenate([u @ fd, u[:m], [-u[:m].sum()]])
 
-    x, v = eye / n, np.full(nd + m + 1, 1.0 / n)
-    v[nd:-1] = ff[:m] @ x.reshape(-1) + fd[:m] @ v[:nd]  # <F_k, X> until s is set
+    def combos(u):
+        # sum_k u_k F_k on each block
+        return [(u @ ff).reshape(f.shape[1:]) for f, ff in zip(fs, ffs)]
+
+    xs, v = [np.eye(len(c)) / n for c in blocks], np.full(nd + m + 1, 1.0 / n)
+    v[nd:-1] = fd[:m] @ v[:nd]  # <F_k, X> until s is set
+    for ff, x in zip(ffs, xs):
+        v[nd:-1] += ff[:m] @ x.reshape(-1)
     v[-1] = v[nd:-1].max() + 1.0
     v[nd:-1] = v[-1] - v[nd:-1]
     u = np.append(np.full(m, -0.5 / m), 0.0)
-    zt, zd = -(u @ ff).reshape(nc, nc), -(u @ fd)  # sum_k F_k / (2m), pinched
-    u[m] = min(_lowest(eye[None], [zt])[0], zd.min(initial=np.inf)) - 1.0
-    zt, g = -(u @ ff).reshape(nc, nc), cost - lp_t(u)
+    zs = [-a for a in combos(u)]  # sum_k F_k / (2m), pinched
+    low = [_lowest(np.eye(len(z))[None], [z])[0] for z in zs]
+    u[m] = min([*low, (-(u @ fd)).min(initial=np.inf)]) - 1.0
+    zs, g = [-a for a in combos(u)], cost - lp_t(u)
     upper, lower, x_best, y_best = np.inf, -np.inf, None, None
     for k in range(1, cfg.max_iters + 1):
         try:
-            rp = -lp(v) - ff @ x.reshape(-1)
-            rp[m] += 1.0
-            rd, rg = -(u @ ff).reshape(nc, nc) - zt, cost - lp_t(u) - g
-            mu = (np.vdot(x, zt) + v @ g) / (n + m + 1)
-            rr = _chol_inv(np.array((x, zt)))
-            zi = rr[1].T @ rr[1]
-            xrz = x @ rd @ zi
-            r = v / g
+            rp, rg, mu, r = -lp(v), cost - lp_t(u) - g, v @ g, v / g
             schur = (fd * r[:nd]) @ fd.T
-            schur += ff @ (x @ f @ zi).reshape(m + 1, nc * nc).T
+            pre = []  # per block: Rd, the inverse Cholesky factors of (X, Z), Z^-1, X Rd Z^-1
+            for f, ff, x, z in zip(fs, ffs, xs, zs):
+                rp -= ff @ x.reshape(-1)
+                rd = -(u @ ff).reshape(z.shape) - z
+                mu = mu + np.vdot(x, z)
+                rr = _chol_inv(np.array((x, z)))
+                zi = rr[1].T @ rr[1]
+                schur += ff @ (x @ f @ zi).reshape(m + 1, -1).T
+                pre.append((rd, rr, zi, x @ rd @ zi))
+            rp[m] += 1.0
+            mu /= n + m + 1
             schur[:m, :m] += np.diag(r[nd:-1]) + r[-1]
             li = np.linalg.cholesky(schur)
             del schur  # dead once factored; freeing it lowers the solver's peak memory
             li = _tril_inv(li)
 
-            def newton(rczi, rcv):
-                # X dZ + dX Z = Rc and v dg + dv g = rcv; rczi is Rc Z^-1
-                du = li.T @ (li @ (rp - ff @ (rczi - xrz).reshape(-1) - lp((rcv - v * rg) / g)))
-                dzt, dg = rd - (du @ ff).reshape(nc, nc), rg - lp_t(du)
-                dx = rczi - x @ dzt @ zi
-                return (dx + dx.T) / 2.0, (rcv - v * dg) / g, du, dzt, dg
+            def newton(rczis, rcv):
+                # X dZ + dX Z = Rc and v dg + dv g = rcv, rczis being the blocks of Rc Z^-1,
+                # and the step lengths: 0.95 of the way to each cone's boundary, at most 1
+                rhs = rp
+                for ff, rczi, (_, _, _, xrz) in zip(ffs, rczis, pre):
+                    rhs = rhs - ff @ (rczi - xrz).reshape(-1)
+                du = li.T @ (li @ (rhs - lp((rcv - v * rg) / g)))
+                dg = rg - lp_t(du)
+                dv = (rcv - v * dg) / g
+                ap, ad = max((-dv / v).max(), 0.95), max((-dg / g).max(), 0.95)
+                dxs, dzs = [], []
+                for ff, rczi, x, (rd, rr, zi, _) in zip(ffs, rczis, xs, pre):
+                    dz = rd - (du @ ff).reshape(rd.shape)
+                    dx = rczi - x @ dz @ zi
+                    dx = (dx + dx.T) / 2.0
+                    low = _lowest(rr, (dx, dz))
+                    ap, ad = max(ap, -low[0]), max(ad, -low[1])
+                    dxs.append(dx)
+                    dzs.append(dz)
+                return dxs, dv, du, dzs, dg, 0.95 / ap, 0.95 / ad
 
-            def lengths(dx, dv, _, dzt, dg):
-                # 0.95 of the way to the boundary of each cone, at most 1
-                low = _lowest(rr, (dx, dzt))
-                return (0.95 / max(-low[0], (-dv / v).max(), 0.95),
-                        0.95 / max(-low[1], (-dg / g).max(), 0.95))
-
-            dx, dv, du, dzt, dg = step = newton(-x, -v * g)
-            ap, ad = lengths(*step)
-            gap_aff = np.vdot(x + ap * dx, zt + ad * dzt) + (v + ap * dv) @ (g + ad * dg)
+            dxs, dv, du, dzs, dg, ap, ad = newton([-x for x in xs], -v * g)
+            gap_aff = (v + ap * dv) @ (g + ad * dg)
+            for x, z, dx, dz in zip(xs, zs, dxs, dzs):
+                gap_aff = gap_aff + np.vdot(x + ap * dx, z + ad * dz)
             tau = mu * min(1.0, gap_aff / (mu * (n + m + 1))) ** 3
-            dx, dv, du, dzt, dg = step = newton(tau * zi - x - dx @ dzt @ zi, tau - v * g - dv * dg)
-            ap, ad = lengths(*step)
-            x, v, u, zt, g = x + ap * dx, v + ap * dv, u + ad * du, zt + ad * dzt, g + ad * dg
+            rczis = [tau * zi - x - dx @ dz @ zi
+                     for x, dx, dz, (_, _, zi, _) in zip(xs, dxs, dzs, pre)]
+            dxs, dv, du, dzs, dg, ap, ad = newton(rczis, tau - v * g - dv * dg)
+            xs = [x + ap * dx for x, dx in zip(xs, dxs)]
+            zs = [z + ad * dz for z, dz in zip(zs, dzs)]
+            v, u, g = v + ap * dv, u + ad * du, g + ad * dg
             breakdown = False
         except np.linalg.LinAlgError:
             breakdown = True
         full = np.zeros((n, n))
-        full[c[:, None], c], full[d, d] = x, v[:nd]
+        full[d, d] = v[:nd]
+        for c, x in zip(blocks, xs):
+            full[c[:, None], c] = x
         lam, vec = _eigh_raw(full)
         x_bar = (vec * np.maximum(lam, 0.0)) @ vec.T
         x_bar = (x_bar + x_bar.T) / (2.0 * np.trace(x_bar))

@@ -11,6 +11,7 @@ from conftest import random_instance
 
 from specmm import (
     InstanceFormatError,
+    InstanceSet,
     Report,
     SaddleConfig,
     report_from_certificate,
@@ -20,6 +21,7 @@ from specmm import (
     parse_instance,
     solve_minimax,
 )
+from specmm import files
 from specmm.cli import main
 
 SQ2_HALF = math.sqrt(2.0) / 2.0
@@ -174,6 +176,28 @@ class TestInputValidation:
         p.write_text(json.dumps(doc))
         assert main(["solve", str(p)]) == 1
         assert "matrices[0] is not numeric" in capsys.readouterr().err
+
+    def test_an_earlier_fault_is_named_before_a_later_one_of_another_kind(self):
+        # matrices[0] fails only the asymmetry gate, which the whole-list check
+        # reaches last; the non-numeric matrices[1] must not be named instead
+        doc = {"n": 2, "m": 3, "matrices": [
+            [[0.0, 1.0 + 1e-5], [1.0, 0.0]], [["0", 1.0], [1.0, 0.0]], self.GOOD,
+        ]}
+        with pytest.raises(InstanceFormatError, match=r"^matrices\[0\] asymmetry"):
+            parse_instance(doc)
+
+    def test_whole_list_parse_matches_the_matrix_walk(self, rng):
+        # the one conversion of the whole list against the per-matrix walk of the
+        # error path, bit for bit, with floats, ints and ints beyond int64 mixed
+        for _ in range(30):
+            n, m = (int(k) for k in rng.integers(1, 6, 2))
+            a = rng.standard_normal((m, n, n)) * 10.0 ** rng.uniform(-8, 8, (m, 1, 1))
+            mats = (a + a.transpose(0, 2, 1)).tolist()
+            mats[0][0][0] = int(rng.integers(-9, 9))
+            mats[-1][-1][-1] = 10**20
+            inst, _ = parse_instance({"n": n, "m": m, "matrices": mats})
+            walked = np.array([files._matrix(i, raw, n) for i, raw in enumerate(mats)])
+            assert inst.stacked.tobytes() == InstanceSet(walked).stacked.tobytes()
 
     def test_integers_beyond_int64_are_numbers(self):
         inst, _ = parse_instance({"n": 1, "m": 2, "matrices": [[[10**20]], [[-(2**64)]]]})

@@ -194,6 +194,16 @@ class TestBisection:
         for tol in (1e-4, 1e-6, 1e-8):
             assert abs(lambda_min_by_bisection(a, tol) - lambda_min(a)) <= tol + 1e-9
 
+    def test_stops_where_tol_is_below_the_float_spacing(self):
+        # the first matrix of the fixed 6x4 family scaled by 1e8: lambda_min is about
+        # -2.9e8, where adjacent doubles are 6e-8 apart, so a bracket of width 1e-8 is
+        # never reached; the loop stops once no double lies inside the bracket
+        g = np.random.default_rng([190509762, 99]).standard_normal((6, 6))
+        a = 1e8 * (g + g.T) / 2.0
+        ref = np.linalg.eigvalsh(a)[0]
+        got = lambda_min_by_bisection(SymMatrix(a), 1e-8)
+        assert abs(got - ref) <= np.spacing(abs(ref))
+
     def test_rejects_nonpositive_tolerance(self):
         with pytest.raises(ValueError, match="positive"):
             lambda_min_by_bisection(SymMatrix(np.eye(2)), 0.0)

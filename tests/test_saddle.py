@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -357,6 +358,20 @@ def block_diagonal_family(rng, m):
     return InstanceSet(mats)
 
 
+def two_block_family(rng, m):
+    """A coupled 2x2 block on coordinates (1, 5), a coupled 3x3 block on (2, 4, 6)
+    and isolated coordinates 0 and 3: block-diagonal up to a fixed permutation."""
+    mats = []
+    for _ in range(m):
+        a = np.zeros((7, 7))
+        for idx in ([1, 5], [2, 4, 6]):
+            b = rng.standard_normal((len(idx), len(idx)))
+            a[np.ix_(idx, idx)] = b + b.T
+        a[0, 0], a[3, 3] = rng.standard_normal(2)
+        mats.append(a)
+    return InstanceSet(mats)
+
+
 class TestIsolatedCoordinates:
     """Coordinates with exactly zero off-diagonal rows are carried as a vector."""
 
@@ -421,6 +436,28 @@ class TestIsolatedCoordinates:
         assert upper_value(cert.x_bar, inst) == cert.upper
         assert lower_value(cert.y_bar, inst) == cert.lower
 
+    def test_diagonal_family_holds_no_empty_array(self):
+        # no block, so no array of the solver is 0x0: the Newton step is an LP's
+        inst = InstanceSet([np.diag(r) for r in self.GAME])
+        empty = []
+
+        def tracer(frame, event, arg):
+            if frame.f_code.co_filename == saddle.__file__:
+                empty.extend(
+                    (frame.f_code.co_name, name) for name, val in frame.f_locals.items()
+                    if isinstance(val, np.ndarray) and val.size == 0
+                )
+                return tracer
+            return None
+
+        sys.settrace(tracer)
+        try:
+            cert = solve_minimax(inst)
+        finally:
+            sys.settrace(None)
+        assert cert.converged
+        assert empty == []
+
     def test_identical_matrix_families_reach_relative_gap_1e_8(self):
         rng = np.random.default_rng(7)
         converged = 0
@@ -434,3 +471,83 @@ class TestIsolatedCoordinates:
             assert lower_value(cert.y_bar, inst) == cert.lower
             converged += cert.converged
         assert converged >= 27
+
+
+class TestComponents:
+    """Each connected component of the off-diagonal pattern is one dense block."""
+
+    def test_components_of_an_interleaved_family(self, rng):
+        blocks, isolated = saddle._components(two_block_family(rng, 3).stacked)
+        assert [b.tolist() for b in blocks] == [[1, 5], [2, 4, 6]]
+        assert isolated.tolist() == [0, 3]
+
+    def test_components_of_a_path_and_of_a_dense_family(self, rng):
+        # a path 4 - 0 - 2 is one component, found through its middle coordinate
+        a = np.zeros((2, 5, 5))
+        a[0, 0, 4] = a[0, 4, 0] = a[1, 0, 2] = a[1, 2, 0] = 1.0
+        blocks, isolated = saddle._components(a)
+        assert [b.tolist() for b in blocks] == [[0, 2, 4]] and isolated.tolist() == [1, 3]
+        blocks, isolated = saddle._components(random_instance(rng, 4, 2).stacked)
+        assert [b.tolist() for b in blocks] == [[0, 1, 2, 3]] and isolated.size == 0
+
+    def test_each_block_is_factored_on_its_own(self, rng, monkeypatch):
+        inst, m = two_block_family(rng, 3), 3
+        with monkeypatch.context() as patch:
+            log = LapackLog(patch)
+            cert = solve_minimax(inst)
+        k = cert.iterations
+        assert cert.converged
+        # per Newton step: the (X, Z) pair of each block in the order of its first
+        # coordinate, then the Schur matrix; the bracket reads the full 7x7 X
+        assert log.calls["cholesky"] == [(2, 2, 2), (2, 3, 3), (m + 1, m + 1)] * k
+        assert log.calls["inv"] == [(2, 2, 2), (2, 3, 3), (m + 1, m + 1)] * k
+        assert log.calls["eigh"] == [(7, 7)] * k
+        assert upper_value(cert.x_bar, inst) == cert.upper
+        assert lower_value(cert.y_bar, inst) == cert.lower
+
+    def test_two_block_family_brackets_the_value_of_its_rotation(self, rng):
+        inst = two_block_family(rng, 3)
+        q = random_orthogonal(rng, 7)
+        rotated = InstanceSet([q @ a @ q.T for a in inst.stacked])
+        certs = []
+        for family in (inst, rotated):
+            scale = float(np.abs(np.linalg.eigvalsh(family.stacked)).max())
+            cert = solve_minimax(family, SaddleConfig(gap_tol=1e-8 * scale))
+            assert cert.converged
+            assert upper_value(cert.x_bar, family) == cert.upper
+            assert lower_value(cert.y_bar, family) == cert.lower
+            certs.append(cert)
+        a, b = certs
+        # one value lies in both brackets
+        assert max(a.lower, b.lower) <= min(a.upper, b.upper) + 1e-12
+
+
+def fuzz_family(kind, rng):
+    """One seeded fuzz instance, n and m drawn from [1, 9): random symmetric, m copies
+    of one matrix, random symmetric scaled by 10^U(-8, 8) each, or diagonal."""
+    n, m = (int(k) for k in rng.integers(1, 9, 2))
+    if kind == "identical":
+        g = rng.standard_normal((n, n))
+        return np.repeat(((g + g.T) / 2.0)[None], m, axis=0)
+    if kind == "diagonal":
+        return np.stack([np.diag(r) for r in rng.standard_normal((m, n))])
+    g = rng.standard_normal((m, n, n))
+    g = (g + g.transpose(0, 2, 1)) / 2.0
+    return g * 10.0 ** rng.uniform(-8, 8, (m, 1, 1)) if kind == "scaled" else g
+
+
+def test_seeded_fuzz_certificates_recompute_and_few_solves_stop_short():
+    # 4 families x 100 instances x 2 relative gaps; a solve stops short on a Cholesky
+    # breakdown. The bound on those only ever goes down.
+    short = 0
+    for kind, seed in zip(("symmetric", "identical", "scaled", "diagonal"), range(1000, 1004)):
+        rng = np.random.default_rng(seed)
+        for _ in range(100):
+            inst = InstanceSet(fuzz_family(kind, rng))
+            scale = float(np.abs(inst.spectra).max())
+            for rel in (1e-6, 1e-8):
+                cert = solve_minimax(inst, SaddleConfig(gap_tol=rel * scale))
+                assert upper_value(cert.x_bar, inst) == cert.upper, (kind, rel)
+                assert lower_value(cert.y_bar, inst) == cert.lower, (kind, rel)
+                short += not cert.converged
+    assert short <= 24
