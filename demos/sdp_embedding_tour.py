@@ -48,15 +48,14 @@ print("constraint residuals:", p.residuals.max())
 # the canonical interior point is the normalized identity with headroom
 # in every slack; its existence is what makes strong duality automatic
 p0 = interior_primal_point(inst, emb)
-print("interior primal slacks:",
-      np.diag(p0.matrix.array)[inst.n:inst.n + inst.m])
+print("interior primal slacks:", p0.slacks)
 
 # dual side: a weight vector y lifts to multipliers whose slack matrix
 # must stay PSD; the certified lower bound rides in the t coordinate
 y = SimplexPoint.uniform(inst.m)
 t = lambda_min(weighted_combination(y, inst)) + emb.shift
 d = lift_dual(y, t, inst, emb)
-print("\ndual lift: lambda_min of slack =", lambda_min(d.slack))
+print("\ndual lift: lambda_min of slack =", d.lambda_min)
 
 d0 = interior_dual_point(inst, emb)
 print("interior dual residual:", d0.residual)

@@ -3,8 +3,9 @@
 Subcommands: solve (minimax), maximin, embed (SDPA export), classic
 (diagonal-reduction cross-check), check (invariant battery on an
 instance). Exit codes: 0 success, 1 input or validation error, 2
-non-convergence under --strict. Verbosity comes from the SPECMM_LOG
-environment variable (debug, info, warning, error).
+non-convergence under --strict, a failed classic cross-check or any FAIL
+line of check. Verbosity comes from the SPECMM_LOG environment variable
+(debug, info, warning, error).
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .domains import (
     lambda_min_by_bisection,
     sample_simplex,
     sample_spectraplex,
-    weighted_combination,
 )
 from .embed import (
     build_embedding,
@@ -37,13 +37,14 @@ from .embed import (
 )
 from .files import (
     InstanceFormatError,
+    _read_json,
     load_instance,
     report_from_certificate,
     report_to_json,
     report_to_text,
 )
-from .saddle import SaddleConfig, solve_maximin, solve_minimax
-from .symmat import SymMatrix, lambda_min
+from .saddle import SaddleConfig, lower_value, solve_maximin, solve_minimax
+from .symmat import SymMatrix
 
 __all__ = ["main"]
 
@@ -130,13 +131,7 @@ def _cmd_classic(args) -> int:
     if args.rows is not None:
         game = _parse_rows(args.rows)
     else:
-        import json
-
-        with open(args.vectors, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise InstanceFormatError(f"invalid JSON: {exc}") from None
+        doc = _read_json(args.vectors)
         if not isinstance(doc, dict) or "vectors" not in doc:
             raise InstanceFormatError("expected an object with a 'vectors' field")
         game = VectorGame(tuple(tuple(row) for row in doc["vectors"]))
@@ -147,65 +142,71 @@ def _cmd_classic(args) -> int:
     return 0 if rep.within_tolerance else 2
 
 
-def _check_line(name: str, ok: bool, detail: str) -> bool:
+def _check_line(name: str, run) -> bool:
+    """Run one check and print its PASS or FAIL line; an error it raises
+    is its FAIL, and the battery goes on."""
+    try:
+        ok, detail = run()
+    except ValueError as exc:
+        ok, detail = False, str(exc)
     print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-    return ok
+    return bool(ok)
 
 
 def _cmd_check(args) -> int:
     inst, _ = load_instance(args.instance)
-    ok = True
-
-    # two independent routes to the smallest eigenvalue must agree
-    for i, a in enumerate(inst.stacked):
-        direct = float(inst.spectra[i, 0])
-        bisected = lambda_min_by_bisection(SymMatrix(a), 1e-8)
-        ok &= _check_line(
-            f"eig-vs-bisection[{i}]", abs(direct - bisected) <= 1e-7,
-            f"|{direct:.12g} - {bisected:.12g}| = {abs(direct - bisected):.3e}",
-        )
-
     emb = build_embedding(inst, shift_policy=args.shift)
     n, m = inst.n, inst.m
 
-    p_int = interior_primal_point(inst, emb)
-    slacks = np.diag(p_int.matrix.array)[n : n + m]
-    ok &= _check_line(
-        "primal-interior",
-        bool(slacks.min() > 0.0 and p_int.objective > 0.0
-             and p_int.residuals.max() <= 1e-12),
-        f"min slack {slacks.min():.3e}, delta {p_int.objective:.6g}, "
-        f"max residual {p_int.residuals.max():.3e}",
-    )
+    # each check returns (passed, detail)
+    def eig_vs_bisection(i):
+        # two independent routes to the smallest eigenvalue must agree
+        direct = float(inst.spectra[i, 0])
+        bisected = lambda_min_by_bisection(SymMatrix(inst.stacked[i]), 1e-8)
+        diff = abs(direct - bisected)
+        return diff <= 1e-7, f"|{direct:.12g} - {bisected:.12g}| = {diff:.3e}"
 
-    d_int = interior_dual_point(inst, emb)
-    slack_min = lambda_min(d_int.slack)
-    ok &= _check_line(
-        "dual-interior",
-        bool(slack_min > 0.0 and d_int.residual <= 1e-12),
-        f"lambda_min(S) {slack_min:.6g}, residual {d_int.residual:.3e}",
-    )
+    def primal_interior():
+        p = interior_primal_point(inst, emb)
+        return (
+            p.slacks.min() > 0.0 and p.delta > 0.0 and p.residuals.max() <= 1e-12,
+            f"min slack {p.slacks.min():.3e}, delta {p.delta:.6g}, "
+            f"max residual {p.residuals.max():.3e}",
+        )
 
-    y0 = SimplexPoint.uniform(m)
-    t0 = lambda_min(weighted_combination(y0, inst)) + emb.shift
-    d0 = lift_dual(y0, t0, inst, emb)
-    got = extract_dual(d0, emb)
-    round_trip = max(
-        float(np.abs(got.weights - y0.weights).max()), abs(got.lower_bound - (t0 - emb.shift))
-    )
-    ok &= _check_line("dual-roundtrip", round_trip <= 1e-10, f"max deviation {round_trip:.3e}")
+    def dual_interior():
+        d = interior_dual_point(inst, emb)
+        return (
+            d.lambda_min > 0.0 and d.residual <= 1e-12,
+            f"lambda_min(S) {d.lambda_min:.6g}, residual {d.residual:.3e}",
+        )
 
-    rng = np.random.default_rng(0)
-    worst = np.inf
-    for _ in range(5):
-        x = sample_spectraplex(n, rng)
-        y = sample_simplex(m, rng)
-        p = lift_primal(x, inst, emb)
-        t = lambda_min(weighted_combination(y, inst)) + emb.shift
-        d = lift_dual(y, t, inst, emb)
-        worst = min(worst, weak_duality_check(p, d, emb))
-    ok &= _check_line("weak-duality", worst >= -1e-9, f"min primal-dual margin {worst:.3e}")
+    def dual_roundtrip():
+        y0 = SimplexPoint.uniform(m)
+        t0 = lower_value(y0, inst) + emb.shift
+        got = extract_dual(lift_dual(y0, t0, inst, emb), emb)
+        dev = max(
+            float(np.abs(got.weights - y0.weights).max()), abs(got.lower_bound - (t0 - emb.shift))
+        )
+        return dev <= 1e-10, f"max deviation {dev:.3e}"
 
+    def weak_duality():
+        rng = np.random.default_rng(0)
+        worst = np.inf
+        for _ in range(5):
+            x = sample_spectraplex(n, rng)
+            y = sample_simplex(m, rng)
+            p = lift_primal(x, inst, emb)
+            t = lower_value(y, inst) + emb.shift
+            worst = min(worst, weak_duality_check(p, lift_dual(y, t, inst, emb), emb))
+        return worst >= -1e-9, f"min primal-dual margin {worst:.3e}"
+
+    ok = True
+    for i in range(m):
+        ok &= _check_line(f"eig-vs-bisection[{i}]", lambda: eig_vs_bisection(i))
+    # the other checks are named after their functions, dashed
+    for run in (primal_interior, dual_interior, dual_roundtrip, weak_duality):
+        ok &= _check_line(run.__name__.replace("_", "-"), run)
     return 0 if ok else 2
 
 

@@ -21,17 +21,19 @@ subtracting sigma.
 
 Every block is fixed by the instance and sigma, so an ``SdpEmbedding``
 stores just those two; the readers below work on the stacked tops
-A_sig,i and the known unit slots and corners, and no (n')^2 block is
-formed per constraint. Both feasibility directions produce checkable
-artifacts (lifts) carrying their own residuals, and the two interior-point
-constructors certify that the embedded program satisfies strict
-feasibility on both sides, which is what makes its optimum attained and
-equal on both sides.
+A_sig,i and the known unit slots and corners, and no (n')^2 matrix is
+formed. The lifts hold their blocks too: a primal lift stores X, the
+slacks s and delta, a dual lift the top block and the corner of its
+slack, and each checks PSD-ness once, on those blocks. Both feasibility
+directions produce checkable artifacts (lifts) carrying their own
+residuals, and the two interior-point constructors certify that the
+embedded program satisfies strict feasibility on both sides, which is
+what makes its optimum attained and equal on both sides.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -93,81 +95,89 @@ def _tops(emb: SdpEmbedding) -> np.ndarray:
     return emb.inst.stacked + emb.shift * np.eye(emb.n)
 
 
-def _block_lambda_min(mat: np.ndarray, m: int) -> float:
-    """lambda_min of a lift matrix diag(T, d_1 .. d_m, d_corner).
-
-    The top block T has order n = N - m - 1 and is the only block that is
-    not diagonal, so the spectrum is that of T together with the remaining
-    diagonal. Every entry outside T and off the diagonal must be exactly
-    zero (SymMatrix arrays are exactly symmetric, so the rows past T are
-    read from the columns past it); anything else is a ValueError, not a
-    reason to fall back to a dense eigenvalue call.
-    """
-    n = mat.shape[0] - m - 1
-    if n < 1:
-        raise ValueError(f"a block matrix of order {mat.shape[0]} cannot hold {m} index slots")
-    rest = mat[n:, n:]
-    tail = np.diagonal(rest)
-    if mat[:n, n:].any() or np.count_nonzero(rest) != np.count_nonzero(tail):
-        raise ValueError("block matrix has nonzero entries outside its top block and diagonal")
-    return min(float(_eigvals_raw(mat[:n, :n])[0]), float(tail.min()))
+def _readonly(a) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True, eq=False)
 class PrimalLift:
-    """Feasible primal block variable with measured constraint residuals.
+    """Feasible primal block variable X' = diag(X, s, delta), held as its
+    blocks, with measured constraint residuals.
 
-    matrix is X' = diag(X, s, delta); residuals[i] = |<F_i, X'>| =
-    |<A_i + sigma*I, X> + s_i - delta| and trace_residual = |<E, X'> - 1| =
-    |tr X - 1| are measured on the assembled block matrix, not inferred
-    from the construction.
+    residuals[i] = |<F_i, X'>| = |<A_i + sigma*I, X> + s_i - delta| and
+    trace_residual = |<E, X'> - 1| = |tr X - 1| are measured on the stored
+    blocks, not inferred from the construction. ``lambda_min`` is the least
+    eigenvalue of X' found by the PSD check: that of X, or the least of s
+    and delta.
     """
 
-    matrix: SymMatrix
+    x: np.ndarray
+    slacks: np.ndarray
+    delta: float
     residuals: np.ndarray
     trace_residual: float
+    lambda_min: float = field(init=False)
 
     def __post_init__(self):
-        r = np.asarray(self.residuals, dtype=float)
-        lo = _block_lambda_min(self.matrix.array, r.size)
-        if lo < -DEFAULT_TOLS.lift_psd:
+        for name in ("x", "slacks", "residuals"):
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
+        lo = float(np.append(self.slacks, (self.delta, _eigvals_raw(self.x)[0])).min())
+        if not lo >= -DEFAULT_TOLS.lift_psd:
             raise ValueError(f"primal block matrix must be PSD, lambda_min={lo!r}")
         if self.trace_residual > DEFAULT_TOLS.lift_psd:
             raise ValueError(f"trace constraint violated by {self.trace_residual!r}")
-        if r.size and r.max() > DEFAULT_TOLS.lift_residual:
-            raise ValueError(f"constraint residual too large: {r.max()!r}")
-        r.flags.writeable = False
-        object.__setattr__(self, "residuals", r)
+        if self.residuals.max(initial=0.0) > DEFAULT_TOLS.lift_residual:
+            raise ValueError(f"constraint residual too large: {self.residuals.max()!r}")
+        object.__setattr__(self, "lambda_min", lo)
 
     @property
     def objective(self) -> float:
         """The delta slot: value of the embedded primal objective."""
-        return float(self.matrix.array[-1, -1])
+        return self.delta
 
 
 @dataclass(frozen=True, eq=False)
 class DualLift:
-    """Feasible dual triple (multipliers u, bound t, slack S).
+    """Feasible dual triple (multipliers u, bound t, slack S), with S held
+    as its top n x n block and its corner.
 
-    The slack is defined by the dual equality, so the stored residual
-    (recomputation error of that equality) is pure floating-point noise;
-    PSD-ness of S is what carries information and is constructor-checked.
+    Index slot i of S is 0.0 - u_i and is not stored. The slack is defined
+    by the dual equality, so the stored residual (recomputation error of
+    that equality) is pure floating-point noise; PSD-ness of S is what
+    carries information and is constructor-checked on the blocks: the top
+    block's least eigenvalue, then the least diagonal entry, each failure a
+    DualInfeasibleError naming its block. ``lambda_min`` is the least
+    eigenvalue of S so found.
     """
 
     multipliers: np.ndarray
     bound: float
-    slack: SymMatrix
+    top: np.ndarray
+    corner: float
     residual: float
+    lambda_min: float = field(init=False)
 
     def __post_init__(self):
-        u = np.asarray(self.multipliers, dtype=float)
-        u.flags.writeable = False
+        u, top = _readonly(self.multipliers), _readonly(self.top)
         object.__setattr__(self, "multipliers", u)
-        lo = _block_lambda_min(self.slack.array, u.size)
-        if lo < -DEFAULT_TOLS.lift_psd:
-            raise ValueError(f"dual slack must be PSD, lambda_min={lo!r}")
+        object.__setattr__(self, "top", top)
+        lo = float(_eigvals_raw(top)[0])
+        if not lo >= -DEFAULT_TOLS.lift_psd:
+            n = top.shape[0]
+            raise DualInfeasibleError(
+                f"slack top-left {n}x{n} block is not PSD (lambda_min={lo:.6g}); "
+                f"t={self.bound!r} exceeds the weighted shifted eigenvalue bound"
+            )
+        diag = np.append(0.0 - u, self.corner)
+        k = int(np.argmin(diag))
+        if not diag[k] >= -DEFAULT_TOLS.lift_psd:
+            block = "corner entry" if k == u.size else f"diagonal entry for index {k}"
+            raise DualInfeasibleError(f"slack {block} is negative ({diag[k]:.6g})")
         if self.residual > DEFAULT_TOLS.lift_residual:
             raise ValueError(f"dual equality violated by {self.residual!r}")
+        object.__setattr__(self, "lambda_min", min(lo, float(diag[k])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,8 +228,8 @@ def lift_primal(
 
     delta is set to max_i <A_i + sigma*I, X> plus the optional margin, and
     the slacks absorb the differences, so every constraint holds by
-    construction; the returned residuals re-measure them on the assembled
-    block matrix. With margin 0 the slack of a best-response index is
+    construction; the returned residuals re-measure them on the stored
+    blocks. With margin 0 the slack of a best-response index is
     exactly zero; a positive margin makes every slack strictly positive.
     The objective entry equals the shifted guarantee of X (plus margin).
     """
@@ -227,26 +237,20 @@ def lift_primal(
         raise ValueError("dimension mismatch between point, instance, and embedding")
     if margin < 0.0:
         raise ValueError("margin must be nonnegative")
-    vals = _payoffs(_tops(emb), x.array)  # <A_i + sigma*I, X> for every i
+    tops = _tops(emb)
+    vals = _payoffs(tops, x.array)  # <A_i + sigma*I, X> for every i
     delta = float(vals.max()) + margin
     if delta < -DEFAULT_TOLS.lift_psd:
         raise ValueError(
             f"embedded objective would be negative (delta={delta!r}); "
             "rebuild the embedding with shift_policy='auto'"
         )
-    n, m = emb.n, emb.m
-    block = np.diag(np.concatenate((np.zeros(n), delta - vals, [delta])))
-    block[:n, :n] = x.array
-    mat = SymMatrix(block)
-    # re-read X, s and delta from the assembled matrix and contract with
-    # einsum, not the product that produced vals, so the residuals are
-    # an independent measurement rather than an echo of the construction
-    a = mat.array
-    residuals = np.abs(
-        np.einsum("kij,ij->k", _tops(emb), a[:n, :n]) + np.diag(a)[n : n + m] - a[-1, -1]
-    )
-    trace_residual = abs(float(np.trace(a[:n, :n])) - 1.0)
-    return PrimalLift(matrix=mat, residuals=residuals, trace_residual=trace_residual)
+    slacks = delta - vals
+    # einsum, not the product that produced vals: the residuals are an
+    # independent measurement rather than an echo of the construction
+    residuals = np.abs(np.einsum("kij,ij->k", tops, x.array) + slacks - delta)
+    trace_residual = abs(float(np.trace(x.array)) - 1.0)
+    return PrimalLift(x.array, slacks, delta, residuals, trace_residual)
 
 
 def interior_primal_point(
@@ -261,31 +265,24 @@ def interior_primal_point(
 
 
 def _assemble_dual(multipliers: np.ndarray, t: float, emb: SdpEmbedding):
-    """Slack S = C - sum_i u_i F_i - t E and its equality residual.
+    """Top block and corner of the slack S = C - sum_i u_i F_i - t E, and
+    the equality residual.
 
-    The top block and the corner accumulate one constraint at a time, as
-    a sum of full blocks would; index slot i of S is 0 - u_i, the only
-    nonzero term there, and S is zero off the diagonal blocks. Only the
-    corner's recomputation can round, so the residual is measured there.
+    Both accumulate one constraint at a time, as a sum of full blocks
+    would; index slot i of S is 0 - u_i, the only nonzero term there, and
+    S is zero off the diagonal blocks. Only the corner's recomputation can
+    round, so the residual is measured there.
     """
-    n = emb.n
-    top = t * np.eye(n)
-    corner = 0.0
+    top = t * np.eye(emb.n)
+    total = 0.0
     for ui, a in zip(multipliers.tolist(), _tops(emb)):
         top = top + ui * a
-        corner = corner - ui
-    slack = np.diag(np.concatenate((np.zeros(n), 0.0 - multipliers, [1.0 - corner])))
-    slack[:n, :n] = 0.0 - top
-    residual = abs(float(corner + slack[-1, -1] - 1.0))
-    return slack, residual
+        total = total - ui
+    corner = 1.0 - total
+    return 0.0 - top, corner, abs(float(total + corner - 1.0))
 
 
-def lift_dual(
-    y: SimplexPoint,
-    t: float,
-    inst: InstanceSet,
-    emb: SdpEmbedding,
-) -> DualLift:
+def lift_dual(y: SimplexPoint, t: float, inst: InstanceSet, emb: SdpEmbedding) -> DualLift:
     """Lift a simplex strategy and a shifted-value bound to a dual triple.
 
     t lives in shifted coordinates: the pair is feasible exactly when
@@ -296,21 +293,7 @@ def lift_dual(
     if y.m != emb.m or inst.m != emb.m or inst.n != emb.n:
         raise ValueError("dimension mismatch between strategy, instance, and embedding")
     multipliers = -y.weights
-    slack, residual = _assemble_dual(multipliers, float(t), emb)
-    n, m = emb.n, emb.m
-    top_min = float(_eigvals_raw(slack[:n, :n])[0])
-    if top_min < -DEFAULT_TOLS.lift_psd:
-        raise DualInfeasibleError(
-            f"slack top-left {n}x{n} block is not PSD (lambda_min={top_min:.6g}); "
-            f"t={t!r} exceeds the weighted shifted eigenvalue bound"
-        )
-    mid = np.diag(slack)[n : n + m]
-    if mid.min() < -DEFAULT_TOLS.lift_psd:
-        k = int(np.argmin(mid))
-        raise DualInfeasibleError(f"slack diagonal entry for index {k} is negative ({mid[k]:.6g})")
-    if slack[-1, -1] < -DEFAULT_TOLS.lift_psd:
-        raise DualInfeasibleError(f"slack corner entry is negative ({slack[-1, -1]:.6g})")
-    return DualLift(multipliers=multipliers, bound=float(t), slack=SymMatrix(slack), residual=residual)
+    return DualLift(multipliers, float(t), *_assemble_dual(multipliers, float(t), emb))
 
 
 def interior_dual_point(inst: InstanceSet, emb: SdpEmbedding) -> DualLift:
@@ -325,11 +308,11 @@ def interior_dual_point(inst: InstanceSet, emb: SdpEmbedding) -> DualLift:
     multipliers = np.full(m, -1.0 / (2.0 * m))
     combo = _combination(-multipliers, _tops(emb))
     t = float(_eigvals_raw(combo)[0]) - 1.0
-    slack, residual = _assemble_dual(multipliers, t, emb)
-    lift = DualLift(multipliers=multipliers, bound=t, slack=SymMatrix(slack), residual=residual)
-    lo = _block_lambda_min(lift.slack.array, m)
-    if not lo > 0.0:
-        raise DualInfeasibleError(f"interior construction failed, lambda_min(S)={lo!r}")
+    lift = DualLift(multipliers, t, *_assemble_dual(multipliers, t, emb))
+    if not lift.lambda_min > 0.0:
+        raise DualInfeasibleError(
+            f"interior construction failed, lambda_min(S)={lift.lambda_min!r}"
+        )
     return lift
 
 

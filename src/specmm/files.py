@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -41,7 +42,14 @@ class InstanceFormatError(ValueError):
 
 def _numeric(raw) -> np.ndarray:
     # a product, not a cast: a cast would read the strings "1" and "0" as numbers
-    return np.asarray(np.asarray(raw) * 1.0, dtype=float)
+    arr = np.asarray(np.asarray(raw) * 1.0, dtype=float)
+    # either would read JSON true and false as 1 and 0, so the entries' types are walked
+    entries = [raw]
+    for _ in range(arr.ndim):
+        entries = chain.from_iterable(entries)
+    if bool in map(type, entries):
+        raise TypeError("booleans are not numbers")
+    return arr
 
 
 def _check_asymmetry(i, asym) -> None:
@@ -78,10 +86,10 @@ def parse_instance(doc: object) -> tuple[InstanceSet, list[str] | None]:
 
     Expected shape: {"n": int, "m": int, "matrices": [[[row], ...], ...]}
     with an optional "labels" list. Entries must be JSON numbers; strings
-    are not read as numbers. Matrices are symmetrized on ingestion, and
-    one whose (A + A^T)/2 overflows is an error; asymmetry above 1e-6 (max
-    absolute difference against the transpose) is an error, above 1e-9 a
-    logged warning.
+    and booleans are not read as numbers. Matrices are symmetrized on
+    ingestion, and one whose (A + A^T)/2 overflows is an error; asymmetry
+    above 1e-6 (max absolute difference against the transpose) is an
+    error, above 1e-9 a logged warning.
     """
     if not isinstance(doc, dict):
         raise InstanceFormatError("top level must be an object")
@@ -121,14 +129,18 @@ def parse_instance(doc: object) -> tuple[InstanceSet, list[str] | None]:
     return InstanceSet(stack), labels
 
 
-def load_instance(path: str) -> tuple[InstanceSet, list[str] | None]:
-    """Read and validate an instance file."""
+def _read_json(path: str) -> object:
+    """Decode a JSON file; malformed JSON is an InstanceFormatError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"invalid JSON: {exc}") from None
-    return parse_instance(doc)
+
+
+def load_instance(path: str) -> tuple[InstanceSet, list[str] | None]:
+    """Read and validate an instance file."""
+    return parse_instance(_read_json(path))
 
 
 @dataclass(frozen=True)

@@ -197,14 +197,14 @@ def test_criterion_6_embedding_feasibility():
         emb = build_embedding(inst)
 
         p_int = interior_primal_point(inst, emb)
-        min_slack = min(min_slack, float(np.diag(p_int.matrix.array)[n:n + m].min()))
+        min_slack = min(min_slack, float(p_int.slacks.min()))
         p_rand = lift_primal(sample_spectraplex(n, rng), inst, emb)
         worst_residual = max(
             worst_residual, float(p_int.residuals.max()), float(p_rand.residuals.max())
         )
 
         d_int = interior_dual_point(inst, emb)
-        min_dual_eig = min(min_dual_eig, lambda_min(d_int.slack))
+        min_dual_eig = min(min_dual_eig, d_int.lambda_min)
         y = sample_simplex(m, rng)
         t = lambda_min(weighted_combination(y, inst)) + emb.shift
         d_rand = lift_dual(y, t, inst, emb)

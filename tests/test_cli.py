@@ -21,7 +21,7 @@ from specmm import (
     parse_instance,
     solve_minimax,
 )
-from specmm import files
+from specmm import cli, files
 from specmm.cli import main
 
 SQ2_HALF = math.sqrt(2.0) / 2.0
@@ -139,7 +139,10 @@ class TestInputValidation:
         [[float("nan"), 1.0], [1.0, 0.0]],
         [["0", 1.0], [1.0, 0.0]],
         [[0.0, 1.0 + 1e-5], [1.0, 0.0]],
-    ], ids=["ragged-row", "wrong-shape", "nan", "string-entry", "asymmetry-1e-5"])
+        [[True, False], [False, True]],
+        [[True, 0.5], [0.5, False]],
+    ], ids=["ragged-row", "wrong-shape", "nan", "string-entry", "asymmetry-1e-5",
+            "all-boolean", "mixed-boolean"])
     def test_diagnostics_name_the_bad_matrix_and_no_other(self, bad):
         doc = {"n": 2, "m": 3, "matrices": [self.GOOD, bad, self.GOOD]}
         with pytest.raises(InstanceFormatError) as exc:
@@ -176,6 +179,18 @@ class TestInputValidation:
         p.write_text(json.dumps(doc))
         assert main(["solve", str(p)]) == 1
         assert "matrices[0] is not numeric" in capsys.readouterr().err
+
+    def test_booleans_are_not_numbers(self):
+        # JSON true and false would convert to 1.0 and 0.0; on the whole-list
+        # path and on the per-matrix walk (forced by the ragged matrices[2])
+        # the first matrix holding one is named
+        mixed = [[True, 0.5], [0.5, False]]
+        for last in (self.GOOD, [[1.0], [2.0, 3.0]]):
+            doc = {"n": 2, "m": 3, "matrices": [self.GOOD, mixed, last]}
+            with pytest.raises(InstanceFormatError, match=r"^matrices\[1\] is not numeric$"):
+                parse_instance(doc)
+        with pytest.raises(InstanceFormatError, match=r"^matrices\[0\] is not numeric$"):
+            parse_instance({"n": 1, "m": 1, "matrices": [[[True]]]})
 
     def test_an_earlier_fault_is_named_before_a_later_one_of_another_kind(self):
         # matrices[0] fails only the asymmetry gate, which the whole-list check
@@ -272,6 +287,12 @@ class TestClassicCommand:
         assert main(["classic", "--rows", "1,zebra"]) == 1
         assert "rows" in capsys.readouterr().err
 
+    def test_malformed_json(self, tmp_path, capsys):
+        p = tmp_path / "game.json"
+        p.write_text('{"vectors": [[1.0, 0.0],')
+        assert main(["classic", str(p)]) == 1
+        assert "error: invalid JSON:" in capsys.readouterr().err
+
 
 class TestCheckCommand:
     def test_pauli_passes(self, pauli_file, capsys):
@@ -291,6 +312,38 @@ class TestCheckCommand:
     def test_diag_passes(self, diag_file, capsys):
         assert main(["check", diag_file]) == 0
         capsys.readouterr()
+
+    def test_an_error_in_one_check_is_its_fail_line(self, pauli_file, capsys, monkeypatch):
+        def broken(inst, emb):
+            raise ValueError("no interior point")
+
+        monkeypatch.setattr(cli, "interior_dual_point", broken)
+        assert main(["check", pauli_file]) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert "FAIL dual-interior: no interior point" in out
+        assert [line.split(":")[0] for line in out] == [
+            "PASS eig-vs-bisection[0]",
+            "PASS eig-vs-bisection[1]",
+            "PASS primal-interior",
+            "FAIL dual-interior",
+            "PASS dual-roundtrip",
+            "PASS weak-duality",
+        ]
+
+    def test_scaled_family_reports_every_check(self, tmp_path, capsys):
+        # a seeded 6x4 family scaled by 1e8 fails the lifts' absolute
+        # residual gates (ROADMAP item 5); each failure is its check's FAIL
+        # line, and the battery runs to the end
+        inst = random_instance(np.random.default_rng(0), 6, 4, scale=1e8)
+        p = tmp_path / "scaled.json"
+        p.write_text(json.dumps({"n": 6, "m": 4, "matrices": inst.stacked.tolist()}))
+        assert main(["check", str(p)]) == 2
+        out = capsys.readouterr()
+        assert out.err == ""
+        names = [re.match(r"(PASS|FAIL) (\S+):", line).group(2) for line in out.out.splitlines()]
+        assert names == [f"eig-vs-bisection[{i}]" for i in range(4)] + [
+            "primal-interior", "dual-interior", "dual-roundtrip", "weak-duality",
+        ]
 
 
 class TestReports:

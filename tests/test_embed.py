@@ -112,6 +112,22 @@ def dense_primal(x, inst, shift, margin=0.0):
     return mat, np.array([abs(float(np.tensordot(f, mat, 2))) for f in fs])
 
 
+def dense_parts(mat, m):
+    """(top block, index slots, corner) of a dense lift matrix, as bytes."""
+    n = mat.shape[0] - m - 1
+    return (
+        mat[:n, :n].tobytes(), np.diag(mat)[n : n + m].tobytes(), np.float64(mat[-1, -1]).tobytes()
+    )
+
+
+def primal_parts(p):
+    return p.x.tobytes(), p.slacks.tobytes(), np.float64(p.delta).tobytes()
+
+
+def dual_parts(d):
+    return d.top.tobytes(), (0.0 - d.multipliers).tobytes(), np.float64(d.corner).tobytes()
+
+
 def signed_zero_instance(seed, n, m, scale):
     """Seeded instance at a given scale with exact zeros and -0.0 entries,
     placed symmetrically so symmetrization keeps their signs."""
@@ -157,16 +173,6 @@ class TestBuildEmbedding:
         # the export, which reads the stored instance, writes those blocks
         assert sdpa_text(emb) == dense_sdpa(inst, 0.0)
 
-    def test_off_block_entries_are_exact_zeros(self, rng):
-        inst = random_instance(rng, 3, 2)
-        emb = build_embedding(inst)
-        n = inst.n
-        p = interior_primal_point(inst, emb)
-        d = interior_dual_point(inst, emb)
-        for a in (p.matrix.array, d.slack.array):
-            assert np.array_equal(a[:n, n:], np.zeros((n, 3)))
-            assert np.array_equal(a[n:, n:], np.diag(np.diag(a)[n:]))
-
     def test_auto_shift_covers_negative_spectra(self):
         emb = build_embedding(pauli_pair())
         # both matrices have bottom eigenvalue -1, so the shift is 2
@@ -189,8 +195,10 @@ class TestLiftPrimal:
         emb = build_embedding(inst, shift_policy="none")
         x = SpectraplexPoint(SymMatrix(np.diag([1.0, 0.0])))
         lift = lift_primal(x, inst, emb)
-        assert np.array_equal(lift.matrix.array, np.diag([1.0, 0.0, 0.0, 1.0, 1.0]))
-        assert lift.objective == 1.0
+        assert np.array_equal(lift.x, np.diag([1.0, 0.0]))
+        assert np.array_equal(lift.slacks, np.array([0.0, 1.0]))
+        assert lift.delta == lift.objective == 1.0
+        assert lift.lambda_min == 0.0
         assert lift.residuals.max() == 0.0
         assert lift.trace_residual == 0.0
 
@@ -199,8 +207,7 @@ class TestLiftPrimal:
         emb = build_embedding(inst)
         x = sample_spectraplex(3, rng)
         lift = lift_primal(x, inst, emb)
-        slacks = np.diag(lift.matrix.array)[3:7]
-        assert slacks.min() == 0.0
+        assert lift.slacks.min() == 0.0
         assert lift.objective == pytest.approx(upper_value(x, inst) + emb.shift, abs=1e-12)
 
     def test_interior_point_has_strict_slacks(self, rng):
@@ -210,8 +217,8 @@ class TestLiftPrimal:
             inst = random_instance(rng, n, m)
             emb = build_embedding(inst)
             lift = interior_primal_point(inst, emb)
-            diag = np.diag(lift.matrix.array)
-            assert diag[n:].min() > 0.0
+            assert lift.slacks.min() > 0.0 and lift.delta > 0.0
+            assert lift.lambda_min > 0.0
             assert lift.residuals.max() <= 1e-12
             assert lift.trace_residual <= 1e-12
 
@@ -250,10 +257,11 @@ class TestLiftDual:
         lift = lift_dual(y, -0.8, inst, emb)
         assert np.array_equal(lift.multipliers, np.array([-0.5, -0.5]))
         assert lift.residual <= 1e-10
-        top = lift.slack.array[:2, :2]
-        assert lambda_min(SymMatrix(top)) == pytest.approx(0.8 - SQ2_HALF, abs=1e-12)
+        assert lambda_min(SymMatrix(lift.top)) == pytest.approx(0.8 - SQ2_HALF, abs=1e-12)
         # index slots carry the weights, the corner carries 1 - sum(y)
-        assert np.array_equal(np.diag(lift.slack.array)[2:], np.array([0.5, 0.5, 0.0]))
+        assert np.array_equal(0.0 - lift.multipliers, np.array([0.5, 0.5]))
+        assert lift.corner == 0.0
+        assert lift.lambda_min == 0.0
 
     def test_pauli_infeasible_bound_names_top_block(self):
         inst = pauli_pair()
@@ -268,8 +276,7 @@ class TestLiftDual:
         y = SimplexPoint(np.array([1.0, 0.0]))
         t = lambda_min(SymMatrix(inst.stacked[0])) + emb.shift
         lift = lift_dual(y, t, inst, emb)
-        top = lift.slack.array[:2, :2]
-        assert abs(lambda_min(SymMatrix(top))) <= 1e-9
+        assert abs(lambda_min(SymMatrix(lift.top))) <= 1e-9
 
     def test_random_feasible_bounds(self, rng):
         inst = random_instance(rng, 3, 3)
@@ -291,7 +298,7 @@ class TestInteriorDual:
         lift = interior_dual_point(inst, emb)
         assert np.array_equal(lift.multipliers, np.array([-0.5]))
         assert lift.bound == -0.5
-        assert lambda_min(lift.slack) > 0.0
+        assert lift.lambda_min > 0.0
 
     def test_strictly_feasible_on_random_instances(self, rng):
         for _ in range(5):
@@ -300,23 +307,15 @@ class TestInteriorDual:
             inst = random_instance(rng, n, m)
             emb = build_embedding(inst)
             lift = interior_dual_point(inst, emb)
-            assert lambda_min(lift.slack) > 0.0
+            assert lift.lambda_min > 0.0
             assert lift.residual <= 1e-12
 
 
-def lift_block(top, slots, corner):
-    """diag(top, slots, corner) as a SymMatrix."""
-    n, m = top.shape[0], len(slots)
-    block = np.diag(np.concatenate((np.zeros(n), slots, [corner])))
-    block[:n, :n] = top
-    return SymMatrix(block)
-
-
-def primal_verdict(mat, m):
-    """Whether PrimalLift accepts the matrix; residuals are zero, so only
-    the PSD check can reject it."""
+def primal_verdict(x, slacks, delta):
+    """Whether PrimalLift accepts the blocks; residuals are zero, so only
+    the PSD check can reject them."""
     try:
-        PrimalLift(matrix=mat, residuals=np.zeros(m), trace_residual=0.0)
+        PrimalLift(x, slacks, delta, np.zeros(len(slacks)), 0.0)
     except ValueError as err:
         assert "must be PSD" in str(err)
         return False
@@ -342,55 +341,66 @@ class TestBlockPsdCheck:
                 # and without the shift the corner can be negative too
                 margin = float(rng.uniform(-0.3, 0.3))
                 mat, _ = dense_primal(x, inst, emb.shift, margin)
-                dense_ok = bool(np.linalg.eigvalsh(mat)[0] >= -1e-10)
-                assert primal_verdict(SymMatrix(mat), m) == dense_ok
+                dense_min = np.linalg.eigvalsh(mat)[0]
+                dense_ok = bool(dense_min >= -1e-10)
+                blocks = (mat[:n, :n], np.diag(mat)[n : n + m], mat[-1, -1])
+                assert primal_verdict(*blocks) == dense_ok
+                if dense_ok:
+                    p = PrimalLift(*blocks, np.zeros(m), 0.0)
+                    assert primal_parts(p) == dense_parts(mat, m)
+                    assert abs(p.lambda_min - dense_min) <= 1e-12 * max(1.0, abs(mat).max())
                 verdicts.add(("primal", dense_ok))
 
                 y = SimplexPoint(rng.dirichlet(np.ones(m)))
                 t = lower_value(y, inst) + emb.shift + float(rng.uniform(-0.5, 0.5))
                 slack = dense_slack(-y.weights, t, inst, emb.shift)
-                dense_ok = bool(np.linalg.eigvalsh(slack)[0] >= -1e-10)
+                dense_min = np.linalg.eigvalsh(slack)[0]
+                dense_ok = bool(dense_min >= -1e-10)
                 try:
-                    DualLift(multipliers=-y.weights, bound=t, slack=SymMatrix(slack), residual=0.0)
-                    ok = True
-                except ValueError as err:
-                    assert "must be PSD" in str(err)
+                    d = lift_dual(y, t, inst, emb)
+                except DualInfeasibleError:
                     ok = False
+                else:
+                    ok = True
+                    assert dual_parts(d) == dense_parts(slack, m)
+                    assert abs(d.lambda_min - dense_min) <= 1e-12 * max(1.0, abs(slack).max())
                 assert ok == dense_ok
                 verdicts.add(("dual", dense_ok))
         # both verdicts occur on both sides
         assert len(verdicts) == 4
 
-    def test_non_block_matrix_rejected(self):
-        good = lift_block(np.eye(2) / 2.0, [0.5, 0.0, 0.25], 1.0).array
-        for i, j in ((0, 3), (1, 5), (2, 4), (3, 5)):
-            a = good.copy()
-            a[i, j] = a[j, i] = 1e-300
-            with pytest.raises(ValueError, match="outside its top block"):
-                PrimalLift(matrix=SymMatrix(a), residuals=np.zeros(3), trace_residual=0.0)
-            with pytest.raises(ValueError, match="outside its top block"):
-                DualLift(
-                    multipliers=np.zeros(3), bound=0.0, slack=SymMatrix(a), residual=0.0
-                )
-        assert primal_verdict(SymMatrix(good), 3)
-        # more index slots than the matrix has room for next to a top block
-        with pytest.raises(ValueError, match="cannot hold"):
-            PrimalLift(matrix=SymMatrix(good), residuals=np.zeros(5), trace_residual=0.0)
-
     def test_negative_index_slot_rejected(self):
-        mat = lift_block(np.eye(2) / 2.0, [0.5, -1e-9, 0.25], 1.0)
-        assert not primal_verdict(mat, 3)
-        with pytest.raises(ValueError, match="dual slack must be PSD"):
-            DualLift(multipliers=np.zeros(3), bound=0.0, slack=mat, residual=0.0)
-        assert not primal_verdict(lift_block(np.eye(2) / 2.0, [0.5, 0.0, 0.25], -1e-9), 3)
+        top = np.eye(2) / 2.0
+        assert not primal_verdict(top, [0.5, -1e-9, 0.25], 1.0)
+        with pytest.raises(DualInfeasibleError, match="index 1 is negative"):
+            DualLift(np.array([-0.5, 1e-9, -0.25]), 0.0, top, 1.0, 0.0)
+        assert not primal_verdict(top, [0.5, 0.0, 0.25], -1e-9)
+        with pytest.raises(DualInfeasibleError, match="corner entry is negative"):
+            DualLift(np.array([-0.5, 0.0, -0.25]), 0.0, top, -1e-9, 0.0)
 
     def test_indefinite_top_block_rejected(self):
         # trace one, eigenvalues 1.5 and -0.5, so a zero diagonal is not enough
         top = np.array([[0.5, 1.0], [1.0, 0.5]])
-        mat = lift_block(top, [0.5, 0.0], 1.0)
-        assert not primal_verdict(mat, 2)
-        with pytest.raises(ValueError, match="dual slack must be PSD"):
-            DualLift(multipliers=np.zeros(2), bound=0.0, slack=mat, residual=0.0)
+        assert not primal_verdict(top, [0.5, 0.0], 1.0)
+        with pytest.raises(DualInfeasibleError, match="top-left 2x2 block is not PSD"):
+            DualLift(np.zeros(2), 0.0, top, 1.0, 0.0)
+
+    def test_nan_block_is_not_psd(self):
+        top = np.eye(2) / 2.0
+        assert not primal_verdict(top, [0.5, np.nan], 1.0)
+        assert not primal_verdict(top, [0.5, 0.0], np.nan)
+        with pytest.raises(DualInfeasibleError, match="index 1"):
+            DualLift(np.array([-0.5, np.nan]), 0.0, top, 1.0, 0.0)
+        with pytest.raises(DualInfeasibleError, match="corner"):
+            DualLift(np.array([-0.5, -0.5]), 0.0, top, np.nan, 0.0)
+
+    def test_blocks_are_read_only(self, rng):
+        inst = random_instance(rng, 3, 2)
+        emb = build_embedding(inst)
+        p = interior_primal_point(inst, emb)
+        d = interior_dual_point(inst, emb)
+        for a in (p.x, p.slacks, p.residuals, d.top, d.multipliers):
+            assert not a.flags.writeable
 
 
 class TestExtractDual:
@@ -415,7 +425,8 @@ class TestExtractDual:
         lift = DualLift(
             multipliers=np.array([-0.25, -0.25]),
             bound=0.3,
-            slack=SymMatrix(slack),
+            top=slack[:2, :2],
+            corner=slack[-1, -1],
             residual=0.0,
         )
         got = extract_dual(lift, emb)
@@ -437,7 +448,8 @@ class TestExtractDual:
         _, e, c = dense_blocks(inst, emb.shift)
         slack = c + 0.5 * e
         lift = DualLift(
-            multipliers=np.zeros(2), bound=-0.5, slack=SymMatrix(slack), residual=0.0
+            multipliers=np.zeros(2), bound=-0.5, top=slack[:2, :2], corner=slack[-1, -1],
+            residual=0.0,
         )
         got = extract_dual(lift, emb)
         assert got.degenerate
@@ -451,7 +463,8 @@ class TestExtractDual:
         _, e, c = dense_blocks(inst, emb.shift)
         slack = c - t * e
         lift = DualLift(
-            multipliers=np.full(2, -1e-13), bound=t, slack=SymMatrix(slack), residual=0.0
+            multipliers=np.full(2, -1e-13), bound=t, top=slack[:2, :2], corner=slack[-1, -1],
+            residual=0.0,
         )
         with pytest.raises(DegenerateMultiplierError):
             extract_dual(lift, emb)
@@ -595,7 +608,7 @@ class TestStructuralReaders:
         # and 0.0 (multipliers 0.0 and -0.0) at a strictly feasible t
         d = interior_dual_point(inst, emb)
         want = dense_slack(d.multipliers, d.bound, inst, emb.shift)
-        assert d.slack.array.tobytes() == want.tobytes()
+        assert dual_parts(d) == dense_parts(want, m)
         w = np.ones(m)
         if m > 1:
             w[0] = -0.0
@@ -604,9 +617,9 @@ class TestStructuralReaders:
         y = SimplexPoint(w / w.sum())
         t = lower_value(y, inst) + emb.shift - 0.1 * scale
         d = lift_dual(y, t, inst, emb)
-        assert d.slack.array.tobytes() == dense_slack(-y.weights, t, inst, emb.shift).tobytes()
+        assert dual_parts(d) == dense_parts(dense_slack(-y.weights, t, inst, emb.shift), m)
 
-        # primal matrices bit for bit, and residuals against the full-block
+        # primal blocks bit for bit, and residuals against the full-block
         # contraction; the absolute residual gate trips on rounding at large
         # scales, so it is lifted here to compare the residuals at every scale
         monkeypatch.setattr(embed, "DEFAULT_TOLS", Tolerances(lift_residual=math.inf))
@@ -616,7 +629,7 @@ class TestStructuralReaders:
         for x, margin in ((sample_spectraplex(n, rng), 0.0), (eye, 1.0)):
             mat, res = dense_primal(x, inst, emb.shift, margin)
             p = lift_primal(x, inst, emb, margin=margin)
-            assert p.matrix.array.tobytes() == mat.tobytes()
+            assert primal_parts(p) == dense_parts(mat, m)
             assert np.abs(p.residuals - res).max() <= 1e-12 * p.objective
             trace = abs(float(np.tensordot(e, mat, 2)) - 1.0)
             assert abs(p.trace_residual - trace) <= 1e-12
@@ -633,14 +646,36 @@ class TestStructuralReaders:
         assert p.residuals.max() > 0.0
 
 
-def test_build_embedding_peak_memory_below_one_mib():
-    # the blocks are never formed: at n=8, m=200 dense blocks would take
-    # 200 * 209^2 doubles, about 67 MiB
-    inst = random_instance(np.random.default_rng(5), 8, 200)
+def _peak_bytes(fn):
     tracemalloc.start()
     try:
-        build_embedding(inst)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2**20
+
+
+def test_build_embedding_peak_memory_below_one_mib():
+    # the blocks are never formed: at n=8, m=200 dense blocks would take
+    # 200 * 209^2 doubles, about 67 MiB, and one lift matrix of order
+    # n+m+1 = 209 alone 341 KiB
+    inst = random_instance(np.random.default_rng(5), 8, 200)
+    assert _peak_bytes(lambda: build_embedding(inst)) < 2**20
+    emb = build_embedding(inst)
+    x = sample_spectraplex(8, np.random.default_rng(5))
+    y = SimplexPoint.uniform(200)
+    t = lower_value(y, inst) + emb.shift
+    assert _peak_bytes(lambda: lift_primal(x, inst, emb)) < 300 * 2**10
+    assert _peak_bytes(lambda: lift_dual(y, t, inst, emb)) < 300 * 2**10
+
+
+def test_lift_dual_makes_one_eigenvalue_call(monkeypatch):
+    inst = random_instance(np.random.default_rng(7), 4, 5)
+    emb = build_embedding(inst)
+    y = SimplexPoint.uniform(5)
+    t = lower_value(y, inst) + emb.shift
+    calls = []
+    real = embed._eigvals_raw
+    monkeypatch.setattr(embed, "_eigvals_raw", lambda a: calls.append(a.shape) or real(a))
+    lift_dual(y, t, inst, emb)
+    assert calls == [(4, 4)]
