@@ -37,6 +37,7 @@ from .embed import (
 )
 from .files import (
     InstanceFormatError,
+    _numeric,
     _read_json,
     load_instance,
     report_from_certificate,
@@ -132,8 +133,15 @@ def _cmd_classic(args) -> int:
         game = _parse_rows(args.rows)
     else:
         doc = _read_json(args.vectors)
-        if not isinstance(doc, dict) or "vectors" not in doc:
-            raise InstanceFormatError("expected an object with a 'vectors' field")
+        if not isinstance(doc, dict) or not isinstance(doc.get("vectors"), list):
+            raise InstanceFormatError("expected an object with a 'vectors' list")
+        for i, row in enumerate(doc["vectors"]):
+            try:
+                flat = _numeric(row).ndim == 1
+            except (TypeError, ValueError):
+                raise InstanceFormatError(f"vectors[{i}] is not numeric") from None
+            if not flat:
+                raise InstanceFormatError(f"vectors[{i}] is not a list of numbers")
         game = VectorGame(tuple(tuple(row) for row in doc["vectors"]))
     rep = verify_diagonal_reduction(game, SaddleConfig(gap_tol=args.tol))
     print(f"classic value  {rep.exact_value!r}")

@@ -15,7 +15,6 @@ from functools import cached_property
 import numpy as np
 
 from .symmat import SymMatrix, eigh, is_psd, lambda_min, _eigh_raw, _eigvals_raw
-from .tolerances import DEFAULT_TOLS
 
 __all__ = [
     "SpectraplexPoint",
@@ -29,6 +28,11 @@ __all__ = [
     "sample_spectraplex",
     "sample_simplex",
 ]
+
+_TRACE_TOL = 1e-10
+_EIG_TOL = 1e-10
+_ENTRY_TOL = 1e-12
+_SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,10 +48,10 @@ class SpectraplexPoint:
 
     def __post_init__(self):
         tr = self.matrix.trace()
-        if abs(tr - 1.0) > DEFAULT_TOLS.spectraplex_trace:
+        if abs(tr - 1.0) > _TRACE_TOL:
             raise ValueError(f"trace must be 1, got {tr!r}")
         lo = lambda_min(self.matrix)
-        if lo < -DEFAULT_TOLS.spectraplex_eig:
+        if lo < -_EIG_TOL:
             raise ValueError(f"matrix must be positive semidefinite, lambda_min={lo!r}")
 
     @property
@@ -71,10 +75,10 @@ class SimplexPoint:
             raise ValueError(f"expected a nonempty vector, got shape {w.shape}")
         if not np.isfinite(w).all():
             raise ValueError("weights must be finite")
-        if w.min() < -DEFAULT_TOLS.simplex_entry:
+        if w.min() < -_ENTRY_TOL:
             raise ValueError(f"weights must be nonnegative, min={w.min()!r}")
         s = float(w.sum())
-        if abs(s - 1.0) > DEFAULT_TOLS.simplex_sum:
+        if abs(s - 1.0) > _SUM_TOL:
             raise ValueError(f"weights must sum to 1, got {s!r}")
         w = w.copy()
         w.flags.writeable = False

@@ -39,7 +39,6 @@ import numpy as np
 
 from .domains import InstanceSet, SimplexPoint, SpectraplexPoint, _combination, _payoffs
 from .symmat import SymMatrix, _eigvals_raw
-from .tolerances import DEFAULT_TOLS
 
 __all__ = [
     "SdpEmbedding",
@@ -57,6 +56,15 @@ __all__ = [
     "weak_duality_check",
     "sdpa_text",
 ]
+
+# how far below zero a lift's least eigenvalue may round, and how large its
+# measured equality residuals may be
+_PSD_TOL = 1e-10
+_RESIDUAL_TOL = 1e-10
+# extraction clamps weights in [-_CLAMP_TOL, 0) to zero and lets their sum
+# exceed one by as much; a sum at most _DEGENERATE_SUM cannot be rescaled
+_CLAMP_TOL = 1e-10
+_DEGENERATE_SUM = 1e-12
 
 
 class DualInfeasibleError(ValueError):
@@ -95,6 +103,13 @@ def _tops(emb: SdpEmbedding) -> np.ndarray:
     return emb.inst.stacked + emb.shift * np.eye(emb.n)
 
 
+def _check_instance(inst: InstanceSet, emb: SdpEmbedding) -> None:
+    """Raise unless ``emb`` was built for ``inst``: the same object, or an
+    equal stack. The identity test comes first and costs nothing."""
+    if inst is not emb.inst and not np.array_equal(inst.stacked, emb.inst.stacked):
+        raise ValueError("the embedding was built for a different instance")
+
+
 def _readonly(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     a.flags.writeable = False
@@ -124,11 +139,11 @@ class PrimalLift:
         for name in ("x", "slacks", "residuals"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
         lo = float(np.append(self.slacks, (self.delta, _eigvals_raw(self.x)[0])).min())
-        if not lo >= -DEFAULT_TOLS.lift_psd:
+        if not lo >= -_PSD_TOL:
             raise ValueError(f"primal block matrix must be PSD, lambda_min={lo!r}")
-        if self.trace_residual > DEFAULT_TOLS.lift_psd:
+        if self.trace_residual > _RESIDUAL_TOL:
             raise ValueError(f"trace constraint violated by {self.trace_residual!r}")
-        if self.residuals.max(initial=0.0) > DEFAULT_TOLS.lift_residual:
+        if self.residuals.max(initial=0.0) > _RESIDUAL_TOL:
             raise ValueError(f"constraint residual too large: {self.residuals.max()!r}")
         object.__setattr__(self, "lambda_min", lo)
 
@@ -164,7 +179,7 @@ class DualLift:
         object.__setattr__(self, "multipliers", u)
         object.__setattr__(self, "top", top)
         lo = float(_eigvals_raw(top)[0])
-        if not lo >= -DEFAULT_TOLS.lift_psd:
+        if not lo >= -_PSD_TOL:
             n = top.shape[0]
             raise DualInfeasibleError(
                 f"slack top-left {n}x{n} block is not PSD (lambda_min={lo:.6g}); "
@@ -172,10 +187,10 @@ class DualLift:
             )
         diag = np.append(0.0 - u, self.corner)
         k = int(np.argmin(diag))
-        if not diag[k] >= -DEFAULT_TOLS.lift_psd:
+        if not diag[k] >= -_PSD_TOL:
             block = "corner entry" if k == u.size else f"diagonal entry for index {k}"
             raise DualInfeasibleError(f"slack {block} is negative ({diag[k]:.6g})")
-        if self.residual > DEFAULT_TOLS.lift_residual:
+        if self.residual > _RESIDUAL_TOL:
             raise ValueError(f"dual equality violated by {self.residual!r}")
         object.__setattr__(self, "lambda_min", min(lo, float(diag[k])))
 
@@ -233,14 +248,15 @@ def lift_primal(
     exactly zero; a positive margin makes every slack strictly positive.
     The objective entry equals the shifted guarantee of X (plus margin).
     """
-    if x.n != inst.n or inst.m != emb.m or inst.n != emb.n:
-        raise ValueError("dimension mismatch between point, instance, and embedding")
+    if x.n != inst.n:
+        raise ValueError("dimension mismatch between point and instance")
+    _check_instance(inst, emb)
     if margin < 0.0:
         raise ValueError("margin must be nonnegative")
     tops = _tops(emb)
     vals = _payoffs(tops, x.array)  # <A_i + sigma*I, X> for every i
     delta = float(vals.max()) + margin
-    if delta < -DEFAULT_TOLS.lift_psd:
+    if delta < -_PSD_TOL:
         raise ValueError(
             f"embedded objective would be negative (delta={delta!r}); "
             "rebuild the embedding with shift_policy='auto'"
@@ -253,15 +269,11 @@ def lift_primal(
     return PrimalLift(x.array, slacks, delta, residuals, trace_residual)
 
 
-def interior_primal_point(
-    inst: InstanceSet, emb: SdpEmbedding, *, margin: float = 1.0
-) -> PrimalLift:
-    """Strictly feasible primal point: X = I/n with a positive margin, so
-    X is positive definite and all slack entries and delta are positive."""
-    if margin <= 0.0:
-        raise ValueError("an interior point needs a positive margin")
+def interior_primal_point(inst: InstanceSet, emb: SdpEmbedding) -> PrimalLift:
+    """Strictly feasible primal point: X = I/n lifted with margin 1, so X
+    is positive definite and all slack entries and delta are positive."""
     x = SpectraplexPoint(SymMatrix(np.eye(inst.n) / inst.n))
-    return lift_primal(x, inst, emb, margin=margin)
+    return lift_primal(x, inst, emb, margin=1.0)
 
 
 def _assemble_dual(multipliers: np.ndarray, t: float, emb: SdpEmbedding):
@@ -290,8 +302,9 @@ def lift_dual(y: SimplexPoint, t: float, inst: InstanceSet, emb: SdpEmbedding) -
     sign-flipped weights -y. Infeasibility is reported as
     DualInfeasibleError naming the violated diagonal block of the slack.
     """
-    if y.m != emb.m or inst.m != emb.m or inst.n != emb.n:
-        raise ValueError("dimension mismatch between strategy, instance, and embedding")
+    if y.m != inst.m:
+        raise ValueError("dimension mismatch between strategy and instance")
+    _check_instance(inst, emb)
     multipliers = -y.weights
     return DualLift(multipliers, float(t), *_assemble_dual(multipliers, float(t), emb))
 
@@ -304,6 +317,7 @@ def interior_dual_point(inst: InstanceSet, emb: SdpEmbedding) -> DualLift:
     weighted eigenvalue floor, so the top block has minimum eigenvalue one.
     The returned slack is certified positive definite numerically.
     """
+    _check_instance(inst, emb)
     m = emb.m
     multipliers = np.full(m, -1.0 / (2.0 * m))
     combo = _combination(-multipliers, _tops(emb))
@@ -327,15 +341,15 @@ def extract_dual(lift: DualLift, emb: SdpEmbedding) -> ExtractedDual:
     clamped weights are returned with the degenerate flag set.
     """
     w = -np.asarray(lift.multipliers, dtype=float)
-    bad = w < -DEFAULT_TOLS.extract_clamp
+    bad = w < -_CLAMP_TOL
     if bad.any():
         k = int(np.argmin(w))
         raise ValueError(f"multiplier {k} has the wrong sign ({lift.multipliers[k]!r})")
     w = np.where(w < 0.0, 0.0, w)
     total = float(w.sum())
-    if total > 1.0 + DEFAULT_TOLS.extract_clamp:
+    if total > 1.0 + _CLAMP_TOL:
         raise ValueError(f"multiplier weights sum to {total!r} > 1")
-    if total <= DEFAULT_TOLS.degenerate_sum:
+    if total <= _DEGENERATE_SUM:
         if lift.bound > 0.0:
             raise DegenerateMultiplierError(
                 f"weights sum to {total!r} while the bound {lift.bound!r} is positive"
@@ -360,7 +374,9 @@ def weak_duality_check(p: PrimalLift, d: DualLift, emb: SdpEmbedding) -> float:
     """Primal objective minus dual objective for a pair of lifts.
 
     For feasible lifts this is <C, X'> - t = delta - t >= 0 up to
-    rounding (never below -1e-9); at a primal-dual optimal pair it
+    rounding, which grows with the entries: for the lifts of a certificate
+    it is the certificate's gap up to rounding, which may be as low as
+    -1e-9 times the instance's scale. At a primal-dual optimal pair it
     vanishes up to the solver gap.
     """
     return p.objective - d.bound

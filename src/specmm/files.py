@@ -20,7 +20,6 @@ import numpy as np
 from . import __version__
 from .domains import InstanceSet
 from .saddle import SaddleCertificate
-from .tolerances import DEFAULT_TOLS
 
 __all__ = [
     "InstanceFormatError",
@@ -34,6 +33,10 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+# max |A - A^T| entry above which a matrix is logged, and rejected
+_ASYMMETRY_WARN = 1e-9
+_ASYMMETRY_ERROR = 1e-6
 
 
 class InstanceFormatError(ValueError):
@@ -54,11 +57,11 @@ def _numeric(raw) -> np.ndarray:
 
 def _check_asymmetry(i, asym) -> None:
     """Reject matrices[i] above the error gate; log it above the warning gate."""
-    if asym > DEFAULT_TOLS.asymmetry_error:
+    if asym > _ASYMMETRY_ERROR:
         raise InstanceFormatError(
-            f"matrices[{i}] asymmetry {asym:.3e} exceeds {DEFAULT_TOLS.asymmetry_error:.0e}"
+            f"matrices[{i}] asymmetry {asym:.3e} exceeds {_ASYMMETRY_ERROR:.0e}"
         )
-    if asym > DEFAULT_TOLS.asymmetry_warn:
+    if asym > _ASYMMETRY_WARN:
         logger.warning("matrices[%d] asymmetry %.3e symmetrized away", i, asym)
 
 
@@ -115,7 +118,7 @@ def parse_instance(doc: object) -> tuple[InstanceSet, list[str] | None]:
             whole = False
         if whole:
             asym = np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2))
-            for i in np.flatnonzero(asym > DEFAULT_TOLS.asymmetry_warn):
+            for i in np.flatnonzero(asym > _ASYMMETRY_WARN):
                 _check_asymmetry(i, asym[i])
         else:
             # only a walk names the first bad matrix, and it raises there

@@ -293,6 +293,20 @@ class TestClassicCommand:
         assert main(["classic", str(p)]) == 1
         assert "error: invalid JSON:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"vectors": [[0.0, 2.0], [True, 1.0]]}, "vectors[1] is not numeric"),
+        ({"vectors": [[0.0, 2.0], [0.0, "1"]]}, "vectors[1] is not numeric"),
+        ({"vectors": [[0.0, 2.0], 5]}, "vectors[1] is not a list of numbers"),
+        ({"vectors": 5}, "expected an object with a 'vectors' list"),
+    ], ids=["boolean", "string", "scalar-row", "scalar-vectors"])
+    def test_vectors_must_be_rows_of_numbers(self, tmp_path, capsys, doc, message):
+        # float() would read JSON true and "1" as 1.0, which solve never does,
+        # and a scalar row is no row at all
+        p = tmp_path / "game.json"
+        p.write_text(json.dumps(doc))
+        assert main(["classic", str(p)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestCheckCommand:
     def test_pauli_passes(self, pauli_file, capsys):

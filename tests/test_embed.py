@@ -17,7 +17,6 @@ from specmm import (
     SimplexPoint,
     SpectraplexPoint,
     SymMatrix,
-    Tolerances,
     build_embedding,
     extract_dual,
     interior_dual_point,
@@ -286,6 +285,28 @@ class TestLiftDual:
             t = lower_value(y, inst) + emb.shift - float(rng.uniform(0.0, 0.5))
             lift = lift_dual(y, t, inst, emb)
             assert lift.residual <= 1e-10
+
+
+def test_lifts_reject_an_embedding_of_another_instance(rng):
+    a = random_instance(rng, 4, 3).stacked
+    emb = build_embedding(InstanceSet(a))
+    x = sample_spectraplex(4, rng)
+    y = SimplexPoint.uniform(3)
+    t = lower_value(y, emb.inst) + emb.shift
+    # an equal stack held in another object is the same instance
+    same = InstanceSet(a.copy())
+    assert primal_parts(lift_primal(x, same, emb)) == primal_parts(lift_primal(x, emb.inst, emb))
+    assert dual_parts(lift_dual(y, t, same, emb)) == dual_parts(lift_dual(y, t, emb.inst, emb))
+    # same shape, different matrices: the lift would be the one for a
+    other = InstanceSet(5.0 * a)
+    for lift in (
+        lambda: lift_primal(x, other, emb),
+        lambda: lift_dual(y, t, other, emb),
+        lambda: interior_primal_point(other, emb),
+        lambda: interior_dual_point(other, emb),
+    ):
+        with pytest.raises(ValueError, match="built for a different instance"):
+            lift()
 
 
 class TestInteriorDual:
@@ -622,7 +643,7 @@ class TestStructuralReaders:
         # primal blocks bit for bit, and residuals against the full-block
         # contraction; the absolute residual gate trips on rounding at large
         # scales, so it is lifted here to compare the residuals at every scale
-        monkeypatch.setattr(embed, "DEFAULT_TOLS", Tolerances(lift_residual=math.inf))
+        monkeypatch.setattr(embed, "_RESIDUAL_TOL", math.inf)
         _, e, _ = dense_blocks(inst, emb.shift)
         rng = np.random.default_rng(seed)
         eye = SpectraplexPoint(SymMatrix(np.eye(n) / n))
@@ -639,7 +660,7 @@ class TestStructuralReaders:
         # rounding of the construction, which is visible at scale 1e8 on
         # this instance; recomputed from the construction's own values
         # they cancel to zero here
-        monkeypatch.setattr(embed, "DEFAULT_TOLS", Tolerances(lift_residual=math.inf))
+        monkeypatch.setattr(embed, "_RESIDUAL_TOL", math.inf)
         inst = signed_zero_instance(6, 6, 7, 1e8)
         emb = build_embedding(inst)
         p = lift_primal(sample_spectraplex(6, np.random.default_rng(6)), inst, emb)

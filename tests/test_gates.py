@@ -1,0 +1,91 @@
+"""Each numerical gate a module keeps as a private constant, pinned at its value.
+
+Each case builds an object whose one quantity sits just inside a gate and
+then just outside it: the first must be accepted and the second rejected.
+A logged asymmetry warning counts as that gate's rejection.
+"""
+
+import logging
+from types import SimpleNamespace
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from specmm import (
+    DualLift,
+    InstanceSet,
+    PrimalLift,
+    SaddleCertificate,
+    SimplexPoint,
+    SpectraplexPoint,
+    SymMatrix,
+    build_embedding,
+    extract_dual,
+    parse_instance,
+)
+
+HALF = np.eye(2) / 2.0
+EMB = build_embedding(InstanceSet([[[1.0]]]))
+
+
+def primal(slack=0.0, residual=0.0, trace_residual=0.0):
+    return PrimalLift(HALF, [slack], 1.0, [residual], trace_residual)
+
+
+def dual(corner=1.0, residual=0.0):
+    return DualLift(np.array([-1.0]), 0.0, np.eye(2), corner, residual)
+
+
+def extract(multipliers, bound=0.0):
+    # extraction reads only the multipliers and the bound of a lift; a
+    # DualLift's own PSD gate would refuse a wrong sign before extraction
+    return extract_dual(SimpleNamespace(multipliers=np.array(multipliers), bound=bound), EMB)
+
+
+def certificate(gap):
+    return SaddleCertificate(
+        upper=0.0, lower=-gap, gap=gap, x_bar=SpectraplexPoint(SymMatrix(np.eye(1))),
+        y_bar=SimplexPoint([1.0]), iterations=1, converged=True, scale=1.0,
+    )
+
+
+def parse(asym):
+    return parse_instance({"n": 2, "m": 1, "matrices": [[[1.0, asym], [0.0, 1.0]]]})
+
+
+def parse_without_warning(asym):
+    logger = logging.getLogger("specmm.files")
+    with mock.patch.object(logger, "warning", side_effect=ValueError("warned")):
+        parse(asym)
+
+
+GATES = {
+    # gate: (build from the quantity, value just inside, value just outside)
+    "spectraplex_trace": (lambda d: SpectraplexPoint(SymMatrix(np.diag([1.0 + d, 0.0]))),
+                          0.9e-10, 1.1e-10),
+    "spectraplex_eig": (lambda e: SpectraplexPoint(SymMatrix(np.diag([1.0 + e, -e]))),
+                        0.9e-10, 1.1e-10),
+    "simplex_entry": (lambda e: SimplexPoint([1.0 + e, -e]), 0.9e-12, 1.1e-12),
+    "simplex_sum": (lambda d: SimplexPoint([0.5 + d, 0.5]), 0.9e-12, 1.1e-12),
+    "lift_psd_primal": (lambda e: primal(slack=-e), 0.9e-10, 1.1e-10),
+    "lift_psd_dual": (lambda e: dual(corner=-e), 0.9e-10, 1.1e-10),
+    "lift_trace_residual": (lambda r: primal(trace_residual=r), 0.9e-10, 1.1e-10),
+    "lift_residual_primal": (lambda r: primal(residual=r), 0.9e-10, 1.1e-10),
+    "lift_residual_dual": (lambda r: dual(residual=r), 0.9e-10, 1.1e-10),
+    "extract_clamp_sign": (lambda e: extract([-1.0, e]), 0.9e-10, 1.1e-10),
+    "extract_clamp_sum": (lambda d: extract([-1.0 - d]), 0.9e-10, 1.1e-10),
+    # at or below the gate the weights cannot be rescaled, and a positive
+    # bound is then an error
+    "degenerate_sum": (lambda s: extract([-s], bound=1.0), 1.1e-12, 0.9e-12),
+    "weak_duality": (lambda c: certificate(-c), 0.9e-9, 1.1e-9),
+    "asymmetry_warn": (parse_without_warning, 0.9e-9, 1.1e-9),
+    "asymmetry_error": (parse, 0.9e-6, 1.1e-6),
+}
+
+
+@pytest.mark.parametrize("build, inside, outside", GATES.values(), ids=GATES.keys())
+def test_gate_accepts_just_inside_and_rejects_just_outside(build, inside, outside):
+    build(inside)
+    with pytest.raises(ValueError):
+        build(outside)
