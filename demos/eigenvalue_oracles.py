@@ -5,42 +5,41 @@ Eigenvalue oracles over the spectraplex
 The spectraplex is the set of symmetric positive semidefinite matrices
 with unit trace. Minimizing a linear functional <A, X> over it always
 lands on the smallest eigenvalue of A, attained at a rank-one projector
-onto a bottom eigenvector. This script walks through the three routes
-the library offers to that number and shows that they agree.
+onto a bottom eigenvector. This script walks through three routes to
+that number and shows that they agree.
 """
 
 import numpy as np
 
 from specmm import (
-    SymMatrix,
-    eigh,
-    frobenius_inner,
+    InstanceSet,
+    SpectraplexPoint,
     lambda_min,
     lambda_min_by_bisection,
-    spectraplex_linear_min,
+    upper_value,
 )
 
 rng = np.random.default_rng(7)
 
-# a random symmetric 5x5 matrix; the constructor symmetrizes its input
+# a random symmetric 5x5 matrix, held as a plain array
 g = rng.uniform(-1.0, 1.0, (5, 5))
-a = SymMatrix(g)
+a = (g + g.T) / 2.0
 
-# route 1: the full spectral decomposition (LAPACK, via numpy.linalg.eigh)
-dec = eigh(a)
+# route 1: the smallest eigenvalue directly (LAPACK, via numpy.linalg.eigh)
+val = lambda_min(a)
+w, u = np.linalg.eigh(a)
 print("eigenvalues (nondecreasing):")
-print(" ", " ".join(f"{v:+.6f}" for v in dec.eigenvalues))
-recon = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.T
-print("reconstruction error:", float(np.abs(recon - a.array).max()))
+print(" ", " ".join(f"{v:+.6f}" for v in w))
+print("reconstruction error:", float(np.abs((u * w) @ u.T - a).max()))
 
-# route 2: the linear oracle over the spectraplex; the optimizer is a
-# rank-one density matrix built from the bottom eigenvector
-val, xstar = spectraplex_linear_min(a)
-print("\nlinear oracle value:  ", val)
-print("lambda_min direct:    ", lambda_min(a))
-print("oracle value attained:", frobenius_inner(a, xstar.matrix))
-print("optimizer trace:      ", xstar.matrix.trace())
-print("optimizer rank-one check (squared equals itself):",
+# route 2: the rank-one density matrix built from the bottom eigenvector
+# is a spectraplex point, and the payoff <A, X> it earns is the oracle
+# value; a one-matrix family makes upper_value exactly that payoff
+xstar = SpectraplexPoint(np.outer(u[:, 0], u[:, 0]))
+print("\nlambda_min direct:    ", val)
+print("projector attains:    ", upper_value(xstar, InstanceSet([a])))
+print("projector trace:      ", float(np.trace(xstar.array)))
+print("projector rank-one check (squared equals itself):",
       float(np.abs(xstar.array @ xstar.array - xstar.array).max()))
 
 # route 3: bisection on the shifted positive semidefiniteness predicate,
@@ -48,10 +47,3 @@ print("optimizer rank-one check (squared equals itself):",
 b = lambda_min_by_bisection(a, 1e-10)
 print("\nbisection route:      ", b)
 print("disagreement:         ", abs(b - val))
-
-# the minimax engine consumes these oracles millions of entries at a
-# time, so the eigensolver also has a values-only fast path; both paths
-# return bit-identical eigenvalues
-print("\nvalues-only path matches:",
-      all(lambda_min(m) == eigh(m).eigenvalues[0]
-          for m in (SymMatrix(rng.uniform(-1, 1, (4, 4))) for _ in range(50))))

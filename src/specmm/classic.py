@@ -66,7 +66,6 @@ class DiagonalReductionReport:
     certificate: SaddleCertificate
     difference: float
     within_tolerance: bool
-    converged: bool
 
 
 def embed_diagonal(game: VectorGame) -> InstanceSet:
@@ -183,5 +182,4 @@ def verify_diagonal_reduction(
         certificate=cert,
         difference=difference,
         within_tolerance=bool(difference <= cfg.gap_tol + 1e-8),
-        converged=cert.converged,
     )

@@ -45,7 +45,6 @@ from .files import (
     report_to_text,
 )
 from .saddle import SaddleConfig, lower_value, solve_maximin, solve_minimax
-from .symmat import SymMatrix
 
 __all__ = ["main"]
 
@@ -170,7 +169,7 @@ def _cmd_check(args) -> int:
     def eig_vs_bisection(i):
         # two independent routes to the smallest eigenvalue must agree
         direct = float(inst.spectra[i, 0])
-        bisected = lambda_min_by_bisection(SymMatrix(inst.stacked[i]), 1e-8)
+        bisected = lambda_min_by_bisection(inst.stacked[i], 1e-8)
         diff = abs(direct - bisected)
         return diff <= 1e-7, f"|{direct:.12g} - {bisected:.12g}| = {diff:.3e}"
 

@@ -1,9 +1,10 @@
-"""Strategy domains and their linear oracles.
+"""Strategy domains, the instance, and the contractions between them.
 
 The two feasible sets of the matrix game live here: the spectraplex (unit
 trace, positive semidefinite) for the matrix player and the probability
-simplex for the index player. Both are thin validated wrappers; the
-operations on them are the exact linear-minimization oracles the saddle
+simplex for the index player. Both are validated read-only arrays. The
+contractions of the stacked family with a strategy (the payoffs
+<A_i, X> and the combination sum_i y_i A_i) are the ones the saddle
 solver and the embedding are built from.
 """
 
@@ -14,17 +15,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .symmat import SymMatrix, eigh, is_psd, lambda_min, _eigh_raw, _eigvals_raw
+from .symmat import is_psd, lambda_min, _eigh_raw, _eigvals_raw
 
 __all__ = [
     "SpectraplexPoint",
     "SimplexPoint",
     "InstanceSet",
-    "spectraplex_linear_min",
     "lambda_min_by_bisection",
     "best_response_index",
     "weighted_combination",
-    "payoff",
     "sample_spectraplex",
     "sample_simplex",
 ]
@@ -35,32 +34,42 @@ _ENTRY_TOL = 1e-12
 _SUM_TOL = 1e-12
 
 
+def _symmetric(a) -> np.ndarray:
+    """(A + A^T)/2 as a new float array; A must be square, nonempty and finite."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise ValueError(f"expected a nonempty square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    return (a + a.T) / 2.0
+
+
 @dataclass(frozen=True, eq=False)
 class SpectraplexPoint:
     """Unit-trace positive semidefinite matrix (a density matrix).
 
-    Construction validates trace within 1e-10 of one and smallest
-    eigenvalue >= -1e-10; worse violations raise instead of being
+    ``array`` is a read-only copy of the input's symmetric part
+    (A + A^T)/2. Construction validates trace within 1e-10 of one and
+    smallest eigenvalue >= -1e-10; worse violations raise instead of being
     repaired silently.
     """
 
-    matrix: SymMatrix
+    array: np.ndarray
 
     def __post_init__(self):
-        tr = self.matrix.trace()
+        a = _symmetric(self.array)
+        a.flags.writeable = False
+        object.__setattr__(self, "array", a)
+        tr = float(np.trace(a))
         if abs(tr - 1.0) > _TRACE_TOL:
             raise ValueError(f"trace must be 1, got {tr!r}")
-        lo = lambda_min(self.matrix)
+        lo = lambda_min(a)
         if lo < -_EIG_TOL:
             raise ValueError(f"matrix must be positive semidefinite, lambda_min={lo!r}")
 
     @property
     def n(self) -> int:
-        return self.matrix.n
-
-    @property
-    def array(self) -> np.ndarray:
-        return self.matrix.array
+        return self.array.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,20 +139,7 @@ class InstanceSet:
         return w
 
 
-def spectraplex_linear_min(a: SymMatrix) -> tuple[float, SpectraplexPoint]:
-    """Minimize <A, X> over the spectraplex.
-
-    The minimum is lambda_min(A), attained at the rank-one projector onto
-    a bottom eigenvector; ties resolve to the eigensolver's first bottom
-    eigenvector, so the result is deterministic.
-    """
-    dec = eigh(a)
-    u = dec.eigenvectors[:, 0]
-    x = SpectraplexPoint(SymMatrix(np.outer(u, u)))
-    return float(dec.eigenvalues[0]), x
-
-
-def lambda_min_by_bisection(a: SymMatrix, tol: float = 1e-8) -> float:
+def lambda_min_by_bisection(a: np.ndarray, tol: float = 1e-8) -> float:
     """Smallest eigenvalue via the semidefinite characterization
     lambda_min(A) = max { t : A - t*I is PSD }, located by bisection.
 
@@ -151,20 +147,22 @@ def lambda_min_by_bisection(a: SymMatrix, tol: float = 1e-8) -> float:
     predicate itself; the result is within tol of lambda_min(A), or, where
     tol is below the float spacing at the answer, within the final bracket
     of two adjacent floats. The initial bracket [-||A||_F, +||A||_F] always
-    contains the answer.
+    contains the answer. A is symmetrised as (A + A^T)/2 and must be
+    square, nonempty and finite.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    fro = a.fro_norm()
+    a = _symmetric(a)
+    fro = float(np.linalg.norm(a))
     if fro == 0.0:
         return 0.0
     lo, hi = -fro, fro
-    ident = np.eye(a.n)
+    ident = np.eye(len(a))
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:  # no float lies strictly inside the bracket
             break
-        if is_psd(SymMatrix(a.array - mid * ident), 0.0):
+        if is_psd(a - mid * ident, 0.0):
             lo = mid
         else:
             hi = mid
@@ -197,18 +195,13 @@ def best_response_index(x: SpectraplexPoint, inst: InstanceSet) -> tuple[int, fl
     return k, float(vals[k])
 
 
-def weighted_combination(y: SimplexPoint, inst: InstanceSet) -> SymMatrix:
-    """sum_i y_i A_i."""
+def weighted_combination(y: SimplexPoint, inst: InstanceSet) -> np.ndarray:
+    """sum_i y_i A_i as a read-only (n, n) array, by the solver's own contraction."""
     if y.m != inst.m:
         raise ValueError(f"dimension mismatch: point has m={y.m}, instance m={inst.m}")
-    return SymMatrix(_combination(y.weights, inst.stacked))
-
-
-def payoff(y: SimplexPoint, x: SpectraplexPoint, inst: InstanceSet) -> float:
-    """Bilinear payoff sum_i y_i <A_i, X>."""
-    if y.m != inst.m or x.n != inst.n:
-        raise ValueError("dimension mismatch between strategies and instance")
-    return float(np.dot(y.weights, _payoffs(inst.stacked, x.array)))
+    c = _combination(y.weights, inst.stacked)
+    c.flags.writeable = False
+    return c
 
 
 def sample_spectraplex(n: int, rng: np.random.Generator) -> SpectraplexPoint:
@@ -220,7 +213,7 @@ def sample_spectraplex(n: int, rng: np.random.Generator) -> SpectraplexPoint:
     e = np.exp(w - w[-1])
     x = (u * e) @ u.T
     x = (x + x.T) / (2.0 * e.sum())
-    return SpectraplexPoint(SymMatrix(x))
+    return SpectraplexPoint(x)
 
 
 def sample_simplex(m: int, rng: np.random.Generator) -> SimplexPoint:

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domains import InstanceSet, SimplexPoint, SpectraplexPoint, _combination, _payoffs
-from .symmat import SymMatrix, _eigvals_raw
+from .symmat import _eigvals_raw
 
 __all__ = [
     "SdpEmbedding",
@@ -272,7 +272,7 @@ def lift_primal(
 def interior_primal_point(inst: InstanceSet, emb: SdpEmbedding) -> PrimalLift:
     """Strictly feasible primal point: X = I/n lifted with margin 1, so X
     is positive definite and all slack entries and delta are positive."""
-    x = SpectraplexPoint(SymMatrix(np.eye(inst.n) / inst.n))
+    x = SpectraplexPoint(np.eye(inst.n) / inst.n)
     return lift_primal(x, inst, emb, margin=1.0)
 
 

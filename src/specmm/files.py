@@ -162,7 +162,7 @@ class Report:
     tool_version: str
 
 
-def report_from_certificate(cert: SaddleCertificate, shift: float = 0.0) -> Report:
+def report_from_certificate(cert: SaddleCertificate) -> Report:
     return Report(
         value=cert.midpoint,
         upper=cert.upper,
@@ -172,7 +172,7 @@ def report_from_certificate(cert: SaddleCertificate, shift: float = 0.0) -> Repo
         iterations=cert.iterations,
         x_bar=[[float(v) for v in row] for row in cert.x_bar.array],
         y_bar=[float(v) for v in cert.y_bar.weights],
-        shift=float(shift),
+        shift=0.0,
         tool_version=__version__,
     )
 

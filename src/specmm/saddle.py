@@ -52,7 +52,7 @@ from .domains import (
     best_response_index,
     weighted_combination,
 )
-from .symmat import SymMatrix, _eigh_raw, _eigvals_raw
+from .symmat import _eigh_raw, _eigvals_raw
 
 __all__ = [
     "SaddleConfig",
@@ -125,7 +125,7 @@ def upper_value(x: SpectraplexPoint, inst: InstanceSet) -> float:
 
 def lower_value(y: SimplexPoint, inst: InstanceSet) -> float:
     """lambda_min(sum_i y_i A_i): the value the max player guarantees by y."""
-    return float(_eigvals_raw(weighted_combination(y, inst).array)[0])
+    return float(_eigvals_raw(weighted_combination(y, inst))[0])
 
 
 def _tril_inv(l: np.ndarray) -> np.ndarray:
@@ -325,7 +325,7 @@ def _certificate(upper, lower, x_bar, y_bar, iterations, scale, cfg) -> SaddleCe
         upper=upper,
         lower=lower,
         gap=gap,
-        x_bar=SpectraplexPoint(SymMatrix(x_bar)),
+        x_bar=SpectraplexPoint(x_bar),
         y_bar=SimplexPoint(y_bar),
         iterations=iterations,
         converged=bool(gap <= cfg.gap_tol),

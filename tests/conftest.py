@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from specmm import InstanceSet, SymMatrix
+from specmm import InstanceSet
 
 
 def random_symmetric(rng, n, scale=1.0):
-    """Symmetric matrix with entries drawn uniform on [-scale, scale]."""
-    return SymMatrix(rng.uniform(-scale, scale, (n, n)))
+    """Symmetric part (G + G^T)/2 of a matrix G with entries drawn uniform
+    on [-scale, scale]."""
+    g = rng.uniform(-scale, scale, (n, n))
+    return (g + g.T) / 2.0
 
 
 def random_instance(rng, n, m, scale=1.0):

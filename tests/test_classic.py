@@ -295,7 +295,7 @@ class TestVerifyDiagonalReduction:
         report = verify_diagonal_reduction(VectorGame(((1.0, -1.0), (-1.0, 1.0))))
         assert report.exact_value == 0.0
         assert report.within_tolerance
-        assert report.converged
+        assert report.certificate.converged
 
     def test_coordination(self):
         report = verify_diagonal_reduction(VectorGame(((1.0, 0.0), (0.0, 1.0))))

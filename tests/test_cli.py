@@ -382,7 +382,7 @@ class TestReports:
         rng = np.random.default_rng(11)
         for n, m in ((1, 1), (1, 3), (2, 2), (4, 3), (6, 5)):
             cert = solve_minimax(random_instance(rng, n, m), SaddleConfig(gap_tol=1e-6))
-            rep = report_from_certificate(cert, shift=float(rng.uniform()))
+            rep = dataclasses.replace(report_from_certificate(cert), shift=float(rng.uniform()))
             assert report_to_json(rep) == json.dumps(dataclasses.asdict(rep), indent=2) + "\n"
             assert report_from_json(report_to_json(rep)) == rep
 

@@ -8,18 +8,16 @@ from specmm import (
     InstanceSet,
     SimplexPoint,
     SpectraplexPoint,
-    SymMatrix,
     best_response_index,
-    frobenius_inner,
     lambda_min,
     lambda_min_by_bisection,
-    payoff,
     sample_simplex,
     sample_spectraplex,
-    spectraplex_linear_min,
+    upper_value,
     weighted_combination,
 )
 from specmm import cli, embed, saddle, symmat
+from specmm.domains import _payoffs
 
 from conftest import random_instance, random_orthogonal, random_symmetric
 
@@ -32,21 +30,51 @@ def diag_pair():
     return InstanceSet([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
 
 
+def bottom_projector(a):
+    """The rank-one density matrix onto a bottom eigenvector of ``a``."""
+    u = np.linalg.eigh(a)[1][:, 0]
+    return SpectraplexPoint(np.outer(u, u))
+
+
 class TestDomainTypes:
     def test_spectraplex_accepts_density_matrices(self):
-        SpectraplexPoint(SymMatrix(np.eye(3) / 3.0))
-        SpectraplexPoint(SymMatrix(np.diag([1.0, 0.0])))
+        SpectraplexPoint(np.eye(3) / 3.0)
+        SpectraplexPoint(np.diag([1.0, 0.0]))
 
     def test_spectraplex_rejects_bad_trace(self):
         with pytest.raises(ValueError, match="trace"):
-            SpectraplexPoint(SymMatrix(np.eye(2)))
+            SpectraplexPoint(np.eye(2))
 
     def test_spectraplex_rejects_indefinite(self):
         with pytest.raises(ValueError, match="semidefinite"):
-            SpectraplexPoint(SymMatrix(np.diag([1.5, -0.5])))
+            SpectraplexPoint(np.diag([1.5, -0.5]))
 
     def test_spectraplex_tolerates_rounding_noise(self):
-        SpectraplexPoint(SymMatrix(np.diag([1.0 + 1e-12, -1e-12])))
+        SpectraplexPoint(np.diag([1.0 + 1e-12, -1e-12]))
+
+    def test_spectraplex_symmetrizes_on_construction(self):
+        x = SpectraplexPoint(np.array([[0.5, 0.5], [0.0, 0.5]]))
+        assert np.array_equal(x.array, np.array([[0.5, 0.25], [0.25, 0.5]]))
+
+    def test_spectraplex_rejects_nonsquare(self):
+        for bad in (np.zeros((2, 3)), np.zeros((0, 0)), np.ones(1)):
+            with pytest.raises(ValueError, match="square"):
+                SpectraplexPoint(bad)
+
+    def test_spectraplex_rejects_nonfinite(self):
+        with pytest.raises(ValueError, match="finite"):
+            SpectraplexPoint(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    def test_spectraplex_array_is_frozen(self):
+        x = SpectraplexPoint(np.eye(2) / 2.0)
+        with pytest.raises(ValueError):
+            x.array[0, 0] = 5.0
+
+    def test_spectraplex_keeps_its_own_copy(self):
+        a = np.eye(2) / 2.0
+        x = SpectraplexPoint(a)
+        a[0, 0] = 5.0
+        assert np.array_equal(x.array, np.eye(2) / 2.0)
 
     def test_simplex_accepts_probability_vectors(self):
         SimplexPoint(np.array([0.25, 0.75]))
@@ -133,55 +161,55 @@ class TestInstanceSet:
 
 
 class TestSpectraplexLinearMin:
+    """min <A, X> over the spectraplex is lambda_min(A), attained by the
+    bottom projector; upper_value on the one-matrix family reads <A, X>."""
+
     def test_diagonal(self):
-        val, x = spectraplex_linear_min(SymMatrix(np.diag([3.0, -2.0, 5.0])))
-        assert val == -2.0
+        a = np.diag([3.0, -2.0, 5.0])
+        x = bottom_projector(a)
+        assert lambda_min(a) == -2.0
         expect = np.zeros((3, 3))
         expect[1, 1] = 1.0
         assert np.array_equal(x.array, expect)
-
-    def test_tie_takes_first_eigenvector(self):
-        val, x = spectraplex_linear_min(SymMatrix(np.eye(2)))
-        assert val == 1.0
-        assert np.array_equal(x.array, np.diag([1.0, 0.0]))
+        assert upper_value(x, InstanceSet([a])) == -2.0
 
     def test_exchange_matrix(self):
-        val, x = spectraplex_linear_min(SymMatrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
-        assert val == pytest.approx(-1.0, abs=1e-12)
+        a = np.array([[0.0, 1.0], [1.0, 0.0]])
+        x = bottom_projector(a)
+        assert lambda_min(a) == pytest.approx(-1.0, abs=1e-12)
         assert np.abs(x.array - np.array([[0.5, -0.5], [-0.5, 0.5]])).max() <= 1e-12
+        assert upper_value(x, InstanceSet([a])) == pytest.approx(-1.0, abs=1e-12)
 
     def test_minimum_is_attained_by_reported_point(self, rng):
         for _ in range(10):
             a = random_symmetric(rng, 6)
-            val, x = spectraplex_linear_min(a)
-            assert frobenius_inner(a, x.matrix) == pytest.approx(val, abs=1e-9)
+            x = bottom_projector(a)
+            assert upper_value(x, InstanceSet([a])) == pytest.approx(lambda_min(a), abs=1e-9)
 
     def test_value_lower_bounds_all_feasible_points(self, rng):
         a = random_symmetric(rng, 5)
-        val, _ = spectraplex_linear_min(a)
+        val, inst = lambda_min(a), InstanceSet([a])
         for _ in range(100):
             x = sample_spectraplex(5, rng)
-            assert frobenius_inner(a, x.matrix) >= val - 1e-9
+            assert upper_value(x, inst) >= val - 1e-9
 
     def test_rotation_invariance(self, rng):
         for _ in range(10):
             a = random_symmetric(rng, 5)
             q = random_orthogonal(rng, 5)
-            val, _ = spectraplex_linear_min(a)
-            val_rot, _ = spectraplex_linear_min(SymMatrix(q @ a.array @ q.T))
-            assert val_rot == pytest.approx(val, abs=1e-10)
+            assert lambda_min(q @ a @ q.T) == pytest.approx(lambda_min(a), abs=1e-10)
 
 
 class TestBisection:
     def test_identity(self):
-        assert lambda_min_by_bisection(SymMatrix(np.eye(2)), 1e-8) == pytest.approx(1.0, abs=1e-8)
+        assert lambda_min_by_bisection(np.eye(2), 1e-8) == pytest.approx(1.0, abs=1e-8)
 
     def test_diagonal(self):
-        got = lambda_min_by_bisection(SymMatrix(np.diag([3.0, -2.0, 5.0])), 1e-8)
+        got = lambda_min_by_bisection(np.diag([3.0, -2.0, 5.0]), 1e-8)
         assert got == pytest.approx(-2.0, abs=1e-8)
 
     def test_zero_matrix(self):
-        assert lambda_min_by_bisection(SymMatrix(np.zeros((3, 3))), 1e-8) == 0.0
+        assert lambda_min_by_bisection(np.zeros((3, 3)), 1e-8) == 0.0
 
     def test_agrees_with_direct_route(self, rng):
         for _ in range(15):
@@ -201,23 +229,29 @@ class TestBisection:
         g = np.random.default_rng([190509762, 99]).standard_normal((6, 6))
         a = 1e8 * (g + g.T) / 2.0
         ref = np.linalg.eigvalsh(a)[0]
-        got = lambda_min_by_bisection(SymMatrix(a), 1e-8)
+        got = lambda_min_by_bisection(a, 1e-8)
         assert abs(got - ref) <= np.spacing(abs(ref))
 
     def test_rejects_nonpositive_tolerance(self):
         with pytest.raises(ValueError, match="positive"):
-            lambda_min_by_bisection(SymMatrix(np.eye(2)), 0.0)
+            lambda_min_by_bisection(np.eye(2), 0.0)
+
+    def test_rejects_nonsquare_and_nonfinite(self):
+        with pytest.raises(ValueError, match="square"):
+            lambda_min_by_bisection(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="finite"):
+            lambda_min_by_bisection(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
 class TestBestResponse:
     def test_tie_breaks_to_lowest_index(self):
-        x = SpectraplexPoint(SymMatrix(np.eye(2) / 2.0))
+        x = SpectraplexPoint(np.eye(2) / 2.0)
         assert best_response_index(x, pauli_pair()) == (0, 0.0)
 
     def test_diagonal_instances(self):
         inst = diag_pair()
-        e1 = SpectraplexPoint(SymMatrix(np.diag([1.0, 0.0])))
-        e2 = SpectraplexPoint(SymMatrix(np.diag([0.0, 1.0])))
+        e1 = SpectraplexPoint(np.diag([1.0, 0.0]))
+        e2 = SpectraplexPoint(np.diag([0.0, 1.0]))
         assert best_response_index(e1, inst) == (0, 1.0)
         assert best_response_index(e2, inst) == (1, 1.0)
 
@@ -228,9 +262,7 @@ class TestBestResponse:
             x = sample_spectraplex(4, rng)
             _, best = best_response_index(x, inst)
             for i in range(5):
-                e = np.zeros(5)
-                e[i] = 1.0
-                assert best >= payoff(SimplexPoint(e), x, inst) - 1e-12
+                assert best >= np.vdot(inst.stacked[i], x.array) - 1e-12
 
     def test_dimension_mismatch(self, rng):
         x = sample_spectraplex(3, rng)
@@ -243,15 +275,17 @@ class TestWeightedCombinationAndPayoff:
         inst = pauli_pair()
         y = SimplexPoint(np.array([0.25, 0.75]))
         got = weighted_combination(y, inst)
-        assert np.array_equal(got.array, np.array([[0.25, 0.75], [0.75, -0.25]]))
+        assert np.array_equal(got, np.array([[0.25, 0.75], [0.75, -0.25]]))
+        assert not got.flags.writeable
 
     def test_payoff_two_routes_agree(self, rng):
         inst = random_instance(rng, 4, 3)
         for _ in range(10):
             y = sample_simplex(3, rng)
             x = sample_spectraplex(4, rng)
-            direct = payoff(y, x, inst)
-            via_combo = frobenius_inner(weighted_combination(y, inst), x.matrix)
+            # sum_i y_i <A_i, X> = <sum_i y_i A_i, X>
+            direct = np.dot(y.weights, _payoffs(inst.stacked, x.array))
+            via_combo = np.vdot(weighted_combination(y, inst), x.array)
             assert direct == pytest.approx(via_combo, abs=1e-12)
 
     def test_payoff_bilinear_in_y(self, rng):
@@ -260,9 +294,11 @@ class TestWeightedCombinationAndPayoff:
         a = sample_simplex(4, rng)
         b = sample_simplex(4, rng)
         mix = SimplexPoint(0.5 * a.weights + 0.5 * b.weights)
-        assert payoff(mix, x, inst) == pytest.approx(
-            0.5 * payoff(a, x, inst) + 0.5 * payoff(b, x, inst), abs=1e-12
-        )
+
+        def earned(y):
+            return np.vdot(weighted_combination(y, inst), x.array)
+
+        assert earned(mix) == pytest.approx(0.5 * earned(a) + 0.5 * earned(b), abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
@@ -274,7 +310,7 @@ class TestSamplers:
         for n in (1, 2, 5):
             x = sample_spectraplex(n, rng)
             assert abs(np.trace(x.array) - 1.0) <= 1e-10
-            assert lambda_min(x.matrix) >= -1e-10
+            assert lambda_min(x.array) >= -1e-10
 
     def test_simplex_sampler_hits_domain(self, rng):
         for m in (1, 3, 6):

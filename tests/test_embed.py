@@ -16,7 +16,6 @@ from specmm import (
     SdpEmbedding,
     SimplexPoint,
     SpectraplexPoint,
-    SymMatrix,
     build_embedding,
     extract_dual,
     interior_dual_point,
@@ -60,7 +59,7 @@ def dense_blocks(inst, shift):
         b[:n, :n] = a + shift * np.eye(n)
         b[n + i, n + i] = 1.0
         b[-1, -1] = -1.0
-        fs.append(SymMatrix(b).array)
+        fs.append(b)
     e = np.zeros((size, size))
     e[:n, :n] = np.eye(n)
     c = np.zeros((size, size))
@@ -93,22 +92,22 @@ def dense_slack(multipliers, t, inst, shift):
     acc = t * e.copy()
     for ui, b in zip(multipliers, fs):
         acc = acc + ui * b
-    return SymMatrix(c - acc).array
+    return c - acc
 
 
 def dense_primal(x, inst, shift, margin=0.0):
-    """diag(X, s, delta) from full blocks, and |<F_i, X'>| by full contraction."""
+    """diag(X, s, delta) for the array X, from full blocks, and |<F_i, X'>| by
+    full contraction."""
     n, m = inst.n, inst.m
     fs, _, _ = dense_blocks(inst, shift)
     tops = np.stack([f[:n, :n] for f in fs])
-    vals = np.tensordot(tops, x.array, axes=([1, 2], [0, 1]))
+    vals = np.tensordot(tops, x, axes=([1, 2], [0, 1]))
     delta = float(vals.max()) + margin
     block = np.zeros((n + m + 1, n + m + 1))
-    block[:n, :n] = x.array
+    block[:n, :n] = x
     block[range(n, n + m), range(n, n + m)] = delta - vals
     block[-1, -1] = delta
-    mat = SymMatrix(block).array
-    return mat, np.array([abs(float(np.tensordot(f, mat, 2))) for f in fs])
+    return block, np.array([abs(float(np.tensordot(f, block, 2))) for f in fs])
 
 
 def dense_parts(mat, m):
@@ -192,7 +191,7 @@ class TestLiftPrimal:
     def test_corner_point_without_shift(self):
         inst = diag_pair()
         emb = build_embedding(inst, shift_policy="none")
-        x = SpectraplexPoint(SymMatrix(np.diag([1.0, 0.0])))
+        x = SpectraplexPoint(np.diag([1.0, 0.0]))
         lift = lift_primal(x, inst, emb)
         assert np.array_equal(lift.x, np.diag([1.0, 0.0]))
         assert np.array_equal(lift.slacks, np.array([0.0, 1.0]))
@@ -233,7 +232,7 @@ class TestLiftPrimal:
         # a spectraplex point may miss unit trace by up to 1e-10; the lift
         # reports that miss rather than assuming the trace is one
         inst = diag_pair()
-        x = SpectraplexPoint(SymMatrix(np.diag([0.5, 0.5 + 5e-11])))
+        x = SpectraplexPoint(np.diag([0.5, 0.5 + 5e-11]))
         lift = lift_primal(x, inst, build_embedding(inst))
         assert lift.trace_residual == pytest.approx(5e-11, rel=1e-4)
 
@@ -243,7 +242,7 @@ class TestLiftPrimal:
         # the Bloch-optimal point has negative guarantee, which no PSD
         # diagonal can represent; the error points at the shift policy
         p = (2.0 - math.sqrt(2.0)) / 4.0
-        x = SpectraplexPoint(SymMatrix(np.array([[p, p - 0.5], [p - 0.5, 1.0 - p]])))
+        x = SpectraplexPoint(np.array([[p, p - 0.5], [p - 0.5, 1.0 - p]]))
         with pytest.raises(ValueError, match="shift_policy"):
             lift_primal(x, inst, emb)
 
@@ -256,7 +255,7 @@ class TestLiftDual:
         lift = lift_dual(y, -0.8, inst, emb)
         assert np.array_equal(lift.multipliers, np.array([-0.5, -0.5]))
         assert lift.residual <= 1e-10
-        assert lambda_min(SymMatrix(lift.top)) == pytest.approx(0.8 - SQ2_HALF, abs=1e-12)
+        assert lambda_min(lift.top) == pytest.approx(0.8 - SQ2_HALF, abs=1e-12)
         # index slots carry the weights, the corner carries 1 - sum(y)
         assert np.array_equal(0.0 - lift.multipliers, np.array([0.5, 0.5]))
         assert lift.corner == 0.0
@@ -273,9 +272,9 @@ class TestLiftDual:
         inst = diag_pair()
         emb = build_embedding(inst)
         y = SimplexPoint(np.array([1.0, 0.0]))
-        t = lambda_min(SymMatrix(inst.stacked[0])) + emb.shift
+        t = lambda_min(inst.stacked[0]) + emb.shift
         lift = lift_dual(y, t, inst, emb)
-        assert abs(lambda_min(SymMatrix(lift.top))) <= 1e-9
+        assert abs(lambda_min(lift.top)) <= 1e-9
 
     def test_random_feasible_bounds(self, rng):
         inst = random_instance(rng, 3, 3)
@@ -352,12 +351,12 @@ class TestBlockPsdCheck:
                 inst = random_instance(rng, n, m)
                 emb = build_embedding(inst, shift_policy=policy)
                 if rng.random() < 0.5:
-                    x = sample_spectraplex(n, rng)
+                    x = sample_spectraplex(n, rng).array
                 else:
                     # symmetric with unit trace, often indefinite
                     g = rng.standard_normal((n, n))
                     g = (g + g.T) / 2.0
-                    x = SymMatrix(g + (1.0 - np.trace(g)) / n * np.eye(n))
+                    x = g + (1.0 - np.trace(g)) / n * np.eye(n)
                 # a negative margin makes the best-response slot negative,
                 # and without the shift the corner can be negative too
                 margin = float(rng.uniform(-0.3, 0.3))
@@ -514,17 +513,17 @@ class TestWeakDuality:
     def test_identity_strategy_against_corner_bounds(self, rng):
         inst = random_instance(rng, 4, 3)
         emb = build_embedding(inst)
-        x = SpectraplexPoint(SymMatrix(np.eye(4) / 4.0))
+        x = SpectraplexPoint(np.eye(4) / 4.0)
         p = lift_primal(x, inst, emb)
         for i in range(3):
             e = np.zeros(3)
             e[i] = 1.0
             y = SimplexPoint(e)
-            t = lambda_min(SymMatrix(inst.stacked[i])) + emb.shift
+            t = lambda_min(inst.stacked[i]) + emb.shift
             d = lift_dual(y, t, inst, emb)
             margin = weak_duality_check(p, d, emb)
             assert margin == pytest.approx(
-                upper_value(x, inst) - lambda_min(SymMatrix(inst.stacked[i])), abs=1e-9
+                upper_value(x, inst) - lambda_min(inst.stacked[i]), abs=1e-9
             )
             assert margin >= -1e-9
 
@@ -646,9 +645,9 @@ class TestStructuralReaders:
         monkeypatch.setattr(embed, "_RESIDUAL_TOL", math.inf)
         _, e, _ = dense_blocks(inst, emb.shift)
         rng = np.random.default_rng(seed)
-        eye = SpectraplexPoint(SymMatrix(np.eye(n) / n))
+        eye = SpectraplexPoint(np.eye(n) / n)
         for x, margin in ((sample_spectraplex(n, rng), 0.0), (eye, 1.0)):
-            mat, res = dense_primal(x, inst, emb.shift, margin)
+            mat, res = dense_primal(x.array, inst, emb.shift, margin)
             p = lift_primal(x, inst, emb, margin=margin)
             assert primal_parts(p) == dense_parts(mat, m)
             assert np.abs(p.residuals - res).max() <= 1e-12 * p.objective

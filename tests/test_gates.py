@@ -19,7 +19,6 @@ from specmm import (
     SaddleCertificate,
     SimplexPoint,
     SpectraplexPoint,
-    SymMatrix,
     build_embedding,
     extract_dual,
     parse_instance,
@@ -45,7 +44,7 @@ def extract(multipliers, bound=0.0):
 
 def certificate(gap):
     return SaddleCertificate(
-        upper=0.0, lower=-gap, gap=gap, x_bar=SpectraplexPoint(SymMatrix(np.eye(1))),
+        upper=0.0, lower=-gap, gap=gap, x_bar=SpectraplexPoint(np.eye(1)),
         y_bar=SimplexPoint([1.0]), iterations=1, converged=True, scale=1.0,
     )
 
@@ -62,9 +61,9 @@ def parse_without_warning(asym):
 
 GATES = {
     # gate: (build from the quantity, value just inside, value just outside)
-    "spectraplex_trace": (lambda d: SpectraplexPoint(SymMatrix(np.diag([1.0 + d, 0.0]))),
+    "spectraplex_trace": (lambda d: SpectraplexPoint(np.diag([1.0 + d, 0.0])),
                           0.9e-10, 1.1e-10),
-    "spectraplex_eig": (lambda e: SpectraplexPoint(SymMatrix(np.diag([1.0 + e, -e]))),
+    "spectraplex_eig": (lambda e: SpectraplexPoint(np.diag([1.0 + e, -e])),
                         0.9e-10, 1.1e-10),
     "simplex_entry": (lambda e: SimplexPoint([1.0 + e, -e]), 0.9e-12, 1.1e-12),
     "simplex_sum": (lambda d: SimplexPoint([0.5 + d, 0.5]), 0.9e-12, 1.1e-12),

@@ -9,9 +9,7 @@ from specmm import (
     SaddleConfig,
     SimplexPoint,
     SpectraplexPoint,
-    SymMatrix,
     classic_value_exact,
-    eigh,
     lower_value,
     solve_maximin,
     solve_minimax,
@@ -38,7 +36,7 @@ def diag_pair():
 
 def bloch_point(p, q):
     """2x2 spectraplex point [[p, q], [q, 1-p]]; feasible iff q^2 <= p(1-p)."""
-    return SpectraplexPoint(SymMatrix(np.array([[p, q], [q, 1.0 - p]])))
+    return SpectraplexPoint(np.array([[p, q], [q, 1.0 - p]]))
 
 
 class TestConfig:
@@ -57,8 +55,8 @@ class TestConfig:
 class TestBoundOracles:
     def test_upper_value_examples(self):
         inst = diag_pair()
-        half = SpectraplexPoint(SymMatrix(np.eye(2) / 2.0))
-        corner = SpectraplexPoint(SymMatrix(np.diag([1.0, 0.0])))
+        half = SpectraplexPoint(np.eye(2) / 2.0)
+        corner = SpectraplexPoint(np.diag([1.0, 0.0]))
         assert upper_value(half, inst) == 0.5
         assert upper_value(corner, inst) == 1.0
 
@@ -247,7 +245,7 @@ class TestSolveMaximin:
         cert = solve_maximin(inst, SaddleConfig(gap_tol=1e-3))
         vals = np.tensordot(inst.stacked, cert.x_bar.array, axes=([1, 2], [0, 1]))
         assert float(vals.min()) == cert.lower
-        assert eigh(weighted_combination(cert.y_bar, inst)).eigenvalues[-1] == cert.upper
+        assert np.linalg.eigh(weighted_combination(cert.y_bar, inst))[0][-1] == cert.upper
         assert cert.gap >= -1e-9
 
     def test_trace_ends_at_the_certificate(self):
@@ -264,7 +262,7 @@ class TestSolveMaximin:
             assert calls[-1] == (cert.iterations, cert.upper, cert.lower)
             vals = np.tensordot(inst.stacked, cert.x_bar.array, axes=([1, 2], [0, 1]))
             assert cert.lower == vals.min()
-            assert cert.upper == eigh(weighted_combination(cert.y_bar, inst)).eigenvalues[-1]
+            assert cert.upper == np.linalg.eigh(weighted_combination(cert.y_bar, inst))[0][-1]
 
     def test_minimax_duality_under_negation(self, rng):
         # maximin of negated matrices = -(minimax), certified both ways
@@ -327,7 +325,7 @@ class LapackLog:
     """Records the shapes the solver hands to each LAPACK entry point.
 
     "eigvals" are the solver's own calls; "checks" are those made inside
-    symmat, by lambda_min and lambda_max.
+    symmat, by lambda_min (the spectraplex point's PSD gate).
     """
 
     def __init__(self, monkeypatch):
