@@ -129,14 +129,33 @@ def lower_value(y: SimplexPoint, inst: InstanceSet) -> float:
 
 
 def _tril_inv(l: np.ndarray) -> np.ndarray:
-    """Inverse of a lower-triangular matrix by halves, mostly matrix products."""
+    """Inverse of a lower-triangular matrix by halves, mostly matrix products.
+
+    Written over ``l``, which it returns: each diagonal half is inverted in place, then
+    the lower-left block becomes -inv(L22) L21 inv(L11), and the upper-right block keeps
+    l's zeros. Halves of order below 32 go to ``np.linalg.inv``.
+    """
     k = len(l) // 2
     if k < 16:
-        return np.linalg.inv(l)
-    out = np.zeros_like(l)
-    out[:k, :k], out[k:, k:] = _tril_inv(l[:k, :k]), _tril_inv(l[k:, k:])
-    out[k:, :k] = -out[k:, k:] @ l[k:, :k] @ out[:k, :k]
-    return out
+        l[...] = np.linalg.inv(l)
+        return l
+    _tril_inv(l[:k, :k]), _tril_inv(l[k:, k:])
+    l[k:, :k] = -l[k:, k:] @ l[k:, :k] @ l[:k, :k]
+    return l
+
+
+def _schur_cholesky(schur: np.ndarray) -> np.ndarray:
+    """Cholesky factor of the Schur matrix; where that breaks down, of the matrix with
+    1e-14, 1e-12, ..., 1e-6 times its largest diagonal entry added to its diagonal, the
+    first that factors. A retry writes its diagonal over the one of ``schur``."""
+    diag = schur.diagonal().copy()
+    for eps in (1e-14, 1e-12, 1e-10, 1e-8, 1e-6, None):
+        try:
+            return np.linalg.cholesky(schur)
+        except np.linalg.LinAlgError:
+            if eps is None:
+                raise
+            schur.flat[:: len(schur) + 1] = diag + eps * diag.max()
 
 
 def _chol_inv(pair: np.ndarray) -> np.ndarray:
@@ -155,19 +174,20 @@ def _components(stack: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     Coordinates i and j are adjacent when some A_k has a nonzero (i, j) entry, however
     small. The blocks are the connected components of two or more coordinates, each
     sorted and ordered by its first; the isolated coordinates are the rest, sorted.
+    Each coordinate's label starts at its least neighbour (itself included), then takes
+    the least label among its neighbours and that label's own label, until no label
+    changes; it is then the first coordinate of its component.
     """
-    off = stack.any(axis=0)
-    np.fill_diagonal(off, False)
-    free = off.any(axis=1)
-    isolated, blocks = np.flatnonzero(~free), []
-    near = off | np.eye(len(off), dtype=bool)
-    while free.any():
-        block = near[np.argmax(free)]
-        while (block != (grown := near[block].any(axis=0))).any():
-            block = grown
-        free &= ~block
-        blocks.append(np.flatnonzero(block))
-    return blocks, isolated
+    near = stack.any(axis=0)
+    np.fill_diagonal(near, True)
+    label = near.argmax(axis=1)
+    while (label != (low := np.where(near, label, len(near)).min(axis=1))).any():
+        label = low[low]
+    groups = {}
+    for i, first in enumerate(label.tolist()):
+        groups.setdefault(first, []).append(i)
+    blocks = [np.array(g) for g in groups.values() if len(g) > 1]
+    return blocks, np.array([g[0] for g in groups.values() if len(g) == 1], dtype=int)
 
 
 def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, on_bounds):
@@ -195,8 +215,10 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
     x_d and clipped to the spectraplex, and -u[:m] clipped to the simplex get their
     exact bounds on the original stack; the least upper bound and the greatest lower
     bound are kept with the strategies attaining them, and ``on_bounds(k, upper,
-    lower)``, if given, sees the pair. Stops at cfg.gap_tol, cfg.max_iters or a
-    Cholesky breakdown, which evaluates the iterate it started from. Returns (upper,
+    lower)``, if given, sees the pair. A Schur matrix that does not factor is retried
+    with a growing multiple of its largest diagonal entry added to its diagonal
+    (``_schur_cholesky``). Stops at cfg.gap_tol, cfg.max_iters or a Cholesky breakdown
+    that no retry mends, which evaluates the iterate it started from. Returns (upper,
     lower, x_bar, y_bar, steps, scale); an all-zero family, for which any pair is
     optimal, returns (0, 0, I/n, 1/m, 0, 0) without a step.
     """
@@ -243,7 +265,8 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
     for k in range(1, cfg.max_iters + 1):
         try:
             rp, rg, mu, r = -lp(v), cost - lp_t(u) - g, v @ g, v / g
-            schur = (fd * r[:nd]) @ fd.T
+            # the sum starts from its first term, the LP one if there are LP variables
+            schur = (fd * r[:nd]) @ fd.T if nd else None
             pre = []  # per block: Rd, the inverse Cholesky factors of (X, Z), Z^-1, X Rd Z^-1
             for f, ff, x, z in zip(fs, ffs, xs, zs):
                 rp -= ff @ x.reshape(-1)
@@ -251,14 +274,19 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
                 mu = mu + np.vdot(x, z)
                 rr = _chol_inv(np.array((x, z)))
                 zi = rr[1].T @ rr[1]
-                schur += ff @ (x @ f @ zi).reshape(m + 1, -1).T
+                term = ff @ (x @ f @ zi).reshape(m + 1, -1).T
+                schur = term if schur is None else np.add(schur, term, out=schur)
+                del term  # so no block's term outlives its addition
                 pre.append((rd, rr, zi, x @ rd @ zi))
             rp[m] += 1.0
             mu /= n + m + 1
-            schur[:m, :m] += np.diag(r[nd:-1]) + r[-1]
-            li = np.linalg.cholesky(schur)
+            # s/w + delta/z on the diagonal and delta/z off it, added in place
+            diag = schur.diagonal()[:m] + (r[nd:-1] + r[-1])
+            schur[:m, :m] += r[-1]
+            schur.reshape(-1)[: m * (m + 2) : m + 2] = diag
+            li = _schur_cholesky(schur)
             del schur  # dead once factored; freeing it lowers the solver's peak memory
-            li = _tril_inv(li)
+            _tril_inv(li)
 
             def newton(rczis, rcv):
                 # X dZ + dX Z = Rc and v dg + dv g = rcv, rczis being the blocks of Rc Z^-1,
@@ -289,6 +317,7 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
             rczis = [tau * zi - x - dx @ dz @ zi
                      for x, dx, dz, (_, _, zi, _) in zip(xs, dxs, dzs, pre)]
             dxs, dv, du, dzs, dg, ap, ad = newton(rczis, tau - v * g - dv * dg)
+            del li  # the next Schur matrix is built without this step's factor
             xs = [x + ap * dx for x, dx in zip(xs, dxs)]
             zs = [z + ad * dz for z, dz in zip(zs, dzs)]
             v, u, g = v + ap * dv, u + ad * du, g + ad * dg

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,16 @@ def random_orthogonal(rng, n):
     """Haar-ish orthogonal matrix, independent of the package eigensolver."""
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     return q * np.sign(np.diag(r))
+
+
+def peak_bytes(fn):
+    """The tracemalloc peak, in bytes, of one call of fn()."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

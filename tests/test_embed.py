@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +30,7 @@ from specmm import (
     weak_duality_check,
 )
 
-from conftest import random_instance
+from conftest import peak_bytes, random_instance
 
 SQ2_HALF = math.sqrt(2.0) / 2.0
 
@@ -666,27 +665,49 @@ class TestStructuralReaders:
         assert p.residuals.max() > 0.0
 
 
-def _peak_bytes(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_build_embedding_peak_memory_below_one_mib():
     # the blocks are never formed: at n=8, m=200 dense blocks would take
     # 200 * 209^2 doubles, about 67 MiB, and one lift matrix of order
     # n+m+1 = 209 alone 341 KiB
     inst = random_instance(np.random.default_rng(5), 8, 200)
-    assert _peak_bytes(lambda: build_embedding(inst)) < 2**20
+    assert peak_bytes(lambda: build_embedding(inst)) < 2**20
     emb = build_embedding(inst)
     x = sample_spectraplex(8, np.random.default_rng(5))
     y = SimplexPoint.uniform(200)
     t = lower_value(y, inst) + emb.shift
-    assert _peak_bytes(lambda: lift_primal(x, inst, emb)) < 300 * 2**10
-    assert _peak_bytes(lambda: lift_dual(y, t, inst, emb)) < 300 * 2**10
+    assert peak_bytes(lambda: lift_primal(x, inst, emb)) < 300 * 2**10
+    assert peak_bytes(lambda: lift_dual(y, t, inst, emb)) < 300 * 2**10
+
+
+def test_sdpa_text_peak_memory_below_0_6_mib():
+    # the text is about 212 KiB; with one string per matrix the export holds
+    # it about twice at the final join, where one string per entry took 1.04 MiB
+    emb = build_embedding(random_instance(np.random.default_rng(5), 8, 200))
+    assert peak_bytes(lambda: sdpa_text(emb)) < 0.6 * 2**20
+
+
+# instances at the edges of the export: exact zeros off the diagonal (a game),
+# all-zero matrices (no entry of a top under shift_policy="none"), -0.0,
+# subnormal and +-1e300 entries, n=1 and m=1
+SDPA_EDGES = {
+    "game": np.stack([np.diag(r) for r in ([3.0, -1.0, 0.0], [0.0, 2.0, -4.0])]),
+    "all-zero": np.zeros((2, 3, 3)),
+    "specials": np.array([
+        [[1e300, -1e300, 0.0], [-1e300, 5e-324, -0.0], [0.0, -0.0, -2.5e-320]],
+        [[-0.0, 2.5e-320, 1.0], [2.5e-320, -1e300, -5e-324], [1.0, -5e-324, 0.0]],
+    ]),
+    "n=1": np.array([[[2.0]], [[-0.0]], [[-3.5]]]),
+    "m=1": np.array([[[0.0, -1.5], [-1.5, 0.0]]]),
+    "n=1, m=1": np.array([[[-0.0]]]),
+}
+
+
+@pytest.mark.parametrize("name", SDPA_EDGES)
+def test_sdpa_text_matches_the_dense_walk_at_the_edges(name):
+    inst = InstanceSet(SDPA_EDGES[name])
+    for policy in ("auto", "none"):
+        emb = build_embedding(inst, shift_policy=policy)
+        assert sdpa_text(emb) == dense_sdpa(inst, emb.shift)
 
 
 def test_lift_dual_makes_one_eigenvalue_call(monkeypatch):
