@@ -36,7 +36,7 @@ inst, _ = load_instance("demos/data/pauli_pair.json")
 # from every number reported back
 emb = build_embedding(inst)
 print(f"blocks: {inst.n} x {inst.n} original, {inst.m} slacks, 1 objective"
-      f" (total {emb.n_prime}); diagonal shift {emb.shift}")
+      f" (total {inst.n + inst.m + 1}); diagonal shift {emb.shift}")
 
 # lift a random density matrix: the slacks absorb the gap between each
 # payoff and the worst one, and the last slot carries the objective

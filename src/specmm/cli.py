@@ -80,9 +80,7 @@ def _add_solver_flags(p: argparse.ArgumentParser):
     p.add_argument("--max-iters", type=int, default=SaddleConfig().max_iters,
                    help="cap on Newton steps (default %(default)s)")
     p.add_argument("--strict", action="store_true", help="exit 2 when the gap target is not met")
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="JSON report (default: text)")
-    fmt.add_argument("--text", action="store_true", help="text report")
+    p.add_argument("--json", action="store_true", help="JSON report (default: text)")
     p.add_argument("--out", default=None, help="write the report to a file instead of stdout")
 
 
@@ -110,8 +108,7 @@ def _cmd_maximin(args) -> int:
 
 def _cmd_embed(args) -> int:
     inst, _ = load_instance(args.instance)
-    emb = build_embedding(inst, shift_policy=args.shift)
-    _write_out(sdpa_text(emb), args.out)
+    _write_out(sdpa_text(build_embedding(inst)), args.out)
     return 0
 
 
@@ -162,7 +159,7 @@ def _check_line(name: str, run) -> bool:
 
 def _cmd_check(args) -> int:
     inst, _ = load_instance(args.instance)
-    emb = build_embedding(inst, shift_policy=args.shift)
+    emb = build_embedding(inst)
     n, m = inst.n, inst.m
 
     # each check returns (passed, detail)
@@ -236,8 +233,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("embed", help="export the block SDP in sparse SDPA form")
     p.add_argument("instance", help="instance JSON file")
     p.add_argument("--out", default=None, help="output file (default stdout)")
-    p.add_argument("--shift", choices=("auto", "none"), default="auto",
-                   help="diagonal shift policy (default auto)")
     p.set_defaults(func=_cmd_embed)
 
     p = sub.add_parser("classic", help="cross-check a matrix game against its diagonal embedding")
@@ -249,8 +244,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run the invariant battery on an instance")
     p.add_argument("instance", help="instance JSON file")
-    p.add_argument("--shift", choices=("auto", "none"), default="auto",
-                   help="diagonal shift policy (default auto)")
     p.set_defaults(func=_cmd_check)
 
     return parser

@@ -15,14 +15,14 @@ maximizes t subject to sum_i u_i F_i + t E + S = C with S PSD, and the
 simplex strategy is recovered from u by sign flip and rescaling. The shift
 exists to keep the optimal delta nonnegative (a PSD diagonal entry cannot
 be negative, so without it instances with negative value would be cut
-off); "auto" picks sigma = max(0, -min_i lambda_min(A_i)) + 1 so the
-shifted value is at least 1, and all reported values are mapped back by
-subtracting sigma.
+off). It is read off the instance, sigma = max(0, -min_i lambda_min(A_i))
++ 1, so the shifted value is at least 1, and all reported values are
+mapped back by subtracting sigma; no other shift can be chosen.
 
-Every block is fixed by the instance and sigma, so an ``SdpEmbedding``
-stores just those two; the readers below work on the stacked tops
-A_sig,i and the known unit slots and corners, and no (n')^2 matrix is
-formed. The lifts hold their blocks too: a primal lift stores X, the
+Every block is fixed by the instance, sigma included, so an
+``SdpEmbedding`` stores just the instance and the sigma it derives; the
+readers below work on the stacked tops A_sig,i and the known unit slots
+and corners, and no (n')^2 matrix is formed. The lifts hold their blocks too: a primal lift stores X, the
 slacks s and delta, a dual lift the top block and the corner of its
 slack, and each checks PSD-ness once, on those blocks. Both feasibility
 directions produce checkable artifacts (lifts) carrying their own
@@ -79,11 +79,15 @@ class DegenerateMultiplierError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class SdpEmbedding:
-    """The embedded semidefinite program: the instance and the shift sigma,
-    which together fix every block matrix F_i, E and C."""
+    """The embedded semidefinite program of an instance, which fixes every
+    block matrix F_i, E and C. ``shift`` is the sigma derived from
+    ``inst.spectra``, max(0, -min_i lambda_min(A_i)) + 1; it cannot be set."""
 
     inst: InstanceSet
-    shift: float
+    shift: float = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "shift", max(0.0, -float(self.inst.spectra[:, 0].min())) + 1.0)
 
     @property
     def n(self) -> int:
@@ -92,10 +96,6 @@ class SdpEmbedding:
     @property
     def m(self) -> int:
         return self.inst.m
-
-    @property
-    def n_prime(self) -> int:
-        return self.n + self.m + 1
 
 
 def _tops(emb: SdpEmbedding) -> np.ndarray:
@@ -212,24 +212,14 @@ class ExtractedDual:
     degenerate: bool
 
 
-def build_embedding(inst: InstanceSet, shift_policy: str = "auto") -> SdpEmbedding:
-    """Choose the shift sigma for an instance.
-
-    shift_policy "auto" sets sigma = max(0, -min_i lambda_min(A_i)) + 1,
-    read from ``inst.spectra``, which keeps the embedded optimum at least
-    1; "none" sets sigma = 0 and
-    is only appropriate when the instance value is known nonnegative.
-    The blocks are exact functions of the instance and sigma: their
-    entries are instance entries (plus sigma on the top diagonal), ones,
-    and minus ones.
+def build_embedding(inst: InstanceSet) -> SdpEmbedding:
+    """The embedding of an instance, with sigma = max(0, -min_i
+    lambda_min(A_i)) + 1 read from ``inst.spectra``, which keeps the
+    embedded optimum at least 1. The blocks are exact functions of the
+    instance: their entries are instance entries (plus sigma on the top
+    diagonal), ones, and minus ones.
     """
-    if shift_policy == "none":
-        sigma = 0.0
-    elif shift_policy == "auto":
-        sigma = max(0.0, -float(inst.spectra[:, 0].min())) + 1.0
-    else:
-        raise ValueError(f"unknown shift_policy {shift_policy!r}")
-    return SdpEmbedding(inst=inst, shift=sigma)
+    return SdpEmbedding(inst)
 
 
 def lift_primal(
@@ -257,9 +247,10 @@ def lift_primal(
     vals = _payoffs(tops, x.array)  # <A_i + sigma*I, X> for every i
     delta = float(vals.max()) + margin
     if delta < -_PSD_TOL:
+        # sigma makes every <A_i + sigma*I, X> at least 1 for PSD X of unit trace
         raise ValueError(
-            f"embedded objective would be negative (delta={delta!r}); "
-            "rebuild the embedding with shift_policy='auto'"
+            f"embedded objective would be negative (delta={delta!r}): X's negative "
+            "eigenvalues outweigh the shift at the instance's scale"
         )
     slacks = delta - vals
     # einsum, not the product that produced vals: the residuals are an

@@ -158,7 +158,6 @@ class Report:
     iterations: int
     x_bar: list
     y_bar: list
-    shift: float
     tool_version: str
 
 
@@ -170,9 +169,8 @@ def report_from_certificate(cert: SaddleCertificate) -> Report:
         gap=cert.gap,
         converged=cert.converged,
         iterations=cert.iterations,
-        x_bar=[[float(v) for v in row] for row in cert.x_bar.array],
-        y_bar=[float(v) for v in cert.y_bar.weights],
-        shift=0.0,
+        x_bar=cert.x_bar.array.tolist(),
+        y_bar=cert.y_bar.weights.tolist(),
         tool_version=__version__,
     )
 
@@ -203,7 +201,6 @@ def report_to_text(report: Report) -> str:
         f"gap         {report.gap!r}",
         f"converged   {report.converged}",
         f"iterations  {report.iterations}",
-        f"shift       {report.shift!r}",
         f"y_bar       {' '.join(repr(v) for v in report.y_bar)}",
         "x_bar",
     ]

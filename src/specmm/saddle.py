@@ -158,11 +158,6 @@ def _schur_cholesky(schur: np.ndarray) -> np.ndarray:
             schur.flat[:: len(schur) + 1] = diag + eps * diag.max()
 
 
-def _chol_inv(pair: np.ndarray) -> np.ndarray:
-    """Inverse Cholesky factors of a stack of positive definite matrices."""
-    return np.linalg.inv(np.linalg.cholesky(pair))
-
-
 def _lowest(r: np.ndarray, d) -> np.ndarray:
     """lambda_min(r_i d_i r_i^T) for each pair."""
     return _eigvals_raw(r @ np.stack(d) @ r.transpose(0, 2, 1))[:, 0]
@@ -258,7 +253,7 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
     v[nd:-1] = v[-1] - v[nd:-1]
     u = np.append(np.full(m, -0.5 / m), 0.0)
     zs = [-a for a in combos(u)]  # sum_k F_k / (2m), pinched
-    low = [_lowest(np.eye(len(z))[None], [z])[0] for z in zs]
+    low = [_eigvals_raw(z)[0] for z in zs]
     u[m] = min([*low, (-(u @ fd)).min(initial=np.inf)]) - 1.0
     zs, g = [-a for a in combos(u)], cost - lp_t(u)
     upper, lower, x_best, y_best = np.inf, -np.inf, None, None
@@ -272,7 +267,7 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
                 rp -= ff @ x.reshape(-1)
                 rd = -(u @ ff).reshape(z.shape) - z
                 mu = mu + np.vdot(x, z)
-                rr = _chol_inv(np.array((x, z)))
+                rr = np.linalg.inv(np.linalg.cholesky(np.array((x, z))))
                 zi = rr[1].T @ rr[1]
                 term = ff @ (x @ f @ zi).reshape(m + 1, -1).T
                 schur = term if schur is None else np.add(schur, term, out=schur)

@@ -280,16 +280,16 @@ def test_criterion_8_sdpa_export():
         "matrices": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]],
     }
     expect = (
-        "*shift 0.0\n3\n3\n2 -2 -1\n0.0 0.0 1.0\n"
+        "*shift 1.0\n3\n3\n2 -2 -1\n0.0 0.0 1.0\n"
         "0 3 1 1 1.0\n"
-        "1 1 1 1 1.0\n1 2 1 1 1.0\n1 3 1 1 -1.0\n"
-        "2 1 2 2 1.0\n2 2 2 2 1.0\n2 3 1 1 -1.0\n"
+        "1 1 1 1 2.0\n1 1 2 2 1.0\n1 2 1 1 1.0\n1 3 1 1 -1.0\n"
+        "2 1 1 1 1.0\n2 1 2 2 2.0\n2 2 2 2 1.0\n2 3 1 1 -1.0\n"
         "3 1 1 1 1.0\n3 1 2 2 1.0\n"
     )
     texts = []
     for _ in range(2):
         inst, _ = parse_instance(doc)
-        texts.append(sdpa_text(build_embedding(inst, shift_policy="none")))
+        texts.append(sdpa_text(build_embedding(inst)))
     lines = texts[0].splitlines()
     ok = (
         texts[0] == texts[1]

@@ -63,7 +63,7 @@ class TestSolveCommand:
     def test_text_report_matches_json_numbers(self, pauli_file, capsys):
         assert main(["solve", pauli_file, "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert main(["solve", pauli_file, "--text"]) == 0
+        assert main(["solve", pauli_file]) == 0
         text = capsys.readouterr().out
         for key in ("value", "upper", "lower", "gap"):
             line = next(ln for ln in text.splitlines() if ln.startswith(key))
@@ -243,27 +243,41 @@ class TestMaximinCommand:
 
 class TestEmbedCommand:
     EXPECT = (
-        "*shift 0.0\n3\n3\n2 -2 -1\n0.0 0.0 1.0\n"
+        "*shift 1.0\n3\n3\n2 -2 -1\n0.0 0.0 1.0\n"
         "0 3 1 1 1.0\n"
-        "1 1 1 1 1.0\n1 2 1 1 1.0\n1 3 1 1 -1.0\n"
-        "2 1 2 2 1.0\n2 2 2 2 1.0\n2 3 1 1 -1.0\n"
+        "1 1 1 1 2.0\n1 1 2 2 1.0\n1 2 1 1 1.0\n1 3 1 1 -1.0\n"
+        "2 1 1 1 1.0\n2 1 2 2 2.0\n2 2 2 2 1.0\n2 3 1 1 -1.0\n"
         "3 1 1 1 1.0\n3 1 2 2 1.0\n"
     )
 
     def test_hand_checked_bytes(self, diag_file, capsys):
-        assert main(["embed", diag_file, "--shift", "none"]) == 0
+        assert main(["embed", diag_file]) == 0
         assert capsys.readouterr().out == self.EXPECT
 
     def test_deterministic_file_output(self, diag_file, tmp_path):
         o1, o2 = tmp_path / "a.dat", tmp_path / "b.dat"
-        assert main(["embed", diag_file, "--shift", "none", "--out", str(o1)]) == 0
-        assert main(["embed", diag_file, "--shift", "none", "--out", str(o2)]) == 0
+        assert main(["embed", diag_file, "--out", str(o1)]) == 0
+        assert main(["embed", diag_file, "--out", str(o2)]) == 0
         assert o1.read_bytes() == o2.read_bytes()
 
     def test_auto_shift_in_header(self, pauli_file, capsys):
         assert main(["embed", pauli_file]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "*shift 2.0"
+
+
+@pytest.mark.parametrize("argv", [
+    ["embed", "FILE", "--shift", "none"],
+    ["check", "FILE", "--shift", "none"],
+    ["solve", "FILE", "--text"],
+])
+def test_removed_flags_are_usage_errors(argv, pauli_file, capsys):
+    # the shift is read off the instance and text is the default report: neither
+    # has a flag, and argparse rejects one with its usage status
+    with pytest.raises(SystemExit) as exc:
+        main([pauli_file if a == "FILE" else a for a in argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestClassicCommand:
@@ -371,7 +385,6 @@ class TestReports:
             iterations=225,
             x_bar=[[0.3, 0.1], [0.1, 0.7]],
             y_bar=[0.5, 0.5],
-            shift=0.0,
             tool_version="0.1.0",
         )
         back = report_from_json(report_to_json(rep))
@@ -382,7 +395,7 @@ class TestReports:
         rng = np.random.default_rng(11)
         for n, m in ((1, 1), (1, 3), (2, 2), (4, 3), (6, 5)):
             cert = solve_minimax(random_instance(rng, n, m), SaddleConfig(gap_tol=1e-6))
-            rep = dataclasses.replace(report_from_certificate(cert), shift=float(rng.uniform()))
+            rep = report_from_certificate(cert)
             assert report_to_json(rep) == json.dumps(dataclasses.asdict(rep), indent=2) + "\n"
             assert report_from_json(report_to_json(rep)) == rep
 
@@ -396,7 +409,6 @@ class TestReports:
             iterations=10,
             x_bar=[[1.0]],
             y_bar=[1.0],
-            shift=1.0,
             tool_version="0.1.0",
         )
         text = report_to_text(rep)
@@ -406,6 +418,20 @@ class TestReports:
     def test_malformed_report_rejected(self):
         with pytest.raises(ValueError, match="report"):
             report_from_json(json.dumps({"value": 1.0}))
+
+    def test_json_keys(self, pauli_file, capsys):
+        assert main(["solve", pauli_file, "--json"]) == 0
+        assert list(json.loads(capsys.readouterr().out)) == [
+            "value", "upper", "lower", "gap", "converged", "iterations", "x_bar", "y_bar",
+            "tool_version",
+        ]
+
+    def test_report_with_a_shift_is_malformed(self, pauli_file, capsys):
+        assert main(["solve", pauli_file, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        report_from_json(json.dumps(doc))
+        with pytest.raises(InstanceFormatError, match="malformed report"):
+            report_from_json(json.dumps({**doc, "shift": 0.0}))
 
 
 class TestConsoleEntryPoint:

@@ -147,28 +147,27 @@ class TestBuildEmbedding:
         emb = build_embedding(inst)
         assert [f.name for f in dataclasses.fields(SdpEmbedding)] == ["inst", "shift"]
         assert emb.inst is inst
-        assert (emb.n, emb.m, emb.n_prime) == (2, 2, 5)
+        assert (emb.n, emb.m) == (2, 2)
 
-    def test_blocks_bit_exact_without_shift(self):
+    def test_shift_cannot_be_set(self):
+        # the shift is derived from the instance; the constructor takes no other
+        with pytest.raises(TypeError):
+            SdpEmbedding(diag_pair(), 0.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            build_embedding(diag_pair()).shift = 0.0
+
+    def test_blocks_bit_exact(self):
         inst = diag_pair()
-        emb = build_embedding(inst, shift_policy="none")
-        assert emb.shift == 0.0
-        assert emb.n_prime == 5
+        emb = build_embedding(inst)
+        assert emb.shift == 1.0
         fs, e, c = dense_blocks(emb.inst, emb.shift)
-        a1 = np.zeros((5, 5))
-        a1[0, 0] = 1.0
-        a1[2, 2] = 1.0
-        a1[4, 4] = -1.0
-        a2 = np.zeros((5, 5))
-        a2[1, 1] = 1.0
-        a2[3, 3] = 1.0
-        a2[4, 4] = -1.0
-        assert np.array_equal(fs[0], a1)
-        assert np.array_equal(fs[1], a2)
+        # the tops are diag(1, 0) + I = diag(2, 1) and diag(0, 1) + I = diag(1, 2)
+        assert np.array_equal(fs[0], np.diag([2.0, 1.0, 1.0, 0.0, -1.0]))
+        assert np.array_equal(fs[1], np.diag([1.0, 2.0, 0.0, 1.0, -1.0]))
         assert np.array_equal(e, np.diag([1.0, 1.0, 0.0, 0.0, 0.0]))
         assert np.array_equal(c, np.diag([0.0, 0.0, 0.0, 0.0, 1.0]))
         # the export, which reads the stored instance, writes those blocks
-        assert sdpa_text(emb) == dense_sdpa(inst, 0.0)
+        assert sdpa_text(emb) == dense_sdpa(inst, 1.0)
 
     def test_auto_shift_covers_negative_spectra(self):
         emb = build_embedding(pauli_pair())
@@ -181,20 +180,17 @@ class TestBuildEmbedding:
     def test_auto_shift_is_one_for_psd_instances(self):
         assert build_embedding(diag_pair()).shift == 1.0
 
-    def test_rejects_unknown_policy(self):
-        with pytest.raises(ValueError, match="shift_policy"):
-            build_embedding(diag_pair(), shift_policy="maybe")
-
 
 class TestLiftPrimal:
-    def test_corner_point_without_shift(self):
+    def test_corner_point(self):
         inst = diag_pair()
-        emb = build_embedding(inst, shift_policy="none")
+        emb = build_embedding(inst)
+        # payoffs <diag(2, 1), X> = 2 and <diag(1, 2), X> = 1 at the shift 1
         x = SpectraplexPoint(np.diag([1.0, 0.0]))
         lift = lift_primal(x, inst, emb)
         assert np.array_equal(lift.x, np.diag([1.0, 0.0]))
         assert np.array_equal(lift.slacks, np.array([0.0, 1.0]))
-        assert lift.delta == lift.objective == 1.0
+        assert lift.delta == lift.objective == 2.0
         assert lift.lambda_min == 0.0
         assert lift.residuals.max() == 0.0
         assert lift.trace_residual == 0.0
@@ -235,23 +231,25 @@ class TestLiftPrimal:
         lift = lift_primal(x, inst, build_embedding(inst))
         assert lift.trace_residual == pytest.approx(5e-11, rel=1e-4)
 
-    def test_negative_objective_without_shift_is_an_error(self):
-        inst = pauli_pair()
-        emb = build_embedding(inst, shift_policy="none")
-        # the Bloch-optimal point has negative guarantee, which no PSD
-        # diagonal can represent; the error points at the shift policy
-        p = (2.0 - math.sqrt(2.0)) / 4.0
-        x = SpectraplexPoint(np.array([[p, p - 0.5], [p - 0.5, 1.0 - p]]))
-        with pytest.raises(ValueError, match="shift_policy"):
+    def test_negative_objective_is_an_error(self):
+        inst = InstanceSet([np.diag([1e10, -1e10])])
+        emb = build_embedding(inst)
+        assert emb.shift == 1e10 + 1.0
+        # X's eigenvalue -1e-10 is within the spectraplex's tolerance, but against
+        # the top diag(2e10 + 1, 1) it outweighs the shift: delta = -1, which no
+        # PSD diagonal can represent, and the error names that cause
+        x = SpectraplexPoint(np.diag([-1e-10, 1.0 + 1e-10]))
+        with pytest.raises(ValueError, match="negative eigenvalues .* instance's scale"):
             lift_primal(x, inst, emb)
 
 
 class TestLiftDual:
     def test_pauli_feasible_bound(self):
         inst = pauli_pair()
-        emb = build_embedding(inst, shift_policy="none")
+        emb = build_embedding(inst)
+        assert emb.shift == 2.0
         y = SimplexPoint(np.array([0.5, 0.5]))
-        lift = lift_dual(y, -0.8, inst, emb)
+        lift = lift_dual(y, -0.8 + emb.shift, inst, emb)
         assert np.array_equal(lift.multipliers, np.array([-0.5, -0.5]))
         assert lift.residual <= 1e-10
         assert lambda_min(lift.top) == pytest.approx(0.8 - SQ2_HALF, abs=1e-12)
@@ -262,10 +260,10 @@ class TestLiftDual:
 
     def test_pauli_infeasible_bound_names_top_block(self):
         inst = pauli_pair()
-        emb = build_embedding(inst, shift_policy="none")
+        emb = build_embedding(inst)
         y = SimplexPoint(np.array([0.5, 0.5]))
         with pytest.raises(DualInfeasibleError, match="top-left"):
-            lift_dual(y, -0.5, inst, emb)
+            lift_dual(y, -0.5 + emb.shift, inst, emb)
 
     def test_corner_strategy_at_exact_eigenvalue_bound(self):
         inst = diag_pair()
@@ -344,47 +342,46 @@ def primal_verdict(x, slacks, delta):
 class TestBlockPsdCheck:
     def test_verdict_matches_dense_eigvalsh(self, rng):
         verdicts = set()
-        for policy in ("auto", "none"):
-            for _ in range(30):
-                n, m = int(rng.integers(1, 6)), int(rng.integers(1, 7))
-                inst = random_instance(rng, n, m)
-                emb = build_embedding(inst, shift_policy=policy)
-                if rng.random() < 0.5:
-                    x = sample_spectraplex(n, rng).array
-                else:
-                    # symmetric with unit trace, often indefinite
-                    g = rng.standard_normal((n, n))
-                    g = (g + g.T) / 2.0
-                    x = g + (1.0 - np.trace(g)) / n * np.eye(n)
-                # a negative margin makes the best-response slot negative,
-                # and without the shift the corner can be negative too
-                margin = float(rng.uniform(-0.3, 0.3))
-                mat, _ = dense_primal(x, inst, emb.shift, margin)
-                dense_min = np.linalg.eigvalsh(mat)[0]
-                dense_ok = bool(dense_min >= -1e-10)
-                blocks = (mat[:n, :n], np.diag(mat)[n : n + m], mat[-1, -1])
-                assert primal_verdict(*blocks) == dense_ok
-                if dense_ok:
-                    p = PrimalLift(*blocks, np.zeros(m), 0.0)
-                    assert primal_parts(p) == dense_parts(mat, m)
-                    assert abs(p.lambda_min - dense_min) <= 1e-12 * max(1.0, abs(mat).max())
-                verdicts.add(("primal", dense_ok))
+        for _ in range(60):
+            n, m = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+            inst = random_instance(rng, n, m)
+            emb = build_embedding(inst)
+            if rng.random() < 0.5:
+                x = sample_spectraplex(n, rng).array
+            else:
+                # symmetric with unit trace, often indefinite
+                g = rng.standard_normal((n, n))
+                g = (g + g.T) / 2.0
+                x = g + (1.0 - np.trace(g)) / n * np.eye(n)
+            # a negative margin makes the best-response slot negative, and
+            # an indefinite X can make the corner negative too
+            margin = float(rng.uniform(-0.3, 0.3))
+            mat, _ = dense_primal(x, inst, emb.shift, margin)
+            dense_min = np.linalg.eigvalsh(mat)[0]
+            dense_ok = bool(dense_min >= -1e-10)
+            blocks = (mat[:n, :n], np.diag(mat)[n : n + m], mat[-1, -1])
+            assert primal_verdict(*blocks) == dense_ok
+            if dense_ok:
+                p = PrimalLift(*blocks, np.zeros(m), 0.0)
+                assert primal_parts(p) == dense_parts(mat, m)
+                assert abs(p.lambda_min - dense_min) <= 1e-12 * max(1.0, abs(mat).max())
+            verdicts.add(("primal", dense_ok))
 
-                y = SimplexPoint(rng.dirichlet(np.ones(m)))
-                t = lower_value(y, inst) + emb.shift + float(rng.uniform(-0.5, 0.5))
-                slack = dense_slack(-y.weights, t, inst, emb.shift)
-                dense_min = np.linalg.eigvalsh(slack)[0]
-                dense_ok = bool(dense_min >= -1e-10)
-                try:
-                    d = lift_dual(y, t, inst, emb)
-                except DualInfeasibleError:
-                    ok = False
-                else:
-                    ok = True
-                    assert dual_parts(d) == dense_parts(slack, m)
-                    assert abs(d.lambda_min - dense_min) <= 1e-12 * max(1.0, abs(slack).max())
-                assert ok == dense_ok
-                verdicts.add(("dual", dense_ok))
+            y = SimplexPoint(rng.dirichlet(np.ones(m)))
+            t = lower_value(y, inst) + emb.shift + float(rng.uniform(-0.5, 0.5))
+            slack = dense_slack(-y.weights, t, inst, emb.shift)
+            dense_min = np.linalg.eigvalsh(slack)[0]
+            dense_ok = bool(dense_min >= -1e-10)
+            try:
+                d = lift_dual(y, t, inst, emb)
+            except DualInfeasibleError:
+                ok = False
+            else:
+                ok = True
+                assert dual_parts(d) == dense_parts(slack, m)
+                assert abs(d.lambda_min - dense_min) <= 1e-12 * max(1.0, abs(slack).max())
+            assert ok == dense_ok
+            verdicts.add(("dual", dense_ok))
         # both verdicts occur on both sides
         assert len(verdicts) == 4
 
@@ -555,19 +552,21 @@ class TestEndToEndStrongDuality:
 
 class TestSdpaText:
     def test_hand_checked_tiny_file(self):
-        emb = build_embedding(diag_pair(), shift_policy="none")
+        emb = build_embedding(diag_pair())
         expect = "\n".join(
             [
-                "*shift 0.0",
+                "*shift 1.0",
                 "3",
                 "3",
                 "2 -2 -1",
                 "0.0 0.0 1.0",
                 "0 3 1 1 1.0",
-                "1 1 1 1 1.0",
+                "1 1 1 1 2.0",
+                "1 1 2 2 1.0",
                 "1 2 1 1 1.0",
                 "1 3 1 1 -1.0",
-                "2 1 2 2 1.0",
+                "2 1 1 1 1.0",
+                "2 1 2 2 2.0",
                 "2 2 2 2 1.0",
                 "2 3 1 1 -1.0",
                 "3 1 1 1 1.0",
@@ -618,10 +617,8 @@ class TestStructuralReaders:
     @pytest.mark.parametrize("n, m, scale, seed", STRUCTURE_CASES)
     def test_agree_with_the_dense_blocks(self, n, m, scale, seed, monkeypatch):
         inst = signed_zero_instance(seed, n, m, scale)
-        for policy in ("auto", "none"):
-            emb = build_embedding(inst, shift_policy=policy)
-            assert sdpa_text(emb) == dense_sdpa(inst, emb.shift)
         emb = build_embedding(inst)
+        assert sdpa_text(emb) == dense_sdpa(inst, emb.shift)
 
         # dual slacks: the interior point, and a strategy with weights -0.0
         # and 0.0 (multipliers 0.0 and -0.0) at a strictly feasible t
@@ -687,7 +684,7 @@ def test_sdpa_text_peak_memory_below_0_6_mib():
 
 
 # instances at the edges of the export: exact zeros off the diagonal (a game),
-# all-zero matrices (no entry of a top under shift_policy="none"), -0.0,
+# all-zero matrices (tops of sigma*I alone), -0.0,
 # subnormal and +-1e300 entries, n=1 and m=1
 SDPA_EDGES = {
     "game": np.stack([np.diag(r) for r in ([3.0, -1.0, 0.0], [0.0, 2.0, -4.0])]),
@@ -704,10 +701,8 @@ SDPA_EDGES = {
 
 @pytest.mark.parametrize("name", SDPA_EDGES)
 def test_sdpa_text_matches_the_dense_walk_at_the_edges(name):
-    inst = InstanceSet(SDPA_EDGES[name])
-    for policy in ("auto", "none"):
-        emb = build_embedding(inst, shift_policy=policy)
-        assert sdpa_text(emb) == dense_sdpa(inst, emb.shift)
+    emb = build_embedding(InstanceSet(SDPA_EDGES[name]))
+    assert sdpa_text(emb) == dense_sdpa(emb.inst, emb.shift)
 
 
 def test_lift_dual_makes_one_eigenvalue_call(monkeypatch):
