@@ -58,7 +58,7 @@ d = lift_dual(y, t, inst, emb)
 print("\ndual lift: lambda_min of slack =", d.lambda_min)
 
 d0 = interior_dual_point(inst, emb)
-print("interior dual residual:", d0.residual)
+print("interior dual slack: lambda_min =", d0.lambda_min)
 
 # weak duality: every primal objective sits above every dual objective
 print("\nweak duality margins (must be >= 0):")

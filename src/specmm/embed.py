@@ -22,18 +22,20 @@ mapped back by subtracting sigma; no other shift can be chosen.
 Every block is fixed by the instance, sigma included, so an
 ``SdpEmbedding`` stores just the instance and the sigma it derives; the
 readers below work on the stacked tops A_sig,i and the known unit slots
-and corners, and no (n')^2 matrix is formed. The lifts hold their blocks too: a primal lift stores X, the
-slacks s and delta, a dual lift the top block and the corner of its
-slack, and each checks PSD-ness once, on those blocks. Both feasibility
-directions produce checkable artifacts (lifts) carrying their own
-residuals, and the two interior-point constructors certify that the
-embedded program satisfies strict feasibility on both sides, which is
-what makes its optimum attained and equal on both sides.
+and corners, and no (n')^2 matrix is formed. A lift is built from the
+embedding and its free variables alone and derives the rest: a primal
+lift takes X, the slacks s and delta and measures its constraint
+residuals, a dual lift takes u and t and derives the top block and the
+corner of its slack, which satisfies the dual equality by definition, so
+the dual side has no residual. Each checks PSD-ness once, on its blocks.
+The two interior-point constructors certify that the embedded program
+satisfies strict feasibility on both sides, which is what makes its
+optimum attained and equal on both sides.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -118,34 +120,43 @@ def _readonly(a) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PrimalLift:
-    """Feasible primal block variable X' = diag(X, s, delta), held as its
-    blocks, with measured constraint residuals.
+    """Primal block variable X' = diag(X, s, delta) of an embedding, held as
+    its blocks, with the constraint residuals it measures on them.
 
-    residuals[i] = |<F_i, X'>| = |<A_i + sigma*I, X> + s_i - delta| and
-    trace_residual = |<E, X'> - 1| = |tr X - 1| are measured on the stored
-    blocks, not inferred from the construction. ``lambda_min`` is the least
-    eigenvalue of X' found by the PSD check: that of X, or the least of s
-    and delta.
+    Built from the embedding (not stored) and X, s and delta alone: on
+    construction it checks X' PSD, then measures residuals[i] = |<F_i, X'>|
+    = |<A_i + sigma*I, X> + s_i - delta| and trace_residual = |<E, X'> - 1|
+    = |tr X - 1| and rejects either above 1e-10. ``lambda_min`` is the
+    least eigenvalue of X' found by the PSD check: that of X, or the least
+    of s and delta.
     """
 
+    emb: InitVar[SdpEmbedding]
     x: np.ndarray
     slacks: np.ndarray
     delta: float
-    residuals: np.ndarray
-    trace_residual: float
+    residuals: np.ndarray = field(init=False)
+    trace_residual: float = field(init=False)
     lambda_min: float = field(init=False)
 
-    def __post_init__(self):
-        for name in ("x", "slacks", "residuals"):
-            object.__setattr__(self, name, _readonly(getattr(self, name)))
-        lo = float(np.append(self.slacks, (self.delta, _eigvals_raw(self.x)[0])).min())
+    def __post_init__(self, emb):
+        x, slacks = _readonly(self.x), _readonly(self.slacks)
+        if x.shape != (emb.n, emb.n) or slacks.shape != (emb.m,):
+            raise ValueError("block shapes do not match the embedding")
+        lo = float(np.append(slacks, (self.delta, _eigvals_raw(x)[0])).min())
         if not lo >= -_PSD_TOL:
             raise ValueError(f"primal block matrix must be PSD, lambda_min={lo!r}")
-        if self.trace_residual > _RESIDUAL_TOL:
-            raise ValueError(f"trace constraint violated by {self.trace_residual!r}")
-        if self.residuals.max(initial=0.0) > _RESIDUAL_TOL:
-            raise ValueError(f"constraint residual too large: {self.residuals.max()!r}")
-        object.__setattr__(self, "lambda_min", lo)
+        # einsum, not the product lift_primal takes delta and the slacks from:
+        # the residuals are an independent measurement, not an echo of them
+        residuals = _readonly(np.abs(np.einsum("kij,ij->k", _tops(emb), x) + slacks - self.delta))
+        trace_residual = abs(float(np.trace(x)) - 1.0)
+        if trace_residual > _RESIDUAL_TOL:
+            raise ValueError(f"trace constraint violated by {trace_residual!r}")
+        if residuals.max(initial=0.0) > _RESIDUAL_TOL:
+            raise ValueError(f"constraint residual too large: {residuals.max()!r}")
+        for name, value in (("x", x), ("slacks", slacks), ("residuals", residuals),
+                            ("trace_residual", trace_residual), ("lambda_min", lo)):
+            object.__setattr__(self, name, value)
 
     @property
     def objective(self) -> float:
@@ -155,43 +166,43 @@ class PrimalLift:
 
 @dataclass(frozen=True, eq=False)
 class DualLift:
-    """Feasible dual triple (multipliers u, bound t, slack S), with S held
-    as its top n x n block and its corner.
+    """Dual pair (multipliers u, bound t) of an embedding with its slack
+    S = C - sum_i u_i F_i - t E, held as its top n x n block and its corner.
 
-    Index slot i of S is 0.0 - u_i and is not stored. The slack is defined
-    by the dual equality, so the stored residual (recomputation error of
-    that equality) is pure floating-point noise; PSD-ness of S is what
-    carries information and is constructor-checked on the blocks: the top
+    Built from the embedding (not stored) and u and t alone; S is derived
+    from them, so it meets the dual equality by definition and the lift
+    carries no residual. ``top`` is sum_i (0 - u_i)(A_i + sigma*I) - t*I,
+    index slot i is 0 - u_i and is not stored, and ``corner`` is
+    1 + sum_i u_i. PSD-ness of S is checked on construction: the top
     block's least eigenvalue, then the least diagonal entry, each failure a
     DualInfeasibleError naming its block. ``lambda_min`` is the least
     eigenvalue of S so found.
     """
 
+    emb: InitVar[SdpEmbedding]
     multipliers: np.ndarray
     bound: float
-    top: np.ndarray
-    corner: float
-    residual: float
+    top: np.ndarray = field(init=False)
+    corner: float = field(init=False)
     lambda_min: float = field(init=False)
 
-    def __post_init__(self):
-        u, top = _readonly(self.multipliers), _readonly(self.top)
-        object.__setattr__(self, "multipliers", u)
-        object.__setattr__(self, "top", top)
+    def __post_init__(self, emb):
+        u = _readonly(self.multipliers)
+        top = _readonly(_combination(0.0 - u, _tops(emb)) - self.bound * np.eye(emb.n))
+        corner = 1.0 + float(u.sum())
+        for name, value in (("multipliers", u), ("top", top), ("corner", corner)):
+            object.__setattr__(self, name, value)
         lo = float(_eigvals_raw(top)[0])
         if not lo >= -_PSD_TOL:
-            n = top.shape[0]
             raise DualInfeasibleError(
-                f"slack top-left {n}x{n} block is not PSD (lambda_min={lo:.6g}); "
+                f"slack top-left {emb.n}x{emb.n} block is not PSD (lambda_min={lo:.6g}); "
                 f"t={self.bound!r} exceeds the weighted shifted eigenvalue bound"
             )
-        diag = np.append(0.0 - u, self.corner)
+        diag = np.append(0.0 - u, corner)
         k = int(np.argmin(diag))
         if not diag[k] >= -_PSD_TOL:
             block = "corner entry" if k == u.size else f"diagonal entry for index {k}"
             raise DualInfeasibleError(f"slack {block} is negative ({diag[k]:.6g})")
-        if self.residual > _RESIDUAL_TOL:
-            raise ValueError(f"dual equality violated by {self.residual!r}")
         object.__setattr__(self, "lambda_min", min(lo, float(diag[k])))
 
 
@@ -233,18 +244,17 @@ def lift_primal(
 
     delta is set to max_i <A_i + sigma*I, X> plus the optional margin, and
     the slacks absorb the differences, so every constraint holds by
-    construction; the returned residuals re-measure them on the stored
-    blocks. With margin 0 the slack of a best-response index is
-    exactly zero; a positive margin makes every slack strictly positive.
-    The objective entry equals the shifted guarantee of X (plus margin).
+    construction; the lift re-measures the residuals on its blocks. With
+    margin 0 the slack of a best-response index is exactly zero; a positive
+    margin makes every slack strictly positive. The objective entry equals
+    the shifted guarantee of X (plus margin).
     """
     if x.n != inst.n:
         raise ValueError("dimension mismatch between point and instance")
     _check_instance(inst, emb)
     if margin < 0.0:
         raise ValueError("margin must be nonnegative")
-    tops = _tops(emb)
-    vals = _payoffs(tops, x.array)  # <A_i + sigma*I, X> for every i
+    vals = _payoffs(_tops(emb), x.array)  # <A_i + sigma*I, X> for every i
     delta = float(vals.max()) + margin
     if delta < -_PSD_TOL:
         # sigma makes every <A_i + sigma*I, X> at least 1 for PSD X of unit trace
@@ -252,12 +262,7 @@ def lift_primal(
             f"embedded objective would be negative (delta={delta!r}): X's negative "
             "eigenvalues outweigh the shift at the instance's scale"
         )
-    slacks = delta - vals
-    # einsum, not the product that produced vals: the residuals are an
-    # independent measurement rather than an echo of the construction
-    residuals = np.abs(np.einsum("kij,ij->k", tops, x.array) + slacks - delta)
-    trace_residual = abs(float(np.trace(x.array)) - 1.0)
-    return PrimalLift(x.array, slacks, delta, residuals, trace_residual)
+    return PrimalLift(emb, x.array, delta - vals, delta)
 
 
 def interior_primal_point(inst: InstanceSet, emb: SdpEmbedding) -> PrimalLift:
@@ -267,26 +272,8 @@ def interior_primal_point(inst: InstanceSet, emb: SdpEmbedding) -> PrimalLift:
     return lift_primal(x, inst, emb, margin=1.0)
 
 
-def _assemble_dual(multipliers: np.ndarray, t: float, emb: SdpEmbedding):
-    """Top block and corner of the slack S = C - sum_i u_i F_i - t E, and
-    the equality residual.
-
-    Both accumulate one constraint at a time, as a sum of full blocks
-    would; index slot i of S is 0 - u_i, the only nonzero term there, and
-    S is zero off the diagonal blocks. Only the corner's recomputation can
-    round, so the residual is measured there.
-    """
-    top = t * np.eye(emb.n)
-    total = 0.0
-    for ui, a in zip(multipliers.tolist(), _tops(emb)):
-        top = top + ui * a
-        total = total - ui
-    corner = 1.0 - total
-    return 0.0 - top, corner, abs(float(total + corner - 1.0))
-
-
 def lift_dual(y: SimplexPoint, t: float, inst: InstanceSet, emb: SdpEmbedding) -> DualLift:
-    """Lift a simplex strategy and a shifted-value bound to a dual triple.
+    """Lift a simplex strategy and a shifted-value bound to a dual pair.
 
     t lives in shifted coordinates: the pair is feasible exactly when
     t <= lambda_min(sum_i y_i (A_i + sigma*I)). The multipliers are the
@@ -296,12 +283,11 @@ def lift_dual(y: SimplexPoint, t: float, inst: InstanceSet, emb: SdpEmbedding) -
     if y.m != inst.m:
         raise ValueError("dimension mismatch between strategy and instance")
     _check_instance(inst, emb)
-    multipliers = -y.weights
-    return DualLift(multipliers, float(t), *_assemble_dual(multipliers, float(t), emb))
+    return DualLift(emb, -y.weights, float(t))
 
 
 def interior_dual_point(inst: InstanceSet, emb: SdpEmbedding) -> DualLift:
-    """Strictly feasible dual triple with certified positive-definite slack.
+    """Strictly feasible dual pair with certified positive-definite slack.
 
     Multipliers -1/(2m) leave the simplex-sum slot at 1/2 and every index
     slot at 1/(2m); the bound t sits one unit below the corresponding
@@ -313,7 +299,7 @@ def interior_dual_point(inst: InstanceSet, emb: SdpEmbedding) -> DualLift:
     multipliers = np.full(m, -1.0 / (2.0 * m))
     combo = _combination(-multipliers, _tops(emb))
     t = float(_eigvals_raw(combo)[0]) - 1.0
-    lift = DualLift(multipliers, t, *_assemble_dual(multipliers, t, emb))
+    lift = DualLift(emb, multipliers, t)
     if not lift.lambda_min > 0.0:
         raise DualInfeasibleError(
             f"interior construction failed, lambda_min(S)={lift.lambda_min!r}"

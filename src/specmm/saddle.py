@@ -147,14 +147,16 @@ def _tril_inv(l: np.ndarray) -> np.ndarray:
 def _schur_cholesky(schur: np.ndarray) -> np.ndarray:
     """Cholesky factor of the Schur matrix; where that breaks down, of the matrix with
     1e-14, 1e-12, ..., 1e-6 times its largest diagonal entry added to its diagonal, the
-    first that factors. A retry writes its diagonal over the one of ``schur``."""
-    diag = schur.diagonal().copy()
+    first that factors. A retry writes its diagonal over the one of ``schur``, which is
+    copied at the first breakdown: a matrix that factors at once is not copied."""
+    diag = None
     for eps in (1e-14, 1e-12, 1e-10, 1e-8, 1e-6, None):
         try:
             return np.linalg.cholesky(schur)
         except np.linalg.LinAlgError:
             if eps is None:
                 raise
+            diag = schur.diagonal().copy() if diag is None else diag
             schur.flat[:: len(schur) + 1] = diag + eps * diag.max()
 
 

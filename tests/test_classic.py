@@ -64,6 +64,13 @@ class TestVectorGame:
     def test_validates_rectangular(self):
         with pytest.raises(ValueError, match="length"):
             VectorGame(((1.0, 2.0), (3.0,)))
+        with pytest.raises(ValueError, match="row 1 has length 0"):
+            VectorGame(((1.0,), ()))
+
+    def test_validates_nonempty(self):
+        for rows in ((), ((),)):
+            with pytest.raises(ValueError, match="at least one row and one column"):
+                VectorGame(rows)
 
     def test_validates_finite(self):
         with pytest.raises(ValueError, match="finite"):

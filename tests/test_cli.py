@@ -92,6 +92,28 @@ class TestSolveCommand:
         assert doc["gap"] <= 1e-2
 
 
+GOOD_DOC = {"n": 2, "m": 1, "matrices": [[[1.0, 2.0], [2.0, 3.0]]]}
+# (document, the field its error names), one per document-level check of parse_instance
+DOCUMENT_ERRORS = {
+    "not-an-object": ([GOOD_DOC], "top level"),
+    **{f"missing-{key}": ({k: v for k, v in GOOD_DOC.items() if k != key}, f"'{key}'")
+       for key in GOOD_DOC},
+    **{f"{key}={bad!r}": (dict(GOOD_DOC, **{key: bad}), f"'{key}'")
+       for key in ("n", "m") for bad in (0, True, 1.5, "2")},
+    "matrices-not-a-list": (dict(GOOD_DOC, matrices={"0": GOOD_DOC["matrices"][0]}),
+                            "'matrices'"),
+    "matrices-count": (dict(GOOD_DOC, matrices=GOOD_DOC["matrices"] * 2), "'matrices'"),
+    "labels-length": (dict(GOOD_DOC, labels=["a", "b"]), "'labels'"),
+    "labels-non-string": (dict(GOOD_DOC, labels=[1]), "'labels'"),
+}
+
+
+@pytest.mark.parametrize("doc, field", DOCUMENT_ERRORS.values(), ids=DOCUMENT_ERRORS.keys())
+def test_document_errors_name_their_field(doc, field):
+    with pytest.raises(InstanceFormatError, match=re.escape(field)):
+        parse_instance(doc)
+
+
 class TestInputValidation:
     def test_shape_mismatch_names_matrix(self, tmp_path, capsys):
         bad = dict(PAULI, matrices=[PAULI["matrices"][0], [[1.0, 0.0]]])

@@ -89,6 +89,13 @@ class TestDomainTypes:
         with pytest.raises(ValueError, match="sum"):
             SimplexPoint(np.array([0.4, 0.4]))
 
+    def test_simplex_rejects_non_vectors_and_nonfinite(self):
+        for bad in (np.full((1, 2), 0.5), np.zeros(0)):
+            with pytest.raises(ValueError, match="nonempty vector"):
+                SimplexPoint(bad)
+        with pytest.raises(ValueError, match="finite"):
+            SimplexPoint(np.array([np.nan, 1.0]))
+
     def test_instance_rejects_mixed_orders(self):
         with pytest.raises(ValueError, match="order"):
             InstanceSet(np.zeros((2, 2, 3)))

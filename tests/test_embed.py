@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -125,6 +126,17 @@ def dual_parts(d):
     return d.top.tobytes(), (0.0 - d.multipliers).tobytes(), np.float64(d.corner).tobytes()
 
 
+def assert_slack_matches(d, slack, inst, shift):
+    """A dual lift's slack against the dense one: index slots and corner bit for
+    bit; the top block sums its m + 1 terms in another order than the dense walk,
+    so it may differ by their rounding."""
+    n, m = inst.n, inst.m
+    assert dual_parts(d)[1:] == dense_parts(slack, m)[1:]
+    terms = abs(d.bound) + np.abs(d.multipliers) @ np.abs(inst.stacked).max(axis=(1, 2))
+    terms += np.abs(d.multipliers).sum() * shift
+    assert np.abs(d.top - slack[:n, :n]).max() <= (m + 1) * 2.0**-52 * terms
+
+
 def signed_zero_instance(seed, n, m, scale):
     """Seeded instance at a given scale with exact zeros and -0.0 entries,
     placed symmetrically so symmetrization keeps their signs."""
@@ -202,6 +214,8 @@ class TestLiftPrimal:
         lift = lift_primal(x, inst, emb)
         assert lift.slacks.min() == 0.0
         assert lift.objective == pytest.approx(upper_value(x, inst) + emb.shift, abs=1e-12)
+        with pytest.raises(ValueError, match="margin must be nonnegative"):
+            lift_primal(x, inst, emb, margin=-1e-300)
 
     def test_interior_point_has_strict_slacks(self, rng):
         for _ in range(5):
@@ -251,7 +265,6 @@ class TestLiftDual:
         y = SimplexPoint(np.array([0.5, 0.5]))
         lift = lift_dual(y, -0.8 + emb.shift, inst, emb)
         assert np.array_equal(lift.multipliers, np.array([-0.5, -0.5]))
-        assert lift.residual <= 1e-10
         assert lambda_min(lift.top) == pytest.approx(0.8 - SQ2_HALF, abs=1e-12)
         # index slots carry the weights, the corner carries 1 - sum(y)
         assert np.array_equal(0.0 - lift.multipliers, np.array([0.5, 0.5]))
@@ -280,7 +293,7 @@ class TestLiftDual:
             y = SimplexPoint(np.array([0.2, 0.3, 0.5]))
             t = lower_value(y, inst) + emb.shift - float(rng.uniform(0.0, 0.5))
             lift = lift_dual(y, t, inst, emb)
-            assert lift.residual <= 1e-10
+            assert_slack_matches(lift, dense_slack(-y.weights, t, inst, emb.shift), inst, emb.shift)
 
 
 def test_lifts_reject_an_embedding_of_another_instance(rng):
@@ -293,6 +306,11 @@ def test_lifts_reject_an_embedding_of_another_instance(rng):
     same = InstanceSet(a.copy())
     assert primal_parts(lift_primal(x, same, emb)) == primal_parts(lift_primal(x, emb.inst, emb))
     assert dual_parts(lift_dual(y, t, same, emb)) == dual_parts(lift_dual(y, t, emb.inst, emb))
+    # a point or a strategy of another dimension than the instance's
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        lift_primal(SpectraplexPoint(np.eye(3) / 3.0), emb.inst, emb)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        lift_dual(SimplexPoint.uniform(4), t, emb.inst, emb)
     # same shape, different matrices: the lift would be the one for a
     other = InstanceSet(5.0 * a)
     for lift in (
@@ -303,6 +321,43 @@ def test_lifts_reject_an_embedding_of_another_instance(rng):
     ):
         with pytest.raises(ValueError, match="built for a different instance"):
             lift()
+
+
+class TestLiftsDeriveTheirBlocks:
+    def test_constructors_take_the_free_variables_only(self):
+        # the embedding is an init-only argument and is not stored; every
+        # other field is derived on construction
+        for cls, free in ((PrimalLift, ["x", "slacks", "delta"]),
+                          (DualLift, ["multipliers", "bound"])):
+            assert list(inspect.signature(cls).parameters) == ["emb", *free]
+            assert [f.name for f in dataclasses.fields(cls) if f.init] == free
+        inst = pauli_pair()
+        emb = build_embedding(inst)
+        assert not hasattr(interior_primal_point(inst, emb), "emb")
+        assert not hasattr(interior_dual_point(inst, emb), "emb")
+
+    def test_a_dual_bound_above_the_value_is_refused(self):
+        # the Pauli pair's value is -sqrt(2)/2; a lift that took its slack from
+        # the caller certified the lower bound 1e6 - 2 here
+        emb = build_embedding(pauli_pair())
+        y = np.array([0.5, 0.5])
+        with pytest.raises(DualInfeasibleError, match="top-left"):
+            DualLift(emb, -y, 1e6)
+
+    def test_a_primal_point_off_the_constraints_is_refused(self):
+        # X = I/2 pays 2 against both shifted tops, so zero slacks need delta = 2;
+        # delta = 0.5 would certify the upper bound 0.5 - 2 = -1.5 < -sqrt(2)/2
+        emb = build_embedding(pauli_pair())
+        with pytest.raises(ValueError, match="constraint residual too large"):
+            PrimalLift(emb, np.eye(2) / 2.0, np.zeros(2), 0.5)
+        lift = PrimalLift(emb, np.eye(2) / 2.0, np.zeros(2), 2.0)
+        assert lift.residuals.tolist() == [0.0, 0.0]
+
+    def test_blocks_of_another_shape_are_refused(self):
+        emb = build_embedding(pauli_pair())
+        for x, slacks in ((np.eye(3) / 3.0, np.zeros(2)), (np.eye(2) / 2.0, np.zeros(1))):
+            with pytest.raises(ValueError, match="block shapes"):
+                PrimalLift(emb, x, slacks, 2.0)
 
 
 class TestInteriorDual:
@@ -325,14 +380,15 @@ class TestInteriorDual:
             emb = build_embedding(inst)
             lift = interior_dual_point(inst, emb)
             assert lift.lambda_min > 0.0
-            assert lift.residual <= 1e-12
+            # t sits one unit below the weighted eigenvalue floor
+            assert lambda_min(lift.top) == pytest.approx(1.0, abs=1e-12)
 
 
-def primal_verdict(x, slacks, delta):
-    """Whether PrimalLift accepts the blocks; residuals are zero, so only
-    the PSD check can reject them."""
+def primal_verdict(emb, x, slacks, delta):
+    """Whether PrimalLift accepts the blocks. The PSD check runs before the
+    residuals are measured, so a rejection must come from it."""
     try:
-        PrimalLift(x, slacks, delta, np.zeros(len(slacks)), 0.0)
+        PrimalLift(emb, x, slacks, delta)
     except ValueError as err:
         assert "must be PSD" in str(err)
         return False
@@ -360,9 +416,9 @@ class TestBlockPsdCheck:
             dense_min = np.linalg.eigvalsh(mat)[0]
             dense_ok = bool(dense_min >= -1e-10)
             blocks = (mat[:n, :n], np.diag(mat)[n : n + m], mat[-1, -1])
-            assert primal_verdict(*blocks) == dense_ok
+            assert primal_verdict(emb, *blocks) == dense_ok
             if dense_ok:
-                p = PrimalLift(*blocks, np.zeros(m), 0.0)
+                p = PrimalLift(emb, *blocks)
                 assert primal_parts(p) == dense_parts(mat, m)
                 assert abs(p.lambda_min - dense_min) <= 1e-12 * max(1.0, abs(mat).max())
             verdicts.add(("primal", dense_ok))
@@ -378,7 +434,7 @@ class TestBlockPsdCheck:
                 ok = False
             else:
                 ok = True
-                assert dual_parts(d) == dense_parts(slack, m)
+                assert_slack_matches(d, slack, inst, emb.shift)
                 assert abs(d.lambda_min - dense_min) <= 1e-12 * max(1.0, abs(slack).max())
             assert ok == dense_ok
             verdicts.add(("dual", dense_ok))
@@ -386,29 +442,36 @@ class TestBlockPsdCheck:
         assert len(verdicts) == 4
 
     def test_negative_index_slot_rejected(self):
-        top = np.eye(2) / 2.0
-        assert not primal_verdict(top, [0.5, -1e-9, 0.25], 1.0)
+        # three zero matrices: the tops are I, so the dual top is -sum(u) I - t I
+        emb = build_embedding(InstanceSet(np.zeros((3, 2, 2))))
+        half = np.eye(2) / 2.0
+        assert not primal_verdict(emb, half, [0.5, -1e-9, 0.25], 1.0)
         with pytest.raises(DualInfeasibleError, match="index 1 is negative"):
-            DualLift(np.array([-0.5, 1e-9, -0.25]), 0.0, top, 1.0, 0.0)
-        assert not primal_verdict(top, [0.5, 0.0, 0.25], -1e-9)
+            DualLift(emb, [-0.5, 1e-9, -0.25], 0.0)
+        assert not primal_verdict(emb, half, [0.5, 0.0, 0.25], -1e-9)
+        # the corner is 1 + sum(u)
         with pytest.raises(DualInfeasibleError, match="corner entry is negative"):
-            DualLift(np.array([-0.5, 0.0, -0.25]), 0.0, top, -1e-9, 0.0)
+            DualLift(emb, [-0.5, 0.0, -0.5 - 1e-9], 0.0)
 
     def test_indefinite_top_block_rejected(self):
         # trace one, eigenvalues 1.5 and -0.5, so a zero diagonal is not enough
-        top = np.array([[0.5, 1.0], [1.0, 0.5]])
-        assert not primal_verdict(top, [0.5, 0.0], 1.0)
+        emb = build_embedding(InstanceSet(np.zeros((2, 2, 2))))
+        assert not primal_verdict(emb, np.array([[0.5, 1.0], [1.0, 0.5]]), [0.5, 0.0], 1.0)
+        # on the Pauli pair, t = 2 exceeds the weighted shifted eigenvalue
+        # bound 2 - sqrt(2)/2: the top (Z + X)/2 has eigenvalues +-sqrt(2)/2
+        emb = build_embedding(pauli_pair())
         with pytest.raises(DualInfeasibleError, match="top-left 2x2 block is not PSD"):
-            DualLift(np.zeros(2), 0.0, top, 1.0, 0.0)
+            DualLift(emb, [-0.5, -0.5], 2.0)
 
     def test_nan_block_is_not_psd(self):
-        top = np.eye(2) / 2.0
-        assert not primal_verdict(top, [0.5, np.nan], 1.0)
-        assert not primal_verdict(top, [0.5, 0.0], np.nan)
-        with pytest.raises(DualInfeasibleError, match="index 1"):
-            DualLift(np.array([-0.5, np.nan]), 0.0, top, 1.0, 0.0)
-        with pytest.raises(DualInfeasibleError, match="corner"):
-            DualLift(np.array([-0.5, -0.5]), 0.0, top, np.nan, 0.0)
+        emb = build_embedding(InstanceSet(np.zeros((2, 2, 2))))
+        half = np.eye(2) / 2.0
+        assert not primal_verdict(emb, half, [0.5, np.nan], 1.0)
+        assert not primal_verdict(emb, half, [0.5, 0.0], np.nan)
+        # a NaN multiplier or bound reaches the top block first
+        for u, t in (([-0.5, np.nan], 0.0), ([-0.5, -0.5], np.nan)):
+            with pytest.raises(DualInfeasibleError, match="top-left"):
+                DualLift(emb, u, t)
 
     def test_blocks_are_read_only(self, rng):
         inst = random_instance(rng, 3, 2)
@@ -436,15 +499,8 @@ class TestExtractDual:
         # shifted matrices are diag(2, 1) and diag(1, 2); weights 1/4 each
         # give a combination with bottom eigenvalue 3/4, so t = 0.3 is
         # strictly feasible and scales to 0.6
-        (f1, f2), e, c = dense_blocks(inst, emb.shift)
-        slack = c - 0.3 * e + 0.25 * f1 + 0.25 * f2
-        lift = DualLift(
-            multipliers=np.array([-0.25, -0.25]),
-            bound=0.3,
-            top=slack[:2, :2],
-            corner=slack[-1, -1],
-            residual=0.0,
-        )
+        lift = DualLift(emb, multipliers=np.array([-0.25, -0.25]), bound=0.3)
+        assert np.array_equal(lift.top, np.diag([0.45, 0.45]))
         got = extract_dual(lift, emb)
         assert np.array_equal(got.weights, np.array([0.5, 0.5]))
         assert got.lower_bound == pytest.approx(0.6 - emb.shift, abs=1e-15)
@@ -461,12 +517,7 @@ class TestExtractDual:
     def test_zero_multipliers_with_nonpositive_bound_degenerate(self):
         inst = diag_pair()
         emb = build_embedding(inst)
-        _, e, c = dense_blocks(inst, emb.shift)
-        slack = c + 0.5 * e
-        lift = DualLift(
-            multipliers=np.zeros(2), bound=-0.5, top=slack[:2, :2], corner=slack[-1, -1],
-            residual=0.0,
-        )
+        lift = DualLift(emb, multipliers=np.zeros(2), bound=-0.5)
         got = extract_dual(lift, emb)
         assert got.degenerate
         assert got.point is None
@@ -475,13 +526,8 @@ class TestExtractDual:
     def test_zero_multipliers_with_positive_bound_rejected(self):
         inst = diag_pair()
         emb = build_embedding(inst)
-        t = 1e-13
-        _, e, c = dense_blocks(inst, emb.shift)
-        slack = c - t * e
-        lift = DualLift(
-            multipliers=np.full(2, -1e-13), bound=t, top=slack[:2, :2], corner=slack[-1, -1],
-            residual=0.0,
-        )
+        # the top 1e-13 * diag(3, 3) - 1e-13 * I is PSD
+        lift = DualLift(emb, multipliers=np.full(2, -1e-13), bound=1e-13)
         with pytest.raises(DegenerateMultiplierError):
             extract_dual(lift, emb)
 
@@ -623,8 +669,7 @@ class TestStructuralReaders:
         # dual slacks: the interior point, and a strategy with weights -0.0
         # and 0.0 (multipliers 0.0 and -0.0) at a strictly feasible t
         d = interior_dual_point(inst, emb)
-        want = dense_slack(d.multipliers, d.bound, inst, emb.shift)
-        assert dual_parts(d) == dense_parts(want, m)
+        assert_slack_matches(d, dense_slack(d.multipliers, d.bound, inst, emb.shift), inst, emb.shift)
         w = np.ones(m)
         if m > 1:
             w[0] = -0.0
@@ -633,7 +678,7 @@ class TestStructuralReaders:
         y = SimplexPoint(w / w.sum())
         t = lower_value(y, inst) + emb.shift - 0.1 * scale
         d = lift_dual(y, t, inst, emb)
-        assert dual_parts(d) == dense_parts(dense_slack(-y.weights, t, inst, emb.shift), m)
+        assert_slack_matches(d, dense_slack(-y.weights, t, inst, emb.shift), inst, emb.shift)
 
         # primal blocks bit for bit, and residuals against the full-block
         # contraction; the absolute residual gate trips on rounding at large

@@ -24,16 +24,18 @@ from specmm import (
     parse_instance,
 )
 
-HALF = np.eye(2) / 2.0
+# one 1x1 matrix [[1.0]]: the shift is 1, so the one top block is [[2.0]]
 EMB = build_embedding(InstanceSet([[[1.0]]]))
 
 
-def primal(slack=0.0, residual=0.0, trace_residual=0.0):
-    return PrimalLift(HALF, [slack], 1.0, [residual], trace_residual)
+def primal(x=1.0, slack=0.0, delta=2.0):
+    # the residual is |2x + slack - delta| and the trace residual |x - 1|
+    return PrimalLift(EMB, [[x]], [slack], delta)
 
 
-def dual(corner=1.0, residual=0.0):
-    return DualLift(np.array([-1.0]), 0.0, np.eye(2), corner, residual)
+def dual(multiplier):
+    # the slack's top block is -2 * multiplier and its corner 1 + multiplier
+    return DualLift(EMB, [multiplier], 0.0)
 
 
 def extract(multipliers, bound=0.0):
@@ -67,11 +69,11 @@ GATES = {
                         0.9e-10, 1.1e-10),
     "simplex_entry": (lambda e: SimplexPoint([1.0 + e, -e]), 0.9e-12, 1.1e-12),
     "simplex_sum": (lambda d: SimplexPoint([0.5 + d, 0.5]), 0.9e-12, 1.1e-12),
-    "lift_psd_primal": (lambda e: primal(slack=-e), 0.9e-10, 1.1e-10),
-    "lift_psd_dual": (lambda e: dual(corner=-e), 0.9e-10, 1.1e-10),
-    "lift_trace_residual": (lambda r: primal(trace_residual=r), 0.9e-10, 1.1e-10),
-    "lift_residual_primal": (lambda r: primal(residual=r), 0.9e-10, 1.1e-10),
-    "lift_residual_dual": (lambda r: dual(residual=r), 0.9e-10, 1.1e-10),
+    "lift_psd_primal": (lambda e: primal(slack=-e, delta=2.0 - e), 0.9e-10, 1.1e-10),
+    "lift_psd_dual": (lambda e: dual(-(1.0 + e)), 0.9e-10, 1.1e-10),
+    "lift_trace_residual": (lambda r: primal(x=1.0 + r, delta=2.0 * (1.0 + r)),
+                            0.9e-10, 1.1e-10),
+    "lift_residual_primal": (lambda r: primal(delta=2.0 + r), 0.9e-10, 1.1e-10),
     "extract_clamp_sign": (lambda e: extract([-1.0, e]), 0.9e-10, 1.1e-10),
     "extract_clamp_sum": (lambda d: extract([-1.0 - d]), 0.9e-10, 1.1e-10),
     # at or below the gate the weights cannot be rescaled, and a positive

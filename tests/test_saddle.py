@@ -462,11 +462,13 @@ class TestIsolatedCoordinates:
                 return tracer
             return None
 
+        # put back whatever tracer ran before (a coverage tool's, say), not None
+        previous = sys.gettrace()
         sys.settrace(tracer)
         try:
             cert = solve_minimax(inst)
         finally:
-            sys.settrace(None)
+            sys.settrace(previous)
         assert cert.converged
         assert empty == []
 
