@@ -76,7 +76,8 @@ def _write_out(text: str, out: str | None):
 
 def _add_solver_flags(p: argparse.ArgumentParser):
     p.add_argument("instance", help="instance JSON file")
-    p.add_argument("--tol", type=float, default=1e-4, help="duality gap target (default 1e-4)")
+    p.add_argument("--tol", type=float, default=SaddleConfig().gap_tol,
+                   help="duality gap target (default %(default)s)")
     p.add_argument("--max-iters", type=int, default=SaddleConfig().max_iters,
                    help="cap on Newton steps (default %(default)s)")
     p.add_argument("--strict", action="store_true", help="exit 2 when the gap target is not met")
@@ -171,7 +172,7 @@ def _cmd_check(args) -> int:
         return diff <= 1e-7, f"|{direct:.12g} - {bisected:.12g}| = {diff:.3e}"
 
     def primal_interior():
-        p = interior_primal_point(inst, emb)
+        p = interior_primal_point(emb)
         return (
             p.slacks.min() > 0.0 and p.delta > 0.0 and p.residuals.max() <= 1e-12,
             f"min slack {p.slacks.min():.3e}, delta {p.delta:.6g}, "
@@ -179,7 +180,7 @@ def _cmd_check(args) -> int:
         )
 
     def dual_interior():
-        d = interior_dual_point(inst, emb)
+        d = interior_dual_point(emb)
         return d.lambda_min > 0.0, f"lambda_min(S) {d.lambda_min:.6g}"
 
     def dual_roundtrip():
@@ -236,7 +237,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("vectors", nargs="?", default=None,
                    help="JSON file with a 'vectors' field (payoff rows)")
     p.add_argument("--rows", default=None, help="inline payoff rows, e.g. '1,-1;-1,1'")
-    p.add_argument("--tol", type=float, default=1e-4, help="comparison tolerance (default 1e-4)")
+    p.add_argument("--tol", type=float, default=SaddleConfig().gap_tol,
+                   help="comparison tolerance (default %(default)s)")
     p.set_defaults(func=_cmd_classic)
 
     p = sub.add_parser("check", help="run the invariant battery on an instance")

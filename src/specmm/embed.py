@@ -22,20 +22,19 @@ mapped back by subtracting sigma; no other shift can be chosen.
 Every block is fixed by the instance, sigma included, so an
 ``SdpEmbedding`` stores just the instance and the sigma it derives; the
 readers below work on the stacked tops A_sig,i and the known unit slots
-and corners, and no (n')^2 matrix is formed. A lift is built from the
-embedding and its free variables alone and derives the rest: a primal
-lift takes X, the slacks s and delta and measures its constraint
-residuals, a dual lift takes u and t and derives the top block and the
-corner of its slack, which satisfies the dual equality by definition, so
-the dual side has no residual. Each checks PSD-ness once, on its blocks.
-The two interior-point constructors certify that the embedded program
-satisfies strict feasibility on both sides, which is what makes its
-optimum attained and equal on both sides.
+and corners, and no (n')^2 matrix is formed. A lift keeps its embedding,
+takes its free variables and derives the rest: a primal lift takes a
+spectraplex point X, the slacks s and delta and measures its constraint
+residuals; a dual lift takes u and t and derives its slack, which meets
+the dual equality by definition. Each fact is checked once, by the type
+that carries it, and a function handed a lift refuses the embedding of
+another instance. The two interior-point constructors certify strict
+feasibility on both sides, which makes the optimum attained and equal.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,9 +62,7 @@ __all__ = [
 # measured equality residuals may be
 _PSD_TOL = 1e-10
 _RESIDUAL_TOL = 1e-10
-# extraction clamps weights in [-_CLAMP_TOL, 0) to zero and lets their sum
-# exceed one by as much; a sum at most _DEGENERATE_SUM cannot be rescaled
-_CLAMP_TOL = 1e-10
+# extraction cannot rescale weights summing to at most this
 _DEGENERATE_SUM = 1e-12
 
 
@@ -106,10 +103,19 @@ def _tops(emb: SdpEmbedding) -> np.ndarray:
 
 
 def _check_instance(inst: InstanceSet, emb: SdpEmbedding) -> None:
-    """Raise unless ``emb`` was built for ``inst``: the same object, or an
-    equal stack. The identity test comes first and costs nothing."""
+    """Raise unless ``emb`` is an embedding built for ``inst``: the same
+    object, or an equal stack. The identity test costs nothing."""
+    if not isinstance(emb, SdpEmbedding):
+        raise TypeError(f"expected an SdpEmbedding, got {type(emb).__name__}")
     if inst is not emb.inst and not np.array_equal(inst.stacked, emb.inst.stacked):
         raise ValueError("the embedding was built for a different instance")
+
+
+def _check_lift(lift, kind: type, emb: SdpEmbedding) -> None:
+    """Raise unless ``lift`` is a ``kind`` whose embedding is ``emb``'s."""
+    if not isinstance(lift, kind):
+        raise TypeError(f"expected a {kind.__name__}, got {type(lift).__name__}")
+    _check_instance(lift.emb.inst, emb)
 
 
 def _readonly(a) -> np.ndarray:
@@ -123,40 +129,34 @@ class PrimalLift:
     """Primal block variable X' = diag(X, s, delta) of an embedding, held as
     its blocks, with the constraint residuals it measures on them.
 
-    Built from the embedding (not stored) and X, s and delta alone: on
-    construction it checks X' PSD, then measures residuals[i] = |<F_i, X'>|
-    = |<A_i + sigma*I, X> + s_i - delta| and trace_residual = |<E, X'> - 1|
-    = |tr X - 1| and rejects either above 1e-10. ``lambda_min`` is the
-    least eigenvalue of X' found by the PSD check: that of X, or the least
-    of s and delta.
+    Built from the embedding and X, s and delta alone. X is a
+    ``SpectraplexPoint``, whose own gates hold it PSD with <E, X'> = tr X = 1.
+    The lift checks s and delta at least -1e-10, then measures residuals[i] =
+    |<A_i + sigma*I, X> + s_i - delta| = |<F_i, X'>| and rejects any above 1e-10.
     """
 
-    emb: InitVar[SdpEmbedding]
-    x: np.ndarray
+    emb: SdpEmbedding = field(repr=False)
+    x: SpectraplexPoint
     slacks: np.ndarray
     delta: float
     residuals: np.ndarray = field(init=False)
-    trace_residual: float = field(init=False)
-    lambda_min: float = field(init=False)
 
-    def __post_init__(self, emb):
-        x, slacks = _readonly(self.x), _readonly(self.slacks)
+    def __post_init__(self):
+        if not isinstance(self.x, SpectraplexPoint):
+            raise TypeError(f"x must be a SpectraplexPoint, got {type(self.x).__name__}")
+        emb, x, slacks = self.emb, self.x.array, _readonly(self.slacks)
         if x.shape != (emb.n, emb.n) or slacks.shape != (emb.m,):
             raise ValueError("block shapes do not match the embedding")
-        lo = float(np.append(slacks, (self.delta, _eigvals_raw(x)[0])).min())
+        lo = float(np.append(slacks, self.delta).min())
         if not lo >= -_PSD_TOL:
-            raise ValueError(f"primal block matrix must be PSD, lambda_min={lo!r}")
+            raise ValueError(f"primal block matrix must be PSD, least of s and delta {lo!r}")
         # einsum, not the product lift_primal takes delta and the slacks from:
         # the residuals are an independent measurement, not an echo of them
         residuals = _readonly(np.abs(np.einsum("kij,ij->k", _tops(emb), x) + slacks - self.delta))
-        trace_residual = abs(float(np.trace(x)) - 1.0)
-        if trace_residual > _RESIDUAL_TOL:
-            raise ValueError(f"trace constraint violated by {trace_residual!r}")
-        if residuals.max(initial=0.0) > _RESIDUAL_TOL:
+        if not residuals.max(initial=0.0) <= _RESIDUAL_TOL:  # a NaN residual fails too
             raise ValueError(f"constraint residual too large: {residuals.max()!r}")
-        for name, value in (("x", x), ("slacks", slacks), ("residuals", residuals),
-                            ("trace_residual", trace_residual), ("lambda_min", lo)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "slacks", slacks)
+        object.__setattr__(self, "residuals", residuals)
 
     @property
     def objective(self) -> float:
@@ -169,25 +169,26 @@ class DualLift:
     """Dual pair (multipliers u, bound t) of an embedding with its slack
     S = C - sum_i u_i F_i - t E, held as its top n x n block and its corner.
 
-    Built from the embedding (not stored) and u and t alone; S is derived
-    from them, so it meets the dual equality by definition and the lift
-    carries no residual. ``top`` is sum_i (0 - u_i)(A_i + sigma*I) - t*I,
-    index slot i is 0 - u_i and is not stored, and ``corner`` is
-    1 + sum_i u_i. PSD-ness of S is checked on construction: the top
-    block's least eigenvalue, then the least diagonal entry, each failure a
+    Built from the embedding and u and t alone; S is derived from them, so
+    it meets the dual equality by definition and the lift carries no
+    residual. ``top`` is sum_i (0 - u_i)(A_i + sigma*I) - t*I, index slot i
+    is 0 - u_i and is not stored, and ``corner`` is 1 + sum_i u_i.
+    PSD-ness of S is checked on construction, at -1e-10: the top block's
+    least eigenvalue, then the least diagonal entry (so each weight -u_i is
+    at least -1e-10 and their sum at most 1 + 1e-10), each failure a
     DualInfeasibleError naming its block. ``lambda_min`` is the least
     eigenvalue of S so found.
     """
 
-    emb: InitVar[SdpEmbedding]
+    emb: SdpEmbedding = field(repr=False)
     multipliers: np.ndarray
     bound: float
     top: np.ndarray = field(init=False)
     corner: float = field(init=False)
     lambda_min: float = field(init=False)
 
-    def __post_init__(self, emb):
-        u = _readonly(self.multipliers)
+    def __post_init__(self):
+        emb, u = self.emb, _readonly(self.multipliers)
         top = _readonly(_combination(0.0 - u, _tops(emb)) - self.bound * np.eye(emb.n))
         corner = 1.0 + float(u.sum())
         for name, value in (("multipliers", u), ("top", top), ("corner", corner)):
@@ -208,16 +209,15 @@ class DualLift:
 
 @dataclass(frozen=True, eq=False)
 class ExtractedDual:
-    """Simplex strategy and value bound recovered from a dual lift.
+    """Simplex strategy weights and value bound recovered from a dual lift.
 
-    On the regular path ``point`` holds the rescaled strategy and
-    ``lower_bound`` the certified bound on the original (unshifted) value.
-    When the multipliers sum to numerical zero nothing can be rescaled;
-    the raw clamped weights are reported with ``degenerate`` set and
-    ``point`` is None.
+    On the regular path ``weights`` is the rescaled strategy, the array of a
+    validated ``SimplexPoint``, and ``lower_bound`` the certified bound on
+    the original (unshifted) value. When the multipliers sum to numerical
+    zero nothing can be rescaled; the raw clamped weights are reported with
+    ``degenerate`` set.
     """
 
-    point: SimplexPoint | None
     weights: np.ndarray
     lower_bound: float
     degenerate: bool
@@ -262,14 +262,14 @@ def lift_primal(
             f"embedded objective would be negative (delta={delta!r}): X's negative "
             "eigenvalues outweigh the shift at the instance's scale"
         )
-    return PrimalLift(emb, x.array, delta - vals, delta)
+    return PrimalLift(emb, x, delta - vals, delta)
 
 
-def interior_primal_point(inst: InstanceSet, emb: SdpEmbedding) -> PrimalLift:
-    """Strictly feasible primal point: X = I/n lifted with margin 1, so X
-    is positive definite and all slack entries and delta are positive."""
-    x = SpectraplexPoint(np.eye(inst.n) / inst.n)
-    return lift_primal(x, inst, emb, margin=1.0)
+def interior_primal_point(emb: SdpEmbedding) -> PrimalLift:
+    """Strictly feasible primal point of the embedding's instance: X = I/n
+    lifted with margin 1, so X is positive definite and all slack entries
+    and delta are positive."""
+    return lift_primal(SpectraplexPoint(np.eye(emb.n) / emb.n), emb.inst, emb, margin=1.0)
 
 
 def lift_dual(y: SimplexPoint, t: float, inst: InstanceSet, emb: SdpEmbedding) -> DualLift:
@@ -286,15 +286,15 @@ def lift_dual(y: SimplexPoint, t: float, inst: InstanceSet, emb: SdpEmbedding) -
     return DualLift(emb, -y.weights, float(t))
 
 
-def interior_dual_point(inst: InstanceSet, emb: SdpEmbedding) -> DualLift:
-    """Strictly feasible dual pair with certified positive-definite slack.
+def interior_dual_point(emb: SdpEmbedding) -> DualLift:
+    """Strictly feasible dual pair of the embedding's instance, with
+    certified positive-definite slack.
 
     Multipliers -1/(2m) leave the simplex-sum slot at 1/2 and every index
     slot at 1/(2m); the bound t sits one unit below the corresponding
     weighted eigenvalue floor, so the top block has minimum eigenvalue one.
     The returned slack is certified positive definite numerically.
     """
-    _check_instance(inst, emb)
     m = emb.m
     multipliers = np.full(m, -1.0 / (2.0 * m))
     combo = _combination(-multipliers, _tops(emb))
@@ -308,47 +308,37 @@ def interior_dual_point(inst: InstanceSet, emb: SdpEmbedding) -> DualLift:
 
 
 def extract_dual(lift: DualLift, emb: SdpEmbedding) -> ExtractedDual:
-    """Recover a simplex strategy and an unshifted value bound from a lift.
+    """Recover a simplex strategy and an unshifted value bound from a
+    DualLift of ``emb``'s instance, whose gates fix the weights' signs and sum.
 
-    Flips the multiplier signs, clamps entries in [-1e-10, 0) to zero,
-    rescales weights and bound by the weight sum to land on the simplex,
-    and subtracts the embedding shift from the bound. Multipliers summing
-    to numerical zero cannot be rescaled: with a positive bound that is
-    flagged as an error (no feasible lift produces it), otherwise the raw
-    clamped weights are returned with the degenerate flag set.
+    Flips the multiplier signs, clamps negative weights to zero and rescales
+    by their sum w. The lift proves sum_i (-u_i)(A_i + sigma*I) >= (t +
+    lambda_min) I, so the bound (t + min(0, lambda_min)) / w - sigma takes
+    off the slack's defect before rescaling magnifies it (Jansson, Chaykin &
+    Keil, SIAM J. Numer. Anal. 2007). A sum w of at most 1e-12 cannot be
+    rescaled: with a positive t that is an error (no feasible lift produces
+    it), else the clamped weights come back flagged degenerate, with t - sigma.
     """
-    w = -np.asarray(lift.multipliers, dtype=float)
-    bad = w < -_CLAMP_TOL
-    if bad.any():
-        k = int(np.argmin(w))
-        raise ValueError(f"multiplier {k} has the wrong sign ({lift.multipliers[k]!r})")
+    _check_lift(lift, DualLift, emb)
+    w = -lift.multipliers
     w = np.where(w < 0.0, 0.0, w)
     total = float(w.sum())
-    if total > 1.0 + _CLAMP_TOL:
-        raise ValueError(f"multiplier weights sum to {total!r} > 1")
     if total <= _DEGENERATE_SUM:
         if lift.bound > 0.0:
             raise DegenerateMultiplierError(
                 f"weights sum to {total!r} while the bound {lift.bound!r} is positive"
             )
-        return ExtractedDual(
-            point=None,
-            weights=w,
-            lower_bound=lift.bound - emb.shift,
-            degenerate=True,
-        )
-    w_scaled = w / total
-    point = SimplexPoint(w_scaled)
+        return ExtractedDual(weights=w, lower_bound=lift.bound - emb.shift, degenerate=True)
     return ExtractedDual(
-        point=point,
-        weights=w_scaled,
-        lower_bound=lift.bound / total - emb.shift,
+        weights=SimplexPoint(w / total).weights,
+        lower_bound=(lift.bound + min(0.0, lift.lambda_min)) / total - emb.shift,
         degenerate=False,
     )
 
 
 def weak_duality_check(p: PrimalLift, d: DualLift, emb: SdpEmbedding) -> float:
-    """Primal objective minus dual objective for a pair of lifts.
+    """Primal objective minus dual objective for a pair of lifts of ``emb``'s
+    instance.
 
     For feasible lifts this is <C, X'> - t = delta - t >= 0 up to
     rounding, which grows with the entries: for the lifts of a certificate
@@ -356,6 +346,8 @@ def weak_duality_check(p: PrimalLift, d: DualLift, emb: SdpEmbedding) -> float:
     -1e-9 times the instance's scale. At a primal-dual optimal pair it
     vanishes up to the solver gap.
     """
+    _check_lift(p, PrimalLift, emb)
+    _check_lift(d, DualLift, emb)
     return p.objective - d.bound
 
 

@@ -11,8 +11,8 @@ tr X = 1. A primal-dual interior-point method solves it
 (Helmberg, Rendl, Vanderbei & Wolkowicz, SIAM J. Optim. 1996) with the HKM
 direction and Mehrotra's predictor-corrector (SIAM J. Optim. 1992): one
 Schur matrix of order m+1 per Newton step, and tens of steps to a tight gap.
-It starts from the strictly feasible points of ``embed.interior_primal_point``
-and ``embed.interior_dual_point``, in its own scaled coordinates. X is
+It starts from scaled analogues of the strictly feasible points of
+``embed.interior_primal_point`` and ``embed.interior_dual_point``. X is
 block-diagonal along the connected components of the family's off-diagonal
 pattern (coordinates i and j are joined when some A_k has a nonzero (i, j)
 entry), found exactly, without a tolerance. Each component of two or more
@@ -38,7 +38,8 @@ Maximin is the same solve on the negated family, bounds negated and swapped.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -73,7 +74,7 @@ logger = logging.getLogger(__name__)
 class SaddleConfig:
     """Solver knobs.
 
-    max_iters: hard cap on Newton steps.
+    max_iters: hard cap on Newton steps, an integer (not a bool).
     gap_tol: stop once upper - lower falls below this.
     """
 
@@ -81,8 +82,9 @@ class SaddleConfig:
     gap_tol: float = 1e-4
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        k = self.max_iters
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+            raise ValueError(f"max_iters must be an integer of at least 1, got {k!r}")
         if not self.gap_tol > 0.0:
             raise ValueError("gap_tol must be positive")
 
@@ -95,14 +97,14 @@ class SaddleCertificate:
     lower_value(y_bar); for solve_maximin, lower is min_i <A_i, x_bar> by
     the stacked contraction of best_response_index and upper is the largest
     eigenvalue of weighted_combination(y_bar). Either recompute from the
-    stored strategies reproduces the stored floats. gap is exactly
-    upper - lower and can only be negative by eigensolver rounding, never
-    below -1e-9 times scale, the instance's max_i ||A_i||_2.
+    stored strategies reproduces the stored floats. gap is not passed in:
+    it is derived as upper - lower, and can only be negative by eigensolver
+    rounding, never below -1e-9 times scale, the instance's max_i ||A_i||_2.
     """
 
     upper: float
     lower: float
-    gap: float
+    gap: float = field(init=False)
     x_bar: SpectraplexPoint
     y_bar: SimplexPoint
     iterations: int
@@ -110,6 +112,7 @@ class SaddleCertificate:
     scale: float
 
     def __post_init__(self):
+        object.__setattr__(self, "gap", self.upper - self.lower)
         if self.gap < -_CROSSING_TOL * self.scale:
             raise ValueError(f"bound crossing beyond tolerance: gap={self.gap!r}")
 
@@ -204,10 +207,12 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
     residuals, mu and the affine gap add the blocks' terms to the vector's in block
     order, and each step length is the least over the blocks and the vector.
 
-    The start is strictly feasible, as ``embed.interior_primal_point`` (margin 1) and
-    ``embed.interior_dual_point`` build it: X = I/n, delta = max_k <F_k, X> + 1 and
-    s_k = delta - <F_k, X>; u_k = -1/(2m) and u_m = lambda_min(sum_k F_k / (2m)) - 1,
-    so that lambda_min(Z) = 1, w = 1/(2m) and z = 1/2. The residuals only absorb
+    The start is strictly feasible, a scaled analogue of ``embed.interior_primal_point``
+    (margin 1) and ``embed.interior_dual_point``: X = I/n, delta = max_k <F_k, X> + 1
+    and s_k = delta - <F_k, X>; u_k = -1/(2m), and u_m is one below the least of the
+    pinched combination's per-block least eigenvalues, min_b lambda_min((sum_k F_k /
+    (2m))_b), and of its diagonal on x_d, so that the least of Z's eigenvalues and
+    z_d is 1, w = 1/(2m) and z = 1/2. The residuals only absorb
     rounding drift. After each Newton step the full X, assembled from the blocks and
     x_d and clipped to the spectraplex, and -u[:m] clipped to the simplex get their
     exact bounds on the original stack; the least upper bound and the greatest lower
@@ -346,15 +351,13 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
 
 def _certificate(upper, lower, x_bar, y_bar, iterations, scale, cfg) -> SaddleCertificate:
     """Certificate at the loop's incumbents, with their bounds as they are."""
-    gap = upper - lower
     return SaddleCertificate(
         upper=upper,
         lower=lower,
-        gap=gap,
         x_bar=SpectraplexPoint(x_bar),
         y_bar=SimplexPoint(y_bar),
         iterations=iterations,
-        converged=bool(gap <= cfg.gap_tol),
+        converged=bool(upper - lower <= cfg.gap_tol),
         scale=scale,
     )
 

@@ -198,14 +198,14 @@ def test_criterion_6_embedding_feasibility():
         inst = random_instance(rng, n, m)
         emb = build_embedding(inst)
 
-        p_int = interior_primal_point(inst, emb)
+        p_int = interior_primal_point(emb)
         min_slack = min(min_slack, float(p_int.slacks.min()))
         p_rand = lift_primal(sample_spectraplex(n, rng), inst, emb)
         worst_residual = max(
             worst_residual, float(p_int.residuals.max()), float(p_rand.residuals.max())
         )
 
-        d_int = interior_dual_point(inst, emb)
+        d_int = interior_dual_point(emb)
         min_dual_eig = min(min_dual_eig, d_int.lambda_min)
         y = sample_simplex(m, rng)
         t = lambda_min(weighted_combination(y, inst)) + emb.shift

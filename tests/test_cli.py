@@ -364,7 +364,7 @@ class TestCheckCommand:
         capsys.readouterr()
 
     def test_an_error_in_one_check_is_its_fail_line(self, pauli_file, capsys, monkeypatch):
-        def broken(inst, emb):
+        def broken(emb):
             raise ValueError("no interior point")
 
         monkeypatch.setattr(cli, "interior_dual_point", broken)

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -119,7 +120,7 @@ def dense_parts(mat, m):
 
 
 def primal_parts(p):
-    return p.x.tobytes(), p.slacks.tobytes(), np.float64(p.delta).tobytes()
+    return p.x.array.tobytes(), p.slacks.tobytes(), np.float64(p.delta).tobytes()
 
 
 def dual_parts(d):
@@ -200,12 +201,11 @@ class TestLiftPrimal:
         # payoffs <diag(2, 1), X> = 2 and <diag(1, 2), X> = 1 at the shift 1
         x = SpectraplexPoint(np.diag([1.0, 0.0]))
         lift = lift_primal(x, inst, emb)
-        assert np.array_equal(lift.x, np.diag([1.0, 0.0]))
+        # the lift keeps the point itself, whose gates hold X PSD with unit trace
+        assert lift.x is x
         assert np.array_equal(lift.slacks, np.array([0.0, 1.0]))
         assert lift.delta == lift.objective == 2.0
-        assert lift.lambda_min == 0.0
         assert lift.residuals.max() == 0.0
-        assert lift.trace_residual == 0.0
 
     def test_margin_zero_leaves_best_response_slack_tight(self, rng):
         inst = random_instance(rng, 3, 4)
@@ -223,11 +223,11 @@ class TestLiftPrimal:
             m = int(rng.integers(2, 5))
             inst = random_instance(rng, n, m)
             emb = build_embedding(inst)
-            lift = interior_primal_point(inst, emb)
+            lift = interior_primal_point(emb)
             assert lift.slacks.min() > 0.0 and lift.delta > 0.0
-            assert lift.lambda_min > 0.0
+            assert lambda_min(lift.x.array) > 0.0
             assert lift.residuals.max() <= 1e-12
-            assert lift.trace_residual <= 1e-12
+            assert abs(np.trace(lift.x.array) - 1.0) <= 1e-12
 
     def test_residuals_small_for_random_points(self, rng):
         inst = random_instance(rng, 4, 3)
@@ -235,15 +235,17 @@ class TestLiftPrimal:
         for _ in range(10):
             lift = lift_primal(sample_spectraplex(4, rng), inst, emb)
             assert lift.residuals.max() <= 1e-12
-            assert lift.trace_residual <= 1e-12
 
     def test_trace_residual_is_measured(self):
-        # a spectraplex point may miss unit trace by up to 1e-10; the lift
-        # reports that miss rather than assuming the trace is one
+        # <E, X'> = tr X is measured once, by the spectraplex point's own gate: a
+        # point 5e-11 off unit trace lifts as it is, and one 2e-10 off is no point
         inst = diag_pair()
         x = SpectraplexPoint(np.diag([0.5, 0.5 + 5e-11]))
         lift = lift_primal(x, inst, build_embedding(inst))
-        assert lift.trace_residual == pytest.approx(5e-11, rel=1e-4)
+        assert lift.x is x
+        assert np.trace(lift.x.array) - 1.0 == pytest.approx(5e-11, rel=1e-4)
+        with pytest.raises(ValueError, match="trace must be 1"):
+            SpectraplexPoint(np.diag([0.5, 0.5 + 2e-10]))
 
     def test_negative_objective_is_an_error(self):
         inst = InstanceSet([np.diag([1e10, -1e10])])
@@ -313,28 +315,57 @@ def test_lifts_reject_an_embedding_of_another_instance(rng):
         lift_dual(SimplexPoint.uniform(4), t, emb.inst, emb)
     # same shape, different matrices: the lift would be the one for a
     other = InstanceSet(5.0 * a)
+    other_emb = build_embedding(other)
+    p, d = lift_primal(x, emb.inst, emb), lift_dual(y, t, emb.inst, emb)
+    d_other = lift_dual(y, lower_value(y, other) + other_emb.shift, other, other_emb)
+    # unrelated instances: an n=2 primal lift (delta 2) and an n=3 dual lift
+    # (t 1) read as the margin 1.0, and the Pauli pair's uniform lift (value
+    # -sqrt(2)/2) with the embedding of a PSD instance (shift 1, not 2)
+    # extracted the lower bound 0.293
+    small, big = InstanceSet([np.eye(2)]), InstanceSet([5.0 * np.eye(3)])
+    small_emb, big_emb = build_embedding(small), build_embedding(big)
+    p_small = lift_primal(SpectraplexPoint(np.eye(2) / 2.0), small, small_emb)
+    d_big = lift_dual(SimplexPoint.uniform(1), 1.0, big, big_emb)
+    pauli, uniform = pauli_pair(), SimplexPoint.uniform(2)
+    pauli_emb = build_embedding(pauli)
+    d_pauli = lift_dual(uniform, lower_value(uniform, pauli) + pauli_emb.shift, pauli, pauli_emb)
+    assert extract_dual(d_pauli, pauli_emb).lower_bound <= -SQ2_HALF + 1e-15
     for lift in (
         lambda: lift_primal(x, other, emb),
         lambda: lift_dual(y, t, other, emb),
-        lambda: interior_primal_point(other, emb),
-        lambda: interior_dual_point(other, emb),
+        # a function handed a lift reads the lift's own embedding
+        lambda: extract_dual(d_other, emb),
+        lambda: extract_dual(d_pauli, build_embedding(diag_pair())),
+        lambda: weak_duality_check(p, d_other, emb),
+        lambda: weak_duality_check(p, d, other_emb),
+        lambda: weak_duality_check(p_small, d_big, small_emb),
+        lambda: weak_duality_check(p_small, d_big, big_emb),
     ):
         with pytest.raises(ValueError, match="built for a different instance"):
             lift()
+    # the interior points read their instance off the embedding
+    assert interior_primal_point(other_emb).emb is other_emb
+    assert interior_dual_point(other_emb).emb is other_emb
+    # a lift of the wrong kind, or a stand-in for the embedding, is refused
+    with pytest.raises(TypeError, match="expected a PrimalLift"):
+        weak_duality_check(d, d, emb)
+    with pytest.raises(TypeError, match="expected an SdpEmbedding"):
+        weak_duality_check(p, d, None)
 
 
 class TestLiftsDeriveTheirBlocks:
     def test_constructors_take_the_free_variables_only(self):
-        # the embedding is an init-only argument and is not stored; every
-        # other field is derived on construction
+        # besides the embedding, which each lift keeps (out of its repr), the
+        # constructors take the free variables only; every other field is
+        # derived on construction
         for cls, free in ((PrimalLift, ["x", "slacks", "delta"]),
                           (DualLift, ["multipliers", "bound"])):
             assert list(inspect.signature(cls).parameters) == ["emb", *free]
-            assert [f.name for f in dataclasses.fields(cls) if f.init] == free
-        inst = pauli_pair()
-        emb = build_embedding(inst)
-        assert not hasattr(interior_primal_point(inst, emb), "emb")
-        assert not hasattr(interior_dual_point(inst, emb), "emb")
+            assert [f.name for f in dataclasses.fields(cls) if f.init] == ["emb", *free]
+        emb = build_embedding(pauli_pair())
+        for lift in (interior_primal_point(emb), interior_dual_point(emb)):
+            assert lift.emb is emb
+            assert "emb=" not in repr(lift)
 
     def test_a_dual_bound_above_the_value_is_refused(self):
         # the Pauli pair's value is -sqrt(2)/2; a lift that took its slack from
@@ -348,16 +379,24 @@ class TestLiftsDeriveTheirBlocks:
         # X = I/2 pays 2 against both shifted tops, so zero slacks need delta = 2;
         # delta = 0.5 would certify the upper bound 0.5 - 2 = -1.5 < -sqrt(2)/2
         emb = build_embedding(pauli_pair())
+        half = SpectraplexPoint(np.eye(2) / 2.0)
         with pytest.raises(ValueError, match="constraint residual too large"):
-            PrimalLift(emb, np.eye(2) / 2.0, np.zeros(2), 0.5)
-        lift = PrimalLift(emb, np.eye(2) / 2.0, np.zeros(2), 2.0)
+            PrimalLift(emb, half, np.zeros(2), 0.5)
+        lift = PrimalLift(emb, half, np.zeros(2), 2.0)
         assert lift.residuals.tolist() == [0.0, 0.0]
+        # infinite slacks and delta pass the PSD gate, and their residual inf - inf
+        # is NaN, which is no residual within the gate
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="constraint residual"):
+            PrimalLift(emb, half, np.full(2, np.inf), np.inf)
 
     def test_blocks_of_another_shape_are_refused(self):
         emb = build_embedding(pauli_pair())
         for x, slacks in ((np.eye(3) / 3.0, np.zeros(2)), (np.eye(2) / 2.0, np.zeros(1))):
             with pytest.raises(ValueError, match="block shapes"):
-                PrimalLift(emb, x, slacks, 2.0)
+                PrimalLift(emb, SpectraplexPoint(x), slacks, 2.0)
+        # X is a spectraplex point, never a bare array
+        with pytest.raises(TypeError, match="SpectraplexPoint"):
+            PrimalLift(emb, np.eye(2) / 2.0, np.zeros(2), 2.0)
 
 
 class TestInteriorDual:
@@ -367,7 +406,7 @@ class TestInteriorDual:
         inst = InstanceSet(np.zeros((1, 2, 2)))
         emb = build_embedding(inst)
         assert emb.shift == 1.0
-        lift = interior_dual_point(inst, emb)
+        lift = interior_dual_point(emb)
         assert np.array_equal(lift.multipliers, np.array([-0.5]))
         assert lift.bound == -0.5
         assert lift.lambda_min > 0.0
@@ -378,19 +417,20 @@ class TestInteriorDual:
             m = int(rng.integers(2, 5))
             inst = random_instance(rng, n, m)
             emb = build_embedding(inst)
-            lift = interior_dual_point(inst, emb)
+            lift = interior_dual_point(emb)
             assert lift.lambda_min > 0.0
             # t sits one unit below the weighted eigenvalue floor
             assert lambda_min(lift.top) == pytest.approx(1.0, abs=1e-12)
 
 
 def primal_verdict(emb, x, slacks, delta):
-    """Whether PrimalLift accepts the blocks. The PSD check runs before the
-    residuals are measured, so a rejection must come from it."""
+    """Whether the blocks pass the PSD gates of X' = diag(X, s, delta): X's, as
+    a spectraplex point, then the lift's on s and delta. Both run before the
+    residuals are measured, so a rejection must come from one of them."""
     try:
-        PrimalLift(emb, x, slacks, delta)
+        PrimalLift(emb, SpectraplexPoint(x), slacks, delta)
     except ValueError as err:
-        assert "must be PSD" in str(err)
+        assert "positive semidefinite" in str(err) or "must be PSD" in str(err)
         return False
     return True
 
@@ -418,9 +458,10 @@ class TestBlockPsdCheck:
             blocks = (mat[:n, :n], np.diag(mat)[n : n + m], mat[-1, -1])
             assert primal_verdict(emb, *blocks) == dense_ok
             if dense_ok:
-                p = PrimalLift(emb, *blocks)
+                p = PrimalLift(emb, SpectraplexPoint(blocks[0]), *blocks[1:])
                 assert primal_parts(p) == dense_parts(mat, m)
-                assert abs(p.lambda_min - dense_min) <= 1e-12 * max(1.0, abs(mat).max())
+                lo = min(lambda_min(p.x.array), p.slacks.min(), p.delta)
+                assert abs(lo - dense_min) <= 1e-12 * max(1.0, abs(mat).max())
             verdicts.add(("primal", dense_ok))
 
             y = SimplexPoint(rng.dirichlet(np.ones(m)))
@@ -476,9 +517,9 @@ class TestBlockPsdCheck:
     def test_blocks_are_read_only(self, rng):
         inst = random_instance(rng, 3, 2)
         emb = build_embedding(inst)
-        p = interior_primal_point(inst, emb)
-        d = interior_dual_point(inst, emb)
-        for a in (p.x, p.slacks, p.residuals, d.top, d.multipliers):
+        p = interior_primal_point(emb)
+        d = interior_dual_point(emb)
+        for a in (p.x.array, p.slacks, p.residuals, d.top, d.multipliers):
             assert not a.flags.writeable
 
 
@@ -504,15 +545,15 @@ class TestExtractDual:
         got = extract_dual(lift, emb)
         assert np.array_equal(got.weights, np.array([0.5, 0.5]))
         assert got.lower_bound == pytest.approx(0.6 - emb.shift, abs=1e-15)
-        assert got.point is not None
+        assert not got.degenerate
 
     def test_interior_point_extraction_stays_feasible(self, rng):
         inst = random_instance(rng, 3, 3)
         emb = build_embedding(inst)
-        got = extract_dual(interior_dual_point(inst, emb), emb)
+        got = extract_dual(interior_dual_point(emb), emb)
         assert not got.degenerate
         # the extracted pair certifies a true lower bound on the value
-        assert lower_value(got.point, inst) >= got.lower_bound - 1e-9
+        assert lower_value(SimplexPoint(got.weights), inst) >= got.lower_bound - 1e-9
 
     def test_zero_multipliers_with_nonpositive_bound_degenerate(self):
         inst = diag_pair()
@@ -520,7 +561,6 @@ class TestExtractDual:
         lift = DualLift(emb, multipliers=np.zeros(2), bound=-0.5)
         got = extract_dual(lift, emb)
         assert got.degenerate
-        assert got.point is None
         assert got.lower_bound == -0.5 - emb.shift
 
     def test_zero_multipliers_with_positive_bound_rejected(self):
@@ -532,24 +572,37 @@ class TestExtractDual:
             extract_dual(lift, emb)
 
     def test_wrong_sign_multiplier_rejected(self):
-        # a slack-valid lift can never carry a multiplier this positive
-        # (its index slot would be negative), so the guard is probed with
-        # a bare stand-in carrying just the fields extraction reads
-        from types import SimpleNamespace
-
+        # a positive multiplier is a negative index slot of the slack, which the
+        # lift refuses (t = -2 keeps the top diag(1, 1.5) PSD); extraction takes
+        # nothing but a lift, so it needs no sign guard of its own
         emb = build_embedding(diag_pair())
-        fake = SimpleNamespace(multipliers=np.array([0.5, 0.0]), bound=0.0)
-        with pytest.raises(ValueError, match="sign"):
+        with pytest.raises(DualInfeasibleError, match="index 0 is negative"):
+            DualLift(emb, np.array([0.5, 0.0]), -2.0)
+        fake = SimpleNamespace(multipliers=np.array([0.5, 0.0]), bound=0.0, emb=emb)
+        with pytest.raises(TypeError, match="expected a DualLift"):
             extract_dual(fake, emb)
+
+    def test_small_weight_sums_do_not_magnify_the_slack_defect(self):
+        # each lift is accepted with a top eigenvalue just above -1e-10; dividing t
+        # alone by the weight sum extracted 8.09 on [[1.0]] (value 1) and -0.617 on
+        # the Pauli pair (value -sqrt(2)/2)
+        one = build_embedding(InstanceSet([[[1.0]]]))
+        d = DualLift(one, [-1.1e-12], 1e-11)
+        assert d.lambda_min < 0.0
+        assert extract_dual(d, one).lower_bound <= 1.0 + 1e-15
+        inst = pauli_pair()
+        emb = build_embedding(inst)
+        t = 1e-9 * (lower_value(SimplexPoint.uniform(2), inst) + emb.shift) + 9e-11
+        d = DualLift(emb, [-5e-10, -5e-10], t)
+        assert d.lambda_min < 0.0
+        assert extract_dual(d, emb).lower_bound <= -SQ2_HALF + 1e-15
 
 
 class TestWeakDuality:
     def test_interior_pair_strictly_positive(self, rng):
         inst = random_instance(rng, 3, 3)
         emb = build_embedding(inst)
-        margin = weak_duality_check(
-            interior_primal_point(inst, emb), interior_dual_point(inst, emb), emb
-        )
+        margin = weak_duality_check(interior_primal_point(emb), interior_dual_point(emb), emb)
         assert margin > 0.0
 
     def test_identity_strategy_against_corner_bounds(self, rng):
@@ -668,7 +721,7 @@ class TestStructuralReaders:
 
         # dual slacks: the interior point, and a strategy with weights -0.0
         # and 0.0 (multipliers 0.0 and -0.0) at a strictly feasible t
-        d = interior_dual_point(inst, emb)
+        d = interior_dual_point(emb)
         assert_slack_matches(d, dense_slack(d.multipliers, d.bound, inst, emb.shift), inst, emb.shift)
         w = np.ones(m)
         if m > 1:
@@ -684,7 +737,6 @@ class TestStructuralReaders:
         # contraction; the absolute residual gate trips on rounding at large
         # scales, so it is lifted here to compare the residuals at every scale
         monkeypatch.setattr(embed, "_RESIDUAL_TOL", math.inf)
-        _, e, _ = dense_blocks(inst, emb.shift)
         rng = np.random.default_rng(seed)
         eye = SpectraplexPoint(np.eye(n) / n)
         for x, margin in ((sample_spectraplex(n, rng), 0.0), (eye, 1.0)):
@@ -692,8 +744,6 @@ class TestStructuralReaders:
             p = lift_primal(x, inst, emb, margin=margin)
             assert primal_parts(p) == dense_parts(mat, m)
             assert np.abs(p.residuals - res).max() <= 1e-12 * p.objective
-            trace = abs(float(np.tensordot(e, mat, 2)) - 1.0)
-            assert abs(p.trace_residual - trace) <= 1e-12
 
     def test_residuals_are_measured_not_echoed(self, monkeypatch):
         # residuals contracted anew from the assembled matrix carry the
@@ -760,3 +810,15 @@ def test_lift_dual_makes_one_eigenvalue_call(monkeypatch):
     monkeypatch.setattr(embed, "_eigvals_raw", lambda a: calls.append(a.shape) or real(a))
     lift_dual(y, t, inst, emb)
     assert calls == [(4, 4)]
+
+
+def test_lift_primal_makes_no_eigenvalue_call(monkeypatch):
+    # X's PSD-ness is the spectraplex point's gate, checked when the point was made
+    inst = random_instance(np.random.default_rng(7), 4, 5)
+    emb = build_embedding(inst)
+    x = sample_spectraplex(4, np.random.default_rng(7))
+    calls = []
+    real = embed._eigvals_raw
+    monkeypatch.setattr(embed, "_eigvals_raw", lambda a: calls.append(a.shape) or real(a))
+    lift_primal(x, inst, emb)
+    assert calls == []

@@ -6,7 +6,6 @@ A logged asymmetry warning counts as that gate's rejection.
 """
 
 import logging
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -24,13 +23,16 @@ from specmm import (
     parse_instance,
 )
 
-# one 1x1 matrix [[1.0]]: the shift is 1, so the one top block is [[2.0]]
+# one 1x1 matrix [[1.0]]: the shift is 1, so the one top block is [[2.0]];
+# two copies of it have two such tops
 EMB = build_embedding(InstanceSet([[[1.0]]]))
+EMB2 = build_embedding(InstanceSet([[[1.0]], [[1.0]]]))
 
 
-def primal(x=1.0, slack=0.0, delta=2.0):
-    # the residual is |2x + slack - delta| and the trace residual |x - 1|
-    return PrimalLift(EMB, [[x]], [slack], delta)
+def primal(slack=0.0, delta=2.0):
+    # X = [[1.0]], whose trace and PSD gates are the spectraplex point's: the
+    # residual is |2 + slack - delta|
+    return PrimalLift(EMB, SpectraplexPoint([[1.0]]), [slack], delta)
 
 
 def dual(multiplier):
@@ -38,15 +40,21 @@ def dual(multiplier):
     return DualLift(EMB, [multiplier], 0.0)
 
 
-def extract(multipliers, bound=0.0):
-    # extraction reads only the multipliers and the bound of a lift; a
-    # DualLift's own PSD gate would refuse a wrong sign before extraction
-    return extract_dual(SimpleNamespace(multipliers=np.array(multipliers), bound=bound), EMB)
+def dual_slot(e):
+    # multipliers [-1, e]: the top block is 2 - 2e, index slot 1 is -e and the
+    # corner e
+    return DualLift(EMB2, [-1.0, e], 0.0)
+
+
+def extract(s):
+    # a weight sum s with the bound 1e-11: the top block 2s - 1e-11 stays within
+    # the lift's PSD gate
+    return extract_dual(DualLift(EMB, [-s], 1e-11), EMB)
 
 
 def certificate(gap):
     return SaddleCertificate(
-        upper=0.0, lower=-gap, gap=gap, x_bar=SpectraplexPoint(np.eye(1)),
+        upper=0.0, lower=-gap, x_bar=SpectraplexPoint(np.eye(1)),
         y_bar=SimplexPoint([1.0]), iterations=1, converged=True, scale=1.0,
     )
 
@@ -70,15 +78,14 @@ GATES = {
     "simplex_entry": (lambda e: SimplexPoint([1.0 + e, -e]), 0.9e-12, 1.1e-12),
     "simplex_sum": (lambda d: SimplexPoint([0.5 + d, 0.5]), 0.9e-12, 1.1e-12),
     "lift_psd_primal": (lambda e: primal(slack=-e, delta=2.0 - e), 0.9e-10, 1.1e-10),
+    # the corner 1 + sum(u), and an index slot -u_i: the sum and the sign of
+    # the weights extraction reads
     "lift_psd_dual": (lambda e: dual(-(1.0 + e)), 0.9e-10, 1.1e-10),
-    "lift_trace_residual": (lambda r: primal(x=1.0 + r, delta=2.0 * (1.0 + r)),
-                            0.9e-10, 1.1e-10),
+    "lift_psd_dual_slot": (dual_slot, 0.9e-10, 1.1e-10),
     "lift_residual_primal": (lambda r: primal(delta=2.0 + r), 0.9e-10, 1.1e-10),
-    "extract_clamp_sign": (lambda e: extract([-1.0, e]), 0.9e-10, 1.1e-10),
-    "extract_clamp_sum": (lambda d: extract([-1.0 - d]), 0.9e-10, 1.1e-10),
     # at or below the gate the weights cannot be rescaled, and a positive
     # bound is then an error
-    "degenerate_sum": (lambda s: extract([-s], bound=1.0), 1.1e-12, 0.9e-12),
+    "degenerate_sum": (extract, 1.1e-12, 0.9e-12),
     "weak_duality": (lambda c: certificate(-c), 0.9e-9, 1.1e-9),
     "asymmetry_warn": (parse_without_warning, 0.9e-9, 1.1e-9),
     "asymmetry_error": (parse, 0.9e-6, 1.1e-6),

@@ -8,6 +8,7 @@ import pytest
 
 from specmm import (
     InstanceSet,
+    SaddleCertificate,
     SaddleConfig,
     SimplexPoint,
     SpectraplexPoint,
@@ -52,6 +53,12 @@ class TestConfig:
             SaddleConfig(max_iters=0)
         with pytest.raises(ValueError):
             SaddleConfig(gap_tol=0.0)
+        # the step cap is an integer: a float or a bool is refused on
+        # construction, not by range() inside the solve
+        for bad in (2.5, 3.0, True, "3"):
+            with pytest.raises(ValueError, match="max_iters must be an integer"):
+                SaddleConfig(max_iters=bad)
+        assert SaddleConfig(max_iters=np.int64(3)).max_iters == 3
 
 
 class TestBoundOracles:
@@ -139,6 +146,14 @@ class TestSolveMinimax:
             assert upper_value(cert.x_bar, inst) == cert.upper
             assert lower_value(cert.y_bar, inst) == cert.lower
             assert cert.gap == cert.upper - cert.lower
+
+    def test_gap_is_derived_from_the_bounds(self):
+        # a certificate cannot carry a gap that contradicts its bounds
+        args = dict(upper=0.5, lower=0.25, x_bar=SpectraplexPoint(np.eye(1)),
+                    y_bar=SimplexPoint([1.0]), iterations=1, converged=False, scale=1.0)
+        assert SaddleCertificate(**args).gap == 0.25
+        with pytest.raises(TypeError):
+            SaddleCertificate(**args, gap=0.0)
 
     def test_weak_duality_of_bounds(self, rng):
         for _ in range(5):
