@@ -42,13 +42,14 @@ emb = build_embedding(inst)
 print(f"blocks: {inst.n} x {inst.n} original, {inst.m} slacks, 1 objective"
       f" (total {inst.n + inst.m + 1}); diagonal shift {emb.shift}")
 
-# lift a random density matrix: the slacks absorb the gap between each
-# payoff and the worst one, and the last slot carries the objective; the
-# lift keeps the point itself, whose own gates made X PSD with unit trace
+# lift a random density matrix: the last slot carries the objective, the
+# worst payoff, and the lift derives the slacks, which absorb the gap between
+# each payoff and it; the lift keeps the point itself, whose own gates made
+# X PSD with unit trace
 x = sample_spectraplex(inst.n, np.random.default_rng(0))
 p = lift_primal(x, inst, emb)
 print("\nprimal lift: objective delta =", p.objective)
-print("constraint residuals:", p.residuals.max())
+print("slacks:", p.slacks, " constraint residuals:", p.residuals.max())
 print("keeps its point and its embedding:", p.x is x, p.emb is emb)
 
 # the canonical interior point is the normalized identity with headroom

@@ -150,7 +150,7 @@ def lambda_min_by_bisection(a: np.ndarray, tol: float = 1e-8) -> float:
     contains the answer. A is symmetrised as (A + A^T)/2 and must be
     square, nonempty and finite.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:  # a NaN tol fails too
         raise ValueError(f"tol must be positive, got {tol}")
     a = _symmetric(a)
     fro = float(np.linalg.norm(a))

@@ -17,19 +17,20 @@ exists to keep the optimal delta nonnegative (a PSD diagonal entry cannot
 be negative, so without it instances with negative value would be cut
 off). It is read off the instance, sigma = max(0, -min_i lambda_min(A_i))
 + 1, so the shifted value is at least 1, and all reported values are
-mapped back by subtracting sigma; no other shift can be chosen.
+mapped back by subtracting sigma; no other shift can be chosen. ``_shift``
+and ``_shifted`` write the rule and the tops once, with a unit: 1 here,
+the scale in ``saddle``, which solves this program.
 
 Every block is fixed by the instance, sigma included, so an
 ``SdpEmbedding`` stores just the instance and the sigma it derives; the
 readers below work on the stacked tops A_sig,i and the known unit slots
 and corners, and no (n')^2 matrix is formed. A lift keeps its embedding,
-takes its free variables and derives the rest: a primal lift takes a
-spectraplex point X, the slacks s and delta and measures its constraint
-residuals; a dual lift takes u and t and derives its slack, which meets
-the dual equality by definition. Each fact is checked once, by the type
-that carries it, and a function handed a lift refuses the embedding of
-another instance. The two interior-point constructors certify strict
-feasibility on both sides, which makes the optimum attained and equal.
+takes its free variables and derives the rest: a primal lift takes X and
+delta and derives the slacks, a dual lift takes u and t and derives its
+slack. Each fact is checked once, by the type that carries it, and a
+function handed a lift refuses the embedding of another instance. The two
+interior-point constructors certify strict feasibility on both sides,
+which makes the optimum attained and equal.
 """
 
 from __future__ import annotations
@@ -79,14 +80,14 @@ class DegenerateMultiplierError(ValueError):
 @dataclass(frozen=True, eq=False)
 class SdpEmbedding:
     """The embedded semidefinite program of an instance, which fixes every
-    block matrix F_i, E and C. ``shift`` is the sigma derived from
-    ``inst.spectra``, max(0, -min_i lambda_min(A_i)) + 1; it cannot be set."""
+    block matrix F_i, E and C. ``shift`` is sigma, derived from ``inst.spectra``
+    by ``_shift`` with unit 1; it cannot be set."""
 
     inst: InstanceSet
     shift: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "shift", max(0.0, -float(self.inst.spectra[:, 0].min())) + 1.0)
+        object.__setattr__(self, "shift", _shift(self.inst.spectra, 1.0))
 
     @property
     def n(self) -> int:
@@ -97,9 +98,22 @@ class SdpEmbedding:
         return self.inst.m
 
 
+def _shift(spectra: np.ndarray, unit: float) -> float:
+    """sigma in units of ``unit``: max(0, -lambda / unit) + 1, lambda the least
+    entry of ``spectra``, which holds every A_i's eigenvalues in any order."""
+    return max(0.0, -float(spectra.min()) / unit) + 1.0
+
+
+def _shifted(stack: np.ndarray, sigma: float, unit: float) -> np.ndarray:
+    """The (m, n, n) shifted tops A_i / unit + sigma*I, formed in one array."""
+    tops = stack / unit
+    tops += sigma * np.eye(stack.shape[-1])
+    return tops
+
+
 def _tops(emb: SdpEmbedding) -> np.ndarray:
     """(m, n, n) stack of the top-left blocks A_i + sigma*I of the F_i."""
-    return emb.inst.stacked + emb.shift * np.eye(emb.n)
+    return _shifted(emb.inst.stacked, emb.shift, 1.0)
 
 
 def _check_instance(inst: InstanceSet, emb: SdpEmbedding) -> None:
@@ -129,31 +143,35 @@ class PrimalLift:
     """Primal block variable X' = diag(X, s, delta) of an embedding, held as
     its blocks, with the constraint residuals it measures on them.
 
-    Built from the embedding and X, s and delta alone. X is a
+    Built from the embedding, X and a finite delta alone. X is a
     ``SpectraplexPoint``, whose own gates hold it PSD with <E, X'> = tr X = 1.
-    The lift checks s and delta at least -1e-10, then measures residuals[i] =
-    |<A_i + sigma*I, X> + s_i - delta| = |<F_i, X'>| and rejects any above 1e-10.
+    The equalities fix s_i = delta - <A_i + sigma*I, X>. The lift checks s and
+    delta at least -1e-10, then measures residuals[i] = |<F_i, X'>| by a second
+    contraction and rejects any above 1e-10.
     """
 
     emb: SdpEmbedding = field(repr=False)
     x: SpectraplexPoint
-    slacks: np.ndarray
     delta: float
+    slacks: np.ndarray = field(init=False)
     residuals: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if not isinstance(self.x, SpectraplexPoint):
             raise TypeError(f"x must be a SpectraplexPoint, got {type(self.x).__name__}")
-        emb, x, slacks = self.emb, self.x.array, _readonly(self.slacks)
-        if x.shape != (emb.n, emb.n) or slacks.shape != (emb.m,):
+        emb, x = self.emb, self.x.array
+        if x.shape != (emb.n, emb.n):
             raise ValueError("block shapes do not match the embedding")
+        if not np.isfinite(self.delta):
+            raise ValueError(f"delta must be finite, got {self.delta!r}")
+        tops = _tops(emb)
+        slacks = _readonly(self.delta - _payoffs(tops, x))
         lo = float(np.append(slacks, self.delta).min())
         if not lo >= -_PSD_TOL:
             raise ValueError(f"primal block matrix must be PSD, least of s and delta {lo!r}")
-        # einsum, not the product lift_primal takes delta and the slacks from:
-        # the residuals are an independent measurement, not an echo of them
-        residuals = _readonly(np.abs(np.einsum("kij,ij->k", _tops(emb), x) + slacks - self.delta))
-        if not residuals.max(initial=0.0) <= _RESIDUAL_TOL:  # a NaN residual fails too
+        # einsum, not the slacks' product: the residuals measure how far the two disagree
+        residuals = _readonly(np.abs(np.einsum("kij,ij->k", tops, x) + slacks - self.delta))
+        if not residuals.max(initial=0.0) <= _RESIDUAL_TOL:
             raise ValueError(f"constraint residual too large: {residuals.max()!r}")
         object.__setattr__(self, "slacks", slacks)
         object.__setattr__(self, "residuals", residuals)
@@ -169,15 +187,14 @@ class DualLift:
     """Dual pair (multipliers u, bound t) of an embedding with its slack
     S = C - sum_i u_i F_i - t E, held as its top n x n block and its corner.
 
-    Built from the embedding and u and t alone; S is derived from them, so
-    it meets the dual equality by definition and the lift carries no
-    residual. ``top`` is sum_i (0 - u_i)(A_i + sigma*I) - t*I, index slot i
-    is 0 - u_i and is not stored, and ``corner`` is 1 + sum_i u_i.
-    PSD-ness of S is checked on construction, at -1e-10: the top block's
-    least eigenvalue, then the least diagonal entry (so each weight -u_i is
-    at least -1e-10 and their sum at most 1 + 1e-10), each failure a
-    DualInfeasibleError naming its block. ``lambda_min`` is the least
-    eigenvalue of S so found.
+    Built from the embedding and finite u and t alone; S is derived from them,
+    so it meets the dual equality by definition and the lift carries no
+    residual. ``top`` is sum_i (0 - u_i)(A_i + sigma*I) - t*I, index slot i is
+    0 - u_i and is not stored, and ``corner`` is 1 + sum_i u_i. S is checked
+    PSD at -1e-10: the top block's least eigenvalue, then the least diagonal
+    entry (so each weight -u_i is at least -1e-10 and their sum at most 1 +
+    1e-10), each failure a DualInfeasibleError naming its block;
+    ``lambda_min`` is the least eigenvalue of S so found.
     """
 
     emb: SdpEmbedding = field(repr=False)
@@ -189,6 +206,8 @@ class DualLift:
 
     def __post_init__(self):
         emb, u = self.emb, _readonly(self.multipliers)
+        if not (np.isfinite(u).all() and np.isfinite(self.bound)):
+            raise ValueError(f"multipliers and bound must be finite, got bound {self.bound!r}")
         top = _readonly(_combination(0.0 - u, _tops(emb)) - self.bound * np.eye(emb.n))
         corner = 1.0 + float(u.sum())
         for name, value in (("multipliers", u), ("top", top), ("corner", corner)):
@@ -224,12 +243,9 @@ class ExtractedDual:
 
 
 def build_embedding(inst: InstanceSet) -> SdpEmbedding:
-    """The embedding of an instance, with sigma = max(0, -min_i
-    lambda_min(A_i)) + 1 read from ``inst.spectra``, which keeps the
-    embedded optimum at least 1. The blocks are exact functions of the
-    instance: their entries are instance entries (plus sigma on the top
-    diagonal), ones, and minus ones.
-    """
+    """The embedding of an instance, whose shift keeps the embedded optimum at
+    least 1. The blocks' entries are instance entries (plus sigma on the top
+    diagonal), ones, and minus ones."""
     return SdpEmbedding(inst)
 
 
@@ -243,26 +259,24 @@ def lift_primal(
     """Lift a spectraplex point to a feasible primal block variable.
 
     delta is set to max_i <A_i + sigma*I, X> plus the optional margin, and
-    the slacks absorb the differences, so every constraint holds by
-    construction; the lift re-measures the residuals on its blocks. With
-    margin 0 the slack of a best-response index is exactly zero; a positive
-    margin makes every slack strictly positive. The objective entry equals
-    the shifted guarantee of X (plus margin).
+    the lift derives the slacks, which absorb the differences. With margin 0
+    the slack of a best-response index is exactly zero; a positive margin
+    makes every slack strictly positive. The objective entry equals the
+    shifted guarantee of X (plus margin).
     """
     if x.n != inst.n:
         raise ValueError("dimension mismatch between point and instance")
     _check_instance(inst, emb)
     if margin < 0.0:
         raise ValueError("margin must be nonnegative")
-    vals = _payoffs(_tops(emb), x.array)  # <A_i + sigma*I, X> for every i
-    delta = float(vals.max()) + margin
+    delta = float(_payoffs(_tops(emb), x.array).max()) + margin
     if delta < -_PSD_TOL:
         # sigma makes every <A_i + sigma*I, X> at least 1 for PSD X of unit trace
         raise ValueError(
             f"embedded objective would be negative (delta={delta!r}): X's negative "
             "eigenvalues outweigh the shift at the instance's scale"
         )
-    return PrimalLift(emb, x, delta - vals, delta)
+    return PrimalLift(emb, x, delta)
 
 
 def interior_primal_point(emb: SdpEmbedding) -> PrimalLift:
@@ -277,8 +291,7 @@ def lift_dual(y: SimplexPoint, t: float, inst: InstanceSet, emb: SdpEmbedding) -
 
     t lives in shifted coordinates: the pair is feasible exactly when
     t <= lambda_min(sum_i y_i (A_i + sigma*I)). The multipliers are the
-    sign-flipped weights -y. Infeasibility is reported as
-    DualInfeasibleError naming the violated diagonal block of the slack.
+    sign-flipped weights -y; the lift's gates report infeasibility.
     """
     if y.m != inst.m:
         raise ValueError("dimension mismatch between strategy and instance")
@@ -293,7 +306,6 @@ def interior_dual_point(emb: SdpEmbedding) -> DualLift:
     Multipliers -1/(2m) leave the simplex-sum slot at 1/2 and every index
     slot at 1/(2m); the bound t sits one unit below the corresponding
     weighted eigenvalue floor, so the top block has minimum eigenvalue one.
-    The returned slack is certified positive definite numerically.
     """
     m = emb.m
     multipliers = np.full(m, -1.0 / (2.0 * m))
@@ -301,9 +313,7 @@ def interior_dual_point(emb: SdpEmbedding) -> DualLift:
     t = float(_eigvals_raw(combo)[0]) - 1.0
     lift = DualLift(emb, multipliers, t)
     if not lift.lambda_min > 0.0:
-        raise DualInfeasibleError(
-            f"interior construction failed, lambda_min(S)={lift.lambda_min!r}"
-        )
+        raise DualInfeasibleError(f"interior construction failed, lambda_min(S)={lift.lambda_min!r}")
     return lift
 
 
@@ -337,51 +347,41 @@ def extract_dual(lift: DualLift, emb: SdpEmbedding) -> ExtractedDual:
 
 
 def weak_duality_check(p: PrimalLift, d: DualLift, emb: SdpEmbedding) -> float:
-    """Primal objective minus dual objective for a pair of lifts of ``emb``'s
-    instance.
-
-    For feasible lifts this is <C, X'> - t = delta - t >= 0 up to
-    rounding, which grows with the entries: for the lifts of a certificate
-    it is the certificate's gap up to rounding, which may be as low as
-    -1e-9 times the instance's scale. At a primal-dual optimal pair it
-    vanishes up to the solver gap.
-    """
+    """Primal objective minus dual objective, <C, X'> - t = delta - t, for a
+    pair of lifts of ``emb``'s instance: at least 0 up to rounding, which grows
+    with the entries (for a certificate's lifts it is the gap, as low as -1e-9
+    times the scale), and 0 up to the solver gap at an optimal pair."""
     _check_lift(p, PrimalLift, emb)
     _check_lift(d, DualLift, emb)
     return p.objective - d.bound
 
 
-def _fmt(v: float) -> str:
-    """Shortest exact decimal for a double; '1.0', '-0.5', and so on."""
-    return repr(float(v))
-
-
 def sdpa_text(emb: SdpEmbedding) -> str:
     """Serialize the embedding in sparse SDPA text form.
 
-    Layout: a comment line recording the shift, the constraint count m+1,
-    the block count (3), the block sizes "n -m -1" (diagonal blocks
-    negative by convention), the objective vector (m zeros and a one, one
-    entry per equality constraint), then one line per nonzero
-    upper-triangle entry as "matno blkno i j value" with matno 0 for the
-    objective matrix C, 1..m for the constraint matrices F_i, and m+1 for
-    the trace matrix E. Entries are emitted in ascending (matno, blkno, i,
-    j) order with 1-based in-block indices, so the output is byte-stable
-    across runs. Only the upper triangles of the tops A_i + sigma*I are
-    walked; the unit slots and corners are known and written directly.
-    Each matrix's lines become one string, and those strings are joined
-    once, so the export never holds one string per entry: its peak is
-    about twice the text (0.48 MiB at n=8, m=200).
+    Layout: a comment line recording the shift, the constraint count m+1, the
+    block count (3), the block sizes "n -m -1" (diagonal blocks negative by
+    convention), the objective vector (m zeros and a one, one entry per
+    equality constraint), then one line per nonzero upper-triangle entry as
+    "matno blkno i j value" (the value's repr, the shortest decimal that reads
+    back as its double) with matno 0 for the objective matrix C, 1..m for the
+    constraint matrices F_i, and m+1 for the trace matrix E. Entries are
+    emitted in ascending (matno, blkno, i, j) order with 1-based in-block
+    indices, so the output is byte-stable across runs. Only the upper
+    triangles of the tops A_i + sigma*I are walked; the unit slots and corners
+    are known and written directly. Each matrix's lines become one string, and
+    those strings are joined once, so the export never holds one string per
+    entry: its peak is about twice the text (0.48 MiB at n=8, m=200).
     """
     n, m = emb.n, emb.m
-    parts = [f"*shift {_fmt(emb.shift)}", str(m + 1), "3", f"{n} -{m} -1"]
-    parts.append(" ".join(_fmt(0.0) for _ in range(m)) + " " + _fmt(1.0))
+    parts = [f"*shift {emb.shift!r}", str(m + 1), "3", f"{n} -{m} -1"]
+    parts.append(" ".join(["0.0"] * m) + " 1.0")
     parts.append("0 3 1 1 1.0")
     rows, cols = np.triu_indices(n)
     slots = list(zip((rows + 1).tolist(), (cols + 1).tolist()))
     for k, upper in enumerate(_tops(emb)[:, rows, cols], start=1):
         entries = zip(slots, upper.tolist())
-        lines = [f"{k} 1 {i} {j} {_fmt(v)}" for (i, j), v in entries if v != 0.0]
+        lines = [f"{k} 1 {i} {j} {v!r}" for (i, j), v in entries if v != 0.0]
         parts.append("\n".join([*lines, f"{k} 2 {k} {k} 1.0", f"{k} 3 1 1 -1.0"]))
     parts.append("".join(f"{m + 1} 1 {i} {i} 1.0\n" for i in range(1, n + 1)))
     return "\n".join(parts)

@@ -7,10 +7,11 @@ The quantity of interest is the common value of
 
 the optimum of the semidefinite program that ``embed`` writes out: minimize
 delta over PSD diag(X, s, delta) with <A_i + sigma*I, X> + s_i = delta and
-tr X = 1. A primal-dual interior-point method solves it
-(Helmberg, Rendl, Vanderbei & Wolkowicz, SIAM J. Optim. 1996) with the HKM
-direction and Mehrotra's predictor-corrector (SIAM J. Optim. 1992): one
-Schur matrix of order m+1 per Newton step, and tens of steps to a tight gap.
+tr X = 1, stated in units of the scale by ``embed``'s shift rule and tops.
+A primal-dual interior-point method solves it (Helmberg, Rendl, Vanderbei &
+Wolkowicz, SIAM J. Optim. 1996) with the HKM direction and Mehrotra's
+predictor-corrector (SIAM J. Optim. 1992): one Schur matrix of order m+1
+per Newton step, and tens of steps to a tight gap.
 It starts from scaled analogues of the strictly feasible points of
 ``embed.interior_primal_point`` and ``embed.interior_dual_point``. X is
 block-diagonal along the connected components of the family's off-diagonal
@@ -53,6 +54,7 @@ from .domains import (
     best_response_index,
     weighted_combination,
 )
+from .embed import _shift, _shifted
 from .symmat import _eigh_raw, _eigvals_raw
 
 __all__ = [
@@ -113,7 +115,7 @@ class SaddleCertificate:
 
     def __post_init__(self):
         object.__setattr__(self, "gap", self.upper - self.lower)
-        if self.gap < -_CROSSING_TOL * self.scale:
+        if not self.gap >= -_CROSSING_TOL * self.scale:  # a NaN gap fails too
             raise ValueError(f"bound crossing beyond tolerance: gap={self.gap!r}")
 
     @property
@@ -193,7 +195,7 @@ def _components(stack: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
 def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, on_bounds):
     """Mehrotra predictor-corrector with the HKM direction on diag(X, s, delta).
 
-    ``spectra`` holds each A_k's eigenvalues, nondecreasing; they give the scale
+    ``spectra`` holds each A_k's eigenvalues, in any order; they give the scale
     max_i ||A_i||_2 and sigma = max(0, -min_i lambda_min(A_i) / scale) + 1. Top blocks
     F_k = A_k / scale + sigma*I (k < m) and F_m = I; dual multipliers u, slacks
     (Z, w, z). The coordinates split by ``_components``: X and Z are held as lists of
@@ -230,8 +232,8 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
         return 0.0, 0.0, np.eye(n) / n, np.full(m, 1.0 / m), 0, scale
     blocks, d = _components(stack)
     nd = len(d)
-    sigma = max(0.0, -float(spectra[:, 0].min()) / scale) + 1.0
-    tops = np.concatenate([stack / scale + sigma * np.eye(n), np.eye(n)[None]])
+    sigma = _shift(spectra, scale)
+    tops = np.concatenate([_shifted(stack, sigma, scale), np.eye(n)[None]])
     fd, fs = tops[:, d, d], [tops[:, c[:, None], c] for c in blocks]
     del tops  # the blocks are copies; freeing it lowers the solver's peak memory
     ffs = [f.reshape(m + 1, -1) for f in fs]
@@ -394,14 +396,12 @@ def solve_maximin(
     is lambda_max of the y_bar-weighted combination. Both equal the direct
     recomputes bit for bit: negation is exact in the contraction, and LAPACK,
     rounding to nearest, returns the eigenvalues of -M as those of M negated
-    (so the negated family's spectra are ``-inst.spectra[:, ::-1]``).
+    (so ``-inst.spectra`` holds the negated family's spectra, in reverse order).
     ``on_bounds(k, best_upper, best_lower)`` is invoked once per Newton
     step, in maximin sense.
     """
     cfg = cfg if cfg is not None else SaddleConfig()
     # 0.0 - b is -b bit for bit, except that a bound of 0.0 stays +0.0
     mirrored = None if on_bounds is None else lambda k, up, lo: on_bounds(k, 0.0 - lo, 0.0 - up)
-    up, lo, x_bar, y_bar, iterations, scale = _interior_point(
-        -inst.stacked, -inst.spectra[:, ::-1], cfg, mirrored
-    )
-    return _certificate(0.0 - lo, 0.0 - up, x_bar, y_bar, iterations, scale, cfg)
+    up, lo, *rest = _interior_point(-inst.stacked, -inst.spectra, cfg, mirrored)
+    return _certificate(0.0 - lo, 0.0 - up, *rest, cfg)

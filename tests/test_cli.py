@@ -380,6 +380,15 @@ class TestCheckCommand:
             "PASS weak-duality",
         ]
 
+    def test_a_family_at_scale_3e4_passes(self, tmp_path, capsys):
+        # its interior primal point's largest residual is about 1.5e-11: within
+        # the lift's own 1e-10 gate, which the battery does not tighten
+        inst = random_instance(np.random.default_rng(0), 6, 4, scale=3e4)
+        p = tmp_path / "scaled.json"
+        p.write_text(json.dumps({"n": 6, "m": 4, "matrices": inst.stacked.tolist()}))
+        assert main(["check", str(p)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
     def test_scaled_family_reports_every_check(self, tmp_path, capsys):
         # a seeded 6x4 family scaled by 1e8 fails the lifts' absolute
         # residual gates (ROADMAP item 5); each failure is its check's FAIL

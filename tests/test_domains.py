@@ -243,6 +243,12 @@ class TestBisection:
         with pytest.raises(ValueError, match="positive"):
             lambda_min_by_bisection(np.eye(2), 0.0)
 
+    def test_rejects_a_nan_tolerance(self):
+        # NaN compares false both ways; it once slipped past the check and the
+        # loop, and the bracket's midpoint 0.0 came back for lambda_min 3.0
+        with pytest.raises(ValueError, match="positive"):
+            lambda_min_by_bisection(np.diag([3.0, 5.0]), float("nan"))
+
     def test_rejects_nonsquare_and_nonfinite(self):
         with pytest.raises(ValueError, match="square"):
             lambda_min_by_bisection(np.zeros((2, 3)))

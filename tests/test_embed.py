@@ -358,7 +358,7 @@ class TestLiftsDeriveTheirBlocks:
         # besides the embedding, which each lift keeps (out of its repr), the
         # constructors take the free variables only; every other field is
         # derived on construction
-        for cls, free in ((PrimalLift, ["x", "slacks", "delta"]),
+        for cls, free in ((PrimalLift, ["x", "delta"]),
                           (DualLift, ["multipliers", "bound"])):
             assert list(inspect.signature(cls).parameters) == ["emb", *free]
             assert [f.name for f in dataclasses.fields(cls) if f.init] == ["emb", *free]
@@ -376,27 +376,51 @@ class TestLiftsDeriveTheirBlocks:
             DualLift(emb, -y, 1e6)
 
     def test_a_primal_point_off_the_constraints_is_refused(self):
-        # X = I/2 pays 2 against both shifted tops, so zero slacks need delta = 2;
-        # delta = 0.5 would certify the upper bound 0.5 - 2 = -1.5 < -sqrt(2)/2
+        # X = I/2 pays 2 against both shifted tops, so the constraints fix the
+        # slacks at delta - 2; delta = 0.5 would certify the upper bound 0.5 - 2 =
+        # -1.5 < -sqrt(2)/2, and its slacks are negative
         emb = build_embedding(pauli_pair())
         half = SpectraplexPoint(np.eye(2) / 2.0)
-        with pytest.raises(ValueError, match="constraint residual too large"):
-            PrimalLift(emb, half, np.zeros(2), 0.5)
-        lift = PrimalLift(emb, half, np.zeros(2), 2.0)
-        assert lift.residuals.tolist() == [0.0, 0.0]
-        # infinite slacks and delta pass the PSD gate, and their residual inf - inf
-        # is NaN, which is no residual within the gate
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="constraint residual"):
-            PrimalLift(emb, half, np.full(2, np.inf), np.inf)
+        with pytest.raises(ValueError, match="must be PSD, least of s and delta -1.5"):
+            PrimalLift(emb, half, 0.5)
+        lift = PrimalLift(emb, half, 2.0)
+        assert lift.slacks.tolist() == lift.residuals.tolist() == [0.0, 0.0]
+        assert not lift.slacks.flags.writeable
 
     def test_blocks_of_another_shape_are_refused(self):
         emb = build_embedding(pauli_pair())
-        for x, slacks in ((np.eye(3) / 3.0, np.zeros(2)), (np.eye(2) / 2.0, np.zeros(1))):
-            with pytest.raises(ValueError, match="block shapes"):
-                PrimalLift(emb, SpectraplexPoint(x), slacks, 2.0)
+        with pytest.raises(ValueError, match="block shapes"):
+            PrimalLift(emb, SpectraplexPoint(np.eye(3) / 3.0), 2.0)
         # X is a spectraplex point, never a bare array
         with pytest.raises(TypeError, match="SpectraplexPoint"):
-            PrimalLift(emb, np.eye(2) / 2.0, np.zeros(2), 2.0)
+            PrimalLift(emb, np.eye(2) / 2.0, 2.0)
+
+
+class TestNonFiniteInputIsRefused:
+    """A lift takes finite free variables only, each refused with a plain
+    ValueError that says so, before any block is formed."""
+
+    @staticmethod
+    def refused(build):
+        with pytest.raises(ValueError, match="must be finite") as err:
+            build()
+        assert type(err.value) is ValueError
+
+    def test_dual_lift(self):
+        # on a 1x1 instance the bound -inf once gave the top [[inf]] and an
+        # extracted bound of -inf; on the Pauli pair, a NaN top and the message
+        # that -inf exceeded the eigenvalue bound
+        for emb in (build_embedding(InstanceSet([[[1.0]]])), build_embedding(pauli_pair())):
+            w = [-1.0 / emb.m] * emb.m
+            for u, t in ((w, -np.inf), (w, np.inf), ([-np.inf] * emb.m, 0.0)):
+                self.refused(lambda: DualLift(emb, u, t))
+
+    def test_primal_lift(self):
+        # an infinite delta once passed the PSD gate and failed only as a NaN
+        # residual, inf - inf
+        emb = build_embedding(pauli_pair())
+        for delta in (np.inf, -np.inf):
+            self.refused(lambda: PrimalLift(emb, SpectraplexPoint(np.eye(2) / 2.0), delta))
 
 
 class TestInteriorDual:
@@ -423,12 +447,13 @@ class TestInteriorDual:
             assert lambda_min(lift.top) == pytest.approx(1.0, abs=1e-12)
 
 
-def primal_verdict(emb, x, slacks, delta):
-    """Whether the blocks pass the PSD gates of X' = diag(X, s, delta): X's, as
-    a spectraplex point, then the lift's on s and delta. Both run before the
-    residuals are measured, so a rejection must come from one of them."""
+def primal_verdict(emb, x, delta):
+    """Whether the blocks pass the PSD gates of X' = diag(X, s, delta), with s
+    derived from X and delta: X's, as a spectraplex point, then the lift's on s
+    and delta. Both run before the residuals are measured, so a rejection must
+    come from one of them."""
     try:
-        PrimalLift(emb, SpectraplexPoint(x), slacks, delta)
+        PrimalLift(emb, SpectraplexPoint(x), delta)
     except ValueError as err:
         assert "positive semidefinite" in str(err) or "must be PSD" in str(err)
         return False
@@ -455,10 +480,11 @@ class TestBlockPsdCheck:
             mat, _ = dense_primal(x, inst, emb.shift, margin)
             dense_min = np.linalg.eigvalsh(mat)[0]
             dense_ok = bool(dense_min >= -1e-10)
-            blocks = (mat[:n, :n], np.diag(mat)[n : n + m], mat[-1, -1])
+            blocks = (mat[:n, :n], mat[-1, -1])
             assert primal_verdict(emb, *blocks) == dense_ok
             if dense_ok:
-                p = PrimalLift(emb, SpectraplexPoint(blocks[0]), *blocks[1:])
+                # the derived slacks are the dense block's, bit for bit
+                p = PrimalLift(emb, SpectraplexPoint(blocks[0]), blocks[1])
                 assert primal_parts(p) == dense_parts(mat, m)
                 lo = min(lambda_min(p.x.array), p.slacks.min(), p.delta)
                 assert abs(lo - dense_min) <= 1e-12 * max(1.0, abs(mat).max())
@@ -483,13 +509,19 @@ class TestBlockPsdCheck:
         assert len(verdicts) == 4
 
     def test_negative_index_slot_rejected(self):
-        # three zero matrices: the tops are I, so the dual top is -sum(u) I - t I
-        emb = build_embedding(InstanceSet(np.zeros((3, 2, 2))))
+        # tops I, (1 + 2e-9) I and I: X = I/2 pays 1 + 2e-9 against the second,
+        # so delta = 1 leaves its slack alone negative
         half = np.eye(2) / 2.0
-        assert not primal_verdict(emb, half, [0.5, -1e-9, 0.25], 1.0)
+        emb = build_embedding(InstanceSet(np.stack([np.zeros((2, 2)), 2e-9 * np.eye(2),
+                                                    np.zeros((2, 2))])))
+        assert not primal_verdict(emb, half, 1.0)
+        assert primal_verdict(emb, half, 1.0 + 2e-9)
+        # three zero matrices: the tops are I, so the dual top is -sum(u) I - t I,
+        # and a negative delta leaves every slack negative
+        emb = build_embedding(InstanceSet(np.zeros((3, 2, 2))))
         with pytest.raises(DualInfeasibleError, match="index 1 is negative"):
             DualLift(emb, [-0.5, 1e-9, -0.25], 0.0)
-        assert not primal_verdict(emb, half, [0.5, 0.0, 0.25], -1e-9)
+        assert not primal_verdict(emb, half, -1e-9)
         # the corner is 1 + sum(u)
         with pytest.raises(DualInfeasibleError, match="corner entry is negative"):
             DualLift(emb, [-0.5, 0.0, -0.5 - 1e-9], 0.0)
@@ -497,7 +529,7 @@ class TestBlockPsdCheck:
     def test_indefinite_top_block_rejected(self):
         # trace one, eigenvalues 1.5 and -0.5, so a zero diagonal is not enough
         emb = build_embedding(InstanceSet(np.zeros((2, 2, 2))))
-        assert not primal_verdict(emb, np.array([[0.5, 1.0], [1.0, 0.5]]), [0.5, 0.0], 1.0)
+        assert not primal_verdict(emb, np.array([[0.5, 1.0], [1.0, 0.5]]), 1.0)
         # on the Pauli pair, t = 2 exceeds the weighted shifted eigenvalue
         # bound 2 - sqrt(2)/2: the top (Z + X)/2 has eigenvalues +-sqrt(2)/2
         emb = build_embedding(pauli_pair())
@@ -505,13 +537,13 @@ class TestBlockPsdCheck:
             DualLift(emb, [-0.5, -0.5], 2.0)
 
     def test_nan_block_is_not_psd(self):
+        # no NaN reaches a block: a NaN delta, multiplier or bound is refused
+        # on construction, before the PSD gates run
         emb = build_embedding(InstanceSet(np.zeros((2, 2, 2))))
-        half = np.eye(2) / 2.0
-        assert not primal_verdict(emb, half, [0.5, np.nan], 1.0)
-        assert not primal_verdict(emb, half, [0.5, 0.0], np.nan)
-        # a NaN multiplier or bound reaches the top block first
+        with pytest.raises(ValueError, match="delta must be finite"):
+            PrimalLift(emb, SpectraplexPoint(np.eye(2) / 2.0), np.nan)
         for u, t in (([-0.5, np.nan], 0.0), ([-0.5, -0.5], np.nan)):
-            with pytest.raises(DualInfeasibleError, match="top-left"):
+            with pytest.raises(ValueError, match="multipliers and bound must be finite"):
                 DualLift(emb, u, t)
 
     def test_blocks_are_read_only(self, rng):

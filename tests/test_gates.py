@@ -11,6 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from specmm import embed
 from specmm import (
     DualLift,
     InstanceSet,
@@ -29,10 +30,18 @@ EMB = build_embedding(InstanceSet([[[1.0]]]))
 EMB2 = build_embedding(InstanceSet([[[1.0]], [[1.0]]]))
 
 
-def primal(slack=0.0, delta=2.0):
-    # X = [[1.0]], whose trace and PSD gates are the spectraplex point's: the
-    # residual is |2 + slack - delta|
-    return PrimalLift(EMB, SpectraplexPoint([[1.0]]), [slack], delta)
+def primal(delta=2.0):
+    # X = [[1.0]], whose trace and PSD gates are the spectraplex point's, pays 2:
+    # the one slack is delta - 2
+    return PrimalLift(EMB, SpectraplexPoint([[1.0]]), delta)
+
+
+def primal_residual(r):
+    # slacks from a payoff contraction that reads r low: the slack is r, and
+    # the einsum measures the residual |2 + r - 2| = r
+    payoffs = embed._payoffs
+    with mock.patch.object(embed, "_payoffs", lambda tops, x: payoffs(tops, x) - r):
+        return primal()
 
 
 def dual(multiplier):
@@ -77,12 +86,12 @@ GATES = {
                         0.9e-10, 1.1e-10),
     "simplex_entry": (lambda e: SimplexPoint([1.0 + e, -e]), 0.9e-12, 1.1e-12),
     "simplex_sum": (lambda d: SimplexPoint([0.5 + d, 0.5]), 0.9e-12, 1.1e-12),
-    "lift_psd_primal": (lambda e: primal(slack=-e, delta=2.0 - e), 0.9e-10, 1.1e-10),
+    "lift_psd_primal": (lambda e: primal(delta=2.0 - e), 0.9e-10, 1.1e-10),
     # the corner 1 + sum(u), and an index slot -u_i: the sum and the sign of
     # the weights extraction reads
     "lift_psd_dual": (lambda e: dual(-(1.0 + e)), 0.9e-10, 1.1e-10),
     "lift_psd_dual_slot": (dual_slot, 0.9e-10, 1.1e-10),
-    "lift_residual_primal": (lambda r: primal(delta=2.0 + r), 0.9e-10, 1.1e-10),
+    "lift_residual_primal": (primal_residual, 0.9e-10, 1.1e-10),
     # at or below the gate the weights cannot be rescaled, and a positive
     # bound is then an error
     "degenerate_sum": (extract, 1.1e-12, 0.9e-12),

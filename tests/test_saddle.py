@@ -155,6 +155,14 @@ class TestSolveMinimax:
         with pytest.raises(TypeError):
             SaddleCertificate(**args, gap=0.0)
 
+    def test_a_nan_bound_is_refused(self):
+        # a NaN gap compares false with the crossing limit either way round
+        args = dict(x_bar=SpectraplexPoint(np.eye(1)), y_bar=SimplexPoint([1.0]),
+                    iterations=1, converged=False, scale=1.0)
+        for upper, lower in ((np.nan, 0.25), (0.5, np.nan)):
+            with pytest.raises(ValueError, match="bound crossing"):
+                SaddleCertificate(upper=upper, lower=lower, **args)
+
     def test_weak_duality_of_bounds(self, rng):
         for _ in range(5):
             inst = random_instance(rng, 3, 4)
