@@ -42,8 +42,8 @@ print("projector trace:      ", float(np.trace(xstar.array)))
 print("projector rank-one check (squared equals itself):",
       float(np.abs(xstar.array @ xstar.array - xstar.array).max()))
 
-# route 3: bisection on the shifted positive semidefiniteness predicate,
-# touching nothing but is_psd; a deliberately independent cross-check
+# route 3: bisection on whether the shifted matrix has a Cholesky factor,
+# calling no eigenvalue routine; a deliberately independent cross-check
 b = lambda_min_by_bisection(a, 1e-10)
 print("\nbisection route:      ", b)
 print("disagreement:         ", abs(b - val))

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .symmat import is_psd, lambda_min, _eigh_raw, _eigvals_raw
+from .symmat import lambda_min, _eigh_raw, _eigvals_raw
 
 __all__ = [
     "SpectraplexPoint",
@@ -140,14 +140,14 @@ class InstanceSet:
 
 
 def lambda_min_by_bisection(a: np.ndarray, tol: float = 1e-8) -> float:
-    """Smallest eigenvalue via the semidefinite characterization
-    lambda_min(A) = max { t : A - t*I is PSD }, located by bisection.
+    """Smallest eigenvalue via the characterization
+    lambda_min(A) = sup { t : A - t*I is positive definite }, located by bisection.
 
-    Independent of the direct eigenvalue route except for the PSD
-    predicate itself; the result is within tol of lambda_min(A), or, where
-    tol is below the float spacing at the answer, within the final bracket
-    of two adjacent floats. The initial bracket [-||A||_F, +||A||_F] always
-    contains the answer. A is symmetrised as (A + A^T)/2 and must be
+    Each step asks whether A - t*I has a Cholesky factor (LAPACK's potrf), so
+    no eigenvalue routine is called; the result is within tol of lambda_min(A),
+    or, where tol is below the float spacing at the answer, within the final
+    bracket of two adjacent floats. The initial bracket [-||A||_F, +||A||_F]
+    always contains the answer. A is symmetrised as (A + A^T)/2 and must be
     square, nonempty and finite.
     """
     if not tol > 0.0:  # a NaN tol fails too
@@ -162,9 +162,10 @@ def lambda_min_by_bisection(a: np.ndarray, tol: float = 1e-8) -> float:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:  # no float lies strictly inside the bracket
             break
-        if is_psd(a - mid * ident, 0.0):
+        try:
+            np.linalg.cholesky(a - mid * ident)
             lo = mid
-        else:
+        except np.linalg.LinAlgError:
             hi = mid
     return 0.5 * (lo + hi)
 

@@ -13,18 +13,14 @@ Wolkowicz, SIAM J. Optim. 1996) with the HKM direction and Mehrotra's
 predictor-corrector (SIAM J. Optim. 1992): one Schur matrix of order m+1
 per Newton step, and tens of steps to a tight gap.
 It starts from scaled analogues of the strictly feasible points of
-``embed.interior_primal_point`` and ``embed.interior_dual_point``. X is
-block-diagonal along the connected components of the family's off-diagonal
-pattern (coordinates i and j are joined when some A_k has a nonzero (i, j)
-entry), found exactly, without a tolerance. Each component of two or more
-coordinates is one dense block of a list, and a Newton step sums over the
-list; coordinates whose rows are exactly zero off the diagonal in every A_i
-are isolated, and X keeps them as a vector of linear-programming variables
+``embed.interior_primal_point`` and ``embed.interior_dual_point``.
+Coordinates whose rows are exactly zero off the diagonal in every A_i are
+isolated, and X keeps them as a vector of linear-programming variables
 beside s and delta (Todd, Toh & Tutuncu, SIAM J. Optim. 1998, carry LP
-blocks beside SDP blocks the same way; Murota, Kanno, Kojima & Kojima,
-Japan J. Indust. Appl. Math. 2010, treat block-diagonalisation in general).
-A diagonal family, the paper's classic game, has no block and is solved as
-a linear program.
+blocks beside SDP blocks the same way); the other coordinates, the coupled
+ones, form one dense block. Both are found exactly, without a tolerance. A
+diagonal family, the paper's classic game, has no block and is solved as a
+linear program.
 
 Certificates are self-verifying. After each Newton step the loop evaluates
 the exact bracket at its clipped iterates and keeps the best of each side:
@@ -171,25 +167,16 @@ def _lowest(r: np.ndarray, d) -> np.ndarray:
 
 
 def _components(stack: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """The blocks and the isolated coordinates of the family's off-diagonal pattern.
+    """The coupled coordinates as one block, and the isolated coordinates.
 
-    Coordinates i and j are adjacent when some A_k has a nonzero (i, j) entry, however
-    small. The blocks are the connected components of two or more coordinates, each
-    sorted and ordered by its first; the isolated coordinates are the rest, sorted.
-    Each coordinate's label starts at its least neighbour (itself included), then takes
-    the least label among its neighbours and that label's own label, until no label
-    changes; it is then the first coordinate of its component.
+    Coordinate i is coupled when some A_k has a nonzero (i, j) entry with j != i, however
+    small. Returns ([coupled], isolated), each sorted, or ([], isolated) when no
+    coordinate is coupled.
     """
     near = stack.any(axis=0)
-    np.fill_diagonal(near, True)
-    label = near.argmax(axis=1)
-    while (label != (low := np.where(near, label, len(near)).min(axis=1))).any():
-        label = low[low]
-    groups = {}
-    for i, first in enumerate(label.tolist()):
-        groups.setdefault(first, []).append(i)
-    blocks = [np.array(g) for g in groups.values() if len(g) > 1]
-    return blocks, np.array([g[0] for g in groups.values() if len(g) == 1], dtype=int)
+    np.fill_diagonal(near, False)
+    coupled = near.any(axis=1)
+    return [np.flatnonzero(coupled)] if coupled.any() else [], np.flatnonzero(~coupled)
 
 
 def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, on_bounds):
@@ -199,15 +186,14 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
     max_i ||A_i||_2 and sigma = max(0, -min_i lambda_min(A_i) / scale) + 1. Top blocks
     F_k = A_k / scale + sigma*I (k < m) and F_m = I; dual multipliers u, slacks
     (Z, w, z). The coordinates split by ``_components``: X and Z are held as lists of
-    dense blocks X_b and Z_b, one per connected component of the family's off-diagonal
-    pattern in the order of their first coordinates, and as vectors x_d and z_d on the
-    isolated coordinates. The payoffs read no other entry of X, and pinching keeps X in
-    the spectraplex, so this is exact. A family with no coupled coordinate has no
-    block, and its Newton step is a linear program's. x_d joins s and delta in one
-    vector v = (x_d, s, delta) with slack g = (z_d, w, z); G is the matrix of v's terms
-    in the m+1 constraints. The Schur matrix is G's term plus one term per block; the
-    residuals, mu and the affine gap add the blocks' terms to the vector's in block
-    order, and each step length is the least over the blocks and the vector.
+    dense blocks X_b and Z_b, one on the coupled coordinates or none, and as vectors x_d
+    and z_d on the isolated coordinates. The payoffs read no other entry of X, and
+    pinching keeps X in the spectraplex, so this is exact. A family with no coupled
+    coordinate has no block, and its Newton step is a linear program's. x_d joins s and
+    delta in one vector v = (x_d, s, delta) with slack g = (z_d, w, z); G is the matrix
+    of v's terms in the m+1 constraints. The Schur matrix is G's term plus one term per
+    block; the residuals, mu and the affine gap add the blocks' terms to the vector's,
+    and each step length is the least over the blocks and the vector.
 
     The start is strictly feasible, a scaled analogue of ``embed.interior_primal_point``
     (margin 1) and ``embed.interior_dual_point``: X = I/n, delta = max_k <F_k, X> + 1

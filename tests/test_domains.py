@@ -239,6 +239,19 @@ class TestBisection:
         got = lambda_min_by_bisection(a, 1e-8)
         assert abs(got - ref) <= np.spacing(abs(ref))
 
+    def test_calls_no_eigenvalue_routine(self, rng, monkeypatch):
+        # each step decides by a Cholesky factorisation, so the route stays independent
+        # of the eigensolver that the direct route and `specmm check` compare it with
+        a = random_symmetric(rng, 5)
+        want = lambda_min(a)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the bisection called an eigenvalue routine")
+
+        for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        assert abs(lambda_min_by_bisection(a, 1e-8) - want) <= 1e-8 + 1e-9
+
     def test_rejects_nonpositive_tolerance(self):
         with pytest.raises(ValueError, match="positive"):
             lambda_min_by_bisection(np.eye(2), 0.0)

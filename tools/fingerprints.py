@@ -41,9 +41,6 @@ sys.path[:0] = [str(ROOT / "benchmarks"), str(ROOT / "tests")]
 from certify import certify  # noqa: E402
 from workloads import WORKLOADS, make_cases  # noqa: E402
 
-# the fuzz families and seeds of the test that gates them
-FUZZ_SEEDS = (("symmetric", 1000), ("identical", 1001), ("scaled", 1002), ("diagonal", 1003))
-
 
 def _digest(items) -> str:
     """SHA-256 over the reprs of ``items``; a float's repr is exact."""
@@ -71,7 +68,7 @@ def workload_lines(sm: dict, workload: str, seed: int) -> list[str]:
 
 
 def fuzz_line(sm: dict) -> str:
-    from test_saddle import fuzz_family  # imports specmm, so after _import
+    from test_saddle import FUZZ_SEEDS, fuzz_family  # imports specmm, so after _import
 
     saddle = sm["saddle"]
     certs, short = [], {saddle.solve_minimax: 0, saddle.solve_maximin: 0}
