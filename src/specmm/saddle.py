@@ -18,9 +18,9 @@ Coordinates whose rows are exactly zero off the diagonal in every A_i are
 isolated, and X keeps them as a vector of linear-programming variables
 beside s and delta (Todd, Toh & Tutuncu, SIAM J. Optim. 1998, carry LP
 blocks beside SDP blocks the same way); the other coordinates, the coupled
-ones, form one dense block. Both are found exactly, without a tolerance. A
-diagonal family, the paper's classic game, has no block and is solved as a
-linear program.
+ones, form one optional dense block beside that vector. Both are found
+exactly, without a tolerance. A diagonal family, the paper's classic game,
+has no block and is solved as a linear program.
 
 Certificates are self-verifying. After each Newton step the loop evaluates
 the exact bracket at its clipped iterates and keeps the best of each side:
@@ -161,22 +161,17 @@ def _schur_cholesky(schur: np.ndarray) -> np.ndarray:
             schur.flat[:: len(schur) + 1] = diag + eps * diag.max()
 
 
-def _lowest(r: np.ndarray, d) -> np.ndarray:
-    """lambda_min(r_i d_i r_i^T) for each pair."""
-    return _eigvals_raw(r @ np.stack(d) @ r.transpose(0, 2, 1))[:, 0]
-
-
-def _components(stack: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+def _components(stack: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
     """The coupled coordinates as one block, and the isolated coordinates.
 
     Coordinate i is coupled when some A_k has a nonzero (i, j) entry with j != i, however
-    small. Returns ([coupled], isolated), each sorted, or ([], isolated) when no
+    small. Returns (coupled, isolated), each sorted, with coupled None when no
     coordinate is coupled.
     """
     near = stack.any(axis=0)
     np.fill_diagonal(near, False)
     coupled = near.any(axis=1)
-    return [np.flatnonzero(coupled)] if coupled.any() else [], np.flatnonzero(~coupled)
+    return np.flatnonzero(coupled) if coupled.any() else None, np.flatnonzero(~coupled)
 
 
 def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, on_bounds):
@@ -185,44 +180,43 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
     ``spectra`` holds each A_k's eigenvalues, in any order; they give the scale
     max_i ||A_i||_2 and sigma = max(0, -min_i lambda_min(A_i) / scale) + 1. Top blocks
     F_k = A_k / scale + sigma*I (k < m) and F_m = I; dual multipliers u, slacks
-    (Z, w, z). The coordinates split by ``_components``: X and Z are held as lists of
-    dense blocks X_b and Z_b, one on the coupled coordinates or none, and as vectors x_d
+    (Z, w, z). The coordinates split by ``_components``: X and Z are held as one
+    optional dense block X_c and Z_c on the coupled coordinates c, and as vectors x_d
     and z_d on the isolated coordinates. The payoffs read no other entry of X, and
     pinching keeps X in the spectraplex, so this is exact. A family with no coupled
     coordinate has no block, and its Newton step is a linear program's. x_d joins s and
     delta in one vector v = (x_d, s, delta) with slack g = (z_d, w, z); G is the matrix
-    of v's terms in the m+1 constraints. The Schur matrix is G's term plus one term per
-    block; the residuals, mu and the affine gap add the blocks' terms to the vector's,
-    and each step length is the least over the blocks and the vector.
+    of v's terms in the m+1 constraints. The Schur matrix is G's term plus the block's;
+    the residuals, mu and the affine gap add the block's terms to the vector's, and
+    each step length is the lesser of the block's and the vector's.
 
     The start is strictly feasible, a scaled analogue of ``embed.interior_primal_point``
     (margin 1) and ``embed.interior_dual_point``: X = I/n, delta = max_k <F_k, X> + 1
     and s_k = delta - <F_k, X>; u_k = -1/(2m), and u_m is one below the least of the
-    pinched combination's per-block least eigenvalues, min_b lambda_min((sum_k F_k /
-    (2m))_b), and of its diagonal on x_d, so that the least of Z's eigenvalues and
-    z_d is 1, w = 1/(2m) and z = 1/2. The residuals only absorb
-    rounding drift. After each Newton step the full X, assembled from the blocks and
-    x_d and clipped to the spectraplex, and -u[:m] clipped to the simplex get their
-    exact bounds on the original stack; the least upper bound and the greatest lower
-    bound are kept with the strategies attaining them, and ``on_bounds(k, upper,
-    lower)``, if given, sees the pair. A Schur matrix that does not factor is retried
-    with a growing multiple of its largest diagonal entry added to its diagonal
-    (``_schur_cholesky``). Stops at cfg.gap_tol, cfg.max_iters or a Cholesky breakdown
-    that no retry mends, which evaluates the iterate it started from. Returns (upper,
-    lower, x_bar, y_bar, steps, scale); an all-zero family, for which any pair is
-    optimal, returns (0, 0, I/n, 1/m, 0, 0) without a step.
+    pinched combination's eigenvalues, lambda_min((sum_k F_k / (2m))_c) and its
+    diagonal on x_d, so that the least of Z_c's eigenvalues and z_d is 1, w = 1/(2m)
+    and z = 1/2. The residuals only absorb rounding drift. After each Newton step the
+    full X, assembled from X_c and x_d and clipped to the spectraplex, and -u[:m]
+    clipped to the simplex get their exact bounds on the original stack; the least
+    upper bound and the greatest lower bound are kept with the strategies attaining
+    them, and ``on_bounds(k, upper, lower)``, if given, sees the pair. A Schur matrix
+    that does not factor is retried with a growing multiple of its largest diagonal
+    entry added to its diagonal (``_schur_cholesky``). Stops at cfg.gap_tol,
+    cfg.max_iters or a Cholesky breakdown that no retry mends, which evaluates the
+    iterate it started from. Returns (upper, lower, x_bar, y_bar, steps, scale); an
+    all-zero family, for which any pair is optimal, returns (0, 0, I/n, 1/m, 0, 0)
+    without a step.
     """
     m, n, _ = stack.shape
     scale = float(np.abs(spectra).max())
     if scale == 0.0:
         return 0.0, 0.0, np.eye(n) / n, np.full(m, 1.0 / m), 0, scale
-    blocks, d = _components(stack)
+    c, d = _components(stack)
     nd = len(d)
     sigma = _shift(spectra, scale)
     tops = np.concatenate([_shifted(stack, sigma, scale), np.eye(n)[None]])
-    fd, fs = tops[:, d, d], [tops[:, c[:, None], c] for c in blocks]
-    del tops  # the blocks are copies; freeing it lowers the solver's peak memory
-    ffs = [f.reshape(m + 1, -1) for f in fs]
+    fd, f = tops[:, d, d], None if c is None else tops[:, c[:, None], c]
+    del tops  # fd and f are copies; freeing it lowers the solver's peak memory
     cost = np.zeros(nd + m + 1)
     cost[-1] = 1.0
 
@@ -236,40 +230,39 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
         # G^T u, so that g = cost - G^T u
         return np.concatenate([u @ fd, u[:m], [-u[:m].sum()]])
 
-    def combos(u):
-        # sum_k u_k F_k on each block
-        return [(u @ ff).reshape(f.shape[1:]) for f, ff in zip(fs, ffs)]
-
-    xs, v = [np.eye(len(c)) / n for c in blocks], np.full(nd + m + 1, 1.0 / n)
+    v, u = np.full(nd + m + 1, 1.0 / n), np.append(np.full(m, -0.5 / m), 0.0)
     v[nd:-1] = fd[:m] @ v[:nd]  # <F_k, X> until s is set
-    for ff, x in zip(ffs, xs):
+    x = z = None
+    least = np.inf  # lambda_min of the pinched sum_k F_k / (2m) on the block
+    if c is not None:
+        ff, x = f.reshape(m + 1, -1), np.eye(len(c)) / n
         v[nd:-1] += ff[:m] @ x.reshape(-1)
+        least = _eigvals_raw(-(u @ ff).reshape(x.shape))[0]
     v[-1] = v[nd:-1].max() + 1.0
     v[nd:-1] = v[-1] - v[nd:-1]
-    u = np.append(np.full(m, -0.5 / m), 0.0)
-    zs = [-a for a in combos(u)]  # sum_k F_k / (2m), pinched
-    low = [_eigvals_raw(z)[0] for z in zs]
-    u[m] = min([*low, (-(u @ fd)).min(initial=np.inf)]) - 1.0
-    zs, g = [-a for a in combos(u)], cost - lp_t(u)
+    u[m] = (-(u @ fd)).min(initial=least) - 1.0
+    if c is not None:
+        z = -(u @ ff).reshape(x.shape)
+    g = cost - lp_t(u)
     upper, lower, x_best, y_best = np.inf, -np.inf, None, None
     for k in range(1, cfg.max_iters + 1):
         try:
-            rp, rg, mu, r = -lp(v), cost - lp_t(u) - g, v @ g, v / g
+            rp, rg, r = -lp(v), cost - lp_t(u) - g, v / g
+            # mu before any factorisation, so that a breakdown round logs it
+            mu = (v @ g if c is None else v @ g + np.vdot(x, z)) / (n + m + 1)
             # the sum starts from its first term, the LP one if there are LP variables
             schur = (fd * r[:nd]) @ fd.T if nd else None
-            pre = []  # per block: Rd, the inverse Cholesky factors of (X, Z), Z^-1, X Rd Z^-1
-            for f, ff, x, z in zip(fs, ffs, xs, zs):
+            if c is not None:
                 rp -= ff @ x.reshape(-1)
                 rd = -(u @ ff).reshape(z.shape) - z
-                mu = mu + np.vdot(x, z)
+                # the inverse Cholesky factors of X and Z, and Z^-1
                 rr = np.linalg.inv(np.linalg.cholesky(np.array((x, z))))
                 zi = rr[1].T @ rr[1]
                 term = ff @ (x @ f @ zi).reshape(m + 1, -1).T
                 schur = term if schur is None else np.add(schur, term, out=schur)
-                del term  # so no block's term outlives its addition
-                pre.append((rd, rr, zi, x @ rd @ zi))
+                del term  # so the term does not outlive its addition
+                xrz = x @ rd @ zi
             rp[m] += 1.0
-            mu /= n + m + 1
             # s/w + delta/z on the diagonal and delta/z off it, added in place
             diag = schur.diagonal()[:m] + (r[nd:-1] + r[-1])
             schur[:m, :m] += r[-1]
@@ -278,45 +271,39 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
             del schur  # dead once factored; freeing it lowers the solver's peak memory
             _tril_inv(li)
 
-            def newton(rczis, rcv):
-                # X dZ + dX Z = Rc and v dg + dv g = rcv, rczis being the blocks of Rc Z^-1,
+            def newton(rczi, rcv):
+                # X dZ + dX Z = Rc and v dg + dv g = rcv, rczi being Rc Z^-1 on the block,
                 # and the step lengths: 0.95 of the way to each cone's boundary, at most 1
-                rhs = rp
-                for ff, rczi, (_, _, _, xrz) in zip(ffs, rczis, pre):
-                    rhs = rhs - ff @ (rczi - xrz).reshape(-1)
+                rhs = rp if c is None else rp - ff @ (rczi - xrz).reshape(-1)
                 du = li.T @ (li @ (rhs - lp((rcv - v * rg) / g)))
                 dg = rg - lp_t(du)
                 dv = (rcv - v * dg) / g
                 ap, ad = max((-dv / v).max(), 0.95), max((-dg / g).max(), 0.95)
-                dxs, dzs = [], []
-                for ff, rczi, x, (rd, rr, zi, _) in zip(ffs, rczis, xs, pre):
-                    dz = rd - (du @ ff).reshape(rd.shape)
-                    dx = rczi - x @ dz @ zi
-                    dx = (dx + dx.T) / 2.0
-                    low = _lowest(rr, (dx, dz))
-                    ap, ad = max(ap, -low[0]), max(ad, -low[1])
-                    dxs.append(dx)
-                    dzs.append(dz)
-                return dxs, dv, du, dzs, dg, 0.95 / ap, 0.95 / ad
+                if c is None:
+                    return None, dv, du, None, dg, 0.95 / ap, 0.95 / ad
+                dz = rd - (du @ ff).reshape(rd.shape)
+                dx = rczi - x @ dz @ zi
+                dx = (dx + dx.T) / 2.0
+                low = _eigvals_raw(rr @ np.stack((dx, dz)) @ rr.transpose(0, 2, 1))[:, 0]
+                return dx, dv, du, dz, dg, 0.95 / max(ap, -low[0]), 0.95 / max(ad, -low[1])
 
-            dxs, dv, du, dzs, dg, ap, ad = newton([-x for x in xs], -v * g)
+            dx, dv, du, dz, dg, ap, ad = newton(None if c is None else -x, -v * g)
             gap_aff = (v + ap * dv) @ (g + ad * dg)
-            for x, z, dx, dz in zip(xs, zs, dxs, dzs):
+            if c is not None:
                 gap_aff = gap_aff + np.vdot(x + ap * dx, z + ad * dz)
             tau = mu * min(1.0, gap_aff / (mu * (n + m + 1))) ** 3
-            rczis = [tau * zi - x - dx @ dz @ zi
-                     for x, dx, dz, (_, _, zi, _) in zip(xs, dxs, dzs, pre)]
-            dxs, dv, du, dzs, dg, ap, ad = newton(rczis, tau - v * g - dv * dg)
+            rczi = None if c is None else tau * zi - x - dx @ dz @ zi
+            dx, dv, du, dz, dg, ap, ad = newton(rczi, tau - v * g - dv * dg)
             del li  # the next Schur matrix is built without this step's factor
-            xs = [x + ap * dx for x, dx in zip(xs, dxs)]
-            zs = [z + ad * dz for z, dz in zip(zs, dzs)]
+            if c is not None:
+                x, z = x + ap * dx, z + ad * dz
             v, u, g = v + ap * dv, u + ad * du, g + ad * dg
             breakdown = False
         except np.linalg.LinAlgError:
             breakdown = True
         full = np.zeros((n, n))
         full[d, d] = v[:nd]
-        for c, x in zip(blocks, xs):
+        if c is not None:
             full[c[:, None], c] = x
         lam, vec = _eigh_raw(full)
         x_bar = (vec * np.maximum(lam, 0.0)) @ vec.T

@@ -42,6 +42,6 @@ def lambda_min(a: np.ndarray) -> float:
 
 def is_psd(a: np.ndarray, tol: float) -> bool:
     """Whether lambda_min(A) >= -tol. The slack tol must be nonnegative."""
-    if tol < 0.0:
+    if not tol >= 0.0:  # a NaN tol fails too
         raise ValueError(f"tolerance must be nonnegative, got {tol}")
     return lambda_min(a) >= -tol

@@ -1,4 +1,5 @@
 import importlib.util
+import logging
 import math
 import sys
 from pathlib import Path
@@ -214,6 +215,28 @@ class TestSolveMinimax:
         # the value is -sqrt(2)/2; the bounds hold it up to eigensolver rounding
         assert cert.lower - 1e-15 <= -SQ2_HALF <= cert.upper + 1e-15
         assert cert.gap <= 1e-8
+
+    def test_a_breakdown_round_logs_the_mu_of_its_iterate(self, rng, monkeypatch, caplog):
+        # the block's pair or the Schur matrix fails to factor at step 1: either way the
+        # round evaluates the start, and logs the start's mu
+        inst, m = two_block_family(rng, 3), 3
+        cholesky = np.linalg.cholesky
+        caplog.set_level(logging.DEBUG, logger=saddle.logger.name)
+        logged = []
+        for fails in (lambda a: a.ndim == 3, lambda a: a.shape == (m + 1, m + 1)):
+            def failing(a, fails=fails):
+                if fails(a):
+                    raise np.linalg.LinAlgError("forced breakdown")
+                return cholesky(a)
+
+            caplog.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "cholesky", failing)
+                cert = solve_minimax(inst)
+            assert cert.iterations == 1
+            [record] = caplog.records
+            logged.append(record.args[-1])
+        assert logged[0] == logged[1]
 
     def test_schur_retries_close_identical_matrices_to_1e_14(self):
         # identical matrices leave the optimal y undetermined, and the Schur
@@ -530,18 +553,21 @@ class TestComponents:
     """The coupled coordinates form one dense block; the others are isolated."""
 
     def test_components_of_an_interleaved_family(self, rng):
-        blocks, isolated = saddle._components(two_block_family(rng, 3).stacked)
-        assert [b.tolist() for b in blocks] == [[1, 2, 4, 5, 6]]
+        coupled, isolated = saddle._components(two_block_family(rng, 3).stacked)
+        assert coupled.tolist() == [1, 2, 4, 5, 6]
         assert isolated.tolist() == [0, 3]
 
     def test_components_of_a_path_and_of_a_dense_family(self, rng):
         # a path 4 - 0 - 2 is one component, found through its middle coordinate
         a = np.zeros((2, 5, 5))
         a[0, 0, 4] = a[0, 4, 0] = a[1, 0, 2] = a[1, 2, 0] = 1.0
-        blocks, isolated = saddle._components(a)
-        assert [b.tolist() for b in blocks] == [[0, 2, 4]] and isolated.tolist() == [1, 3]
-        blocks, isolated = saddle._components(random_instance(rng, 4, 2).stacked)
-        assert [b.tolist() for b in blocks] == [[0, 1, 2, 3]] and isolated.size == 0
+        coupled, isolated = saddle._components(a)
+        assert coupled.tolist() == [0, 2, 4] and isolated.tolist() == [1, 3]
+        coupled, isolated = saddle._components(random_instance(rng, 4, 2).stacked)
+        assert coupled.tolist() == [0, 1, 2, 3] and isolated.size == 0
+        # a diagonal family has no coupled coordinate
+        coupled, isolated = saddle._components(np.stack([np.eye(3), np.diag([1.0, 2.0, 3.0])]))
+        assert coupled is None and isolated.tolist() == [0, 1, 2]
 
     def test_components_match_a_breadth_first_search(self, monkeypatch):
         # on every fuzz family and every benchmark instance the coupled coordinates
@@ -560,11 +586,14 @@ class TestComponents:
             for seed in (101, 102, 103):
                 stacks.extend(c.matrices for c in workloads.make_cases(workload, seed))
         for stack in stacks:
-            blocks, isolated = saddle._components(stack)
+            coupled, isolated = saddle._components(stack)
             want_blocks, want_isolated = bfs_components(stack)
             assert len(want_blocks) <= 1
-            assert [b.tolist() for b in blocks] == [b.tolist() for b in want_blocks]
-            assert [b.dtype for b in blocks] == [b.dtype for b in want_blocks]
+            if want_blocks:
+                assert coupled.tolist() == want_blocks[0].tolist()
+                assert coupled.dtype == want_blocks[0].dtype
+            else:
+                assert coupled is None
             assert isolated.tolist() == want_isolated.tolist()
             assert isolated.dtype == want_isolated.dtype
 
@@ -580,6 +609,9 @@ class TestComponents:
         assert log.calls["cholesky"] == [(2, 5, 5), (m + 1, m + 1)] * k
         assert log.calls["inv"] == [(2, 5, 5), (m + 1, m + 1)] * k
         assert log.calls["eigh"] == [(7, 7)] * k
+        # the dual start's least eigenvalue on the block; per step, the predictor's and
+        # the corrector's step lengths on the block's pair, and the bracket's combination
+        assert log.calls["eigvals"] == [(5, 5)] + [(2, 5, 5), (2, 5, 5), (7, 7)] * k
         assert upper_value(cert.x_bar, inst) == cert.upper
         assert lower_value(cert.y_bar, inst) == cert.lower
 

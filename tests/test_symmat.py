@@ -176,6 +176,10 @@ class TestIsPsd:
         with pytest.raises(ValueError, match="nonnegative"):
             is_psd(np.eye(2), -1e-9)
 
+    def test_nan_tolerance_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            is_psd(np.eye(2), float("nan"))
+
     def test_diagonal_equivalence(self, rng):
         for _ in range(20):
             d = rng.uniform(-1, 1, 4)
