@@ -175,12 +175,24 @@ def report_from_certificate(cert: SaddleCertificate) -> Report:
     )
 
 
+def _indented(value, pad: str) -> str:
+    """A scalar or nested list as ``json.dumps(value, indent=2)`` writes it at indent
+    ``pad``, by the flat encoder: the indenting one's closures leave reference cycles."""
+    if not isinstance(value, list) or not value:
+        return json.dumps(value)
+    inner = pad + "  "
+    flat = all(isinstance(v, (int, float)) for v in value)  # no ", " inside a number
+    body = (json.dumps(value)[1:-1].replace(", ", ",\n" + inner) if flat
+            else (",\n" + inner).join(_indented(v, inner) for v in value))
+    return f"[\n{inner}{body}\n{pad}]"
+
+
 def report_to_json(report: Report) -> str:
-    """Serialize; floats use their shortest exact decimal form, so loading
-    the text reproduces every scalar bit for bit. The report's own field
-    dict is written as is, without the deep copy ``dataclasses.asdict``
-    would make of the nested strategy lists."""
-    return json.dumps(vars(report), indent=2) + "\n"
+    """Serialize the report's own field dict as ``json.dumps(vars(report), indent=2)``
+    does, byte for byte; floats use their shortest exact decimal form, so loading the
+    text reproduces every scalar bit for bit."""
+    fields = (f"{json.dumps(k)}: {_indented(v, '  ')}" for k, v in vars(report).items())
+    return "{\n  " + ",\n  ".join(fields) + "\n}\n"
 
 
 def report_from_json(text: str) -> Report:

@@ -10,9 +10,12 @@ delta over PSD diag(X, s, delta) with <A_i + sigma*I, X> + s_i = delta and
 tr X = 1, stated in units of the scale by ``embed``'s shift rule and tops.
 A primal-dual interior-point method solves it (Helmberg, Rendl, Vanderbei &
 Wolkowicz, SIAM J. Optim. 1996) with the HKM direction and Mehrotra's
-predictor-corrector (SIAM J. Optim. 1992): one Schur matrix of order m+1
-per Newton step, and tens of steps to a tight gap.
-It starts from scaled analogues of the strictly feasible points of
+predictor-corrector (SIAM J. Optim. 1992) on a working set W of the matrices,
+3q of them for the q free coordinates of X, which grows while a matrix outside
+it pays more at the iterate (constraint reduction: Tits, Absil & Woessner, SIAM
+J. Optim. 2006; Park & O'Leary, J. Optim. Theory Appl. 2015): one Schur matrix
+of order |W|+1 <= m+1 per Newton step, and tens of steps to a tight gap. It
+starts from scaled analogues of the strictly feasible points of
 ``embed.interior_primal_point`` and ``embed.interior_dual_point``.
 Coordinates whose rows are exactly zero off the diagonal in every A_i are
 isolated, and X keeps them as a vector of linear-programming variables
@@ -23,12 +26,13 @@ exactly, without a tolerance. A diagonal family, the paper's classic game,
 has no block and is solved as a linear program.
 
 Certificates are self-verifying. After each Newton step the loop evaluates
-the exact bracket at its clipped iterates and keeps the best of each side:
-``upper`` is the best-response value at the reported X (feasible for the
-min side), ``lower`` the minimum eigenvalue at the reported y (feasible for
-the max side), so upper >= value >= lower however the iteration behaved.
-The certificate carries these incumbents; ``upper_value`` and
-``lower_value`` recompute them from the strategies alone, bit for bit.
+the exact bracket on all m matrices at its clipped iterates (y zero off W)
+and keeps the best of each side over every round: ``upper`` is the
+best-response value at the reported X (feasible for the min side), ``lower``
+the minimum eigenvalue at the reported y (feasible for the max side), so
+upper >= value >= lower however the iteration behaved. The certificate
+carries these incumbents; ``upper_value`` and ``lower_value`` recompute them
+from the strategies alone, bit for bit.
 Maximin is the same solve on the negated family, bounds negated and swapped.
 """
 
@@ -174,47 +178,37 @@ def _components(stack: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
     return np.flatnonzero(coupled) if coupled.any() else None, np.flatnonzero(~coupled)
 
 
-def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, on_bounds):
+def _newton_steps(stack: np.ndarray, work, sigma: float, scale: float, c, d, warm=None):
     """Mehrotra predictor-corrector with the HKM direction on diag(X, s, delta).
 
-    ``spectra`` holds each A_k's eigenvalues, in any order; they give the scale
-    max_i ||A_i||_2 and sigma = max(0, -min_i lambda_min(A_i) / scale) + 1. Top blocks
-    F_k = A_k / scale + sigma*I (k < m) and F_m = I; dual multipliers u, slacks
-    (Z, w, z). The coordinates split by ``_components``: X and Z are held as one
-    optional dense block X_c and Z_c on the coupled coordinates c, and as vectors x_d
-    and z_d on the isolated coordinates. The payoffs read no other entry of X, and
-    pinching keeps X in the spectraplex, so this is exact. A family with no coupled
-    coordinate has no block, and its Newton step is a linear program's. x_d joins s and
-    delta in one vector v = (x_d, s, delta) with slack g = (z_d, w, z); G is the matrix
-    of v's terms in the m+1 constraints. The Schur matrix is G's term plus the block's;
-    the residuals, mu and the affine gap add the block's terms to the vector's, and
-    each step length is the lesser of the block's and the vector's.
+    Top blocks F_k = A_k / scale + sigma*I for the m matrices of ``stack`` that the mask
+    ``work`` marks (k < m) and F_m = I; dual multipliers u, slacks (Z, w, z). X and Z
+    are held as one optional dense block X_c and Z_c on the coupled coordinates c (None
+    for no block), and as vectors x_d and z_d on the isolated coordinates d, as
+    ``_components`` splits them. The payoffs read no other entry of X, and pinching
+    keeps X in the spectraplex, so this is exact. x_d joins s and delta in one vector
+    v = (x_d, s, delta) with slack g = (z_d, w, z); G is the matrix of v's terms in the
+    m+1 constraints. The Schur matrix is G's term plus the block's; the residuals, mu
+    and the affine gap add the block's terms to the vector's, and each step length is
+    the lesser of the block's and the vector's.
 
     The start is strictly feasible, a scaled analogue of ``embed.interior_primal_point``
     (margin 1) and ``embed.interior_dual_point``: X = I/n, delta = max_k <F_k, X> + 1
     and s_k = delta - <F_k, X>; u_k = -1/(2m), and u_m is one below the least of the
     pinched combination's eigenvalues, lambda_min((sum_k F_k / (2m))_c) and its
     diagonal on x_d, so that the least of Z_c's eigenvalues and z_d is 1, w = 1/(2m)
-    and z = 1/2. The residuals only absorb rounding drift. After each Newton step the
-    full X, assembled from X_c and x_d and clipped to the spectraplex, and -u[:m]
-    clipped to the simplex get their exact bounds on the original stack; the least
-    upper bound and the greatest lower bound are kept with the strategies attaining
-    them, and ``on_bounds(k, upper, lower)``, if given, sees the pair. A Schur matrix
-    that does not factor is retried with a growing multiple of its largest diagonal
-    entry added to its diagonal (``_schur_cholesky``). Stops at cfg.gap_tol,
-    cfg.max_iters or a Cholesky breakdown that no retry mends, which evaluates the
-    iterate it started from. Returns (upper, lower, x_bar, y_bar, steps, scale); an
-    all-zero family, for which any pair is optimal, returns (0, 0, I/n, 1/m, 0, 0)
-    without a step.
+    and z = 1/2. ``warm`` = (X, u, kept), an earlier solve's on the matrices ``kept``
+    marks, makes the start 0.8 times it plus 0.2 times that point, margin 0.2
+    included, which is strictly feasible too. The residuals only absorb rounding
+    drift. A Schur matrix that does not factor is retried with a growing multiple of
+    its largest diagonal entry added to its diagonal (``_schur_cholesky``). Each
+    Newton step yields (X, u, mu, False), X the full (n, n) matrix assembled from X_c
+    and x_d; a Cholesky breakdown that no retry mends yields the iterate it started
+    from with True, and ends the iteration.
     """
-    m, n, _ = stack.shape
-    scale = float(np.abs(spectra).max())
-    if scale == 0.0:
-        return 0.0, 0.0, np.eye(n) / n, np.full(m, 1.0 / m), 0, scale
-    c, d = _components(stack)
+    m, n = int(work.sum()), stack.shape[1]
     nd = len(d)
-    sigma = _shift(spectra, scale)
-    tops = np.concatenate([_shifted(stack, sigma, scale), np.eye(n)[None]])
+    tops = np.concatenate([_shifted(stack[work], sigma, scale), np.eye(n)[None]])
     fd, f = tops[:, d, d], None if c is None else tops[:, c[:, None], c]
     del tops  # fd and f are copies; freeing it lowers the solver's peak memory
     cost = np.zeros(nd + m + 1)
@@ -231,21 +225,27 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
         return np.concatenate([u @ fd, u[:m], [-u[:m].sum()]])
 
     v, u = np.full(nd + m + 1, 1.0 / n), np.append(np.full(m, -0.5 / m), 0.0)
-    v[nd:-1] = fd[:m] @ v[:nd]  # <F_k, X> until s is set
     x = z = None
     least = np.inf  # lambda_min of the pinched sum_k F_k / (2m) on the block
     if c is not None:
         ff, x = f.reshape(m + 1, -1), np.eye(len(c)) / n
-        v[nd:-1] += ff[:m] @ x.reshape(-1)
         least = _eigvals_raw(-(u @ ff).reshape(x.shape))[0]
-    v[-1] = v[nd:-1].max() + 1.0
-    v[nd:-1] = v[-1] - v[nd:-1]
     u[m] = (-(u @ fd)).min(initial=least) - 1.0
+    margin = 1.0
+    if warm is not None:
+        last, u_last, kept = warm
+        v[:nd], u, margin = 0.8 * last[d, d] + 0.2 * v[:nd], 0.2 * u, 0.2
+        u[np.append(kept, True)] += 0.8 * u_last
+        x = None if c is None else 0.8 * last[c[:, None], c] + 0.2 * x
+    v[nd:-1] = fd[:m] @ v[:nd]  # <F_k, X> until s is set
     if c is not None:
+        v[nd:-1] += ff[:m] @ x.reshape(-1)
         z = -(u @ ff).reshape(x.shape)
+    v[-1] = v[nd:-1].max() + margin
+    v[nd:-1] = v[-1] - v[nd:-1]
     g = cost - lp_t(u)
-    upper, lower, x_best, y_best = np.inf, -np.inf, None, None
-    for k in range(1, cfg.max_iters + 1):
+    breakdown = False
+    while not breakdown:
         try:
             rp, rg, r = -lp(v), cost - lp_t(u) - g, v / g
             # mu before any factorisation, so that a breakdown round logs it
@@ -298,30 +298,64 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
             if c is not None:
                 x, z = x + ap * dx, z + ad * dz
             v, u, g = v + ap * dv, u + ad * du, g + ad * dg
-            breakdown = False
         except np.linalg.LinAlgError:
             breakdown = True
         full = np.zeros((n, n))
         full[d, d] = v[:nd]
         if c is not None:
             full[c[:, None], c] = x
-        lam, vec = _eigh_raw(full)
-        x_bar = (vec * np.maximum(lam, 0.0)) @ vec.T
-        x_bar = (x_bar + x_bar.T) / (2.0 * np.trace(x_bar))
-        y_bar = np.maximum(-u[:m], 0.0)
-        y_bar = y_bar / y_bar.sum() if y_bar.any() else np.full(m, 1.0 / m)
-        up = float(_payoffs(stack, x_bar).max())
-        lo = float(_eigvals_raw(_combination(y_bar, stack))[0])
-        if up < upper:
-            upper, x_best = up, x_bar
-        if lo > lower:
-            lower, y_best = lo, y_bar
-        if on_bounds is not None:
-            on_bounds(k, upper, lower)
-        logger.debug("round %d: upper=%.12g lower=%.12g mu=%.3e", k, up, lo, mu)
-        if breakdown or upper - lower <= cfg.gap_tol:
-            break
-    return upper, lower, x_best, y_best, k, scale
+        yield full, u, mu, breakdown
+
+
+def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, on_bounds):
+    """``_newton_steps`` on a working set W of the matrices, bracketed on all m.
+
+    ``spectra`` (each A_k's eigenvalues, in any order) give the scale max_i ||A_i||_2
+    and sigma = max(0, -min_i lambda_min(A_i) / scale) + 1. W starts as the 3q matrices
+    of largest trace, ties to the lower index, q = |d| + |c|(|c|+1)/2 being X's free
+    coordinates. After each step the full X clipped to the spectraplex, and -u[:-1]
+    clipped to the simplex on W and zero off it, get their exact bounds on the whole
+    stack; the best of each side over all rounds is kept with its strategy, and
+    ``on_bounds(k, upper, lower)``, if given, sees the pair. When some matrix outside W
+    pays more at X than all of W, all such join W and a new round starts warm. Stops at
+    cfg.gap_tol, after cfg.max_iters steps in all, or at a breakdown. Returns (upper,
+    lower, x_bar, y_bar, steps, scale), or (0, 0, I/n, 1/m, 0, 0) for an all-zero family.
+    """
+    m, n, _ = stack.shape
+    scale = float(np.abs(spectra).max())
+    if scale == 0.0:
+        return 0.0, 0.0, np.eye(n) / n, np.full(m, 1.0 / m), 0, scale
+    (c, d), sigma = _components(stack), _shift(spectra, scale)
+    work = np.zeros(m, dtype=bool)
+    q = len(d) + (0 if c is None else len(c) * (len(c) + 1) // 2)
+    work[np.argsort(-stack.trace(axis1=1, axis2=2), kind="stable")[: 3 * q]] = True
+    upper, lower, x_best, y_best, k, warm = np.inf, -np.inf, None, None, 0, None
+    while True:
+        for full, u, mu, breakdown in _newton_steps(stack, work, sigma, scale, c, d, warm):
+            k += 1
+            lam, vec = _eigh_raw(full)
+            x_bar = (vec * np.maximum(lam, 0.0)) @ vec.T
+            x_bar = (x_bar + x_bar.T) / (2.0 * np.trace(x_bar))
+            y = np.maximum(-u[:-1], 0.0)
+            y_bar = np.zeros(m)
+            y_bar[work] = y / y.sum() if y.any() else 1.0 / len(y)
+            pay = _payoffs(stack, x_bar)
+            up = float(pay.max())
+            lo = float(_eigvals_raw(_combination(y_bar, stack))[0])
+            if up < upper:
+                upper, x_best = up, x_bar
+            if lo > lower:
+                lower, y_best = lo, y_bar
+            if on_bounds is not None:
+                on_bounds(k, upper, lower)
+            logger.debug("round %d: upper=%.12g lower=%.12g mu=%.3e", k, up, lo, mu)
+            if breakdown or upper - lower <= cfg.gap_tol or k == cfg.max_iters:
+                return upper, lower, x_best, y_best, k, scale
+            if (top := pay[work].max()) < up:
+                break
+        grown = work | (pay > top)
+        warm, work = (full, u, work[grown]), grown
+        logger.debug("working set grows to %d of %d matrices", work.sum(), m)
 
 
 def _certificate(upper, lower, x_bar, y_bar, iterations, scale, cfg) -> SaddleCertificate:

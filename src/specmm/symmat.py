@@ -1,4 +1,4 @@
-"""Eigenvalues of dense real symmetric matrices, and the PSD test.
+"""Eigenvalues of dense real symmetric matrices.
 
 Everything downstream (the strategy domains, the saddle solver, the block
 embedding) consumes values produced here. Matrices are plain float
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["lambda_min", "is_psd"]
+__all__ = ["lambda_min"]
 
 
 def _eigh_raw(a: np.ndarray):
@@ -39,9 +39,3 @@ def lambda_min(a: np.ndarray) -> float:
     """Smallest eigenvalue of the symmetric array ``a``."""
     return float(_eigvals_raw(a)[0])
 
-
-def is_psd(a: np.ndarray, tol: float) -> bool:
-    """Whether lambda_min(A) >= -tol. The slack tol must be nonnegative."""
-    if not tol >= 0.0:  # a NaN tol fails too
-        raise ValueError(f"tolerance must be nonnegative, got {tol}")
-    return lambda_min(a) >= -tol

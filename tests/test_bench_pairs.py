@@ -1,0 +1,62 @@
+"""tools/bench_pairs.py's summary, on canned benchmark result lines (no benchmark runs)."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+BETTER = {"pass_s": "lower", "rounds": "lower", "score": "higher"}
+
+
+def line(pass_s, rounds, score=1.0, failed=0, correct=True):
+    """One result line as ``benchmarks/run.py --trace 0`` prints it last."""
+    metrics = {"pass_s": {"value": pass_s, "unit": "s"},
+               "rounds": {"value": rounds, "unit": "count"},
+               "score": {"value": score, "unit": "x"}}
+    return json.dumps({"correct": correct, "attempted": 8, "failed": failed, "metrics": metrics})
+
+
+def runs(workload, rows):
+    """Records for (seed, side, line) rows, the lines decoded as the script decodes them."""
+    return [{"workload": workload, "seed": seed, "side": side, "result": json.loads(text)}
+            for seed, side, text in rows]
+
+
+def test_medians_ratio_and_pairs_won():
+    got = bench_pairs.summarize(runs("wide", [
+        (101, "parent", line(0.030, 11, 2.0)), (101, "change", line(0.024, 10, 3.0)),
+        (102, "change", line(0.033, 10, 1.0)), (102, "parent", line(0.031, 11, 2.0)),
+        (103, "parent", line(0.029, 11, 2.0)), (103, "change", line(0.025, 10, 2.0)),
+    ]), BETTER)["wide"]
+    assert got["pairs"] == 3
+    assert got["pass_s"] == {"parent": 0.030, "change": 0.025,
+                             "ratio": pytest.approx(0.025 / 0.030), "better": 2}
+    assert got["rounds"] == {"parent": 11, "change": 10, "ratio": pytest.approx(10 / 11),
+                             "better": 3}
+    # a higher-is-better metric counts the other way, and a tie wins for neither side
+    assert got["score"]["better"] == 1
+    assert got["failed"] == {"parent": 0, "change": 0}
+    assert got["correct"] is True
+
+
+def test_a_seed_with_one_side_only_is_no_pair_and_failures_are_summed():
+    got = bench_pairs.summarize(
+        runs("dense", [
+            (101, "parent", line(0.013, 35, failed=1)), (101, "change", line(0.012, 35, failed=1)),
+            (102, "parent", line(0.014, 35, failed=1)),
+        ]) + runs("games", [
+            (101, "change", line(0.009, 28, correct=False)), (101, "parent", line(0.009, 28)),
+        ]), BETTER)
+    assert list(got) == ["dense", "games"]
+    assert got["dense"]["pairs"] == 1
+    assert got["dense"]["failed"] == {"parent": 1, "change": 1}
+    assert got["dense"]["rounds"]["better"] == 0
+    assert got["games"]["correct"] is False
+    assert got["games"]["pass_s"]["ratio"] == 1.0
+

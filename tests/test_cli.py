@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import logging
 import math
@@ -429,6 +430,27 @@ class TestReports:
             rep = report_from_certificate(cert)
             assert report_to_json(rep) == json.dumps(dataclasses.asdict(rep), indent=2) + "\n"
             assert report_from_json(report_to_json(rep)) == rep
+
+    def test_json_writes_the_indenting_encoders_bytes_on_edge_values(self):
+        odd = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072014e-308, 1e308]
+        for x_bar, y_bar in (([odd[:4], odd[3:]], odd), ([[]], []), ([], [[]]), ([[1.0]], [1])):
+            rep = Report(value=math.nan, upper=math.inf, lower=-math.inf, gap=-0.0,
+                         converged=False, iterations=0, x_bar=x_bar, y_bar=y_bar,
+                         tool_version="0.1.0")
+            assert report_to_json(rep) == json.dumps(vars(rep), indent=2) + "\n"
+
+    def test_json_rendering_leaves_no_cyclic_garbage(self):
+        # the indenting encoder's closures would leave reference cycles behind, which
+        # the collector frees at a time of its own
+        cert = solve_minimax(random_instance(np.random.default_rng(3), 4, 6))
+        rep = report_from_certificate(cert)
+        gc.collect()
+        gc.disable()
+        try:
+            report_to_json(rep)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_text_rendering_contains_exact_decimals(self):
         rep = Report(

@@ -6,7 +6,7 @@ from specmm import classic, domains, embed, files, saddle, symmat
 EXPORTS = {
     "__version__",
     # symmat
-    "lambda_min", "is_psd",
+    "lambda_min",
     # domains
     "SpectraplexPoint", "SimplexPoint", "InstanceSet", "lambda_min_by_bisection",
     "best_response_index", "weighted_combination", "sample_spectraplex", "sample_simplex",

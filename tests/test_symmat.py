@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import specmm
-from specmm import is_psd, lambda_min
+from specmm import lambda_min
 from specmm.domains import _payoffs
 from specmm.symmat import _eigh_raw, _eigvals_raw
 
@@ -165,22 +165,3 @@ class TestLambdaMin:
             shifted = a + c * np.eye(len(a))
             assert lambda_min(shifted) == pytest.approx(lambda_min(a) + c, abs=1e-10)
 
-
-class TestIsPsd:
-    def test_examples(self):
-        assert is_psd(np.eye(2), 0.0)
-        assert not is_psd(np.diag([1.0, -1.0]), 0.0)
-        assert is_psd(np.diag([-1e-12, 1.0]), 1e-10)
-
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            is_psd(np.eye(2), -1e-9)
-
-    def test_nan_tolerance_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            is_psd(np.eye(2), float("nan"))
-
-    def test_diagonal_equivalence(self, rng):
-        for _ in range(20):
-            d = rng.uniform(-1, 1, 4)
-            assert is_psd(np.diag(d), 0.0) == bool(d.min() >= 0.0)
