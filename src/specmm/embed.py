@@ -369,19 +369,23 @@ def sdpa_text(emb: SdpEmbedding) -> str:
     emitted in ascending (matno, blkno, i, j) order with 1-based in-block
     indices, so the output is byte-stable across runs. Only the upper
     triangles of the tops A_i + sigma*I are walked; the unit slots and corners
-    are known and written directly. Each matrix's lines become one string, and
-    those strings are joined once, so the export never holds one string per
-    entry: its peak is about twice the text (0.48 MiB at n=8, m=200).
+    are known and written directly. Each matrix's lines become one string, from
+    a %-template cached per pattern of nonzero slots, and those strings are
+    joined once, so the export never holds one string per entry: its peak is
+    about twice the text (0.49 MiB at n=8, m=200).
     """
     n, m = emb.n, emb.m
     parts = [f"*shift {emb.shift!r}", str(m + 1), "3", f"{n} -{m} -1"]
     parts.append(" ".join(["0.0"] * m) + " 1.0")
     parts.append("0 3 1 1 1.0")
     rows, cols = np.triu_indices(n)
-    slots = list(zip((rows + 1).tolist(), (cols + 1).tolist()))
-    for k, upper in enumerate(_tops(emb)[:, rows, cols], start=1):
-        entries = zip(slots, upper.tolist())
-        lines = [f"{k} 1 {i} {j} {v!r}" for (i, j), v in entries if v != 0.0]
-        parts.append("\n".join([*lines, f"{k} 2 {k} {k} 1.0", f"{k} 3 1 1 -1.0"]))
+    tops = _tops(emb)[:, rows, cols]
+    templates = {}  # a pattern of nonzero slots -> its lines "K 1 i j %r", K the matno
+    for k, (upper, nonzero) in enumerate(zip(tops, tops != 0.0), start=1):
+        if (key := nonzero.tobytes()) not in templates:
+            slots = zip((rows[nonzero] + 1).tolist(), (cols[nonzero] + 1).tolist())
+            templates[key] = "".join(f"K 1 {i} {j} %r\n" for i, j in slots)
+        lines = templates[key].replace("K", str(k)) % tuple(upper[nonzero].tolist())
+        parts.append(f"{lines}{k} 2 {k} {k} 1.0\n{k} 3 1 1 -1.0")
     parts.append("".join(f"{m + 1} 1 {i} {i} 1.0\n" for i in range(1, n + 1)))
     return "\n".join(parts)

@@ -26,8 +26,8 @@ exactly, without a tolerance. A diagonal family, the paper's classic game,
 has no block and is solved as a linear program.
 
 Certificates are self-verifying. After each Newton step the loop evaluates
-the exact bracket on all m matrices at its clipped iterates (y zero off W)
-and keeps the best of each side over every round: ``upper`` is the
+the exact bracket on all m matrices at its clipped iterate and Newton point
+(y zero off W) and keeps the best of each side over every round: ``upper`` is the
 best-response value at the reported X (feasible for the min side), ``lower``
 the minimum eigenvalue at the reported y (feasible for the max side), so
 upper >= value >= lower however the iteration behaved. The certificate
@@ -202,9 +202,10 @@ def _newton_steps(stack: np.ndarray, work, sigma: float, scale: float, c, d, war
     included, which is strictly feasible too. The residuals only absorb rounding
     drift. A Schur matrix that does not factor is retried with a growing multiple of
     its largest diagonal entry added to its diagonal (``_schur_cholesky``). Each
-    Newton step yields (X, u, mu, False), X the full (n, n) matrix assembled from X_c
-    and x_d; a Cholesky breakdown that no retry mends yields the iterate it started
-    from with True, and ends the iteration.
+    Newton step yields (X, U, mu, False), stacks of the full X (from X_c and x_d) and
+    of u at the damped iterate, then at the undamped Newton point X_c + dX_c, v + dv,
+    u + du; a Cholesky breakdown that no retry mends yields the iterate it started
+    from alone with True, and ends the iteration.
     """
     m, n = int(work.sum()), stack.shape[1]
     nd = len(d)
@@ -222,7 +223,7 @@ def _newton_steps(stack: np.ndarray, work, sigma: float, scale: float, c, d, war
 
     def lp_t(u):
         # G^T u, so that g = cost - G^T u
-        return np.concatenate([u @ fd, u[:m], [-u[:m].sum()]])
+        return np.concatenate((u @ fd, u[:m], -u[:m].sum(keepdims=True)))
 
     v, u = np.full(nd + m + 1, 1.0 / n), np.append(np.full(m, -0.5 / m), 0.0)
     x = z = None
@@ -278,7 +279,7 @@ def _newton_steps(stack: np.ndarray, work, sigma: float, scale: float, c, d, war
                 du = li.T @ (li @ (rhs - lp((rcv - v * rg) / g)))
                 dg = rg - lp_t(du)
                 dv = (rcv - v * dg) / g
-                ap, ad = max((-dv / v).max(), 0.95), max((-dg / g).max(), 0.95)
+                ap, ad = max(-(dv / v).min(), 0.95), max(-(dg / g).min(), 0.95)
                 if c is None:
                     return None, dv, du, None, dg, 0.95 / ap, 0.95 / ad
                 dz = rd - (du @ ff).reshape(rd.shape)
@@ -295,16 +296,18 @@ def _newton_steps(stack: np.ndarray, work, sigma: float, scale: float, c, d, war
             rczi = None if c is None else tau * zi - x - dx @ dz @ zi
             dx, dv, du, dz, dg, ap, ad = newton(rczi, tau - v * g - dv * dg)
             del li  # the next Schur matrix is built without this step's factor
+            vs, us = np.array((v + ap * dv, v + dv)), np.array((u + ad * du, u + du))
             if c is not None:
-                x, z = x + ap * dx, z + ad * dz
-            v, u, g = v + ap * dv, u + ad * du, g + ad * dg
+                xs, z = np.array((x + ap * dx, x + dx)), z + ad * dz
+                x = xs[0]
+            v, u, g = vs[0], us[0], g + ad * dg
         except np.linalg.LinAlgError:
-            breakdown = True
-        full = np.zeros((n, n))
-        full[d, d] = v[:nd]
+            breakdown, vs, us, xs = True, v[None], u[None], None if c is None else x[None]
+        full = np.zeros((len(vs), n, n))
+        full[:, d, d] = vs[:, :nd]
         if c is not None:
-            full[c[:, None], c] = x
-        yield full, u, mu, breakdown
+            full[:, c[:, None], c] = xs
+        yield full, us, mu, breakdown
 
 
 def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, on_bounds):
@@ -313,11 +316,13 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
     ``spectra`` (each A_k's eigenvalues, in any order) give the scale max_i ||A_i||_2
     and sigma = max(0, -min_i lambda_min(A_i) / scale) + 1. W starts as the 3q matrices
     of largest trace, ties to the lower index, q = |d| + |c|(|c|+1)/2 being X's free
-    coordinates. After each step the full X clipped to the spectraplex, and -u[:-1]
-    clipped to the simplex on W and zero off it, get their exact bounds on the whole
-    stack; the best of each side over all rounds is kept with its strategy, and
-    ``on_bounds(k, upper, lower)``, if given, sees the pair. When some matrix outside W
-    pays more at X than all of W, all such join W and a new round starts warm. Stops at
+    coordinates. After each step, at the damped iterate and at the Newton point, the
+    full X clipped to the spectraplex (skipped at clipped trace 0), and -u[:-1] clipped
+    to the simplex on W and zero off it, get their exact bounds on the whole stack, by
+    one eigh and one eigenvalue call on the pair; the best of each side over all rounds
+    is kept with its strategy, and ``on_bounds(k, upper, lower)``, if given, sees the
+    pair. When some matrix outside W pays more at the iterate's X than all of W, all
+    such join W and a new round starts warm from the iterate. Stops at
     cfg.gap_tol, after cfg.max_iters steps in all, or at a breakdown. Returns (upper,
     lower, x_bar, y_bar, steps, scale), or (0, 0, I/n, 1/m, 0, 0) for an all-zero family.
     """
@@ -331,30 +336,36 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
     work[np.argsort(-stack.trace(axis1=1, axis2=2), kind="stable")[: 3 * q]] = True
     upper, lower, x_best, y_best, k, warm = np.inf, -np.inf, None, None, 0, None
     while True:
-        for full, u, mu, breakdown in _newton_steps(stack, work, sigma, scale, c, d, warm):
+        for full, us, mu, breakdown in _newton_steps(stack, work, sigma, scale, c, d, warm):
             k += 1
             lam, vec = _eigh_raw(full)
-            x_bar = (vec * np.maximum(lam, 0.0)) @ vec.T
-            x_bar = (x_bar + x_bar.T) / (2.0 * np.trace(x_bar))
-            y = np.maximum(-u[:-1], 0.0)
-            y_bar = np.zeros(m)
-            y_bar[work] = y / y.sum() if y.any() else 1.0 / len(y)
-            pay = _payoffs(stack, x_bar)
-            up = float(pay.max())
-            lo = float(_eigvals_raw(_combination(y_bar, stack))[0])
-            if up < upper:
-                upper, x_best = up, x_bar
-            if lo > lower:
-                lower, y_best = lo, y_bar
+            x_bars = (vec * np.maximum(lam, 0.0)[:, None]) @ vec.transpose(0, 2, 1)
+            tr = x_bars.trace(axis1=1, axis2=2)
+            if not (keep := tr > 0.0).all():  # the Newton point's X may clip to zero
+                x_bars, tr = x_bars[keep], tr[keep]
+            x_bars = (x_bars + x_bars.transpose(0, 2, 1)) / (2.0 * tr[:, None, None])
+            y = np.maximum(-us[:, :-1], 0.0)
+            if not (tot := y.sum(axis=1, keepdims=True)).all():  # an all-zero y: uniform on W
+                y[tot[:, 0] == 0.0], tot[tot == 0.0] = 1.0, y.shape[1]
+            y_bars = np.zeros((len(y), m))
+            y_bars[:, work] = y / tot
+            pays = np.array([_payoffs(stack, x_bar) for x_bar in x_bars])
+            ups = pays.max(axis=1).tolist()
+            los = _eigvals_raw(np.array([_combination(y_bar, stack) for y_bar in y_bars]))[:, 0]
+            for up, x_bar in zip(ups, x_bars):
+                upper, x_best = (up, x_bar) if up < upper else (upper, x_best)
+            for lo, y_bar in zip(los.tolist(), y_bars):
+                lower, y_best = (lo, y_bar) if lo > lower else (lower, y_best)
             if on_bounds is not None:
                 on_bounds(k, upper, lower)
-            logger.debug("round %d: upper=%.12g lower=%.12g mu=%.3e", k, up, lo, mu)
+            logger.debug("round %d: upper=%.12g lower=%.12g mu=%.3e", k, ups[0], los[0], mu)
             if breakdown or upper - lower <= cfg.gap_tol or k == cfg.max_iters:
                 return upper, lower, x_best, y_best, k, scale
-            if (top := pay[work].max()) < up:
+            # the damped iterate alone steers the working set
+            if (top := pays[0][work].max()) < ups[0]:
                 break
-        grown = work | (pay > top)
-        warm, work = (full, u, work[grown]), grown
+        grown = work | (pays[0] > top)
+        warm, work = (full[0], us[0], work[grown]), grown
         logger.debug("working set grows to %d of %d matrices", work.sum(), m)
 
 

@@ -832,6 +832,36 @@ def test_sdpa_text_matches_the_dense_walk_at_the_edges(name):
     assert sdpa_text(emb) == dense_sdpa(emb.inst, emb.shift)
 
 
+def per_entry_sdpa(emb):
+    """The export with one f-string per nonzero upper-triangle entry, as the reference
+    for the cached templates of ``sdpa_text``."""
+    n, m = emb.n, emb.m
+    parts = [f"*shift {emb.shift!r}", str(m + 1), "3", f"{n} -{m} -1"]
+    parts.append(" ".join(["0.0"] * m) + " 1.0")
+    parts.append("0 3 1 1 1.0")
+    rows, cols = np.triu_indices(n)
+    slots = list(zip((rows + 1).tolist(), (cols + 1).tolist()))
+    for k, upper in enumerate(embed._tops(emb)[:, rows, cols], start=1):
+        lines = [f"{k} 1 {i} {j} {v!r}" for (i, j), v in zip(slots, upper.tolist()) if v != 0.0]
+        parts.append("\n".join([*lines, f"{k} 2 {k} {k} 1.0", f"{k} 3 1 1 -1.0"]))
+    parts.append("".join(f"{m + 1} 1 {i} {i} 1.0\n" for i in range(1, n + 1)))
+    return "\n".join(parts)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 5), (4, 3), (6, 12)])
+def test_sdpa_text_matches_a_per_entry_rendering(n, m, scale):
+    # random entries with a third of them zero, so the matrices' nonzero patterns
+    # differ; diagonal matrices, which share one pattern; and all-zero matrices
+    rng = np.random.default_rng(n * 100 + m)
+    g = rng.standard_normal((m, n, n)) * (rng.random((m, n, n)) > 1 / 3)
+    families = [g + g.transpose(0, 2, 1), np.stack([np.diag(r) for r in g[:, 0]]),
+                np.zeros((m, n, n))]
+    for stack in families:
+        emb = build_embedding(InstanceSet(scale * stack))
+        assert sdpa_text(emb) == per_entry_sdpa(emb)
+
+
 def test_lift_dual_makes_one_eigenvalue_call(monkeypatch):
     inst = random_instance(np.random.default_rng(7), 4, 5)
     emb = build_embedding(inst)

@@ -2,6 +2,7 @@ import importlib.util
 import logging
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -460,11 +461,12 @@ class TestIsolatedCoordinates:
         # per Newton step: one Schur Cholesky and one inverse of its factor
         assert log.calls["cholesky"] == [(m + 1, m + 1)] * k
         assert log.calls["inv"] == [(m + 1, m + 1)] * k
-        # per step, the bracket's eigh of X and eigenvalues of the combination;
-        # the scale and shift come from the instance's cached spectra, and the
-        # certificate takes the loop's bounds without another call
-        assert log.calls["eigh"] == [(3, 3)] * k
-        assert log.calls["eigvals"] == [(3, 3)] * k
+        # per step, the bracket's eigh of X and eigenvalues of the combination, each
+        # on the pair of the damped iterate and the Newton point; the scale and shift
+        # come from the instance's cached spectra, and the certificate takes the
+        # loop's bounds without another call
+        assert log.calls["eigh"] == [(2, 3, 3)] * k
+        assert log.calls["eigvals"] == [(2, 3, 3)] * k
 
     def test_maximin_makes_the_same_lapack_calls(self, monkeypatch):
         inst = InstanceSet([np.diag(r) for r in self.GAME])
@@ -476,8 +478,8 @@ class TestIsolatedCoordinates:
             assert log.calls == {
                 "cholesky": [(m + 1, m + 1)] * k,
                 "inv": [(m + 1, m + 1)] * k,
-                "eigh": [(3, 3)] * k,
-                "eigvals": [(3, 3)] * k,
+                "eigh": [(2, 3, 3)] * k,
+                "eigvals": [(2, 3, 3)] * k,
                 # the spectraplex check of x_bar; no bound is recomputed
                 "checks": [(3, 3)],
             }, solve.__name__
@@ -605,13 +607,15 @@ class TestComponents:
         k = cert.iterations
         assert cert.converged
         # per Newton step: the (X, Z) pair of the block on the five coupled coordinates,
-        # then the Schur matrix; the bracket reads the full 7x7 X
+        # then the Schur matrix; the bracket reads the full 7x7 X of the damped iterate
+        # and of the Newton point
         assert log.calls["cholesky"] == [(2, 5, 5), (m + 1, m + 1)] * k
         assert log.calls["inv"] == [(2, 5, 5), (m + 1, m + 1)] * k
-        assert log.calls["eigh"] == [(7, 7)] * k
+        assert log.calls["eigh"] == [(2, 7, 7)] * k
         # the dual start's least eigenvalue on the block; per step, the predictor's and
-        # the corrector's step lengths on the block's pair, and the bracket's combination
-        assert log.calls["eigvals"] == [(5, 5)] + [(2, 5, 5), (2, 5, 5), (7, 7)] * k
+        # the corrector's step lengths on the block's pair, and the bracket's two
+        # combinations
+        assert log.calls["eigvals"] == [(5, 5)] + [(2, 5, 5), (2, 5, 5), (2, 7, 7)] * k
         assert upper_value(cert.x_bar, inst) == cert.upper
         assert lower_value(cert.y_bar, inst) == cert.lower
 
@@ -712,8 +716,8 @@ class TestWorkingSet:
             assert log.calls == {
                 "cholesky": [(2, n, n), (m + 1, m + 1)] * k,
                 "inv": [(2, n, n), (m + 1, m + 1)] * k,
-                "eigh": [(n, n)] * k,
-                "eigvals": [(n, n)] + [(2, n, n), (2, n, n), (n, n)] * k,
+                "eigh": [(2, n, n)] * k,
+                "eigvals": [(n, n)] + [(2, n, n)] * 3 * k,
                 "checks": [(n, n)],
             }, solve.__name__
 
@@ -725,10 +729,110 @@ class TestWorkingSet:
         assert log.calls == {
             "cholesky": [(m + 1, m + 1)] * k,
             "inv": [(m + 1, m + 1)] * k,
-            "eigh": [(n, n)] * k,
-            "eigvals": [(n, n)] * k,
+            "eigh": [(2, n, n)] * k,
+            "eigvals": [(2, n, n)] * k,
             "checks": [(n, n)],
         }
+
+
+def damped_only_bounds(stack, spectra, cfg):
+    """The incumbent (upper, lower) after each step of ``saddle._newton_steps`` when only
+    the damped iterate is bracketed, with the working set grown as the solver grows it:
+    the bracket on the iterate alone, by single-matrix calls, as the reference."""
+    m = len(stack)
+    scale = float(np.abs(spectra).max())
+    (c, d), sigma = saddle._components(stack), saddle._shift(spectra, scale)
+    q = len(d) + (0 if c is None else len(c) * (len(c) + 1) // 2)
+    work = np.zeros(m, dtype=bool)
+    work[np.argsort(-stack.trace(axis1=1, axis2=2), kind="stable")[: 3 * q]] = True
+    upper, lower, bounds, warm = np.inf, -np.inf, [], None
+    while True:
+        for full, us, _, breakdown in saddle._newton_steps(stack, work, sigma, scale, c, d, warm):
+            lam, vec = np.linalg.eigh(full[0])
+            x = (vec * np.maximum(lam, 0.0)) @ vec.T
+            x = (x + x.T) / (2.0 * np.trace(x))
+            y = np.maximum(-us[0, :-1], 0.0)
+            y_bar = np.zeros(m)
+            y_bar[work] = y / y.sum()
+            pay = domains._payoffs(stack, x)
+            upper = min(upper, float(pay.max()))
+            lower = max(lower, float(np.linalg.eigh(domains._combination(y_bar, stack))[0][0]))
+            bounds.append((upper, lower))
+            if breakdown or upper - lower <= cfg.gap_tol or len(bounds) == cfg.max_iters:
+                return bounds
+            if (top := pay[work].max()) < pay.max():
+                break
+        grown = work | (pay > top)
+        warm, work = (full[0], us[0], work[grown]), grown
+
+
+def newton_point_families():
+    """The benchmark's dense and games shapes, and the decoy families whose working set
+    grows, each with a relative gap."""
+    rng = np.random.default_rng(28)
+    families = [(f"dense-{n}x{m}", symmetric_family(rng, n, m), 1e-6)
+                for n, m in [(6, 4), (8, 6), (10, 8)]]
+    families += [(f"game-{m}x{n}", InstanceSet(
+        [np.diag(r) for r in rng.integers(-4, 5, (m, n)).astype(float)]), 1e-4)
+        for m, n in [(2, 3), (3, 3), (3, 5), (4, 6), (5, 7), (5, 8)]]
+    families += [("decoy", decoy_family(), 1e-8),
+                 ("decoy-rotated", decoy_family(random_orthogonal(np.random.default_rng(0), 2)),
+                  1e-8)]
+    return families
+
+
+class TestNewtonPoint:
+    """The bracket at the Newton point beside the damped iterate only tightens it."""
+
+    @pytest.mark.parametrize("sense", ["minimax", "maximin"])
+    def test_incumbents_are_never_looser_and_steps_never_more(self, sense):
+        fewer = 0
+        for name, inst, rel in newton_point_families():
+            scale = float(np.abs(inst.spectra).max())
+            cfg = SaddleConfig(gap_tol=rel * scale)
+            calls = []
+            if sense == "minimax":
+                want = damped_only_bounds(inst.stacked, inst.spectra, cfg)
+                cert = solve_minimax(inst, cfg, on_bounds=lambda *a: calls.append(a))
+                got = [(up, lo) for _, up, lo in calls]
+            else:
+                want = damped_only_bounds(-inst.stacked, -inst.spectra, cfg)
+                cert = solve_maximin(inst, cfg, on_bounds=lambda *a: calls.append(a))
+                got = [(0.0 - lo, 0.0 - up) for _, up, lo in calls]  # as minimax of -A
+            assert [k for k, *_ in calls] == list(range(1, cert.iterations + 1)), name
+            assert cert.iterations <= len(want), name
+            for (up, lo), (want_up, want_lo) in zip(got, want):
+                assert up <= want_up and lo >= want_lo, name
+            fewer += cert.iterations < len(want)
+        # the Newton point ends some solves sooner
+        assert fewer > 0
+
+    def test_a_newton_point_clipped_to_zero_trace_is_skipped_without_a_warning(
+            self, monkeypatch):
+        # the Newton point's X replaced by a negative definite one: nothing positive is
+        # left to clip, so its upper bound is skipped, and its y is still bracketed
+        inst = symmetric_family(np.random.default_rng(3), 4, 3)
+        cfg = SaddleConfig(gap_tol=1e-6)
+        steps = saddle._newton_steps
+
+        def negated(*args):
+            for full, us, mu, breakdown in steps(*args):
+                if len(full) == 2:
+                    full[1] = -np.eye(len(full[1]))
+                yield full, us, mu, breakdown
+
+        monkeypatch.setattr(saddle, "_newton_steps", negated)
+        calls = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = solve_minimax(inst, cfg, on_bounds=lambda *a: calls.append(a))
+        monkeypatch.undo()
+        want = damped_only_bounds(inst.stacked, inst.spectra, cfg)
+        # the upper side is the damped iterate's alone, bit for bit
+        assert [up for _, up, _ in calls] == [up for up, _ in want[: len(calls)]]
+        assert all(lo >= want_lo for (_, _, lo), (_, want_lo) in zip(calls, want))
+        assert upper_value(cert.x_bar, inst) == cert.upper
+        assert lower_value(cert.y_bar, inst) == cert.lower
 
 
 # the fuzz families and the seed of each; ``tools/fingerprints.py`` digests the same
@@ -771,7 +875,7 @@ def test_seeded_fuzz_certificates_recompute_and_few_solves_stop_short():
                 top = np.linalg.eigh(weighted_combination(cert.y_bar, inst))[0][-1]
                 assert top == cert.upper, (kind, rel)
                 short_maximin += not cert.converged
-    assert short_minimax <= 9
+    assert short_minimax <= 8
     assert short_maximin <= 8
 
 
