@@ -15,8 +15,10 @@ predictor-corrector (SIAM J. Optim. 1992) on a working set W of the matrices,
 it pays more at the iterate (constraint reduction: Tits, Absil & Woessner, SIAM
 J. Optim. 2006; Park & O'Leary, J. Optim. Theory Appl. 2015): one Schur matrix
 of order |W|+1 <= m+1 per Newton step, and tens of steps to a tight gap. It
-starts from scaled analogues of the strictly feasible points of
-``embed.interior_primal_point`` and ``embed.interior_dual_point``.
+starts at X = I/n, theta = 0.1 scale units from the boundary: the dual weights
+sum to 1 - theta, as they sum to 1 at every optimum, and the primal margin and
+the dual slacks' floor are theta (the start sized to the problem, as Mehrotra
+and SDPT3 size theirs).
 Coordinates whose rows are exactly zero off the diagonal in every A_i are
 isolated, and X keeps them as a vector of linear-programming variables
 beside s and delta (Todd, Toh & Tutuncu, SIAM J. Optim. 1998, carry LP
@@ -68,6 +70,8 @@ __all__ = [
 
 # the bounds may cross by eigensolver rounding up to this times the scale
 _CROSSING_TOL = 1e-9
+# the cold start's distance from the boundary, in units of the scale
+_THETA = 0.1
 
 logger = logging.getLogger(__name__)
 
@@ -192,14 +196,14 @@ def _newton_steps(stack: np.ndarray, work, sigma: float, scale: float, c, d, war
     and the affine gap add the block's terms to the vector's, and each step length is
     the lesser of the block's and the vector's.
 
-    The start is strictly feasible, a scaled analogue of ``embed.interior_primal_point``
-    (margin 1) and ``embed.interior_dual_point``: X = I/n, delta = max_k <F_k, X> + 1
-    and s_k = delta - <F_k, X>; u_k = -1/(2m), and u_m is one below the least of the
-    pinched combination's eigenvalues, lambda_min((sum_k F_k / (2m))_c) and its
-    diagonal on x_d, so that the least of Z_c's eigenvalues and z_d is 1, w = 1/(2m)
-    and z = 1/2. ``warm`` = (X, u, kept), an earlier solve's on the matrices ``kept``
-    marks, makes the start 0.8 times it plus 0.2 times that point, margin 0.2
-    included, which is strictly feasible too. The residuals only absorb rounding
+    The start is strictly feasible, theta = ``_THETA`` from the boundary: X = I/n,
+    delta = max_k <F_k, X> + theta and s_k = delta - <F_k, X>; u_k = -(1 - theta)/m,
+    and u_m is theta below the least of the pinched combination's eigenvalues,
+    lambda_min(((1 - theta) sum_k F_k / m)_c) and its diagonal on x_d, so that the least
+    of Z_c's eigenvalues and z_d is theta, w = (1 - theta)/m and z = theta.
+    ``warm`` = (X, u, kept), an earlier solve's on the matrices ``kept`` marks, makes
+    the start 0.8 times it plus 0.2 times that point, margin 0.2 theta included, which
+    is strictly feasible too. The residuals only absorb rounding
     drift. A Schur matrix that does not factor is retried with a growing multiple of
     its largest diagonal entry added to its diagonal (``_schur_cholesky``). Each
     Newton step yields (X, U, mu, False), stacks of the full X (from X_c and x_d) and
@@ -225,17 +229,17 @@ def _newton_steps(stack: np.ndarray, work, sigma: float, scale: float, c, d, war
         # G^T u, so that g = cost - G^T u
         return np.concatenate((u @ fd, u[:m], -u[:m].sum(keepdims=True)))
 
-    v, u = np.full(nd + m + 1, 1.0 / n), np.append(np.full(m, -0.5 / m), 0.0)
+    v, u = np.full(nd + m + 1, 1.0 / n), np.append(np.full(m, (_THETA - 1.0) / m), 0.0)
     x = z = None
-    least = np.inf  # lambda_min of the pinched sum_k F_k / (2m) on the block
+    least = np.inf  # lambda_min of the pinched (1 - theta) sum_k F_k / m on the block
     if c is not None:
         ff, x = f.reshape(m + 1, -1), np.eye(len(c)) / n
         least = _eigvals_raw(-(u @ ff).reshape(x.shape))[0]
-    u[m] = (-(u @ fd)).min(initial=least) - 1.0
-    margin = 1.0
+    u[m] = (-(u @ fd)).min(initial=least) - _THETA
+    margin = _THETA
     if warm is not None:
         last, u_last, kept = warm
-        v[:nd], u, margin = 0.8 * last[d, d] + 0.2 * v[:nd], 0.2 * u, 0.2
+        v[:nd], u, margin = 0.8 * last[d, d] + 0.2 * v[:nd], 0.2 * u, 0.2 * _THETA
         u[np.append(kept, True)] += 0.8 * u_last
         x = None if c is None else 0.8 * last[c[:, None], c] + 0.2 * x
     v[nd:-1] = fd[:m] @ v[:nd]  # <F_k, X> until s is set

@@ -77,12 +77,14 @@ class TestSolveCommand:
         doc = json.loads(out.read_text())
         assert doc["converged"] is True
 
+    # one Newton step brings the Pauli pair to a gap of 1.1e-16, which passes the default
+    # tolerance; 1e-17 it cannot reach in one step
     def test_strict_nonconvergence_exit_code(self, pauli_file, capsys):
-        assert main(["solve", pauli_file, "--max-iters", "1", "--strict"]) == 2
+        assert main(["solve", pauli_file, "--max-iters", "1", "--tol", "1e-17", "--strict"]) == 2
         capsys.readouterr()
 
     def test_nonstrict_nonconvergence_still_reports(self, pauli_file, capsys):
-        assert main(["solve", pauli_file, "--max-iters", "1", "--json"]) == 0
+        assert main(["solve", pauli_file, "--max-iters", "1", "--tol", "1e-17", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["converged"] is False
         assert doc["iterations"] == 1

@@ -197,25 +197,75 @@ class TestSolveMinimax:
         assert all(b >= a for a, b in zip(lowers, lowers[1:]))
         assert (uppers[-1], lowers[-1]) == (cert.upper, cert.lower)
 
-    def test_cholesky_breakdown_certifies_the_incumbents(self):
-        # driven towards a gap of 1e-16, below the rounding of its bounds, the
-        # Pauli pair's (X, Z) pair loses definiteness before the cap
-        inst = pauli_pair()
-        calls = []
-        cert = solve_minimax(
-            inst,
-            SaddleConfig(max_iters=100, gap_tol=1e-16),
-            on_bounds=lambda k, up, lo: calls.append(k),
-        )
+    def test_cholesky_breakdown_certifies_the_incumbents(self, monkeypatch):
+        # the fuzz's scaled instance 1 (n=8, m=5), driven towards a relative gap of 1e-8:
+        # its (X, Z) pair loses definiteness before the cap, short of the target
+        rng = np.random.default_rng(dict(FUZZ_SEEDS)["scaled"])
+        fuzz_family("scaled", rng)  # instance 0
+        inst = InstanceSet(fuzz_family("scaled", rng))
+        scale = float(np.abs(inst.spectra).max())
+        cfg = SaddleConfig(max_iters=100, gap_tol=1e-8 * scale)
+        cholesky, failed, calls = np.linalg.cholesky, [], []
+
+        def logged(a):
+            try:
+                return cholesky(a)
+            except np.linalg.LinAlgError:
+                failed.append(np.shape(a))
+                raise
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "cholesky", logged)
+            cert = solve_minimax(inst, cfg, on_bounds=lambda k, up, lo: calls.append(k))
+        assert inst.stacked.shape == (5, 8, 8)
         assert cert.iterations < 100
+        assert failed[-1] == (2, 8, 8)
         assert calls == list(range(1, cert.iterations + 1))
-        assert cert.converged == (cert.gap <= 1e-16)
+        assert cert.converged == (cert.gap <= cfg.gap_tol)
         assert not cert.converged
         assert upper_value(cert.x_bar, inst) == cert.upper
         assert lower_value(cert.y_bar, inst) == cert.lower
-        # the value is -sqrt(2)/2; the bounds hold it up to eigensolver rounding
-        assert cert.lower - 1e-15 <= -SQ2_HALF <= cert.upper + 1e-15
-        assert cert.gap <= 1e-8
+        # a looser solve's bracket meets this one, and the stop is within twice the target
+        loose = solve_minimax(inst, SaddleConfig(gap_tol=1e-6 * scale))
+        assert max(cert.lower, loose.lower) <= min(cert.upper, loose.upper)
+        assert cert.gap <= 2e-8 * scale
+
+    @pytest.mark.parametrize("shape", [(6, 4), (8, 6), (10, 8), "two-block"],
+                             ids=["6x4", "8x6", "10x8", "two-block"])
+    @pytest.mark.parametrize("solve", [solve_minimax, solve_maximin])
+    def test_a_breakdown_at_step_1_yields_the_start(self, rng, monkeypatch, solve, shape):
+        # every Cholesky factorisation fails, so the one round yields the cold start: X =
+        # I/n, weights (1 - theta)/m summing to 1 - theta, and u_m theta below the least
+        # eigenvalue of the pinched combination, theta = 0.1 in units of the scale
+        inst = two_block_family(rng, 3) if shape == "two-block" else symmetric_family(rng, *shape)
+        m, n, _ = inst.stacked.shape
+        steps, seen = saddle._newton_steps, []
+
+        def recorded(*args):
+            for out in steps(*args):
+                seen.append((args, out))
+                yield out
+
+        def failing(a):
+            raise np.linalg.LinAlgError("forced breakdown")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(saddle, "_newton_steps", recorded)
+            patch.setattr(np.linalg, "cholesky", failing)
+            assert solve(inst).iterations == 1
+        [((stack, work, sigma, scale, c, d, warm), (full, us, mu, breakdown))] = seen
+        assert breakdown and warm is None and work.all()
+        assert full.tobytes() == (np.eye(n) / n)[None].tobytes()
+        assert (-us[0, :m] == (1.0 - 0.1) / m).all()
+        pinched = (1.0 - 0.1) / m * (stack / scale + sigma * np.eye(n)).sum(axis=0)
+        least = pinched[d, d].min(initial=np.inf)
+        if c is not None:
+            least = min(least, np.linalg.eigvalsh(pinched[np.ix_(c, c)])[0])
+        assert us[0, m] == pytest.approx(least - 0.1, abs=1e-12)
+        # on the dense shapes the start's duality gap is below 1 scale unit (it was about
+        # 3.2 when the weights summed to 1/2)
+        if shape != "two-block":
+            assert mu * (n + m + 1) < 1.0
 
     def test_a_breakdown_round_logs_the_mu_of_its_iterate(self, rng, monkeypatch, caplog):
         # the block's pair or the Schur matrix fails to factor at step 1: either way the
@@ -705,6 +755,26 @@ class TestWorkingSet:
             assert upper_value(cert.x_bar, inst) == cert.upper
             assert lower_value(cert.y_bar, inst) == cert.lower
 
+    def test_seeded_families_of_many_matrices_grow_it_and_converge(self, caplog):
+        # random families with m well above 3q (q = 6, 10 and 36), solved both ways: every
+        # solve converges, every certificate recomputes, and W grows in both senses
+        caplog.set_level(logging.DEBUG, logger=saddle.logger.name)
+        grown = {solve_minimax: 0, solve_maximin: 0}
+        for n, m in [(3, 40), (4, 60), (8, 200)]:
+            for seed in range(3):
+                inst = random_instance(np.random.default_rng(seed), n, m)
+                scale = float(np.abs(inst.spectra).max())
+                for rel in (1e-4, 1e-7):
+                    for solve in grown:
+                        caplog.clear()
+                        cert = solve(inst, SaddleConfig(gap_tol=rel * scale))
+                        case = (n, m, seed, rel, solve.__name__)
+                        assert cert.converged, case
+                        assert_bounds_recompute(solve, cert, inst, case)
+                        grown[solve] += sum(
+                            r.getMessage().startswith("working set grows") for r in caplog.records)
+        assert all(grown.values()), grown
+
     # the benchmark's dense (n, m) and games (m rows, n columns) shapes: m <= 3q
     @pytest.mark.parametrize("n, m", [(6, 4), (8, 6), (10, 8)])
     def test_dense_shaped_families_are_solved_whole(self, rng, monkeypatch, n, m):
@@ -853,30 +923,36 @@ def fuzz_family(kind, rng):
     return g * 10.0 ** rng.uniform(-8, 8, (m, 1, 1)) if kind == "scaled" else g
 
 
+def assert_bounds_recompute(solve, cert, inst, case):
+    """The bounds of ``solve``'s certificate recompute bit for bit from its strategies:
+    for maximin, lower is min_i <A_i, x_bar> and upper the combination's top eigenvalue."""
+    if solve is solve_minimax:
+        assert upper_value(cert.x_bar, inst) == cert.upper, case
+        assert lower_value(cert.y_bar, inst) == cert.lower, case
+    else:
+        vals = np.tensordot(inst.stacked, cert.x_bar.array, axes=([1, 2], [0, 1]))
+        assert float(vals.min()) == cert.lower, case
+        top = np.linalg.eigh(weighted_combination(cert.y_bar, inst))[0][-1]
+        assert top == cert.upper, case
+
+
 def test_seeded_fuzz_certificates_recompute_and_few_solves_stop_short():
     # 4 families x 100 instances x 2 relative gaps, solved both ways; a solve stops
     # short on a Cholesky breakdown that no Schur retry mends, or at the step cap. The
     # bounds on those only ever go down.
-    short_minimax = short_maximin = 0
+    short = {solve_minimax: 0, solve_maximin: 0}
     for kind, seed in FUZZ_SEEDS:
         rng = np.random.default_rng(seed)
         for _ in range(100):
             inst = InstanceSet(fuzz_family(kind, rng))
             scale = float(np.abs(inst.spectra).max())
             for rel in (1e-6, 1e-8):
-                cfg = SaddleConfig(gap_tol=rel * scale)
-                cert = solve_minimax(inst, cfg)
-                assert upper_value(cert.x_bar, inst) == cert.upper, (kind, rel)
-                assert lower_value(cert.y_bar, inst) == cert.lower, (kind, rel)
-                short_minimax += not cert.converged
-                cert = solve_maximin(inst, cfg)
-                vals = np.tensordot(inst.stacked, cert.x_bar.array, axes=([1, 2], [0, 1]))
-                assert float(vals.min()) == cert.lower, (kind, rel)
-                top = np.linalg.eigh(weighted_combination(cert.y_bar, inst))[0][-1]
-                assert top == cert.upper, (kind, rel)
-                short_maximin += not cert.converged
-    assert short_minimax <= 8
-    assert short_maximin <= 8
+                for solve in short:
+                    cert = solve(inst, SaddleConfig(gap_tol=rel * scale))
+                    assert_bounds_recompute(solve, cert, inst, (kind, rel))
+                    short[solve] += not cert.converged
+    assert short[solve_minimax] <= 6
+    assert short[solve_maximin] <= 8
 
 
 def out_of_place_tril_inv(l):

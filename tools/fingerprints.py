@@ -11,7 +11,8 @@ the digest over the cases' ``Outputs.fingerprint()`` in order, followed by one
 indented line per case that ended in an error, with that error. ``--fuzz``
 adds one line with a digest over the certificates of the seeded fuzz of
 ``tests/test_saddle.py``: its 400 instances solved both ways at relative gaps
-1e-6 and 1e-8, 1,600 certificates, and the counts that stopped short.
+1e-6 and 1e-8, 1,600 certificates, their total Newton steps and the counts
+that stopped short.
 
 Run it on two source trees and compare the outputs line by line:
 
@@ -71,7 +72,7 @@ def fuzz_line(sm: dict) -> str:
     from test_saddle import FUZZ_SEEDS, fuzz_family  # imports specmm, so after _import
 
     saddle = sm["saddle"]
-    certs, short = [], {saddle.solve_minimax: 0, saddle.solve_maximin: 0}
+    certs, steps, short = [], 0, {saddle.solve_minimax: 0, saddle.solve_maximin: 0}
     for kind, seed in FUZZ_SEEDS:
         rng = np.random.default_rng(seed)
         for _ in range(100):
@@ -81,9 +82,10 @@ def fuzz_line(sm: dict) -> str:
                 for solve in short:
                     cert = solve(inst, saddle.SaddleConfig(gap_tol=rel * scale))
                     short[solve] += not cert.converged
+                    steps += cert.iterations
                     certs.append((cert.upper, cert.lower, cert.iterations, cert.converged,
                                   cert.x_bar.array.tobytes(), cert.y_bar.weights.tobytes()))
-    return (f"fuzz {_digest(certs)} {len(certs)} certificates, short "
+    return (f"fuzz {_digest(certs)} {len(certs)} certificates, {steps} steps, short "
             f"{short[saddle.solve_minimax]} minimax, {short[saddle.solve_maximin]} maximin")
 
 
