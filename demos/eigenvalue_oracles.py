@@ -44,6 +44,6 @@ print("projector rank-one check (squared equals itself):",
 
 # route 3: bisection on whether the shifted matrix has a Cholesky factor,
 # calling no eigenvalue routine; a deliberately independent cross-check
-b = lambda_min_by_bisection(a, 1e-10)
+b = lambda_min_by_bisection(a)
 print("\nbisection route:      ", b)
 print("disagreement:         ", abs(b - val))

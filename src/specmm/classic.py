@@ -12,8 +12,10 @@ interior-point solver to stated tolerances.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Real
 
 import numpy as np
 
@@ -32,22 +34,28 @@ __all__ = [
 class VectorGame:
     """Payoff rows of a finite zero-sum game: entry j of row i is the
     payoff when the maximizing player picks row i and the minimizing
-    player picks column j."""
+    player picks column j. A row is an iterable of real numbers; as in
+    ``parse_instance``, strings and booleans are not numbers."""
 
     rows: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(float(x) for x in r) for r in self.rows)
-        if len(rows) < 1 or len(rows[0]) < 1:
+        rows, big = [], float(np.finfo(float).max)
+        for k, r in enumerate(self.rows):
+            # float() would read the row "12" as (1.0, 2.0), and True as 1.0
+            if isinstance(r, (str, bytes)) or not isinstance(r, Iterable):
+                raise ValueError(f"row {k} is not a list of numbers")
+            r = tuple(r)
+            # abs(x) <= big also refuses NaN, inf and an int beyond the float range
+            if not all(isinstance(x, Real) and type(x) is not bool and abs(x) <= big for x in r):
+                raise ValueError(f"row {k} has an entry that is not a finite number")
+            rows.append(tuple(map(float, r)))
+        if not rows or not rows[0]:
             raise ValueError("a game needs at least one row and one column")
-        width = len(rows[0])
         for k, r in enumerate(rows):
-            if len(r) != width:
-                raise ValueError(f"row {k} has length {len(r)}, expected {width}")
-            for x in r:
-                if not np.isfinite(x):
-                    raise ValueError(f"row {k} contains a non-finite entry")
-        object.__setattr__(self, "rows", rows)
+            if len(r) != len(rows[0]):
+                raise ValueError(f"row {k} has length {len(r)}, expected {len(rows[0])}")
+        object.__setattr__(self, "rows", tuple(rows))
 
     @property
     def m(self) -> int:

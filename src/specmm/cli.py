@@ -37,7 +37,6 @@ from .embed import (
 )
 from .files import (
     InstanceFormatError,
-    _numeric,
     _read_json,
     load_instance,
     report_from_certificate,
@@ -132,14 +131,7 @@ def _cmd_classic(args) -> int:
         doc = _read_json(args.vectors)
         if not isinstance(doc, dict) or not isinstance(doc.get("vectors"), list):
             raise InstanceFormatError("expected an object with a 'vectors' list")
-        for i, row in enumerate(doc["vectors"]):
-            try:
-                flat = _numeric(row).ndim == 1
-            except (TypeError, ValueError):
-                raise InstanceFormatError(f"vectors[{i}] is not numeric") from None
-            if not flat:
-                raise InstanceFormatError(f"vectors[{i}] is not a list of numbers")
-        game = VectorGame(tuple(tuple(row) for row in doc["vectors"]))
+        game = VectorGame(doc["vectors"])
     rep = verify_diagonal_reduction(game, SaddleConfig(gap_tol=args.tol))
     print(f"classic value  {rep.exact_value!r}")
     print(f"spectral value {rep.certificate.midpoint!r}")
@@ -165,11 +157,11 @@ def _cmd_check(args) -> int:
 
     # each check returns (passed, detail)
     def eig_vs_bisection(i):
-        # two independent routes to the smallest eigenvalue must agree
+        # two independent routes must agree to 700 times the worst gap measured between them
         direct = float(inst.spectra[i, 0])
-        bisected = lambda_min_by_bisection(inst.stacked[i], 1e-8)
-        diff = abs(direct - bisected)
-        return diff <= 1e-7, f"|{direct:.12g} - {bisected:.12g}| = {diff:.3e}"
+        bisected = lambda_min_by_bisection(inst.stacked[i])
+        diff, bound = abs(direct - bisected), 1e-12 * float(np.abs(inst.spectra[i]).max())
+        return diff <= bound, f"|{direct:.12g} - {bisected:.12g}| = {diff:.3e}, bound {bound:.3e}"
 
     def primal_interior():  # the lift gates its own residuals
         p = interior_primal_point(emb)

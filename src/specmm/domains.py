@@ -139,26 +139,26 @@ class InstanceSet:
         return w
 
 
-def lambda_min_by_bisection(a: np.ndarray, tol: float = 1e-8) -> float:
+def lambda_min_by_bisection(a: np.ndarray) -> float:
     """Smallest eigenvalue via the characterization
     lambda_min(A) = sup { t : A - t*I is positive definite }, located by bisection.
 
     Each step asks whether A - t*I has a Cholesky factor (LAPACK's potrf), so
-    no eigenvalue routine is called; the result is within tol of lambda_min(A),
-    or, where tol is below the float spacing at the answer, within the final
-    bracket of two adjacent floats. The initial bracket [-||A||_F, +||A||_F]
-    always contains the answer. A is symmetrised as (A + A^T)/2 and must be
-    square, nonempty and finite.
+    no eigenvalue routine is called. A is scaled exactly, by the power of two
+    that brings its largest entry into [1/2, 1), so nothing overflows and the
+    result at 2^j * A is 2^j times the one at A. The bracket +-||A||_F shrinks to
+    2^-52 of that, Cholesky's own O(n u ||A||) precision, or to two adjacent
+    floats. A is symmetrised as (A + A^T)/2 and must be square, nonempty and finite.
     """
-    if not tol > 0.0:  # a NaN tol fails too
-        raise ValueError(f"tol must be positive, got {tol}")
     a = _symmetric(a)
-    fro = float(np.linalg.norm(a))
-    if fro == 0.0:
+    if not a.any():
         return 0.0
-    lo, hi = -fro, fro
+    e = int(np.frexp(np.abs(a).max())[1])
+    a = np.ldexp(a, -e)
+    fro = float(np.linalg.norm(a))
+    lo, hi, width = -fro, fro, np.ldexp(fro, -52)
     ident = np.eye(len(a))
-    while hi - lo > tol:
+    while hi - lo > width:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:  # no float lies strictly inside the bracket
             break
@@ -167,7 +167,7 @@ def lambda_min_by_bisection(a: np.ndarray, tol: float = 1e-8) -> float:
             lo = mid
         except np.linalg.LinAlgError:
             hi = mid
-    return 0.5 * (lo + hi)
+    return float(np.ldexp(0.5 * (lo + hi), e))
 
 
 # The two contractions of an (m, n, n) stack, flattened to (m, n*n): the one

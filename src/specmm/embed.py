@@ -187,10 +187,10 @@ class DualLift:
     """Dual pair (multipliers u, bound t) of an embedding with its slack
     S = C - sum_i u_i F_i - t E, held as its top n x n block and its corner.
 
-    Built from the embedding and finite u and t alone; S is derived from them,
-    so it meets the dual equality by definition and the lift carries no
-    residual. ``top`` is sum_i (0 - u_i)(A_i + sigma*I) - t*I, index slot i is
-    0 - u_i and is not stored, and ``corner`` is 1 + sum_i u_i. S is checked
+    Built from the embedding, finite u of shape (m,) and finite t alone; S is
+    derived from them, so it meets the dual equality by definition and the lift
+    carries no residual. ``top`` is sum_i (0 - u_i)(A_i + sigma*I) - t*I, index
+    slot i is 0 - u_i and is not stored, and ``corner`` is 1 + sum_i u_i. S is checked
     PSD at -1e-10: the top block's least eigenvalue, then the least diagonal
     entry (so each weight -u_i is at least -1e-10 and their sum at most 1 +
     1e-10), each failure a DualInfeasibleError naming its block;
@@ -206,6 +206,8 @@ class DualLift:
 
     def __post_init__(self):
         emb, u = self.emb, _readonly(self.multipliers)
+        if u.shape != (emb.m,):
+            raise ValueError("block shapes do not match the embedding")
         if not (np.isfinite(u).all() and np.isfinite(self.bound)):
             raise ValueError(f"multipliers and bound must be finite, got bound {self.bound!r}")
         top = _readonly(_combination(0.0 - u, _tops(emb)) - self.bound * np.eye(emb.n))
@@ -293,8 +295,6 @@ def lift_dual(y: SimplexPoint, t: float, inst: InstanceSet, emb: SdpEmbedding) -
     t <= lambda_min(sum_i y_i (A_i + sigma*I)). The multipliers are the
     sign-flipped weights -y; the lift's gates report infeasibility.
     """
-    if y.m != inst.m:
-        raise ValueError("dimension mismatch between strategy and instance")
     _check_instance(inst, emb)
     return DualLift(emb, -y.weights, float(t))
 

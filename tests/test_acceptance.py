@@ -148,7 +148,7 @@ def test_criterion_3_linear_oracle_attainment(hundred_matrices):
 def test_criterion_4_bisection_agreement(hundred_matrices):
     worst = 0.0
     for a in hundred_matrices:
-        worst = max(worst, abs(lambda_min_by_bisection(a, 1e-8) - lambda_min(a)))
+        worst = max(worst, abs(lambda_min_by_bisection(a) - lambda_min(a)))
     _verdict(
         4,
         "bisection route to lambda_min",

@@ -80,6 +80,28 @@ class TestVectorGame:
         g = VectorGame(((1.0, 2.0, 3.0), (4.0, 5.0, 6.0)))
         assert (g.m, g.n) == (2, 3)
 
+    @pytest.mark.parametrize("rows, message", [
+        (("12", "34"), "row 0 is not a list of numbers"),
+        (((1.0, 2.0), b"34"), "row 1 is not a list of numbers"),
+        (((1.0, 2.0), 3.0), "row 1 is not a list of numbers"),
+        (((1.0, 2.0), (True, 0.0)), "row 1 has an entry that is not a finite number"),
+        (((1.0, np.True_),), "row 0 has an entry that is not a finite number"),
+        (((1.0, 2.0), (3.0, "4")), "row 1 has an entry that is not a finite number"),
+        (((1.0, 2.0), (3.0, None)), "row 1 has an entry that is not a finite number"),
+        (((1.0, 2.0), (3.0, 10**400)), "row 1 has an entry that is not a finite number"),
+    ], ids=["strings", "bytes", "scalar", "bool", "numpy-bool", "string-entry", "none",
+            "huge-int"])
+    def test_rows_must_be_lists_of_numbers(self, rows, message):
+        # float() read the string "12" as the row (1.0, 2.0) and True as 1.0
+        with pytest.raises(ValueError) as err:
+            VectorGame(rows)
+        assert str(err.value) == message
+
+    def test_rows_of_any_real_numbers_are_floats(self):
+        g = VectorGame([[1, np.int64(2)], np.array([3.0, 4.5])])
+        assert g.rows == ((1.0, 2.0), (3.0, 4.5))
+        assert all(type(x) is float for row in g.rows for x in row)
+
 
 class TestEmbedDiagonal:
     def test_rows_become_diagonals(self):

@@ -333,9 +333,9 @@ class TestClassicCommand:
         assert "error: invalid JSON:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("doc, message", [
-        ({"vectors": [[0.0, 2.0], [True, 1.0]]}, "vectors[1] is not numeric"),
-        ({"vectors": [[0.0, 2.0], [0.0, "1"]]}, "vectors[1] is not numeric"),
-        ({"vectors": [[0.0, 2.0], 5]}, "vectors[1] is not a list of numbers"),
+        ({"vectors": [[0.0, 2.0], [True, 1.0]]}, "row 1 has an entry that is not a finite number"),
+        ({"vectors": [[0.0, 2.0], [0.0, "1"]]}, "row 1 has an entry that is not a finite number"),
+        ({"vectors": [[0.0, 2.0], 5]}, "row 1 is not a list of numbers"),
         ({"vectors": 5}, "expected an object with a 'vectors' list"),
     ], ids=["boolean", "string", "scalar-row", "scalar-vectors"])
     def test_vectors_must_be_rows_of_numbers(self, tmp_path, capsys, doc, message):
@@ -405,6 +405,35 @@ class TestCheckCommand:
         names = [re.match(r"(PASS|FAIL) (\S+):", line).group(2) for line in out.out.splitlines()]
         assert names == [f"eig-vs-bisection[{i}]" for i in range(4)] + [
             "primal-interior", "dual-interior", "dual-roundtrip", "weak-duality",
+        ]
+
+    @pytest.mark.parametrize("seed, scale", [([190509762, 99], 1e8), (0, 1e10), (0, 1e160)],
+                             ids=["dense-6x4-1e8", "1e10", "1e160"])
+    def test_eig_vs_bisection_passes_at_large_scales(self, tmp_path, capsys, seed, scale):
+        # against an absolute 1e-7 the two routes disagreed by rounding from 1e8 up,
+        # and the bisection returned NaN at 1e160; the first family is the benchmark's
+        g = np.random.default_rng(seed).standard_normal((4, 6, 6))
+        mats = scale * (g + g.transpose(0, 2, 1)) / 2.0
+        p = tmp_path / "scaled.json"
+        p.write_text(json.dumps({"n": 6, "m": 4, "matrices": mats.tolist()}))
+        main(["check", str(p)])
+        eig = [line for line in capsys.readouterr().out.splitlines() if "eig-vs" in line]
+        assert [line.split(":")[0] for line in eig] == [
+            f"PASS eig-vs-bisection[{i}]" for i in range(4)
+        ]
+
+    def test_eig_vs_bisection_fails_a_wrong_bisection_at_scale_1e_9(
+            self, tmp_path, capsys, monkeypatch):
+        # 0.0 is within 1e-8 of every eigenvalue of this family: only a bound relative
+        # to ||A_i||_2 tells it from lambda_min
+        monkeypatch.setattr(cli, "lambda_min_by_bisection", lambda a: 0.0)
+        inst = random_instance(np.random.default_rng(0), 6, 4, scale=1e-9)
+        p = tmp_path / "tiny.json"
+        p.write_text(json.dumps({"n": 6, "m": 4, "matrices": inst.stacked.tolist()}))
+        assert main(["check", str(p)]) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in out[:4]] == [
+            f"FAIL eig-vs-bisection[{i}]" for i in range(4)
         ]
 
 

@@ -209,58 +209,66 @@ class TestSpectraplexLinearMin:
 
 class TestBisection:
     def test_identity(self):
-        assert lambda_min_by_bisection(np.eye(2), 1e-8) == pytest.approx(1.0, abs=1e-8)
+        assert lambda_min_by_bisection(np.eye(2)) == pytest.approx(1.0, abs=1e-12)
 
     def test_diagonal(self):
-        got = lambda_min_by_bisection(np.diag([3.0, -2.0, 5.0]), 1e-8)
-        assert got == pytest.approx(-2.0, abs=1e-8)
+        got = lambda_min_by_bisection(np.diag([3.0, -2.0, 5.0]))
+        assert got == pytest.approx(-2.0, abs=5e-12)
 
     def test_zero_matrix(self):
-        assert lambda_min_by_bisection(np.zeros((3, 3)), 1e-8) == 0.0
+        assert lambda_min_by_bisection(np.zeros((3, 3))) == 0.0
 
     def test_agrees_with_direct_route(self, rng):
         for _ in range(15):
             a = random_symmetric(rng, 6)
-            got = lambda_min_by_bisection(a, 1e-8)
-            assert abs(got - lambda_min(a)) <= 1e-8 + 1e-9
+            want = np.linalg.eigvalsh(a)
+            got = lambda_min_by_bisection(a)
+            assert abs(got - want[0]) <= 1e-12 * np.abs(want).max()
 
-    def test_respects_requested_tolerance(self, rng):
-        a = random_symmetric(rng, 4)
-        for tol in (1e-4, 1e-6, 1e-8):
-            assert abs(lambda_min_by_bisection(a, tol) - lambda_min(a)) <= tol + 1e-9
+    @pytest.mark.parametrize("a", [
+        np.diag([1e-9, 2e-9]),
+        np.diag([1e155, 2e155]),
+        np.diag([1e300, -2e300]),
+        np.full((2, 2), 3e200),
+        1e-300 * np.array([[1.0, 2.0], [2.0, -3.0]]),
+    ], ids=["1e-9", "1e155", "1e300", "rank-one-3e200", "1e-300"])
+    def test_agrees_at_every_scale(self, a):
+        # an absolute width of 1e-8 stopped before the first step at 1e-9, returning 0.0,
+        # and the bracket's Frobenius norm overflowed to NaN from about 1e154 up
+        want = np.linalg.eigvalsh(a)
+        got = lambda_min_by_bisection(a)
+        assert np.isfinite(got)
+        assert abs(got - want[0]) <= 1e-12 * np.abs(want).max()
+
+    def test_exactly_covariant_under_powers_of_two(self, rng):
+        a = random_symmetric(rng, 5)
+        got = lambda_min_by_bisection(a)
+        for j in (27, -27, 60, -60, 200, -200):
+            assert lambda_min_by_bisection(2.0**j * a) == 2.0**j * got, j
 
     def test_stops_where_tol_is_below_the_float_spacing(self):
         # the first matrix of the fixed 6x4 family scaled by 1e8: lambda_min is about
-        # -2.9e8, where adjacent doubles are 6e-8 apart, so a bracket of width 1e-8 is
-        # never reached; the loop stops once no double lies inside the bracket
+        # -2.9e8, where adjacent doubles are 6e-8 apart, so the absolute width of 1e-8
+        # that the bisection once took was never reached; the width it reads off the
+        # matrix, 2^-52 of ||A||_F, is under two of those spacings
         g = np.random.default_rng([190509762, 99]).standard_normal((6, 6))
         a = 1e8 * (g + g.T) / 2.0
         ref = np.linalg.eigvalsh(a)[0]
-        got = lambda_min_by_bisection(a, 1e-8)
+        got = lambda_min_by_bisection(a)
         assert abs(got - ref) <= np.spacing(abs(ref))
 
     def test_calls_no_eigenvalue_routine(self, rng, monkeypatch):
         # each step decides by a Cholesky factorisation, so the route stays independent
         # of the eigensolver that the direct route and `specmm check` compare it with
         a = random_symmetric(rng, 5)
-        want = lambda_min(a)
+        want = np.linalg.eigvalsh(a)
 
         def refuse(*args, **kwargs):
             raise AssertionError("the bisection called an eigenvalue routine")
 
         for name in ("eigh", "eigvalsh", "eig", "eigvals"):
             monkeypatch.setattr(np.linalg, name, refuse)
-        assert abs(lambda_min_by_bisection(a, 1e-8) - want) <= 1e-8 + 1e-9
-
-    def test_rejects_nonpositive_tolerance(self):
-        with pytest.raises(ValueError, match="positive"):
-            lambda_min_by_bisection(np.eye(2), 0.0)
-
-    def test_rejects_a_nan_tolerance(self):
-        # NaN compares false both ways; it once slipped past the check and the
-        # loop, and the bracket's midpoint 0.0 came back for lambda_min 3.0
-        with pytest.raises(ValueError, match="positive"):
-            lambda_min_by_bisection(np.diag([3.0, 5.0]), float("nan"))
+        assert abs(lambda_min_by_bisection(a) - want[0]) <= 1e-12 * np.abs(want).max()
 
     def test_rejects_nonsquare_and_nonfinite(self):
         with pytest.raises(ValueError, match="square"):

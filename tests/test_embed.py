@@ -311,7 +311,7 @@ def test_lifts_reject_an_embedding_of_another_instance(rng):
     # a point or a strategy of another dimension than the instance's
     with pytest.raises(ValueError, match="dimension mismatch"):
         lift_primal(SpectraplexPoint(np.eye(3) / 3.0), emb.inst, emb)
-    with pytest.raises(ValueError, match="dimension mismatch"):
+    with pytest.raises(ValueError, match="block shapes do not match the embedding"):
         lift_dual(SimplexPoint.uniform(4), t, emb.inst, emb)
     # same shape, different matrices: the lift would be the one for a
     other = InstanceSet(5.0 * a)
@@ -394,6 +394,15 @@ class TestLiftsDeriveTheirBlocks:
         # X is a spectraplex point, never a bare array
         with pytest.raises(TypeError, match="SpectraplexPoint"):
             PrimalLift(emb, np.eye(2) / 2.0, 2.0)
+
+    @pytest.mark.parametrize("shape", [(2, 1), (1, 2), (1,), (3,)],
+                             ids=["column", "row", "short", "long"])
+    def test_multipliers_of_another_shape_are_refused(self, shape):
+        # a column or a row of the right length was accepted, and failed only in
+        # extract_dual; a wrong length raised numpy's "shapes not aligned"
+        emb = build_embedding(pauli_pair())
+        with pytest.raises(ValueError, match="block shapes do not match the embedding"):
+            DualLift(emb, np.full(shape, -0.5), -2.0)
 
 
 class TestNonFiniteInputIsRefused:

@@ -904,6 +904,39 @@ class TestNewtonPoint:
         assert upper_value(cert.x_bar, inst) == cert.upper
         assert lower_value(cert.y_bar, inst) == cert.lower
 
+    def test_a_newton_point_y_clipped_to_zero_is_uniform_without_a_warning(
+            self, monkeypatch):
+        # the Newton point's multipliers made positive: every weight -u clips to zero,
+        # so its y is bracketed as the uniform weights on W, and its X still is
+        inst = symmetric_family(np.random.default_rng(3), 4, 3)
+        cfg = SaddleConfig(gap_tol=1e-6)
+        steps = saddle._newton_steps
+        uniform = []
+
+        def positive(*args):
+            for full, us, mu, breakdown in steps(*args):
+                if len(us) == 2:
+                    us[1, :-1] = np.abs(us[1, :-1]) + 1.0
+                yield full, us, mu, breakdown
+
+        def combination(y, stack):
+            uniform.append(np.array_equal(y, np.full(len(stack), 1.0 / len(stack))))
+            return domains._combination(y, stack)
+
+        monkeypatch.setattr(saddle, "_newton_steps", positive)
+        monkeypatch.setattr(saddle, "_combination", combination)
+        calls = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = solve_minimax(inst, cfg, on_bounds=lambda *a: calls.append(a))
+        monkeypatch.undo()
+        want = damped_only_bounds(inst.stacked, inst.spectra, cfg)
+        # the second combination of each step is the Newton point's
+        assert uniform[1::2] == [True] * len(calls) and not any(uniform[::2])
+        assert all(lo >= want_lo for (_, _, lo), (_, want_lo) in zip(calls, want))
+        assert upper_value(cert.x_bar, inst) == cert.upper
+        assert lower_value(cert.y_bar, inst) == cert.lower
+
 
 # the fuzz families and the seed of each; ``tools/fingerprints.py`` digests the same
 FUZZ_SEEDS = (("symmetric", 1000), ("identical", 1001), ("scaled", 1002), ("diagonal", 1003))
@@ -994,8 +1027,9 @@ class TestNewtonStepPieces:
             saddle._schur_cholesky(-np.eye(3))
 
 
-def test_solve_minimax_peak_memory_below_0_9_mib():
-    # at n=8, m=200 the Schur matrix and its factor are 316 KiB each; the step
-    # holds no other array of that size when it factors
+def test_solve_minimax_peak_memory_below_0_45_mib():
+    # at n=8, m=200 the working set grows once, to 109 of the 200 matrices, so the
+    # Schur matrix of order 110 and its factor are about 95 KiB each and the solve
+    # peaks near 0.32 MiB; one Schur matrix of order m+1 alone would take 316 KiB
     inst = random_instance(np.random.default_rng(5), 8, 200)
-    assert peak_bytes(lambda: solve_minimax(inst)) < 0.9 * 2**20
+    assert peak_bytes(lambda: solve_minimax(inst)) < 0.45 * 2**20
