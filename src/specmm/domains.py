@@ -35,13 +35,17 @@ _SUM_TOL = 1e-12
 
 
 def _symmetric(a) -> np.ndarray:
-    """(A + A^T)/2 as a new float array; A must be square, nonempty and finite."""
+    """(A + A^T)/2 as a new float array; A must be square and nonempty, and (A + A^T)/2
+    finite, which is checked once symmetrised, as ``InstanceSet`` checks it, so a finite
+    A whose symmetrisation overflows is refused without a ``RuntimeWarning``."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise ValueError(f"expected a nonempty square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
-    return (a + a.T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = (a + a.T) / 2.0
+    if not np.isfinite(s).all():
+        raise ValueError("matrix entries must be finite once symmetrised")
+    return s
 
 
 @dataclass(frozen=True, eq=False)

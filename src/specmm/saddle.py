@@ -27,12 +27,22 @@ ones, form one optional dense block beside that vector. Both are found
 exactly, without a tolerance. A diagonal family, the paper's classic game,
 has no block and is solved as a linear program.
 
+An interior point only approaches the optimal face, so each solve also tries to
+finish on it. Once the incumbents' gap is within a tenth of the scale, the face is
+guessed from them: the matrices that pay within three gaps of the incumbent upper
+bound. When it holds at most q + 1 matrices, up to four Gauss-Newton steps on that
+face's square optimality system (``_face_step``: Newton on the complementarity
+system, Alizadeh, Haeberly & Overton, Math. Program. 1997, which in the diagonal case
+is the finite termination of linear programming, Ye, Math. Program. 1992) give a
+third candidate. The Newton iterates never depend on it, so a solve can only stop
+sooner.
+
 Certificates are self-verifying. After each Newton step the loop evaluates
-the exact bracket on all m matrices at its clipped iterate and Newton point
-(y zero off W) and keeps the best of each side over every round: ``upper`` is the
-best-response value at the reported X (feasible for the min side), ``lower``
-the minimum eigenvalue at the reported y (feasible for the max side), so
-upper >= value >= lower however the iteration behaved. The certificate
+the exact bracket on all m matrices at its clipped iterate, Newton point (y zero
+off W) and face point (``_bracket``), and keeps the best of each side over every
+round: ``upper`` is the best-response value at the reported X (feasible for the
+min side), ``lower`` the minimum eigenvalue at the reported y (feasible for the max
+side), so upper >= value >= lower however the iteration behaved. The certificate
 carries these incumbents; ``upper_value`` and ``lower_value`` recompute them
 from the strategies alone, bit for bit.
 Maximin is the same solve on the negated family, bounds negated and swapped.
@@ -72,6 +82,14 @@ __all__ = [
 _CROSSING_TOL = 1e-9
 # the cold start's distance from the boundary, in units of the scale
 _THETA = 0.1
+# a face step is attempted once the incumbents' gap is within this fraction of the
+# scale, on the matrices that pay within _FACE_GAPS gaps of the incumbent upper bound
+_FACE_GAP = 0.1
+_FACE_GAPS = 3.0
+# Gauss-Newton iterations per attempt, and the fraction of the gap target that its
+# residual must reach to stop sooner
+_FACE_ITERS = 4
+_FACE_TARGET = 0.1
 
 logger = logging.getLogger(__name__)
 
@@ -135,6 +153,37 @@ def upper_value(x: SpectraplexPoint, inst: InstanceSet) -> float:
 def lower_value(y: SimplexPoint, inst: InstanceSet) -> float:
     """lambda_min(sum_i y_i A_i): the value the max player guarantees by y."""
     return float(_eigvals_raw(weighted_combination(y, inst))[0])
+
+
+def _bracket(stack: np.ndarray, xs: np.ndarray, ys: np.ndarray):
+    """Clip each X of ``xs`` to the spectraplex and each y of ``ys`` to the simplex, and
+    bracket the clipped points exactly on all m matrices of ``stack``.
+
+    An X keeps its eigenvalues' positive parts, is symmetrised and scaled to unit trace,
+    and is dropped if nothing positive is left; a y keeps its positive weights, scaled to
+    sum 1, or becomes uniform on the columns where some y of ``ys`` is nonzero if none
+    is positive. Returns (x_bars, pays, y_bars, los), pays[j] being the payoffs <A_i,
+    x_bars[j]> and los[j] = lambda_min(sum_i y_bars[j]_i A_i), by one eigh call on
+    ``xs`` and one eigenvalue call on the combinations. The contractions are
+    ``upper_value``'s and ``lower_value``'s, point by point, so each bound recomputes
+    bit for bit from its strategy alone.
+    """
+    lam, vec = _eigh_raw(xs)
+    x_bars = (vec * np.maximum(lam, 0.0)[:, None]) @ vec.transpose(0, 2, 1)
+    tr = x_bars.trace(axis1=1, axis2=2)
+    if not (keep := tr > 0.0).all():  # the Newton point's X may clip to zero
+        x_bars, tr = x_bars[keep], tr[keep]
+    x_bars = (x_bars + x_bars.transpose(0, 2, 1)) / (2.0 * tr[:, None, None])
+    # summed in rows, over the columns where some y is nonzero, so that zeros off them
+    # do not regroup the sum (a masked copy is laid out in columns)
+    y = np.maximum(ys[:, support := ys.any(axis=0)], 0.0, order="C")
+    if not (tot := y.sum(axis=1, keepdims=True)).all():  # an all-zero y: uniform
+        y[tot[:, 0] == 0.0], tot[tot == 0.0] = 1.0, y.shape[1]
+    y_bars = np.zeros(ys.shape)
+    y_bars[:, support] = y / tot
+    pays = np.array([_payoffs(stack, x_bar) for x_bar in x_bars])
+    los = _eigvals_raw(np.array([_combination(y_bar, stack) for y_bar in y_bars]))[:, 0]
+    return x_bars, pays, y_bars, los
 
 
 def _tril_inv(l: np.ndarray) -> np.ndarray:
@@ -314,21 +363,177 @@ def _newton_steps(stack: np.ndarray, work, sigma: float, scale: float, c, d, war
         yield full, us, mu, breakdown
 
 
+def _face_step(stack: np.ndarray, scale: float, c, d, face: np.ndarray, x: np.ndarray,
+               y: np.ndarray, lower: float, upper: float, tol: float):
+    """Gauss-Newton on the optimality system of the face ``face``, from the incumbents.
+
+    In units of the scale, the unknowns are X on the solver's split (the block X_c on
+    the coupled coordinates c, None for no block, and the vector x_d on the isolated ones
+    d), y on the face, lambda and v; the equations are <A_i, X> = v on the face, tr X =
+    1, sum y = 1, sym(Z_c X_c) = 0 and z_d * x_d = 0, with Z = sum_face y_i A_i - lambda I.
+    The system is square, and at a strictly complementary, nondegenerate optimum its
+    Jacobian is regular (Alizadeh, Haeberly & Overton, Math. Program. 1997), so Newton
+    converges quadratically there; a diagonal family is the linear program's case (Ye,
+    Math. Program. 1992). It starts at (x, y on the face, lower, upper) and stops once
+    the largest residual is ``_FACE_TARGET`` times the gap target ``tol`` or less, after
+    ``_FACE_ITERS`` steps, or as soon as a step does not shrink it (a singular step does
+    not). One debug line logs |face|, the steps taken and "converged", "capped" or
+    "stalled". Returns the full n x n X and the m weights, zero off the face, of the last
+    point that shrank the residual, neither of them clipped, or None if no step did.
+    """
+    m, n, _ = stack.shape
+    k, nc, nd, flat = len(face), 0 if c is None else len(c), len(d), stack.reshape(m, -1)
+    # the flat indices of the block's entries and of the diagonal on d; the face's
+    # diagonals on d, in units of the scale, and the trace's
+    cf, df = None if c is None else (c[:, None] * n + c).reshape(-1), d * (n + 1)
+    pd = np.ones((k + 1, nd))
+    pd[:k] = flat.take(df, axis=1).take(face, axis=0) / scale
+    pairs, yf = {}, np.zeros(m)  # the kept pairs of S x S by |S|; weights on all m
+
+    def newton(point, eig):
+        # One Newton step at point = (X, y, lambda, v); LinAlgError if it is singular.
+        # The coordinates with a small diagonal term are kept: x_d's with z_j <= |x_j|,
+        # and X_c's entries (j <= l) between the eigenvectors S, the first ns, those
+        # with zeta_j <= |X_jj|. The others are eliminated, X + dX = -(sym(dZ X) -
+        # dlambda X) / h on them (h = z_j, or (zeta_j + zeta_l)/2 in Z_c's eigenbasis),
+        # and the kept ones are solved for with dy, dlambda and dv. Of the eliminated
+        # block entries' terms, those that X's entries off S x S multiply are dropped:
+        # they vanish on the face, so the step still converges quadratically, and it
+        # reads the rotated face on the columns S only, not as a (k, n, n) array.
+        x, y, lam, v = point
+        zd, zeta, q, xt, h, ns = eig
+        # the Jacobian's columns: the kept coordinates' new values, dy, dlambda and
+        # dv; its rows: the face's payoffs, the trace, sum y, the kept complementarity
+        blocks, mg, g = [], np.zeros((k + 1, k)), np.zeros(k + 1)
+        if nd:
+            xd = x.take(df)
+            keep = zd <= np.abs(xd)
+            wd = np.where(keep, 0.0, 1.0 / zd)
+            pw = pd * wd
+            mg, g = pw @ (pd[:k] * xd).T, pw @ xd
+            blocks.append((pd.compress(keep, axis=1), zd[keep],
+                           pd[:k].compress(keep, axis=1) * xd[keep], xd[keep]))
+        if c is not None:
+            if ns not in pairs:
+                tj, tl = np.nonzero(np.tri(ns, dtype=bool).T)
+                pairs[ns] = (tj * ns + tl, tl * ns + tj, tj * nc + tl, tl * nc + tj,
+                             np.where(tj == tl, 1.0, 2.0))
+            ps, ts, pc, tc, mult = pairs[ns]
+            w = 1.0 / h
+            w[:ns, :ns] = 0.0
+            # T_i = Q^T A_i Q_S, and the identity's; X T_i on the rows S, whose
+            # symmetric part is sym(A_i X) on S x S; W o (T_i X_SS + X T_i) on the rows
+            # off S, which is 2 W o sym(A_i X) there less the dropped terms, and W o X
+            qs = np.zeros((n, ns))
+            qs[c] = q[:, :ns]
+            tq = np.empty((k + 1, nc, ns))
+            tq[:k] = q.T @ (stack @ qs).take(face, axis=0).take(c, axis=1)
+            tq[:k] /= scale
+            tq[k] = np.eye(nc, ns)
+            ys = (xt[:ns] @ tq[:k]).reshape(k, -1)
+            r = np.empty((k + 1, nc - ns, ns))
+            r[:k] = xt[ns:] @ tq[:k] + tq[:k, ns:] @ xt[:ns, :ns]
+            r[k] = xt[ns:, :ns]
+            r *= w[ns:, :ns]
+            r = tq[:, ns:].reshape(k + 1, -1) @ r.reshape(k + 1, -1).T
+            mg, g = mg + r[:, :k], g + r[:, k]
+            blocks.append((tq[:, :ns].reshape(k + 1, -1).take(ps, axis=1) * mult, h.take(pc),
+                           (ys.take(ps, axis=1) + ys.take(ts, axis=1)) / 2.0, xt.take(pc)))
+            del tq, r, ys  # dead once the blocks are formed; freeing them lowers the peak
+        coef, hk, bk, xk = (np.concatenate(b, axis=-1) for b in zip(*blocks))
+        nk = len(hk)
+        jac = np.zeros((nk + k + 2, nk + k + 2))
+        jac[: k + 1, :nk], jac[: k + 1, nk: nk + k], jac[: k + 1, nk + k] = coef, -mg, g
+        jac[:k, -1], jac[k + 1, nk: nk + k] = -1.0, 1.0
+        jac[k + 2:, nk: nk + k], jac[k + 2:, nk + k] = bk.T, -xk
+        jac.reshape(-1)[(k + 2) * (nk + k + 2):: nk + k + 3][:nk] = hk
+        rhs = np.zeros(nk + k + 2)
+        rhs[:k], rhs[k], rhs[k + 1] = v, 1.0, 1.0 - y.sum()
+        sol = np.linalg.solve(jac, rhs)
+        del jac, coef, bk  # dead once solved; freeing them lowers the peak
+        dy, dlam = sol[nk: nk + k], sol[nk + k]
+        # sum_face dy_i A_i = dZ + dlambda I, and X + dX
+        yf[face] = dy
+        dz, x = yf @ flat / scale, np.zeros(n * n)
+        if nd:
+            xd = -wd * (dz.take(df) - dlam) * xd
+            xd[keep] = sol[: int(keep.sum())]
+            x.put(df, xd)
+        if c is not None:
+            xs = q.T @ dz.take(cf).reshape(nc, nc) @ q @ xt
+            xs = -w * ((xs + xs.T) / 2.0 - dlam * xt)
+            xs.put(pc, sol[nk - len(pc): nk])
+            xs.put(tc, sol[nk - len(pc): nk])
+            x.put(cf, q @ xs @ q.T)
+        return x.reshape(n, n), y + dy, lam + dlam, v + sol[-1]
+
+    point = start = (x, y[face], lower / scale, upper / scale)
+    best, res_best, its, outcome = None, np.inf, 0, "capped"
+    with np.errstate(all="ignore"):  # a diverging step is caught by its residual
+        while True:
+            x, y, lam, v = point
+            yf[face] = y
+            z, xf = yf @ flat / scale, x.reshape(-1)
+            zd = z.take(df) - lam
+            r = [(flat @ xf).take(face) / scale - v, [xf[:: n + 1].sum() - 1.0, y.sum() - 1.0],
+                 zd * xf.take(df)]
+            eig = (zd, None, None, None, None, 0)
+            if c is not None:
+                # Z_c's eigensystem, the eigenvectors S with zeta_j <= |X_jj| first
+                zeta, q = _eigh_raw(z.take(cf).reshape(nc, nc))
+                zeta -= lam
+                xt = q.T @ xf.take(cf).reshape(nc, nc) @ q
+                small = zeta <= np.abs(xt.diagonal())
+                order = np.concatenate((np.flatnonzero(small), np.flatnonzero(~small)))
+                q, xt = q.take(order, axis=1), xt.take(order, axis=0).take(order, axis=1)
+                zeta = zeta[order]
+                h = np.add.outer(zeta, zeta) / 2.0
+                eig = (zd, zeta, q, xt, h, int(small.sum()))
+                r.append((h * xt).reshape(-1))
+            res = np.abs(np.concatenate(r)).max()
+            if not res < res_best:
+                outcome = "stalled"
+                break
+            res_best, best = res, point
+            if res <= _FACE_TARGET * tol / scale:
+                outcome = "converged"
+                break
+            if its == _FACE_ITERS:
+                break
+            its += 1
+            try:
+                point = newton(point, eig)
+            except np.linalg.LinAlgError:
+                outcome = "stalled"
+                break
+    logger.debug("face step on %d matrices: %d Gauss-Newton steps, %s", k, its, outcome)
+    if best is None or best is start:
+        return None
+    yf[:] = 0.0
+    yf[face] = best[1]
+    return best[0], yf
+
+
 def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, on_bounds):
     """``_newton_steps`` on a working set W of the matrices, bracketed on all m.
 
     ``spectra`` (each A_k's eigenvalues, in any order) give the scale max_i ||A_i||_2
     and sigma = max(0, -min_i lambda_min(A_i) / scale) + 1. W starts as the 3q matrices
     of largest trace, ties to the lower index, q = |d| + |c|(|c|+1)/2 being X's free
-    coordinates. After each step, at the damped iterate and at the Newton point, the
-    full X clipped to the spectraplex (skipped at clipped trace 0), and -u[:-1] clipped
-    to the simplex on W and zero off it, get their exact bounds on the whole stack, by
-    one eigh and one eigenvalue call on the pair; the best of each side over all rounds
-    is kept with its strategy, and ``on_bounds(k, upper, lower)``, if given, sees the
-    pair. When some matrix outside W pays more at the iterate's X than all of W, all
-    such join W and a new round starts warm from the iterate. Stops at
-    cfg.gap_tol, after cfg.max_iters steps in all, or at a breakdown. Returns (upper,
-    lower, x_bar, y_bar, steps, scale), or (0, 0, I/n, 1/m, 0, 0) for an all-zero family.
+    coordinates. After each step, the damped iterate and the Newton point, their full
+    X and their -u[:-1] zero off W, are clipped and bracketed on the whole stack by
+    ``_bracket``, one eigh and one eigenvalue call on the pair. Then, while the gap of
+    the incumbents exceeds cfg.gap_tol but is at most ``_FACE_GAP`` times the scale,
+    the face is guessed as the matrices whose payoffs at the incumbent x_bar, already
+    computed, are within ``_FACE_GAPS`` gaps of the incumbent upper bound; if it holds
+    at most q + 1 matrices (a nondegenerate optimum's dual support can hold no more),
+    ``_face_step`` starts from the incumbents and its point, if any, is bracketed too.
+    The best of each side over all rounds is kept with its strategy, and
+    ``on_bounds(k, upper, lower)``, if given, sees the pair. When some matrix outside W
+    pays more at the iterate's X than all of W, all such join W and a new round starts
+    warm from the iterate. Stops at cfg.gap_tol, after cfg.max_iters steps in all, or at
+    a breakdown. Returns (upper, lower, x_bar, y_bar, steps, scale), or (0, 0, I/n,
+    1/m, 0, 0) for an all-zero family.
     """
     m, n, _ = stack.shape
     scale = float(np.abs(spectra).max())
@@ -338,35 +543,41 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
     work = np.zeros(m, dtype=bool)
     q = len(d) + (0 if c is None else len(c) * (len(c) + 1) // 2)
     work[np.argsort(-stack.trace(axis1=1, axis2=2), kind="stable")[: 3 * q]] = True
-    upper, lower, x_best, y_best, k, warm = np.inf, -np.inf, None, None, 0, None
+    upper, lower, k, warm = np.inf, -np.inf, 0, None
+    best = [None, None, None]  # the incumbent x_bar, its payoffs, and y_bar
+
+    def better(x_bars, pays, y_bars, los):
+        nonlocal upper, lower
+        for up, x_bar, pay in zip(pays.max(axis=1).tolist(), x_bars, pays):
+            if up < upper:
+                upper, best[0], best[1] = up, x_bar, pay
+        for lo, y_bar in zip(los.tolist(), y_bars):
+            if lo > lower:
+                lower, best[2] = lo, y_bar
+
     while True:
         for full, us, mu, breakdown in _newton_steps(stack, work, sigma, scale, c, d, warm):
             k += 1
-            lam, vec = _eigh_raw(full)
-            x_bars = (vec * np.maximum(lam, 0.0)[:, None]) @ vec.transpose(0, 2, 1)
-            tr = x_bars.trace(axis1=1, axis2=2)
-            if not (keep := tr > 0.0).all():  # the Newton point's X may clip to zero
-                x_bars, tr = x_bars[keep], tr[keep]
-            x_bars = (x_bars + x_bars.transpose(0, 2, 1)) / (2.0 * tr[:, None, None])
-            y = np.maximum(-us[:, :-1], 0.0)
-            if not (tot := y.sum(axis=1, keepdims=True)).all():  # an all-zero y: uniform on W
-                y[tot[:, 0] == 0.0], tot[tot == 0.0] = 1.0, y.shape[1]
-            y_bars = np.zeros((len(y), m))
-            y_bars[:, work] = y / tot
-            pays = np.array([_payoffs(stack, x_bar) for x_bar in x_bars])
-            ups = pays.max(axis=1).tolist()
-            los = _eigvals_raw(np.array([_combination(y_bar, stack) for y_bar in y_bars]))[:, 0]
-            for up, x_bar in zip(ups, x_bars):
-                upper, x_best = (up, x_bar) if up < upper else (upper, x_best)
-            for lo, y_bar in zip(los.tolist(), y_bars):
-                lower, y_best = (lo, y_bar) if lo > lower else (lower, y_best)
+            ys = np.zeros((len(us), m))
+            ys[:, work] = -us[:, :-1]
+            x_bars, pays, y_bars, los = _bracket(stack, full, ys)
+            better(x_bars, pays, y_bars, los)
+            # the face guess, once the gap is small enough for it
+            gap = upper - lower
+            face = np.flatnonzero(best[1] >= upper - _FACE_GAPS * gap)
+            if cfg.gap_tol < gap <= _FACE_GAP * scale and len(face) <= q + 1:
+                point = _face_step(stack, scale, c, d, face, best[0], best[2], lower, upper,
+                                   cfg.gap_tol)
+                if point is not None:
+                    better(*_bracket(stack, point[0][None], point[1][None]))
             if on_bounds is not None:
                 on_bounds(k, upper, lower)
-            logger.debug("round %d: upper=%.12g lower=%.12g mu=%.3e", k, ups[0], los[0], mu)
+            logger.debug("round %d: upper=%.12g lower=%.12g mu=%.3e", k, pays[0].max(), los[0],
+                         mu)
             if breakdown or upper - lower <= cfg.gap_tol or k == cfg.max_iters:
-                return upper, lower, x_best, y_best, k, scale
+                return upper, lower, best[0], best[2], k, scale
             # the damped iterate alone steers the working set
-            if (top := pays[0][work].max()) < ups[0]:
+            if (top := pays[0][work].max()) < pays[0].max():
                 break
         grown = work | (pays[0] > top)
         warm, work = (full[0], us[0], work[grown]), grown

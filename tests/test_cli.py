@@ -51,6 +51,16 @@ def diag_file(tmp_path):
     return str(p)
 
 
+@pytest.fixture
+def random_file(tmp_path):
+    # one Newton step leaves this family about 0.1 of its scale from converged; the
+    # Pauli pair's face step closes it to rounding in one step
+    p = tmp_path / "random.json"
+    mats = random_instance(np.random.default_rng(0), 8, 6).stacked
+    p.write_text(json.dumps({"n": 8, "m": 6, "matrices": mats.tolist()}))
+    return str(p)
+
+
 class TestSolveCommand:
     def test_json_report(self, pauli_file, capsys):
         assert main(["solve", pauli_file, "--json"]) == 0
@@ -79,12 +89,12 @@ class TestSolveCommand:
 
     # one Newton step brings the Pauli pair to a gap of 1.1e-16, which passes the default
     # tolerance; 1e-17 it cannot reach in one step
-    def test_strict_nonconvergence_exit_code(self, pauli_file, capsys):
-        assert main(["solve", pauli_file, "--max-iters", "1", "--tol", "1e-17", "--strict"]) == 2
+    def test_strict_nonconvergence_exit_code(self, random_file, capsys):
+        assert main(["solve", random_file, "--max-iters", "1", "--tol", "1e-17", "--strict"]) == 2
         capsys.readouterr()
 
-    def test_nonstrict_nonconvergence_still_reports(self, pauli_file, capsys):
-        assert main(["solve", pauli_file, "--max-iters", "1", "--tol", "1e-17", "--json"]) == 0
+    def test_nonstrict_nonconvergence_still_reports(self, random_file, capsys):
+        assert main(["solve", random_file, "--max-iters", "1", "--tol", "1e-17", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["converged"] is False
         assert doc["iterations"] == 1

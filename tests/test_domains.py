@@ -276,6 +276,14 @@ class TestBisection:
         with pytest.raises(ValueError, match="finite"):
             lambda_min_by_bisection(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
+    def test_rejects_a_finite_matrix_whose_symmetrisation_overflows(self):
+        # 1.7e308 + 1.7e308 overflows before the halving; the bisection once returned
+        # NaN with an overflow RuntimeWarning, and refuses it now as InstanceSet does
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite once symmetrised"):
+                lambda_min_by_bisection(np.diag([1.7e308, -1.7e308]))
+
 
 class TestBestResponse:
     def test_tie_breaks_to_lowest_index(self):

@@ -216,6 +216,7 @@ class TestSolveMinimax:
 
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "cholesky", logged)
+            without_face_step(patch)  # which would close the gap before the breakdown
             cert = solve_minimax(inst, cfg, on_bounds=lambda k, up, lo: calls.append(k))
         assert inst.stacked.shape == (5, 8, 8)
         assert cert.iterations < 100
@@ -432,27 +433,62 @@ class TestRoundInvariants:
             assert got.tobytes() == np.tensordot(stack, x, axes=([1, 2], [0, 1])).tobytes()
 
 
+def without_face_step(patch):
+    """Patch the face step out: every attempt returns no point."""
+    patch.setattr(saddle, "_face_step", lambda *args: None)
+
+
 class LapackLog:
     """Records the shapes the solver hands to each LAPACK entry point.
 
     "eigvals" are the solver's own calls; "checks" are those made inside
-    symmat, by lambda_min (the spectraplex point's PSD gate).
+    symmat, by lambda_min (the spectraplex point's PSD gate). ``faces`` holds one
+    record per face attempt: the Newton step it follows (counted from 1), the shapes
+    of the calls it made of each kind, and whether it returned a point to bracket.
     """
 
     def __init__(self, monkeypatch):
         self.calls = {"cholesky": [], "inv": [], "eigh": [], "eigvals": [], "checks": []}
+        self.faces = []
         for name, owner, attr in (
             ("cholesky", np.linalg, "cholesky"), ("inv", np.linalg, "inv"),
             ("eigh", saddle, "_eigh_raw"), ("eigvals", saddle, "_eigvals_raw"),
             ("checks", symmat, "_eigvals_raw"),
         ):
             monkeypatch.setattr(owner, attr, self._wrap(name, getattr(owner, attr)))
+        face_step = saddle._face_step
+
+        def watched(*args):
+            before = {name: len(calls) for name, calls in self.calls.items()}
+            point = face_step(*args)
+            made = {name: calls[before[name]:] for name, calls in self.calls.items()}
+            self.faces.append((self.steps(), made, point is not None))
+            return point
+
+        monkeypatch.setattr(saddle, "_face_step", watched)
 
     def _wrap(self, name, fn):
         def wrapped(a, *args, **kwargs):
             self.calls[name].append(np.shape(a))
             return fn(a, *args, **kwargs)
         return wrapped
+
+    def steps(self):
+        """Newton steps so far, without breakdowns: each brackets its damped iterate and
+        Newton point by one eigh call on the pair."""
+        return sum(len(shape) == 3 and shape[0] == 2 for shape in self.calls["eigh"])
+
+    def expected(self, name, k, per_step, bracket, start=()):
+        """The calls of kind ``name`` that k steps make: ``start``, then each step's
+        ``per_step`` calls, followed, where a face attempt came after that step, by the
+        attempt's own calls and, if it returned a point, that point's ``bracket``."""
+        want = list(start)
+        for step in range(1, k + 1):
+            want += per_step
+            for at, made, point in self.faces:
+                if at == step:
+                    want += made[name] + [bracket] * point
+        return want
 
 
 def block_diagonal_family(rng, m):
@@ -508,15 +544,18 @@ class TestIsolatedCoordinates:
         cert = solve_minimax(inst)
         k, m = cert.iterations, 3
         assert cert.converged
-        # per Newton step: one Schur Cholesky and one inverse of its factor
-        assert log.calls["cholesky"] == [(m + 1, m + 1)] * k
-        assert log.calls["inv"] == [(m + 1, m + 1)] * k
-        # per step, the bracket's eigh of X and eigenvalues of the combination, each
-        # on the pair of the damped iterate and the Newton point; the scale and shift
-        # come from the instance's cached spectra, and the certificate takes the
-        # loop's bounds without another call
-        assert log.calls["eigh"] == [(2, 3, 3)] * k
-        assert log.calls["eigvals"] == [(2, 3, 3)] * k
+        # one Newton step, and the face step after it closes the game
+        assert k == 1 and [(at, point) for at, _, point in log.faces] == [(1, True)]
+        # the Newton step: one Schur Cholesky and one inverse of its factor; the face
+        # step is a linear program's and makes no LAPACK call of these kinds
+        assert log.calls["cholesky"] == [(m + 1, m + 1)]
+        assert log.calls["inv"] == [(m + 1, m + 1)]
+        # the bracket's eigh of X and eigenvalues of the combination, on the pair of
+        # the damped iterate and the Newton point, then on the face step's point; the
+        # scale and shift come from the instance's cached spectra, and the certificate
+        # takes the loop's bounds without another call
+        assert log.calls["eigh"] == [(2, 3, 3), (1, 3, 3)]
+        assert log.calls["eigvals"] == [(2, 3, 3), (1, 3, 3)]
 
     def test_maximin_makes_the_same_lapack_calls(self, monkeypatch):
         inst = InstanceSet([np.diag(r) for r in self.GAME])
@@ -525,11 +564,13 @@ class TestIsolatedCoordinates:
             with monkeypatch.context() as patch:
                 log = LapackLog(patch)
                 k = solve(inst).iterations
+            # one Newton step, and the face step's point after it closes the game
+            assert k == 1, solve.__name__
             assert log.calls == {
-                "cholesky": [(m + 1, m + 1)] * k,
-                "inv": [(m + 1, m + 1)] * k,
-                "eigh": [(2, 3, 3)] * k,
-                "eigvals": [(2, 3, 3)] * k,
+                "cholesky": [(m + 1, m + 1)],
+                "inv": [(m + 1, m + 1)],
+                "eigh": [(2, 3, 3), (1, 3, 3)],
+                "eigvals": [(2, 3, 3), (1, 3, 3)],
                 # the spectraplex check of x_bar; no bound is recomputed
                 "checks": [(3, 3)],
             }, solve.__name__
@@ -657,15 +698,22 @@ class TestComponents:
         k = cert.iterations
         assert cert.converged
         # per Newton step: the (X, Z) pair of the block on the five coupled coordinates,
-        # then the Schur matrix; the bracket reads the full 7x7 X of the damped iterate
-        # and of the Newton point
+        # then the Schur matrix; the face steps factor neither
         assert log.calls["cholesky"] == [(2, 5, 5), (m + 1, m + 1)] * k
         assert log.calls["inv"] == [(2, 5, 5), (m + 1, m + 1)] * k
-        assert log.calls["eigh"] == [(2, 7, 7)] * k
+        # three face steps, after steps 2-4, each with a point; each eigendecomposes
+        # the block's Z once per residual it evaluates, and makes no other call
+        assert [(at, point) for at, _, point in log.faces] == [(2, True), (3, True), (4, True)]
+        assert [made for _, made, _ in log.faces] == [
+            dict(cholesky=[], inv=[], eigh=[(5, 5)] * e, eigvals=[], checks=[]) for e in (3, 5, 2)]
+        # the bracket reads the full 7x7 X of the damped iterate and of the Newton point,
+        # then of the face step's point
+        assert log.calls["eigh"] == log.expected("eigh", k, [(2, 7, 7)], (1, 7, 7))
         # the dual start's least eigenvalue on the block; per step, the predictor's and
         # the corrector's step lengths on the block's pair, and the bracket's two
-        # combinations
-        assert log.calls["eigvals"] == [(5, 5)] + [(2, 5, 5), (2, 5, 5), (2, 7, 7)] * k
+        # combinations, then the face step's
+        assert log.calls["eigvals"] == log.expected(
+            "eigvals", k, [(2, 5, 5), (2, 5, 5), (2, 7, 7)], (1, 7, 7), start=[(5, 5)])
         assert upper_value(cert.x_bar, inst) == cert.upper
         assert lower_value(cert.y_bar, inst) == cert.lower
 
@@ -736,7 +784,13 @@ class TestWorkingSet:
         assert 0 < k1 < k
         assert schur == [(first + 1, first + 1)] * k1 + [(12, 12)] * (k - k1)
         assert cert.converged
-        assert cert.lower <= 0.8 <= cert.upper
+        if rotated:
+            # the rotated family is 0.8's only up to the rotation's rounding, and the face
+            # step brings both bounds to within a few ulps of the scale of its value
+            slack = 4.0 * np.finfo(float).eps * cert.scale
+            assert cert.lower - slack <= 0.8 <= cert.upper + slack
+        else:
+            assert cert.lower <= 0.8 <= cert.upper
         assert upper_value(cert.x_bar, inst) == cert.upper
         assert lower_value(cert.y_bar, inst) == cert.lower
         assert cert.y_bar.weights[:2] == pytest.approx([0.2, 0.8], abs=1e-6)
@@ -783,11 +837,17 @@ class TestWorkingSet:
             with monkeypatch.context() as patch:
                 log = LapackLog(patch)
                 k = solve(inst, SaddleConfig(gap_tol=3e-3)).iterations
+            # face steps follow some steps; each one eigendecomposes Z once per residual
+            # it evaluates, and makes no other call
+            assert log.faces, solve.__name__
+            for _, made, _ in log.faces:
+                assert made["eigh"] and set(made["eigh"]) == {(n, n)}, solve.__name__
+                assert not (made["cholesky"] or made["inv"] or made["eigvals"]), solve.__name__
             assert log.calls == {
                 "cholesky": [(2, n, n), (m + 1, m + 1)] * k,
                 "inv": [(2, n, n), (m + 1, m + 1)] * k,
-                "eigh": [(2, n, n)] * k,
-                "eigvals": [(n, n)] + [(2, n, n)] * 3 * k,
+                "eigh": log.expected("eigh", k, [(2, n, n)], (1, n, n)),
+                "eigvals": log.expected("eigvals", k, [(2, n, n)] * 3, (1, n, n), start=[(n, n)]),
                 "checks": [(n, n)],
             }, solve.__name__
 
@@ -796,11 +856,14 @@ class TestWorkingSet:
         inst = InstanceSet([np.diag(r) for r in rng.integers(-4, 5, (m, n)).astype(float)])
         log = LapackLog(monkeypatch)
         k = solve_minimax(inst, SaddleConfig(gap_tol=1e-4)).iterations
+        # a face step on a diagonal family is a linear program's: it makes no LAPACK call
+        # of these kinds, and only the bracket of its point adds any
+        assert all(not any(made.values()) for _, made, _ in log.faces)
         assert log.calls == {
             "cholesky": [(m + 1, m + 1)] * k,
             "inv": [(m + 1, m + 1)] * k,
-            "eigh": [(2, n, n)] * k,
-            "eigvals": [(2, n, n)] * k,
+            "eigh": log.expected("eigh", k, [(2, n, n)], (1, n, n)),
+            "eigvals": log.expected("eigvals", k, [(2, n, n)], (1, n, n)),
             "checks": [(n, n)],
         }
 
@@ -892,6 +955,8 @@ class TestNewtonPoint:
                 yield full, us, mu, breakdown
 
         monkeypatch.setattr(saddle, "_newton_steps", negated)
+        # the candidates are the damped iterate and the Newton point
+        without_face_step(monkeypatch)
         calls = []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -925,6 +990,8 @@ class TestNewtonPoint:
 
         monkeypatch.setattr(saddle, "_newton_steps", positive)
         monkeypatch.setattr(saddle, "_combination", combination)
+        # the candidates are the damped iterate and the Newton point
+        without_face_step(monkeypatch)
         calls = []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -936,6 +1003,77 @@ class TestNewtonPoint:
         assert all(lo >= want_lo for (_, _, lo), (_, want_lo) in zip(calls, want))
         assert upper_value(cert.x_bar, inst) == cert.upper
         assert lower_value(cert.y_bar, inst) == cert.lower
+
+
+class TestFaceStep:
+    """Newton on the guessed face's optimality system gives a third candidate."""
+
+    @pytest.mark.parametrize("shape", ["dense", "game"])
+    def test_it_closes_a_solve_within_two_steps(self, monkeypatch, shape):
+        # a 10x8 dense family to 1e-8 of its scale both ways, and a 5x8 game to the
+        # benchmark's 1e-4: two Newton steps each, against four to nine without it
+        if shape == "dense":
+            inst, rel = symmetric_family(np.random.default_rng(2), 10, 8), 1e-8
+            solves, without = (solve_minimax, solve_maximin), (8, 9)
+        else:
+            rows = np.random.default_rng(2).integers(-4, 5, (5, 8)).astype(float)
+            inst, rel, solves, without = InstanceSet([np.diag(r) for r in rows]), 1e-4, (
+                solve_minimax,), (4,)
+        cfg = SaddleConfig(gap_tol=rel * float(np.abs(inst.spectra).max()))
+        for solve, steps in zip(solves, without):
+            with monkeypatch.context() as patch:
+                log = LapackLog(patch)
+                cert = solve(inst, cfg)
+            assert cert.converged and cert.iterations == 2, solve.__name__
+            assert log.faces[-1][::2] == (2, True), solve.__name__
+            assert_bounds_recompute(solve, cert, inst, solve.__name__)
+            with monkeypatch.context() as patch:
+                without_face_step(patch)
+                assert solve(inst, cfg).iterations == steps, solve.__name__
+
+    def test_a_wide_family_makes_no_attempt_and_no_other_lapack_call(self, monkeypatch):
+        # n = 6, m = 100: after step 2 the gap is 0.066 of the scale, within the gate,
+        # but more matrices than q + 1 = 22 pay within three gaps of the upper bound, so
+        # no face step is taken, and the solve is the one made without the face step
+        inst = symmetric_family(np.random.default_rng(0), 6, 100)
+        scale = float(np.abs(inst.spectra).max())
+        cfg, runs = SaddleConfig(gap_tol=1e-2 * scale), []
+        for face in (True, False):
+            calls = []
+            with monkeypatch.context() as patch:
+                if not face:
+                    without_face_step(patch)
+                log = LapackLog(patch)
+                cert = solve_minimax(inst, cfg, on_bounds=lambda *a: calls.append(a))
+            runs.append((log, cert, calls))
+        (log, cert, calls), (bare, bare_cert, bare_calls) = runs
+        assert cfg.gap_tol < calls[1][1] - calls[1][2] <= 0.1 * scale < calls[0][1] - calls[0][2]
+        assert cert.iterations == 4 and log.faces == []
+        assert log.calls == bare.calls and calls == bare_calls
+        assert cert.x_bar.array.tobytes() == bare_cert.x_bar.array.tobytes()
+        assert cert.y_bar.weights.tobytes() == bare_cert.y_bar.weights.tobytes()
+
+    def test_a_degenerate_face_neither_warns_nor_loosens_an_incumbent(self, monkeypatch):
+        # three copies of one matrix on the face leave y's split among them free, so the
+        # face system is singular: each attempt stops at its first step, without a point
+        a = symmetric_family(np.random.default_rng(0), 5, 2).stacked
+        inst = InstanceSet([a[0], a[1], a[1], a[1]])
+        cfg = SaddleConfig(gap_tol=1e-8 * float(np.abs(inst.spectra).max()))
+        runs = []
+        for face in (True, False):
+            calls = []
+            with monkeypatch.context() as patch, warnings.catch_warnings():
+                warnings.simplefilter("error")
+                if not face:
+                    without_face_step(patch)
+                log = LapackLog(patch)
+                cert = solve_minimax(inst, cfg, on_bounds=lambda *a: calls.append(a))
+            runs.append((log, cert, calls))
+        (log, cert, calls), (_, bare_cert, bare_calls) = runs
+        assert len(log.faces) == 6 and not any(point for _, _, point in log.faces)
+        assert calls == bare_calls and cert.converged
+        assert (cert.upper, cert.lower) == (bare_cert.upper, bare_cert.lower)
+        assert_bounds_recompute(solve_minimax, cert, inst, "degenerate")
 
 
 # the fuzz families and the seed of each; ``tools/fingerprints.py`` digests the same
@@ -972,7 +1110,7 @@ def assert_bounds_recompute(solve, cert, inst, case):
 def test_seeded_fuzz_certificates_recompute_and_few_solves_stop_short():
     # 4 families x 100 instances x 2 relative gaps, solved both ways; a solve stops
     # short on a Cholesky breakdown that no Schur retry mends, or at the step cap. The
-    # bounds on those only ever go down.
+    # face step closes all 1,600, so none may stop short.
     short = {solve_minimax: 0, solve_maximin: 0}
     for kind, seed in FUZZ_SEEDS:
         rng = np.random.default_rng(seed)
@@ -984,8 +1122,8 @@ def test_seeded_fuzz_certificates_recompute_and_few_solves_stop_short():
                     cert = solve(inst, SaddleConfig(gap_tol=rel * scale))
                     assert_bounds_recompute(solve, cert, inst, (kind, rel))
                     short[solve] += not cert.converged
-    assert short[solve_minimax] <= 6
-    assert short[solve_maximin] <= 8
+    assert short[solve_minimax] == 0
+    assert short[solve_maximin] == 0
 
 
 def out_of_place_tril_inv(l):
@@ -1025,6 +1163,15 @@ class TestNewtonStepPieces:
         # negative definite: every retry fails, and the breakdown is raised
         with pytest.raises(np.linalg.LinAlgError):
             saddle._schur_cholesky(-np.eye(3))
+
+
+def test_dense_10x8_solves_peak_memory_below_0_062_mib():
+    # the benchmark's largest dense shape, solved both ways at its relative gap 3e-3:
+    # the face steps read the rotated face on the columns of Z's null space only, never
+    # as a (k, n, n) array, so both solves peak near 57.9 KiB
+    inst = random_instance(np.random.default_rng(0), 10, 8)
+    cfg = SaddleConfig(gap_tol=3e-3 * float(np.abs(inst.spectra).max()))
+    assert peak_bytes(lambda: (solve_minimax(inst, cfg), solve_maximin(inst, cfg))) < 0.062 * 2**20
 
 
 def test_solve_minimax_peak_memory_below_0_45_mib():

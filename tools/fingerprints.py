@@ -11,8 +11,10 @@ the digest over the cases' ``Outputs.fingerprint()`` in order, followed by one
 indented line per case that ended in an error, with that error. ``--fuzz``
 adds one line with a digest over the certificates of the seeded fuzz of
 ``tests/test_saddle.py``: its 400 instances solved both ways at relative gaps
-1e-6 and 1e-8, 1,600 certificates, their total Newton steps and the counts
-that stopped short.
+1e-6 and 1e-8, 1,600 certificates, their total Newton steps, the counts
+that stopped short, and the face steps taken with their total Gauss-Newton
+steps, counted from the solver's debug lines (``Newton steps`` alone leave
+that work out).
 
 Run it on two source trees and compare the outputs line by line:
 
@@ -31,6 +33,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
 import importlib  # noqa: E402
+import logging  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -68,25 +71,47 @@ def workload_lines(sm: dict, workload: str, seed: int) -> list[str]:
     return lines
 
 
+class FaceCount(logging.Handler):
+    """Counts the solver's face steps and their Gauss-Newton steps from its debug lines,
+    "face step on <k> matrices: <steps> Gauss-Newton steps, <outcome>"."""
+
+    def __init__(self):
+        super().__init__(logging.DEBUG)
+        self.attempts = self.steps = 0
+
+    def emit(self, record):
+        if record.msg.startswith("face step"):
+            self.attempts += 1
+            self.steps += record.args[1]
+
+
 def fuzz_line(sm: dict) -> str:
     from test_saddle import FUZZ_SEEDS, fuzz_family  # imports specmm, so after _import
 
     saddle = sm["saddle"]
     certs, steps, short = [], 0, {saddle.solve_minimax: 0, saddle.solve_maximin: 0}
-    for kind, seed in FUZZ_SEEDS:
-        rng = np.random.default_rng(seed)
-        for _ in range(100):
-            inst = sm["domains"].InstanceSet(fuzz_family(kind, rng))
-            scale = float(np.abs(inst.spectra).max())
-            for rel in (1e-6, 1e-8):
-                for solve in short:
-                    cert = solve(inst, saddle.SaddleConfig(gap_tol=rel * scale))
-                    short[solve] += not cert.converged
-                    steps += cert.iterations
-                    certs.append((cert.upper, cert.lower, cert.iterations, cert.converged,
-                                  cert.x_bar.array.tobytes(), cert.y_bar.weights.tobytes()))
+    faces, level = FaceCount(), saddle.logger.level
+    saddle.logger.addHandler(faces)
+    saddle.logger.setLevel(logging.DEBUG)
+    try:
+        for kind, seed in FUZZ_SEEDS:
+            rng = np.random.default_rng(seed)
+            for _ in range(100):
+                inst = sm["domains"].InstanceSet(fuzz_family(kind, rng))
+                scale = float(np.abs(inst.spectra).max())
+                for rel in (1e-6, 1e-8):
+                    for solve in short:
+                        cert = solve(inst, saddle.SaddleConfig(gap_tol=rel * scale))
+                        short[solve] += not cert.converged
+                        steps += cert.iterations
+                        certs.append((cert.upper, cert.lower, cert.iterations, cert.converged,
+                                      cert.x_bar.array.tobytes(), cert.y_bar.weights.tobytes()))
+    finally:
+        saddle.logger.removeHandler(faces)
+        saddle.logger.setLevel(level)
     return (f"fuzz {_digest(certs)} {len(certs)} certificates, {steps} steps, short "
-            f"{short[saddle.solve_minimax]} minimax, {short[saddle.solve_maximin]} maximin")
+            f"{short[saddle.solve_minimax]} minimax, {short[saddle.solve_maximin]} maximin, "
+            f"{faces.attempts} face steps of {faces.steps} Gauss-Newton steps")
 
 
 def main(argv=None) -> int:
