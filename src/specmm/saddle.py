@@ -34,8 +34,11 @@ bound. When it holds at most q + 1 matrices, up to four Gauss-Newton steps on th
 face's square optimality system (``_face_step``: Newton on the complementarity
 system, Alizadeh, Haeberly & Overton, Math. Program. 1997, which in the diagonal case
 is the finite termination of linear programming, Ye, Math. Program. 1992) give a
-third candidate. The Newton iterates never depend on it, so a solve can only stop
-sooner.
+third candidate. A first attempt from interior incumbents may converge on a wrong face
+or stall, but when its point improves an incumbent and leaves the gap open, the face
+is guessed again from the improved incumbents and a second attempt starts there,
+within the same Newton step (a crossover-style correction). The Newton iterates never
+depend on either attempt, so a solve can only stop sooner.
 
 Certificates are self-verifying. After each Newton step the loop evaluates
 the exact bracket on all m matrices at its clipped iterate, Newton point (y zero
@@ -374,12 +377,15 @@ def _face_step(stack: np.ndarray, scale: float, c, d, face: np.ndarray, x: np.nd
     The system is square, and at a strictly complementary, nondegenerate optimum its
     Jacobian is regular (Alizadeh, Haeberly & Overton, Math. Program. 1997), so Newton
     converges quadratically there; a diagonal family is the linear program's case (Ye,
-    Math. Program. 1992). It starts at (x, y on the face, lower, upper) and stops once
-    the largest residual is ``_FACE_TARGET`` times the gap target ``tol`` or less, after
-    ``_FACE_ITERS`` steps, or as soon as a step does not shrink it (a singular step does
-    not). One debug line logs |face|, the steps taken and "converged", "capped" or
-    "stalled". Returns the full n x n X and the m weights, zero off the face, of the last
-    point that shrank the residual, neither of them clipped, or None if no step did.
+    Math. Program. 1992). On a degenerate face, where a matrix repeated on it leaves y's
+    split among the copies free, the Jacobian is singular and the step is the
+    minimum-norm one. It starts at (x, y on the face, lower, upper) and stops once the
+    largest residual is ``_FACE_TARGET`` times the gap target ``tol`` or less, after
+    ``_FACE_ITERS`` steps, or as soon as a step does not shrink it (a step that cannot
+    be solved for does not). One debug line logs |face|, the steps taken and
+    "converged", "capped" or "stalled". Returns the full n x n X and the m weights, zero
+    off the face, of the last point that shrank the residual, neither of them clipped,
+    or None if no step did.
     """
     m, n, _ = stack.shape
     k, nc, nd, flat = len(face), 0 if c is None else len(c), len(d), stack.reshape(m, -1)
@@ -391,7 +397,8 @@ def _face_step(stack: np.ndarray, scale: float, c, d, face: np.ndarray, x: np.nd
     pairs, yf = {}, np.zeros(m)  # the kept pairs of S x S by |S|; weights on all m
 
     def newton(point, eig):
-        # One Newton step at point = (X, y, lambda, v); LinAlgError if it is singular.
+        # One Newton step at point = (X, y, lambda, v), the minimum-norm one where the
+        # Jacobian is singular; LinAlgError if even that fails.
         # The coordinates with a small diagonal term are kept: x_d's with z_j <= |x_j|,
         # and X_c's entries (j <= l) between the eigenvectors S, the first ns, those
         # with zeta_j <= |X_jj|. The others are eliminated, X + dX = -(sym(dZ X) -
@@ -449,7 +456,10 @@ def _face_step(stack: np.ndarray, scale: float, c, d, face: np.ndarray, x: np.nd
         jac.reshape(-1)[(k + 2) * (nk + k + 2):: nk + k + 3][:nk] = hk
         rhs = np.zeros(nk + k + 2)
         rhs[:k], rhs[k], rhs[k + 1] = v, 1.0, 1.0 - y.sum()
-        sol = np.linalg.solve(jac, rhs)
+        try:
+            sol = np.linalg.solve(jac, rhs)
+        except np.linalg.LinAlgError:  # a degenerate face: the minimum-norm step
+            sol = np.linalg.lstsq(jac, rhs, rcond=None)[0]
         del jac, coef, bk  # dead once solved; freeing them lowers the peak
         dy, dlam = sol[nk: nk + k], sol[nk + k]
         # sum_face dy_i A_i = dZ + dlambda I, and X + dX
@@ -528,7 +538,10 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
     computed, are within ``_FACE_GAPS`` gaps of the incumbent upper bound; if it holds
     at most q + 1 matrices (a nondegenerate optimum's dual support can hold no more),
     ``_face_step`` starts from the incumbents and its point, if any, is bracketed too.
-    The best of each side over all rounds is kept with its strategy, and
+    If that point improved an incumbent, the gap and the face are read again from the
+    new incumbents and, under the same gate, a second attempt starts from them and its
+    point is bracketed as well: at most two attempts per Newton step. The best of each
+    side over all rounds is kept with its strategy, and
     ``on_bounds(k, upper, lower)``, if given, sees the pair. When some matrix outside W
     pays more at the iterate's X than all of W, all such join W and a new round starts
     warm from the iterate. Stops at cfg.gap_tol, after cfg.max_iters steps in all, or at
@@ -547,13 +560,16 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
     best = [None, None, None]  # the incumbent x_bar, its payoffs, and y_bar
 
     def better(x_bars, pays, y_bars, los):
+        # keeps the best of each side; True if either incumbent improved
         nonlocal upper, lower
+        was = upper, lower
         for up, x_bar, pay in zip(pays.max(axis=1).tolist(), x_bars, pays):
             if up < upper:
                 upper, best[0], best[1] = up, x_bar, pay
         for lo, y_bar in zip(los.tolist(), y_bars):
             if lo > lower:
                 lower, best[2] = lo, y_bar
+        return (upper, lower) != was
 
     while True:
         for full, us, mu, breakdown in _newton_steps(stack, work, sigma, scale, c, d, warm):
@@ -562,14 +578,17 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
             ys[:, work] = -us[:, :-1]
             x_bars, pays, y_bars, los = _bracket(stack, full, ys)
             better(x_bars, pays, y_bars, los)
-            # the face guess, once the gap is small enough for it
-            gap = upper - lower
-            face = np.flatnonzero(best[1] >= upper - _FACE_GAPS * gap)
-            if cfg.gap_tol < gap <= _FACE_GAP * scale and len(face) <= q + 1:
+            # the face guess, once the gap is small enough for it; a second attempt
+            # starts from the incumbents that the first one's point improved
+            for _ in range(2):
+                gap = upper - lower
+                face = np.flatnonzero(best[1] >= upper - _FACE_GAPS * gap)
+                if not (cfg.gap_tol < gap <= _FACE_GAP * scale and len(face) <= q + 1):
+                    break
                 point = _face_step(stack, scale, c, d, face, best[0], best[2], lower, upper,
                                    cfg.gap_tol)
-                if point is not None:
-                    better(*_bracket(stack, point[0][None], point[1][None]))
+                if point is None or not better(*_bracket(stack, *(a[None] for a in point))):
+                    break
             if on_bounds is not None:
                 on_bounds(k, upper, lower)
             logger.debug("round %d: upper=%.12g lower=%.12g mu=%.3e", k, pays[0].max(), los[0],

@@ -16,7 +16,9 @@ def fingerprints(*args):
 
 def test_games_at_one_seed_prints_one_digest_per_source():
     out = fingerprints()
-    # one line per workload and seed; no games case ends in an error
-    assert re.fullmatch(r"games 101 [0-9a-f]{64}\n", out)
+    # one line per workload and seed, with the pass's Newton steps and face steps; no
+    # games case ends in an error
+    assert re.fullmatch(
+        r"games 101 [0-9a-f]{64} \d+ steps, \d+ face steps of \d+ Gauss-Newton steps\n", out)
     # the same source, named explicitly, certifies to the same bits
     assert fingerprints("--src", str(ROOT / "src")) == out

@@ -438,6 +438,20 @@ def without_face_step(patch):
     patch.setattr(saddle, "_face_step", lambda *args: None)
 
 
+def first_attempt_only(patch, log):
+    """Patch out each Newton step's second face attempt, as if at most one were made;
+    ``log``, a LapackLog, counts the steps."""
+    face_step, tried = saddle._face_step, set()
+
+    def once(*args):
+        if (step := log.steps()) in tried:
+            return None
+        tried.add(step)
+        return face_step(*args)
+
+    patch.setattr(saddle, "_face_step", once)
+
+
 class LapackLog:
     """Records the shapes the solver hands to each LAPACK entry point.
 
@@ -701,11 +715,15 @@ class TestComponents:
         # then the Schur matrix; the face steps factor neither
         assert log.calls["cholesky"] == [(2, 5, 5), (m + 1, m + 1)] * k
         assert log.calls["inv"] == [(2, 5, 5), (m + 1, m + 1)] * k
-        # three face steps, after steps 2-4, each with a point; each eigendecomposes
-        # the block's Z once per residual it evaluates, and makes no other call
-        assert [(at, point) for at, _, point in log.faces] == [(2, True), (3, True), (4, True)]
+        # four face steps: two after step 2, the second from the incumbents the first
+        # one's point improved, without a point, then one after each of steps 3 and 4,
+        # each with a point; each eigendecomposes the block's Z once per residual it
+        # evaluates, and makes no other call
+        assert [(at, point) for at, _, point in log.faces] == [
+            (2, True), (2, False), (3, True), (4, True)]
         assert [made for _, made, _ in log.faces] == [
-            dict(cholesky=[], inv=[], eigh=[(5, 5)] * e, eigvals=[], checks=[]) for e in (3, 5, 2)]
+            dict(cholesky=[], inv=[], eigh=[(5, 5)] * e, eigvals=[], checks=[])
+            for e in (3, 2, 5, 2)]
         # the bracket reads the full 7x7 X of the damped iterate and of the Newton point,
         # then of the face step's point
         assert log.calls["eigh"] == log.expected("eigh", k, [(2, 7, 7)], (1, 7, 7))
@@ -1011,21 +1029,21 @@ class TestFaceStep:
     @pytest.mark.parametrize("shape", ["dense", "game"])
     def test_it_closes_a_solve_within_two_steps(self, monkeypatch, shape):
         # a 10x8 dense family to 1e-8 of its scale both ways, and a 5x8 game to the
-        # benchmark's 1e-4: two Newton steps each, against four to nine without it
+        # benchmark's 1e-4: one or two Newton steps each, against four to nine without it
         if shape == "dense":
             inst, rel = symmetric_family(np.random.default_rng(2), 10, 8), 1e-8
-            solves, without = (solve_minimax, solve_maximin), (8, 9)
+            solves, with_face, without = (solve_minimax, solve_maximin), (1, 2), (8, 9)
         else:
             rows = np.random.default_rng(2).integers(-4, 5, (5, 8)).astype(float)
-            inst, rel, solves, without = InstanceSet([np.diag(r) for r in rows]), 1e-4, (
-                solve_minimax,), (4,)
+            inst, rel = InstanceSet([np.diag(r) for r in rows]), 1e-4
+            solves, with_face, without = (solve_minimax,), (2,), (4,)
         cfg = SaddleConfig(gap_tol=rel * float(np.abs(inst.spectra).max()))
-        for solve, steps in zip(solves, without):
+        for solve, k, steps in zip(solves, with_face, without):
             with monkeypatch.context() as patch:
                 log = LapackLog(patch)
                 cert = solve(inst, cfg)
-            assert cert.converged and cert.iterations == 2, solve.__name__
-            assert log.faces[-1][::2] == (2, True), solve.__name__
+            assert cert.converged and cert.iterations == k, solve.__name__
+            assert log.faces[-1][::2] == (k, True), solve.__name__
             assert_bounds_recompute(solve, cert, inst, solve.__name__)
             with monkeypatch.context() as patch:
                 without_face_step(patch)
@@ -1055,25 +1073,59 @@ class TestFaceStep:
 
     def test_a_degenerate_face_neither_warns_nor_loosens_an_incumbent(self, monkeypatch):
         # three copies of one matrix on the face leave y's split among them free, so the
-        # face system is singular: each attempt stops at its first step, without a point
+        # face system is singular: each of the attempt's three steps is the minimum-norm
+        # one, and the one attempt, after step 1, closes the solve that takes seven
+        # Newton steps without it
         a = symmetric_family(np.random.default_rng(0), 5, 2).stacked
         inst = InstanceSet([a[0], a[1], a[1], a[1]])
         cfg = SaddleConfig(gap_tol=1e-8 * float(np.abs(inst.spectra).max()))
-        runs = []
+        runs, singular = [], []
+        lstsq = np.linalg.lstsq
         for face in (True, False):
             calls = []
             with monkeypatch.context() as patch, warnings.catch_warnings():
                 warnings.simplefilter("error")
                 if not face:
                     without_face_step(patch)
+                patch.setattr(np.linalg, "lstsq", lambda a, *args, **kw: (
+                    singular.append(a.shape) or lstsq(a, *args, **kw)))
                 log = LapackLog(patch)
                 cert = solve_minimax(inst, cfg, on_bounds=lambda *a: calls.append(a))
             runs.append((log, cert, calls))
         (log, cert, calls), (_, bare_cert, bare_calls) = runs
-        assert len(log.faces) == 6 and not any(point for _, _, point in log.faces)
-        assert calls == bare_calls and cert.converged
-        assert (cert.upper, cert.lower) == (bare_cert.upper, bare_cert.lower)
+        assert [(at, point) for at, _, point in log.faces] == [(1, True)]
+        assert singular == [(7, 7)] * 3
+        assert cert.converged and cert.iterations == 1 and bare_cert.iterations == 7
+        # the step's incumbents are no looser than those of the same step without it
+        assert calls == [(1, cert.upper, cert.lower)] and len(bare_calls) == 7
+        assert cert.upper <= bare_calls[0][1] and cert.lower >= bare_calls[0][2]
         assert_bounds_recompute(solve_minimax, cert, inst, "degenerate")
+
+    def test_a_second_attempt_from_the_improved_incumbents_closes_the_solve(self, monkeypatch):
+        # a seeded 5x7 game to the benchmark's 1e-4: after Newton step 1 the first attempt
+        # improves the incumbents but leaves the gap open, and the second, from them,
+        # closes it; with one attempt per step the solve takes a second Newton step
+        rows = np.random.default_rng(8).integers(-4, 5, (5, 7)).astype(float)
+        inst = InstanceSet([np.diag(r) for r in rows])
+        cfg = SaddleConfig(gap_tol=1e-4 * float(np.abs(inst.spectra).max()))
+        runs = []
+        for second in (True, False):
+            calls = []
+            with monkeypatch.context() as patch:
+                log = LapackLog(patch)
+                if not second:
+                    first_attempt_only(patch, log)
+                cert = solve_minimax(inst, cfg, on_bounds=lambda *a: calls.append(a))
+            runs.append((log, cert, calls))
+        (log, cert, calls), (one, one_cert, one_calls) = runs
+        assert [(at, point) for at, _, point in log.faces] == [(1, True), (1, True)]
+        assert cert.converged and cert.iterations == 1
+        assert [(at, point) for at, _, point in one.faces] == [(1, True), (2, True)]
+        assert one_cert.converged and one_cert.iterations == 2
+        # the first attempt alone leaves the gap above the target after step 1
+        assert one_calls[0][1] - one_calls[0][2] > cfg.gap_tol
+        assert calls == [(1, cert.upper, cert.lower)]
+        assert_bounds_recompute(solve_minimax, cert, inst, "second attempt")
 
 
 # the fuzz families and the seed of each; ``tools/fingerprints.py`` digests the same

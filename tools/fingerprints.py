@@ -7,14 +7,15 @@ specmm is imported from DIR (default: this checkout's ``src/``); the
 benchmark's ``certify.py`` and ``workloads.py`` are imported, unchanged, from
 this checkout's ``benchmarks/``. For each workload and seed the script
 certifies every instance once and prints one line, ``workload seed SHA-256``,
-the digest over the cases' ``Outputs.fingerprint()`` in order, followed by one
+the digest over the cases' ``Outputs.fingerprint()`` in order, then the pass's
+Newton steps (the benchmark's ``rounds``) and the face steps taken with their
+total Gauss-Newton steps, which ``rounds`` leaves out, followed by one
 indented line per case that ended in an error, with that error. ``--fuzz``
 adds one line with a digest over the certificates of the seeded fuzz of
 ``tests/test_saddle.py``: its 400 instances solved both ways at relative gaps
 1e-6 and 1e-8, 1,600 certificates, their total Newton steps, the counts
-that stopped short, and the face steps taken with their total Gauss-Newton
-steps, counted from the solver's debug lines (``Newton steps`` alone leave
-that work out).
+that stopped short, and the face steps with their Gauss-Newton steps. Face
+steps are counted from the solver's debug lines.
 
 Run it on two source trees and compare the outputs line by line:
 
@@ -31,6 +32,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import importlib  # noqa: E402
 import logging  # noqa: E402
@@ -64,13 +66,6 @@ def _import(src: Path) -> dict:
             for layer in ("domains", "files", "saddle", "embed", "classic")}
 
 
-def workload_lines(sm: dict, workload: str, seed: int) -> list[str]:
-    outs = [(case.name, certify(sm, case, None)) for case in make_cases(workload, seed)]
-    lines = [f"{workload} {seed} {_digest(out.fingerprint() for _, out in outs)}"]
-    lines += [f"  {name}: {out.error}" for name, out in outs if out.error is not None]
-    return lines
-
-
 class FaceCount(logging.Handler):
     """Counts the solver's face steps and their Gauss-Newton steps from its debug lines,
     "face step on <k> matrices: <steps> Gauss-Newton steps, <outcome>"."""
@@ -84,16 +79,39 @@ class FaceCount(logging.Handler):
             self.attempts += 1
             self.steps += record.args[1]
 
+    def __str__(self):
+        return f"{self.attempts} face steps of {self.steps} Gauss-Newton steps"
+
+
+@contextlib.contextmanager
+def face_count(saddle):
+    """A FaceCount that hears ``saddle``'s debug lines while the block runs."""
+    faces, level = FaceCount(), saddle.logger.level
+    saddle.logger.addHandler(faces)
+    saddle.logger.setLevel(logging.DEBUG)
+    try:
+        yield faces
+    finally:
+        saddle.logger.removeHandler(faces)
+        saddle.logger.setLevel(level)
+
+
+def workload_lines(sm: dict, workload: str, seed: int) -> list[str]:
+    with face_count(sm["saddle"]) as faces:
+        outs = [(case.name, certify(sm, case, None)) for case in make_cases(workload, seed)]
+    steps = sum(out.rounds for _, out in outs)
+    lines = [f"{workload} {seed} {_digest(out.fingerprint() for _, out in outs)} "
+             f"{steps} steps, {faces}"]
+    lines += [f"  {name}: {out.error}" for name, out in outs if out.error is not None]
+    return lines
+
 
 def fuzz_line(sm: dict) -> str:
     from test_saddle import FUZZ_SEEDS, fuzz_family  # imports specmm, so after _import
 
     saddle = sm["saddle"]
     certs, steps, short = [], 0, {saddle.solve_minimax: 0, saddle.solve_maximin: 0}
-    faces, level = FaceCount(), saddle.logger.level
-    saddle.logger.addHandler(faces)
-    saddle.logger.setLevel(logging.DEBUG)
-    try:
+    with face_count(saddle) as faces:
         for kind, seed in FUZZ_SEEDS:
             rng = np.random.default_rng(seed)
             for _ in range(100):
@@ -106,12 +124,9 @@ def fuzz_line(sm: dict) -> str:
                         steps += cert.iterations
                         certs.append((cert.upper, cert.lower, cert.iterations, cert.converged,
                                       cert.x_bar.array.tobytes(), cert.y_bar.weights.tobytes()))
-    finally:
-        saddle.logger.removeHandler(faces)
-        saddle.logger.setLevel(level)
     return (f"fuzz {_digest(certs)} {len(certs)} certificates, {steps} steps, short "
             f"{short[saddle.solve_minimax]} minimax, {short[saddle.solve_maximin]} maximin, "
-            f"{faces.attempts} face steps of {faces.steps} Gauss-Newton steps")
+            f"{faces}")
 
 
 def main(argv=None) -> int:
