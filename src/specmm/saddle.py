@@ -301,62 +301,66 @@ def _newton_steps(stack: np.ndarray, work, sigma: float, scale: float, c, d, war
     v[-1] = v[nd:-1].max() + margin
     v[nd:-1] = v[-1] - v[nd:-1]
     g = cost - lp_t(u)
+
+    def step(x, z, v, u, g, mu):
+        # one predictor-corrector step: (xs, Z_c, vs, us, g) after it; its temporaries die
+        # with it, before the caller brackets and attempts the face
+        rp, rg, r = -lp(v), cost - lp_t(u) - g, v / g
+        # the sum starts from its first term, the LP one if there are LP variables
+        schur = (fd * r[:nd]) @ fd.T if nd else None
+        if c is not None:
+            rp -= ff @ x.reshape(-1)
+            rd = -(u @ ff).reshape(z.shape) - z
+            # the inverse Cholesky factors of X and Z, and Z^-1
+            rr = np.linalg.inv(np.linalg.cholesky(np.array((x, z))))
+            zi = rr[1].T @ rr[1]
+            term = ff @ (x @ f @ zi).reshape(m + 1, -1).T
+            schur = term if schur is None else np.add(schur, term, out=schur)
+            del term  # so the term does not outlive its addition
+            xrz = x @ rd @ zi
+        rp[m] += 1.0
+        # s/w + delta/z on the diagonal and delta/z off it, added in place
+        diag = schur.diagonal()[:m] + (r[nd:-1] + r[-1])
+        schur[:m, :m] += r[-1]
+        schur.reshape(-1)[: m * (m + 2) : m + 2] = diag
+        li = _schur_cholesky(schur)
+        del schur  # dead once factored; freeing it lowers the solver's peak memory
+        _tril_inv(li)
+
+        def newton(rczi, rcv):
+            # X dZ + dX Z = Rc and v dg + dv g = rcv, rczi being Rc Z^-1 on the block,
+            # and the step lengths: 0.95 of the way to each cone's boundary, at most 1
+            rhs = rp if c is None else rp - ff @ (rczi - xrz).reshape(-1)
+            du = li.T @ (li @ (rhs - lp((rcv - v * rg) / g)))
+            dg = rg - lp_t(du)
+            dv = (rcv - v * dg) / g
+            ap, ad = max(-(dv / v).min(), 0.95), max(-(dg / g).min(), 0.95)
+            if c is None:
+                return None, dv, du, None, dg, 0.95 / ap, 0.95 / ad
+            dz = rd - (du @ ff).reshape(rd.shape)
+            dx = rczi - x @ dz @ zi
+            dx = (dx + dx.T) / 2.0
+            low = _eigvals_raw(rr @ np.stack((dx, dz)) @ rr.transpose(0, 2, 1))[:, 0]
+            return dx, dv, du, dz, dg, 0.95 / max(ap, -low[0]), 0.95 / max(ad, -low[1])
+
+        dx, dv, du, dz, dg, ap, ad = newton(None if c is None else -x, -v * g)
+        gap_aff = (v + ap * dv) @ (g + ad * dg)
+        if c is not None:
+            gap_aff = gap_aff + np.vdot(x + ap * dx, z + ad * dz)
+        tau = mu * min(1.0, gap_aff / (mu * (n + m + 1))) ** 3
+        rczi = None if c is None else tau * zi - x - dx @ dz @ zi
+        dx, dv, du, dz, dg, ap, ad = newton(rczi, tau - v * g - dv * dg)
+        return (None if c is None else np.array((x + ap * dx, x + dx)),
+                None if c is None else z + ad * dz, np.array((v + ap * dv, v + dv)),
+                np.array((u + ad * du, u + du)), g + ad * dg)
+
     breakdown = False
     while not breakdown:
+        # mu before any factorisation, so that a breakdown round logs it
+        mu = (v @ g if c is None else v @ g + np.vdot(x, z)) / (n + m + 1)
         try:
-            rp, rg, r = -lp(v), cost - lp_t(u) - g, v / g
-            # mu before any factorisation, so that a breakdown round logs it
-            mu = (v @ g if c is None else v @ g + np.vdot(x, z)) / (n + m + 1)
-            # the sum starts from its first term, the LP one if there are LP variables
-            schur = (fd * r[:nd]) @ fd.T if nd else None
-            if c is not None:
-                rp -= ff @ x.reshape(-1)
-                rd = -(u @ ff).reshape(z.shape) - z
-                # the inverse Cholesky factors of X and Z, and Z^-1
-                rr = np.linalg.inv(np.linalg.cholesky(np.array((x, z))))
-                zi = rr[1].T @ rr[1]
-                term = ff @ (x @ f @ zi).reshape(m + 1, -1).T
-                schur = term if schur is None else np.add(schur, term, out=schur)
-                del term  # so the term does not outlive its addition
-                xrz = x @ rd @ zi
-            rp[m] += 1.0
-            # s/w + delta/z on the diagonal and delta/z off it, added in place
-            diag = schur.diagonal()[:m] + (r[nd:-1] + r[-1])
-            schur[:m, :m] += r[-1]
-            schur.reshape(-1)[: m * (m + 2) : m + 2] = diag
-            li = _schur_cholesky(schur)
-            del schur  # dead once factored; freeing it lowers the solver's peak memory
-            _tril_inv(li)
-
-            def newton(rczi, rcv):
-                # X dZ + dX Z = Rc and v dg + dv g = rcv, rczi being Rc Z^-1 on the block,
-                # and the step lengths: 0.95 of the way to each cone's boundary, at most 1
-                rhs = rp if c is None else rp - ff @ (rczi - xrz).reshape(-1)
-                du = li.T @ (li @ (rhs - lp((rcv - v * rg) / g)))
-                dg = rg - lp_t(du)
-                dv = (rcv - v * dg) / g
-                ap, ad = max(-(dv / v).min(), 0.95), max(-(dg / g).min(), 0.95)
-                if c is None:
-                    return None, dv, du, None, dg, 0.95 / ap, 0.95 / ad
-                dz = rd - (du @ ff).reshape(rd.shape)
-                dx = rczi - x @ dz @ zi
-                dx = (dx + dx.T) / 2.0
-                low = _eigvals_raw(rr @ np.stack((dx, dz)) @ rr.transpose(0, 2, 1))[:, 0]
-                return dx, dv, du, dz, dg, 0.95 / max(ap, -low[0]), 0.95 / max(ad, -low[1])
-
-            dx, dv, du, dz, dg, ap, ad = newton(None if c is None else -x, -v * g)
-            gap_aff = (v + ap * dv) @ (g + ad * dg)
-            if c is not None:
-                gap_aff = gap_aff + np.vdot(x + ap * dx, z + ad * dz)
-            tau = mu * min(1.0, gap_aff / (mu * (n + m + 1))) ** 3
-            rczi = None if c is None else tau * zi - x - dx @ dz @ zi
-            dx, dv, du, dz, dg, ap, ad = newton(rczi, tau - v * g - dv * dg)
-            del li  # the next Schur matrix is built without this step's factor
-            vs, us = np.array((v + ap * dv, v + dv)), np.array((u + ad * du, u + du))
-            if c is not None:
-                xs, z = np.array((x + ap * dx, x + dx)), z + ad * dz
-                x = xs[0]
-            v, u, g = vs[0], us[0], g + ad * dg
+            xs, z, vs, us, g = step(x, z, v, u, g, mu)
+            x, v, u = None if c is None else xs[0], vs[0], us[0]
         except np.linalg.LinAlgError:
             breakdown, vs, us, xs = True, v[None], u[None], None if c is None else x[None]
         full = np.zeros((len(vs), n, n))
@@ -392,8 +396,9 @@ def _face_step(stack: np.ndarray, scale: float, c, d, face: np.ndarray, x: np.nd
     # the flat indices of the block's entries and of the diagonal on d; the face's
     # diagonals on d, in units of the scale, and the trace's
     cf, df = None if c is None else (c[:, None] * n + c).reshape(-1), d * (n + 1)
-    pd = np.ones((k + 1, nd))
-    pd[:k] = flat.take(df, axis=1).take(face, axis=0) / scale
+    if nd:
+        pd = np.ones((k + 1, nd))
+        pd[:k] = flat.take(df, axis=1).take(face, axis=0) / scale
     pairs, yf = {}, np.zeros(m)  # the kept pairs of S x S by |S|; weights on all m
 
     def newton(point, eig):
@@ -447,7 +452,8 @@ def _face_step(stack: np.ndarray, scale: float, c, d, face: np.ndarray, x: np.nd
             blocks.append((tq[:, :ns].reshape(k + 1, -1).take(ps, axis=1) * mult, h.take(pc),
                            (ys.take(ps, axis=1) + ys.take(ts, axis=1)) / 2.0, xt.take(pc)))
             del tq, r, ys  # dead once the blocks are formed; freeing them lowers the peak
-        coef, hk, bk, xk = (np.concatenate(b, axis=-1) for b in zip(*blocks))
+        coef, hk, bk, xk = blocks[0] if len(blocks) == 1 else (
+            np.concatenate(b, axis=-1) for b in zip(*blocks))
         nk = len(hk)
         jac = np.zeros((nk + k + 2, nk + k + 2))
         jac[: k + 1, :nk], jac[: k + 1, nk: nk + k], jac[: k + 1, nk + k] = coef, -mg, g
@@ -484,9 +490,10 @@ def _face_step(stack: np.ndarray, scale: float, c, d, face: np.ndarray, x: np.nd
             x, y, lam, v = point
             yf[face] = y
             z, xf = yf @ flat / scale, x.reshape(-1)
-            zd = z.take(df) - lam
-            r = [(flat @ xf).take(face) / scale - v, [xf[:: n + 1].sum() - 1.0, y.sum() - 1.0],
-                 zd * xf.take(df)]
+            r = [(flat @ xf).take(face) / scale - v, [xf[:: n + 1].sum() - 1.0, y.sum() - 1.0]]
+            zd = z.take(df) - lam if nd else None
+            if nd:
+                r.append(zd * xf.take(df))
             eig = (zd, None, None, None, None, 0)
             if c is not None:
                 # Z_c's eigensystem, the eigenvectors S with zeta_j <= |X_jj| first
@@ -494,7 +501,7 @@ def _face_step(stack: np.ndarray, scale: float, c, d, face: np.ndarray, x: np.nd
                 zeta -= lam
                 xt = q.T @ xf.take(cf).reshape(nc, nc) @ q
                 small = zeta <= np.abs(xt.diagonal())
-                order = np.concatenate((np.flatnonzero(small), np.flatnonzero(~small)))
+                order = np.argsort(~small, kind="stable")
                 q, xt = q.take(order, axis=1), xt.take(order, axis=0).take(order, axis=1)
                 zeta = zeta[order]
                 h = np.add.outer(zeta, zeta) / 2.0
@@ -581,9 +588,10 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
             # the face guess, once the gap is small enough for it; a second attempt
             # starts from the incumbents that the first one's point improved
             for _ in range(2):
-                gap = upper - lower
+                if not cfg.gap_tol < (gap := upper - lower) <= _FACE_GAP * scale:
+                    break
                 face = np.flatnonzero(best[1] >= upper - _FACE_GAPS * gap)
-                if not (cfg.gap_tol < gap <= _FACE_GAP * scale and len(face) <= q + 1):
+                if len(face) > q + 1:
                     break
                 point = _face_step(stack, scale, c, d, face, best[0], best[2], lower, upper,
                                    cfg.gap_tol)
@@ -591,8 +599,9 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
                     break
             if on_bounds is not None:
                 on_bounds(k, upper, lower)
-            logger.debug("round %d: upper=%.12g lower=%.12g mu=%.3e", k, pays[0].max(), los[0],
-                         mu)
+            if logger.isEnabledFor(logging.DEBUG):
+                logger.debug("round %d: upper=%.12g lower=%.12g mu=%.3e", k, pays[0].max(),
+                             los[0], mu)
             if breakdown or upper - lower <= cfg.gap_tol or k == cfg.max_iters:
                 return upper, lower, best[0], best[2], k, scale
             # the damped iterate alone steers the working set

@@ -21,10 +21,15 @@ def _eigh_raw(a: np.ndarray):
     """(eigenvalues, eigenvectors) as LAPACK returns them: eigenvalues
     nondecreasing, column signs unfixed.
 
-    Callers only form U f(w) U^T (exponentials, clipped spectra), which
-    needs no sign fix: negating a column negates both factors of each of
-    its terms, which is exact in floating point, so the product's floats
-    are the same either way.
+    Callers form U f(w) U^T (exponentials, clipped spectra) and, in the
+    saddle solver's face step, Q^T M Q and Q M' Q^T, M' being computed in
+    Q's basis. None needs a sign fix. Negating column j of U negates both
+    factors of each of its terms in U f(w) U^T. Negating column j of Q
+    negates row and column j of Q^T M Q, term by term, and so of all that
+    the face step derives in that basis (its linear system's rows and
+    unknowns change sign alike, and partial pivoting reads magnitudes);
+    Q M' Q^T negates them back. Each negation is exact in floating point,
+    so the floats that leave these products are the same either way.
     """
     return np.linalg.eigh(a)
 

@@ -35,10 +35,14 @@ def test_medians_ratio_and_pairs_won():
         (103, "parent", line(0.029, 11, 2.0)), (103, "change", line(0.025, 10, 2.0)),
     ]), BETTER)["wide"]
     assert got["pairs"] == 3
+    # statistics.quantiles(n=4) of three values cuts at the values themselves
     assert got["pass_s"] == {"parent": 0.030, "change": 0.025,
-                             "ratio": pytest.approx(0.025 / 0.030), "better": 2}
+                             "ratio": pytest.approx(0.025 / 0.030), "better": 2,
+                             "quartiles": {"parent": [0.029, 0.030, 0.031],
+                                           "change": [0.024, 0.025, 0.033]}}
     assert got["rounds"] == {"parent": 11, "change": 10, "ratio": pytest.approx(10 / 11),
-                             "better": 3}
+                             "better": 3,
+                             "quartiles": {"parent": [11, 11, 11], "change": [10, 10, 10]}}
     # a higher-is-better metric counts the other way, and a tie wins for neither side
     assert got["score"]["better"] == 1
     assert got["failed"] == {"parent": 0, "change": 0}
@@ -57,6 +61,8 @@ def test_a_seed_with_one_side_only_is_no_pair_and_failures_are_summed():
     assert got["dense"]["pairs"] == 1
     assert got["dense"]["failed"] == {"parent": 1, "change": 1}
     assert got["dense"]["rounds"]["better"] == 0
+    # one pair: its value is all three quartiles
+    assert got["dense"]["pass_s"]["quartiles"] == {"parent": [0.013] * 3, "change": [0.012] * 3}
     assert got["games"]["correct"] is False
     assert got["games"]["pass_s"]["ratio"] == 1.0
 

@@ -14,8 +14,10 @@ runs ``benchmarks/run.py --trace 0`` once on each side, one run at a time, and
 alternates which side runs first from one pair to the next, so that a drift of
 the host's speed falls on both sides alike. The output file holds every run's
 last stdout line (the result) and a summary per workload and end-to-end metric:
-each side's median, the ratio of the medians (change / parent) and the number of
-pairs in which the change was better, as ``BENCHMARK.json`` defines better.
+each side's median and quartiles, the ratio of the medians (change / parent) and
+the number of pairs in which the change was better, as ``BENCHMARK.json`` defines
+better. A gain is resolved when the medians differ by more than the parent's
+interquartile range, the distance between its first and third quartiles.
 """
 
 import argparse
@@ -68,8 +70,15 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
+def quartiles(values: list) -> list:
+    """The three cut points of ``statistics.quantiles(values, n=4)``; a single value is
+    all three, as Python 3.13 and later return it."""
+    return statistics.quantiles(values, n=4) if len(values) > 1 else list(values) * 3
+
+
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per workload and metric: each side's median, their ratio and the pairs won.
+    """Per workload and metric: each side's median and quartiles, the ratio of the
+    medians and the pairs won.
 
     ``runs`` holds {"workload", "seed", "side", "result"} records, a result being
     ``benchmarks/run.py``'s last line; ``better`` maps a metric to "lower" or "higher".
@@ -89,11 +98,13 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             values = [[res["metrics"][metric]["value"] for res in p] for p in pairs]
             if not values:
                 continue
-            parent, change = (statistics.median(v[i] for v in values) for i in range(2))
+            sides = list(zip(*values))
+            parent, change = map(statistics.median, sides)
             wins = sum((c < p) if sense == "lower" else (c > p) for p, c in values)
             entry[metric] = {"parent": parent, "change": change,
                              "ratio": change / parent if parent else None,
-                             "better": wins}
+                             "better": wins,
+                             "quartiles": dict(zip(SIDES, map(quartiles, sides)))}
         summary[workload] = entry
     return summary
 
