@@ -19,13 +19,11 @@ starts at X = I/n, theta = 0.1 scale units from the boundary: the dual weights
 sum to 1 - theta, as they sum to 1 at every optimum, and the primal margin and
 the dual slacks' floor are theta (the start sized to the problem, as Mehrotra
 and SDPT3 size theirs).
-Coordinates whose rows are exactly zero off the diagonal in every A_i are
-isolated, and X keeps them as a vector of linear-programming variables
-beside s and delta (Todd, Toh & Tutuncu, SIAM J. Optim. 1998, carry LP
-blocks beside SDP blocks the same way); the other coordinates, the coupled
-ones, form one optional dense block beside that vector. Both are found
-exactly, without a tolerance. A diagonal family, the paper's classic game,
-has no block and is solved as a linear program.
+A diagonal family, the paper's classic game, has every A_i exactly zero off its
+diagonal (checked without a tolerance); X keeps its diagonal as a vector of
+linear-programming variables beside s and delta (Todd, Toh & Tutuncu, SIAM J.
+Optim. 1998, carry LP blocks beside SDP blocks the same way), and the family is
+solved as a linear program. Any other family keeps X as one dense n x n block.
 
 An interior point only approaches the optimal face, so each solve also tries to
 finish on it. Once the incumbents' gap is within a tenth of the scale, the face is
@@ -221,53 +219,53 @@ def _schur_cholesky(schur: np.ndarray) -> np.ndarray:
             schur.flat[:: len(schur) + 1] = diag + eps * diag.max()
 
 
-def _components(stack: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
-    """The coupled coordinates as one block, and the isolated coordinates.
-
-    Coordinate i is coupled when some A_k has a nonzero (i, j) entry with j != i, however
-    small. Returns (coupled, isolated), each sorted, with coupled None when no
-    coordinate is coupled.
-    """
+def _is_diagonal(stack: np.ndarray) -> bool:
+    """True when every A_k is exactly zero off its diagonal: an entry, however small,
+    makes the family not diagonal."""
     near = stack.any(axis=0)
     np.fill_diagonal(near, False)
-    coupled = near.any(axis=1)
-    return np.flatnonzero(coupled) if coupled.any() else None, np.flatnonzero(~coupled)
+    return not near.any()
 
 
-def _newton_steps(stack: np.ndarray, work, sigma: float, scale: float, c, d, warm=None):
+def _newton_steps(stack: np.ndarray, work, sigma: float, scale: float, diagonal: bool,
+                  warm=None):
     """Mehrotra predictor-corrector with the HKM direction on diag(X, s, delta).
 
     Top blocks F_k = A_k / scale + sigma*I for the m matrices of ``stack`` that the mask
-    ``work`` marks (k < m) and F_m = I; dual multipliers u, slacks (Z, w, z). X and Z
-    are held as one optional dense block X_c and Z_c on the coupled coordinates c (None
-    for no block), and as vectors x_d and z_d on the isolated coordinates d, as
-    ``_components`` splits them. The payoffs read no other entry of X, and pinching
-    keeps X in the spectraplex, so this is exact. x_d joins s and delta in one vector
+    ``work`` marks (k < m) and F_m = I; dual multipliers u, slacks (Z, w, z). A
+    ``diagonal`` family's X and Z are held as the vectors x_d and z_d of their
+    diagonals: the payoffs read no other entry of X, and pinching keeps X in the
+    spectraplex, so this is exact. Any other family's are one dense n x n block X_c
+    and Z_c, and x_d and z_d are empty. x_d joins s and delta in one vector
     v = (x_d, s, delta) with slack g = (z_d, w, z); G is the matrix of v's terms in the
-    m+1 constraints. The Schur matrix is G's term plus the block's; the residuals, mu
-    and the affine gap add the block's terms to the vector's, and each step length is
-    the lesser of the block's and the vector's.
+    m+1 constraints. The Schur matrix is x_d's term or the block's, plus s's and delta's;
+    the residuals, mu and the affine gap add the block's terms to the vector's, and each
+    step length is the lesser of the block's and the vector's.
 
     The start is strictly feasible, theta = ``_THETA`` from the boundary: X = I/n,
     delta = max_k <F_k, X> + theta and s_k = delta - <F_k, X>; u_k = -(1 - theta)/m,
-    and u_m is theta below the least of the pinched combination's eigenvalues,
-    lambda_min(((1 - theta) sum_k F_k / m)_c) and its diagonal on x_d, so that the least
-    of Z_c's eigenvalues and z_d is theta, w = (1 - theta)/m and z = theta.
+    and u_m is theta below the least eigenvalue of the combination (1 - theta) sum_k
+    F_k / m, read off its diagonal for a diagonal family, so that the least of Z_c's
+    eigenvalues or of z_d is theta, w = (1 - theta)/m and z = theta.
     ``warm`` = (X, u, kept), an earlier solve's on the matrices ``kept`` marks, makes
     the start 0.8 times it plus 0.2 times that point, margin 0.2 theta included, which
     is strictly feasible too. The residuals only absorb rounding
     drift. A Schur matrix that does not factor is retried with a growing multiple of
     its largest diagonal entry added to its diagonal (``_schur_cholesky``). Each
-    Newton step yields (X, U, mu, False), stacks of the full X (from X_c and x_d) and
-    of u at the damped iterate, then at the undamped Newton point X_c + dX_c, v + dv,
-    u + du; a Cholesky breakdown that no retry mends yields the iterate it started
-    from alone with True, and ends the iteration.
+    Newton step yields (X, U, mu, False), stacks of the n x n X and of u at the damped
+    iterate, then at the undamped Newton point X + dX, v + dv, u + du; a Cholesky
+    breakdown that no retry mends yields the iterate it started from alone with True,
+    and ends the iteration.
     """
     m, n = int(work.sum()), stack.shape[1]
-    nd = len(d)
+    i = np.arange(n)
     tops = np.concatenate([_shifted(stack[work], sigma, scale), np.eye(n)[None]])
-    fd, f = tops[:, d, d], None if c is None else tops[:, c[:, None], c]
-    del tops  # fd and f are copies; freeing it lowers the solver's peak memory
+    # x_d's diagonals of the tops, or the block's tops with x_d empty: fancy-indexed
+    # copies, whose layout the products below read bit for bit; freeing tops lowers
+    # the solver's peak memory
+    fd, f = (tops[:, i, i], None) if diagonal else (np.zeros((m + 1, 0)), tops[:, i[:, None], i])
+    del tops
+    nd = fd.shape[1]
     cost = np.zeros(nd + m + 1)
     cost[-1] = 1.0
 
@@ -283,19 +281,22 @@ def _newton_steps(stack: np.ndarray, work, sigma: float, scale: float, c, d, war
 
     v, u = np.full(nd + m + 1, 1.0 / n), np.append(np.full(m, (_THETA - 1.0) / m), 0.0)
     x = z = None
-    least = np.inf  # lambda_min of the pinched (1 - theta) sum_k F_k / m on the block
-    if c is not None:
-        ff, x = f.reshape(m + 1, -1), np.eye(len(c)) / n
+    least = np.inf  # lambda_min of (1 - theta) sum_k F_k / m on the block
+    if not diagonal:
+        ff, x = f.reshape(m + 1, -1), np.eye(n) / n
         least = _eigvals_raw(-(u @ ff).reshape(x.shape))[0]
     u[m] = (-(u @ fd)).min(initial=least) - _THETA
     margin = _THETA
     if warm is not None:
         last, u_last, kept = warm
-        v[:nd], u, margin = 0.8 * last[d, d] + 0.2 * v[:nd], 0.2 * u, 0.2 * _THETA
+        u, margin = 0.2 * u, 0.2 * _THETA
         u[np.append(kept, True)] += 0.8 * u_last
-        x = None if c is None else 0.8 * last[c[:, None], c] + 0.2 * x
+        if diagonal:
+            v[:n] = 0.8 * last.diagonal() + 0.2 * v[:n]
+        else:
+            x = 0.8 * last + 0.2 * x
     v[nd:-1] = fd[:m] @ v[:nd]  # <F_k, X> until s is set
-    if c is not None:
+    if not diagonal:
         v[nd:-1] += ff[:m] @ x.reshape(-1)
         z = -(u @ ff).reshape(x.shape)
     v[-1] = v[nd:-1].max() + margin
@@ -306,17 +307,15 @@ def _newton_steps(stack: np.ndarray, work, sigma: float, scale: float, c, d, war
         # one predictor-corrector step: (xs, Z_c, vs, us, g) after it; its temporaries die
         # with it, before the caller brackets and attempts the face
         rp, rg, r = -lp(v), cost - lp_t(u) - g, v / g
-        # the sum starts from its first term, the LP one if there are LP variables
-        schur = (fd * r[:nd]) @ fd.T if nd else None
-        if c is not None:
+        if diagonal:
+            schur = (fd * r[:n]) @ fd.T
+        else:
             rp -= ff @ x.reshape(-1)
             rd = -(u @ ff).reshape(z.shape) - z
             # the inverse Cholesky factors of X and Z, and Z^-1
             rr = np.linalg.inv(np.linalg.cholesky(np.array((x, z))))
             zi = rr[1].T @ rr[1]
-            term = ff @ (x @ f @ zi).reshape(m + 1, -1).T
-            schur = term if schur is None else np.add(schur, term, out=schur)
-            del term  # so the term does not outlive its addition
+            schur = ff @ (x @ f @ zi).reshape(m + 1, -1).T
             xrz = x @ rd @ zi
         rp[m] += 1.0
         # s/w + delta/z on the diagonal and delta/z off it, added in place
@@ -330,12 +329,12 @@ def _newton_steps(stack: np.ndarray, work, sigma: float, scale: float, c, d, war
         def newton(rczi, rcv):
             # X dZ + dX Z = Rc and v dg + dv g = rcv, rczi being Rc Z^-1 on the block,
             # and the step lengths: 0.95 of the way to each cone's boundary, at most 1
-            rhs = rp if c is None else rp - ff @ (rczi - xrz).reshape(-1)
+            rhs = rp if diagonal else rp - ff @ (rczi - xrz).reshape(-1)
             du = li.T @ (li @ (rhs - lp((rcv - v * rg) / g)))
             dg = rg - lp_t(du)
             dv = (rcv - v * dg) / g
             ap, ad = max(-(dv / v).min(), 0.95), max(-(dg / g).min(), 0.95)
-            if c is None:
+            if diagonal:
                 return None, dv, du, None, dg, 0.95 / ap, 0.95 / ad
             dz = rd - (du @ ff).reshape(rd.shape)
             dx = rczi - x @ dz @ zi
@@ -343,41 +342,40 @@ def _newton_steps(stack: np.ndarray, work, sigma: float, scale: float, c, d, war
             low = _eigvals_raw(rr @ np.stack((dx, dz)) @ rr.transpose(0, 2, 1))[:, 0]
             return dx, dv, du, dz, dg, 0.95 / max(ap, -low[0]), 0.95 / max(ad, -low[1])
 
-        dx, dv, du, dz, dg, ap, ad = newton(None if c is None else -x, -v * g)
+        dx, dv, du, dz, dg, ap, ad = newton(None if diagonal else -x, -v * g)
         gap_aff = (v + ap * dv) @ (g + ad * dg)
-        if c is not None:
+        if not diagonal:
             gap_aff = gap_aff + np.vdot(x + ap * dx, z + ad * dz)
         tau = mu * min(1.0, gap_aff / (mu * (n + m + 1))) ** 3
-        rczi = None if c is None else tau * zi - x - dx @ dz @ zi
+        rczi = None if diagonal else tau * zi - x - dx @ dz @ zi
         dx, dv, du, dz, dg, ap, ad = newton(rczi, tau - v * g - dv * dg)
-        return (None if c is None else np.array((x + ap * dx, x + dx)),
-                None if c is None else z + ad * dz, np.array((v + ap * dv, v + dv)),
+        return (None if diagonal else np.array((x + ap * dx, x + dx)),
+                None if diagonal else z + ad * dz, np.array((v + ap * dv, v + dv)),
                 np.array((u + ad * du, u + du)), g + ad * dg)
 
     breakdown = False
     while not breakdown:
         # mu before any factorisation, so that a breakdown round logs it
-        mu = (v @ g if c is None else v @ g + np.vdot(x, z)) / (n + m + 1)
+        mu = (v @ g if diagonal else v @ g + np.vdot(x, z)) / (n + m + 1)
         try:
             xs, z, vs, us, g = step(x, z, v, u, g, mu)
-            x, v, u = None if c is None else xs[0], vs[0], us[0]
+            x, v, u = None if diagonal else xs[0], vs[0], us[0]
         except np.linalg.LinAlgError:
-            breakdown, vs, us, xs = True, v[None], u[None], None if c is None else x[None]
-        full = np.zeros((len(vs), n, n))
-        full[:, d, d] = vs[:, :nd]
-        if c is not None:
-            full[:, c[:, None], c] = xs
-        yield full, us, mu, breakdown
+            breakdown, vs, us, xs = True, v[None], u[None], None if diagonal else x[None]
+        if diagonal:  # X is the diagonal matrix of x_d
+            xs = np.zeros((len(vs), n, n))
+            xs[:, i, i] = vs[:, :n]
+        yield xs, us, mu, breakdown
 
 
-def _face_step(stack: np.ndarray, scale: float, c, d, face: np.ndarray, x: np.ndarray,
-               y: np.ndarray, lower: float, upper: float, tol: float):
+def _face_step(stack: np.ndarray, scale: float, diagonal: bool, face: np.ndarray,
+               x: np.ndarray, y: np.ndarray, lower: float, upper: float, tol: float):
     """Gauss-Newton on the optimality system of the face ``face``, from the incumbents.
 
-    In units of the scale, the unknowns are X on the solver's split (the block X_c on
-    the coupled coordinates c, None for no block, and the vector x_d on the isolated ones
-    d), y on the face, lambda and v; the equations are <A_i, X> = v on the face, tr X =
-    1, sum y = 1, sym(Z_c X_c) = 0 and z_d * x_d = 0, with Z = sum_face y_i A_i - lambda I.
+    In units of the scale, the unknowns are X (the vector x_d of its diagonal for a
+    ``diagonal`` family, one dense block X_c for any other), y on the face, lambda and
+    v; the equations are <A_i, X> = v on the face, tr X = 1, sum y = 1, and z_d * x_d =
+    0 or sym(Z_c X_c) = 0, with Z = sum_face y_i A_i - lambda I.
     The system is square, and at a strictly complementary, nondegenerate optimum its
     Jacobian is regular (Alizadeh, Haeberly & Overton, Math. Program. 1997), so Newton
     converges quadratically there; a diagonal family is the linear program's case (Ye,
@@ -387,25 +385,22 @@ def _face_step(stack: np.ndarray, scale: float, c, d, face: np.ndarray, x: np.nd
     largest residual is ``_FACE_TARGET`` times the gap target ``tol`` or less, after
     ``_FACE_ITERS`` steps, or as soon as a step does not shrink it (a step that cannot
     be solved for does not). One debug line logs |face|, the steps taken and
-    "converged", "capped" or "stalled". Returns the full n x n X and the m weights, zero
+    "converged", "capped" or "stalled". Returns the n x n X and the m weights, zero
     off the face, of the last point that shrank the residual, neither of them clipped,
     or None if no step did.
     """
     m, n, _ = stack.shape
-    k, nc, nd, flat = len(face), 0 if c is None else len(c), len(d), stack.reshape(m, -1)
-    # the flat indices of the block's entries and of the diagonal on d; the face's
-    # diagonals on d, in units of the scale, and the trace's
-    cf, df = None if c is None else (c[:, None] * n + c).reshape(-1), d * (n + 1)
-    if nd:
-        pd = np.ones((k + 1, nd))
-        pd[:k] = flat.take(df, axis=1).take(face, axis=0) / scale
+    k, flat = len(face), stack.reshape(m, -1)
+    if diagonal:  # the face's diagonals, in units of the scale, and the trace's
+        pd = np.ones((k + 1, n))
+        pd[:k] = flat[:, :: n + 1].take(face, axis=0) / scale
     pairs, yf = {}, np.zeros(m)  # the kept pairs of S x S by |S|; weights on all m
 
     def newton(point, eig):
         # One Newton step at point = (X, y, lambda, v), the minimum-norm one where the
         # Jacobian is singular; LinAlgError if even that fails.
         # The coordinates with a small diagonal term are kept: x_d's with z_j <= |x_j|,
-        # and X_c's entries (j <= l) between the eigenvectors S, the first ns, those
+        # or X_c's entries (j <= l) between the eigenvectors S, the first ns, those
         # with zeta_j <= |X_jj|. The others are eliminated, X + dX = -(sym(dZ X) -
         # dlambda X) / h on them (h = z_j, or (zeta_j + zeta_l)/2 in Z_c's eigenbasis),
         # and the kept ones are solved for with dy, dlambda and dv. Of the eliminated
@@ -413,22 +408,21 @@ def _face_step(stack: np.ndarray, scale: float, c, d, face: np.ndarray, x: np.nd
         # they vanish on the face, so the step still converges quadratically, and it
         # reads the rotated face on the columns S only, not as a (k, n, n) array.
         x, y, lam, v = point
-        zd, zeta, q, xt, h, ns = eig
         # the Jacobian's columns: the kept coordinates' new values, dy, dlambda and
         # dv; its rows: the face's payoffs, the trace, sum y, the kept complementarity
-        blocks, mg, g = [], np.zeros((k + 1, k)), np.zeros(k + 1)
-        if nd:
-            xd = x.take(df)
+        if diagonal:
+            zd, xd = eig, x.diagonal()
             keep = zd <= np.abs(xd)
             wd = np.where(keep, 0.0, 1.0 / zd)
             pw = pd * wd
             mg, g = pw @ (pd[:k] * xd).T, pw @ xd
-            blocks.append((pd.compress(keep, axis=1), zd[keep],
-                           pd[:k].compress(keep, axis=1) * xd[keep], xd[keep]))
-        if c is not None:
+            coef, hk, bk, xk = (pd.compress(keep, axis=1), zd[keep],
+                                pd[:k].compress(keep, axis=1) * xd[keep], xd[keep])
+        else:
+            q, xt, h, ns = eig
             if ns not in pairs:
                 tj, tl = np.nonzero(np.tri(ns, dtype=bool).T)
-                pairs[ns] = (tj * ns + tl, tl * ns + tj, tj * nc + tl, tl * nc + tj,
+                pairs[ns] = (tj * ns + tl, tl * ns + tj, tj * n + tl, tl * n + tj,
                              np.where(tj == tl, 1.0, 2.0))
             ps, ts, pc, tc, mult = pairs[ns]
             w = 1.0 / h
@@ -436,24 +430,21 @@ def _face_step(stack: np.ndarray, scale: float, c, d, face: np.ndarray, x: np.nd
             # T_i = Q^T A_i Q_S, and the identity's; X T_i on the rows S, whose
             # symmetric part is sym(A_i X) on S x S; W o (T_i X_SS + X T_i) on the rows
             # off S, which is 2 W o sym(A_i X) there less the dropped terms, and W o X
-            qs = np.zeros((n, ns))
-            qs[c] = q[:, :ns]
-            tq = np.empty((k + 1, nc, ns))
-            tq[:k] = q.T @ (stack @ qs).take(face, axis=0).take(c, axis=1)
+            tq = np.empty((k + 1, n, ns))
+            tq[:k] = q.T @ (stack @ q[:, :ns]).take(face, axis=0)
             tq[:k] /= scale
-            tq[k] = np.eye(nc, ns)
+            tq[k] = np.eye(n, ns)
             ys = (xt[:ns] @ tq[:k]).reshape(k, -1)
-            r = np.empty((k + 1, nc - ns, ns))
+            r = np.empty((k + 1, n - ns, ns))
             r[:k] = xt[ns:] @ tq[:k] + tq[:k, ns:] @ xt[:ns, :ns]
             r[k] = xt[ns:, :ns]
             r *= w[ns:, :ns]
             r = tq[:, ns:].reshape(k + 1, -1) @ r.reshape(k + 1, -1).T
-            mg, g = mg + r[:, :k], g + r[:, k]
-            blocks.append((tq[:, :ns].reshape(k + 1, -1).take(ps, axis=1) * mult, h.take(pc),
-                           (ys.take(ps, axis=1) + ys.take(ts, axis=1)) / 2.0, xt.take(pc)))
-            del tq, r, ys  # dead once the blocks are formed; freeing them lowers the peak
-        coef, hk, bk, xk = blocks[0] if len(blocks) == 1 else (
-            np.concatenate(b, axis=-1) for b in zip(*blocks))
+            mg, g = r[:, :k], r[:, k]
+            coef, hk, bk, xk = (tq[:, :ns].reshape(k + 1, -1).take(ps, axis=1) * mult,
+                                h.take(pc), (ys.take(ps, axis=1) + ys.take(ts, axis=1)) / 2.0,
+                                xt.take(pc))
+            del tq, ys  # dead once the columns are formed; freeing them lowers the peak
         nk = len(hk)
         jac = np.zeros((nk + k + 2, nk + k + 2))
         jac[: k + 1, :nk], jac[: k + 1, nk: nk + k], jac[: k + 1, nk + k] = coef, -mg, g
@@ -470,18 +461,20 @@ def _face_step(stack: np.ndarray, scale: float, c, d, face: np.ndarray, x: np.nd
         dy, dlam = sol[nk: nk + k], sol[nk + k]
         # sum_face dy_i A_i = dZ + dlambda I, and X + dX
         yf[face] = dy
-        dz, x = yf @ flat / scale, np.zeros(n * n)
-        if nd:
-            xd = -wd * (dz.take(df) - dlam) * xd
-            xd[keep] = sol[: int(keep.sum())]
-            x.put(df, xd)
-        if c is not None:
-            xs = q.T @ dz.take(cf).reshape(nc, nc) @ q @ xt
+        dz = yf @ flat / scale
+        if diagonal:
+            xd = -wd * (dz[:: n + 1] - dlam) * xd
+            xd[keep] = sol[:nk]
+            # not np.diag(xd): it writes through .flat, which allocates about 4 KiB
+            x = np.zeros((n, n))
+            x.reshape(-1)[:: n + 1] = xd
+        else:
+            xs = q.T @ dz.reshape(n, n) @ q @ xt
             xs = -w * ((xs + xs.T) / 2.0 - dlam * xt)
-            xs.put(pc, sol[nk - len(pc): nk])
-            xs.put(tc, sol[nk - len(pc): nk])
-            x.put(cf, q @ xs @ q.T)
-        return x.reshape(n, n), y + dy, lam + dlam, v + sol[-1]
+            xs.put(pc, sol[:nk])
+            xs.put(tc, sol[:nk])
+            x = q @ xs @ q.T
+        return x, y + dy, lam + dlam, v + sol[-1]
 
     point = start = (x, y[face], lower / scale, upper / scale)
     best, res_best, its, outcome = None, np.inf, 0, "capped"
@@ -491,21 +484,20 @@ def _face_step(stack: np.ndarray, scale: float, c, d, face: np.ndarray, x: np.nd
             yf[face] = y
             z, xf = yf @ flat / scale, x.reshape(-1)
             r = [(flat @ xf).take(face) / scale - v, [xf[:: n + 1].sum() - 1.0, y.sum() - 1.0]]
-            zd = z.take(df) - lam if nd else None
-            if nd:
-                r.append(zd * xf.take(df))
-            eig = (zd, None, None, None, None, 0)
-            if c is not None:
+            if diagonal:
+                eig = z[:: n + 1] - lam
+                r.append(eig * xf[:: n + 1])
+            else:
                 # Z_c's eigensystem, the eigenvectors S with zeta_j <= |X_jj| first
-                zeta, q = _eigh_raw(z.take(cf).reshape(nc, nc))
+                zeta, q = _eigh_raw(z.reshape(n, n))
                 zeta -= lam
-                xt = q.T @ xf.take(cf).reshape(nc, nc) @ q
+                xt = q.T @ x @ q
                 small = zeta <= np.abs(xt.diagonal())
                 order = np.argsort(~small, kind="stable")
                 q, xt = q.take(order, axis=1), xt.take(order, axis=0).take(order, axis=1)
                 zeta = zeta[order]
                 h = np.add.outer(zeta, zeta) / 2.0
-                eig = (zd, zeta, q, xt, h, int(small.sum()))
+                eig = (q, xt, h, int(small.sum()))
                 r.append((h * xt).reshape(-1))
             res = np.abs(np.concatenate(r)).max()
             if not res < res_best:
@@ -536,10 +528,11 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
 
     ``spectra`` (each A_k's eigenvalues, in any order) give the scale max_i ||A_i||_2
     and sigma = max(0, -min_i lambda_min(A_i) / scale) + 1. W starts as the 3q matrices
-    of largest trace, ties to the lower index, q = |d| + |c|(|c|+1)/2 being X's free
-    coordinates. After each step, the damped iterate and the Newton point, their full
-    X and their -u[:-1] zero off W, are clipped and bracketed on the whole stack by
-    ``_bracket``, one eigh and one eigenvalue call on the pair. Then, while the gap of
+    of largest trace, ties to the lower index, q being X's free coordinates: n for a
+    diagonal family (``_is_diagonal``), n(n+1)/2 for any other. After each step, the
+    damped iterate and the Newton point, their X and their -u[:-1] zero off W, are
+    clipped and bracketed on the whole stack by ``_bracket``, one eigh and one
+    eigenvalue call on the pair. Then, while the gap of
     the incumbents exceeds cfg.gap_tol but is at most ``_FACE_GAP`` times the scale,
     the face is guessed as the matrices whose payoffs at the incumbent x_bar, already
     computed, are within ``_FACE_GAPS`` gaps of the incumbent upper bound; if it holds
@@ -559,9 +552,9 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
     scale = float(np.abs(spectra).max())
     if scale == 0.0:
         return 0.0, 0.0, np.eye(n) / n, np.full(m, 1.0 / m), 0, scale
-    (c, d), sigma = _components(stack), _shift(spectra, scale)
+    diagonal, sigma = _is_diagonal(stack), _shift(spectra, scale)
     work = np.zeros(m, dtype=bool)
-    q = len(d) + (0 if c is None else len(c) * (len(c) + 1) // 2)
+    q = n if diagonal else n * (n + 1) // 2
     work[np.argsort(-stack.trace(axis1=1, axis2=2), kind="stable")[: 3 * q]] = True
     upper, lower, k, warm = np.inf, -np.inf, 0, None
     best = [None, None, None]  # the incumbent x_bar, its payoffs, and y_bar
@@ -579,7 +572,7 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
         return (upper, lower) != was
 
     while True:
-        for full, us, mu, breakdown in _newton_steps(stack, work, sigma, scale, c, d, warm):
+        for full, us, mu, breakdown in _newton_steps(stack, work, sigma, scale, diagonal, warm):
             k += 1
             ys = np.zeros((len(us), m))
             ys[:, work] = -us[:, :-1]
@@ -593,7 +586,7 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
                 face = np.flatnonzero(best[1] >= upper - _FACE_GAPS * gap)
                 if len(face) > q + 1:
                     break
-                point = _face_step(stack, scale, c, d, face, best[0], best[2], lower, upper,
+                point = _face_step(stack, scale, diagonal, face, best[0], best[2], lower, upper,
                                    cfg.gap_tol)
                 if point is None or not better(*_bracket(stack, *(a[None] for a in point))):
                     break

@@ -25,7 +25,12 @@ def random_orthogonal(rng, n):
 
 
 def peak_bytes(fn):
-    """The tracemalloc peak, in bytes, of one call of fn()."""
+    """The tracemalloc peak, in bytes, of one call of fn(), after one untraced call.
+
+    The untraced call warms the process: the small blocks that numpy and Python keep
+    for reuse are allocated once before the peak is read, so it measures fn() itself
+    rather than what the process did before."""
+    fn()
     tracemalloc.start()
     try:
         fn()

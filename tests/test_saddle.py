@@ -231,14 +231,19 @@ class TestSolveMinimax:
         assert max(cert.lower, loose.lower) <= min(cert.upper, loose.upper)
         assert cert.gap <= 2e-8 * scale
 
-    @pytest.mark.parametrize("shape", [(6, 4), (8, 6), (10, 8), "two-block"],
-                             ids=["6x4", "8x6", "10x8", "two-block"])
+    @pytest.mark.parametrize("shape", [(6, 4), (8, 6), (10, 8), "two-block", "game"],
+                             ids=["6x4", "8x6", "10x8", "two-block", "game"])
     @pytest.mark.parametrize("solve", [solve_minimax, solve_maximin])
     def test_a_breakdown_at_step_1_yields_the_start(self, rng, monkeypatch, solve, shape):
         # every Cholesky factorisation fails, so the one round yields the cold start: X =
         # I/n, weights (1 - theta)/m summing to 1 - theta, and u_m theta below the least
-        # eigenvalue of the pinched combination, theta = 0.1 in units of the scale
-        inst = two_block_family(rng, 3) if shape == "two-block" else symmetric_family(rng, *shape)
+        # eigenvalue of the combination, theta = 0.1 in units of the scale
+        if shape == "two-block":
+            inst = two_block_family(rng, 3)
+        elif shape == "game":
+            inst = InstanceSet([np.diag(r) for r in rng.standard_normal((3, 5))])
+        else:
+            inst = symmetric_family(rng, *shape)
         m, n, _ = inst.stacked.shape
         steps, seen = saddle._newton_steps, []
 
@@ -254,18 +259,19 @@ class TestSolveMinimax:
             patch.setattr(saddle, "_newton_steps", recorded)
             patch.setattr(np.linalg, "cholesky", failing)
             assert solve(inst).iterations == 1
-        [((stack, work, sigma, scale, c, d, warm), (full, us, mu, breakdown))] = seen
+        [((stack, work, sigma, scale, diagonal, warm), (full, us, mu, breakdown))] = seen
         assert breakdown and warm is None and work.all()
         assert full.tobytes() == (np.eye(n) / n)[None].tobytes()
         assert (-us[0, :m] == (1.0 - 0.1) / m).all()
-        pinched = (1.0 - 0.1) / m * (stack / scale + sigma * np.eye(n)).sum(axis=0)
-        least = pinched[d, d].min(initial=np.inf)
-        if c is not None:
-            least = min(least, np.linalg.eigvalsh(pinched[np.ix_(c, c)])[0])
+        combination = (1.0 - 0.1) / m * (stack / scale + sigma * np.eye(n)).sum(axis=0)
+        # a diagonal family's least eigenvalue is read off the diagonal; the two-block
+        # family is not diagonal, so its isolated coordinates join the one 7x7 block
+        assert diagonal == (shape == "game")
+        least = combination.diagonal().min() if diagonal else np.linalg.eigvalsh(combination)[0]
         assert us[0, m] == pytest.approx(least - 0.1, abs=1e-12)
         # on the dense shapes the start's duality gap is below 1 scale unit (it was about
         # 3.2 when the weights summed to 1/2)
-        if shape != "two-block":
+        if shape not in ("two-block", "game"):
             assert mu * (n + m + 1) < 1.0
 
     def test_a_breakdown_round_logs_the_mu_of_its_iterate(self, rng, monkeypatch, caplog):
@@ -531,24 +537,31 @@ def two_block_family(rng, m):
     return InstanceSet(mats)
 
 
-class TestIsolatedCoordinates:
-    """Coordinates with exactly zero off-diagonal rows are carried as a vector."""
-
-    def test_block_and_vector_family_brackets_the_value_of_its_rotation(self, rng):
-        inst = block_diagonal_family(rng, 3)
-        q = random_orthogonal(rng, 4)
-        rotated = InstanceSet([q @ a @ q.T for a in inst.stacked])
+def assert_brackets_the_value_of_its_rotation(inst, q):
+    """Both solves of ``inst`` and of its rotation Q A_i Q^T converge at relative gap
+    1e-8, recompute bit for bit, and bracket one value for each sense."""
+    rotated = InstanceSet([q @ a @ q.T for a in inst.stacked])
+    for solve in (solve_minimax, solve_maximin):
         certs = []
         for family in (inst, rotated):
             scale = float(np.abs(np.linalg.eigvalsh(family.stacked)).max())
-            cert = solve_minimax(family, SaddleConfig(gap_tol=1e-8 * scale))
-            assert cert.converged
-            assert upper_value(cert.x_bar, family) == cert.upper
-            assert lower_value(cert.y_bar, family) == cert.lower
+            cert = solve(family, SaddleConfig(gap_tol=1e-8 * scale))
+            assert cert.converged, solve.__name__
+            assert_bounds_recompute(solve, cert, family, solve.__name__)
             certs.append(cert)
         a, b = certs
         # one value lies in both brackets
-        assert max(a.lower, b.lower) <= min(a.upper, b.upper) + 1e-12
+        assert max(a.lower, b.lower) <= min(a.upper, b.upper) + 1e-12, solve.__name__
+
+
+class TestIsolatedCoordinates:
+    """A diagonal family's coordinates are carried as a vector; a family with some
+    isolated coordinates, rows exactly zero off the diagonal, and some coupled ones is
+    not diagonal, and all its coordinates form one block."""
+
+    def test_block_and_vector_family_brackets_the_value_of_its_rotation(self, rng):
+        inst = block_diagonal_family(rng, 3)
+        assert_brackets_the_value_of_its_rotation(inst, random_orthogonal(rng, 4))
 
     GAME = ([3.0, -1.0, 0.0], [-2.0, 2.0, 1.0], [0.0, 1.0, -1.0])
 
@@ -596,8 +609,9 @@ class TestIsolatedCoordinates:
         log = LapackLog(monkeypatch)
         cert = solve_minimax(inst)
         assert cert.converged
-        # coordinates 0 and 2 form a 2x2 block: X and Z are factored together
-        assert log.calls["cholesky"].count((2, 2, 2)) == cert.iterations
+        # the family is not diagonal, so all three coordinates form one block, isolated
+        # coordinate 1 included: X and Z are factored together once per Newton step
+        assert log.calls["cholesky"].count((2, 3, 3)) == cert.iterations
         assert upper_value(cert.x_bar, inst) == cert.upper
         assert lower_value(cert.y_bar, inst) == cert.lower
 
@@ -640,45 +654,34 @@ class TestIsolatedCoordinates:
         assert converged >= 27
 
 
-def bfs_components(stack):
-    """The components by breadth-first search over the coupled coordinates."""
-    off = stack.any(axis=0)
-    np.fill_diagonal(off, False)
-    free = off.any(axis=1)
-    isolated, blocks = np.flatnonzero(~free), []
-    near = off | np.eye(len(off), dtype=bool)
-    while free.any():
-        block = near[np.argmax(free)]
-        while (block != (grown := near[block].any(axis=0))).any():
-            block = grown
-        free &= ~block
-        blocks.append(np.flatnonzero(block))
-    return blocks, isolated
-
-
 class TestComponents:
-    """The coupled coordinates form one dense block; the others are isolated."""
+    """A diagonal family is a linear program; in any other, every coordinate joins one
+    dense block."""
 
-    def test_components_of_an_interleaved_family(self, rng):
-        coupled, isolated = saddle._components(two_block_family(rng, 3).stacked)
-        assert coupled.tolist() == [1, 2, 4, 5, 6]
-        assert isolated.tolist() == [0, 3]
+    def test_an_interleaved_family_is_not_diagonal(self, rng):
+        # two blocks and two isolated coordinates: one 7x7 block
+        assert not saddle._is_diagonal(two_block_family(rng, 3).stacked)
+        assert not saddle._is_diagonal(block_diagonal_family(rng, 3).stacked)
 
-    def test_components_of_a_path_and_of_a_dense_family(self, rng):
-        # a path 4 - 0 - 2 is one component, found through its middle coordinate
+    def test_only_an_exactly_diagonal_family_is_diagonal(self, rng):
+        # a path 4 - 0 - 2 couples three coordinates and leaves two isolated
         a = np.zeros((2, 5, 5))
         a[0, 0, 4] = a[0, 4, 0] = a[1, 0, 2] = a[1, 2, 0] = 1.0
-        coupled, isolated = saddle._components(a)
-        assert coupled.tolist() == [0, 2, 4] and isolated.tolist() == [1, 3]
-        coupled, isolated = saddle._components(random_instance(rng, 4, 2).stacked)
-        assert coupled.tolist() == [0, 1, 2, 3] and isolated.size == 0
-        # a diagonal family has no coupled coordinate
-        coupled, isolated = saddle._components(np.stack([np.eye(3), np.diag([1.0, 2.0, 3.0])]))
-        assert coupled is None and isolated.tolist() == [0, 1, 2]
+        assert not saddle._is_diagonal(a)
+        assert not saddle._is_diagonal(random_instance(rng, 4, 2).stacked)
+        # one entry of 1e-300 off the diagonal is enough
+        a = np.stack([np.eye(3), np.diag([1.0, 2.0, 3.0])])
+        assert saddle._is_diagonal(a)
+        a[1, 0, 2] = a[1, 2, 0] = 1e-300
+        assert not saddle._is_diagonal(a)
+        # a family of 1x1 matrices, and an all-zero one, are diagonal
+        assert saddle._is_diagonal(np.ones((3, 1, 1)))
+        assert saddle._is_diagonal(np.zeros((2, 3, 3)))
 
-    def test_components_match_a_breadth_first_search(self, monkeypatch):
-        # on every fuzz family and every benchmark instance the coupled coordinates
-        # are at most one connected component, so the one block loses no structure
+    def test_no_fuzz_or_benchmark_family_is_partial(self, monkeypatch):
+        # every fuzz family and every benchmark instance is diagonal or has no isolated
+        # coordinate, so folding the isolated coordinates of a partial family into its
+        # block costs none of them anything
         stacks = []
         for kind, seed in FUZZ_SEEDS:
             family = np.random.default_rng(seed)
@@ -690,19 +693,19 @@ class TestComponents:
         monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks it up
         spec.loader.exec_module(workloads)
         for workload in workloads.WORKLOADS:
-            for seed in (101, 102, 103):
+            for seed in range(101, 111):
                 stacks.extend(c.matrices for c in workloads.make_cases(workload, seed))
+        diagonal = 0
         for stack in stacks:
-            coupled, isolated = saddle._components(stack)
-            want_blocks, want_isolated = bfs_components(stack)
-            assert len(want_blocks) <= 1
-            if want_blocks:
-                assert coupled.tolist() == want_blocks[0].tolist()
-                assert coupled.dtype == want_blocks[0].dtype
+            off = stack.any(axis=0)
+            np.fill_diagonal(off, False)
+            if saddle._is_diagonal(stack):
+                diagonal += 1
             else:
-                assert coupled is None
-            assert isolated.tolist() == want_isolated.tolist()
-            assert isolated.dtype == want_isolated.dtype
+                assert off.any(axis=1).all()
+        # 141 of the fuzz's 400 families (its diagonal ones and those with n = 1) and the
+        # 60 games of the benchmark's 120 instances
+        assert len(stacks) == 400 + 120 and diagonal == 141 + 60
 
     def test_the_coupled_coordinates_are_factored_as_one_block(self, rng, monkeypatch):
         inst, m = two_block_family(rng, 3), 3
@@ -711,10 +714,11 @@ class TestComponents:
             cert = solve_minimax(inst)
         k = cert.iterations
         assert cert.converged
-        # per Newton step: the (X, Z) pair of the block on the five coupled coordinates,
-        # then the Schur matrix; the face steps factor neither
-        assert log.calls["cholesky"] == [(2, 5, 5), (m + 1, m + 1)] * k
-        assert log.calls["inv"] == [(2, 5, 5), (m + 1, m + 1)] * k
+        # per Newton step: the (X, Z) pair of the one block, on all seven coordinates (the
+        # isolated 0 and 3 join the five coupled ones), then the Schur matrix; the face
+        # steps factor neither
+        assert log.calls["cholesky"] == [(2, 7, 7), (m + 1, m + 1)] * k
+        assert log.calls["inv"] == [(2, 7, 7), (m + 1, m + 1)] * k
         # four face steps: two after step 2, the second from the incumbents the first
         # one's point improved, without a point, then one after each of steps 3 and 4,
         # each with a point; each eigendecomposes the block's Z once per residual it
@@ -722,34 +726,22 @@ class TestComponents:
         assert [(at, point) for at, _, point in log.faces] == [
             (2, True), (2, False), (3, True), (4, True)]
         assert [made for _, made, _ in log.faces] == [
-            dict(cholesky=[], inv=[], eigh=[(5, 5)] * e, eigvals=[], checks=[])
+            dict(cholesky=[], inv=[], eigh=[(7, 7)] * e, eigvals=[], checks=[])
             for e in (3, 2, 5, 2)]
-        # the bracket reads the full 7x7 X of the damped iterate and of the Newton point,
-        # then of the face step's point
+        # the bracket reads the 7x7 X of the damped iterate and of the Newton point, then
+        # of the face step's point
         assert log.calls["eigh"] == log.expected("eigh", k, [(2, 7, 7)], (1, 7, 7))
         # the dual start's least eigenvalue on the block; per step, the predictor's and
         # the corrector's step lengths on the block's pair, and the bracket's two
         # combinations, then the face step's
         assert log.calls["eigvals"] == log.expected(
-            "eigvals", k, [(2, 5, 5), (2, 5, 5), (2, 7, 7)], (1, 7, 7), start=[(5, 5)])
+            "eigvals", k, [(2, 7, 7), (2, 7, 7), (2, 7, 7)], (1, 7, 7), start=[(7, 7)])
         assert upper_value(cert.x_bar, inst) == cert.upper
         assert lower_value(cert.y_bar, inst) == cert.lower
 
     def test_two_block_family_brackets_the_value_of_its_rotation(self, rng):
         inst = two_block_family(rng, 3)
-        q = random_orthogonal(rng, 7)
-        rotated = InstanceSet([q @ a @ q.T for a in inst.stacked])
-        certs = []
-        for family in (inst, rotated):
-            scale = float(np.abs(np.linalg.eigvalsh(family.stacked)).max())
-            cert = solve_minimax(family, SaddleConfig(gap_tol=1e-8 * scale))
-            assert cert.converged
-            assert upper_value(cert.x_bar, family) == cert.upper
-            assert lower_value(cert.y_bar, family) == cert.lower
-            certs.append(cert)
-        a, b = certs
-        # one value lies in both brackets
-        assert max(a.lower, b.lower) <= min(a.upper, b.upper) + 1e-12
+        assert_brackets_the_value_of_its_rotation(inst, random_orthogonal(rng, 7))
 
 
 def symmetric_family(rng, n, m):
@@ -890,15 +882,16 @@ def damped_only_bounds(stack, spectra, cfg):
     """The incumbent (upper, lower) after each step of ``saddle._newton_steps`` when only
     the damped iterate is bracketed, with the working set grown as the solver grows it:
     the bracket on the iterate alone, by single-matrix calls, as the reference."""
-    m = len(stack)
+    m, n, _ = stack.shape
     scale = float(np.abs(spectra).max())
-    (c, d), sigma = saddle._components(stack), saddle._shift(spectra, scale)
-    q = len(d) + (0 if c is None else len(c) * (len(c) + 1) // 2)
+    diagonal, sigma = saddle._is_diagonal(stack), saddle._shift(spectra, scale)
+    q = n if diagonal else n * (n + 1) // 2
     work = np.zeros(m, dtype=bool)
     work[np.argsort(-stack.trace(axis1=1, axis2=2), kind="stable")[: 3 * q]] = True
     upper, lower, bounds, warm = np.inf, -np.inf, [], None
     while True:
-        for full, us, _, breakdown in saddle._newton_steps(stack, work, sigma, scale, c, d, warm):
+        steps = saddle._newton_steps(stack, work, sigma, scale, diagonal, warm)
+        for full, us, _, breakdown in steps:
             lam, vec = np.linalg.eigh(full[0])
             x = (vec * np.maximum(lam, 0.0)) @ vec.T
             x = (x + x.T) / (2.0 * np.trace(x))
@@ -1251,15 +1244,15 @@ class TestNewtonStepPieces:
             saddle._schur_cholesky(-np.eye(3))
 
 
-def test_dense_10x8_solves_peak_memory_below_0_057_mib():
+def test_dense_10x8_solves_peak_memory_below_0_050_mib():
     # the benchmark's largest dense shape, solved both ways at its relative gap 3e-3:
     # the face steps read the rotated face on the columns of Z's null space only, never
     # as a (k, n, n) array, and each Newton step's temporaries die with the step, so
-    # both solves peak at 54.3-55.8 KiB when this test runs first in its process, and
-    # near 51.6 KiB after other tests, whose freed small blocks numpy and Python keep
+    # after peak_bytes' untraced warm-up call both solves peak at 46.6-48.4 KiB,
+    # whether this test runs alone, with the other peak-memory tests or in the suite
     inst = random_instance(np.random.default_rng(0), 10, 8)
     cfg = SaddleConfig(gap_tol=3e-3 * float(np.abs(inst.spectra).max()))
-    assert peak_bytes(lambda: (solve_minimax(inst, cfg), solve_maximin(inst, cfg))) < 0.057 * 2**20
+    assert peak_bytes(lambda: (solve_minimax(inst, cfg), solve_maximin(inst, cfg))) < 0.050 * 2**20
 
 
 def test_solve_minimax_peak_memory_below_0_45_mib():
