@@ -4,8 +4,9 @@ Instances are JSON objects with declared dimensions and row-major payoff
 matrices; loading converts and checks the whole matrix list at once, walks
 it matrix by matrix only to name the first offending field, and stores the
 family as one ``InstanceSet`` stack. Reports are
-flat JSON objects whose floats round-trip bit-exactly (shortest exact
-decimal form, up to 17 significant digits).
+flat JSON objects written on one line, whose floats round-trip bit-exactly
+(shortest exact decimal form, up to 17 significant digits); reports written
+indented by earlier versions load the same way.
 """
 
 from __future__ import annotations
@@ -175,24 +176,11 @@ def report_from_certificate(cert: SaddleCertificate) -> Report:
     )
 
 
-def _indented(value, pad: str) -> str:
-    """A scalar or nested list as ``json.dumps(value, indent=2)`` writes it at indent
-    ``pad``, by the flat encoder: the indenting one's closures leave reference cycles."""
-    if not isinstance(value, list) or not value:
-        return json.dumps(value)
-    inner = pad + "  "
-    flat = all(isinstance(v, (int, float)) for v in value)  # no ", " inside a number
-    body = (json.dumps(value)[1:-1].replace(", ", ",\n" + inner) if flat
-            else (",\n" + inner).join(_indented(v, inner) for v in value))
-    return f"[\n{inner}{body}\n{pad}]"
-
-
 def report_to_json(report: Report) -> str:
-    """Serialize the report's own field dict as ``json.dumps(vars(report), indent=2)``
-    does, byte for byte; floats use their shortest exact decimal form, so loading the
-    text reproduces every scalar bit for bit."""
-    fields = (f"{json.dumps(k)}: {_indented(v, '  ')}" for k, v in vars(report).items())
-    return "{\n  " + ",\n  ".join(fields) + "\n}\n"
+    """The report's own field dict as one line of JSON, by the standard library's C
+    encoder, which leaves no reference cycles; floats use their shortest exact decimal
+    form, so loading the text reproduces every scalar bit for bit."""
+    return json.dumps(vars(report)) + "\n"
 
 
 def report_from_json(text: str) -> Report:

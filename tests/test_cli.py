@@ -447,6 +447,21 @@ class TestCheckCommand:
         ]
 
 
+def seeded_reports():
+    rng = np.random.default_rng(11)
+    for n, m in ((1, 1), (1, 3), (2, 2), (4, 3), (6, 5)):
+        yield report_from_certificate(
+            solve_minimax(random_instance(rng, n, m), SaddleConfig(gap_tol=1e-6)))
+
+
+def edge_reports():
+    odd = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072014e-308, 1e308]
+    for x_bar, y_bar in (([odd[:4], odd[3:]], odd), ([[]], []), ([], [[]]), ([[1.0]], [1])):
+        yield Report(value=math.nan, upper=math.inf, lower=-math.inf, gap=-0.0,
+                     converged=False, iterations=0, x_bar=x_bar, y_bar=y_bar,
+                     tool_version="0.1.0")
+
+
 class TestReports:
     def test_round_trip_bit_exact(self):
         rep = Report(
@@ -464,21 +479,23 @@ class TestReports:
         assert back == rep
 
     def test_json_equals_the_asdict_rendering(self):
-        # seeded certificates, from n = 1 up; the field dict is written as is
-        rng = np.random.default_rng(11)
-        for n, m in ((1, 1), (1, 3), (2, 2), (4, 3), (6, 5)):
-            cert = solve_minimax(random_instance(rng, n, m), SaddleConfig(gap_tol=1e-6))
-            rep = report_from_certificate(cert)
-            assert report_to_json(rep) == json.dumps(dataclasses.asdict(rep), indent=2) + "\n"
+        # seeded certificates, from n = 1 up; the field dict is written as is, on one line
+        for rep in seeded_reports():
+            assert report_to_json(rep) == json.dumps(dataclasses.asdict(rep)) + "\n"
             assert report_from_json(report_to_json(rep)) == rep
 
-    def test_json_writes_the_indenting_encoders_bytes_on_edge_values(self):
-        odd = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072014e-308, 1e308]
-        for x_bar, y_bar in (([odd[:4], odd[3:]], odd), ([[]], []), ([], [[]]), ([[1.0]], [1])):
-            rep = Report(value=math.nan, upper=math.inf, lower=-math.inf, gap=-0.0,
-                         converged=False, iterations=0, x_bar=x_bar, y_bar=y_bar,
-                         tool_version="0.1.0")
-            assert report_to_json(rep) == json.dumps(vars(rep), indent=2) + "\n"
+    def test_json_writes_the_standard_encoders_bytes_on_edge_values(self):
+        for rep in edge_reports():
+            assert report_to_json(rep) == json.dumps(vars(rep)) + "\n"
+
+    def test_reports_written_indented_by_earlier_versions_still_load(self):
+        # earlier versions wrote json.dumps(vars(report), indent=2); NaN is never equal
+        # to itself, so the edge reports are compared through their one-line rendering
+        for rep in seeded_reports():
+            assert report_from_json(json.dumps(vars(rep), indent=2) + "\n") == rep
+        for rep in edge_reports():
+            back = report_from_json(json.dumps(vars(rep), indent=2) + "\n")
+            assert report_to_json(back) == report_to_json(rep)
 
     def test_json_rendering_leaves_no_cyclic_garbage(self):
         # the indenting encoder's closures would leave reference cycles behind, which

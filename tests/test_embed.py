@@ -801,9 +801,10 @@ class TestStructuralReaders:
 def test_build_embedding_peak_memory_below_one_mib():
     # the blocks are never formed: at n=8, m=200 dense blocks would take
     # 200 * 209^2 doubles, about 67 MiB, and one lift matrix of order
-    # n+m+1 = 209 alone 341 KiB
+    # n+m+1 = 209 alone 341 KiB; each traced call builds a fresh InstanceSet, so
+    # the bound also covers symmetrising the stack and its batched spectra
     inst = random_instance(np.random.default_rng(5), 8, 200)
-    assert peak_bytes(lambda: build_embedding(inst)) < 2**20
+    assert peak_bytes(lambda: build_embedding(InstanceSet(inst.stacked))) < 2**20
     emb = build_embedding(inst)
     x = sample_spectraplex(8, np.random.default_rng(5))
     y = SimplexPoint.uniform(200)

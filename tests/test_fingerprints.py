@@ -31,3 +31,12 @@ def test_a_dense_case_that_fails_is_named_below_its_workload():
     assert re.fullmatch(
         rf"games 101 {STEPS}dense 101 {STEPS}"
         r"  dense-6x4-1e8: ValueError: constraint residual too large: \S+\n", out)
+
+
+def test_fuzz_adds_one_line_over_its_1600_certificates():
+    # the seeded fuzz's line, below the workload's: its digest, the Newton steps, no
+    # solve stopped short, and the face steps
+    out = fingerprints("--workloads", "games", "--fuzz")
+    assert re.fullmatch(
+        rf"games 101 {STEPS}fuzz [0-9a-f]{{64}} 1600 certificates, \d+ steps, "
+        r"short 0 minimax, 0 maximin, \d+ face steps of \d+ Gauss-Newton steps\n", out)
