@@ -32,20 +32,22 @@ bound. When it holds at most q + 1 matrices, up to four Gauss-Newton steps on th
 face's square optimality system (``_face_step``: Newton on the complementarity
 system, Alizadeh, Haeberly & Overton, Math. Program. 1997, which in the diagonal case
 is the finite termination of linear programming, Ye, Math. Program. 1992) give a
-third candidate. A first attempt from interior incumbents may converge on a wrong face
-or stall, but when its point improves an incumbent and leaves the gap open, the face
-is guessed again from the improved incumbents and a second attempt starts there,
-within the same Newton step (a crossover-style correction). The Newton iterates never
-depend on either attempt, so a solve can only stop sooner.
+third candidate. A diagonal family's step solves for every coordinate of X's diagonal;
+a block's for X's entries between Z's leading eigenvectors, eliminating the others.
+A first attempt from interior incumbents may converge on a wrong face or stall, but
+when its point improves an incumbent and leaves the gap open, the face is guessed
+again from the improved incumbents and a second attempt starts there, within the same
+Newton step (a crossover-style correction). The Newton iterates never depend on
+either attempt, so a solve can only stop sooner.
 
 Certificates are self-verifying. After each Newton step the loop evaluates
 the exact bracket on all m matrices at its clipped iterate, Newton point (y zero
-off W) and face point (``_bracket``), and keeps the best of each side over every
-round: ``upper`` is the best-response value at the reported X (feasible for the
-min side), ``lower`` the minimum eigenvalue at the reported y (feasible for the max
-side), so upper >= value >= lower however the iteration behaved. The certificate
-carries these incumbents; ``upper_value`` and ``lower_value`` recompute them
-from the strategies alone, bit for bit.
+off W) and face point (``_bracket``), skipping an X or a y that clips to zero, and
+keeps the best of each side over every round: ``upper`` is the best-response value
+at the reported X (feasible for the min side), ``lower`` the minimum eigenvalue at the
+reported y (feasible for the max side), so upper >= value >= lower however the
+iteration behaved. The certificate carries these incumbents; ``upper_value`` and
+``lower_value`` recompute them from the strategies alone, bit for bit.
 Maximin is the same solve on the negated family, bounds negated and swapped.
 """
 
@@ -162,12 +164,11 @@ def _bracket(stack: np.ndarray, xs: np.ndarray, ys: np.ndarray):
 
     An X keeps its eigenvalues' positive parts, is symmetrised and scaled to unit trace,
     and is dropped if nothing positive is left; a y keeps its positive weights, scaled to
-    sum 1, or becomes uniform on the columns where some y of ``ys`` is nonzero if none
-    is positive. Returns (x_bars, pays, y_bars, los), pays[j] being the payoffs <A_i,
-    x_bars[j]> and los[j] = lambda_min(sum_i y_bars[j]_i A_i), by one eigh call on
-    ``xs`` and one eigenvalue call on the combinations. The contractions are
-    ``upper_value``'s and ``lower_value``'s, point by point, so each bound recomputes
-    bit for bit from its strategy alone.
+    sum 1, and is dropped likewise if none is positive. Returns (x_bars, pays, y_bars,
+    los), pays[j] being the payoffs <A_i, x_bars[j]> and los[j] = lambda_min(sum_i
+    y_bars[j]_i A_i), by one eigh call on ``xs`` and one eigenvalue call on the
+    combinations. The contractions are ``upper_value``'s and ``lower_value``'s, point by
+    point, so each bound recomputes bit for bit from its strategy alone.
     """
     lam, vec = _eigh_raw(xs)
     x_bars = (vec * np.maximum(lam, 0.0)[:, None]) @ vec.transpose(0, 2, 1)
@@ -175,13 +176,10 @@ def _bracket(stack: np.ndarray, xs: np.ndarray, ys: np.ndarray):
     if not (keep := tr > 0.0).all():  # the Newton point's X may clip to zero
         x_bars, tr = x_bars[keep], tr[keep]
     x_bars = (x_bars + x_bars.transpose(0, 2, 1)) / (2.0 * tr[:, None, None])
-    # summed in rows, over the columns where some y is nonzero, so that zeros off them
-    # do not regroup the sum (a masked copy is laid out in columns)
-    y = np.maximum(ys[:, support := ys.any(axis=0)], 0.0, order="C")
-    if not (tot := y.sum(axis=1, keepdims=True)).all():  # an all-zero y: uniform
-        y[tot[:, 0] == 0.0], tot[tot == 0.0] = 1.0, y.shape[1]
-    y_bars = np.zeros(ys.shape)
-    y_bars[:, support] = y / tot
+    y_bars = np.maximum(ys, 0.0)
+    if not (tot := y_bars.sum(axis=1)).all():  # the Newton point's y may clip to zero
+        y_bars, tot = y_bars[tot > 0.0], tot[tot > 0.0]
+    y_bars /= tot[:, None]
     pays = np.array([_payoffs(stack, x_bar) for x_bar in x_bars])
     los = _eigvals_raw(np.array([_combination(y_bar, stack) for y_bar in y_bars]))[:, 0]
     return x_bars, pays, y_bars, los
@@ -375,19 +373,20 @@ def _face_step(stack: np.ndarray, scale: float, diagonal: bool, face: np.ndarray
     In units of the scale, the unknowns are X (the vector x_d of its diagonal for a
     ``diagonal`` family, one dense block X_c for any other), y on the face, lambda and
     v; the equations are <A_i, X> = v on the face, tr X = 1, sum y = 1, and z_d * x_d =
-    0 or sym(Z_c X_c) = 0, with Z = sum_face y_i A_i - lambda I.
-    The system is square, and at a strictly complementary, nondegenerate optimum its
-    Jacobian is regular (Alizadeh, Haeberly & Overton, Math. Program. 1997), so Newton
-    converges quadratically there; a diagonal family is the linear program's case (Ye,
-    Math. Program. 1992). On a degenerate face, where a matrix repeated on it leaves y's
-    split among the copies free, the Jacobian is singular and the step is the
-    minimum-norm one. It starts at (x, y on the face, lower, upper) and stops once the
-    largest residual is ``_FACE_TARGET`` times the gap target ``tol`` or less, after
-    ``_FACE_ITERS`` steps, or as soon as a step does not shrink it (a step that cannot
-    be solved for does not). One debug line logs |face|, the steps taken and
-    "converged", "capped" or "stalled". Returns the n x n X and the m weights, zero
-    off the face, of the last point that shrank the residual, neither of them clipped,
-    or None if no step did.
+    0 or sym(Z_c X_c) = 0, with Z = sum_face y_i A_i - lambda I. Each step solves for
+    every coordinate of x_d, or for X_c's entries between Z_c's leading eigenvectors S
+    and eliminates the others. The system is square, and at a strictly complementary,
+    nondegenerate optimum its Jacobian is regular (Alizadeh, Haeberly & Overton, Math.
+    Program. 1997), so Newton converges quadratically there; a diagonal family is the
+    linear program's case (Ye, Math. Program. 1992). On a degenerate face, where a
+    matrix repeated on it leaves y's split among the copies free, the Jacobian is
+    singular and the step is the minimum-norm one. It starts at (x, y on the face,
+    lower, upper) and stops once the largest residual is ``_FACE_TARGET`` times the gap
+    target ``tol`` or less, after ``_FACE_ITERS`` steps, or as soon as a step does not
+    shrink it (a step that cannot be solved for does not). One debug line logs |face|,
+    the steps taken and "converged", "capped" or "stalled". Returns the n x n X and the
+    m weights, zero off the face, of the last point that shrank the residual, neither of
+    them clipped, or None if no step did.
     """
     m, n, _ = stack.shape
     k, flat = len(face), stack.reshape(m, -1)
@@ -399,25 +398,19 @@ def _face_step(stack: np.ndarray, scale: float, diagonal: bool, face: np.ndarray
     def newton(point, eig):
         # One Newton step at point = (X, y, lambda, v), the minimum-norm one where the
         # Jacobian is singular; LinAlgError if even that fails.
-        # The coordinates with a small diagonal term are kept: x_d's with z_j <= |x_j|,
-        # or X_c's entries (j <= l) between the eigenvectors S, the first ns, those
-        # with zeta_j <= |X_jj|. The others are eliminated, X + dX = -(sym(dZ X) -
-        # dlambda X) / h on them (h = z_j, or (zeta_j + zeta_l)/2 in Z_c's eigenbasis),
-        # and the kept ones are solved for with dy, dlambda and dv. Of the eliminated
-        # block entries' terms, those that X's entries off S x S multiply are dropped:
-        # they vanish on the face, so the step still converges quadratically, and it
-        # reads the rotated face on the columns S only, not as a (k, n, n) array.
+        # It solves for every coordinate of x_d, or for X_c's entries (j <= l) between
+        # the eigenvectors S, Z_c's first ns with ns = #{j : zeta_j <= |X_jj|}, with dy,
+        # dlambda and dv. X_c's other entries are eliminated, X + dX = -(sym(dZ X) -
+        # dlambda X) / h on them (h = (zeta_j + zeta_l)/2 in Z_c's eigenbasis), and of
+        # their terms, those that X's entries off S x S multiply are dropped: they vanish
+        # on the face, so the step still converges quadratically, and it reads the
+        # rotated face on the columns S only, not as a (k, n, n) array.
         x, y, lam, v = point
         # the Jacobian's columns: the kept coordinates' new values, dy, dlambda and
         # dv; its rows: the face's payoffs, the trace, sum y, the kept complementarity
         if diagonal:
-            zd, xd = eig, x.diagonal()
-            keep = zd <= np.abs(xd)
-            wd = np.where(keep, 0.0, 1.0 / zd)
-            pw = pd * wd
-            mg, g = pw @ (pd[:k] * xd).T, pw @ xd
-            coef, hk, bk, xk = (pd.compress(keep, axis=1), zd[keep],
-                                pd[:k].compress(keep, axis=1) * xd[keep], xd[keep])
+            xd = x.diagonal()
+            coef, hk, bk, xk, mg, g = pd, eig, pd[:k] * xd, xd, 0.0, 0.0
         else:
             q, xt, h, ns = eig
             if ns not in pairs:
@@ -459,16 +452,14 @@ def _face_step(stack: np.ndarray, scale: float, diagonal: bool, face: np.ndarray
             sol = np.linalg.lstsq(jac, rhs, rcond=None)[0]
         del jac, coef, bk  # dead once solved; freeing them lowers the peak
         dy, dlam = sol[nk: nk + k], sol[nk + k]
-        # sum_face dy_i A_i = dZ + dlambda I, and X + dX
-        yf[face] = dy
-        dz = yf @ flat / scale
         if diagonal:
-            xd = -wd * (dz[:: n + 1] - dlam) * xd
-            xd[keep] = sol[:nk]
-            # not np.diag(xd): it writes through .flat, which allocates about 4 KiB
+            # not np.diag(x_d): it writes through .flat, which allocates about 4 KiB
             x = np.zeros((n, n))
-            x.reshape(-1)[:: n + 1] = xd
+            x.reshape(-1)[:: n + 1] = sol[:n]
         else:
+            # sum_face dy_i A_i = dZ + dlambda I, and X + dX
+            yf[face] = dy
+            dz = yf @ flat / scale
             xs = q.T @ dz.reshape(n, n) @ q @ xt
             xs = -w * ((xs + xs.T) / 2.0 - dlam * xt)
             xs.put(pc, sol[:nk])
@@ -488,16 +479,12 @@ def _face_step(stack: np.ndarray, scale: float, diagonal: bool, face: np.ndarray
                 eig = z[:: n + 1] - lam
                 r.append(eig * xf[:: n + 1])
             else:
-                # Z_c's eigensystem, the eigenvectors S with zeta_j <= |X_jj| first
+                # Z_c's eigensystem, zeta ascending, and |S|
                 zeta, q = _eigh_raw(z.reshape(n, n))
                 zeta -= lam
                 xt = q.T @ x @ q
-                small = zeta <= np.abs(xt.diagonal())
-                order = np.argsort(~small, kind="stable")
-                q, xt = q.take(order, axis=1), xt.take(order, axis=0).take(order, axis=1)
-                zeta = zeta[order]
                 h = np.add.outer(zeta, zeta) / 2.0
-                eig = (q, xt, h, int(small.sum()))
+                eig = (q, xt, h, int((zeta <= np.abs(xt.diagonal())).sum()))
                 r.append((h * xt).reshape(-1))
             res = np.abs(np.concatenate(r)).max()
             if not res < res_best:

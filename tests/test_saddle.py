@@ -980,23 +980,25 @@ class TestNewtonPoint:
         assert upper_value(cert.x_bar, inst) == cert.upper
         assert lower_value(cert.y_bar, inst) == cert.lower
 
-    def test_a_newton_point_y_clipped_to_zero_is_uniform_without_a_warning(
+    def test_a_newton_point_y_clipped_to_zero_is_skipped_without_a_warning(
             self, monkeypatch):
-        # the Newton point's multipliers made positive: every weight -u clips to zero,
-        # so its y is bracketed as the uniform weights on W, and its X still is
+        # the Newton point's multipliers made positive: every weight -u clips to zero, so
+        # nothing is left to scale to the simplex and its lower bound is skipped, and its
+        # X is still bracketed
         inst = symmetric_family(np.random.default_rng(3), 4, 3)
         cfg = SaddleConfig(gap_tol=1e-6)
         steps = saddle._newton_steps
-        uniform = []
+        damped, formed = [], []
 
         def positive(*args):
             for full, us, mu, breakdown in steps(*args):
                 if len(us) == 2:
                     us[1, :-1] = np.abs(us[1, :-1]) + 1.0
+                damped.append(-us[0, :-1])  # the working set holds all three matrices
                 yield full, us, mu, breakdown
 
         def combination(y, stack):
-            uniform.append(np.array_equal(y, np.full(len(stack), 1.0 / len(stack))))
+            formed.append(y)
             return domains._combination(y, stack)
 
         monkeypatch.setattr(saddle, "_newton_steps", positive)
@@ -1009,8 +1011,9 @@ class TestNewtonPoint:
             cert = solve_minimax(inst, cfg, on_bounds=lambda *a: calls.append(a))
         monkeypatch.undo()
         want = damped_only_bounds(inst.stacked, inst.spectra, cfg)
-        # the second combination of each step is the Newton point's
-        assert uniform[1::2] == [True] * len(calls) and not any(uniform[::2])
+        # each step forms one combination, the damped iterate's, never the Newton point's
+        assert len(formed) == len(damped) == len(calls)
+        assert all(np.array_equal(y, d / d.sum()) for y, d in zip(formed, damped))
         assert all(lo >= want_lo for (_, _, lo), (_, want_lo) in zip(calls, want))
         assert upper_value(cert.x_bar, inst) == cert.upper
         assert lower_value(cert.y_bar, inst) == cert.lower
