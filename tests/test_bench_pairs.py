@@ -66,3 +66,28 @@ def test_a_seed_with_one_side_only_is_no_pair_and_failures_are_summed():
     assert got["games"]["correct"] is False
     assert got["games"]["pass_s"]["ratio"] == 1.0
 
+
+def test_defaults_are_ten_seeds_at_the_benchmarks_run_length(monkeypatch, tmp_path):
+    # main's runs, with the trees' export and the benchmark runs replaced by stubs
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    result = {"correct": True, "attempted": 4, "failed": 0,
+              "metrics": {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in spec["end_to_end"]}}
+    calls = []
+    monkeypatch.setattr(bench_pairs, "export_parent", lambda rev, dest: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "export_change", lambda dest: None)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "")
+    monkeypatch.setattr(bench_pairs, "run_once", lambda tree, workload, seed, seconds: (
+        calls.append((tree.name, workload, seed, seconds)) or result))
+    out = tmp_path / "pairs.json"
+    assert bench_pairs.main(["--workdir", str(tmp_path / "trees"), "--out", str(out)]) == 0
+    # each side of ten seeds on the three workloads, each run BENCHMARK.json's 12 s long
+    assert spec["run_seconds"] == 12
+    assert sorted(calls) == sorted((side, w, s, 12) for side in bench_pairs.SIDES
+                                   for w in ("dense", "wide", "games") for s in range(101, 111))
+    record = json.loads(out.read_text())
+    assert record["seeds"] == list(range(101, 111))
+    assert record["command"] == "benchmarks/run.py --trace 0 --seconds 12"
+    assert [record["summary"][w]["pairs"] for w in ("dense", "wide", "games")] == [10] * 3
+    # the run length is no option
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["--workdir", str(tmp_path / "more"), "--out", str(out), "--seconds", "2"])

@@ -1,23 +1,25 @@
 """Paired benchmark runs of a parent revision and of this checkout, in one JSON file.
 
     python3 tools/bench_pairs.py --workdir DIR --out BENCH_N.json
-                                 [--parent-rev HEAD] [--seeds 101 102 103 104 105]
-                                 [--workloads dense wide games] [--seconds 2]
+                                 [--parent-rev HEAD] [--seeds 101 102 ... 110]
+                                 [--workloads dense wide games]
 
 Two fresh trees are made under DIR: ``parent``, the files of PARENT_REV exported
 with ``git archive``, and ``change``, this checkout's files as git sees them
-(tracked and untracked, less the ignored ones, with their working-tree contents).
-Neither holds a ``__pycache__``, and every run sets ``PYTHONDONTWRITEBYTECODE=1``,
-so both sides compile the package from source in ``setup_s`` alike; the
-repository's own metadata is not touched. For each seed and workload the script
-runs ``benchmarks/run.py --trace 0`` once on each side, one run at a time, and
-alternates which side runs first from one pair to the next, so that a drift of
-the host's speed falls on both sides alike. The output file holds every run's
-last stdout line (the result) and a summary per workload and end-to-end metric:
-each side's median and quartiles, the ratio of the medians (change / parent) and
-the number of pairs in which the change was better, as ``BENCHMARK.json`` defines
-better. A gain is resolved when the medians differ by more than the parent's
-interquartile range, the distance between its first and third quartiles.
+(tracked and untracked, less the ignored ones, with their working-tree
+contents). Neither holds a ``__pycache__``, and every run sets
+``PYTHONDONTWRITEBYTECODE=1``, so both sides compile the package from source in
+``setup_s`` alike; the repository's own metadata is not touched. For each seed
+and workload the script runs ``benchmarks/run.py --trace 0`` once on each side,
+for the run length that ``BENCHMARK.json`` fixes (``run_seconds``), one run at a
+time, and alternates which side runs first from one pair to the next, so that a
+drift of the host's speed falls on both sides alike. The output file holds every
+run's last stdout line (the result) and a summary per workload and end-to-end
+metric: each side's median and quartiles, the ratio of the medians (change /
+parent) and the number of pairs in which the change was better, as
+``BENCHMARK.json`` defines better. A gain is resolved when the medians differ by
+more than the parent's interquartile range, the distance between its first and
+third quartiles.
 """
 
 import argparse
@@ -115,9 +117,8 @@ def main(argv=None) -> int:
                         help="an empty or missing directory for the two trees")
     parser.add_argument("--out", type=Path, required=True, help="the JSON file to write")
     parser.add_argument("--parent-rev", default="HEAD")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[101, 102, 103, 104, 105])
+    parser.add_argument("--seeds", type=int, nargs="+", default=list(range(101, 111)))
     parser.add_argument("--workloads", nargs="+", default=["dense", "wide", "games"])
-    parser.add_argument("--seconds", type=float, default=2.0)
     args = parser.parse_args(argv)
     if args.workdir.exists() and any(args.workdir.iterdir()):
         parser.error(f"{args.workdir} is not empty")
@@ -128,19 +129,21 @@ def main(argv=None) -> int:
     export_change(trees["change"])
     change = {"head": git("rev-parse", "HEAD").strip(),
               "uncommitted_changes": git("status", "--porcelain") != ""}
+    # the benchmark fixes the run length, the same on both sides, and what is better
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     runs = []
     for i, seed in enumerate(args.seeds):
         for j, workload in enumerate(args.workloads):
             order = SIDES if (i + j) % 2 == 0 else SIDES[::-1]
             for side in order:
-                result = run_once(trees[side], workload, seed, args.seconds)
+                result = run_once(trees[side], workload, seed, seconds)
                 runs.append({"workload": workload, "seed": seed, "side": side,
                              "result": result})
                 print(f"{workload} {seed} {side}: {json.dumps(result)}", flush=True)
     record = {"parent": sha, "change": change,
-              "command": f"benchmarks/run.py --trace 0 --seconds {args.seconds}",
+              "command": f"benchmarks/run.py --trace 0 --seconds {seconds}",
               "seeds": args.seeds, "workloads": args.workloads, "python": sys.version.split()[0],
               "summary": summarize(runs, better), "runs": runs}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
