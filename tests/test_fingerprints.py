@@ -7,8 +7,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# a workload's line: its digest, the pass's Newton steps and its face steps
-STEPS = r"[0-9a-f]{64} \d+ steps, \d+ face steps of \d+ Gauss-Newton steps\n"
+# a workload's line: its digest, the pass's Newton steps, its face steps and the
+# Python-level calls of a warm pass
+STEPS = r"[0-9a-f]{64} \d+ steps, \d+ face steps of \d+ Gauss-Newton steps, \d+ calls\n"
 
 
 def fingerprints(*args):
@@ -22,6 +23,18 @@ def test_games_at_one_seed_prints_one_digest_per_source():
     assert re.fullmatch(rf"games 101 {STEPS}", out)
     # the same source, named explicitly, certifies to the same bits
     assert fingerprints("--workloads", "games", "--src", str(ROOT / "src")) == out
+
+
+def test_the_call_count_is_every_call_and_c_call_that_the_function_makes():
+    # run in a fresh interpreter: importing the tool pins the BLAS threads and sys.path
+    code = ("import runpy; fp = runpy.run_path('tools/fingerprints.py');\n"
+            "def three(): len(()); abs(-1); sorted([])\n"
+            "def nested(): three(); three()\n"
+            "print(fp['count_calls'](three), fp['count_calls'](nested))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=ROOT).stdout
+    # three C calls; twice three plus the two Python calls of three
+    assert out == "3 8\n"
 
 
 def test_a_dense_case_that_fails_is_named_below_its_workload():

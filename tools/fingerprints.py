@@ -9,8 +9,10 @@ this checkout's ``benchmarks/``. For each workload and seed the script
 certifies every instance once and prints one line, ``workload seed SHA-256``,
 the digest over the cases' ``Outputs.fingerprint()`` in order, then the pass's
 Newton steps (the benchmark's ``rounds``) and the face steps taken with their
-total Gauss-Newton steps, which ``rounds`` leaves out, followed by one
-indented line per case that ended in an error, with that error. ``--fuzz``
+total Gauss-Newton steps, which ``rounds`` leaves out, and the Python-level
+calls of a second, warm pass over the same cases (``call`` and ``c_call``
+events of a ``sys.setprofile`` hook, so that filling a cache does not count),
+followed by one indented line per case that ended in an error, with that error. ``--fuzz``
 adds one line with a digest over the certificates of the seeded fuzz of
 ``tests/test_saddle.py``: its 400 instances solved both ways at relative gaps
 1e-6 and 1e-8, 1,600 certificates, their total Newton steps, the counts
@@ -96,12 +98,40 @@ def face_count(saddle):
         saddle.logger.setLevel(level)
 
 
+def count_calls(run) -> int:
+    """The Python-level calls that ``run()`` makes: the ``call`` and ``c_call`` events
+    that a ``sys.setprofile`` hook hears, less run's own call and the hook's removal.
+    The hook's own work is not heard."""
+    calls = 0
+
+    def hook(frame, event, arg):
+        nonlocal calls
+        calls += event in ("call", "c_call")
+
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls - 2
+
+
 def workload_lines(sm: dict, workload: str, seed: int) -> list[str]:
+    cases = make_cases(workload, seed)
     with face_count(sm["saddle"]) as faces:
-        outs = [(case.name, certify(sm, case, None)) for case in make_cases(workload, seed)]
+        outs = [(case.name, certify(sm, case, None)) for case in cases]
+
+    def warm_pass():
+        for case in cases:
+            certify(sm, case, None)
+
+    # the second pass runs warm and with the debug lines off, as the benchmark's passes
+    # do; face_count's restored level emptied the logger's cache, so it is filled first
+    sm["saddle"].logger.isEnabledFor(logging.DEBUG)
+    calls = count_calls(warm_pass)
     steps = sum(out.rounds for _, out in outs)
     lines = [f"{workload} {seed} {_digest(out.fingerprint() for _, out in outs)} "
-             f"{steps} steps, {faces}"]
+             f"{steps} steps, {faces}, {calls} calls"]
     lines += [f"  {name}: {out.error}" for name, out in outs if out.error is not None]
     return lines
 
