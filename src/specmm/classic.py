@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
-from fractions import Fraction
 from numbers import Real
 
 import numpy as np
@@ -119,12 +118,12 @@ def classic_value_exact(game: VectorGame) -> float:
     rational value correctly rounded.
     """
     m, n = game.m, game.n
-    # the entries are floats, so dyadic rationals: scaled by their common
-    # denominator they become ints with the same ratios, and the value
-    # scales with them
-    exact = [[Fraction(x) for x in row] for row in game.rows]
-    den = math.lcm(*(f.denominator for row in exact for f in row))
-    payoff = [[f.numerator * (den // f.denominator) for f in row] for row in exact]
+    # the entries are floats, so dyadic rationals p / q in lowest terms:
+    # scaled by their common denominator they become ints with the same
+    # ratios, and the value scales with them
+    exact = [[x.as_integer_ratio() for x in row] for row in game.rows]
+    den = math.lcm(*(q for row in exact for _, q in row))
+    payoff = [[p * (den // q) for p, q in row] for row in exact]
     shift = 1 - min(min(row) for row in payoff)
     # row i reads (B u)_i + s_i = 1; the last row is the objective, whose
     # reduced costs start at -1 on u and 0 on the slacks s

@@ -36,6 +36,7 @@ which makes the optimum attained and equal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -114,6 +115,15 @@ def _shifted(stack: np.ndarray, sigma: float, unit: float) -> np.ndarray:
 def _tops(emb: SdpEmbedding) -> np.ndarray:
     """(m, n, n) stack of the top-left blocks A_i + sigma*I of the F_i."""
     return _shifted(emb.inst.stacked, emb.shift, 1.0)
+
+
+@cache
+def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n)``, the rows and columns of the upper triangle in row-major
+    order, built once per order and read-only."""
+    rows, cols = np.triu_indices(n)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
 
 def _check_instance(inst: InstanceSet, emb: SdpEmbedding) -> None:
@@ -378,7 +388,7 @@ def sdpa_text(emb: SdpEmbedding) -> str:
     parts = [f"*shift {emb.shift!r}", str(m + 1), "3", f"{n} -{m} -1"]
     parts.append(" ".join(["0.0"] * m) + " 1.0")
     parts.append("0 3 1 1 1.0")
-    rows, cols = np.triu_indices(n)
+    rows, cols = _triu(n)
     tops = _tops(emb)[:, rows, cols]
     templates = {}  # a pattern of nonzero slots -> its lines "K 1 i j %r", K the matno
     for k, (upper, nonzero) in enumerate(zip(tops, tops != 0.0), start=1):

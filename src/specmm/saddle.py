@@ -56,6 +56,7 @@ from __future__ import annotations
 import logging
 import numbers
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -69,7 +70,7 @@ from .domains import (
     best_response_index,
     weighted_combination,
 )
-from .embed import _shift, _shifted
+from .embed import _shift, _shifted, _triu
 from .symmat import _eigh_raw, _eigvals_raw
 
 __all__ = [
@@ -337,7 +338,7 @@ def _newton_steps(stack: np.ndarray, work, sigma: float, scale: float, diagonal:
             dz = rd - (du @ ff).reshape(rd.shape)
             dx = rczi - x @ dz @ zi
             dx = (dx + dx.T) / 2.0
-            low = _eigvals_raw(rr @ np.stack((dx, dz)) @ rr.transpose(0, 2, 1))[:, 0]
+            low = _eigvals_raw(rr @ np.array((dx, dz)) @ rr.transpose(0, 2, 1))[:, 0]
             return dx, dv, du, dz, dg, 0.95 / max(ap, -low[0]), 0.95 / max(ad, -low[1])
 
         dx, dv, du, dz, dg, ap, ad = newton(None if diagonal else -x, -v * g)
@@ -364,6 +365,17 @@ def _newton_steps(stack: np.ndarray, work, sigma: float, scale: float, diagonal:
             xs = np.zeros((len(vs), n, n))
             xs[:, i, i] = vs[:, :n]
         yield xs, us, mu, breakdown
+
+
+@cache
+def _kept_pairs(ns: int, n: int) -> tuple[np.ndarray, ...]:
+    """``_face_step``'s kept pairs j <= l of S x S (|S| = ns, X of order n), read-only: the
+    flat indices of (j, l) and (l, j) in S x S and in X, and 1 on the diagonal, 2 off it."""
+    tj, tl = _triu(ns)
+    pairs = (tj * ns + tl, tl * ns + tj, tj * n + tl, tl * n + tj, np.where(tj == tl, 1.0, 2.0))
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
 
 
 def _face_step(stack: np.ndarray, scale: float, diagonal: bool, face: np.ndarray,
@@ -393,7 +405,9 @@ def _face_step(stack: np.ndarray, scale: float, diagonal: bool, face: np.ndarray
     if diagonal:  # the face's diagonals, in units of the scale, and the trace's
         pd = np.ones((k + 1, n))
         pd[:k] = flat[:, :: n + 1].take(face, axis=0) / scale
-    pairs, yf = {}, np.zeros(m)  # the kept pairs of S x S by |S|; weights on all m
+    else:  # the identity, whose first ns columns are Q^T I Q_S
+        eye = np.eye(n)
+    yf = np.zeros(m)  # the weights on all m
 
     def newton(point, eig):
         # One Newton step at point = (X, y, lambda, v), the minimum-norm one where the
@@ -413,11 +427,7 @@ def _face_step(stack: np.ndarray, scale: float, diagonal: bool, face: np.ndarray
             coef, hk, bk, xk, mg, g = pd, eig, pd[:k] * xd, xd, 0.0, 0.0
         else:
             q, xt, h, ns = eig
-            if ns not in pairs:
-                tj, tl = np.nonzero(np.tri(ns, dtype=bool).T)
-                pairs[ns] = (tj * ns + tl, tl * ns + tj, tj * n + tl, tl * n + tj,
-                             np.where(tj == tl, 1.0, 2.0))
-            ps, ts, pc, tc, mult = pairs[ns]
+            ps, ts, pc, tc, mult = _kept_pairs(ns, n)
             w = 1.0 / h
             w[:ns, :ns] = 0.0
             # T_i = Q^T A_i Q_S, and the identity's; X T_i on the rows S, whose
@@ -426,7 +436,7 @@ def _face_step(stack: np.ndarray, scale: float, diagonal: bool, face: np.ndarray
             tq = np.empty((k + 1, n, ns))
             tq[:k] = q.T @ (stack @ q[:, :ns]).take(face, axis=0)
             tq[:k] /= scale
-            tq[k] = np.eye(n, ns)
+            tq[k] = eye[:, :ns]
             ys = (xt[:ns] @ tq[:k]).reshape(k, -1)
             r = np.empty((k + 1, n - ns, ns))
             r[:k] = xt[ns:] @ tq[:k] + tq[:k, ns:] @ xt[:ns, :ns]
@@ -570,7 +580,7 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
             for _ in range(2):
                 if not cfg.gap_tol < (gap := upper - lower) <= _FACE_GAP * scale:
                     break
-                face = np.flatnonzero(best[1] >= upper - _FACE_GAPS * gap)
+                face = (best[1] >= upper - _FACE_GAPS * gap).nonzero()[0]
                 if len(face) > q + 1:
                     break
                 point = _face_step(stack, scale, diagonal, face, best[0], best[2], lower, upper,

@@ -14,12 +14,13 @@ _spec.loader.exec_module(bench_pairs)
 BETTER = {"pass_s": "lower", "rounds": "lower", "score": "higher"}
 
 
-def line(pass_s, rounds, score=1.0, failed=0, correct=True):
+def line(pass_s, rounds, score=1.0, failed=0, correct=True, attempted=8):
     """One result line as ``benchmarks/run.py --trace 0`` prints it last."""
     metrics = {"pass_s": {"value": pass_s, "unit": "s"},
                "rounds": {"value": rounds, "unit": "count"},
                "score": {"value": score, "unit": "x"}}
-    return json.dumps({"correct": correct, "attempted": 8, "failed": failed, "metrics": metrics})
+    return json.dumps({"correct": correct, "attempted": attempted, "failed": failed,
+                       "metrics": metrics})
 
 
 def runs(workload, rows):
@@ -60,11 +61,31 @@ def test_a_seed_with_one_side_only_is_no_pair_and_failures_are_summed():
     assert list(got) == ["dense", "games"]
     assert got["dense"]["pairs"] == 1
     assert got["dense"]["failed"] == {"parent": 1, "change": 1}
+    # each side's operations, and the share that failed, over the pairs only
+    assert got["dense"]["attempted"] == {"parent": 8, "change": 8}
+    assert got["dense"]["failed_share"] == {"parent": 0.125, "change": 0.125}
     assert got["dense"]["rounds"]["better"] == 0
     # one pair: its value is all three quartiles
     assert got["dense"]["pass_s"]["quartiles"] == {"parent": [0.013] * 3, "change": [0.012] * 3}
     assert got["games"]["correct"] is False
     assert got["games"]["pass_s"]["ratio"] == 1.0
+
+
+def test_the_failed_share_compares_sides_that_fit_different_numbers_of_passes():
+    # the faster side fits more passes into its runs, so its raw sum of failures is
+    # larger though each side fails one operation in four
+    got = bench_pairs.summarize(runs("dense", [
+        (101, "parent", line(0.010, 13, failed=3, attempted=12)),
+        (101, "change", line(0.008, 13, failed=4, attempted=16)),
+        (102, "change", line(0.008, 13, failed=5, attempted=20)),
+        (102, "parent", line(0.010, 13, failed=4, attempted=16)),
+    ]) + runs("games", [(101, "parent", line(0.005, 11, attempted=0)),
+                        (101, "change", line(0.005, 11, attempted=0))]), BETTER)
+    assert got["dense"]["failed"] == {"parent": 7, "change": 9}
+    assert got["dense"]["attempted"] == {"parent": 28, "change": 36}
+    assert got["dense"]["failed_share"] == {"parent": 0.25, "change": 0.25}
+    # no operation attempted: no share
+    assert got["games"]["failed_share"] == {"parent": None, "change": None}
 
 
 def test_defaults_are_ten_seeds_at_the_benchmarks_run_length(monkeypatch, tmp_path):

@@ -894,3 +894,15 @@ def test_lift_primal_makes_no_eigenvalue_call(monkeypatch):
     monkeypatch.setattr(embed, "_eigvals_raw", lambda a: calls.append(a.shape) or real(a))
     lift_primal(x, inst, emb)
     assert calls == []
+
+
+def test_the_upper_triangle_is_built_once_per_order_and_read_only():
+    for n in range(1, 13):
+        rows, cols = embed._triu(n)
+        want = np.triu_indices(n)
+        for got, ref in zip((rows, cols), want):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0] = 1
+        assert embed._triu(n) is embed._triu(n)

@@ -1277,3 +1277,18 @@ def test_solve_minimax_peak_memory_below_0_45_mib():
     # peaks near 0.32 MiB; one Schur matrix of order m+1 alone would take 316 KiB
     inst = random_instance(np.random.default_rng(5), 8, 200)
     assert peak_bytes(lambda: solve_minimax(inst)) < 0.45 * 2**20
+
+
+def test_the_face_steps_kept_pairs_are_built_once_per_orders_and_read_only():
+    for n in range(1, 13):
+        for ns in range(1, n + 1):
+            pairs = saddle._kept_pairs(ns, n)
+            # the construction that each face-step attempt made before it was cached
+            tj, tl = np.nonzero(np.tri(ns, dtype=bool).T)
+            want = (tj * ns + tl, tl * ns + tj, tj * n + tl, tl * n + tj,
+                    np.where(tj == tl, 1.0, 2.0))
+            assert len(pairs) == len(want)
+            for got, ref in zip(pairs, want):
+                assert got.dtype == ref.dtype and np.array_equal(got, ref)
+                assert not got.flags.writeable
+            assert saddle._kept_pairs(ns, n) is pairs

@@ -14,9 +14,10 @@ and workload the script runs ``benchmarks/run.py --trace 0`` once on each side,
 for the run length that ``BENCHMARK.json`` fixes (``run_seconds``), one run at a
 time, and alternates which side runs first from one pair to the next, so that a
 drift of the host's speed falls on both sides alike. The output file holds every
-run's last stdout line (the result) and a summary per workload and end-to-end
-metric: each side's median and quartiles, the ratio of the medians (change /
-parent) and the number of pairs in which the change was better, as
+run's last stdout line (the result) and a summary per workload: each side's
+failed and attempted operations summed over its runs, and their share, and per
+end-to-end metric each side's median and quartiles, the ratio of the medians
+(change / parent) and the number of pairs in which the change was better, as
 ``BENCHMARK.json`` defines better. A gain is resolved when the medians differ by
 more than the parent's interquartile range, the distance between its first and
 third quartiles.
@@ -79,7 +80,8 @@ def quartiles(values: list) -> list:
 
 
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per workload and metric: each side's median and quartiles, the ratio of the
+    """Per workload: each side's failed and attempted operations and the failed share;
+    per workload and metric: each side's median and quartiles, the ratio of the
     medians and the pairs won.
 
     ``runs`` holds {"workload", "seed", "side", "result"} records, a result being
@@ -92,10 +94,14 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
         seeds = [s for s in dict.fromkeys(r["seed"] for r in runs if r["workload"] == workload)
                  if all((workload, s, side) in by_key for side in SIDES)]
         pairs = [[by_key[workload, s, side] for side in SIDES] for s in seeds]
-        entry = {"pairs": len(pairs),
-                 "failed": {side: sum(p[i]["failed"] for p in pairs)
-                            for i, side in enumerate(SIDES)},
-                 "correct": all(res["correct"] for p in pairs for res in p)}
+        # the raw sums grow with the passes that a run fits in its time, so each side's
+        # share of failed operations is what compares
+        entry = {"pairs": len(pairs)}
+        for count in ("failed", "attempted"):
+            entry[count] = {side: sum(p[i][count] for p in pairs) for i, side in enumerate(SIDES)}
+        entry["failed_share"] = {side: entry["failed"][side] / entry["attempted"][side]
+                                 if entry["attempted"][side] else None for side in SIDES}
+        entry["correct"] = all(res["correct"] for p in pairs for res in p)
         for metric, sense in better.items():
             values = [[res["metrics"][metric]["value"] for res in p] for p in pairs]
             if not values:
