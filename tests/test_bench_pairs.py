@@ -79,12 +79,12 @@ def test_the_failed_share_compares_sides_that_fit_different_numbers_of_passes():
         (101, "change", line(0.008, 13, failed=4, attempted=16)),
         (102, "change", line(0.008, 13, failed=5, attempted=20)),
         (102, "parent", line(0.010, 13, failed=4, attempted=16)),
-    ]) + runs("games", [(101, "parent", line(0.005, 11, attempted=0)),
-                        (101, "change", line(0.005, 11, attempted=0))]), BETTER)
+    ]) + runs("games", [(101, "parent", line(0.005, 11))]), BETTER)
     assert got["dense"]["failed"] == {"parent": 7, "change": 9}
     assert got["dense"]["attempted"] == {"parent": 28, "change": 36}
     assert got["dense"]["failed_share"] == {"parent": 0.25, "change": 0.25}
-    # no operation attempted: no share
+    # a workload with no pair attempts nothing, and has no share
+    assert got["games"]["pairs"] == 0
     assert got["games"]["failed_share"] == {"parent": None, "change": None}
 
 

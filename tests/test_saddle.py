@@ -1279,7 +1279,7 @@ def test_solve_minimax_peak_memory_below_0_45_mib():
     assert peak_bytes(lambda: solve_minimax(inst)) < 0.45 * 2**20
 
 
-def test_the_face_steps_kept_pairs_are_built_once_per_orders_and_read_only():
+def test_the_face_steps_kept_pairs_are_built_once_per_pair_of_orders_and_read_only():
     for n in range(1, 13):
         for ns in range(1, n + 1):
             pairs = saddle._kept_pairs(ns, n)

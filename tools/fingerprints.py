@@ -12,12 +12,12 @@ Newton steps (the benchmark's ``rounds``) and the face steps taken with their
 total Gauss-Newton steps, which ``rounds`` leaves out, and the Python-level
 calls of a second, warm pass over the same cases (``call`` and ``c_call``
 events of a ``sys.setprofile`` hook, so that filling a cache does not count),
-followed by one indented line per case that ended in an error, with that error. ``--fuzz``
-adds one line with a digest over the certificates of the seeded fuzz of
-``tests/test_saddle.py``: its 400 instances solved both ways at relative gaps
-1e-6 and 1e-8, 1,600 certificates, their total Newton steps, the counts
-that stopped short, and the face steps with their Gauss-Newton steps. Face
-steps are counted from the solver's debug lines.
+followed by one indented line per case that ended in an error, with that
+error. ``--fuzz`` adds one line with a digest over the certificates of the
+seeded fuzz of ``tests/test_saddle.py``: its 400 instances solved both ways at
+relative gaps 1e-6 and 1e-8, 1,600 certificates, their total Newton steps, the
+counts that stopped short, and the face steps with their Gauss-Newton steps.
+Face steps are counted from the solver's debug lines.
 
 Run it on two source trees and compare the outputs line by line:
 
