@@ -7,9 +7,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# a workload's line: its digest, the pass's Newton steps, its face steps and the
-# Python-level calls of a warm pass
-STEPS = r"[0-9a-f]{64} \d+ steps, \d+ face steps of \d+ Gauss-Newton steps, \d+ calls\n"
+# a workload's line: its digest, the pass's Newton steps, its face steps, the
+# Python-level calls of a warm pass and the worst certificate's gap over its target
+STEPS = (r"[0-9a-f]{64} \d+ steps, \d+ face steps of \d+ Gauss-Newton steps, \d+ calls, "
+         r"worst gap \d+\.\d{3} of target\n")
 
 
 def fingerprints(*args):

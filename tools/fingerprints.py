@@ -12,8 +12,10 @@ Newton steps (the benchmark's ``rounds``) and the face steps taken with their
 total Gauss-Newton steps, which ``rounds`` leaves out, and the Python-level
 calls of a second, warm pass over the same cases (``call`` and ``c_call``
 events of a ``sys.setprofile`` hook, so that filling a cache does not count),
-followed by one indented line per case that ended in an error, with that
-error. ``--fuzz`` adds one line with a digest over the certificates of the
+and how tight the certificates are: the largest gap over its case's gap target
+among the pass's minimax and maximin certificates, those of a case that later
+fails in a lift included. One indented line follows per case that ended in an
+error, with that error. ``--fuzz`` adds one line with a digest over the certificates of the
 seeded fuzz of ``tests/test_saddle.py``: its 400 instances solved both ways at
 relative gaps 1e-6 and 1e-8, 1,600 certificates, their total Newton steps, the
 counts that stopped short, and the face steps with their Gauss-Newton steps.
@@ -130,8 +132,12 @@ def workload_lines(sm: dict, workload: str, seed: int) -> list[str]:
     sm["saddle"].logger.isEnabledFor(logging.DEBUG)
     calls = count_calls(warm_pass)
     steps = sum(out.rounds for _, out in outs)
+    # each certificate's gap is stored before the lifts, so a failed case's counts too
+    worst = max((gap / case.gap_tol for case, (_, out) in zip(cases, outs)
+                 for gap in (out.gap, out.maximin[2] if out.maximin else None)
+                 if gap is not None), default=0.0)
     lines = [f"{workload} {seed} {_digest(out.fingerprint() for _, out in outs)} "
-             f"{steps} steps, {faces}, {calls} calls"]
+             f"{steps} steps, {faces}, {calls} calls, worst gap {worst:.3f} of target"]
     lines += [f"  {name}: {out.error}" for name, out in outs if out.error is not None]
     return lines
 
