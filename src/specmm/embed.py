@@ -108,7 +108,7 @@ def _shift(spectra: np.ndarray, unit: float) -> float:
 def _shifted(stack: np.ndarray, sigma: float, unit: float) -> np.ndarray:
     """The (m, n, n) shifted tops A_i / unit + sigma*I, formed in one array."""
     tops = stack / unit
-    tops += sigma * np.eye(stack.shape[-1])
+    tops += sigma * _eye(stack.shape[-1])
     return tops
 
 
@@ -124,6 +124,14 @@ def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
     rows, cols = np.triu_indices(n)
     rows.flags.writeable = cols.flags.writeable = False
     return rows, cols
+
+
+@cache
+def _eye(n: int) -> np.ndarray:
+    """``np.eye(n)``, built once per order and read-only."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
 
 def _check_instance(inst: InstanceSet, emb: SdpEmbedding) -> None:
@@ -220,7 +228,7 @@ class DualLift:
             raise ValueError("block shapes do not match the embedding")
         if not (np.isfinite(u).all() and np.isfinite(self.bound)):
             raise ValueError(f"multipliers and bound must be finite, got bound {self.bound!r}")
-        top = _readonly(_combination(0.0 - u, _tops(emb)) - self.bound * np.eye(emb.n))
+        top = _readonly(_combination(0.0 - u, _tops(emb)) - self.bound * _eye(emb.n))
         corner = 1.0 + float(u.sum())
         for name, value in (("multipliers", u), ("top", top), ("corner", corner)):
             object.__setattr__(self, name, value)
@@ -295,7 +303,7 @@ def interior_primal_point(emb: SdpEmbedding) -> PrimalLift:
     """Strictly feasible primal point of the embedding's instance: X = I/n
     lifted with margin 1, so X is positive definite and all slack entries
     and delta are positive."""
-    return lift_primal(SpectraplexPoint(np.eye(emb.n) / emb.n), emb.inst, emb, margin=1.0)
+    return lift_primal(SpectraplexPoint(_eye(emb.n) / emb.n), emb.inst, emb, margin=1.0)
 
 
 def lift_dual(y: SimplexPoint, t: float, inst: InstanceSet, emb: SdpEmbedding) -> DualLift:

@@ -48,6 +48,9 @@ def _numeric(raw) -> np.ndarray:
     # a product, not a cast: a cast would read the strings "1" and "0" as numbers
     arr = np.asarray(np.asarray(raw) * 1.0, dtype=float)
     # either would read JSON true and false as 1 and 0, so the entries' types are walked
+    # where one could hide, at an exact 0 or 1
+    if not ((arr == 0.0) | (arr == 1.0)).any():
+        return arr
     entries = [raw]
     for _ in range(arr.ndim):
         entries = chain.from_iterable(entries)

@@ -70,7 +70,7 @@ from .domains import (
     best_response_index,
     weighted_combination,
 )
-from .embed import _shift, _shifted, _triu
+from .embed import _eye, _shift, _shifted, _triu
 from .symmat import _eigh_raw, _eigvals_raw
 
 __all__ = [
@@ -258,7 +258,7 @@ def _newton_steps(stack: np.ndarray, work, sigma: float, scale: float, diagonal:
     """
     m, n = int(work.sum()), stack.shape[1]
     i = np.arange(n)
-    tops = np.concatenate([_shifted(stack[work], sigma, scale), np.eye(n)[None]])
+    tops = np.concatenate([_shifted(stack[work], sigma, scale), _eye(n)[None]])
     # x_d's diagonals of the tops, or the block's tops with x_d empty: fancy-indexed
     # copies, whose layout the products below read bit for bit; freeing tops lowers
     # the solver's peak memory
@@ -282,7 +282,7 @@ def _newton_steps(stack: np.ndarray, work, sigma: float, scale: float, diagonal:
     x = z = None
     least = np.inf  # lambda_min of (1 - theta) sum_k F_k / m on the block
     if not diagonal:
-        ff, x = f.reshape(m + 1, -1), np.eye(n) / n
+        ff, x = f.reshape(m + 1, -1), _eye(n) / n
         least = _eigvals_raw(-(u @ ff).reshape(x.shape))[0]
     u[m] = (-(u @ fd)).min(initial=least) - _THETA
     margin = _THETA
@@ -406,7 +406,7 @@ def _face_step(stack: np.ndarray, scale: float, diagonal: bool, face: np.ndarray
         pd = np.ones((k + 1, n))
         pd[:k] = flat[:, :: n + 1].take(face, axis=0) / scale
     else:  # the identity, whose first ns columns are Q^T I Q_S
-        eye = np.eye(n)
+        eye = _eye(n)
     yf = np.zeros(m)  # the weights on all m
 
     def newton(point, eig):
@@ -548,7 +548,7 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
     m, n, _ = stack.shape
     scale = float(np.abs(spectra).max())
     if scale == 0.0:
-        return 0.0, 0.0, np.eye(n) / n, np.full(m, 1.0 / m), 0, scale
+        return 0.0, 0.0, _eye(n) / n, np.full(m, 1.0 / m), 0, scale
     diagonal, sigma = _is_diagonal(stack), _shift(spectra, scale)
     work = np.zeros(m, dtype=bool)
     q = n if diagonal else n * (n + 1) // 2

@@ -226,6 +226,16 @@ class TestInputValidation:
                 parse_instance(doc)
         with pytest.raises(InstanceFormatError, match=r"^matrices\[0\] is not numeric$"):
             parse_instance({"n": 1, "m": 1, "matrices": [[[True]]]})
+        # a boolean among entries that are neither 0 nor 1, and a false deep in a
+        # random family of 200 matrices
+        doc = {"n": 2, "m": 1, "matrices": [[[True, 2.5], [2.5, 3.5]]]}
+        with pytest.raises(InstanceFormatError, match=r"^matrices\[0\] is not numeric$"):
+            parse_instance(doc)
+        a = np.random.default_rng(7).uniform(-1.0, 1.0, (200, 8, 8))
+        mats = (a + a.transpose(0, 2, 1)).tolist()
+        mats[137][5][5] = False
+        with pytest.raises(InstanceFormatError, match=r"^matrices\[137\] is not numeric$"):
+            parse_instance({"n": 8, "m": 200, "matrices": mats})
 
     def test_an_earlier_fault_is_named_before_a_later_one_of_another_kind(self):
         # matrices[0] fails only the asymmetry gate, which the whole-list check

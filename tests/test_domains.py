@@ -19,7 +19,7 @@ from specmm import (
 from specmm import cli, embed, saddle, symmat
 from specmm.domains import _payoffs
 
-from conftest import random_instance, random_orthogonal, random_symmetric
+from conftest import peak_bytes, random_instance, random_orthogonal, random_symmetric
 
 
 def pauli_pair():
@@ -135,6 +135,19 @@ class TestInstanceSet:
         assert w is inst.spectra
         assert not w.flags.writeable
         assert w.tobytes() == np.linalg.eigh(inst.stacked)[0].tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_spectra_of_an_8x200_family_peak_below_0_12_mib(self, seed):
+        # the eigenvalues (12.8 KB) and the eigenvectors that eigh returns beside them
+        # (102.4 KB) are the peak; each call drops the cached spectra, so both of
+        # peak_bytes' calls compute them
+        inst = random_instance(np.random.default_rng(seed), 8, 200)
+
+        def spectra():
+            inst.__dict__.pop("spectra", None)
+            return inst.spectra
+
+        assert peak_bytes(spectra) < 0.12 * 2**20
 
     def test_negated_spectra_are_the_spectra_negated_and_reversed(self):
         # solve_maximin reads the negated family's spectra this way

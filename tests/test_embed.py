@@ -904,3 +904,11 @@ def test_the_upper_triangle_is_built_once_per_order_and_read_only():
             assert got.dtype == ref.dtype and np.array_equal(got, ref)
             assert not got.flags.writeable
         assert embed._triu(n) is embed._triu(n)
+
+
+def test_the_identity_is_built_once_per_order_and_read_only():
+    for n in range(1, 13):
+        eye = embed._eye(n)
+        assert eye.dtype == np.float64 and np.array_equal(eye, np.eye(n))
+        assert not eye.flags.writeable
+        assert embed._eye(n) is eye
