@@ -15,11 +15,11 @@ events of a ``sys.setprofile`` hook, so that filling a cache does not count),
 and how tight the certificates are: the largest gap over its case's gap target
 among the pass's minimax and maximin certificates, those of a case that later
 fails in a lift included. One indented line follows per case that ended in an
-error, with that error. ``--fuzz`` adds one line with a digest over the certificates of the
-seeded fuzz of ``tests/test_saddle.py``: its 400 instances solved both ways at
-relative gaps 1e-6 and 1e-8, 1,600 certificates, their total Newton steps, the
-counts that stopped short, and the face steps with their Gauss-Newton steps.
-Face steps are counted from the solver's debug lines.
+error, with that error. ``--fuzz`` adds one line with a digest over the
+certificates of the seeded fuzz of ``tests/test_saddle.py``: its 400 instances
+solved both ways at relative gaps 1e-6 and 1e-8, 1,600 certificates, their total
+Newton steps, the counts that stopped short, and the face steps with their
+Gauss-Newton steps. Face steps are counted from the solver's debug lines.
 
 Run it on two source trees and compare the outputs line by line:
 
