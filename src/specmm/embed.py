@@ -26,8 +26,8 @@ Every block is fixed by the instance, sigma included, so an
 readers below work on the stacked tops A_sig,i and the known unit slots
 and corners, and no (n')^2 matrix is formed. A lift keeps its embedding,
 takes its free variables and derives the rest: a primal lift takes X and
-delta and derives the slacks, a dual lift takes u and t and derives its
-slack. Each fact is checked once, by the type that carries it, and a
+its least slack, the margin, and derives delta and the slacks, a dual lift
+takes u and t and derives its slack. Each fact is checked once, by the type that carries it, and a
 function handed a lift refuses the embedding of another instance. The two
 interior-point constructors certify strict feasibility on both sides,
 which makes the optimum attained and equal.
@@ -161,16 +161,19 @@ class PrimalLift:
     """Primal block variable X' = diag(X, s, delta) of an embedding, held as
     its blocks, with the constraint residuals it measures on them.
 
-    Built from the embedding, X and a finite delta alone. X is a
+    Built from the embedding, X and a finite margin >= 0 alone. X is a
     ``SpectraplexPoint``, whose own gates hold it PSD with <E, X'> = tr X = 1.
-    The equalities fix s_i = delta - <A_i + sigma*I, X>. The lift checks s and
-    delta at least -1e-10, then measures residuals[i] = |<F_i, X'>| by a second
-    contraction and rejects any above 1e-10.
+    delta is max_i <A_i + sigma*I, X> plus the margin, and the equalities fix
+    s_i = delta - <A_i + sigma*I, X>, so the least slack is the margin: zero at a
+    best-response index with margin 0. The lift checks delta at least -1e-10,
+    then measures residuals[i] = |<F_i, X'>| by a second contraction and rejects
+    any above 1e-10.
     """
 
     emb: SdpEmbedding = field(repr=False)
     x: SpectraplexPoint
-    delta: float
+    margin: float = field(default=0.0, kw_only=True)
+    delta: float = field(init=False)
     slacks: np.ndarray = field(init=False)
     residuals: np.ndarray = field(init=False)
 
@@ -180,19 +183,26 @@ class PrimalLift:
         emb, x = self.emb, self.x.array
         if x.shape != (emb.n, emb.n):
             raise ValueError("block shapes do not match the embedding")
-        if not np.isfinite(self.delta):
-            raise ValueError(f"delta must be finite, got {self.delta!r}")
+        if not np.isfinite(self.margin):
+            raise ValueError(f"margin must be finite, got {self.margin!r}")
+        if self.margin < 0.0:
+            raise ValueError("margin must be nonnegative")
         tops = _tops(emb)
-        slacks = _readonly(self.delta - _payoffs(tops, x))
-        lo = float(np.append(slacks, self.delta).min())
-        if not lo >= -_PSD_TOL:
-            raise ValueError(f"primal block matrix must be PSD, least of s and delta {lo!r}")
+        payoffs = _payoffs(tops, x)
+        delta = float(payoffs.max()) + self.margin
+        if not delta >= -_PSD_TOL:
+            # sigma makes every <A_i + sigma*I, X> at least 1 for PSD X of unit trace
+            raise ValueError(
+                f"embedded objective would be negative (delta={delta!r}): X's negative "
+                "eigenvalues outweigh the shift at the instance's scale"
+            )
+        slacks = _readonly(delta - payoffs)
         # einsum, not the slacks' product: the residuals measure how far the two disagree
-        residuals = _readonly(np.abs(np.einsum("kij,ij->k", tops, x) + slacks - self.delta))
+        residuals = _readonly(np.abs(np.einsum("kij,ij->k", tops, x) + slacks - delta))
         if not residuals.max(initial=0.0) <= _RESIDUAL_TOL:
             raise ValueError(f"constraint residual too large: {residuals.max()!r}")
-        object.__setattr__(self, "slacks", slacks)
-        object.__setattr__(self, "residuals", residuals)
+        for name, value in (("delta", delta), ("slacks", slacks), ("residuals", residuals)):
+            object.__setattr__(self, name, value)
 
     @property
     def objective(self) -> float:
@@ -284,26 +294,15 @@ def lift_primal(
     makes every slack strictly positive. The objective entry equals the
     shifted guarantee of X (plus margin).
     """
-    if x.n != inst.n:
-        raise ValueError("dimension mismatch between point and instance")
     _check_instance(inst, emb)
-    if margin < 0.0:
-        raise ValueError("margin must be nonnegative")
-    delta = float(_payoffs(_tops(emb), x.array).max()) + margin
-    if delta < -_PSD_TOL:
-        # sigma makes every <A_i + sigma*I, X> at least 1 for PSD X of unit trace
-        raise ValueError(
-            f"embedded objective would be negative (delta={delta!r}): X's negative "
-            "eigenvalues outweigh the shift at the instance's scale"
-        )
-    return PrimalLift(emb, x, delta)
+    return PrimalLift(emb, x, margin=margin)
 
 
 def interior_primal_point(emb: SdpEmbedding) -> PrimalLift:
     """Strictly feasible primal point of the embedding's instance: X = I/n
     lifted with margin 1, so X is positive definite and all slack entries
     and delta are positive."""
-    return lift_primal(SpectraplexPoint(_eye(emb.n) / emb.n), emb.inst, emb, margin=1.0)
+    return PrimalLift(emb, SpectraplexPoint(_eye(emb.n) / emb.n), margin=1.0)
 
 
 def lift_dual(y: SimplexPoint, t: float, inst: InstanceSet, emb: SdpEmbedding) -> DualLift:

@@ -309,7 +309,7 @@ def test_lifts_reject_an_embedding_of_another_instance(rng):
     assert primal_parts(lift_primal(x, same, emb)) == primal_parts(lift_primal(x, emb.inst, emb))
     assert dual_parts(lift_dual(y, t, same, emb)) == dual_parts(lift_dual(y, t, emb.inst, emb))
     # a point or a strategy of another dimension than the instance's
-    with pytest.raises(ValueError, match="dimension mismatch"):
+    with pytest.raises(ValueError, match="block shapes do not match the embedding"):
         lift_primal(SpectraplexPoint(np.eye(3) / 3.0), emb.inst, emb)
     with pytest.raises(ValueError, match="block shapes do not match the embedding"):
         lift_dual(SimplexPoint.uniform(4), t, emb.inst, emb)
@@ -356,13 +356,17 @@ def test_lifts_reject_an_embedding_of_another_instance(rng):
 class TestLiftsDeriveTheirBlocks:
     def test_constructors_take_the_free_variables_only(self):
         # besides the embedding, which each lift keeps (out of its repr), the
-        # constructors take the free variables only; every other field is
-        # derived on construction
-        for cls, free in ((PrimalLift, ["x", "delta"]),
+        # constructors take the free variables only, the primal lift X and its
+        # least slack; every other field, delta included, is derived on construction
+        for cls, free in ((PrimalLift, ["x", "margin"]),
                           (DualLift, ["multipliers", "bound"])):
             assert list(inspect.signature(cls).parameters) == ["emb", *free]
             assert [f.name for f in dataclasses.fields(cls) if f.init] == ["emb", *free]
         emb = build_embedding(pauli_pair())
+        # the margin is keyword-only: a delta passed where the lift once took it
+        # is refused, not read as a margin
+        with pytest.raises(TypeError):
+            PrimalLift(emb, SpectraplexPoint(np.eye(2) / 2.0), 2.0)
         for lift in (interior_primal_point(emb), interior_dual_point(emb)):
             assert lift.emb is emb
             assert "emb=" not in repr(lift)
@@ -377,23 +381,24 @@ class TestLiftsDeriveTheirBlocks:
 
     def test_a_primal_point_off_the_constraints_is_refused(self):
         # X = I/2 pays 2 against both shifted tops, so the constraints fix the
-        # slacks at delta - 2; delta = 0.5 would certify the upper bound 0.5 - 2 =
-        # -1.5 < -sqrt(2)/2, and its slacks are negative
+        # slacks at delta - 2 and the least of them is the margin; the margin -1.5,
+        # delta 0.5, would certify the upper bound 0.5 - 2 = -1.5 < -sqrt(2)/2
         emb = build_embedding(pauli_pair())
         half = SpectraplexPoint(np.eye(2) / 2.0)
-        with pytest.raises(ValueError, match="must be PSD, least of s and delta -1.5"):
-            PrimalLift(emb, half, 0.5)
-        lift = PrimalLift(emb, half, 2.0)
+        with pytest.raises(ValueError, match="margin must be nonnegative"):
+            PrimalLift(emb, half, margin=-1.5)
+        lift = PrimalLift(emb, half, margin=0.0)
+        assert lift.delta == 2.0
         assert lift.slacks.tolist() == lift.residuals.tolist() == [0.0, 0.0]
         assert not lift.slacks.flags.writeable
 
     def test_blocks_of_another_shape_are_refused(self):
         emb = build_embedding(pauli_pair())
         with pytest.raises(ValueError, match="block shapes"):
-            PrimalLift(emb, SpectraplexPoint(np.eye(3) / 3.0), 2.0)
+            PrimalLift(emb, SpectraplexPoint(np.eye(3) / 3.0))
         # X is a spectraplex point, never a bare array
         with pytest.raises(TypeError, match="SpectraplexPoint"):
-            PrimalLift(emb, np.eye(2) / 2.0, 2.0)
+            PrimalLift(emb, np.eye(2) / 2.0)
 
     @pytest.mark.parametrize("shape", [(2, 1), (1, 2), (1,), (3,)],
                              ids=["column", "row", "short", "long"])
@@ -426,10 +431,10 @@ class TestNonFiniteInputIsRefused:
 
     def test_primal_lift(self):
         # an infinite delta once passed the PSD gate and failed only as a NaN
-        # residual, inf - inf
+        # residual, inf - inf; an infinite or NaN margin would give that delta
         emb = build_embedding(pauli_pair())
-        for delta in (np.inf, -np.inf):
-            self.refused(lambda: PrimalLift(emb, SpectraplexPoint(np.eye(2) / 2.0), delta))
+        for margin in (np.inf, -np.inf, np.nan):
+            self.refused(lambda: PrimalLift(emb, SpectraplexPoint(np.eye(2) / 2.0), margin=margin))
 
 
 class TestInteriorDual:
@@ -456,15 +461,16 @@ class TestInteriorDual:
             assert lambda_min(lift.top) == pytest.approx(1.0, abs=1e-12)
 
 
-def primal_verdict(emb, x, delta):
-    """Whether the blocks pass the PSD gates of X' = diag(X, s, delta), with s
-    derived from X and delta: X's, as a spectraplex point, then the lift's on s
-    and delta. Both run before the residuals are measured, so a rejection must
-    come from one of them."""
+def primal_verdict(emb, x, margin):
+    """Whether the blocks pass the PSD gates of X' = diag(X, s, delta), with delta
+    and s derived from X and the least slack, the margin: X's, as a spectraplex
+    point, then the lift's on the margin and on delta. All run before the residuals
+    are measured, so a rejection must come from one of them."""
     try:
-        PrimalLift(emb, SpectraplexPoint(x), delta)
+        PrimalLift(emb, SpectraplexPoint(x), margin=margin)
     except ValueError as err:
-        assert "positive semidefinite" in str(err) or "must be PSD" in str(err)
+        assert any(why in str(err) for why in (
+            "positive semidefinite", "margin must be nonnegative", "objective would be negative"))
         return False
     return True
 
@@ -489,11 +495,10 @@ class TestBlockPsdCheck:
             mat, _ = dense_primal(x, inst, emb.shift, margin)
             dense_min = np.linalg.eigvalsh(mat)[0]
             dense_ok = bool(dense_min >= -1e-10)
-            blocks = (mat[:n, :n], mat[-1, -1])
-            assert primal_verdict(emb, *blocks) == dense_ok
+            assert primal_verdict(emb, mat[:n, :n], margin) == dense_ok
             if dense_ok:
-                # the derived slacks are the dense block's, bit for bit
-                p = PrimalLift(emb, SpectraplexPoint(blocks[0]), blocks[1])
+                # the derived delta and slacks are the dense block's, bit for bit
+                p = PrimalLift(emb, SpectraplexPoint(mat[:n, :n]), margin=margin)
                 assert primal_parts(p) == dense_parts(mat, m)
                 lo = min(lambda_min(p.x.array), p.slacks.min(), p.delta)
                 assert abs(lo - dense_min) <= 1e-12 * max(1.0, abs(mat).max())
@@ -519,18 +524,18 @@ class TestBlockPsdCheck:
 
     def test_negative_index_slot_rejected(self):
         # tops I, (1 + 2e-9) I and I: X = I/2 pays 1 + 2e-9 against the second,
-        # so delta = 1 leaves its slack alone negative
+        # so the margin -2e-9, delta 1, leaves its slack alone negative
         half = np.eye(2) / 2.0
         emb = build_embedding(InstanceSet(np.stack([np.zeros((2, 2)), 2e-9 * np.eye(2),
                                                     np.zeros((2, 2))])))
-        assert not primal_verdict(emb, half, 1.0)
-        assert primal_verdict(emb, half, 1.0 + 2e-9)
+        assert not primal_verdict(emb, half, -2e-9)
+        assert primal_verdict(emb, half, 0.0)
         # three zero matrices: the tops are I, so the dual top is -sum(u) I - t I,
-        # and a negative delta leaves every slack negative
+        # and the margin -1 - 1e-9, a negative delta, leaves every slack negative
         emb = build_embedding(InstanceSet(np.zeros((3, 2, 2))))
         with pytest.raises(DualInfeasibleError, match="index 1 is negative"):
             DualLift(emb, [-0.5, 1e-9, -0.25], 0.0)
-        assert not primal_verdict(emb, half, -1e-9)
+        assert not primal_verdict(emb, half, -1.0 - 1e-9)
         # the corner is 1 + sum(u)
         with pytest.raises(DualInfeasibleError, match="corner entry is negative"):
             DualLift(emb, [-0.5, 0.0, -0.5 - 1e-9], 0.0)
@@ -546,11 +551,11 @@ class TestBlockPsdCheck:
             DualLift(emb, [-0.5, -0.5], 2.0)
 
     def test_nan_block_is_not_psd(self):
-        # no NaN reaches a block: a NaN delta, multiplier or bound is refused
+        # no NaN reaches a block: a NaN margin, multiplier or bound is refused
         # on construction, before the PSD gates run
         emb = build_embedding(InstanceSet(np.zeros((2, 2, 2))))
-        with pytest.raises(ValueError, match="delta must be finite"):
-            PrimalLift(emb, SpectraplexPoint(np.eye(2) / 2.0), np.nan)
+        with pytest.raises(ValueError, match="margin must be finite"):
+            PrimalLift(emb, SpectraplexPoint(np.eye(2) / 2.0), margin=np.nan)
         for u, t in (([-0.5, np.nan], 0.0), ([-0.5, -0.5], np.nan)):
             with pytest.raises(ValueError, match="multipliers and bound must be finite"):
                 DualLift(emb, u, t)
@@ -885,15 +890,18 @@ def test_lift_dual_makes_one_eigenvalue_call(monkeypatch):
 
 
 def test_lift_primal_makes_no_eigenvalue_call(monkeypatch):
-    # X's PSD-ness is the spectraplex point's gate, checked when the point was made
+    # X's PSD-ness is the spectraplex point's gate, checked when the point was made;
+    # the lift forms the tops and contracts them with X once, for delta and the slacks
     inst = random_instance(np.random.default_rng(7), 4, 5)
     emb = build_embedding(inst)
     x = sample_spectraplex(4, np.random.default_rng(7))
     calls = []
-    real = embed._eigvals_raw
-    monkeypatch.setattr(embed, "_eigvals_raw", lambda a: calls.append(a.shape) or real(a))
+    for name in ("_eigvals_raw", "_tops", "_payoffs"):
+        real = getattr(embed, name)
+        monkeypatch.setattr(embed, name, lambda *a, name=name, real=real:
+                            calls.append(name) or real(*a))
     lift_primal(x, inst, emb)
-    assert calls == []
+    assert calls == ["_tops", "_payoffs"]
 
 
 def test_the_upper_triangle_is_built_once_per_order_and_read_only():

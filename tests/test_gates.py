@@ -28,17 +28,25 @@ from specmm import (
 # two copies of it have two such tops
 EMB = build_embedding(InstanceSet([[[1.0]]]))
 EMB2 = build_embedding(InstanceSet([[[1.0]], [[1.0]]]))
+# diag(1e10, -1e10): the shift is 1e10 + 1, so the one top is diag(2e10 + 1, 1)
+EMB_1E10 = build_embedding(InstanceSet([np.diag([1e10, -1e10])]))
 
 
-def primal(delta=2.0):
-    # X = [[1.0]], whose trace and PSD gates are the spectraplex point's, pays 2:
-    # the one slack is delta - 2
-    return PrimalLift(EMB, SpectraplexPoint([[1.0]]), delta)
+def primal():
+    # X = [[1.0]], whose trace and PSD gates are the spectraplex point's, pays 2
+    return PrimalLift(EMB, SpectraplexPoint([[1.0]]))
+
+
+def primal_negative(d):
+    # X = diag(-e, 1 + e), e = (1 + d)/2e10, is within the spectraplex's eigenvalue
+    # gate, and pays (2e10 + 1)(-e) + 1 + e = -d: delta is -d
+    e = (1.0 + d) / 2e10
+    return PrimalLift(EMB_1E10, SpectraplexPoint(np.diag([-e, 1.0 + e])))
 
 
 def primal_residual(r):
-    # slacks from a payoff contraction that reads r low: the slack is r, and
-    # the einsum measures the residual |2 + r - 2| = r
+    # payoffs from a contraction that reads r low: delta is 2 - r, the slack 0,
+    # and the einsum measures the residual |2 + 0 - (2 - r)| = r
     payoffs = embed._payoffs
     with mock.patch.object(embed, "_payoffs", lambda tops, x: payoffs(tops, x) - r):
         return primal()
@@ -86,7 +94,7 @@ GATES = {
                         0.9e-10, 1.1e-10),
     "simplex_entry": (lambda e: SimplexPoint([1.0 + e, -e]), 0.9e-12, 1.1e-12),
     "simplex_sum": (lambda d: SimplexPoint([0.5 + d, 0.5]), 0.9e-12, 1.1e-12),
-    "lift_psd_primal": (lambda e: primal(delta=2.0 - e), 0.9e-10, 1.1e-10),
+    "lift_psd_primal": (primal_negative, 0.9e-10, 1.1e-10),
     # the corner 1 + sum(u), and an index slot -u_i: the sum and the sign of
     # the weights extraction reads
     "lift_psd_dual": (lambda e: dual(-(1.0 + e)), 0.9e-10, 1.1e-10),
