@@ -2,7 +2,8 @@
 
 Instances are JSON objects with declared dimensions and row-major payoff
 matrices; loading converts and checks the whole matrix list at once, walks
-it matrix by matrix only to name the first offending field, and stores the
+it matrix by matrix only to name the first offending field or to log an
+asymmetry, and stores the
 family as one ``InstanceSet`` stack. Reports are
 flat JSON objects written on one line, whose floats round-trip bit-exactly
 (shortest exact decimal form, up to 17 significant digits); reports written
@@ -59,19 +60,10 @@ def _numeric(raw) -> np.ndarray:
     return arr
 
 
-def _check_asymmetry(i, asym) -> None:
-    """Reject matrices[i] above the error gate; log it above the warning gate."""
-    if asym > _ASYMMETRY_ERROR:
-        raise InstanceFormatError(
-            f"matrices[{i}] asymmetry {asym:.3e} exceeds {_ASYMMETRY_ERROR:.0e}"
-        )
-    if asym > _ASYMMETRY_WARN:
-        logger.warning("matrices[%d] asymmetry %.3e symmetrized away", i, asym)
-
-
 def _matrix(i: int, raw, n: int) -> np.ndarray:
     """matrices[i] as an (n, n) float array, checked in the order parse_instance
-    documents; raises naming matrices[i] at its first fault."""
+    documents; raises naming matrices[i] at its first fault, and logs an asymmetry
+    above the warning gate."""
     try:
         arr = _numeric(raw)
     except (TypeError, ValueError):
@@ -84,7 +76,13 @@ def _matrix(i: int, raw, n: int) -> np.ndarray:
         )
     if not np.isfinite(arr + arr.T).all():
         raise InstanceFormatError(f"matrices[{i}] is not finite once symmetrised")
-    _check_asymmetry(i, float(np.abs(arr - arr.T).max()))
+    asym = float(np.abs(arr - arr.T).max())
+    if asym > _ASYMMETRY_ERROR:
+        raise InstanceFormatError(
+            f"matrices[{i}] asymmetry {asym:.3e} exceeds {_ASYMMETRY_ERROR:.0e}"
+        )
+    if asym > _ASYMMETRY_WARN:
+        logger.warning("matrices[%d] asymmetry %.3e symmetrized away", i, asym)
     return arr
 
 
@@ -113,27 +111,27 @@ def parse_instance(doc: object) -> tuple[InstanceSet, list[str] | None]:
         raise InstanceFormatError("field 'matrices' must be a list")
     if len(mats) != m:
         raise InstanceFormatError(f"field 'matrices' has {len(mats)} entries, declared m={m}")
-    # (A + A^T)/2 can overflow where A is finite; that shows as inf, not as a warning
+    # A - A^T and (A + A^T)/2 can overflow where A is finite; that shows as inf or NaN,
+    # not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             stack = _numeric(mats)
-            whole = stack.shape == (m, n, n) and np.isfinite(stack + stack.transpose(0, 2, 1)).all()
+            tidy = stack.shape == (m, n, n) and bool(
+                (np.abs(stack - stack.transpose(0, 2, 1)) <= _ASYMMETRY_WARN).all())
+            # InstanceSet checks the symmetrised stack finite
+            inst = InstanceSet(stack) if tidy else None
         except (TypeError, ValueError, OverflowError):
-            whole = False
-        if whole:
-            asym = np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2))
-            for i in np.flatnonzero(asym > _ASYMMETRY_WARN):
-                _check_asymmetry(i, asym[i])
-        else:
-            # only a walk names the first bad matrix, and it raises there
-            stack = np.array([_matrix(i, raw, n) for i, raw in enumerate(mats)])
+            inst = None
+        if inst is None:
+            # only the walk names the first bad matrix, and raises or logs there
+            inst = InstanceSet(np.array([_matrix(i, raw, n) for i, raw in enumerate(mats)]))
     labels = doc.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or len(labels) != m or not all(
             isinstance(s, str) for s in labels
         ):
             raise InstanceFormatError(f"field 'labels' must be a list of {m} strings")
-    return InstanceSet(stack), labels
+    return inst, labels
 
 
 def _read_json(path: str) -> object:

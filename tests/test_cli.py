@@ -192,6 +192,14 @@ class TestInputValidation:
         messages = [r.getMessage() for r in caplog.records]
         assert len(messages) == 1
         assert re.findall(r"\[\d+\]", messages[0]) == ["[0]"], messages
+        # a long family with two such matrices logs each once, by its own index
+        mats = [self.GOOD] * 200
+        mats[17] = mats[150] = [[0.0, 1.0 + 5e-8], [1.0, 0.0]]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="specmm.files"):
+            parse_instance({"n": 2, "m": 200, "matrices": mats})
+        messages = [r.getMessage() for r in caplog.records]
+        assert [re.findall(r"\[\d+\]", m) for m in messages] == [["[17]"], ["[150]"]], messages
 
     def test_overflow_when_symmetrising_names_the_matrix(self, tmp_path, capsys):
         # finite entries whose (A + A^T)/2 overflows to inf
