@@ -89,7 +89,7 @@ class SimplexPoint:
         if not np.isfinite(w).all():
             raise ValueError("weights must be finite")
         if w.min() < -_ENTRY_TOL:
-            raise ValueError(f"weights must be nonnegative, min={w.min()!r}")
+            raise ValueError(f"weights must be nonnegative, min={float(w.min())!r}")
         s = float(w.sum())
         if abs(s - 1.0) > _SUM_TOL:
             raise ValueError(f"weights must sum to 1, got {s!r}")

@@ -189,7 +189,7 @@ class PrimalLift:
             raise ValueError("margin must be nonnegative")
         tops = _tops(emb)
         payoffs = _payoffs(tops, x)
-        delta = float(payoffs.max()) + self.margin
+        delta = float(payoffs.max() + self.margin)
         if not delta >= -_PSD_TOL:
             # sigma makes every <A_i + sigma*I, X> at least 1 for PSD X of unit trace
             raise ValueError(
@@ -200,7 +200,7 @@ class PrimalLift:
         # einsum, not the slacks' product: the residuals measure how far the two disagree
         residuals = _readonly(np.abs(np.einsum("kij,ij->k", tops, x) + slacks - delta))
         if not residuals.max(initial=0.0) <= _RESIDUAL_TOL:
-            raise ValueError(f"constraint residual too large: {residuals.max()!r}")
+            raise ValueError(f"constraint residual too large: {float(residuals.max())!r}")
         for name, value in (("delta", delta), ("slacks", slacks), ("residuals", residuals)):
             object.__setattr__(self, name, value)
 

@@ -82,7 +82,7 @@ class TestDomainTypes:
         assert SimplexPoint.uniform(4).weights == pytest.approx([0.25] * 4)
 
     def test_simplex_rejects_negative_mass(self):
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match=r"^weights must be nonnegative, min=-0\.5$"):
             SimplexPoint(np.array([1.5, -0.5]))
 
     def test_simplex_rejects_bad_sum(self):
