@@ -27,10 +27,10 @@ readers below work on the stacked tops A_sig,i and the known unit slots
 and corners, and no (n')^2 matrix is formed. A lift keeps its embedding,
 takes its free variables and derives the rest: a primal lift takes X and
 its least slack, the margin, and derives delta and the slacks, a dual lift
-takes u and t and derives its slack. Each fact is checked once, by the type that carries it, and a
-function handed a lift refuses the embedding of another instance. The two
-interior-point constructors certify strict feasibility on both sides,
-which makes the optimum attained and equal.
+takes u and t and derives its slack. Each fact is checked once, by the
+type that carries it, and a function handed a lift refuses the embedding
+of another instance. The two interior-point constructors certify strict
+feasibility on both sides, which makes the optimum attained and equal.
 """
 
 from __future__ import annotations

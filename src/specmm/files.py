@@ -3,8 +3,7 @@
 Instances are JSON objects with declared dimensions and row-major payoff
 matrices; loading converts and checks the whole matrix list at once, walks
 it matrix by matrix only to name the first offending field or to log an
-asymmetry, and stores the
-family as one ``InstanceSet`` stack. Reports are
+asymmetry, and stores the family as one ``InstanceSet`` stack. Reports are
 flat JSON objects written on one line, whose floats round-trip bit-exactly
 (shortest exact decimal form, up to 17 significant digits); reports written
 indented by earlier versions load the same way.
@@ -116,8 +115,8 @@ def parse_instance(doc: object) -> tuple[InstanceSet, list[str] | None]:
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             stack = _numeric(mats)
-            tidy = stack.shape == (m, n, n) and bool(
-                (np.abs(stack - stack.transpose(0, 2, 1)) <= _ASYMMETRY_WARN).all())
+            tidy = stack.shape == (m, n, n) and (
+                np.abs(stack - stack.transpose(0, 2, 1)) <= _ASYMMETRY_WARN).all()
             # InstanceSet checks the symmetrised stack finite
             inst = InstanceSet(stack) if tidy else None
         except (TypeError, ValueError, OverflowError):
