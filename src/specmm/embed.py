@@ -184,7 +184,7 @@ class PrimalLift:
         if x.shape != (emb.n, emb.n):
             raise ValueError("block shapes do not match the embedding")
         if not np.isfinite(self.margin):
-            raise ValueError(f"margin must be finite, got {self.margin!r}")
+            raise ValueError(f"margin must be finite, got {float(self.margin)!r}")
         if self.margin < 0.0:
             raise ValueError("margin must be nonnegative")
         tops = _tops(emb)

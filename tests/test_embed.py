@@ -435,6 +435,9 @@ class TestNonFiniteInputIsRefused:
         emb = build_embedding(pauli_pair())
         for margin in (np.inf, -np.inf, np.nan):
             self.refused(lambda: PrimalLift(emb, SpectraplexPoint(np.eye(2) / 2.0), margin=margin))
+        # a numpy scalar is named as a plain float
+        with pytest.raises(ValueError, match=r"^margin must be finite, got inf$"):
+            PrimalLift(emb, SpectraplexPoint(np.eye(2) / 2.0), margin=np.float64(np.inf))
 
 
 class TestInteriorDual:
