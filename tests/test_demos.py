@@ -39,7 +39,7 @@ def test_demo_runs(demo):
 
 
 def test_readme_quick_start_prints_what_its_comments_say():
-    # the fenced block below the heading; each print is followed by its output
+    # the fenced block below the heading; the comment after each print is its output
     code = README.split("## Library quick start", 1)[1].split("```", 2)[1].split("\n")[1:]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
