@@ -38,8 +38,10 @@ between Z's leading eigenvectors, eliminating the others.
 A first attempt from interior incumbents may converge on a wrong face or stall, but
 when its point improves an incumbent and leaves the gap open, the face is guessed
 again from the improved incumbents and a second attempt starts there, within the same
-Newton step (a crossover-style correction). The Newton iterates never depend on
-either attempt, so a solve can only stop sooner.
+Newton step (a crossover-style correction). An attempt that improves neither
+incumbent is retried, once per step, on the matrices within one gap of the upper
+bound, if they are fewer: at most three attempts per step. The Newton iterates never
+depend on any attempt, so a solve can only stop sooner.
 
 Certificates are self-verifying. After each Newton step the loop evaluates
 the exact bracket on all m matrices at its clipped iterate, Newton point (y zero
@@ -539,8 +541,11 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
     ``_face_step`` starts from the incumbents and its point, if any, is bracketed too.
     If that point improved an incumbent, the gap and the face are read again from the
     new incumbents and, under the same gate, a second attempt starts from them and its
-    point is bracketed as well: at most two attempts per Newton step. The best of each
-    side over all rounds is kept with its strategy, and
+    point is bracketed as well. If an attempt gives no point, or one that improves
+    neither incumbent, it is retried once per Newton step on the matrices within one
+    gap of the incumbent upper bound, if they are fewer than the face that failed: at
+    most three attempts per Newton step. The best of each side over all rounds is kept
+    with its strategy, and
     ``on_bounds(k, upper, lower)``, if given, sees the pair. When some matrix outside W
     pays more at the iterate's X than all of W, all such join W and a new round starts
     warm from the iterate. Stops at cfg.gap_tol, after cfg.max_iters steps in all, or at
@@ -579,15 +584,23 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
             better(x_bars, pays, y_bars, los)
             # the face guess, once the gap is small enough for it; a second attempt
             # starts from the incumbents that the first one's point improved
+            retry = True
             for _ in range(2):
                 if not cfg.gap_tol < (gap := upper - lower) <= _FACE_GAP * scale:
                     break
                 face = (best[1] >= upper - _FACE_GAPS * gap).nonzero()[0]
                 if len(face) > q + 1:
                     break
-                point = _face_step(stack, scale, diagonal, face, best[0], best[2], lower, upper,
-                                   cfg.gap_tol)
-                if point is None or not better(*_bracket(stack, *(a[None] for a in point))):
+                while face is not None:
+                    point = _face_step(stack, scale, diagonal, face, best[0], best[2], lower,
+                                       upper, cfg.gap_tol)
+                    if point is not None and better(*_bracket(stack, *(a[None] for a in point))):
+                        break
+                    # a failed attempt is retried, once per step, on the matrices within
+                    # one gap of the upper bound, if they are fewer
+                    one = (best[1] >= upper - gap).nonzero()[0]
+                    face, retry = one if retry and len(one) < len(face) else None, False
+                if face is None:
                     break
             if on_bounds is not None:
                 on_bounds(k, upper, lower)
