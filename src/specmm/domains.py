@@ -120,7 +120,8 @@ class InstanceSet:
             raise ValueError(f"expected at least one matrix of one order, as an (m, n, n) "
                              f"stack, got shape {s.shape}")
         with np.errstate(over="ignore", invalid="ignore"):
-            s = (s + s.transpose(0, 2, 1)) / 2.0
+            s = s + s.transpose(0, 2, 1)
+            s /= 2.0  # in place, bit for bit (S + S^T)/2: one (m, n, n) temporary, not two
         finite = np.isfinite(s).all(axis=(1, 2))
         if not finite.all():
             raise ValueError(f"matrix {int(np.argmin(finite))} is not finite once symmetrised")

@@ -115,8 +115,11 @@ def parse_instance(doc: object) -> tuple[InstanceSet, list[str] | None]:
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             stack = _numeric(mats)
-            tidy = stack.shape == (m, n, n) and (
-                np.abs(stack - stack.transpose(0, 2, 1)) <= _ASYMMETRY_WARN).all()
+            tidy = stack.shape == (m, n, n)
+            if tidy:
+                d = stack - stack.transpose(0, 2, 1)
+                tidy = (np.abs(d, out=d) <= _ASYMMETRY_WARN).all()
+                del d  # dead before InstanceSet symmetrises; freeing it lowers the peak
             # InstanceSet checks the symmetrised stack finite
             inst = InstanceSet(stack) if tidy else None
         except (TypeError, ValueError, OverflowError):
