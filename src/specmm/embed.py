@@ -237,7 +237,7 @@ class DualLift:
         if u.shape != (emb.m,):
             raise ValueError("block shapes do not match the embedding")
         if not (np.isfinite(u).all() and np.isfinite(self.bound)):
-            raise ValueError(f"multipliers and bound must be finite, got bound {self.bound!r}")
+            raise ValueError(f"multipliers and bound must be finite, got bound {float(self.bound)!r}")
         top = _readonly(_combination(0.0 - u, _tops(emb)) - self.bound * _eye(emb.n))
         corner = 1.0 + float(u.sum())
         for name, value in (("multipliers", u), ("top", top), ("corner", corner)):
@@ -246,7 +246,7 @@ class DualLift:
         if not lo >= -_PSD_TOL:
             raise DualInfeasibleError(
                 f"slack top-left {emb.n}x{emb.n} block is not PSD (lambda_min={lo:.6g}); "
-                f"t={self.bound!r} exceeds the weighted shifted eigenvalue bound"
+                f"t={float(self.bound)!r} exceeds the weighted shifted eigenvalue bound"
             )
         diag = np.append(0.0 - u, corner)
         k = int(np.argmin(diag))

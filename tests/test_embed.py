@@ -428,6 +428,10 @@ class TestNonFiniteInputIsRefused:
             w = [-1.0 / emb.m] * emb.m
             for u, t in ((w, -np.inf), (w, np.inf), ([-np.inf] * emb.m, 0.0)):
                 self.refused(lambda: DualLift(emb, u, t))
+        # a numpy scalar is named as a plain float
+        emb = build_embedding(InstanceSet([[[1.0]]]))
+        with pytest.raises(ValueError, match=r"^multipliers and bound must be finite, got bound nan$"):
+            DualLift(emb, [-1.0], np.float64(np.nan))
 
     def test_primal_lift(self):
         # an infinite delta once passed the PSD gate and failed only as a NaN
@@ -552,6 +556,9 @@ class TestBlockPsdCheck:
         emb = build_embedding(pauli_pair())
         with pytest.raises(DualInfeasibleError, match="top-left 2x2 block is not PSD"):
             DualLift(emb, [-0.5, -0.5], 2.0)
+        # a numpy bound is named as a plain float
+        with pytest.raises(DualInfeasibleError, match=r"; t=2\.0 exceeds the weighted shifted"):
+            DualLift(emb, [-0.5, -0.5], np.float64(2.0))
 
     def test_nan_block_is_not_psd(self):
         # no NaN reaches a block: a NaN margin, multiplier or bound is refused
