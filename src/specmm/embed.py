@@ -237,7 +237,8 @@ class DualLift:
         if u.shape != (emb.m,):
             raise ValueError("block shapes do not match the embedding")
         if not (np.isfinite(u).all() and np.isfinite(self.bound)):
-            raise ValueError(f"multipliers and bound must be finite, got bound {float(self.bound)!r}")
+            raise ValueError(
+                f"multipliers and bound must be finite, got bound {float(self.bound)!r}")
         top = _readonly(_combination(0.0 - u, _tops(emb)) - self.bound * _eye(emb.n))
         corner = 1.0 + float(u.sum())
         for name, value in (("multipliers", u), ("top", top), ("corner", corner)):

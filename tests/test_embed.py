@@ -430,7 +430,8 @@ class TestNonFiniteInputIsRefused:
                 self.refused(lambda: DualLift(emb, u, t))
         # a numpy scalar is named as a plain float
         emb = build_embedding(InstanceSet([[[1.0]]]))
-        with pytest.raises(ValueError, match=r"^multipliers and bound must be finite, got bound nan$"):
+        with pytest.raises(ValueError,
+                           match=r"^multipliers and bound must be finite, got bound nan$"):
             DualLift(emb, [-1.0], np.float64(np.nan))
 
     def test_primal_lift(self):
