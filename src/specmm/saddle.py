@@ -35,13 +35,20 @@ is the finite termination of linear programming, Ye, Math. Program. 1992), stopp
 once its residual is half the gap target, give a third candidate. A diagonal
 family's step solves for every coordinate of X's diagonal; a block's for X's entries
 between Z's leading eigenvectors, eliminating the others.
-A first attempt from interior incumbents may converge on a wrong face or stall, but
-when its point improves an incumbent and leaves the gap open, the face is guessed
-again from the improved incumbents and a second attempt starts there, within the same
-Newton step (a crossover-style correction). An attempt that improves neither
-incumbent is retried, once per step, on the matrices within one gap of the upper
-bound, if they are fewer: at most three attempts per step. The Newton iterates never
-depend on any attempt, so a solve can only stop sooner.
+That gate holds for a block family only: a diagonal family attempts from its first
+Newton step, whatever the gap, since its attempt is one linear solve of order at most
+n + k + 2 per Gauss-Newton step, with no eigendecomposition.
+A first attempt from interior incumbents may converge on a wrong face or stall. When
+its point weighs some face matrix at zero or below and the gap is open, the face
+loses those matrices and is attempted again at once (an active-set correction, once
+per face guess; Mehrotra & Ye, Math. Program. 1993, find the optimal face from an
+interior iterate the same way). When its point improves an incumbent and leaves the
+gap open, the face is guessed again from the improved incumbents and a second attempt
+starts there, within the same Newton step. An attempt that improves neither incumbent
+is retried, once per step, on the matrices within one gap of the upper bound, if they
+are fewer: two face guesses, each corrected at most once, and one retry make at most
+five attempts per step. The Newton iterates never depend on any attempt, so a solve
+can only stop sooner.
 
 Certificates are self-verifying. After each Newton step the loop evaluates
 the exact bracket on all m matrices at its clipped iterate, Newton point (y zero
@@ -89,8 +96,9 @@ __all__ = [
 _CROSSING_TOL = 1e-9
 # the cold start's distance from the boundary, in units of the scale
 _THETA = 0.1
-# a face step is attempted once the incumbents' gap is within this fraction of the
-# scale, on the matrices that pay within _FACE_GAPS gaps of the incumbent upper bound
+# a block family's face step is attempted once the incumbents' gap is within this
+# fraction of the scale (a diagonal family's at any gap), on the matrices that pay
+# within _FACE_GAPS gaps of the incumbent upper bound
 _FACE_GAP = 0.1
 _FACE_GAPS = 3.0
 # Gauss-Newton iterations per attempt, and the fraction of the gap target that its
@@ -167,14 +175,17 @@ def _bracket(stack: np.ndarray, xs: np.ndarray, ys: np.ndarray):
     """Clip each X of ``xs`` to the spectraplex and each y of ``ys`` to the simplex, and
     bracket the clipped points exactly on all m matrices of ``stack``.
 
-    An X keeps its eigenvalues' positive parts, is symmetrised and scaled to unit trace,
-    and is dropped if nothing positive is left; a y keeps its positive weights, scaled to
-    sum 1, and is dropped likewise if none is positive. Returns (x_bars, pays, y_bars,
+    An X that is not finite is dropped before the eigh call; any other keeps its
+    eigenvalues' positive parts, is symmetrised and scaled to unit trace, and is dropped
+    if nothing positive is left. A y keeps its positive weights, scaled to sum 1, and is
+    dropped if none is positive or their sum is not finite. Returns (x_bars, pays, y_bars,
     los), pays[j] being the payoffs <A_i, x_bars[j]> and los[j] = lambda_min(sum_i
     y_bars[j]_i A_i), by one eigh call on ``xs`` and one eigenvalue call on the
     combinations. The contractions are ``upper_value``'s and ``lower_value``'s, point by
     point, so each bound recomputes bit for bit from its strategy alone.
     """
+    if not np.isfinite(xs).all():  # the Newton point's X may not be finite
+        xs = xs[np.isfinite(xs).all(axis=(1, 2))]
     lam, vec = _eigh_raw(xs)
     x_bars = (vec * np.maximum(lam, 0.0)[:, None]) @ vec.transpose(0, 2, 1)
     tr = x_bars.trace(axis1=1, axis2=2)
@@ -182,8 +193,9 @@ def _bracket(stack: np.ndarray, xs: np.ndarray, ys: np.ndarray):
         x_bars, tr = x_bars[keep], tr[keep]
     x_bars = (x_bars + x_bars.transpose(0, 2, 1)) / (2.0 * tr[:, None, None])
     y_bars = np.maximum(ys, 0.0)
-    if not (tot := y_bars.sum(axis=1)).all():  # the Newton point's y may clip to zero
-        y_bars, tot = y_bars[tot > 0.0], tot[tot > 0.0]
+    # the Newton point's y may clip to zero, or not be finite, its sum then NaN or inf
+    if not (keep := (0.0 < (tot := y_bars.sum(axis=1))) & (tot < np.inf)).all():
+        y_bars, tot = y_bars[keep], tot[keep]
     y_bars /= tot[:, None]
     pays = np.array([_payoffs(stack, x_bar) for x_bar in x_bars])
     los = _eigvals_raw(np.array([_combination(y_bar, stack) for y_bar in y_bars]))[:, 0]
@@ -399,7 +411,8 @@ def _face_step(stack: np.ndarray, scale: float, diagonal: bool, face: np.ndarray
     singular and the step is the minimum-norm one. It starts at (x, y on the face,
     lower, upper) and stops once the largest residual is ``_FACE_TARGET`` (half) times
     the gap target ``tol`` or less, after ``_FACE_ITERS`` steps, or as soon as a step
-    does not shrink it (a step that cannot be solved for does not). One debug line logs
+    does not shrink it (a step that cannot be solved for, or whose point is not finite,
+    does not: it stops before Z_c's eigh reads that point). One debug line logs
     |face|, the steps taken and "converged", "capped" or "stalled". Returns the n x n X
     and the m weights, zero off the face, of the last point that shrank the residual,
     neither of them clipped, or None if no step did.
@@ -479,6 +492,10 @@ def _face_step(stack: np.ndarray, scale: float, diagonal: bool, face: np.ndarray
             xs.put(pc, sol[:nk])
             xs.put(tc, sol[:nk])
             x = q @ xs @ q.T
+        # a diagonal family's X is sol's; a point that is not finite stops the attempt
+        # before Z_c's eigh reads it
+        if not (np.isfinite(sol).all() and (diagonal or np.isfinite(x).all())):
+            raise np.linalg.LinAlgError("the Newton step is not finite")
         return x, y + dy, lam + dlam, v + sol[-1]
 
     point = start = (x, y[face], lower / scale, upper / scale)
@@ -533,19 +550,23 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
     diagonal family (``_is_diagonal``), n(n+1)/2 for any other. After each step, the
     damped iterate and the Newton point, their X and their -u[:-1] zero off W, are
     clipped and bracketed on the whole stack by ``_bracket``, one eigh and one
-    eigenvalue call on the pair. Then, while the gap of
-    the incumbents exceeds cfg.gap_tol but is at most ``_FACE_GAP`` times the scale,
+    eigenvalue call on the pair. Then, while the gap of the incumbents exceeds
+    cfg.gap_tol, and for a block family is at most ``_FACE_GAP`` times the scale (a
+    diagonal family's attempt is one small linear solve, so it attempts at any gap),
     the face is guessed as the matrices whose payoffs at the incumbent x_bar, already
     computed, are within ``_FACE_GAPS`` gaps of the incumbent upper bound; if it holds
     at most q + 1 matrices (a nondegenerate optimum's dual support can hold no more),
     ``_face_step`` starts from the incumbents and its point, if any, is bracketed too.
-    If that point improved an incumbent, the gap and the face are read again from the
-    new incumbents and, under the same gate, a second attempt starts from them and its
-    point is bracketed as well. If an attempt gives no point, or one that improves
-    neither incumbent, it is retried once per Newton step on the matrices within one
-    gap of the incumbent upper bound, if they are fewer than the face that failed: at
-    most three attempts per Newton step. The best of each side over all rounds is kept
-    with its strategy, and
+    If that point weighs some face matrix at zero or below and the gap is still open,
+    the attempt is corrected at once, once per face guess: the next starts on the face's
+    matrices of positive weight, a nonempty strict subset. Otherwise, if the point
+    improved an incumbent, the gap and the face are read again from the new incumbents
+    and, under the same gate, a second guess is attempted from them and its point is
+    bracketed as well. If an attempt gives no point, or one that improves neither
+    incumbent, it is retried once per Newton step on the matrices within one gap of the
+    incumbent upper bound, if they are fewer than the face that failed: at most five
+    attempts per Newton step. The best of each side over all rounds is kept with its
+    strategy, and
     ``on_bounds(k, upper, lower)``, if given, sees the pair. When some matrix outside W
     pays more at the iterate's X than all of W, all such join W and a new round starts
     warm from the iterate. Stops at cfg.gap_tol, after cfg.max_iters steps in all, or at
@@ -558,7 +579,7 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
         return 0.0, 0.0, _eye(n) / n, np.full(m, 1.0 / m), 0, scale
     diagonal, sigma = _is_diagonal(stack), _shift(spectra, scale)
     work = np.zeros(m, dtype=bool)
-    q = n if diagonal else n * (n + 1) // 2
+    q, gate = (n, np.inf) if diagonal else (n * (n + 1) // 2, _FACE_GAP * scale)
     work[np.argsort(-stack.trace(axis1=1, axis2=2), kind="stable")[: 3 * q]] = True
     upper, lower, k, warm = np.inf, -np.inf, 0, None
     best = [None, None, None]  # the incumbent x_bar, its payoffs, and y_bar
@@ -582,19 +603,31 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
             ys[:, work] = -us[:, :-1]
             x_bars, pays, y_bars, los = _bracket(stack, full, ys)
             better(x_bars, pays, y_bars, los)
-            # the face guess, once the gap is small enough for it; a second attempt
-            # starts from the incumbents that the first one's point improved
+            # the face guess, once the gap is small enough for it (at once on a diagonal
+            # family); a second guess starts from the incumbents that the first improved
             retry = True
             for _ in range(2):
-                if not cfg.gap_tol < (gap := upper - lower) <= _FACE_GAP * scale:
+                if not cfg.gap_tol < (gap := upper - lower) <= gate:
                     break
                 face = (best[1] >= upper - _FACE_GAPS * gap).nonzero()[0]
                 if len(face) > q + 1:
                     break
+                correct = True
                 while face is not None:
                     point = _face_step(stack, scale, diagonal, face, best[0], best[2], lower,
                                        upper, cfg.gap_tol)
-                    if point is not None and better(*_bracket(stack, *(a[None] for a in point))):
+                    improved = point is not None and better(
+                        *_bracket(stack, *(a[None] for a in point)))
+                    # a point that weighs some face matrix at zero or below, the gap still
+                    # open, is attempted again at once on the rest, once per face guess
+                    if point is not None and correct and upper - lower > cfg.gap_tol:
+                        pos = point[1].take(face) > 0.0
+                        if 0 < (kept := pos.sum()) < len(face):
+                            logger.debug("face corrected: %d of %d matrices weigh above zero",
+                                         kept, len(face))
+                            face, correct = face[pos], False
+                            continue
+                    if improved:
                         break
                     # a failed attempt is retried, once per step, on the matrices within
                     # one gap of the upper bound, if they are fewer

@@ -7,10 +7,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# a workload's line: its digest, the pass's Newton steps, its face steps, the
-# Python-level calls of a warm pass and the worst certificate's gap over its target
-STEPS = (r"[0-9a-f]{64} \d+ steps, \d+ face steps of \d+ Gauss-Newton steps, \d+ calls, "
-         r"worst gap \d+\.\d{3} of target\n")
+# a workload's line: its digest, the pass's Newton steps, its face steps and the converged
+# ones, the Python-level calls of a warm pass and the worst certificate's gap over its target
+FACES = r"\d+ face steps \(\d+ converged\) of \d+ Gauss-Newton steps"
+STEPS = rf"[0-9a-f]{{64}} \d+ steps, {FACES}, \d+ calls, worst gap \d+\.\d{{3}} of target\n"
 
 
 def fingerprints(*args):
@@ -53,4 +53,4 @@ def test_fuzz_adds_one_line_over_its_1600_certificates():
     out = fingerprints("--workloads", "games", "--fuzz")
     assert re.fullmatch(
         rf"games 101 {STEPS}fuzz [0-9a-f]{{64}} 1600 certificates, \d+ steps, "
-        r"short 0 minimax, 0 maximin, \d+ face steps of \d+ Gauss-Newton steps\n", out)
+        rf"short 0 minimax, 0 maximin, {FACES}\n", out)

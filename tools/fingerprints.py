@@ -8,8 +8,9 @@ benchmark's ``certify.py`` and ``workloads.py`` are imported, unchanged, from
 this checkout's ``benchmarks/``. For each workload and seed the script
 certifies every instance once and prints one line, ``workload seed SHA-256``,
 the digest over the cases' ``Outputs.fingerprint()`` in order, then the pass's
-Newton steps (the benchmark's ``rounds``) and the face steps taken with their
-total Gauss-Newton steps, which ``rounds`` leaves out, and the Python-level
+Newton steps (the benchmark's ``rounds``) and the face steps taken, how many of
+them converged and their total Gauss-Newton steps, which ``rounds`` leaves out,
+and the Python-level
 calls of a second, warm pass over the same cases (``call`` and ``c_call``
 events of a ``sys.setprofile`` hook, so that filling a cache does not count),
 and how tight the certificates are: the largest gap over its case's gap target
@@ -18,8 +19,9 @@ fails in a lift included. One indented line follows per case that ended in an
 error, with that error. ``--fuzz`` adds one line with a digest over the
 certificates of the seeded fuzz of ``tests/test_saddle.py``: its 400 instances
 solved both ways at relative gaps 1e-6 and 1e-8, 1,600 certificates, their total
-Newton steps, the counts that stopped short, and the face steps with their
-Gauss-Newton steps. Face steps are counted from the solver's debug lines.
+Newton steps, the counts that stopped short, and the face steps with the converged
+ones and their Gauss-Newton steps. Face steps are counted from the solver's debug
+lines; the converged share is the useful outcomes of the attempts made.
 
 Run it on two source trees and compare the outputs line by line:
 
@@ -71,20 +73,23 @@ def _import(src: Path) -> dict:
 
 
 class FaceCount(logging.Handler):
-    """Counts the solver's face steps and their Gauss-Newton steps from its debug lines,
-    "face step on <k> matrices: <steps> Gauss-Newton steps, <outcome>"."""
+    """Counts the solver's face steps, those that converged, and their Gauss-Newton steps
+    from its debug lines, "face step on <k> matrices: <steps> Gauss-Newton steps,
+    <outcome>"."""
 
     def __init__(self):
         super().__init__(logging.DEBUG)
-        self.attempts = self.steps = 0
+        self.attempts = self.converged = self.steps = 0
 
     def emit(self, record):
         if record.msg.startswith("face step"):
             self.attempts += 1
+            self.converged += record.args[2] == "converged"
             self.steps += record.args[1]
 
     def __str__(self):
-        return f"{self.attempts} face steps of {self.steps} Gauss-Newton steps"
+        return (f"{self.attempts} face steps ({self.converged} converged) of {self.steps} "
+                "Gauss-Newton steps")
 
 
 @contextlib.contextmanager
