@@ -41,8 +41,8 @@ n + k + 2 per Gauss-Newton step, with no eigendecomposition.
 A first attempt from interior incumbents may converge on a wrong face or stall. When
 its point weighs some face matrix at zero or below and the gap is open, the face
 loses those matrices and is attempted again at once (an active-set correction, once
-per face guess; Mehrotra & Ye, Math. Program. 1993, find the optimal face from an
-interior iterate the same way). When its point improves an incumbent and leaves the
+per face guess; on finding the optimal face from an interior iterate, see Mehrotra &
+Ye, Math. Program. 1993). When its point improves an incumbent and leaves the
 gap open, the face is guessed again from the improved incumbents and a second attempt
 starts there, within the same Newton step. An attempt that improves neither incumbent
 is retried, once per step, on the matrices within one gap of the upper bound, if they
@@ -412,7 +412,7 @@ def _face_step(stack: np.ndarray, scale: float, diagonal: bool, face: np.ndarray
     lower, upper) and stops once the largest residual is ``_FACE_TARGET`` (half) times
     the gap target ``tol`` or less, after ``_FACE_ITERS`` steps, or as soon as a step
     does not shrink it (a step that cannot be solved for, or whose point is not finite,
-    does not: it stops before Z_c's eigh reads that point). One debug line logs
+    does not: a block's stops before Z_c's eigh reads that point). One debug line logs
     |face|, the steps taken and "converged", "capped" or "stalled". Returns the n x n X
     and the m weights, zero off the face, of the last point that shrank the residual,
     neither of them clipped, or None if no step did.
@@ -492,9 +492,9 @@ def _face_step(stack: np.ndarray, scale: float, diagonal: bool, face: np.ndarray
             xs.put(pc, sol[:nk])
             xs.put(tc, sol[:nk])
             x = q @ xs @ q.T
-        # a diagonal family's X is sol's; a point that is not finite stops the attempt
-        # before Z_c's eigh reads it
-        if not (np.isfinite(sol).all() and (diagonal or np.isfinite(x).all())):
+        # a block's point that is not finite stops the attempt before Z_c's eigh reads
+        # it; a diagonal family's makes no eigh call, and stalls on its residual
+        if not (diagonal or np.isfinite(sol).all() and np.isfinite(x).all()):
             raise np.linalg.LinAlgError("the Newton step is not finite")
         return x, y + dy, lam + dlam, v + sol[-1]
 
