@@ -4,14 +4,14 @@ A matrix game with payoff rows a_1, ..., a_m over n columns embeds into the
 spectral problem by placing each row on a diagonal: with A_i = diag(a_i),
 mixed column strategies correspond to diagonal spectraplex points and the
 game value equals the spectral saddle value. This module computes the game
-value exactly (one linear program solved by an integer simplex with
-fraction-free pivots) so the reduction can be verified against the
-interior-point solver to stated tolerances.
+value exactly, by the integer simplex with fraction-free pivots that the
+solver in ``saddle`` also runs to finish a diagonal family on its face, so the
+reduction can be verified against the interior-point solve to stated
+tolerances.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from numbers import Real
@@ -19,7 +19,7 @@ from numbers import Real
 import numpy as np
 
 from .domains import InstanceSet
-from .saddle import SaddleCertificate, SaddleConfig, solve_minimax
+from .saddle import SaddleCertificate, SaddleConfig, _integers, _simplex, solve_minimax
 
 __all__ = [
     "VectorGame",
@@ -80,98 +80,19 @@ def embed_diagonal(game: VectorGame) -> InstanceSet:
     return InstanceSet([np.diag(r) for r in game.rows])
 
 
-def _pivot(tab: list[list[int]], r: int, c: int, prev: int) -> int:
-    """One fraction-free (Bareiss) pivot on ``tab[r][c]``, in place.
-
-    Every other row becomes (p * row - row[c] * pivot row) // prev, where p
-    is the pivot and prev the pivot before it (1 at the start); the pivot
-    row is kept. By Sylvester's identity the entries are then minors of the
-    starting table, so the division is exact and the work stays in Python
-    ints (Edmonds, J. Res. NBS 1967): each entry is the rational table's
-    entry times p, the determinant of the pivoted columns up to sign.
-    Returns p, the prev of the next pivot.
-    """
-    top = tab[r]
-    p = top[c]
-    for i, row in enumerate(tab):
-        if i != r:
-            f = row[c]
-            tab[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
-    return p
-
-
 def classic_value_exact(game: VectorGame) -> float:
     """Exact game value by one simplex solve over Python ints.
 
-    The payoffs are scaled to integers by the common denominator of their
-    exact values and shifted so every entry of B = A + shift is at least
-    1. Then max sum(u) s.t. B u <= 1, u >= 0 is bounded with optimum
-    1 / (value + shift), and at the optimum u and the slack duals rescale
-    to the minimizer's column strategy x and the maximizer's row strategy
-    y. The tableau starts from the slack basis and every step is one
-    fraction-free ``_pivot``, so no entry is ever a fraction. Bland's rule
-    (Math. Oper. Res. 1977) picks the lowest-index column with a negative
-    reduced cost and, among rows tied in the ratio test, the lowest basic
-    index, so degenerate games cannot cycle. The equilibrium is then
-    checked exactly: x and y are nonnegative and sum to 1, and
-    max_i (A x)_i = value = min_j (y^T A)_j. The returned float is the
-    rational value correctly rounded.
+    The payoffs are scaled to ints by the common denominator of their exact
+    values (``saddle._integers``), and ``saddle._simplex`` solves the game on
+    all its rows: Bland's rule with fraction-free pivots, then one exact check
+    that its x and y are an equilibrium (RuntimeError if not). The returned
+    float is the rational value correctly rounded.
     """
-    m, n = game.m, game.n
-    # the entries are floats, so dyadic rationals p / q in lowest terms:
-    # scaled by their common denominator they become ints with the same
-    # ratios, and the value scales with them
-    exact = [[x.as_integer_ratio() for x in row] for row in game.rows]
-    den = math.lcm(*(q for row in exact for _, q in row))
-    payoff = [[p * (den // q) for p, q in row] for row in exact]
-    shift = 1 - min(min(row) for row in payoff)
-    # row i reads (B u)_i + s_i = 1; the last row is the objective, whose
-    # reduced costs start at -1 on u and 0 on the slacks s
-    tab = [
-        [a + shift for a in row] + [int(k == i) for k in range(m)] + [1]
-        for i, row in enumerate(payoff)
-    ]
-    tab.append([-1] * n + [0] * (m + 1))
-    basis = list(range(n, n + m))
-    d = 1
-    while True:
-        c = next((j for j, v in enumerate(tab[m][:-1]) if v < 0), None)
-        if c is None:
-            break
-        # ratio test by cross-multiplication, every table row sharing the
-        # positive factor d; B u <= 1 is bounded, so some entry is positive
-        r = None
-        for i in range(m):
-            a = tab[i][c]
-            if a > 0:
-                if r is None:
-                    r = i
-                    continue
-                lhs, rhs = tab[i][-1] * tab[r][c], tab[r][-1] * a
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[r]):
-                    r = i
-        d = _pivot(tab, r, c, d)
-        basis[r] = c
-    # the optimum sum(u) is z / d, so value + shift = d / z; the
-    # strategies are read off scaled by z, which keeps the check in ints
-    z = tab[m][-1]
-    x = [0] * n
-    for i, b in enumerate(basis):
-        if b < n:
-            x[b] = tab[i][-1]
-    y = tab[m][n : n + m]
-    vz = d - shift * z
-    if (
-        min(x) < 0
-        or min(y) < 0
-        or sum(x) != z
-        or sum(y) != z
-        or max(sum(a * w for a, w in zip(row, x)) for row in payoff) != vz
-        or min(sum(w * row[j] for w, row in zip(y, payoff)) for j in range(n)) != vz
-    ):
-        raise RuntimeError("the simplex optimum is not an equilibrium")
+    payoff, den = _integers(game.rows)
+    _, _, z, v = _simplex(payoff, range(game.m))
     # int true division rounds correctly
-    return vz / (z * den)
+    return v / (z * den)
 
 
 def verify_diagonal_reduction(

@@ -26,29 +26,29 @@ Optim. 1998, carry LP blocks beside SDP blocks the same way), and the family is
 solved as a linear program. Any other family keeps X as one dense n x n block.
 
 An interior point only approaches the optimal face, so each solve also tries to
-finish on it. Once the incumbents' gap is within a tenth of the scale, the face is
-guessed from them: the matrices that pay within three gaps of the incumbent upper
-bound. When it holds at most q + 1 matrices, up to four Gauss-Newton steps on that
-face's square optimality system (``_face_step``: Newton on the complementarity
-system, Alizadeh, Haeberly & Overton, Math. Program. 1997, which in the diagonal case
-is the finite termination of linear programming, Ye, Math. Program. 1992), stopping
-once its residual is half the gap target, give a third candidate. A diagonal
-family's step solves for every coordinate of X's diagonal; a block's for X's entries
-between Z's leading eigenvectors, eliminating the others.
-That gate holds for a block family only: a diagonal family attempts from its first
-Newton step, whatever the gap, since its attempt is one linear solve of order at most
-n + k + 2 per Gauss-Newton step, with no eigendecomposition.
+finish on it: the face is guessed from the incumbents as the matrices that pay within
+three gaps of the incumbent upper bound, and tried when it holds at most q + 1 of them.
+A diagonal family tries from its first Newton step, whatever the gap: its game is
+converted to integers once per solve, and the finish is the exact simplex of the
+classic game (``_simplex``: Bland's rule with fraction-free pivots) on the face's rows,
+which adds every row of the whole game that the face's optimum violates until none
+does. The interior point names the face and pivoting finishes on it (Megiddo, ORSA J.
+Comput. 1991; Mehrotra & Ye, Math. Program. 1993); its exact equilibrium, rounded to
+floats, is the third candidate. A block family tries once the incumbents' gap is within
+a tenth of the scale: up to four Gauss-Newton steps on that face's square optimality
+system (``_face_step``: Newton on the complementarity system, Alizadeh, Haeberly &
+Overton, Math. Program. 1997) solve for X's entries between Z's leading eigenvectors,
+eliminating the others, and stop once the residual is half the gap target.
 A first attempt from interior incumbents may converge on a wrong face or stall. When
 its point weighs some face matrix at zero or below and the gap is open, the face
 loses those matrices and is attempted again at once (an active-set correction, once
-per face guess; on finding the optimal face from an interior iterate, see Mehrotra &
-Ye, Math. Program. 1993). When its point improves an incumbent and leaves the
-gap open, the face is guessed again from the improved incumbents and a second attempt
-starts there, within the same Newton step. An attempt that improves neither incumbent
-is retried, once per step, on the matrices within one gap of the upper bound, if they
-are fewer: two face guesses, each corrected at most once, and one retry make at most
-five attempts per step. The Newton iterates never depend on any attempt, so a solve
-can only stop sooner.
+per face guess). When its point improves an incumbent and leaves the gap open, the
+face is guessed again from the improved incumbents and a second attempt starts there,
+within the same Newton step. An attempt that improves neither incumbent is retried,
+once per step, on the matrices within one gap of the upper bound, if they are fewer:
+two face guesses, each corrected at most once, and one retry make at most five
+attempts per step. The Newton iterates never depend on any attempt, so a solve can
+only stop sooner.
 
 Certificates are self-verifying. After each Newton step the loop evaluates
 the exact bracket on all m matrices at its clipped iterate, Newton point (y zero
@@ -64,9 +64,11 @@ Maximin is the same solve on the negated family, bounds negated and swapped.
 from __future__ import annotations
 
 import logging
+import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cache
+from operator import mul
 from typing import Callable
 
 import numpy as np
@@ -97,8 +99,8 @@ _CROSSING_TOL = 1e-9
 # the cold start's distance from the boundary, in units of the scale
 _THETA = 0.1
 # a block family's face step is attempted once the incumbents' gap is within this
-# fraction of the scale (a diagonal family's at any gap), on the matrices that pay
-# within _FACE_GAPS gaps of the incumbent upper bound
+# fraction of the scale (a diagonal family's exact finish at any gap), on the matrices
+# that pay within _FACE_GAPS gaps of the incumbent upper bound
 _FACE_GAP = 0.1
 _FACE_GAPS = 3.0
 # Gauss-Newton iterations per attempt, and the fraction of the gap target that its
@@ -394,83 +396,71 @@ def _kept_pairs(ns: int, n: int) -> tuple[np.ndarray, ...]:
     return pairs
 
 
-def _face_step(stack: np.ndarray, scale: float, diagonal: bool, face: np.ndarray,
-               x: np.ndarray, y: np.ndarray, lower: float, upper: float, tol: float):
-    """Gauss-Newton on the optimality system of the face ``face``, from the incumbents.
+def _face_step(stack: np.ndarray, scale: float, face: np.ndarray, x: np.ndarray,
+               y: np.ndarray, lower: float, upper: float, tol: float):
+    """Gauss-Newton on the optimality system of a block family's face ``face``, from the
+    incumbents.
 
-    In units of the scale, the unknowns are X (the vector x_d of its diagonal for a
-    ``diagonal`` family, one dense block X_c for any other), y on the face, lambda and
-    v; the equations are <A_i, X> = v on the face, tr X = 1, sum y = 1, and z_d * x_d =
-    0 or sym(Z_c X_c) = 0, with Z = sum_face y_i A_i - lambda I. Each step solves for
-    every coordinate of x_d, or for X_c's entries between Z_c's leading eigenvectors S
-    and eliminates the others. The system is square, and at a strictly complementary,
+    In units of the scale, the unknowns are X, y on the face, lambda and v; the equations
+    are <A_i, X> = v on the face, tr X = 1, sum y = 1 and sym(Z X) = 0, with Z = sum_face
+    y_i A_i - lambda I. Each step solves for X's entries between Z's leading eigenvectors
+    S and eliminates the others. The system is square, and at a strictly complementary,
     nondegenerate optimum its Jacobian is regular (Alizadeh, Haeberly & Overton, Math.
-    Program. 1997), so Newton converges quadratically there; a diagonal family is the
-    linear program's case (Ye, Math. Program. 1992). On a degenerate face, where a
-    matrix repeated on it leaves y's split among the copies free, the Jacobian is
-    singular and the step is the minimum-norm one. It starts at (x, y on the face,
-    lower, upper) and stops once the largest residual is ``_FACE_TARGET`` (half) times
-    the gap target ``tol`` or less, after ``_FACE_ITERS`` steps, or as soon as a step
-    does not shrink it (a step that cannot be solved for, or whose point is not finite,
-    does not: a block's stops before Z_c's eigh reads that point). One debug line logs
-    |face|, the steps taken and "converged", "capped" or "stalled". Returns the n x n X
-    and the m weights, zero off the face, of the last point that shrank the residual,
-    neither of them clipped, or None if no step did.
+    Program. 1997), so Newton converges quadratically there. On a degenerate face, where
+    a matrix repeated on it leaves y's split among the copies free, the Jacobian is
+    singular and the step is the minimum-norm one. It starts at (x, y on the face, lower,
+    upper) and stops once the largest residual is ``_FACE_TARGET`` (half) times the gap
+    target ``tol`` or less, after ``_FACE_ITERS`` steps, or as soon as a step does not
+    shrink it (a step that cannot be solved for, or whose point is not finite, does not:
+    it stops before Z's eigh reads that point). One debug line logs |face|, the steps
+    taken and "converged", "capped" or "stalled". Returns the n x n X and the m weights,
+    zero off the face, of the last point that shrank the residual, neither of them
+    clipped, or None if no step did.
     """
     m, n, _ = stack.shape
-    k, flat = len(face), stack.reshape(m, -1)
-    if diagonal:  # the face's diagonals, in units of the scale, and the trace's
-        pd = np.ones((k + 1, n))
-        pd[:k] = flat[:, :: n + 1].take(face, axis=0) / scale
-    else:  # the identity, whose first ns columns are Q^T I Q_S
-        eye = _eye(n)
+    k, flat, eye = len(face), stack.reshape(m, -1), _eye(n)
     yf = np.zeros(m)  # the weights on all m
 
     def newton(point, eig):
         # One Newton step at point = (X, y, lambda, v), the minimum-norm one where the
         # Jacobian is singular; LinAlgError if even that fails.
-        # It solves for every coordinate of x_d, or for X_c's entries (j <= l) between
-        # the eigenvectors S, Z_c's first ns with ns = #{j : zeta_j <= |X_jj|}, with dy,
-        # dlambda and dv. X_c's other entries are eliminated, X + dX = -(sym(dZ X) -
-        # dlambda X) / h on them (h = (zeta_j + zeta_l)/2 in Z_c's eigenbasis), and of
-        # their terms, those that X's entries off S x S multiply are dropped: they vanish
-        # on the face, so the step still converges quadratically, and it reads the
-        # rotated face on the columns S only, not as a (k, n, n) array.
+        # It solves for X's entries (j <= l) between the eigenvectors S, Z's first ns
+        # with ns = #{j : zeta_j <= |X_jj|}, with dy, dlambda and dv. X's other entries
+        # are eliminated, X + dX = -(sym(dZ X) - dlambda X) / h on them (h = (zeta_j +
+        # zeta_l)/2 in Z's eigenbasis), and of their terms, those that X's entries off
+        # S x S multiply are dropped: they vanish on the face, so the step still converges
+        # quadratically, and it reads the rotated face on the columns S only, not as a
+        # (k, n, n) array.
         x, y, lam, v = point
-        # the Jacobian's columns: the kept coordinates' new values, dy, dlambda and
-        # dv; its rows: the face's payoffs, the trace, sum y, the kept complementarity
-        if diagonal:
-            xd = x.diagonal()
-            coef, hk, bk, xk, mg, g = pd, eig, pd[:k] * xd, xd, 0.0, 0.0
-        else:
-            q, xt, h, ns = eig
-            ps, ts, pc, tc, mult = _kept_pairs(ns, n)
-            w = 1.0 / h
-            w[:ns, :ns] = 0.0
-            # T_i = Q^T A_i Q_S, and the identity's; X T_i on the rows S, whose
-            # symmetric part is sym(A_i X) on S x S; W o (T_i X_SS + X T_i) on the rows
-            # off S, which is 2 W o sym(A_i X) there less the dropped terms, and W o X
-            tq = np.empty((k + 1, n, ns))
-            tq[:k] = q.T @ (stack @ q[:, :ns]).take(face, axis=0)
-            tq[:k] /= scale
-            tq[k] = eye[:, :ns]
-            ys = (xt[:ns] @ tq[:k]).reshape(k, -1)
-            r = np.empty((k + 1, n - ns, ns))
-            r[:k] = xt[ns:] @ tq[:k] + tq[:k, ns:] @ xt[:ns, :ns]
-            r[k] = xt[ns:, :ns]
-            r *= w[ns:, :ns]
-            r = tq[:, ns:].reshape(k + 1, -1) @ r.reshape(k + 1, -1).T
-            mg, g = r[:, :k], r[:, k]
-            coef, hk, bk, xk = (tq[:, :ns].reshape(k + 1, -1).take(ps, axis=1) * mult,
-                                h.take(pc), (ys.take(ps, axis=1) + ys.take(ts, axis=1)) / 2.0,
-                                xt.take(pc))
-            del tq, ys  # dead once the columns are formed; freeing them lowers the peak
-        nk = len(hk)
+        q, xt, h, ns = eig
+        ps, ts, pc, tc, mult = _kept_pairs(ns, n)
+        w = 1.0 / h
+        w[:ns, :ns] = 0.0
+        # T_i = Q^T A_i Q_S, and the identity's; X T_i on the rows S, whose symmetric part
+        # is sym(A_i X) on S x S; W o (T_i X_SS + X T_i) on the rows off S, which is
+        # 2 W o sym(A_i X) there less the dropped terms, and W o X
+        tq = np.empty((k + 1, n, ns))
+        tq[:k] = q.T @ (stack @ q[:, :ns]).take(face, axis=0)
+        tq[:k] /= scale
+        tq[k] = eye[:, :ns]
+        ys = (xt[:ns] @ tq[:k]).reshape(k, -1)
+        r = np.empty((k + 1, n - ns, ns))
+        r[:k] = xt[ns:] @ tq[:k] + tq[:k, ns:] @ xt[:ns, :ns]
+        r[k] = xt[ns:, :ns]
+        r *= w[ns:, :ns]
+        r = tq[:, ns:].reshape(k + 1, -1) @ r.reshape(k + 1, -1).T
+        # the Jacobian's columns: the kept entries' new values, dy, dlambda and dv; its
+        # rows: the face's payoffs, the trace, sum y, the kept complementarity
+        coef, bk = (tq[:, :ns].reshape(k + 1, -1).take(ps, axis=1) * mult,
+                    (ys.take(ps, axis=1) + ys.take(ts, axis=1)) / 2.0)
+        del tq, ys  # dead once the columns are formed; freeing them lowers the peak
+        nk = len(ps)
         jac = np.zeros((nk + k + 2, nk + k + 2))
-        jac[: k + 1, :nk], jac[: k + 1, nk: nk + k], jac[: k + 1, nk + k] = coef, -mg, g
+        jac[: k + 1, :nk], jac[: k + 1, nk: nk + k] = coef, -r[:, :k]
+        jac[: k + 1, nk + k] = r[:, k]
         jac[:k, -1], jac[k + 1, nk: nk + k] = -1.0, 1.0
-        jac[k + 2:, nk: nk + k], jac[k + 2:, nk + k] = bk.T, -xk
-        jac.reshape(-1)[(k + 2) * (nk + k + 2):: nk + k + 3][:nk] = hk
+        jac[k + 2:, nk: nk + k], jac[k + 2:, nk + k] = bk.T, -xt.take(pc)
+        jac.reshape(-1)[(k + 2) * (nk + k + 2):: nk + k + 3][:nk] = h.take(pc)
         rhs = np.zeros(nk + k + 2)
         rhs[:k], rhs[k], rhs[k + 1] = v, 1.0, 1.0 - y.sum()
         try:
@@ -479,22 +469,16 @@ def _face_step(stack: np.ndarray, scale: float, diagonal: bool, face: np.ndarray
             sol = np.linalg.lstsq(jac, rhs, rcond=None)[0]
         del jac, coef, bk  # dead once solved; freeing them lowers the peak
         dy, dlam = sol[nk: nk + k], sol[nk + k]
-        if diagonal:
-            # not np.diag(x_d): it writes through .flat, which allocates about 4 KiB
-            x = np.zeros((n, n))
-            x.reshape(-1)[:: n + 1] = sol[:n]
-        else:
-            # sum_face dy_i A_i = dZ + dlambda I, and X + dX
-            yf[face] = dy
-            dz = yf @ flat / scale
-            xs = q.T @ dz.reshape(n, n) @ q @ xt
-            xs = -w * ((xs + xs.T) / 2.0 - dlam * xt)
-            xs.put(pc, sol[:nk])
-            xs.put(tc, sol[:nk])
-            x = q @ xs @ q.T
-        # a block's point that is not finite stops the attempt before Z_c's eigh reads
-        # it; a diagonal family's makes no eigh call, and stalls on its residual
-        if not (diagonal or np.isfinite(sol).all() and np.isfinite(x).all()):
+        # sum_face dy_i A_i = dZ + dlambda I, and X + dX
+        yf[face] = dy
+        dz = yf @ flat / scale
+        xs = q.T @ dz.reshape(n, n) @ q @ xt
+        xs = -w * ((xs + xs.T) / 2.0 - dlam * xt)
+        xs.put(pc, sol[:nk])
+        xs.put(tc, sol[:nk])
+        x = q @ xs @ q.T
+        # a point that is not finite stops the attempt before Z's eigh reads it
+        if not (np.isfinite(sol).all() and np.isfinite(x).all()):
             raise np.linalg.LinAlgError("the Newton step is not finite")
         return x, y + dy, lam + dlam, v + sol[-1]
 
@@ -505,19 +489,15 @@ def _face_step(stack: np.ndarray, scale: float, diagonal: bool, face: np.ndarray
             x, y, lam, v = point
             yf[face] = y
             z, xf = yf @ flat / scale, x.reshape(-1)
-            r = [(flat @ xf).take(face) / scale - v, [xf[:: n + 1].sum() - 1.0, y.sum() - 1.0]]
-            if diagonal:
-                eig = z[:: n + 1] - lam
-                r.append(eig * xf[:: n + 1])
-            else:
-                # Z_c's eigensystem, zeta ascending, and |S|
-                zeta, q = _eigh_raw(z.reshape(n, n))
-                zeta -= lam
-                xt = q.T @ x @ q
-                h = np.add.outer(zeta, zeta) / 2.0
-                eig = (q, xt, h, int((zeta <= np.abs(xt.diagonal())).sum()))
-                r.append((h * xt).reshape(-1))
-            res = np.abs(np.concatenate(r)).max()
+            # Z's eigensystem, zeta ascending, and |S|
+            zeta, q = _eigh_raw(z.reshape(n, n))
+            zeta -= lam
+            xt = q.T @ x @ q
+            h = np.add.outer(zeta, zeta) / 2.0
+            eig = (q, xt, h, int((zeta <= np.abs(xt.diagonal())).sum()))
+            res = np.abs(np.concatenate(((flat @ xf).take(face) / scale - v,
+                                         [xf[:: n + 1].sum() - 1.0, y.sum() - 1.0],
+                                         (h * xt).reshape(-1)))).max()
             if not res < res_best:
                 outcome = "stalled"
                 break
@@ -541,6 +521,116 @@ def _face_step(stack: np.ndarray, scale: float, diagonal: bool, face: np.ndarray
     return best[0], yf
 
 
+def _pivot(tab: list[list[int]], r: int, c: int, prev: int) -> int:
+    """One fraction-free (Bareiss) pivot on ``tab[r][c]``, in place.
+
+    Every other row becomes (p * row - row[c] * pivot row) // prev, where p
+    is the pivot and prev the pivot before it (1 at the start); the pivot
+    row is kept. By Sylvester's identity the entries are then minors of the
+    starting table, so the division is exact and the work stays in Python
+    ints (Edmonds, J. Res. NBS 1967): each entry is the rational table's
+    entry times p, the determinant of the pivoted columns up to sign.
+    Returns p, the prev of the next pivot.
+    """
+    top = tab[r]
+    p = top[c]
+    for i, row in enumerate(tab):
+        if i != r:
+            f = row[c]
+            tab[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+    return p
+
+
+def _integers(rows) -> tuple[list[list[int]], int]:
+    """Rows of floats as rows of ints with the same ratios, and the factor between them.
+
+    Each float is a dyadic rational p / q in lowest terms; scaled by the common
+    denominator ``den`` of them all, every entry is an int, and a game's value scales
+    with it. Returns (the int rows, den).
+    """
+    exact = [[x.as_integer_ratio() for x in row] for row in rows]
+    den = math.lcm(*[q for row in exact for _, q in row])
+    return [[p * (den // q) for p, q in row] for row in exact], den
+
+
+def _simplex(payoff: list[list[int]], rows) -> tuple[list[int], list[int], int, int]:
+    """The exact equilibrium of the game of int ``payoff`` rows, solved first on ``rows``.
+
+    The maximizer picks a row i, the minimizer a column j. With every entry of B = A +
+    shift at least 1, max sum(u) s.t. B u <= 1, u >= 0 over the rows solved is bounded
+    with optimum 1 / (value + shift), and at the optimum u and the slack duals rescale to
+    the minimizer's x and the maximizer's y. The tableau starts from the slack basis and
+    every step is one fraction-free ``_pivot``, so no entry is ever a fraction. Bland's
+    rule (Math. Oper. Res. 1977) picks the lowest-index column with a negative reduced
+    cost and, among rows tied in the ratio test, the lowest basic index, so degenerate
+    games cannot cycle. Then every row of the whole game is checked exactly at x: each
+    row not yet solved on that pays more than the value is added, and the simplex runs
+    again from the slack basis on the larger set, until none does. The equilibrium is
+    then checked exactly, once, on the whole game: x and y are nonnegative and sum to z,
+    and max_i (A x)_i = v = min_j (y^T A)_j; RuntimeError if not. One debug line logs the
+    rows first solved on, the rows added and the simplex rounds. Returns (x, y, z, v):
+    the strategies x / z and y / z (y zero off the rows solved on) and the value v / z.
+    """
+    m, n = len(payoff), len(payoff[0])
+    shift = 1 - min(map(min, payoff))
+    rows, rounds = list(rows), 0
+    first = len(rows)
+    while True:
+        rounds, k = rounds + 1, len(rows)
+        # row l reads (B u)_l + s_l = 1; the last row is the objective, whose reduced
+        # costs start at -1 on u and 0 on the slacks s
+        tab = [[a + shift for a in payoff[i]] + [int(j == l) for j in range(k)] + [1]
+               for l, i in enumerate(rows)]
+        tab.append([-1] * n + [0] * (k + 1))
+        basis, d = list(range(n, n + k)), 1
+        while (c := next((j for j, rc in enumerate(tab[k][:-1]) if rc < 0), None)) is not None:
+            # ratio test by cross-multiplication, every table row sharing the positive
+            # factor d; B u <= 1 is bounded, so some entry is positive
+            r = None
+            for i in range(k):
+                a = tab[i][c]
+                if a > 0:
+                    if r is None:
+                        r = i
+                        continue
+                    lhs, rhs = tab[i][-1] * tab[r][c], tab[r][-1] * a
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[r]):
+                        r = i
+            d = _pivot(tab, r, c, d)
+            basis[r] = c
+        # the optimum sum(u) is z / d, so value + shift = d / z; the strategies are read
+        # off scaled by z, which keeps the checks in ints
+        z, x = tab[k][-1], [0] * n
+        for i, b in enumerate(basis):
+            if b < n:
+                x[b] = tab[i][-1]
+        v = d - shift * z
+        pays = [sum(map(mul, row, x)) for row in payoff]
+        added = [i for i, pay in enumerate(pays) if pay > v and i not in rows]
+        if not added:
+            break
+        rows += added
+    y = [0] * m
+    for l, i in enumerate(rows):
+        y[i] = tab[k][n + l]
+    logger.debug("exact finish on %d rows: %d rows added, %d simplex rounds", first,
+                 k - first, rounds)
+    if (min(x) < 0 or min(y) < 0 or sum(x) != z or sum(y) != z or max(pays) != v
+            or min([sum(map(mul, y, col)) for col in zip(*payoff)]) != v):
+        raise RuntimeError("the simplex optimum is not an equilibrium")
+    return x, y, z, v
+
+
+def _finish(payoff: list[list[int]], face: np.ndarray, n: int):
+    """A diagonal family's exact finish on ``face``: ``_simplex`` on its int game
+    ``payoff``, its x and y each divided by z and correctly rounded. Returns the n x n
+    diagonal X and the m weights, as ``_face_step`` returns its point."""
+    x, y, z, _ = _simplex(payoff, face.tolist())
+    xd = np.zeros((n, n))
+    xd.reshape(-1)[:: n + 1] = [a / z for a in x]  # int true division rounds correctly
+    return xd, np.array([b / z for b in y])
+
+
 def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, on_bounds):
     """``_newton_steps`` on a working set W of the matrices, bracketed on all m.
 
@@ -552,11 +642,13 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
     clipped and bracketed on the whole stack by ``_bracket``, one eigh and one
     eigenvalue call on the pair. Then, while the gap of the incumbents exceeds
     cfg.gap_tol, and for a block family is at most ``_FACE_GAP`` times the scale (a
-    diagonal family's attempt is one small linear solve, so it attempts at any gap),
-    the face is guessed as the matrices whose payoffs at the incumbent x_bar, already
-    computed, are within ``_FACE_GAPS`` gaps of the incumbent upper bound; if it holds
-    at most q + 1 matrices (a nondegenerate optimum's dual support can hold no more),
-    ``_face_step`` starts from the incumbents and its point, if any, is bracketed too.
+    diagonal family attempts at any gap), the face is guessed as the matrices whose
+    payoffs at the incumbent x_bar, already computed, are within ``_FACE_GAPS`` gaps of
+    the incumbent upper bound; if it holds at most q + 1 matrices (a nondegenerate
+    optimum's dual support can hold no more), it is attempted, and the attempt's point,
+    if any, is bracketed too. A diagonal family's attempt is ``_finish``, the exact
+    simplex on the face's rows of its game, converted to ints (``_integers``) once per
+    solve; a block family's is ``_face_step``, from the incumbents.
     If that point weighs some face matrix at zero or below and the gap is still open,
     the attempt is corrected at once, once per face guess: the next starts on the face's
     matrices of positive weight, a nonempty strict subset. Otherwise, if the point
@@ -578,6 +670,8 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
     if scale == 0.0:
         return 0.0, 0.0, _eye(n) / n, np.full(m, 1.0 / m), 0, scale
     diagonal, sigma = _is_diagonal(stack), _shift(spectra, scale)
+    # a diagonal family's game, in ints, for its exact finish
+    payoff = _integers(stack.diagonal(axis1=1, axis2=2).tolist())[0] if diagonal else None
     work = np.zeros(m, dtype=bool)
     q, gate = (n, np.inf) if diagonal else (n * (n + 1) // 2, _FACE_GAP * scale)
     work[np.argsort(-stack.trace(axis1=1, axis2=2), kind="stable")[: 3 * q]] = True
@@ -614,8 +708,8 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
                     break
                 correct = True
                 while face is not None:
-                    point = _face_step(stack, scale, diagonal, face, best[0], best[2], lower,
-                                       upper, cfg.gap_tol)
+                    point = _finish(payoff, face, n) if diagonal else _face_step(
+                        stack, scale, face, best[0], best[2], lower, upper, cfg.gap_tol)
                     improved = point is not None and better(
                         *_bracket(stack, *(a[None] for a in point)))
                     # a point that weighs some face matrix at zero or below, the gap still

@@ -9,9 +9,10 @@ from specmm import (
     VectorGame,
     classic_value_exact,
     embed_diagonal,
+    solve_minimax,
     verify_diagonal_reduction,
 )
-from specmm import classic
+from specmm import saddle
 
 
 def value_2x2_closed_form(a, b, c, d):
@@ -255,13 +256,13 @@ class TestClassicValueExact:
         # no timing: a simplex takes a few pivots per game, while a scan
         # over supports would grow exponentially in min(m, n)
         calls = []
-        pivot = classic._pivot
+        pivot = saddle._pivot
 
         def counted(*args):
             calls.append(args)
             return pivot(*args)
 
-        monkeypatch.setattr(classic, "_pivot", counted)
+        monkeypatch.setattr(saddle, "_pivot", counted)
         m, n = 5, 8
         for _ in range(200):
             calls.clear()
@@ -273,7 +274,7 @@ class TestClassicValueExact:
         # the entering column is the lowest index with a negative reduced
         # cost, and among rows tied in the ratio test the lowest basic
         # index leaves; tables from {0, 1} entries tie often
-        pivot = classic._pivot
+        pivot = saddle._pivot
         basis = []
         ties = 0
 
@@ -288,7 +289,7 @@ class TestClassicValueExact:
             basis[r] = c
             return pivot(tab, r, c, prev)
 
-        monkeypatch.setattr(classic, "_pivot", checked)
+        monkeypatch.setattr(saddle, "_pivot", checked)
         for _ in range(30):
             p = rng.integers(0, 2, (4, 5))
             basis[:] = range(5, 9)
@@ -297,18 +298,25 @@ class TestClassicValueExact:
 
     def test_equilibrium_check_rejects_an_early_stop(self, monkeypatch):
         # clearing the negative reduced costs after the first pivot stops
-        # the simplex short of the optimum; the exact check must catch it
-        pivot = classic._pivot
+        # the simplex short of the optimum; the exact check must catch it,
+        # both for the exact value and in the solver, which finishes a
+        # diagonal family by the same simplex and the same check
+        pivot = saddle._pivot
 
         def stop_early(tab, r, c, prev):
             d = pivot(tab, r, c, prev)
             tab[-1] = [max(v, 0) for v in tab[-1]]
             return d
 
-        monkeypatch.setattr(classic, "_pivot", stop_early)
-        rows = ((0.0, 1.0, -1.0), (-1.0, 0.0, 1.0), (1.0, -1.0, 0.0))
-        with pytest.raises(RuntimeError, match="not an equilibrium"):
-            classic_value_exact(VectorGame(rows))
+        monkeypatch.setattr(saddle, "_pivot", stop_early)
+        # rock-paper-scissors with one payoff doubled: the plain game's value
+        # is met at the solver's start, which then makes no finish
+        game = VectorGame(((0.0, 2.0, -1.0), (-1.0, 0.0, 1.0), (1.0, -1.0, 0.0)))
+        with pytest.raises(RuntimeError, match="not an equilibrium") as exact:
+            classic_value_exact(game)
+        with pytest.raises(RuntimeError) as solved:
+            solve_minimax(embed_diagonal(game))
+        assert str(solved.value) == str(exact.value)
 
     def test_single_row_and_single_column(self, rng):
         for _ in range(10):

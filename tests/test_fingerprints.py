@@ -8,8 +8,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 # a workload's line: its digest, the pass's Newton steps, its face steps and the converged
-# ones, the Python-level calls of a warm pass and the worst certificate's gap over its target
-FACES = r"\d+ face steps \(\d+ converged\) of \d+ Gauss-Newton steps"
+# ones, its exact finishes and the rows they added, the Python-level calls of a warm pass and
+# the worst certificate's gap over its target
+FACES = (r"\d+ face steps \(\d+ converged\) of \d+ Gauss-Newton steps, "
+         r"\d+ exact finishes adding \d+ rows")
 STEPS = rf"[0-9a-f]{{64}} \d+ steps, {FACES}, \d+ calls, worst gap \d+\.\d{{3}} of target\n"
 
 

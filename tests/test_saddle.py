@@ -440,23 +440,32 @@ class TestRoundInvariants:
             assert got.tobytes() == np.tensordot(stack, x, axes=([1, 2], [0, 1])).tobytes()
 
 
+# a face attempt: the block family's Gauss-Newton face step, or the diagonal family's
+# exact finish; each returns a point or None
+ATTEMPTS = ("_face_step", "_finish")
+
+
 def without_face_step(patch):
-    """Patch the face step out: every attempt returns no point."""
-    patch.setattr(saddle, "_face_step", lambda *args: None)
+    """Patch the face attempts out: every attempt returns no point."""
+    for name in ATTEMPTS:
+        patch.setattr(saddle, name, lambda *args: None)
 
 
 def first_attempt_only(patch, log):
     """Patch out each Newton step's second face attempt, as if at most one were made;
     ``log``, a LapackLog, counts the steps."""
-    face_step, tried = saddle._face_step, set()
+    tried = set()
 
-    def once(*args):
-        if (step := log.steps()) in tried:
-            return None
-        tried.add(step)
-        return face_step(*args)
+    def once(attempt):
+        def wrapped(*args):
+            if (step := log.steps()) in tried:
+                return None
+            tried.add(step)
+            return attempt(*args)
+        return wrapped
 
-    patch.setattr(saddle, "_face_step", once)
+    for name in ATTEMPTS:
+        patch.setattr(saddle, name, once(getattr(saddle, name)))
 
 
 class LapackLog:
@@ -464,8 +473,9 @@ class LapackLog:
 
     "eigvals" are the solver's own calls; "checks" are those made inside
     symmat, by lambda_min (the spectraplex point's PSD gate). ``faces`` holds one
-    record per face attempt: the Newton step it follows (counted from 1), the shapes
-    of the calls it made of each kind, and whether it returned a point to bracket.
+    record per face attempt, a face step or an exact finish: the Newton step it follows
+    (counted from 1), the shapes of the calls it made of each kind, and whether it
+    returned a point to bracket.
     """
 
     def __init__(self, monkeypatch):
@@ -477,16 +487,17 @@ class LapackLog:
             ("checks", symmat, "_eigvals_raw"),
         ):
             monkeypatch.setattr(owner, attr, self._wrap(name, getattr(owner, attr)))
-        face_step = saddle._face_step
+        for name in ATTEMPTS:
+            monkeypatch.setattr(saddle, name, self._watch(getattr(saddle, name)))
 
+    def _watch(self, attempt):
         def watched(*args):
             before = {name: len(calls) for name, calls in self.calls.items()}
-            point = face_step(*args)
+            point = attempt(*args)
             made = {name: calls[before[name]:] for name, calls in self.calls.items()}
             self.faces.append((self.steps(), made, point is not None))
             return point
-
-        monkeypatch.setattr(saddle, "_face_step", watched)
+        return watched
 
     def _wrap(self, name, fn):
         def wrapped(a, *args, **kwargs):
@@ -572,14 +583,14 @@ class TestIsolatedCoordinates:
         cert = solve_minimax(inst)
         k, m = cert.iterations, 3
         assert cert.converged
-        # one Newton step, and the face step after it closes the game
+        # one Newton step, and the exact finish after it closes the game
         assert k == 1 and [(at, point) for at, _, point in log.faces] == [(1, True)]
-        # the Newton step: one Schur Cholesky and one inverse of its factor; the face
-        # step is a linear program's and makes no LAPACK call of these kinds
+        # the Newton step: one Schur Cholesky and one inverse of its factor; the finish
+        # is a simplex over ints and makes no LAPACK call
         assert log.calls["cholesky"] == [(m + 1, m + 1)]
         assert log.calls["inv"] == [(m + 1, m + 1)]
         # the bracket's eigh of X and eigenvalues of the combination, on the pair of
-        # the damped iterate and the Newton point, then on the face step's point; the
+        # the damped iterate and the Newton point, then on the finish's point; the
         # scale and shift come from the instance's cached spectra, and the certificate
         # takes the loop's bounds without another call
         assert log.calls["eigh"] == [(2, 3, 3), (1, 3, 3)]
@@ -592,7 +603,7 @@ class TestIsolatedCoordinates:
             with monkeypatch.context() as patch:
                 log = LapackLog(patch)
                 k = solve(inst).iterations
-            # one Newton step, and the face step's point after it closes the game
+            # one Newton step, and the exact finish's point after it closes the game
             assert k == 1, solve.__name__
             assert log.calls == {
                 "cholesky": [(m + 1, m + 1)],
@@ -868,8 +879,8 @@ class TestWorkingSet:
         inst = InstanceSet([np.diag(r) for r in rng.integers(-4, 5, (m, n)).astype(float)])
         log = LapackLog(monkeypatch)
         k = solve_minimax(inst, SaddleConfig(gap_tol=1e-4)).iterations
-        # a face step on a diagonal family is a linear program's: it makes no LAPACK call
-        # of these kinds, and only the bracket of its point adds any
+        # a diagonal family's attempt is the exact finish, a simplex over ints: it makes
+        # no LAPACK call, and only the bracket of its point adds any
         assert all(not any(made.values()) for _, made, _ in log.faces)
         assert log.calls == {
             "cholesky": [(m + 1, m + 1)] * k,
@@ -1063,15 +1074,16 @@ class TestNewtonPoint:
 
 @pytest.fixture(scope="module")
 def fuzz_attempts():
-    """Every face attempt of the 400 fuzz families, solved both ways at relative gap 1e-8:
-    for each solve, its name and its events in order. An attempt's event is (Newton step,
-    face, (lower, upper) it starts from, its point's weights on the face or None, the
-    payoffs at the incumbent X it starts from); the solver's debug line for a correction
+    """Every face step of the 400 fuzz families, solved both ways at relative gap 1e-8 (a
+    diagonal family's attempts are exact finishes, and are not recorded): for each solve,
+    its name and its events in order. An attempt's event is (Newton step, face, (lower,
+    upper) it starts from, its point's weights on the face or None, the payoffs at the
+    incumbent X it starts from); the solver's debug line for a correction
     adds the event "corrected" between the attempt that it corrects and the correction."""
     face_step, events, rounds, runs = saddle._face_step, [], [], []
 
-    def watched(stack, scale, diagonal, face, x, y, lower, upper, tol):
-        point = face_step(stack, scale, diagonal, face, x, y, lower, upper, tol)
+    def watched(stack, scale, face, x, y, lower, upper, tol):
+        point = face_step(stack, scale, face, x, y, lower, upper, tol)
         events.append((len(rounds) + 1, face.tolist(), (lower, upper),
                        None if point is None else point[1][face].tolist(),
                        domains._payoffs(stack, x).tolist()))
@@ -1112,12 +1124,14 @@ def base_game():
 
 
 class TestFaceStep:
-    """Newton on the guessed face's optimality system gives a third candidate."""
+    """A face attempt gives a third candidate: Newton on a block family's guessed face,
+    the exact simplex on a diagonal family's."""
 
     @pytest.mark.parametrize("shape", ["dense", "game"])
     def test_it_closes_a_solve_within_two_steps(self, monkeypatch, shape):
-        # a 10x8 dense family to 1e-8 of its scale both ways, and a 5x8 game to the
-        # benchmark's 1e-4: one Newton step each, against four to nine without it
+        # a 10x8 dense family to 1e-8 of its scale both ways by the face step, and a 5x8
+        # game to the benchmark's 1e-4 by the exact finish: one Newton step each, against
+        # four to nine without them
         if shape == "dense":
             inst, rel = symmetric_family(np.random.default_rng(2), 10, 8), 1e-8
             solves, with_face, without = (solve_minimax, solve_maximin), (1, 1), (8, 9)
@@ -1190,12 +1204,11 @@ class TestFaceStep:
         assert_bounds_recompute(solve_minimax, cert, inst, "degenerate")
 
     def test_a_second_attempt_from_the_improved_incumbents_closes_the_solve(self, monkeypatch):
-        # a seeded 5x7 game to the benchmark's 1e-4: after Newton step 1 the first attempt
-        # improves the incumbents but leaves the gap open, and the second, from them,
-        # closes it; with one attempt per step the solve takes a second Newton step
-        rows = np.random.default_rng(8).integers(-4, 5, (5, 7)).astype(float)
-        inst = InstanceSet([np.diag(r) for r in rows])
-        cfg = SaddleConfig(gap_tol=1e-4 * float(np.abs(inst.spectra).max()))
+        # a seeded 6x4 block family to relative gap 1e-6: after Newton step 1 the first
+        # attempt improves the incumbents but leaves the gap open, and the second, from
+        # them, closes it; with one attempt per step the solve takes a second Newton step
+        inst = symmetric_family(np.random.default_rng(20), 6, 4)
+        cfg = SaddleConfig(gap_tol=1e-6 * float(np.abs(inst.spectra).max()))
         runs = []
         for second in (True, False):
             calls = []
@@ -1216,23 +1229,26 @@ class TestFaceStep:
         assert_bounds_recompute(solve_minimax, cert, inst, "second attempt")
 
     def test_a_failed_attempt_is_retried_on_the_one_gap_face(self, monkeypatch, caplog):
-        # a 2x3 game to 4e-4: after Newton step 1 the attempt on the two matrices within
-        # three gaps of the upper bound stalls, and the retry on the one within one gap
-        # converges, so the solve takes one Newton step; without the retry it takes two
-        game = VectorGame(((-1, -3, -3), (-1, -4, 2)))
-        inst = embed_diagonal(game)
+        # a seeded 3x3 block family to relative gap 1e-8: after Newton step 1 the attempt
+        # on the three matrices within three gaps of the upper bound stalls at its first
+        # Gauss-Newton step, and the retry on the one within one gap converges, so the
+        # solve takes one Newton step; with one attempt per step, no retry, it takes two
+        inst = symmetric_family(np.random.default_rng(2), 3, 3)
+        cfg = SaddleConfig(gap_tol=1e-8 * float(np.abs(inst.spectra).max()))
         caplog.set_level(logging.DEBUG, logger=saddle.logger.name)
         with monkeypatch.context() as patch:
             log = LapackLog(patch)
-            cert = solve_minimax(inst, SaddleConfig(gap_tol=4e-4))
+            cert = solve_minimax(inst, cfg)
         assert cert.converged and cert.iterations == 1
         assert [(at, point) for at, _, point in log.faces] == [(1, False), (1, True)]
         assert [r.getMessage() for r in caplog.records if r.msg.startswith("face step")] == [
-            "face step on 2 matrices: 1 Gauss-Newton steps, stalled",
-            "face step on 1 matrices: 1 Gauss-Newton steps, converged",
+            "face step on 3 matrices: 1 Gauss-Newton steps, stalled",
+            "face step on 1 matrices: 3 Gauss-Newton steps, converged",
         ]
-        assert cert.lower <= classic_value_exact(game) == -3 <= cert.upper
         assert_bounds_recompute(solve_minimax, cert, inst, "retry")
+        with monkeypatch.context() as patch:
+            first_attempt_only(patch, LapackLog(patch))
+            assert solve_minimax(inst, cfg).iterations == 2
 
     @pytest.mark.parametrize("index, rel, shape, steps", [
         (47, 1e-8, (1, 3), 1),  # 6 Newton steps without the retry
@@ -1249,57 +1265,68 @@ class TestFaceStep:
 
     def test_a_point_weighing_a_face_matrix_at_or_below_zero_is_corrected_at_once(
             self, monkeypatch, caplog):
-        # the benchmark's base 4x6 game to relative gap 1e-4: after Newton step 1 the
-        # attempt on its four rows converges to a point that weighs one row below zero,
-        # and the correction on the other three closes the solve, in one Newton step
-        # instead of two
-        inst, game = base_game()
+        # a seeded 3x2 block family to relative gap 1e-8: after Newton step 1 the attempt
+        # on both matrices converges to a point that weighs one of them at or below zero,
+        # and the correction on the other closes the solve, in one Newton step; with one
+        # attempt per step, no correction, it takes three
+        inst = symmetric_family(np.random.default_rng(3), 3, 2)
+        cfg = SaddleConfig(gap_tol=1e-8 * float(np.abs(inst.spectra).max()))
         caplog.set_level(logging.DEBUG, logger=saddle.logger.name)
         with monkeypatch.context() as patch:
             log = LapackLog(patch)
-            cert = solve_minimax(inst, SaddleConfig(gap_tol=1e-4 * 4.0))
+            cert = solve_minimax(inst, cfg)
         assert cert.converged and cert.iterations == 1
         assert [(at, point) for at, _, point in log.faces] == [(1, True), (1, True)]
         assert [r.getMessage() for r in caplog.records if r.msg.startswith("face")] == [
-            "face step on 4 matrices: 3 Gauss-Newton steps, converged",
-            "face corrected: 3 of 4 matrices weigh above zero",
-            "face step on 3 matrices: 2 Gauss-Newton steps, converged",
+            "face step on 2 matrices: 4 Gauss-Newton steps, converged",
+            "face corrected: 1 of 2 matrices weigh above zero",
+            "face step on 1 matrices: 1 Gauss-Newton steps, converged",
         ]
-        assert cert.lower <= classic_value_exact(game) == -24 / 55 <= cert.upper
         assert_bounds_recompute(solve_minimax, cert, inst, "correction")
+        with monkeypatch.context() as patch:
+            first_attempt_only(patch, LapackLog(patch))
+            assert solve_minimax(inst, cfg).iterations == 3
 
     def test_a_diagonal_family_attempts_at_step_1_and_a_block_family_waits_for_the_gate(
             self, monkeypatch):
         # the base 4x6 game, and the same family rotated into a block family: after
         # Newton step 1 the incumbents' gap is 0.199 of the scale on both, above the
-        # block's gate of 0.1. The diagonal family attempts there; the block family
-        # first attempts after step 2
+        # block's gate of 0.1. The diagonal family makes its exact finish there; the
+        # block family first attempts its face step after step 2
         inst, _ = base_game()
         q = random_orthogonal(np.random.default_rng(0), 6)
         block = InstanceSet([q @ a @ q.T for a in inst.stacked])
-        face_step = saddle._face_step
-        for family, diagonal, first in ((inst, True, 1), (block, False, 2)):
+        for family, diagonal, kind, first in ((inst, True, "_finish", 1),
+                                              (block, False, "_face_step", 2)):
             scale = float(np.abs(family.spectra).max())
-            attempts, calls = [], []
+            cfg = SaddleConfig(gap_tol=1e-4 * scale)
+            attempts, calls, bare = [], [], []
 
-            def watched(*args):
-                attempts.append((len(calls) + 1, args[7] - args[6]))  # step, upper - lower
-                return face_step(*args)
+            def watch(name, attempt):
+                def watched(*args):
+                    attempts.append((name, len(calls) + 1))  # the attempt and its step
+                    return attempt(*args)
+                return watched
 
             with monkeypatch.context() as patch:
-                patch.setattr(saddle, "_face_step", watched)
-                cert = solve_minimax(family, SaddleConfig(gap_tol=1e-4 * scale),
-                                     on_bounds=lambda *a: calls.append(a))
+                for name in ATTEMPTS:
+                    patch.setattr(saddle, name, watch(name, getattr(saddle, name)))
+                cert = solve_minimax(family, cfg, on_bounds=lambda *a: calls.append(a))
+            # the Newton iterates never depend on an attempt, so step 1's bracket without
+            # any is the one that the first attempt starts from
+            with monkeypatch.context() as patch:
+                without_face_step(patch)
+                solve_minimax(family, cfg, on_bounds=lambda *a: bare.append(a))
             assert saddle._is_diagonal(family.stacked) == diagonal
-            assert attempts[0][0] == first, diagonal
-            step_1 = attempts[0][1] if diagonal else calls[0][1] - calls[0][2]
-            assert step_1 > 0.1 * scale, diagonal
+            assert attempts[0] == (kind, first) and {a for a, _ in attempts} == {kind}
+            assert bare[0][1] - bare[0][2] > 0.1 * scale, diagonal
             assert cert.converged
             assert_bounds_recompute(solve_minimax, cert, family, diagonal)
 
     def test_a_step_makes_at_most_five_attempts_and_retries_on_fewer(
             self, fuzz_attempts):
-        # over the 400 fuzz families both ways at relative gap 1e-8. An attempt that the
+        # over the 400 fuzz families both ways at relative gap 1e-8, on the face steps of
+        # the 300 that are block families. An attempt that the
         # solver logs as a correction is one; any other from the same incumbents as the
         # attempt before it in its step is a retry, since that one improved neither
         # bound; the rest are face guesses. A step guesses at most two faces, corrects
@@ -1307,7 +1334,7 @@ class TestFaceStep:
         # A retry is on the matrices within one gap of the upper bound (the gap of its
         # step's last guess), fewer than the failed face: a strict subset of it when that
         # was a guess, the matrices within three gaps, but after a correction it may hold
-        # a matrix that the correction dropped. 198 corrections, 171 retries, and 6 steps
+        # a matrix that the correction dropped. 130 corrections, 93 retries, and 3 steps
         # make five attempts
         kinds = {"guess": 0, "correction": 0, "retry": 0}
         most = 0
@@ -1355,18 +1382,14 @@ class TestFaceStep:
         assert corrections > 0
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
-    @pytest.mark.parametrize("shape", ["dense", "game"])
+    @pytest.mark.parametrize("shape", ["dense"])
     def test_a_face_step_solve_that_is_not_finite_stalls_its_attempt(
             self, monkeypatch, caplog, shape, value):
         # np.linalg.solve, which only the face step calls, made to return NaN or inf:
-        # every attempt stalls after its first Gauss-Newton step, before Z_c's eigh reads
+        # every attempt stalls after its first Gauss-Newton step, before Z's eigh reads
         # that point, and returns no point, so each solve is the one made without the
         # face step, bit for bit
-        if shape == "dense":
-            inst = symmetric_family(np.random.default_rng(2), 10, 8)
-        else:
-            rows = np.random.default_rng(2).integers(-4, 5, (5, 8)).astype(float)
-            inst = InstanceSet([np.diag(r) for r in rows])
+        inst = symmetric_family(np.random.default_rng(2), 10, 8)
         cfg = SaddleConfig(gap_tol=1e-8 * float(np.abs(inst.spectra).max()))
         caplog.set_level(logging.DEBUG, logger=saddle.logger.name)
         for solve in (solve_minimax, solve_maximin):
@@ -1381,11 +1404,9 @@ class TestFaceStep:
             lines = [r.getMessage() for r in caplog.records if r.msg.startswith("face step")]
             assert lines and all(line.endswith(": 1 Gauss-Newton steps, stalled")
                                  for line in lines), solve.__name__
-            # the block's Z is eigendecomposed once per attempt, at its start; the
-            # vector's never
-            eigh = [] if shape == "game" else [(inst.n, inst.n)]
+            # Z is eigendecomposed once per attempt, at its start
             assert [(point, made["eigh"]) for _, made, point in log.faces] == [
-                (False, eigh)] * len(lines), solve.__name__
+                (False, [(inst.n, inst.n)])] * len(lines), solve.__name__
             assert (cert.upper, cert.lower, cert.iterations, cert.converged) == (
                 bare.upper, bare.lower, bare.iterations, bare.converged), solve.__name__
             assert cert.x_bar.array.tobytes() == bare.x_bar.array.tobytes()
@@ -1395,7 +1416,8 @@ class TestFaceStep:
     def test_eigenvector_signs_move_no_bit(self, monkeypatch):
         # LAPACK fixes no eigenvector's sign. The face step's Q^T M Q and Q M' Q^T, like
         # the bracket's U f(w) U^T, are exact under any choice, so every other column
-        # negated gives the same face attempts and certificates, bit for bit
+        # negated gives the same face attempts and certificates, bit for bit; the game's
+        # exact finish reads no eigenvector
         rng = np.random.default_rng(4)
         families = []
         for n, m in ((6, 4), (8, 6), (10, 8)):
@@ -1424,6 +1446,53 @@ class TestFaceStep:
                                  cert.y_bar.weights.tobytes()))
                 assert runs[0] == runs[1], (inst.n, inst.m, solve.__name__)
                 assert cert.converged and any(point for _, point in runs[0][0])
+
+
+def assert_at_the_exact_value(solve, inst, rel, case):
+    """``solve`` on the diagonal family ``inst`` at relative gap ``rel`` converges, its
+    bounds recompute, and both lie within 4 eps times the scale of the exact value of its
+    game by ``classic_value_exact``: for maximin, the negated game's value, negated.
+    Returns the certificate."""
+    scale = float(np.abs(inst.spectra).max())
+    cert = solve(inst, SaddleConfig(gap_tol=rel * scale))
+    sign = 1.0 if solve is solve_minimax else -1.0
+    rows = (sign * inst.stacked.diagonal(axis1=1, axis2=2)).tolist()
+    exact = sign * classic_value_exact(VectorGame(rows))
+    assert cert.converged, case
+    assert_bounds_recompute(solve, cert, inst, case)
+    tol = 4.0 * np.finfo(float).eps * scale
+    assert abs(cert.upper - exact) <= tol and abs(cert.lower - exact) <= tol, (case, cert, exact)
+    return cert
+
+
+class TestExactFinish:
+    """A diagonal family finishes on its face by the exact simplex, so its certificate is
+    the game's exact equilibrium, rounded to floats."""
+
+    # the benchmark's six base games: (rows m, columns n) and the seed of each
+    GAMES = [(2, 3, 200), (3, 3, 201), (3, 5, 202), (4, 6, 203), (5, 7, 204), (5, 8, 205)]
+
+    @pytest.mark.parametrize("m, n, seed", GAMES)
+    def test_game_shapes_close_at_step_1_on_the_exact_value_at_every_scale(self, m, n, seed):
+        # at the benchmark's relative gap 1e-4, both ways and at scales 2^-500 to 2^500,
+        # which move no bit of the solve but the exponents: the finish after Newton step
+        # 1 closes each solve on the exact value
+        shape = (m, n)
+        payoff = np.random.default_rng([190509762, seed]).integers(-4, 5, shape)
+        for k in (-500, -20, 0, 6, 500):
+            inst = InstanceSet([np.diag(r) for r in payoff * 2.0 ** k])
+            for solve in (solve_minimax, solve_maximin):
+                cert = assert_at_the_exact_value(solve, inst, 1e-4, (shape, k, solve.__name__))
+                assert cert.iterations == 1, (shape, k, solve.__name__)
+
+    @pytest.mark.parametrize("rel", [1e-6, 1e-8, 1e-12])
+    def test_the_diagonal_fuzz_certifies_the_exact_value(self, rel):
+        # the 100 diagonal fuzz families, float games of 1-8 rows and columns, both ways
+        rng = np.random.default_rng(dict(FUZZ_SEEDS)["diagonal"])
+        for index in range(100):
+            inst = InstanceSet(fuzz_family("diagonal", rng))
+            for solve in (solve_minimax, solve_maximin):
+                assert_at_the_exact_value(solve, inst, rel, (index, solve.__name__))
 
 
 # the fuzz families and the seed of each; ``tools/fingerprints.py`` digests the same
@@ -1477,7 +1546,7 @@ def fuzz_short_stops(rel):
 
 def test_seeded_fuzz_certificates_recompute_and_few_solves_stop_short():
     # 4 families x 100 instances x 2 relative gaps, solved both ways. The face step
-    # closes all 1,600, so none may stop short.
+    # and the exact finish close all 1,600, so none may stop short.
     assert fuzz_short_stops(1e-6) == fuzz_short_stops(1e-8) == (0, 0)
 
 

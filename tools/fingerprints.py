@@ -10,7 +10,8 @@ certifies every instance once and prints one line, ``workload seed SHA-256``,
 the digest over the cases' ``Outputs.fingerprint()`` in order, then the pass's
 Newton steps (the benchmark's ``rounds``) and the face steps taken, how many of
 them converged and their total Gauss-Newton steps, which ``rounds`` leaves out,
-and the Python-level
+the exact simplex's calls and the rows they added (a diagonal family's finishes,
+and on ``games`` also ``classic_value_exact``'s one per case), and the Python-level
 calls of a second, warm pass over the same cases (``call`` and ``c_call``
 events of a ``sys.setprofile`` hook, so that filling a cache does not count),
 and how tight the certificates are: the largest gap over its case's gap target
@@ -19,9 +20,10 @@ fails in a lift included. One indented line follows per case that ended in an
 error, with that error. ``--fuzz`` adds one line with a digest over the
 certificates of the seeded fuzz of ``tests/test_saddle.py``: its 400 instances
 solved both ways at relative gaps 1e-6 and 1e-8, 1,600 certificates, their total
-Newton steps, the counts that stopped short, and the face steps with the converged
-ones and their Gauss-Newton steps. Face steps are counted from the solver's debug
-lines; the converged share is the useful outcomes of the attempts made.
+Newton steps, the counts that stopped short, the face steps with the converged
+ones and their Gauss-Newton steps, and the exact finishes. Face steps and finishes
+are counted from the solver's debug lines; the converged share is the useful outcomes
+of the face steps made.
 
 Run it on two source trees and compare the outputs line by line:
 
@@ -75,21 +77,25 @@ def _import(src: Path) -> dict:
 class FaceCount(logging.Handler):
     """Counts the solver's face steps, those that converged, and their Gauss-Newton steps
     from its debug lines, "face step on <k> matrices: <steps> Gauss-Newton steps,
-    <outcome>"."""
+    <outcome>", and the exact simplex's calls and the rows they added, from "exact finish
+    on <k> rows: <added> rows added, <rounds> simplex rounds"."""
 
     def __init__(self):
         super().__init__(logging.DEBUG)
-        self.attempts = self.converged = self.steps = 0
+        self.attempts = self.converged = self.steps = self.finishes = self.added = 0
 
     def emit(self, record):
         if record.msg.startswith("face step"):
             self.attempts += 1
             self.converged += record.args[2] == "converged"
             self.steps += record.args[1]
+        elif record.msg.startswith("exact finish"):
+            self.finishes += 1
+            self.added += record.args[1]
 
     def __str__(self):
         return (f"{self.attempts} face steps ({self.converged} converged) of {self.steps} "
-                "Gauss-Newton steps")
+                f"Gauss-Newton steps, {self.finishes} exact finishes adding {self.added} rows")
 
 
 @contextlib.contextmanager
