@@ -6,8 +6,10 @@ mixed column strategies correspond to diagonal spectraplex points and the
 game value equals the spectral saddle value. This module computes the game
 value exactly, by the integer simplex with fraction-free pivots that the
 solver in ``saddle`` also runs to finish a diagonal family on its face, so the
-reduction can be verified against the interior-point solve to stated
-tolerances.
+reduction can be verified against the solve to stated tolerances. That solve
+may finish a game of at most n + 1 rows before any interior-point step, and
+the check keeps its meaning: both of its bounds come from the spectral
+oracles, a best response to X and a least eigenvalue of sum_i y_i A_i.
 """
 
 from __future__ import annotations
@@ -45,8 +47,10 @@ class VectorGame:
             if isinstance(r, (str, bytes)) or not isinstance(r, Iterable):
                 raise ValueError(f"row {k} is not a list of numbers")
             r = tuple(r)
-            # abs(x) <= big also refuses NaN, inf and an int beyond the float range
-            if not all(isinstance(x, Real) and type(x) is not bool and abs(x) <= big for x in r):
+            # a plain float or int skips the Real check, an ABC's; abs(x) <= big also
+            # refuses NaN, inf and an int beyond the float range
+            if not all((type(x) in (float, int) or isinstance(x, Real) and type(x) is not bool)
+                       and abs(x) <= big for x in r):
                 raise ValueError(f"row {k} has an entry that is not a finite number")
             rows.append(tuple(map(float, r)))
         if not rows or not rows[0]:
@@ -98,9 +102,11 @@ def classic_value_exact(game: VectorGame) -> float:
 def verify_diagonal_reduction(
     game: VectorGame, cfg: SaddleConfig | None = None
 ) -> DiagonalReductionReport:
-    """Solve the diagonal embedding iteratively and compare with the exact
-    value; the comparison passes when the certificate midpoint is within
-    gap_tol + 1e-8 of the exact value."""
+    """Solve the diagonal embedding with ``solve_minimax`` and compare with
+    the exact value; the comparison passes when the certificate midpoint is
+    within gap_tol + 1e-8 of the exact value. The solve may close on its
+    exact finish with no Newton step, but its bounds are still the spectral
+    oracles' values at its strategies, not the simplex's."""
     cfg = cfg if cfg is not None else SaddleConfig()
     exact = classic_value_exact(game)
     cert = solve_minimax(embed_diagonal(game), cfg)

@@ -28,17 +28,19 @@ solved as a linear program. Any other family keeps X as one dense n x n block.
 An interior point only approaches the optimal face, so each solve also tries to
 finish on it: the face is guessed from the incumbents as the matrices that pay within
 three gaps of the incumbent upper bound, and tried when it holds at most q + 1 of them.
-A diagonal family tries from its first Newton step, whatever the gap: its game is
-converted to integers once per solve, and the finish is the exact simplex of the
-classic game (``_simplex``: Bland's rule with fraction-free pivots) on the face's rows,
-which adds every row of the whole game that the face's optimum violates until none
-does. The interior point names the face and pivoting finishes on it (Megiddo, ORSA J.
-Comput. 1991; Mehrotra & Ye, Math. Program. 1993); its exact equilibrium, rounded to
-floats, is the third candidate. A block family tries once the incumbents' gap is within
-a tenth of the scale: up to four Gauss-Newton steps on that face's square optimality
-system (``_face_step``: Newton on the complementarity system, Alizadeh, Haeberly &
-Overton, Math. Program. 1997) solve for X's entries between Z's leading eigenvectors,
-eliminating the others, and stop once the residual is half the gap target.
+A diagonal family tries at any gap, and when it has at most q + 1 = n + 1 matrices,
+before its first Newton step too, on all of them, so such a game may close with no
+Newton step. Its game is converted to integers once per solve, and the finish is the
+exact simplex of the classic game (``_simplex``: Bland's rule with fraction-free
+pivots) on the face's rows, which adds every row of the whole game that the face's
+optimum violates until none does. The interior point names the face and pivoting
+finishes on it (Megiddo, ORSA J. Comput. 1991; Mehrotra & Ye, Math. Program. 1993); its
+exact equilibrium, rounded to floats, is the third candidate. A block family tries once
+the incumbents' gap is within a tenth of the scale: up to four Gauss-Newton steps on
+that face's square optimality system (``_face_step``: Newton on the complementarity
+system, Alizadeh, Haeberly & Overton, Math. Program. 1997) solve for X's entries
+between Z's leading eigenvectors, eliminating the others, and stop once the residual
+is half the gap target.
 A first attempt from interior incumbents may converge on a wrong face or stall. When
 its point weighs some face matrix at zero or below and the gap is open, the face
 loses those matrices and is attempted again at once (an active-set correction, once
@@ -142,6 +144,9 @@ class SaddleCertificate:
     stored strategies reproduces the stored floats. gap is not passed in:
     it is derived as upper - lower, and can only be negative by eigensolver
     rounding, never below -1e-9 times scale, the instance's max_i ||A_i||_2.
+    iterations counts the Newton steps taken; it is 0 for the all-zero
+    family and for a diagonal family of at most n + 1 matrices that its exact
+    finish closes before any step.
     """
 
     upper: float
@@ -637,14 +642,17 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
     ``spectra`` (each A_k's eigenvalues, in any order) give the scale max_i ||A_i||_2
     and sigma = max(0, -min_i lambda_min(A_i) / scale) + 1. W starts as the 3q matrices
     of largest trace, ties to the lower index, q being X's free coordinates: n for a
-    diagonal family (``_is_diagonal``), n(n+1)/2 for any other. After each step, the
-    damped iterate and the Newton point, their X and their -u[:-1] zero off W, are
-    clipped and bracketed on the whole stack by ``_bracket``, one eigh and one
-    eigenvalue call on the pair. Then, while the gap of the incumbents exceeds
-    cfg.gap_tol, and for a block family is at most ``_FACE_GAP`` times the scale (a
-    diagonal family attempts at any gap), the face is guessed as the matrices whose
-    payoffs at the incumbent x_bar, already computed, are within ``_FACE_GAPS`` gaps of
-    the incumbent upper bound; if it holds at most q + 1 matrices (a nondegenerate
+    diagonal family (``_is_diagonal``), n(n+1)/2 for any other. A diagonal family of
+    m <= q + 1 matrices, which the face gate below admits whole, is first attempted on
+    all m, before W is set up, and its point is bracketed as any; if that meets
+    cfg.gap_tol, the solve returns with 0 steps, and otherwise the steps start from those
+    incumbents. After each step, the damped iterate and the Newton point, their X and
+    their -u[:-1] zero off W, are clipped and bracketed on the whole stack by
+    ``_bracket``, one eigh and one eigenvalue call on the pair. Then, while the gap of
+    the incumbents exceeds cfg.gap_tol, and for a block family is at most ``_FACE_GAP``
+    times the scale (a diagonal family attempts at any gap), the face is guessed as the
+    matrices whose payoffs at the incumbent x_bar, already computed, are within
+    ``_FACE_GAPS`` gaps of the incumbent upper bound; if it holds at most q + 1 matrices (a nondegenerate
     optimum's dual support can hold no more), it is attempted, and the attempt's point,
     if any, is bracketed too. A diagonal family's attempt is ``_finish``, the exact
     simplex on the face's rows of its game, converted to ints (``_integers``) once per
@@ -662,8 +670,9 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
     ``on_bounds(k, upper, lower)``, if given, sees the pair. When some matrix outside W
     pays more at the iterate's X than all of W, all such join W and a new round starts
     warm from the iterate. Stops at cfg.gap_tol, after cfg.max_iters steps in all, or at
-    a breakdown. Returns (upper, lower, x_bar, y_bar, steps, scale), or (0, 0, I/n,
-    1/m, 0, 0) for an all-zero family.
+    a breakdown. Returns (upper, lower, x_bar, y_bar, steps, scale), steps being 0 when
+    the finish before the first step closes the solve, or (0, 0, I/n, 1/m, 0, 0) for an
+    all-zero family.
     """
     m, n, _ = stack.shape
     scale = float(np.abs(spectra).max())
@@ -672,9 +681,7 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
     diagonal, sigma = _is_diagonal(stack), _shift(spectra, scale)
     # a diagonal family's game, in ints, for its exact finish
     payoff = _integers(stack.diagonal(axis1=1, axis2=2).tolist())[0] if diagonal else None
-    work = np.zeros(m, dtype=bool)
     q, gate = (n, np.inf) if diagonal else (n * (n + 1) // 2, _FACE_GAP * scale)
-    work[np.argsort(-stack.trace(axis1=1, axis2=2), kind="stable")[: 3 * q]] = True
     upper, lower, k, warm = np.inf, -np.inf, 0, None
     best = [None, None, None]  # the incumbent x_bar, its payoffs, and y_bar
 
@@ -689,6 +696,21 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
             if lo > lower:
                 lower, best[2] = lo, y_bar
         return (upper, lower) != was
+
+    def attempt(face):
+        # the face's attempt and its point's bracket: (the point or None, improved)
+        point = _finish(payoff, face, n) if diagonal else _face_step(
+            stack, scale, face, best[0], best[2], lower, upper, cfg.gap_tol)
+        return point, point is not None and better(
+            *_bracket(stack, point[0][None], point[1][None]))
+
+    # a diagonal family that the face gate admits whole is finished before any step
+    if diagonal and m <= q + 1:
+        attempt(np.arange(m))
+        if upper - lower <= cfg.gap_tol:
+            return upper, lower, best[0], best[2], 0, scale
+    work = np.zeros(m, dtype=bool)
+    work[np.argsort(-stack.trace(axis1=1, axis2=2), kind="stable")[: 3 * q]] = True
 
     while True:
         for full, us, mu, breakdown in _newton_steps(stack, work, sigma, scale, diagonal, warm):
@@ -708,10 +730,7 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
                     break
                 correct = True
                 while face is not None:
-                    point = _finish(payoff, face, n) if diagonal else _face_step(
-                        stack, scale, face, best[0], best[2], lower, upper, cfg.gap_tol)
-                    improved = point is not None and better(
-                        *_bracket(stack, *(a[None] for a in point)))
+                    point, improved = attempt(face)
                     # a point that weighs some face matrix at zero or below, the gap still
                     # open, is attempted again at once on the rest, once per face guess
                     if point is not None and correct and upper - lower > cfg.gap_tol:
@@ -769,7 +788,9 @@ def solve_minimax(
     within cfg.max_iters Newton steps is reported through
     ``converged=False`` on the certificate, never as an exception; the
     bounds are valid either way. ``on_bounds(k, best_upper, best_lower)``
-    is invoked once per Newton step.
+    is invoked once per Newton step, so never on a solve of 0 iterations:
+    the all-zero family, or a diagonal family of at most n + 1 matrices
+    that its exact finish closes before any step.
     """
     cfg = cfg if cfg is not None else SaddleConfig()
     return _certificate(*_interior_point(inst.stacked, inst.spectra, cfg, on_bounds), cfg)

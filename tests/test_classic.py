@@ -309,8 +309,9 @@ class TestClassicValueExact:
             return d
 
         monkeypatch.setattr(saddle, "_pivot", stop_early)
-        # rock-paper-scissors with one payoff doubled: the plain game's value
-        # is met at the solver's start, which then makes no finish
+        # rock-paper-scissors with one payoff doubled; the solver finishes a
+        # game of at most n + 1 rows, as this is, on all its rows before any
+        # Newton step, so it reaches the check whatever its start
         game = VectorGame(((0.0, 2.0, -1.0), (-1.0, 0.0, 1.0), (1.0, -1.0, 0.0)))
         with pytest.raises(RuntimeError, match="not an equilibrium") as exact:
             classic_value_exact(game)

@@ -24,6 +24,10 @@ def test_games_at_one_seed_prints_one_digest_per_source():
     out = fingerprints("--workloads", "games")
     # one line per workload and seed; no games case ends in an error
     assert re.fullmatch(rf"games 101 {STEPS}", out)
+    # every game has at most n + 1 rows, so each of its 6 solves is finished on all
+    # its rows before any Newton step; with classic_value_exact's 6 simplex runs, none
+    # adds a row
+    assert " 0 steps, " in out and ", 12 exact finishes adding 0 rows, " in out
     # the same source, named explicitly, certifies to the same bits
     assert fingerprints("--workloads", "games", "--src", str(ROOT / "src")) == out
 

@@ -242,7 +242,9 @@ class TestSolveMinimax:
         if shape == "two-block":
             inst = two_block_family(rng, 3)
         elif shape == "game":
-            inst = InstanceSet([np.diag(r) for r in rng.standard_normal((3, 5))])
+            # 7 rows over 3 columns: more than n + 1, so the game is not finished before
+            # its first Newton step
+            inst = InstanceSet([np.diag(r) for r in rng.standard_normal((7, 3))])
         else:
             inst = symmetric_family(rng, *shape)
         m, n, _ = inst.stacked.shape
@@ -523,6 +525,30 @@ class LapackLog:
         return want
 
 
+def finish_faces(patch):
+    """Watch the exact finishes: returns the list that each one's face joins, as a list."""
+    faces, finish = [], saddle._finish
+
+    def watched(payoff, face, n):
+        faces.append(face.tolist())
+        return finish(payoff, face, n)
+
+    patch.setattr(saddle, "_finish", watched)
+    return faces
+
+
+def assert_finished_whole(log, faces, k, m, n, case=None):
+    """A game of m <= n + 1 rows, which the face gate admits whole, closes before any
+    Newton step: ``k`` is 0, its one exact finish is on all m rows and makes no LAPACK
+    call, and the only calls are the bracket of the finish's point and the spectraplex
+    check of x_bar; ``log`` is a LapackLog and ``faces`` a ``finish_faces`` list."""
+    assert k == 0 and faces == [list(range(m))], case
+    assert [(at, any(made.values()), point) for at, made, point in log.faces] == [
+        (0, False, True)], case
+    assert log.calls == {"cholesky": [], "inv": [], "eigh": [(1, n, n)],
+                         "eigvals": [(1, n, n)], "checks": [(n, n)]}, case
+
+
 def block_diagonal_family(rng, m):
     """diag(B_k, d_k): a coupled 2x2 block B_k and two isolated coordinates."""
     mats = []
@@ -576,12 +602,15 @@ class TestIsolatedCoordinates:
         assert_brackets_the_value_of_its_rotation(inst, random_orthogonal(rng, 4))
 
     GAME = ([3.0, -1.0, 0.0], [-2.0, 2.0, 1.0], [0.0, 1.0, -1.0])
+    # the game with four rows more: 7 > n + 1 rows, which the face gate does not admit
+    # whole, so the game is not finished before its first Newton step
+    LP_GAME = GAME + ([3.0, 1.0, 0.0], [-2.0, -2.0, -4.0], [-4.0, -4.0, -3.0], [3.0, 1.0, 4.0])
 
     def test_diagonal_family_factors_only_the_schur_matrix(self, monkeypatch):
-        inst = InstanceSet([np.diag(r) for r in self.GAME])
+        inst = InstanceSet([np.diag(r) for r in self.LP_GAME])
         log = LapackLog(monkeypatch)
         cert = solve_minimax(inst)
-        k, m = cert.iterations, 3
+        k, m = cert.iterations, 7
         assert cert.converged
         # one Newton step, and the exact finish after it closes the game
         assert k == 1 and [(at, point) for at, _, point in log.faces] == [(1, True)]
@@ -597,8 +626,8 @@ class TestIsolatedCoordinates:
         assert log.calls["eigvals"] == [(2, 3, 3), (1, 3, 3)]
 
     def test_maximin_makes_the_same_lapack_calls(self, monkeypatch):
-        inst = InstanceSet([np.diag(r) for r in self.GAME])
-        m = 3
+        inst = InstanceSet([np.diag(r) for r in self.LP_GAME])
+        m = 7
         for solve in (solve_minimax, solve_maximin):
             with monkeypatch.context() as patch:
                 log = LapackLog(patch)
@@ -629,7 +658,7 @@ class TestIsolatedCoordinates:
 
     def test_diagonal_family_holds_no_empty_array(self):
         # no block, so no array of the solver is 0x0: the Newton step is an LP's
-        inst = InstanceSet([np.diag(r) for r in self.GAME])
+        inst = InstanceSet([np.diag(r) for r in self.LP_GAME])
         empty = []
 
         def tracer(frame, event, arg):
@@ -648,7 +677,7 @@ class TestIsolatedCoordinates:
             cert = solve_minimax(inst)
         finally:
             sys.settrace(previous)
-        assert cert.converged
+        assert cert.converged and cert.iterations >= 1
         assert empty == []
 
     def test_identical_matrix_families_reach_relative_gap_1e_8(self):
@@ -876,19 +905,14 @@ class TestWorkingSet:
 
     @pytest.mark.parametrize("m, n", [(2, 3), (3, 3), (3, 5), (4, 6), (5, 7), (5, 8)])
     def test_games_shaped_families_are_solved_whole(self, rng, monkeypatch, m, n):
+        # m <= n + 1 rows, so the face gate admits the whole game: it is finished on all
+        # its rows before any Newton step, by a simplex over ints that makes no LAPACK
+        # call, and that point's bracket closes it
         inst = InstanceSet([np.diag(r) for r in rng.integers(-4, 5, (m, n)).astype(float)])
         log = LapackLog(monkeypatch)
+        faces = finish_faces(monkeypatch)
         k = solve_minimax(inst, SaddleConfig(gap_tol=1e-4)).iterations
-        # a diagonal family's attempt is the exact finish, a simplex over ints: it makes
-        # no LAPACK call, and only the bracket of its point adds any
-        assert all(not any(made.values()) for _, made, _ in log.faces)
-        assert log.calls == {
-            "cholesky": [(m + 1, m + 1)] * k,
-            "inv": [(m + 1, m + 1)] * k,
-            "eigh": log.expected("eigh", k, [(2, n, n)], (1, n, n)),
-            "eigvals": log.expected("eigvals", k, [(2, n, n)], (1, n, n)),
-            "checks": [(n, n)],
-        }
+        assert_finished_whole(log, faces, k, m, n)
 
 
 def damped_only_bounds(stack, spectra, cfg):
@@ -1049,11 +1073,12 @@ class TestNewtonPoint:
     @pytest.mark.parametrize("shape", ["dense", "game"])
     def test_a_newton_point_that_is_not_finite_is_skipped(self, monkeypatch, shape, value):
         # every Newton point made NaN or inf, X and multipliers: the solve still certifies,
-        # from the damped iterates and the face steps, and its bounds recompute
+        # from the damped iterates and the face steps, and its bounds recompute; the game
+        # has more than n + 1 rows, so it takes Newton steps
         if shape == "dense":
             inst = symmetric_family(np.random.default_rng(3), 6, 4)
         else:
-            inst = base_game()[0]
+            inst = tall_game()
         cfg = SaddleConfig(gap_tol=1e-6 * float(np.abs(inst.spectra).max()))
         steps = saddle._newton_steps
 
@@ -1123,29 +1148,41 @@ def base_game():
     return embed_diagonal(game), game
 
 
+def tall_game():
+    """The base game with four seeded rows more, embedded diagonally: 8 rows over 6
+    columns, more than n + 1, so the face gate does not admit it whole and it is not
+    finished before its first Newton step."""
+    extra = np.random.default_rng(0).integers(-4, 5, (4, 6)).astype(float)
+    rows = np.vstack([base_game()[0].stacked.diagonal(axis1=1, axis2=2), extra])
+    return InstanceSet([np.diag(r) for r in rows])
+
+
 class TestFaceStep:
     """A face attempt gives a third candidate: Newton on a block family's guessed face,
     the exact simplex on a diagonal family's."""
 
     @pytest.mark.parametrize("shape", ["dense", "game"])
     def test_it_closes_a_solve_within_two_steps(self, monkeypatch, shape):
-        # a 10x8 dense family to 1e-8 of its scale both ways by the face step, and a 5x8
-        # game to the benchmark's 1e-4 by the exact finish: one Newton step each, against
-        # four to nine without them
+        # a 10x8 dense family to 1e-8 of its scale both ways by the face step, one Newton
+        # step each, and a 5x8 game to the benchmark's 1e-4 by the exact finish on all its
+        # rows before any Newton step; four to nine steps without them
         if shape == "dense":
             inst, rel = symmetric_family(np.random.default_rng(2), 10, 8), 1e-8
             solves, with_face, without = (solve_minimax, solve_maximin), (1, 1), (8, 9)
         else:
             rows = np.random.default_rng(2).integers(-4, 5, (5, 8)).astype(float)
             inst, rel = InstanceSet([np.diag(r) for r in rows]), 1e-4
-            solves, with_face, without = (solve_minimax,), (1,), (4,)
+            solves, with_face, without = (solve_minimax,), (0,), (4,)
         cfg = SaddleConfig(gap_tol=rel * float(np.abs(inst.spectra).max()))
         for solve, k, steps in zip(solves, with_face, without):
             with monkeypatch.context() as patch:
                 log = LapackLog(patch)
+                faces = finish_faces(patch)
                 cert = solve(inst, cfg)
             assert cert.converged and cert.iterations == k, solve.__name__
             assert log.faces[-1][::2] == (k, True), solve.__name__
+            if shape == "game":
+                assert_finished_whole(log, faces, k, 5, 8)
             assert_bounds_recompute(solve, cert, inst, solve.__name__)
             with monkeypatch.context() as patch:
                 without_face_step(patch)
@@ -1289,29 +1326,36 @@ class TestFaceStep:
 
     def test_a_diagonal_family_attempts_at_step_1_and_a_block_family_waits_for_the_gate(
             self, monkeypatch):
-        # the base 4x6 game, and the same family rotated into a block family: after
-        # Newton step 1 the incumbents' gap is 0.199 of the scale on both, above the
-        # block's gate of 0.1. The diagonal family makes its exact finish there; the
-        # block family first attempts its face step after step 2
-        inst, _ = base_game()
+        # the 8x6 tall game, which the face gate does not admit whole, and the base 4x6
+        # game rotated into a block family: after Newton step 1 the incumbents' gap is
+        # 0.190 and 0.199 of the scale, above the block's gate of 0.1. The diagonal family
+        # makes its exact finish there, and none before; the block family first attempts
+        # its face step after step 2
         q = random_orthogonal(np.random.default_rng(0), 6)
-        block = InstanceSet([q @ a @ q.T for a in inst.stacked])
-        for family, diagonal, kind, first in ((inst, True, "_finish", 1),
+        block = InstanceSet([q @ a @ q.T for a in base_game()[0].stacked])
+        steps = saddle._newton_steps
+        for family, diagonal, kind, first in ((tall_game(), True, "_finish", 1),
                                               (block, False, "_face_step", 2)):
             scale = float(np.abs(family.spectra).max())
             cfg = SaddleConfig(gap_tol=1e-4 * scale)
-            attempts, calls, bare = [], [], []
+            attempts, taken, bare = [], [], []
+
+            def counted(*args):
+                for out in steps(*args):
+                    taken.append(out[2])
+                    yield out
 
             def watch(name, attempt):
                 def watched(*args):
-                    attempts.append((name, len(calls) + 1))  # the attempt and its step
+                    attempts.append((name, len(taken)))  # the attempt and its step
                     return attempt(*args)
                 return watched
 
             with monkeypatch.context() as patch:
+                patch.setattr(saddle, "_newton_steps", counted)
                 for name in ATTEMPTS:
                     patch.setattr(saddle, name, watch(name, getattr(saddle, name)))
-                cert = solve_minimax(family, cfg, on_bounds=lambda *a: calls.append(a))
+                cert = solve_minimax(family, cfg)
             # the Newton iterates never depend on an attempt, so step 1's bracket without
             # any is the one that the first attempt starts from
             with monkeypatch.context() as patch:
@@ -1473,17 +1517,78 @@ class TestExactFinish:
     GAMES = [(2, 3, 200), (3, 3, 201), (3, 5, 202), (4, 6, 203), (5, 7, 204), (5, 8, 205)]
 
     @pytest.mark.parametrize("m, n, seed", GAMES)
-    def test_game_shapes_close_at_step_1_on_the_exact_value_at_every_scale(self, m, n, seed):
+    def test_game_shapes_close_at_step_1_on_the_exact_value_at_every_scale(
+            self, monkeypatch, m, n, seed):
         # at the benchmark's relative gap 1e-4, both ways and at scales 2^-500 to 2^500,
-        # which move no bit of the solve but the exponents: the finish after Newton step
-        # 1 closes each solve on the exact value
+        # which move no bit of the solve but the exponents: every game has m <= n + 1
+        # rows, and the finish on all of them, before any Newton step, closes each solve
+        # on the exact value
         shape = (m, n)
         payoff = np.random.default_rng([190509762, seed]).integers(-4, 5, shape)
         for k in (-500, -20, 0, 6, 500):
             inst = InstanceSet([np.diag(r) for r in payoff * 2.0 ** k])
             for solve in (solve_minimax, solve_maximin):
-                cert = assert_at_the_exact_value(solve, inst, 1e-4, (shape, k, solve.__name__))
-                assert cert.iterations == 1, (shape, k, solve.__name__)
+                case = (shape, k, solve.__name__)
+                cert = assert_at_the_exact_value(solve, inst, 1e-4, case)
+                # the same solve again, its LAPACK calls and finishes watched
+                with monkeypatch.context() as patch:
+                    log = LapackLog(patch)
+                    faces = finish_faces(patch)
+                    again = solve(inst, SaddleConfig(gap_tol=1e-4 * cert.scale))
+                assert (again.upper, again.lower) == (cert.upper, cert.lower), case
+                assert_finished_whole(log, faces, again.iterations, m, n, case)
+
+    @pytest.mark.parametrize("m", [7, 8], ids=["n+1", "n+2"])
+    def test_the_face_gate_admits_a_game_of_at_most_n_plus_1_rows_whole(self, monkeypatch, m):
+        # the tall game's first m rows over n = 6 columns, both ways: 7 rows are finished
+        # whole before any Newton step and close there; 8 take Newton step 1 and make
+        # their first finish after it
+        inst = InstanceSet(tall_game().stacked[:m])
+        cfg = SaddleConfig(gap_tol=1e-4 * float(np.abs(inst.spectra).max()))
+        for solve in (solve_minimax, solve_maximin):
+            with monkeypatch.context() as patch:
+                log = LapackLog(patch)
+                faces = finish_faces(patch)
+                cert = solve(inst, cfg)
+            assert cert.converged, solve.__name__
+            assert_bounds_recompute(solve, cert, inst, solve.__name__)
+            if m == 7:
+                assert_finished_whole(log, faces, cert.iterations, m, 6, solve.__name__)
+            else:
+                assert cert.iterations >= 1 and log.faces[0][0] == 1, solve.__name__
+
+    def test_a_gap_target_below_the_finish_brackets_rounding_falls_through_to_newton_steps(
+            self, monkeypatch):
+        # the game [[-3, 1], [2, 0]] has value 1/3, which is not a float: its exact
+        # finish's bracket, before any Newton step, is 5.6e-17 wide, above a target of
+        # 1e-17, so the solve goes on to Newton steps from those incumbents
+        inst = InstanceSet([np.diag([-3.0, 1.0]), np.diag([2.0, 0.0])])
+        cfg, bracket, brackets, calls = SaddleConfig(gap_tol=1e-17), saddle._bracket, [], []
+
+        def recorded(*args):
+            brackets.append(bracket(*args))
+            return brackets[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(saddle, "_bracket", recorded)
+            cert = solve_minimax(inst, cfg, on_bounds=lambda *a: calls.append(a))
+        _, pays, _, los = brackets[0]  # the finish's point, before any Newton step
+        up, lo = float(pays.max()), float(los[0])
+        assert up - lo > cfg.gap_tol
+        assert cert.iterations >= 1 and [c[0] for c in calls] == list(range(1, cert.iterations + 1))
+        # no bound is ever looser than that first bracket, and the certificate recomputes
+        assert all(u <= up and l >= lo for _, u, l in calls)
+        assert cert.upper <= up and cert.lower >= lo
+        assert_bounds_recompute(solve_minimax, cert, inst, "1/3")
+
+    def test_on_bounds_is_never_called_on_a_solve_of_no_newton_step(self):
+        # on_bounds fires once per Newton step, so a game closed by its finish before any
+        # step makes no call
+        inst = base_game()[0]
+        for solve in (solve_minimax, solve_maximin):
+            calls = []
+            cert = solve(inst, on_bounds=lambda *a: calls.append(a))
+            assert cert.converged and cert.iterations == 0 and calls == [], solve.__name__
 
     @pytest.mark.parametrize("rel", [1e-6, 1e-8, 1e-12])
     def test_the_diagonal_fuzz_certifies_the_exact_value(self, rel):
