@@ -19,15 +19,16 @@ starts at X = I/n, theta = 0.1 scale units from the boundary: the dual weights
 sum to 1 - theta, as they sum to 1 at every optimum, and the primal margin and
 the dual slacks' floor are theta (the start sized to the problem, as Mehrotra
 and SDPT3 size theirs).
-A diagonal family, the paper's classic game, has every A_i exactly zero off its
-diagonal (checked without a tolerance); X keeps its diagonal as a vector of
-linear-programming variables beside s and delta (Todd, Toh & Tutuncu, SIAM J.
-Optim. 1998, carry LP blocks beside SDP blocks the same way), and the family is
-solved as a linear program. Any other family keeps X as one dense n x n block.
+Every family steps on X as one dense n x n block. A diagonal family, the paper's
+classic game, has every A_i exactly zero off its diagonal (checked without a
+tolerance); its X and Z stay exactly zero off their diagonals, and its exactness
+comes from the finish below, not from the steps.
 
 An interior point only approaches the optimal face, so each solve also tries to
 finish on it: the face is guessed from the incumbents as the matrices that pay within
 three gaps of the incumbent upper bound, and tried when it holds at most q + 1 of them.
+After a Newton step that improved neither incumbent, a three-gap face larger than that
+is guessed again as the matrices within one gap, under the same size gate.
 A diagonal family tries at any gap, and when it has at most q + 1 = n + 1 matrices,
 before its first Newton step too, on all of them, so such a game may close with no
 Newton step. Its game is converted to integers once per solve, and the finish is the
@@ -249,99 +250,81 @@ def _is_diagonal(stack: np.ndarray) -> bool:
     return not near.any()
 
 
-def _newton_steps(stack: np.ndarray, work, sigma: float, scale: float, diagonal: bool,
-                  warm=None):
+def _newton_steps(stack: np.ndarray, work, sigma: float, scale: float, warm=None):
     """Mehrotra predictor-corrector with the HKM direction on diag(X, s, delta).
 
     Top blocks F_k = A_k / scale + sigma*I for the m matrices of ``stack`` that the mask
-    ``work`` marks (k < m) and F_m = I; dual multipliers u, slacks (Z, w, z). A
-    ``diagonal`` family's X and Z are held as the vectors x_d and z_d of their
-    diagonals: the payoffs read no other entry of X, and pinching keeps X in the
-    spectraplex, so this is exact. Any other family's are one dense n x n block X_c
-    and Z_c, and x_d and z_d are empty. x_d joins s and delta in one vector
-    v = (x_d, s, delta) with slack g = (z_d, w, z); G is the matrix of v's terms in the
-    m+1 constraints. The Schur matrix is x_d's term or the block's, plus s's and delta's;
-    the residuals, mu and the affine gap add the block's terms to the vector's, and each
-    step length is the lesser of the block's and the vector's.
+    ``work`` marks (k < m) and F_m = I; dual multipliers u, slacks (Z, w, z). X and Z are
+    one dense n x n block each, whatever the family: a diagonal family's stay exactly
+    zero off their diagonals, since every product of the step keeps them so. s and delta
+    form one vector v = (s, delta) with slack g = (w, z); G is the matrix of v's terms in
+    the m+1 constraints. The Schur matrix is the block's term plus s's and delta's; the
+    residuals, mu and the affine gap add the block's terms to the vector's, and each step
+    length is the lesser of the block's and the vector's.
 
     The start is strictly feasible, theta = ``_THETA`` from the boundary: X = I/n,
     delta = max_k <F_k, X> + theta and s_k = delta - <F_k, X>; u_k = -(1 - theta)/m,
     and u_m is theta below the least eigenvalue of the combination (1 - theta) sum_k
-    F_k / m, read off its diagonal for a diagonal family, so that the least of Z_c's
-    eigenvalues or of z_d is theta, w = (1 - theta)/m and z = theta.
-    ``warm`` = (X, u, kept), an earlier solve's on the matrices ``kept`` marks, makes
-    the start 0.8 times it plus 0.2 times that point, margin 0.2 theta included, which
-    is strictly feasible too. The residuals only absorb rounding
+    F_k / m, so that the least of Z's eigenvalues is theta, w = (1 - theta)/m and z =
+    theta. ``warm`` = (X, u, kept), an earlier solve's on the matrices ``kept`` marks,
+    makes the start 0.8 times it plus 0.2 times that point, margin 0.2 theta included,
+    which is strictly feasible too. The residuals only absorb rounding
     drift. A Schur matrix that does not factor is retried with a growing multiple of
     its largest diagonal entry added to its diagonal (``_schur_cholesky``). Each
     Newton step yields (X, U, mu, False), stacks of the n x n X and of u at the damped
-    iterate, then at the undamped Newton point X + dX, v + dv, u + du; a Cholesky
-    breakdown that no retry mends yields the iterate it started from alone with True,
-    and ends the iteration.
+    iterate, then at the undamped Newton point X + dX, u + du; a Cholesky breakdown that
+    no retry mends yields the iterate it started from alone with True, and ends the
+    iteration.
     """
     m, n = int(work.sum()), stack.shape[1]
     i = np.arange(n)
+    # a fancy-indexed copy of the tops, whose layout the products below read bit for
+    # bit; freeing tops lowers the solver's peak memory
     tops = np.concatenate([_shifted(stack[work], sigma, scale), _eye(n)[None]])
-    # x_d's diagonals of the tops, or the block's tops with x_d empty: fancy-indexed
-    # copies, whose layout the products below read bit for bit; freeing tops lowers
-    # the solver's peak memory
-    fd, f = (tops[:, i, i], None) if diagonal else (np.zeros((m + 1, 0)), tops[:, i[:, None], i])
+    f = tops[:, i[:, None], i]
     del tops
-    nd = fd.shape[1]
-    cost = np.zeros(nd + m + 1)
+    ff, x = f.reshape(m + 1, -1), _eye(n) / n
+    cost = np.zeros(m + 1)
     cost[-1] = 1.0
 
     def lp(v):
-        # G v: diag(F_k) on x_d, plus s_k - delta in row k < m
-        r = fd @ v[:nd]
-        r[:m] += v[nd:-1] - v[-1]
+        # G v: s_k - delta in row k < m
+        r = v - v[-1]
+        r[m] = 0.0
         return r
 
     def lp_t(u):
         # G^T u, so that g = cost - G^T u
-        return np.concatenate((u @ fd, u[:m], -u[:m].sum(keepdims=True)))
+        return np.concatenate((u[:m], -u[:m].sum(keepdims=True)))
 
-    v, u = np.full(nd + m + 1, 1.0 / n), np.append(np.full(m, (_THETA - 1.0) / m), 0.0)
-    x = z = None
-    least = np.inf  # lambda_min of (1 - theta) sum_k F_k / m on the block
-    if not diagonal:
-        ff, x = f.reshape(m + 1, -1), _eye(n) / n
-        least = _eigvals_raw(-(u @ ff).reshape(x.shape))[0]
-    u[m] = (-(u @ fd)).min(initial=least) - _THETA
+    u = np.append(np.full(m, (_THETA - 1.0) / m), 0.0)
+    u[m] = _eigvals_raw(-(u @ ff).reshape(x.shape))[0] - _THETA
     margin = _THETA
     if warm is not None:
         last, u_last, kept = warm
         u, margin = 0.2 * u, 0.2 * _THETA
         u[np.append(kept, True)] += 0.8 * u_last
-        if diagonal:
-            v[:n] = 0.8 * last.diagonal() + 0.2 * v[:n]
-        else:
-            x = 0.8 * last + 0.2 * x
-    v[nd:-1] = fd[:m] @ v[:nd]  # <F_k, X> until s is set
-    if not diagonal:
-        v[nd:-1] += ff[:m] @ x.reshape(-1)
-        z = -(u @ ff).reshape(x.shape)
-    v[-1] = v[nd:-1].max() + margin
-    v[nd:-1] = v[-1] - v[nd:-1]
+        x = 0.8 * last + 0.2 * x
+    v = np.empty(m + 1)
+    v[:-1] = ff[:m] @ x.reshape(-1)  # <F_k, X> until s is set
+    v[-1] = v[:-1].max() + margin
+    v[:-1] = v[-1] - v[:-1]
+    z = -(u @ ff).reshape(x.shape)
     g = cost - lp_t(u)
 
     def step(x, z, v, u, g, mu):
-        # one predictor-corrector step: (xs, Z_c, vs, us, g) after it; its temporaries die
+        # one predictor-corrector step: (xs, Z, v, us, g) after it; its temporaries die
         # with it, before the caller brackets and attempts the face
-        rp, rg, r = -lp(v), cost - lp_t(u) - g, v / g
-        if diagonal:
-            schur = (fd * r[:n]) @ fd.T
-        else:
-            rp -= ff @ x.reshape(-1)
-            rd = -(u @ ff).reshape(z.shape) - z
-            # the inverse Cholesky factors of X and Z, and Z^-1
-            rr = np.linalg.inv(np.linalg.cholesky(np.array((x, z))))
-            zi = rr[1].T @ rr[1]
-            schur = ff @ (x @ f @ zi).reshape(m + 1, -1).T
-            xrz = x @ rd @ zi
+        rp, rg, r = -lp(v) - ff @ x.reshape(-1), cost - lp_t(u) - g, v / g
+        rd = -(u @ ff).reshape(z.shape) - z
+        # the inverse Cholesky factors of X and Z, and Z^-1
+        rr = np.linalg.inv(np.linalg.cholesky(np.array((x, z))))
+        zi = rr[1].T @ rr[1]
+        schur = ff @ (x @ f @ zi).reshape(m + 1, -1).T
+        xrz = x @ rd @ zi
         rp[m] += 1.0
         # s/w + delta/z on the diagonal and delta/z off it, added in place
-        diag = schur.diagonal()[:m] + (r[nd:-1] + r[-1])
+        diag = schur.diagonal()[:m] + (r[:-1] + r[-1])
         schur[:m, :m] += r[-1]
         schur.reshape(-1)[: m * (m + 2) : m + 2] = diag
         li = _schur_cholesky(schur)
@@ -349,44 +332,36 @@ def _newton_steps(stack: np.ndarray, work, sigma: float, scale: float, diagonal:
         _tril_inv(li)
 
         def newton(rczi, rcv):
-            # X dZ + dX Z = Rc and v dg + dv g = rcv, rczi being Rc Z^-1 on the block,
-            # and the step lengths: 0.95 of the way to each cone's boundary, at most 1
-            rhs = rp if diagonal else rp - ff @ (rczi - xrz).reshape(-1)
+            # X dZ + dX Z = Rc and v dg + dv g = rcv, rczi being Rc Z^-1, and the step
+            # lengths: 0.95 of the way to each cone's boundary, at most 1
+            rhs = rp - ff @ (rczi - xrz).reshape(-1)
             du = li.T @ (li @ (rhs - lp((rcv - v * rg) / g)))
             dg = rg - lp_t(du)
             dv = (rcv - v * dg) / g
             ap, ad = max(-(dv / v).min(), 0.95), max(-(dg / g).min(), 0.95)
-            if diagonal:
-                return None, dv, du, None, dg, 0.95 / ap, 0.95 / ad
             dz = rd - (du @ ff).reshape(rd.shape)
             dx = rczi - x @ dz @ zi
             dx = (dx + dx.T) / 2.0
             low = _eigvals_raw(rr @ np.array((dx, dz)) @ rr.transpose(0, 2, 1))[:, 0]
             return dx, dv, du, dz, dg, 0.95 / max(ap, -low[0]), 0.95 / max(ad, -low[1])
 
-        dx, dv, du, dz, dg, ap, ad = newton(None if diagonal else -x, -v * g)
-        gap_aff = (v + ap * dv) @ (g + ad * dg)
-        if not diagonal:
-            gap_aff = gap_aff + np.vdot(x + ap * dx, z + ad * dz)
+        dx, dv, du, dz, dg, ap, ad = newton(-x, -v * g)
+        gap_aff = (v + ap * dv) @ (g + ad * dg) + np.vdot(x + ap * dx, z + ad * dz)
         tau = mu * min(1.0, gap_aff / (mu * (n + m + 1))) ** 3
-        rczi = None if diagonal else tau * zi - x - dx @ dz @ zi
-        dx, dv, du, dz, dg, ap, ad = newton(rczi, tau - v * g - dv * dg)
-        return (None if diagonal else np.array((x + ap * dx, x + dx)),
-                None if diagonal else z + ad * dz, np.array((v + ap * dv, v + dv)),
+        dx, dv, du, dz, dg, ap, ad = newton(tau * zi - x - dx @ dz @ zi,
+                                            tau - v * g - dv * dg)
+        return (np.array((x + ap * dx, x + dx)), z + ad * dz, v + ap * dv,
                 np.array((u + ad * du, u + du)), g + ad * dg)
 
     breakdown = False
     while not breakdown:
         # mu before any factorisation, so that a breakdown round logs it
-        mu = (v @ g if diagonal else v @ g + np.vdot(x, z)) / (n + m + 1)
+        mu = (v @ g + np.vdot(x, z)) / (n + m + 1)
         try:
-            xs, z, vs, us, g = step(x, z, v, u, g, mu)
-            x, v, u = None if diagonal else xs[0], vs[0], us[0]
+            xs, z, v, us, g = step(x, z, v, u, g, mu)
+            x, u = xs[0], us[0]
         except np.linalg.LinAlgError:
-            breakdown, vs, us, xs = True, v[None], u[None], None if diagonal else x[None]
-        if diagonal:  # X is the diagonal matrix of x_d
-            xs = np.zeros((len(vs), n, n))
-            xs[:, i, i] = vs[:, :n]
+            breakdown, xs, us = True, x[None], u[None]
         yield xs, us, mu, breakdown
 
 
@@ -640,9 +615,11 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
     """``_newton_steps`` on a working set W of the matrices, bracketed on all m.
 
     ``spectra`` (each A_k's eigenvalues, in any order) give the scale max_i ||A_i||_2
-    and sigma = max(0, -min_i lambda_min(A_i) / scale) + 1. W starts as the 3q matrices
-    of largest trace, ties to the lower index, q being X's free coordinates: n for a
-    diagonal family (``_is_diagonal``), n(n+1)/2 for any other. A diagonal family of
+    and sigma = max(0, -min_i lambda_min(A_i) / scale) + 1. Every family's steps are on
+    one dense n x n block; whether the family is diagonal (``_is_diagonal``) decides only
+    q, X's free coordinates (n for a diagonal family, n(n+1)/2 for any other), which
+    sizes W and the face gate, the gate's gap and the attempt. W starts as the 3q
+    matrices of largest trace, ties to the lower index. A diagonal family of
     m <= q + 1 matrices, which the face gate below admits whole, is first attempted on
     all m, before W is set up, and its point is bracketed as any; if that meets
     cfg.gap_tol, the solve returns with 0 steps, and otherwise the steps start from those
@@ -652,9 +629,10 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
     the incumbents exceeds cfg.gap_tol, and for a block family is at most ``_FACE_GAP``
     times the scale (a diagonal family attempts at any gap), the face is guessed as the
     matrices whose payoffs at the incumbent x_bar, already computed, are within
-    ``_FACE_GAPS`` gaps of the incumbent upper bound; if it holds at most q + 1 matrices (a nondegenerate
-    optimum's dual support can hold no more), it is attempted, and the attempt's point,
-    if any, is bracketed too. A diagonal family's attempt is ``_finish``, the exact
+    ``_FACE_GAPS`` gaps of the incumbent upper bound, or, when the step improved neither
+    incumbent and that face holds more than q + 1 matrices, within one gap; if it holds
+    at most q + 1 matrices (a nondegenerate optimum's dual support can hold no more), it
+    is attempted, and the attempt's point, if any, is bracketed too. A diagonal family's attempt is ``_finish``, the exact
     simplex on the face's rows of its game, converted to ints (``_integers``) once per
     solve; a block family's is ``_face_step``, from the incumbents.
     If that point weighs some face matrix at zero or below and the gap is still open,
@@ -713,12 +691,12 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
     work[np.argsort(-stack.trace(axis1=1, axis2=2), kind="stable")[: 3 * q]] = True
 
     while True:
-        for full, us, mu, breakdown in _newton_steps(stack, work, sigma, scale, diagonal, warm):
+        for full, us, mu, breakdown in _newton_steps(stack, work, sigma, scale, warm):
             k += 1
             ys = np.zeros((len(us), m))
             ys[:, work] = -us[:, :-1]
             x_bars, pays, y_bars, los = _bracket(stack, full, ys)
-            better(x_bars, pays, y_bars, los)
+            stalled = not better(x_bars, pays, y_bars, los)
             # the face guess, once the gap is small enough for it (at once on a diagonal
             # family); a second guess starts from the incumbents that the first improved
             retry = True
@@ -726,6 +704,9 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
                 if not cfg.gap_tol < (gap := upper - lower) <= gate:
                     break
                 face = (best[1] >= upper - _FACE_GAPS * gap).nonzero()[0]
+                # a step that improved neither incumbent guesses within one gap instead
+                if stalled and len(face) > q + 1:
+                    face = (best[1] >= upper - gap).nonzero()[0]
                 if len(face) > q + 1:
                     break
                 correct = True

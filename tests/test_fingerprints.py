@@ -45,8 +45,9 @@ def test_the_call_count_is_every_call_and_c_call_that_the_function_makes():
 
 
 def test_a_dense_case_that_fails_is_named_below_its_workload():
-    # games is solved as a linear program and dense by the block; dense's 6x4 case at
-    # relative gap 1e-8 fails its lift, and is named on an indented line with its error
+    # games closes on its exact finish before any Newton step and dense takes Newton
+    # steps; dense's 6x4 case at relative gap 1e-8 fails its lift, and is named on an
+    # indented line with its error
     out = fingerprints("--workloads", "games", "dense")
     assert re.fullmatch(
         rf"games 101 {STEPS}dense 101 {STEPS}"
@@ -55,8 +56,10 @@ def test_a_dense_case_that_fails_is_named_below_its_workload():
 
 def test_fuzz_adds_one_line_over_its_1600_certificates():
     # the seeded fuzz's line, below the workload's: its digest, the Newton steps, no
-    # solve stopped short, and the face steps
+    # solve stopped short, and the face steps; then the Newton steps and the short stops
+    # of the same instances at relative gap 1e-12
     out = fingerprints("--workloads", "games", "--fuzz")
     assert re.fullmatch(
         rf"games 101 {STEPS}fuzz [0-9a-f]{{64}} 1600 certificates, \d+ steps, "
-        rf"short 0 minimax, 0 maximin, {FACES}\n", out)
+        rf"short 0 minimax, 0 maximin, {FACES}; "
+        r"at 1e-12: \d+ steps, short \d+ minimax, \d+ maximin\n", out)

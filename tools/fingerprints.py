@@ -23,7 +23,9 @@ solved both ways at relative gaps 1e-6 and 1e-8, 1,600 certificates, their total
 Newton steps, the counts that stopped short, the face steps with the converged
 ones and their Gauss-Newton steps, and the exact finishes. Face steps and finishes
 are counted from the solver's debug lines; the converged share is the useful outcomes
-of the face steps made.
+of the face steps made. The line ends with the same 400 instances solved both ways at
+relative gap 1e-12, the gate of ``tests/test_saddle.py``'s tight fuzz: their Newton
+steps and the counts that stopped short, outside the digest and the face counts.
 
 Run it on two source trees and compare the outputs line by line:
 
@@ -157,23 +159,31 @@ def fuzz_line(sm: dict) -> str:
     from test_saddle import FUZZ_SEEDS, fuzz_family  # imports specmm, so after _import
 
     saddle = sm["saddle"]
-    certs, steps, short = [], 0, {saddle.solve_minimax: 0, saddle.solve_maximin: 0}
-    with face_count(saddle) as faces:
+    senses = (saddle.solve_minimax, saddle.solve_maximin)
+
+    def fuzz(rels, certs):
+        # solves every fuzz instance both ways at each relative gap of ``rels``, appends
+        # each certificate's fields to ``certs`` and returns the steps and short stops
+        steps, short = 0, dict.fromkeys(senses, 0)
         for kind, seed in FUZZ_SEEDS:
             rng = np.random.default_rng(seed)
             for _ in range(100):
                 inst = sm["domains"].InstanceSet(fuzz_family(kind, rng))
                 scale = float(np.abs(inst.spectra).max())
-                for rel in (1e-6, 1e-8):
-                    for solve in short:
+                for rel in rels:
+                    for solve in senses:
                         cert = solve(inst, saddle.SaddleConfig(gap_tol=rel * scale))
                         short[solve] += not cert.converged
                         steps += cert.iterations
                         certs.append((cert.upper, cert.lower, cert.iterations, cert.converged,
                                       cert.x_bar.array.tobytes(), cert.y_bar.weights.tobytes()))
-    return (f"fuzz {_digest(certs)} {len(certs)} certificates, {steps} steps, short "
-            f"{short[saddle.solve_minimax]} minimax, {short[saddle.solve_maximin]} maximin, "
-            f"{faces}")
+        return f"{steps} steps, short {short[senses[0]]} minimax, {short[senses[1]]} maximin"
+
+    certs = []
+    with face_count(saddle) as faces:
+        loose = fuzz((1e-6, 1e-8), certs)
+    tight = fuzz((1e-12,), [])
+    return f"fuzz {_digest(certs)} {len(certs)} certificates, {loose}, {faces}; at 1e-12: {tight}"
 
 
 def main(argv=None) -> int:
