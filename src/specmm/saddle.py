@@ -25,33 +25,21 @@ tolerance); its X and Z stay exactly zero off their diagonals, and its exactness
 comes from the finish below, not from the steps.
 
 An interior point only approaches the optimal face, so each solve also tries to
-finish on it: the face is guessed from the incumbents as the matrices that pay within
-three gaps of the incumbent upper bound, and tried when it holds at most q + 1 of them.
-After a Newton step that improved neither incumbent, a three-gap face larger than that
-is guessed again as the matrices within one gap, under the same size gate.
-A diagonal family tries at any gap, and when it has at most q + 1 = n + 1 matrices,
-before its first Newton step too, on all of them, so such a game may close with no
-Newton step. Its game is converted to integers once per solve, and the finish is the
-exact simplex of the classic game (``_simplex``: Bland's rule with fraction-free
-pivots) on the face's rows, which adds every row of the whole game that the face's
-optimum violates until none does. The interior point names the face and pivoting
-finishes on it (Megiddo, ORSA J. Comput. 1991; Mehrotra & Ye, Math. Program. 1993); its
-exact equilibrium, rounded to floats, is the third candidate. A block family tries once
-the incumbents' gap is within a tenth of the scale: up to four Gauss-Newton steps on
-that face's square optimality system (``_face_step``: Newton on the complementarity
-system, Alizadeh, Haeberly & Overton, Math. Program. 1997) solve for X's entries
-between Z's leading eigenvectors, eliminating the others, and stop once the residual
-is half the gap target.
-A first attempt from interior incumbents may converge on a wrong face or stall. When
-its point weighs some face matrix at zero or below and the gap is open, the face
-loses those matrices and is attempted again at once (an active-set correction, once
-per face guess). When its point improves an incumbent and leaves the gap open, the
-face is guessed again from the improved incumbents and a second attempt starts there,
-within the same Newton step. An attempt that improves neither incumbent is retried,
-once per step, on the matrices within one gap of the upper bound, if they are fewer:
-two face guesses, each corrected at most once, and one retry make at most five
-attempts per step. The Newton iterates never depend on any attempt, so a solve can
-only stop sooner.
+finish on it, on faces that ``_attempt_faces``, the one face-attempt policy, guesses
+from the incumbents after each Newton step. A diagonal family tries at any gap, and
+when it has at most q + 1 = n + 1 matrices, before its first Newton step too, on all
+of them, so such a game may close with no Newton step. Its game is converted to
+integers once per solve, and the finish is the exact simplex of the classic game
+(``_simplex``: Bland's rule with fraction-free pivots) on the face's rows, which adds
+every row of the whole game that the face's optimum violates until none does. The
+interior point names the face and pivoting finishes on it (Megiddo, ORSA J. Comput.
+1991; Mehrotra & Ye, Math. Program. 1993); its exact equilibrium, rounded to floats,
+is the third candidate. A block family tries once the incumbents' gap is within a
+tenth of the scale: up to four Gauss-Newton steps on that face's square optimality
+system (``_face_step``: Newton on the complementarity system, Alizadeh, Haeberly &
+Overton, Math. Program. 1997) solve for X's entries between Z's leading eigenvectors,
+eliminating the others, and stop once the residual is half the gap target. The Newton
+iterates never depend on any attempt, so a solve can only stop sooner.
 
 Certificates are self-verifying. After each Newton step the loop evaluates
 the exact bracket on all m matrices at its clipped iterate, Newton point (y zero
@@ -611,6 +599,58 @@ def _finish(payoff: list[list[int]], face: np.ndarray, n: int):
     return xd, np.array([b / z for b in y])
 
 
+def _attempt_faces(attempt, incumbents, q: int, gate: float, tol: float, stalled: bool):
+    """One Newton step's face attempts: the policy that guesses, corrects and retries them.
+
+    ``attempt(face)`` attempts the face, an index array of the matrices, brackets its
+    point, if any, and returns (the point or None, whether an incumbent improved);
+    ``incumbents()`` returns the payoffs at the incumbent X, and the incumbent upper and
+    lower bounds, as they stand. While their gap exceeds ``tol`` and is at most ``gate``,
+    the face is guessed as the matrices that pay within ``_FACE_GAPS`` (three) gaps of
+    the upper bound, or, when the step is ``stalled`` (it improved neither incumbent) and
+    that face holds more than q + 1 matrices, within one gap; a face of more than q + 1
+    matrices (a nondegenerate optimum's dual support can hold no more) is not attempted.
+    An attempt from interior incumbents may converge on a wrong face or stall. When its
+    point weighs some face matrices at zero or below and others above, and the gap is
+    open, the face loses the former and is attempted again at once (an active-set
+    correction, once per guess). Otherwise, when its point improves an incumbent, the
+    face is guessed again from the improved incumbents, once per step. An attempt that
+    gives no point, or one that improves neither incumbent, is retried, once per step,
+    on the matrices within one gap of the upper bound, that gap the guess's, if they are
+    fewer than the face that failed; otherwise the step's attempts end. Two guesses, each
+    corrected at most once, and one retry make at most five attempts per step. The retry
+    compares only sizes, so after a correction its face may hold a matrix that the
+    correction dropped.
+    """
+    retry = True
+    for _ in range(2):
+        pays, upper, lower = incumbents()
+        if not tol < (gap := upper - lower) <= gate:
+            return
+        face = (pays >= upper - _FACE_GAPS * gap).nonzero()[0]
+        if stalled and len(face) > q + 1:
+            face = (pays >= upper - gap).nonzero()[0]
+        if len(face) > q + 1:
+            return
+        correct = True
+        while True:
+            point, improved = attempt(face)
+            pays, upper, lower = incumbents()
+            if point is not None and correct and upper - lower > tol:
+                pos = point[1].take(face) > 0.0
+                if 0 < (kept := pos.sum()) < len(face):
+                    logger.debug("face corrected: %d of %d matrices weigh above zero", kept,
+                                 len(face))
+                    face, correct = face[pos], False
+                    continue
+            if improved:
+                break
+            one = (pays >= upper - gap).nonzero()[0]
+            if not retry or len(one) >= len(face):
+                return
+            face, retry = one, False
+
+
 def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, on_bounds):
     """``_newton_steps`` on a working set W of the matrices, bracketed on all m.
 
@@ -625,32 +665,18 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
     cfg.gap_tol, the solve returns with 0 steps, and otherwise the steps start from those
     incumbents. After each step, the damped iterate and the Newton point, their X and
     their -u[:-1] zero off W, are clipped and bracketed on the whole stack by
-    ``_bracket``, one eigh and one eigenvalue call on the pair. Then, while the gap of
-    the incumbents exceeds cfg.gap_tol, and for a block family is at most ``_FACE_GAP``
-    times the scale (a diagonal family attempts at any gap), the face is guessed as the
-    matrices whose payoffs at the incumbent x_bar, already computed, are within
-    ``_FACE_GAPS`` gaps of the incumbent upper bound, or, when the step improved neither
-    incumbent and that face holds more than q + 1 matrices, within one gap; if it holds
-    at most q + 1 matrices (a nondegenerate optimum's dual support can hold no more), it
-    is attempted, and the attempt's point, if any, is bracketed too. A diagonal family's attempt is ``_finish``, the exact
-    simplex on the face's rows of its game, converted to ints (``_integers``) once per
-    solve; a block family's is ``_face_step``, from the incumbents.
-    If that point weighs some face matrix at zero or below and the gap is still open,
-    the attempt is corrected at once, once per face guess: the next starts on the face's
-    matrices of positive weight, a nonempty strict subset. Otherwise, if the point
-    improved an incumbent, the gap and the face are read again from the new incumbents
-    and, under the same gate, a second guess is attempted from them and its point is
-    bracketed as well. If an attempt gives no point, or one that improves neither
-    incumbent, it is retried once per Newton step on the matrices within one gap of the
-    incumbent upper bound, if they are fewer than the face that failed: at most five
-    attempts per Newton step. The best of each side over all rounds is kept with its
-    strategy, and
-    ``on_bounds(k, upper, lower)``, if given, sees the pair. When some matrix outside W
-    pays more at the iterate's X than all of W, all such join W and a new round starts
-    warm from the iterate. Stops at cfg.gap_tol, after cfg.max_iters steps in all, or at
-    a breakdown. Returns (upper, lower, x_bar, y_bar, steps, scale), steps being 0 when
-    the finish before the first step closes the solve, or (0, 0, I/n, 1/m, 0, 0) for an
-    all-zero family.
+    ``_bracket``, one eigh and one eigenvalue call on the pair. Then ``_attempt_faces``
+    makes the step's face attempts, gated at ``_FACE_GAP`` times the scale for a block
+    family and at any gap for a diagonal one, and each attempt's point, if any, is
+    bracketed too. A diagonal family's attempt is ``_finish``, the exact simplex on the
+    face's rows of its game, converted to ints (``_integers``) once per solve; a block
+    family's is ``_face_step``, from the incumbents. The best of each side over all
+    rounds is kept with its strategy, and ``on_bounds(k, upper, lower)``, if given, sees
+    the pair. When some matrix outside W pays more at the iterate's X than all of W, all
+    such join W and a new round starts warm from the iterate. Stops at cfg.gap_tol,
+    after cfg.max_iters steps in all, or at a breakdown. Returns (upper, lower, x_bar,
+    y_bar, steps, scale), steps being 0 when the finish before the first step closes the
+    solve, or (0, 0, I/n, 1/m, 0, 0) for an all-zero family.
     """
     m, n, _ = stack.shape
     scale = float(np.abs(spectra).max())
@@ -696,39 +722,9 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
             ys = np.zeros((len(us), m))
             ys[:, work] = -us[:, :-1]
             x_bars, pays, y_bars, los = _bracket(stack, full, ys)
-            stalled = not better(x_bars, pays, y_bars, los)
-            # the face guess, once the gap is small enough for it (at once on a diagonal
-            # family); a second guess starts from the incumbents that the first improved
-            retry = True
-            for _ in range(2):
-                if not cfg.gap_tol < (gap := upper - lower) <= gate:
-                    break
-                face = (best[1] >= upper - _FACE_GAPS * gap).nonzero()[0]
-                # a step that improved neither incumbent guesses within one gap instead
-                if stalled and len(face) > q + 1:
-                    face = (best[1] >= upper - gap).nonzero()[0]
-                if len(face) > q + 1:
-                    break
-                correct = True
-                while face is not None:
-                    point, improved = attempt(face)
-                    # a point that weighs some face matrix at zero or below, the gap still
-                    # open, is attempted again at once on the rest, once per face guess
-                    if point is not None and correct and upper - lower > cfg.gap_tol:
-                        pos = point[1].take(face) > 0.0
-                        if 0 < (kept := pos.sum()) < len(face):
-                            logger.debug("face corrected: %d of %d matrices weigh above zero",
-                                         kept, len(face))
-                            face, correct = face[pos], False
-                            continue
-                    if improved:
-                        break
-                    # a failed attempt is retried, once per step, on the matrices within
-                    # one gap of the upper bound, if they are fewer
-                    one = (best[1] >= upper - gap).nonzero()[0]
-                    face, retry = one if retry and len(one) < len(face) else None, False
-                if face is None:
-                    break
+            # the step's face attempts, stalled if its bracket improved neither incumbent
+            _attempt_faces(attempt, lambda: (best[1], upper, lower), q, gate, cfg.gap_tol,
+                           not better(x_bars, pays, y_bars, los))
             if on_bounds is not None:
                 on_bounds(k, upper, lower)
             if logger.isEnabledFor(logging.DEBUG):
