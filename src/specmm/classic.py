@@ -10,6 +10,9 @@ reduction can be verified against the solve to stated tolerances. That solve
 may finish a game of at most n + 1 rows before any interior-point step, and
 the check keeps its meaning: both of its bounds come from the spectral
 oracles, a best response to X and a least eigenvalue of sum_i y_i A_i.
+The simplex remembers its last solve, so a value asked after a solve that
+finished the same game on all its rows, or before one that will, reuses that
+simplex, bit for bit, and pivots once for both.
 """
 
 from __future__ import annotations
@@ -91,7 +94,10 @@ def classic_value_exact(game: VectorGame) -> float:
     values (``saddle._integers``), and ``saddle._simplex`` solves the game on
     all its rows: Bland's rule with fraction-free pivots, then one exact check
     that its x and y are an equilibrium (RuntimeError if not). The returned
-    float is the rational value correctly rounded.
+    float is the rational value correctly rounded. The simplex's last solve is
+    remembered by its int game and rows, so a value asked right after a solve
+    of the same game that finished on all its rows, in their order, makes no
+    pivot and is that solve's, bit for bit.
     """
     payoff, den = _integers(game.rows)
     _, _, z, v = _simplex(payoff, range(game.m))
@@ -106,7 +112,9 @@ def verify_diagonal_reduction(
     the exact value; the comparison passes when the certificate midpoint is
     within gap_tol + 1e-8 of the exact value. The solve may close on its
     exact finish with no Newton step, but its bounds are still the spectral
-    oracles' values at its strategies, not the simplex's."""
+    oracles' values at its strategies, not the simplex's. That finish, on all
+    the rows of a game of at most n + 1 of them, is the simplex that the exact
+    value has just run, so the two pivot once between them."""
     cfg = cfg if cfg is not None else SaddleConfig()
     exact = classic_value_exact(game)
     cert = solve_minimax(embed_diagonal(game), cfg)

@@ -34,7 +34,9 @@ integers once per solve, and the finish is the exact simplex of the classic game
 every row of the whole game that the face's optimum violates until none does. The
 interior point names the face and pivoting finishes on it (Megiddo, ORSA J. Comput.
 1991; Mehrotra & Ye, Math. Program. 1993); its exact equilibrium, rounded to floats,
-is the third candidate. A block family tries once the incumbents' gap is within a
+is the third candidate. The last exact solve is remembered, so that
+``classic_value_exact`` of a game that a solve has just finished on all its rows
+makes no second simplex. A block family tries once the incumbents' gap is within a
 tenth of the scale: up to four Gauss-Newton steps on that face's square optimality
 system (``_face_step``: Newton on the complementarity system, Alizadeh, Haeberly &
 Overton, Math. Program. 1997) solve for X's entries between Z's leading eigenvectors,
@@ -58,7 +60,7 @@ import logging
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 from operator import mul
 from typing import Callable
 
@@ -266,8 +268,11 @@ def _newton_steps(stack: np.ndarray, work, sigma: float, scale: float, warm=None
     """
     m, n = int(work.sum()), stack.shape[1]
     i = np.arange(n)
-    # a fancy-indexed copy of the tops, whose layout the products below read bit for
-    # bit; freeing tops lowers the solver's peak memory
+    # i is arange(n), so this identity fancy index changes no value: the copy is kept for
+    # its layout, not C-contiguous but with the batch axis innermost (strides (8, 160,
+    # 40) for a (5, 4, 4) stack), which the products below read bit for bit. With f =
+    # tops, the dense and wide digests move and the 1e-12 fuzz stops short 21 + 22
+    # times, over its 18 + 23 gate. Freeing tops lowers the solver's peak memory
     tops = np.concatenate([_shifted(stack[work], sigma, scale), _eye(n)[None]])
     f = tops[:, i[:, None], i]
     del tops
@@ -509,19 +514,20 @@ def _pivot(tab: list[list[int]], r: int, c: int, prev: int) -> int:
     return p
 
 
-def _integers(rows) -> tuple[list[list[int]], int]:
+def _integers(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Rows of floats as rows of ints with the same ratios, and the factor between them.
 
     Each float is a dyadic rational p / q in lowest terms; scaled by the common
     denominator ``den`` of them all, every entry is an int, and a game's value scales
-    with it. Returns (the int rows, den).
+    with it. Returns (the int rows, den), the rows as tuples: ``_simplex`` remembers its
+    last solve by the payoff, which must therefore be hashable and never change.
     """
     exact = [[x.as_integer_ratio() for x in row] for row in rows]
     den = math.lcm(*[q for row in exact for _, q in row])
-    return [[p * (den // q) for p, q in row] for row in exact], den
+    return tuple(map(tuple, [[p * (den // q) for p, q in row] for row in exact])), den
 
 
-def _simplex(payoff: list[list[int]], rows) -> tuple[list[int], list[int], int, int]:
+def _simplex(payoff: tuple[tuple[int, ...], ...], rows) -> tuple[tuple, tuple, int, int]:
     """The exact equilibrium of the game of int ``payoff`` rows, solved first on ``rows``.
 
     The maximizer picks a row i, the minimizer a column j. With every entry of B = A +
@@ -535,10 +541,28 @@ def _simplex(payoff: list[list[int]], rows) -> tuple[list[int], list[int], int, 
     row not yet solved on that pays more than the value is added, and the simplex runs
     again from the slack basis on the larger set, until none does. The equilibrium is
     then checked exactly, once, on the whole game: x and y are nonnegative and sum to z,
-    and max_i (A x)_i = v = min_j (y^T A)_j; RuntimeError if not. One debug line logs the
-    rows first solved on, the rows added and the simplex rounds. Returns (x, y, z, v):
-    the strategies x / z and y / z (y zero off the rows solved on) and the value v / z.
+    and max_i (A x)_i = v = min_j (y^T A)_j; RuntimeError if not. Returns (x, y, z, v):
+    the strategies x / z and y / z as tuples (y zero off the rows solved on) and the
+    value v / z.
+
+    The last solve is remembered: ``_solve_game``, a one-entry ``lru_cache``, is keyed on
+    the payoff, a tuple of tuples (``_integers``), and the tuple of ``rows`` in their
+    order. A second call on the same game and rows, such as ``classic_value_exact`` after
+    the solver's finish on all of a game's rows, makes no pivot and returns the same
+    tuples, bit for bit. A call that raises is not remembered. Each call that returns
+    logs one debug line, from the remembered counts on a repeat: the rows first solved
+    on, the rows added and the simplex rounds.
     """
+    x, y, z, v, added, rounds = _solve_game(payoff, tuple(rows))
+    logger.debug("exact finish on %d rows: %d rows added, %d simplex rounds", len(rows),
+                 added, rounds)
+    return x, y, z, v
+
+
+@lru_cache(maxsize=1)
+def _solve_game(payoff: tuple[tuple[int, ...], ...], rows: tuple[int, ...]) -> tuple:
+    """``_simplex``'s solve of the game on ``rows``, remembered for the last arguments:
+    (x, y, z, v) with x and y as tuples, then the rows added and the simplex rounds."""
     m, n = len(payoff), len(payoff[0])
     shift = 1 - min(map(min, payoff))
     rows, rounds = list(rows), 0
@@ -581,15 +605,13 @@ def _simplex(payoff: list[list[int]], rows) -> tuple[list[int], list[int], int, 
     y = [0] * m
     for l, i in enumerate(rows):
         y[i] = tab[k][n + l]
-    logger.debug("exact finish on %d rows: %d rows added, %d simplex rounds", first,
-                 k - first, rounds)
     if (min(x) < 0 or min(y) < 0 or sum(x) != z or sum(y) != z or max(pays) != v
             or min([sum(map(mul, y, col)) for col in zip(*payoff)]) != v):
         raise RuntimeError("the simplex optimum is not an equilibrium")
-    return x, y, z, v
+    return tuple(x), tuple(y), z, v, k - first, rounds
 
 
-def _finish(payoff: list[list[int]], face: np.ndarray, n: int):
+def _finish(payoff: tuple[tuple[int, ...], ...], face: np.ndarray, n: int):
     """A diagonal family's exact finish on ``face``: ``_simplex`` on its int game
     ``payoff``, its x and y each divided by z and correctly rounded. Returns the n x n
     diagonal X and the m weights, as ``_face_step`` returns its point."""

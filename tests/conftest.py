@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from specmm import InstanceSet
+from specmm import InstanceSet, saddle
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -42,3 +42,11 @@ def peak_bytes(fn):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260816)
+
+
+@pytest.fixture(autouse=True)
+def forget_the_last_exact_solve():
+    """Empty the exact simplex's one-entry memo before each test, so that no test is
+    served a solve that an earlier one made, and each fault injected into ``_pivot``
+    reaches a simplex."""
+    saddle._solve_game.cache_clear()

@@ -318,6 +318,8 @@ class TestClassicValueExact:
         with pytest.raises(RuntimeError) as solved:
             solve_minimax(embed_diagonal(game))
         assert str(solved.value) == str(exact.value)
+        # neither raise is remembered, so each path ran its own simplex to the check
+        assert saddle._solve_game.cache_info().currsize == 0
 
     def test_single_row_and_single_column(self, rng):
         for _ in range(10):
@@ -326,6 +328,112 @@ class TestClassicValueExact:
             assert classic_value_exact(VectorGame((row,))) == min(row)
             # one column: the maximizer takes its largest entry
             assert classic_value_exact(VectorGame(tuple((v,) for v in row))) == max(row)
+
+
+# rock-paper-scissors with one payoff doubled: 3 rows, at most n + 1, so the solver
+# finishes it on all its rows before any Newton step
+RPS2 = VectorGame(((0.0, 2.0, -1.0), (-1.0, 0.0, 1.0), (1.0, -1.0, 0.0)))
+
+
+@pytest.fixture
+def pivots(monkeypatch):
+    """The list that every ``_pivot`` call joins, as its (r, c), while the test runs."""
+    calls, pivot = [], saddle._pivot
+
+    def counted(tab, r, c, prev):
+        calls.append((r, c))
+        return pivot(tab, r, c, prev)
+
+    monkeypatch.setattr(saddle, "_pivot", counted)
+    return calls
+
+
+def cert_bits(cert):
+    return (cert.upper, cert.lower, cert.iterations, cert.x_bar.array.tobytes(),
+            cert.y_bar.weights.tobytes())
+
+
+class TestRememberedSolve:
+    """The exact simplex remembers its last solve, keyed on the int game and the rows."""
+
+    def test_a_solved_game_is_valued_without_pivoting_again(self, pivots):
+        cert = solve_minimax(embed_diagonal(RPS2))
+        assert cert.iterations == 0 and cert.converged
+        solved = len(pivots)
+        assert solved > 0
+        value = classic_value_exact(RPS2)
+        # the value reuses the solver's finish on all 3 rows: no pivot
+        assert len(pivots) == solved
+        assert cert.lower <= value <= cert.upper
+        # the same value and the same certificate, bit for bit, from a fresh simplex each
+        saddle._solve_game.cache_clear()
+        assert classic_value_exact(RPS2) == value
+        assert len(pivots) == 2 * solved
+        saddle._solve_game.cache_clear()
+        assert cert_bits(solve_minimax(embed_diagonal(RPS2))) == cert_bits(cert)
+        assert len(pivots) == 3 * solved
+
+    def test_the_diagonal_reduction_pivots_once(self, pivots):
+        classic_value_exact(RPS2)
+        once = len(pivots)
+        assert once == 3
+        saddle._solve_game.cache_clear()
+        pivots.clear()
+        report = verify_diagonal_reduction(RPS2)
+        assert report.within_tolerance and report.certificate.iterations == 0
+        # the value's simplex serves the solver's finish, which asks for the same rows
+        assert len(pivots) == once
+        assert saddle._solve_game.cache_info().hits == 1
+
+    def test_another_row_set_or_another_game_pivots_again(self, pivots):
+        payoff, _ = saddle._integers(RPS2.rows)
+        whole = saddle._simplex(payoff, range(3))
+        once = len(pivots)
+        assert saddle._simplex(payoff, [0, 1, 2]) == whole and len(pivots) == once
+        # the key holds the rows in their order, and the memo one entry: a solve on
+        # other rows, or on the same rows in another order, forgets the whole game's
+        for rows in ([2, 1, 0], range(3), [0, 1], range(3)):
+            before = len(pivots)
+            saddle._simplex(payoff, rows)
+            assert len(pivots) > before, rows
+        # another game on the same rows
+        before = len(pivots)
+        other, _ = saddle._integers(((0.0, 3.0, -1.0), (-1.0, 0.0, 1.0), (1.0, -1.0, 0.0)))
+        saddle._simplex(other, range(3))
+        assert len(pivots) > before
+        assert saddle._solve_game.cache_info().hits == 1
+        assert saddle._simplex(payoff, range(3)) == whole
+
+    def test_a_solve_that_raises_is_not_remembered(self, monkeypatch):
+        pivot = saddle._pivot
+        payoff, _ = saddle._integers(RPS2.rows)
+        kept = saddle._simplex(payoff, [0, 1])
+
+        def stop_early(tab, r, c, prev):
+            d = pivot(tab, r, c, prev)
+            tab[-1] = [max(v, 0) for v in tab[-1]]
+            return d
+
+        monkeypatch.setattr(saddle, "_pivot", stop_early)
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="not an equilibrium"):
+                saddle._simplex(payoff, range(3))
+        # both calls ran the faulty simplex; the entry before them is still the memo's
+        info = saddle._solve_game.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 3, 1)
+        assert saddle._simplex(payoff, [0, 1]) == kept
+        monkeypatch.setattr(saddle, "_pivot", pivot)
+        assert classic_value_exact(RPS2) == float(reference_value(RPS2.rows))
+
+    def test_the_remembered_strategies_are_tuples(self):
+        payoff, den = saddle._integers(RPS2.rows)
+        assert type(payoff) is tuple and all(type(row) is tuple for row in payoff)
+        x, y, z, v = saddle._simplex(payoff, range(3))
+        assert type(x) is tuple and type(y) is tuple
+        # the caller gets the remembered tuples themselves, which nothing can change
+        again = saddle._simplex(payoff, range(3))
+        assert again[0] is x and again[1] is y
+        assert Fraction(v, z * den) == reference_value(RPS2.rows)
 
 
 class TestVerifyDiagonalReduction:

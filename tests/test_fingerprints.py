@@ -8,10 +8,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 # a workload's line: its digest, the pass's Newton steps, its face steps and the converged
-# ones, its exact finishes and the rows they added, the Python-level calls of a warm pass and
-# the worst certificate's gap over its target
+# ones, its exact finishes with the remembered ones and the rows they added, the Python-level
+# calls of a warm pass and the worst certificate's gap over its target
 FACES = (r"\d+ face steps \(\d+ converged\) of \d+ Gauss-Newton steps, "
-         r"\d+ exact finishes adding \d+ rows")
+         r"\d+ exact finishes \(\d+ remembered\) adding \d+ rows")
 STEPS = rf"[0-9a-f]{{64}} \d+ steps, {FACES}, \d+ calls, worst gap \d+\.\d{{3}} of target\n"
 
 
@@ -25,9 +25,10 @@ def test_games_at_one_seed_prints_one_digest_per_source():
     # one line per workload and seed; no games case ends in an error
     assert re.fullmatch(rf"games 101 {STEPS}", out)
     # every game has at most n + 1 rows, so each of its 6 solves is finished on all
-    # its rows before any Newton step; with classic_value_exact's 6 simplex runs, none
-    # adds a row
-    assert " 0 steps, " in out and ", 12 exact finishes adding 0 rows, " in out
+    # its rows before any Newton step; classic_value_exact then asks for the same game
+    # on the same rows, which the simplex's memo serves, 6 of the 12 finishes; none adds
+    # a row
+    assert " 0 steps, " in out and ", 12 exact finishes (6 remembered) adding 0 rows, " in out
     # the same source, named explicitly, certifies to the same bits
     assert fingerprints("--workloads", "games", "--src", str(ROOT / "src")) == out
 

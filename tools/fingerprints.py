@@ -10,8 +10,10 @@ certifies every instance once and prints one line, ``workload seed SHA-256``,
 the digest over the cases' ``Outputs.fingerprint()`` in order, then the pass's
 Newton steps (the benchmark's ``rounds``) and the face steps taken, how many of
 them converged and their total Gauss-Newton steps, which ``rounds`` leaves out,
-the exact simplex's calls and the rows they added (a diagonal family's finishes,
-and on ``games`` also ``classic_value_exact``'s one per case), and the Python-level
+the exact simplex's calls, how many of them its one-entry memo served without a
+pivot (the hits of its ``cache_info()``; 0 for a source tree without the memo) and
+the rows they added (a diagonal family's finishes, and on ``games`` also
+``classic_value_exact``'s one per case), and the Python-level
 calls of a second, warm pass over the same cases (``call`` and ``c_call``
 events of a ``sys.setprofile`` hook, so that filling a cache does not count),
 and how tight the certificates are: the largest gap over its case's gap target
@@ -21,8 +23,9 @@ error, with that error. ``--fuzz`` adds one line with a digest over the
 certificates of the seeded fuzz of ``tests/test_saddle.py``: its 400 instances
 solved both ways at relative gaps 1e-6 and 1e-8, 1,600 certificates, their total
 Newton steps, the counts that stopped short, the face steps with the converged
-ones and their Gauss-Newton steps, and the exact finishes. Face steps and finishes
-are counted from the solver's debug lines; the converged share is the useful outcomes
+ones and their Gauss-Newton steps, and the exact finishes with the remembered ones.
+Face steps and finishes are counted from the solver's debug lines, the remembered
+finishes from the memo's hits; the converged share is the useful outcomes
 of the face steps made. The line ends with the same 400 instances solved both ways at
 relative gap 1e-12, the gate of ``tests/test_saddle.py``'s tight fuzz: their Newton
 steps and the counts that stopped short, outside the digest and the face counts.
@@ -80,11 +83,13 @@ class FaceCount(logging.Handler):
     """Counts the solver's face steps, those that converged, and their Gauss-Newton steps
     from its debug lines, "face step on <k> matrices: <steps> Gauss-Newton steps,
     <outcome>", and the exact simplex's calls and the rows they added, from "exact finish
-    on <k> rows: <added> rows added, <rounds> simplex rounds"."""
+    on <k> rows: <added> rows added, <rounds> simplex rounds"; ``face_count`` sets how
+    many of those calls the simplex's memo served."""
 
     def __init__(self):
         super().__init__(logging.DEBUG)
         self.attempts = self.converged = self.steps = self.finishes = self.added = 0
+        self.remembered = 0
 
     def emit(self, record):
         if record.msg.startswith("face step"):
@@ -97,13 +102,21 @@ class FaceCount(logging.Handler):
 
     def __str__(self):
         return (f"{self.attempts} face steps ({self.converged} converged) of {self.steps} "
-                f"Gauss-Newton steps, {self.finishes} exact finishes adding {self.added} rows")
+                f"Gauss-Newton steps, {self.finishes} exact finishes ({self.remembered} "
+                f"remembered) adding {self.added} rows")
+
+
+def memo_hits(saddle) -> int:
+    """The hits so far of the exact simplex's memo, ``_solve_game``; 0 without one."""
+    memo = getattr(saddle, "_solve_game", None)
+    return 0 if memo is None else memo.cache_info().hits
 
 
 @contextlib.contextmanager
 def face_count(saddle):
-    """A FaceCount that hears ``saddle``'s debug lines while the block runs."""
-    faces, level = FaceCount(), saddle.logger.level
+    """A FaceCount that hears ``saddle``'s debug lines, and counts the memo's hits,
+    while the block runs."""
+    faces, level, hits = FaceCount(), saddle.logger.level, memo_hits(saddle)
     saddle.logger.addHandler(faces)
     saddle.logger.setLevel(logging.DEBUG)
     try:
@@ -111,6 +124,7 @@ def face_count(saddle):
     finally:
         saddle.logger.removeHandler(faces)
         saddle.logger.setLevel(level)
+        faces.remembered = memo_hits(saddle) - hits
 
 
 def count_calls(run) -> int:
