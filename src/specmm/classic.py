@@ -10,9 +10,10 @@ reduction can be verified against the solve to stated tolerances. That solve
 may finish a game of at most n + 1 rows before any interior-point step, and
 the check keeps its meaning: both of its bounds come from the spectral
 oracles, a best response to X and a least eigenvalue of sum_i y_i A_i.
-The simplex remembers its last solve, so a value asked after a solve that
-finished the same game on all its rows, or before one that will, reuses that
-simplex, bit for bit, and pivots once for both.
+The simplex remembers its last solve by the float game and its rows, so a value
+asked after a solve that finished the same game on all its rows, or before one
+that will, reuses that simplex, bit for bit: the game is converted to ints and
+pivoted on once for both.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from numbers import Real
 import numpy as np
 
 from .domains import InstanceSet
-from .saddle import SaddleCertificate, SaddleConfig, _integers, _simplex, solve_minimax
+from .saddle import SaddleCertificate, SaddleConfig, _simplex, solve_minimax
 
 __all__ = [
     "VectorGame",
@@ -90,17 +91,16 @@ def embed_diagonal(game: VectorGame) -> InstanceSet:
 def classic_value_exact(game: VectorGame) -> float:
     """Exact game value by one simplex solve over Python ints.
 
-    The payoffs are scaled to ints by the common denominator of their exact
-    values (``saddle._integers``), and ``saddle._simplex`` solves the game on
-    all its rows: Bland's rule with fraction-free pivots, then one exact check
-    that its x and y are an equilibrium (RuntimeError if not). The returned
-    float is the rational value correctly rounded. The simplex's last solve is
-    remembered by its int game and rows, so a value asked right after a solve
-    of the same game that finished on all its rows, in their order, makes no
-    pivot and is that solve's, bit for bit.
+    ``saddle._simplex`` scales the payoffs to ints by the common denominator of
+    their exact values and solves the game on all its rows: Bland's rule with
+    fraction-free pivots, then one exact check that its x and y are an
+    equilibrium (RuntimeError if not). The returned float is the rational value
+    correctly rounded. The simplex's last solve is remembered by its float game
+    and rows, so a value asked right after a solve of the same game that
+    finished on all its rows, in their order, neither converts nor pivots and
+    is that solve's, bit for bit.
     """
-    payoff, den = _integers(game.rows)
-    _, _, z, v = _simplex(payoff, range(game.m))
+    _, _, z, v, den = _simplex(game.rows, tuple(range(game.m)))
     # int true division rounds correctly
     return v / (z * den)
 

@@ -280,23 +280,16 @@ def build_embedding(inst: InstanceSet) -> SdpEmbedding:
     return SdpEmbedding(inst)
 
 
-def lift_primal(
-    x: SpectraplexPoint,
-    inst: InstanceSet,
-    emb: SdpEmbedding,
-    *,
-    margin: float = 0.0,
-) -> PrimalLift:
+def lift_primal(x: SpectraplexPoint, inst: InstanceSet, emb: SdpEmbedding) -> PrimalLift:
     """Lift a spectraplex point to a feasible primal block variable.
 
-    delta is set to max_i <A_i + sigma*I, X> plus the optional margin, and
-    the lift derives the slacks, which absorb the differences. With margin 0
-    the slack of a best-response index is exactly zero; a positive margin
-    makes every slack strictly positive. The objective entry equals the
-    shifted guarantee of X (plus margin).
+    delta is set to max_i <A_i + sigma*I, X>, and the lift derives the slacks,
+    which absorb the differences: the slack of a best-response index is exactly
+    zero. The objective entry equals the shifted guarantee of X. A lift with a
+    margin, every slack strictly positive, is ``PrimalLift(emb, x, margin=...)``.
     """
     _check_instance(inst, emb)
-    return PrimalLift(emb, x, margin=margin)
+    return PrimalLift(emb, x)
 
 
 def interior_primal_point(emb: SdpEmbedding) -> PrimalLift:

@@ -28,20 +28,21 @@ An interior point only approaches the optimal face, so each solve also tries to
 finish on it, on faces that ``_attempt_faces``, the one face-attempt policy, guesses
 from the incumbents after each Newton step. A diagonal family tries at any gap, and
 when it has at most q + 1 = n + 1 matrices, before its first Newton step too, on all
-of them, so such a game may close with no Newton step. Its game is converted to
-integers once per solve, and the finish is the exact simplex of the classic game
-(``_simplex``: Bland's rule with fraction-free pivots) on the face's rows, which adds
-every row of the whole game that the face's optimum violates until none does. The
-interior point names the face and pivoting finishes on it (Megiddo, ORSA J. Comput.
-1991; Mehrotra & Ye, Math. Program. 1993); its exact equilibrium, rounded to floats,
-is the third candidate. The last exact solve is remembered, so that
-``classic_value_exact`` of a game that a solve has just finished on all its rows
-makes no second simplex. A block family tries once the incumbents' gap is within a
-tenth of the scale: up to four Gauss-Newton steps on that face's square optimality
-system (``_face_step``: Newton on the complementarity system, Alizadeh, Haeberly &
-Overton, Math. Program. 1997) solve for X's entries between Z's leading eigenvectors,
-eliminating the others, and stop once the residual is half the gap target. The Newton
-iterates never depend on any attempt, so a solve can only stop sooner.
+of them, so such a game may close with no Newton step. Its diagonals are read once
+per solve, and the finish is the exact simplex of the classic game (``_simplex``: its
+floats converted to ints, Bland's rule with fraction-free pivots) on the face's rows,
+which adds every row of the whole game that the face's optimum violates until none
+does. The interior point names the face and pivoting finishes on it (Megiddo, ORSA J.
+Comput. 1991; Mehrotra & Ye, Math. Program. 1993); its exact equilibrium, rounded to
+floats, is the third candidate. The last exact solve is remembered by its float game
+and rows, so that ``classic_value_exact`` of a game that a solve has just finished on
+all its rows neither converts it nor pivots again. A block family tries once the
+incumbents' gap is within a tenth of the scale: up to four Gauss-Newton steps on that
+face's square optimality system (``_face_step``: Newton on the complementarity system,
+Alizadeh, Haeberly & Overton, Math. Program. 1997) solve for X's entries between Z's
+leading eigenvectors, eliminating the others, and stop once the residual is half the
+gap target. The Newton iterates never depend on any attempt, so a solve can only stop
+sooner.
 
 Certificates are self-verifying. After each Newton step the loop evaluates
 the exact bracket on all m matrices at its clipped iterate, Newton point (y zero
@@ -267,15 +268,11 @@ def _newton_steps(stack: np.ndarray, work, sigma: float, scale: float, warm=None
     iteration.
     """
     m, n = int(work.sum()), stack.shape[1]
-    i = np.arange(n)
-    # i is arange(n), so this identity fancy index changes no value: the copy is kept for
-    # its layout, not C-contiguous but with the batch axis innermost (strides (8, 160,
-    # 40) for a (5, 4, 4) stack), which the products below read bit for bit. With f =
-    # tops, the dense and wide digests move and the 1e-12 fuzz stops short 21 + 22
-    # times, over its 18 + 23 gate. Freeing tops lowers the solver's peak memory
-    tops = np.concatenate([_shifted(stack[work], sigma, scale), _eye(n)[None]])
-    f = tops[:, i[:, None], i]
-    del tops
+    # a copy with the batch axis innermost (strides (8, 160, 40) for a (5, 4, 4) stack):
+    # on C order the products below round differently, and the 1e-12 fuzz stops short
+    # more often than its gate allows
+    f = np.concatenate([_shifted(stack[work], sigma, scale), _eye(n)[None]])
+    f = np.ascontiguousarray(f.transpose(1, 2, 0)).transpose(2, 0, 1)
     ff, x = f.reshape(m + 1, -1), _eye(n) / n
     cost = np.zeros(m + 1)
     cost[-1] = 1.0
@@ -514,55 +511,46 @@ def _pivot(tab: list[list[int]], r: int, c: int, prev: int) -> int:
     return p
 
 
-def _integers(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
+def _integers(rows) -> tuple[list[list[int]], int]:
     """Rows of floats as rows of ints with the same ratios, and the factor between them.
 
     Each float is a dyadic rational p / q in lowest terms; scaled by the common
     denominator ``den`` of them all, every entry is an int, and a game's value scales
-    with it. Returns (the int rows, den), the rows as tuples: ``_simplex`` remembers its
-    last solve by the payoff, which must therefore be hashable and never change.
+    with it. Returns (the int rows, den).
     """
     exact = [[x.as_integer_ratio() for x in row] for row in rows]
     den = math.lcm(*[q for row in exact for _, q in row])
-    return tuple(map(tuple, [[p * (den // q) for p, q in row] for row in exact])), den
-
-
-def _simplex(payoff: tuple[tuple[int, ...], ...], rows) -> tuple[tuple, tuple, int, int]:
-    """The exact equilibrium of the game of int ``payoff`` rows, solved first on ``rows``.
-
-    The maximizer picks a row i, the minimizer a column j. With every entry of B = A +
-    shift at least 1, max sum(u) s.t. B u <= 1, u >= 0 over the rows solved is bounded
-    with optimum 1 / (value + shift), and at the optimum u and the slack duals rescale to
-    the minimizer's x and the maximizer's y. The tableau starts from the slack basis and
-    every step is one fraction-free ``_pivot``, so no entry is ever a fraction. Bland's
-    rule (Math. Oper. Res. 1977) picks the lowest-index column with a negative reduced
-    cost and, among rows tied in the ratio test, the lowest basic index, so degenerate
-    games cannot cycle. Then every row of the whole game is checked exactly at x: each
-    row not yet solved on that pays more than the value is added, and the simplex runs
-    again from the slack basis on the larger set, until none does. The equilibrium is
-    then checked exactly, once, on the whole game: x and y are nonnegative and sum to z,
-    and max_i (A x)_i = v = min_j (y^T A)_j; RuntimeError if not. Returns (x, y, z, v):
-    the strategies x / z and y / z as tuples (y zero off the rows solved on) and the
-    value v / z.
-
-    The last solve is remembered: ``_solve_game``, a one-entry ``lru_cache``, is keyed on
-    the payoff, a tuple of tuples (``_integers``), and the tuple of ``rows`` in their
-    order. A second call on the same game and rows, such as ``classic_value_exact`` after
-    the solver's finish on all of a game's rows, makes no pivot and returns the same
-    tuples, bit for bit. A call that raises is not remembered. Each call that returns
-    logs one debug line, from the remembered counts on a repeat: the rows first solved
-    on, the rows added and the simplex rounds.
-    """
-    x, y, z, v, added, rounds = _solve_game(payoff, tuple(rows))
-    logger.debug("exact finish on %d rows: %d rows added, %d simplex rounds", len(rows),
-                 added, rounds)
-    return x, y, z, v
+    return [[p * (den // q) for p, q in row] for row in exact], den
 
 
 @lru_cache(maxsize=1)
-def _solve_game(payoff: tuple[tuple[int, ...], ...], rows: tuple[int, ...]) -> tuple:
-    """``_simplex``'s solve of the game on ``rows``, remembered for the last arguments:
-    (x, y, z, v) with x and y as tuples, then the rows added and the simplex rounds."""
+def _simplex(game: tuple[tuple[float, ...], ...], rows: tuple[int, ...]) -> tuple:
+    """The exact equilibrium of the game of float ``game`` rows, solved first on ``rows``.
+
+    The game is converted to ints (``_integers``). The maximizer picks a row i, the
+    minimizer a column j. With every entry of B = A + shift at least 1, max sum(u) s.t.
+    B u <= 1, u >= 0 over the rows solved is bounded with optimum 1 / (value + shift),
+    and at the optimum u and the slack duals rescale to the minimizer's x and the
+    maximizer's y. The tableau starts from the slack basis and every step is one
+    fraction-free ``_pivot``, so no entry is ever a fraction. Bland's rule (Math. Oper.
+    Res. 1977) picks the lowest-index column with a negative reduced cost and, among rows
+    tied in the ratio test, the lowest basic index, so degenerate games cannot cycle.
+    Then every row of the whole game is checked exactly at x: each row not yet solved on
+    that pays more than the value is added, and the simplex runs again from the slack
+    basis on the larger set, until none does. The equilibrium is then checked exactly,
+    once, on the whole game: x and y are nonnegative and sum to z, and max_i (A x)_i = v
+    = min_j (y^T A)_j; RuntimeError if not. Logs one debug line, the rows first solved
+    on, the rows added and the simplex rounds, and returns (x, y, z, v, den): the
+    strategies x / z and y / z as tuples (y zero off the rows solved on), the int game's
+    value v / z and the game's value v / (z * den).
+
+    A one-entry ``lru_cache`` remembers the last solve, keyed on the float game and the
+    rows in their order, both tuples. Equal floats convert to equal ints, so a second
+    call on the same game and rows, such as ``classic_value_exact`` after the solver's
+    finish on all of a game's rows, neither converts nor pivots nor logs, and returns
+    the same tuples, bit for bit. A call that raises is not remembered.
+    """
+    payoff, den = _integers(game)
     m, n = len(payoff), len(payoff[0])
     shift = 1 - min(map(min, payoff))
     rows, rounds = list(rows), 0
@@ -608,14 +596,16 @@ def _solve_game(payoff: tuple[tuple[int, ...], ...], rows: tuple[int, ...]) -> t
     if (min(x) < 0 or min(y) < 0 or sum(x) != z or sum(y) != z or max(pays) != v
             or min([sum(map(mul, y, col)) for col in zip(*payoff)]) != v):
         raise RuntimeError("the simplex optimum is not an equilibrium")
-    return tuple(x), tuple(y), z, v, k - first, rounds
+    logger.debug("exact finish on %d rows: %d rows added, %d simplex rounds", first,
+                 k - first, rounds)
+    return tuple(x), tuple(y), z, v, den
 
 
-def _finish(payoff: tuple[tuple[int, ...], ...], face: np.ndarray, n: int):
-    """A diagonal family's exact finish on ``face``: ``_simplex`` on its int game
-    ``payoff``, its x and y each divided by z and correctly rounded. Returns the n x n
-    diagonal X and the m weights, as ``_face_step`` returns its point."""
-    x, y, z, _ = _simplex(payoff, face.tolist())
+def _finish(game: tuple[tuple[float, ...], ...], face: np.ndarray, n: int):
+    """A diagonal family's exact finish on ``face``: ``_simplex`` on its float ``game``,
+    its x and y each divided by z and correctly rounded. Returns the n x n diagonal X and
+    the m weights, as ``_face_step`` returns its point."""
+    x, y, z, _, _ = _simplex(game, tuple(face.tolist()))
     xd = np.zeros((n, n))
     xd.reshape(-1)[:: n + 1] = [a / z for a in x]  # int true division rounds correctly
     return xd, np.array([b / z for b in y])
@@ -691,8 +681,8 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
     makes the step's face attempts, gated at ``_FACE_GAP`` times the scale for a block
     family and at any gap for a diagonal one, and each attempt's point, if any, is
     bracketed too. A diagonal family's attempt is ``_finish``, the exact simplex on the
-    face's rows of its game, converted to ints (``_integers``) once per solve; a block
-    family's is ``_face_step``, from the incumbents. The best of each side over all
+    face's rows of its game, whose diagonals are read once per solve; a block family's
+    is ``_face_step``, from the incumbents. The best of each side over all
     rounds is kept with its strategy, and ``on_bounds(k, upper, lower)``, if given, sees
     the pair. When some matrix outside W pays more at the iterate's X than all of W, all
     such join W and a new round starts warm from the iterate. Stops at cfg.gap_tol,
@@ -705,8 +695,8 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
     if scale == 0.0:
         return 0.0, 0.0, _eye(n) / n, np.full(m, 1.0 / m), 0, scale
     diagonal, sigma = _is_diagonal(stack), _shift(spectra, scale)
-    # a diagonal family's game, in ints, for its exact finish
-    payoff = _integers(stack.diagonal(axis1=1, axis2=2).tolist())[0] if diagonal else None
+    # a diagonal family's game, its diagonals as tuples, for its exact finish
+    game = tuple(map(tuple, stack.diagonal(axis1=1, axis2=2).tolist())) if diagonal else None
     q, gate = (n, np.inf) if diagonal else (n * (n + 1) // 2, _FACE_GAP * scale)
     upper, lower, k, warm = np.inf, -np.inf, 0, None
     best = [None, None, None]  # the incumbent x_bar, its payoffs, and y_bar
@@ -725,7 +715,7 @@ def _interior_point(stack: np.ndarray, spectra: np.ndarray, cfg: SaddleConfig, o
 
     def attempt(face):
         # the face's attempt and its point's bracket: (the point or None, improved)
-        point = _finish(payoff, face, n) if diagonal else _face_step(
+        point = _finish(game, face, n) if diagonal else _face_step(
             stack, scale, face, best[0], best[2], lower, upper, cfg.gap_tol)
         return point, point is not None and better(
             *_bracket(stack, point[0][None], point[1][None]))

@@ -49,4 +49,4 @@ def forget_the_last_exact_solve():
     """Empty the exact simplex's one-entry memo before each test, so that no test is
     served a solve that an earlier one made, and each fault injected into ``_pivot``
     reaches a simplex."""
-    saddle._solve_game.cache_clear()
+    saddle._simplex.cache_clear()

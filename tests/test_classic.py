@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -12,7 +13,7 @@ from specmm import (
     solve_minimax,
     verify_diagonal_reduction,
 )
-from specmm import saddle
+from specmm import classic, saddle
 
 
 def value_2x2_closed_form(a, b, c, d):
@@ -319,7 +320,7 @@ class TestClassicValueExact:
             solve_minimax(embed_diagonal(game))
         assert str(solved.value) == str(exact.value)
         # neither raise is remembered, so each path ran its own simplex to the check
-        assert saddle._solve_game.cache_info().currsize == 0
+        assert saddle._simplex.cache_info().currsize == 0
 
     def test_single_row_and_single_column(self, rng):
         for _ in range(10):
@@ -354,7 +355,7 @@ def cert_bits(cert):
 
 
 class TestRememberedSolve:
-    """The exact simplex remembers its last solve, keyed on the int game and the rows."""
+    """The exact simplex remembers its last solve, keyed on the float game and the rows."""
 
     def test_a_solved_game_is_valued_without_pivoting_again(self, pivots):
         cert = solve_minimax(embed_diagonal(RPS2))
@@ -366,10 +367,10 @@ class TestRememberedSolve:
         assert len(pivots) == solved
         assert cert.lower <= value <= cert.upper
         # the same value and the same certificate, bit for bit, from a fresh simplex each
-        saddle._solve_game.cache_clear()
+        saddle._simplex.cache_clear()
         assert classic_value_exact(RPS2) == value
         assert len(pivots) == 2 * solved
-        saddle._solve_game.cache_clear()
+        saddle._simplex.cache_clear()
         assert cert_bits(solve_minimax(embed_diagonal(RPS2))) == cert_bits(cert)
         assert len(pivots) == 3 * solved
 
@@ -377,37 +378,62 @@ class TestRememberedSolve:
         classic_value_exact(RPS2)
         once = len(pivots)
         assert once == 3
-        saddle._solve_game.cache_clear()
+        saddle._simplex.cache_clear()
         pivots.clear()
         report = verify_diagonal_reduction(RPS2)
         assert report.within_tolerance and report.certificate.iterations == 0
         # the value's simplex serves the solver's finish, which asks for the same rows
         assert len(pivots) == once
-        assert saddle._solve_game.cache_info().hits == 1
+        assert saddle._simplex.cache_info().hits == 1
 
     def test_another_row_set_or_another_game_pivots_again(self, pivots):
-        payoff, _ = saddle._integers(RPS2.rows)
-        whole = saddle._simplex(payoff, range(3))
+        whole = saddle._simplex(RPS2.rows, (0, 1, 2))
         once = len(pivots)
-        assert saddle._simplex(payoff, [0, 1, 2]) == whole and len(pivots) == once
+        assert saddle._simplex(RPS2.rows, (0, 1, 2)) == whole and len(pivots) == once
         # the key holds the rows in their order, and the memo one entry: a solve on
         # other rows, or on the same rows in another order, forgets the whole game's
-        for rows in ([2, 1, 0], range(3), [0, 1], range(3)):
+        for rows in ((2, 1, 0), (0, 1, 2), (0, 1), (0, 1, 2)):
             before = len(pivots)
-            saddle._simplex(payoff, rows)
+            saddle._simplex(RPS2.rows, rows)
             assert len(pivots) > before, rows
         # another game on the same rows
         before = len(pivots)
-        other, _ = saddle._integers(((0.0, 3.0, -1.0), (-1.0, 0.0, 1.0), (1.0, -1.0, 0.0)))
-        saddle._simplex(other, range(3))
+        saddle._simplex(((0.0, 3.0, -1.0), (-1.0, 0.0, 1.0), (1.0, -1.0, 0.0)), (0, 1, 2))
         assert len(pivots) > before
-        assert saddle._solve_game.cache_info().hits == 1
-        assert saddle._simplex(payoff, range(3)) == whole
+        assert saddle._simplex.cache_info().hits == 1
+        assert saddle._simplex(RPS2.rows, (0, 1, 2)) == whole
+
+    def test_the_key_is_the_float_game(self, pivots):
+        # -0.0 and 0.0 are equal floats and convert to the same ints: one entry serves both
+        negative = tuple(tuple(-0.0 if a == 0.0 else a for a in row) for row in RPS2.rows)
+        assert any(math.copysign(1.0, a) < 0.0 for row in negative for a in row)
+        whole = saddle._simplex(RPS2.rows, (0, 1, 2))
+        once = len(pivots)
+        assert saddle._simplex(negative, (0, 1, 2)) == whole and len(pivots) == once
+        # one ulp off one payoff is another game, which pivots again
+        nudged = ((0.0, math.nextafter(2.0, 3.0), -1.0),) + RPS2.rows[1:]
+        assert saddle._simplex(nudged, (0, 1, 2)) != whole and len(pivots) > once
+        info = saddle._simplex.cache_info()
+        assert (info.hits, info.misses) == (1, 2)
+
+    def test_a_solve_then_its_value_convert_the_game_once(self, monkeypatch):
+        calls, integers = [], saddle._integers
+
+        def counted(rows):
+            calls.append(rows)
+            return integers(rows)
+
+        # the simplex is the one conversion, so counting saddle's counts them all
+        assert not hasattr(classic, "_integers")
+        monkeypatch.setattr(saddle, "_integers", counted)
+        cert = solve_minimax(embed_diagonal(RPS2))
+        assert cert.iterations == 0 and len(calls) == 1
+        assert cert.lower <= classic_value_exact(RPS2) <= cert.upper
+        assert len(calls) == 1
 
     def test_a_solve_that_raises_is_not_remembered(self, monkeypatch):
         pivot = saddle._pivot
-        payoff, _ = saddle._integers(RPS2.rows)
-        kept = saddle._simplex(payoff, [0, 1])
+        kept = saddle._simplex(RPS2.rows, (0, 1))
 
         def stop_early(tab, r, c, prev):
             d = pivot(tab, r, c, prev)
@@ -417,21 +443,19 @@ class TestRememberedSolve:
         monkeypatch.setattr(saddle, "_pivot", stop_early)
         for _ in range(2):
             with pytest.raises(RuntimeError, match="not an equilibrium"):
-                saddle._simplex(payoff, range(3))
+                saddle._simplex(RPS2.rows, (0, 1, 2))
         # both calls ran the faulty simplex; the entry before them is still the memo's
-        info = saddle._solve_game.cache_info()
+        info = saddle._simplex.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 3, 1)
-        assert saddle._simplex(payoff, [0, 1]) == kept
+        assert saddle._simplex(RPS2.rows, (0, 1)) == kept
         monkeypatch.setattr(saddle, "_pivot", pivot)
         assert classic_value_exact(RPS2) == float(reference_value(RPS2.rows))
 
     def test_the_remembered_strategies_are_tuples(self):
-        payoff, den = saddle._integers(RPS2.rows)
-        assert type(payoff) is tuple and all(type(row) is tuple for row in payoff)
-        x, y, z, v = saddle._simplex(payoff, range(3))
+        x, y, z, v, den = saddle._simplex(RPS2.rows, (0, 1, 2))
         assert type(x) is tuple and type(y) is tuple
         # the caller gets the remembered tuples themselves, which nothing can change
-        again = saddle._simplex(payoff, range(3))
+        again = saddle._simplex(RPS2.rows, (0, 1, 2))
         assert again[0] is x and again[1] is y
         assert Fraction(v, z * den) == reference_value(RPS2.rows)
 

@@ -215,7 +215,7 @@ class TestLiftPrimal:
         assert lift.slacks.min() == 0.0
         assert lift.objective == pytest.approx(upper_value(x, inst) + emb.shift, abs=1e-12)
         with pytest.raises(ValueError, match="margin must be nonnegative"):
-            lift_primal(x, inst, emb, margin=-1e-300)
+            PrimalLift(emb, x, margin=-1e-300)
 
     def test_interior_point_has_strict_slacks(self, rng):
         for _ in range(5):
@@ -798,7 +798,7 @@ class TestStructuralReaders:
         eye = SpectraplexPoint(np.eye(n) / n)
         for x, margin in ((sample_spectraplex(n, rng), 0.0), (eye, 1.0)):
             mat, res = dense_primal(x.array, inst, emb.shift, margin)
-            p = lift_primal(x, inst, emb, margin=margin)
+            p = PrimalLift(emb, x, margin=margin)
             assert primal_parts(p) == dense_parts(mat, m)
             assert np.abs(p.residuals - res).max() <= 1e-12 * p.objective
 

@@ -24,11 +24,13 @@ certificates of the seeded fuzz of ``tests/test_saddle.py``: its 400 instances
 solved both ways at relative gaps 1e-6 and 1e-8, 1,600 certificates, their total
 Newton steps, the counts that stopped short, the face steps with the converged
 ones and their Gauss-Newton steps, and the exact finishes with the remembered ones.
-Face steps and finishes are counted from the solver's debug lines, the remembered
-finishes from the memo's hits; the converged share is the useful outcomes
-of the face steps made. The line ends with the same 400 instances solved both ways at
-relative gap 1e-12, the gate of ``tests/test_saddle.py``'s tight fuzz: their Newton
-steps and the counts that stopped short, outside the digest and the face counts.
+Face steps, the finishes that pivot and their rows are counted from the solver's
+debug lines, the remembered finishes from the memo's hits, and every finish counts,
+served or not, so the line reads the same on a tree whose ``_simplex`` logged every
+call; the converged share is the useful outcomes of the face steps made. The line
+ends with the same 400 instances solved both ways at relative gap 1e-12, the gate
+of ``tests/test_saddle.py``'s tight fuzz: their Newton steps and the counts that
+stopped short, outside the digest and the face counts.
 
 Run it on two source trees and compare the outputs line by line:
 
@@ -84,7 +86,8 @@ class FaceCount(logging.Handler):
     from its debug lines, "face step on <k> matrices: <steps> Gauss-Newton steps,
     <outcome>", and the exact simplex's calls and the rows they added, from "exact finish
     on <k> rows: <added> rows added, <rounds> simplex rounds"; ``face_count`` sets how
-    many of those calls the simplex's memo served."""
+    many of those calls the simplex's memo served, and counts them as calls too where a
+    served call logs no line."""
 
     def __init__(self):
         super().__init__(logging.DEBUG)
@@ -106,17 +109,21 @@ class FaceCount(logging.Handler):
                 f"remembered) adding {self.added} rows")
 
 
-def memo_hits(saddle) -> int:
-    """The hits so far of the exact simplex's memo, ``_solve_game``; 0 without one."""
-    memo = getattr(saddle, "_solve_game", None)
-    return 0 if memo is None else memo.cache_info().hits
+def memo(saddle):
+    """The exact simplex's memo and whether the calls it serves log a line: ``_simplex``
+    itself, which logs only when it pivots, or an older tree's ``_solve_game`` behind a
+    ``_simplex`` that logs every call; (None, True) for a tree without a memo."""
+    if hasattr(saddle, "_solve_game"):
+        return saddle._solve_game, True
+    return (saddle._simplex, False) if hasattr(saddle._simplex, "cache_info") else (None, True)
 
 
 @contextlib.contextmanager
 def face_count(saddle):
     """A FaceCount that hears ``saddle``'s debug lines, and counts the memo's hits,
     while the block runs."""
-    faces, level, hits = FaceCount(), saddle.logger.level, memo_hits(saddle)
+    (cache, logged), faces, level = memo(saddle), FaceCount(), saddle.logger.level
+    hits = cache.cache_info().hits if cache else 0
     saddle.logger.addHandler(faces)
     saddle.logger.setLevel(logging.DEBUG)
     try:
@@ -124,7 +131,8 @@ def face_count(saddle):
     finally:
         saddle.logger.removeHandler(faces)
         saddle.logger.setLevel(level)
-        faces.remembered = memo_hits(saddle) - hits
+        faces.remembered = cache.cache_info().hits - hits if cache else 0
+        faces.finishes += 0 if logged else faces.remembered
 
 
 def count_calls(run) -> int:
